@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import femspace as fs
+from .femspace import ElementBatch, element_batches
 from .mesh import Mesh
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "assemble_step1",
     "assemble_step2",
     "assemble_step3",
+    "shift_pressure_to_zero_mean",
     "recover_gamma",
     "SolutionFields",
     "bh_norm",
@@ -93,10 +95,14 @@ class SpaceConfig:
                 f"[{max(1, self.k - 1)}, {self.k}]")
 
 
-def stabilization(element, material: PlateMaterial) -> tuple[float, float, float]:
-    """Edge penalty weights (1/h_K, 1/h_K, h_K + t^2/h_K) of an element."""
-    h = element.diameter if hasattr(element, "diameter") else float(element)
-    if not h > 0:
+def stabilization(element, material: PlateMaterial):
+    """Edge penalty weights (1/h_K, 1/h_K, h_K + t^2/h_K).
+
+    ``element`` is an element, its diameter, or an array of diameters
+    (one per element of a batch).
+    """
+    h = element.diameter if hasattr(element, "diameter") else element
+    if not np.all(h > 0):
         raise ValueError("element diameter must be positive")
     return 1.0 / h, 1.0 / h, h + material.t ** 2 / h
 
@@ -132,101 +138,6 @@ def constitutive_inverse_apply(tau: np.ndarray, material: PlateMaterial) -> np.n
     return np.asarray(tau) @ _constitutive_inverse_component_matrix(material).T
 
 
-# ----------------------------------------------------------------------
-# batched element geometry
-
-
-class _ElementBatch:
-    """Stacked geometry for all elements with the same vertex count."""
-
-    def __init__(self, mesh: Mesh, ids: np.ndarray):
-        self.ids = ids
-        ne = len(ids)
-        nv = len(mesh.elements[ids[0]].vertex_loop)
-        self.nv = nv
-        self.verts = np.empty((ne, nv, 2))
-        self.centroid = np.empty((ne, 2))
-        self.h = np.empty(ne)
-        self.area = np.empty(ne)
-        self.edge_ids = np.empty((ne, nv), dtype=int)
-        self.edge_signs = np.empty((ne, nv), dtype=int)
-        for row, eid in enumerate(ids):
-            el = mesh.elements[eid]
-            self.verts[row] = mesh.points[list(el.vertex_loop)]
-            self.centroid[row] = el.centroid
-            self.h[row] = el.diameter
-            self.area[row] = el.area
-            self.edge_ids[row] = [e for e, _ in el.edges]
-            self.edge_signs[row] = [s for _, s in el.edges]
-        # per local edge: traversal direction = in-element tangent,
-        # outward normal = tangent rotated by -90 degrees
-        nxt = np.roll(self.verts, -1, axis=1)
-        d = nxt - self.verts
-        self.edge_len = np.hypot(d[..., 0], d[..., 1])
-        self.tangents = d / self.edge_len[..., None]
-        self.normals = np.stack(
-            [self.tangents[..., 1], -self.tangents[..., 0]], axis=-1)
-
-    def volume_rule(self, degree: int):
-        ref, w0 = fs.triangle_reference_rule(degree)
-        if self.nv == 3:
-            # triangles map onto the reference rule without subdivision
-            p0 = self.verts[:, 0, :][:, None, :]
-            a = self.verts[:, 1, :][:, None, :] - p0
-            b = self.verts[:, 2, :][:, None, :] - p0
-            jac = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-            return (p0 + ref[None, :, :1] * a + ref[None, :, 1:] * b,
-                    w0[None, :] * jac)
-        pts, wts = [], []
-        c = self.centroid[:, None, :]
-        for i in range(self.nv):
-            a = self.verts[:, i, :][:, None, :] - c
-            b = self.verts[:, (i + 1) % self.nv, :][:, None, :] - c
-            jac = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
-            pts.append(c + ref[None, :, :1] * a + ref[None, :, 1:] * b)
-            wts.append(w0[None, :] * jac)
-        return np.concatenate(pts, axis=1), np.concatenate(wts, axis=1)
-
-    def edge_rule(self, local_edge: int, degree: int):
-        """Points, weights and global arclength parameter on one local edge."""
-        npts = max(1, (degree + 2) // 2)
-        x, w = fs.gauss_legendre_01(npts)
-        p0 = self.verts[:, local_edge, :]
-        p1 = self.verts[:, (local_edge + 1) % self.nv, :]
-        pts = p0[:, None, :] + x[None, :, None] * (p1 - p0)[:, None, :]
-        wts = w[None, :] * self.edge_len[:, local_edge][:, None]
-        sign = self.edge_signs[:, local_edge][:, None]
-        s = np.where(sign > 0, x[None, :], 1.0 - x[None, :])
-        return pts, wts, s
-
-
-def element_batches(mesh: Mesh) -> list[_ElementBatch]:
-    by_nv: dict[int, list[int]] = {}
-    for el in mesh.elements:
-        by_nv.setdefault(len(el.vertex_loop), []).append(el.id)
-    return [_ElementBatch(mesh, np.array(ids))
-            for _, ids in sorted(by_nv.items())]
-
-
-def _scalar_vals(exps, centroid, h, pts, dx=0, dy=0):
-    """Scaled-monomial values on stacked elements: (ne, nb, nq)."""
-    a = exps[:, 0].astype(float)
-    b = exps[:, 1].astype(float)
-    coef = np.ones_like(a)
-    for _ in range(dx):
-        coef, a = coef * a, np.maximum(a - 1, 0)
-    for _ in range(dy):
-        coef, b = coef * b, np.maximum(b - 1, 0)
-    xi = (pts[..., 0] - centroid[:, None, 0]) / h[:, None]
-    eta = (pts[..., 1] - centroid[:, None, 1]) / h[:, None]
-    vals = (coef[None, :, None]
-            * xi[:, None, :] ** a[None, :, None]
-            * eta[:, None, :] ** b[None, :, None])
-    if dx or dy:
-        vals = vals / h[:, None, None] ** (dx + dy)
-    return vals
-
-
 def _ip(w, rows, cols):
     return np.einsum("eiq,ejq,eq->eij", rows, cols, w, optimize=True)
 
@@ -249,14 +160,16 @@ class DiscreteField:
     coeffs: np.ndarray  # (num_elements, ncomp * nscalar)
 
     def __post_init__(self):
-        self.ncomp = {"scalar": 1, "vector2": 2, "symtensor2x2": 3}[self.rank]
+        self.ncomp = {"scalar": 1, "vector2": 2, "symtensor2x2": 3}.get(self.rank)
+        if self.ncomp is None:
+            raise ValueError(f"unknown value rank {self.rank!r}")
         self.nscalar = fs.space_dim(self.degree)
         if self.coeffs.shape != (self.mesh.num_elements, self.ncomp * self.nscalar):
             raise ValueError("coefficient array has the wrong shape")
 
-    def values_batched(self, batch: _ElementBatch, pts: np.ndarray) -> np.ndarray:
+    def values_batched(self, batch: ElementBatch, pts: np.ndarray) -> np.ndarray:
         """(ne, ncomp, nq) values at per-element points of a batch."""
-        vals = _scalar_vals(fs.monomial_exponents(self.degree),
+        vals = fs.scalar_vals(fs.monomial_exponents(self.degree),
                             batch.centroid, batch.h, pts)
         coeffs = self.coeffs[batch.ids]
         out = np.empty((len(batch.ids), self.ncomp, pts.shape[1]))
@@ -265,12 +178,12 @@ class DiscreteField:
             out[:, c, :] = np.einsum("enq,en->eq", vals, block)
         return out
 
-    def divergence_batched(self, batch: _ElementBatch, pts: np.ndarray) -> np.ndarray:
+    def divergence_batched(self, batch: ElementBatch, pts: np.ndarray) -> np.ndarray:
         if self.rank != "vector2":
             raise ValueError("divergence needs a vector2 field")
         exps = fs.monomial_exponents(self.degree)
-        gx = _scalar_vals(exps, batch.centroid, batch.h, pts, dx=1)
-        gy = _scalar_vals(exps, batch.centroid, batch.h, pts, dy=1)
+        gx = fs.scalar_vals(exps, batch.centroid, batch.h, pts, dx=1)
+        gy = fs.scalar_vals(exps, batch.centroid, batch.h, pts, dy=1)
         c = self.coeffs[batch.ids]
         n = self.nscalar
         return (np.einsum("enq,en->eq", gx, c[:, :n])
@@ -406,7 +319,7 @@ class StageDofMap:
 class ElementBlockGroup:
     """Dense local blocks for one batch of same-size elements."""
 
-    batch: _ElementBatch
+    batch: ElementBatch
     a11: np.ndarray           # (ne, n1, n1)
     a12: np.ndarray           # (ne, n1, ntl)
     b1: np.ndarray            # (ne, n1)
@@ -432,11 +345,6 @@ class BlockSystem:
     @property
     def n_trace(self) -> int:
         return self.dof.n_trace
-
-    def interior_to_global(self) -> np.ndarray:
-        """Row index into the element-major interior vector per (group row)."""
-        n1 = self.dof.n_interior_per_element
-        return np.concatenate([g.batch.ids * n1 for g in self.groups])
 
     def monolithic_dense(self) -> tuple[np.ndarray, np.ndarray]:
         """Full symmetric system (interior + trace) as dense arrays."""
@@ -473,7 +381,7 @@ def _edge_projection_blocks(batch, local_edge, edge_degree, trace_deg, elem_deg)
     """Edge cross-mass C (edge basis x element trace) and edge mass E."""
     pts, w, s = batch.edge_rule(local_edge, edge_degree)
     ehat = s[:, None, :] ** np.arange(trace_deg + 1)[None, :, None]
-    tr = _scalar_vals(fs.monomial_exponents(elem_deg),
+    tr = fs.scalar_vals(fs.monomial_exponents(elem_deg),
                       batch.centroid, batch.h, pts)
     C = _ip(w, ehat, tr)          # (ne, m, nb)
     E = _ip(w, ehat, ehat)        # (ne, m, m)
@@ -515,8 +423,9 @@ def _poisson_dofmap(mesh: Mesh, spaces: SpaceConfig, trace_name: str) -> StageDo
     )
 
 
-def _assemble_poisson_operator(mesh, spaces, trace_name, quad_degree, edge_degree):
+def _assemble_poisson_operator(mesh, spaces, trace_name, degrees):
     k = spaces.k
+    quad_degree, edge_degree = degrees["assembly_degree"], degrees["edge_degree"]
     Ts, Tv = fs.space_dim(k - 1), fs.space_dim(k)
     dof = _poisson_dofmap(mesh, spaces, trace_name)
     n1 = dof.n_interior_per_element
@@ -534,10 +443,10 @@ def _assemble_poisson_operator(mesh, spaces, trace_name, quad_degree, edge_degre
     for batch in element_batches(mesh):
         ne, nv = len(batch.ids), batch.nv
         pts, w = batch.volume_rule(quad_degree)
-        Vs = _scalar_vals(exps_s, batch.centroid, batch.h, pts)
-        GXs = _scalar_vals(exps_s, batch.centroid, batch.h, pts, dx=1)
-        GYs = _scalar_vals(exps_s, batch.centroid, batch.h, pts, dy=1)
-        Vv = _scalar_vals(exps_v, batch.centroid, batch.h, pts)
+        Vs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts)
+        GXs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts, dx=1)
+        GYs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts, dy=1)
+        Vv = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts)
 
         Mss = _ip(w, Vs, Vs)
         DX = _ip(w, GXs, Vv)   # rows: d/dx of P_{k-1}; cols: P_k
@@ -554,7 +463,8 @@ def _assemble_poisson_operator(mesh, spaces, trace_name, quad_degree, edge_degre
         ntl = nv * k
         a12 = np.zeros((ne, n1, ntl))
         trace_idx = np.empty((ne, ntl), dtype=int)
-        alpha1 = 1.0 / batch.h
+        # alpha1 does not depend on the thickness
+        alpha1 = stabilization(batch.h, PlateMaterial())[0]
 
         for e in range(nv):
             Cs, _ = _edge_projection_blocks(batch, e, edge_degree, k - 1, k - 1)
@@ -582,47 +492,31 @@ def _assemble_poisson_operator(mesh, spaces, trace_name, quad_degree, edge_degre
     return dof, groups, a22
 
 
-def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable,
-                   quad_degree: int | None = None,
-                   edge_degree: int | None = None,
-                   source_degree: int | None = None) -> BlockSystem:
+def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
     """Stage-one system for the load potential: find (L, r, rhat) from g."""
     k = spaces.k
-    quad_degree = 2 * k + 2 if quad_degree is None else quad_degree
-    edge_degree = 2 * k + 2 if edge_degree is None else edge_degree
-    source_degree = max(k + 8, quad_degree) if source_degree is None else source_degree
-
-    dof, groups, a22 = _assemble_poisson_operator(
-        mesh, spaces, "rhat", quad_degree, edge_degree)
+    degrees = fs.quadrature_degrees(k)
+    dof, groups, a22 = _assemble_poisson_operator(mesh, spaces, "rhat", degrees)
     sl_r = dof.interior_slice("primal")
     for grp in groups:
-        pts, w = grp.batch.volume_rule(source_degree)
-        Vv = _scalar_vals(fs.monomial_exponents(k),
+        pts, w = grp.batch.volume_rule(degrees["source_degree"])
+        Vv = fs.scalar_vals(fs.monomial_exponents(k),
                           grp.batch.centroid, grp.batch.h, pts)
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
         grp.b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, gvals, w)
 
     return BlockSystem(dof, groups, a22, np.zeros(dof.n_trace), stage="step1",
-                       meta={"quad_degree": quad_degree,
-                             "edge_degree": edge_degree,
-                             "source_degree": source_degree})
+                       meta=degrees)
 
 
 def assemble_step3(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
-                   theta: DiscreteField, g: Callable,
-                   quad_degree: int | None = None,
-                   edge_degree: int | None = None,
-                   source_degree: int | None = None) -> BlockSystem:
+                   theta: DiscreteField, g: Callable) -> BlockSystem:
     """Stage-three system for the deflection, driven by the stage-two rotation."""
     if theta is None:
         raise ValueError("stage-three assembly needs the stage-two rotation")
     k = spaces.k
-    quad_degree = 2 * k + 2 if quad_degree is None else quad_degree
-    edge_degree = 2 * k + 2 if edge_degree is None else edge_degree
-    source_degree = max(k + 8, quad_degree) if source_degree is None else source_degree
-
-    dof, groups, a22 = _assemble_poisson_operator(
-        mesh, spaces, "what", quad_degree, edge_degree)
+    degrees = fs.quadrature_degrees(k)
+    dof, groups, a22 = _assemble_poisson_operator(mesh, spaces, "what", degrees)
     sl_r = dof.interior_slice("primal")
     tf = dof.trace_fields["what"]
     b2 = np.zeros(dof.n_trace)
@@ -630,25 +524,22 @@ def assemble_step3(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
 
     for grp in groups:
         batch = grp.batch
-        pts, w = batch.volume_rule(source_degree)
-        Vv = _scalar_vals(fs.monomial_exponents(k), batch.centroid, batch.h, pts)
+        pts, w = batch.volume_rule(degrees["source_degree"])
+        Vv = fs.scalar_vals(fs.monomial_exponents(k), batch.centroid, batch.h, pts)
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
         divth = theta.divergence_batched(batch, pts)
         grp.b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, scale * gvals - divth, w)
 
         # trace load <theta . n, s_hat>assembled from both adjacent elements
         for e in range(batch.nv):
-            epts, ew, s = batch.edge_rule(e, edge_degree + k)
+            epts, ew, s = batch.edge_rule(e, degrees["edge_degree"] + k)
             ehat = s[:, None, :] ** np.arange(k)[None, :, None]
             thv = theta.values_batched(batch, epts)
             th_n = np.einsum("ecq,ec->eq", thv, batch.normals[:, e, :])
             load = np.einsum("emq,eq,eq->em", ehat, th_n, ew)
             _scatter_vector(b2, tf.dofs(batch.edge_ids[:, e]), load)
 
-    return BlockSystem(dof, groups, a22, b2, stage="step3",
-                       meta={"quad_degree": quad_degree,
-                             "edge_degree": edge_degree,
-                             "source_degree": source_degree})
+    return BlockSystem(dof, groups, a22, b2, stage="step3", meta=degrees)
 
 
 # ----------------------------------------------------------------------
@@ -667,17 +558,13 @@ def saddle_dofmap(mesh: Mesh, spaces: SpaceConfig) -> StageDofMap:
 
 
 def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
-                   L: DiscreteField, f: Callable | None = None,
-                   quad_degree: int | None = None,
-                   edge_degree: int | None = None,
-                   source_degree: int | None = None) -> BlockSystem:
+                   L: DiscreteField, f: Callable | None = None) -> BlockSystem:
     """Stage-two saddle system: find (sigma, R, theta, theta_hat, p, p_hat)."""
     if L is None:
         raise ValueError("stage-two assembly needs the stage-one flux field")
     k, l = spaces.k, spaces.l
-    quad_degree = 2 * k + 2 if quad_degree is None else quad_degree
-    edge_degree = 2 * k + 2 if edge_degree is None else edge_degree
-    source_degree = max(k + 8, quad_degree) if source_degree is None else source_degree
+    degrees = fs.quadrature_degrees(k)
+    edge_degree = degrees["edge_degree"]
 
     Ts, Tv = fs.space_dim(k - 1), fs.space_dim(k)
     dof = saddle_dofmap(mesh, spaces)
@@ -705,13 +592,13 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
 
     for batch in element_batches(mesh):
         ne, nv = len(batch.ids), batch.nv
-        pts, w = batch.volume_rule(quad_degree)
-        Vs = _scalar_vals(exps_s, batch.centroid, batch.h, pts)
-        GXs = _scalar_vals(exps_s, batch.centroid, batch.h, pts, dx=1)
-        GYs = _scalar_vals(exps_s, batch.centroid, batch.h, pts, dy=1)
-        Vv = _scalar_vals(exps_v, batch.centroid, batch.h, pts)
-        GXv = _scalar_vals(exps_v, batch.centroid, batch.h, pts, dx=1)
-        GYv = _scalar_vals(exps_v, batch.centroid, batch.h, pts, dy=1)
+        pts, w = batch.volume_rule(degrees["assembly_degree"])
+        Vs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts)
+        GXs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts, dx=1)
+        GYs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts, dy=1)
+        Vv = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts)
+        GXv = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts, dx=1)
+        GYv = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts, dy=1)
 
         Mss = _ip(w, Vs, Vs)
         DX = _ip(w, GXs, Vv)
@@ -746,8 +633,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         ntl = nv * (m_th + k)
         a12 = np.zeros((ne, n1, ntl))
         trace_idx = np.empty((ne, ntl), dtype=int)
-        alpha2 = 1.0 / batch.h
-        alpha3 = batch.h + material.t ** 2 / batch.h
+        _, alpha2, alpha3 = stabilization(batch.h, material)
 
         for e in range(nv):
             Cls, El = _edge_projection_blocks(batch, e, edge_degree, l, k - 1)
@@ -797,8 +683,8 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
 
         # load: (L + f, phi) on the rotation test rows
         b1 = np.zeros((ne, n1))
-        spts, sw = batch.volume_rule(source_degree)
-        Vv_s = _scalar_vals(exps_v, batch.centroid, batch.h, spts)
+        spts, sw = batch.volume_rule(degrees["source_degree"])
+        Vv_s = fs.scalar_vals(exps_v, batch.centroid, batch.h, spts)
         load = L.values_batched(batch, spts)
         if f is not None:
             # vector callables return (2,) + points.shape
@@ -820,10 +706,21 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     kernel /= np.linalg.norm(kernel)
 
     return BlockSystem(dof, groups, a22, np.zeros(dof.n_trace),
-                       kernel_hint=kernel, stage="step2",
-                       meta={"quad_degree": quad_degree,
-                             "edge_degree": edge_degree,
-                             "source_degree": source_degree})
+                       kernel_hint=kernel, stage="step2", meta=degrees)
+
+
+def shift_pressure_to_zero_mean(bs: BlockSystem, x1: np.ndarray,
+                                x2: np.ndarray) -> None:
+    """Fix the stage-two pressure constant in place: shift (p, p_hat) so
+    that p has zero mean.  ``x1``/``x2`` are the interior and trace
+    solutions of the ``assemble_step2`` system ``bs``."""
+    dof = bs.dof
+    sl_p = dof.interior_slice("p")
+    tf_p = dof.trace_fields["p_hat"]
+    k = tf_p.per_edge
+    shift = DiscreteField(dof.mesh, k, "scalar", x1[:, sl_p]).mean()
+    x1[:, sl_p.start] -= shift
+    x2[tf_p.offset + np.arange(dof.mesh.num_edges) * k] -= shift
 
 
 # ----------------------------------------------------------------------
@@ -832,26 +729,24 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
 
 def bh_norm(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             sigma: DiscreteField, R: DiscreteField, theta: DiscreteField,
-            theta_hat: np.ndarray, p: DiscreteField, p_hat: np.ndarray,
-            quad_degree: int | None = None) -> float:
+            theta_hat: np.ndarray, p: DiscreteField, p_hat: np.ndarray) -> float:
     """Energy-type norm of a stage-two state (zero iff the state is zero).
 
     ``theta_hat``/``p_hat`` are (num_edges, per_edge) coefficient arrays
     with component-major layout for the vector trace.
     """
     k, l = spaces.k, spaces.l
-    quad_degree = 2 * k + 2 if quad_degree is None else quad_degree
-    exps_s = fs.monomial_exponents(k - 1)
+    degrees = fs.quadrature_degrees(k)
     exps_v = fs.monomial_exponents(k)
     total = 0.0
     for batch in element_batches(mesh):
-        pts, w = batch.volume_rule(quad_degree)
+        pts, w = batch.volume_rule(degrees["assembly_degree"])
         sv = sigma.values_batched(batch, pts)
         sv2 = sv[:, 0] ** 2 + sv[:, 1] ** 2 + 2 * sv[:, 2] ** 2
         rv = R.values_batched(batch, pts)
         rv2 = (rv ** 2).sum(axis=1)
-        gx_v = _scalar_vals(exps_v, batch.centroid, batch.h, pts, dx=1)
-        gy_v = _scalar_vals(exps_v, batch.centroid, batch.h, pts, dy=1)
+        gx_v = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts, dx=1)
+        gy_v = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts, dy=1)
         tc = theta.coeffs[batch.ids]
         Tv = fs.space_dim(k)
         grad2 = np.zeros_like(rv2)
@@ -866,14 +761,13 @@ def bh_norm(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             "eq,eq->", sv2 + rv2 / material.t ** 2 + grad2
             + material.t ** 2 * perp2, w))
 
-        alpha2 = 1.0 / batch.h
-        alpha3 = batch.h + material.t ** 2 / batch.h
+        _, alpha2, alpha3 = stabilization(batch.h, material)
         theta_coeffs = theta.coeffs[batch.ids]
         for e in range(batch.nv):
-            epts, ew, s = batch.edge_rule(e, 2 * k + 2)
+            epts, ew, s = batch.edge_rule(e, degrees["edge_degree"])
             ehat_l = s[:, None, :] ** np.arange(l + 1)[None, :, None]
             ehat_k = s[:, None, :] ** np.arange(k)[None, :, None]
-            tr_v = _scalar_vals(exps_v, batch.centroid, batch.h, epts)
+            tr_v = fs.scalar_vals(exps_v, batch.centroid, batch.h, epts)
             El = _ip(ew, ehat_l, ehat_l)
             Ek = _ip(ew, ehat_k, ehat_k)
             th_hat_e = theta_hat[batch.edge_ids[:, e]]

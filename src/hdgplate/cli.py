@@ -112,17 +112,15 @@ def _materials(args):
 
 
 def _metadata(args, material, spaces, config, extra=None):
+    from .femspace import quadrature_degrees
+    from .verification import ERROR_DEGREE
     meta = {
         "material": asdict(material),
         "k": spaces.k,
         "l": spaces.l,
         "solver": asdict(config),
-        "quadrature": {
-            "assembly_degree": 2 * spaces.k + 2,
-            "edge_degree": 2 * spaces.k + 2,
-            "source_degree": max(spaces.k + 8, 2 * spaces.k + 2),
-            "error_degree": 26,
-        },
+        "quadrature": dict(quadrature_degrees(spaces.k),
+                           error_degree=ERROR_DEGREE),
         "seed": args.seed,
         "git_revision": _git_revision(),
     }

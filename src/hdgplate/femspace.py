@@ -1,40 +1,34 @@
-"""Polynomial bases in physical coordinates, quadrature and L2 projections.
+"""Batched scaled-monomial bases and exact quadrature on polygonal meshes.
 
-Element bases are scaled monomials ``((x-x_K)/h_K)^a ((y-y_K)/h_K)^b``
-with ``a+b <= degree``, replicated per component for vector and symmetric
-tensor values.  Edge bases are 1D monomials in the normalized arclength
-``s in [0, 1]`` measured along the edge's global tangent.  Quadrature on
-convex polygons is built by fan sub-triangulation from the centroid with
-a conical-product Gauss rule of any requested exactness degree on each
-sub-triangle, so all inner products of the discretization are exact.
+Elements with the same vertex count are stacked into an
+:class:`ElementBatch`, and every basis evaluation and quadrature rule
+works on the whole batch at once.  Element bases are scaled monomials
+``((x-x_K)/h_K)^a ((y-y_K)/h_K)^b`` with ``a+b <= degree``.  Volume
+rules map a conical-product Gauss rule of any requested exactness degree
+onto each triangle, or onto the fan sub-triangulation of a convex
+polygon from its centroid; edge rules are mapped Gauss-Legendre rules
+that also return the arclength parameter ``s in [0, 1]`` along the
+edge's global tangent.  With the degrees of :func:`quadrature_degrees`,
+all inner products of the discretization are exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 __all__ = [
-    "QuadratureRule",
-    "ElementBasis",
-    "EdgeBasis",
     "monomial_exponents",
     "space_dim",
+    "quadrature_degrees",
     "gauss_legendre_01",
     "triangle_reference_rule",
-    "quad_polygon",
-    "quad_element",
-    "quad_segment",
-    "quad_edge",
-    "project_element",
-    "project_edge",
+    "ElementBatch",
+    "element_batches",
+    "scalar_vals",
 ]
-
-VALUE_RANKS = ("scalar", "vector2", "symtensor2x2")
-_RANK_COMPONENTS = {"scalar": 1, "vector2": 2, "symtensor2x2": 3}
 
 
 def space_dim(degree: int) -> int:
@@ -51,15 +45,19 @@ def monomial_exponents(degree: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    points: np.ndarray   # (nq, 2) physical coordinates
-    weights: np.ndarray  # (nq,)
-    degree: int          # exactness degree
+def quadrature_degrees(k: int) -> dict[str, int]:
+    """Exactness degrees of the assembly rules for primary degree ``k``.
+
+    Volume and edge rules integrate products of two P_k functions; the
+    load rule also integrates the polynomial data exactly.
+    """
+    volume = 2 * k + 2
+    return {"assembly_degree": volume, "edge_degree": volume,
+            "source_degree": max(k + 8, volume)}
 
 
 # ----------------------------------------------------------------------
-# quadrature
+# reference rules
 
 
 @lru_cache(maxsize=None)
@@ -96,272 +94,98 @@ def triangle_reference_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, w
 
 
-def _check_convex_ccw(pts: np.ndarray) -> None:
-    d = np.roll(pts, -1, axis=0) - pts
-    cross = d[:, 0] * np.roll(d, -1, axis=0)[:, 1] - d[:, 1] * np.roll(d, -1, axis=0)[:, 0]
-    if np.any(cross < -1e-14 * np.max(np.abs(cross))):
-        raise ValueError("polygon is not convex")
-
-
-def quad_polygon(pts: np.ndarray, degree: int) -> QuadratureRule:
-    """Quadrature on a convex CCW polygon, exact for P_degree."""
-    pts = np.asarray(pts, dtype=float)
-    _check_convex_ccw(pts)
-    ref_pts, ref_w = triangle_reference_rule(degree)
-    centroid = _centroid(pts)
-    all_pts, all_w = [], []
-    nv = len(pts)
-    for i in range(nv):
-        a, b = pts[i], pts[(i + 1) % nv]
-        e1, e2 = a - centroid, b - centroid
-        jac = e1[0] * e2[1] - e1[1] * e2[0]  # = 2 * subtriangle area
-        phys = centroid + ref_pts[:, :1] * e1 + ref_pts[:, 1:] * e2
-        all_pts.append(phys)
-        all_w.append(ref_w * jac)
-    return QuadratureRule(np.vstack(all_pts), np.concatenate(all_w), degree)
-
-
-def _centroid(pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * cross.sum()
-    return np.array([((x + xn) * cross).sum(), ((y + yn) * cross).sum()]) / (6.0 * area)
-
-
-def quad_element(mesh, element_id: int, degree: int) -> QuadratureRule:
-    """Quadrature rule on a mesh element (fan sub-triangulation)."""
-    return quad_polygon(mesh.element_points(element_id), degree)
-
-
-def quad_segment(p0: np.ndarray, p1: np.ndarray, degree: int) -> QuadratureRule:
-    """Mapped Gauss rule on the segment p0 -> p1, exact for P_degree."""
-    n = max(1, (degree + 1 + 1) // 2)
-    x, w = gauss_legendre_01(n)
-    p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
-    length = float(np.hypot(*(p1 - p0)))
-    pts = p0[None, :] + x[:, None] * (p1 - p0)[None, :]
-    return QuadratureRule(pts, w * length, degree)
-
-
-def quad_edge(mesh, edge_id: int, degree: int) -> QuadratureRule:
-    """Quadrature on a mesh edge, oriented along the global tangent."""
-    a, b = mesh.edges[edge_id].endpoints
-    return quad_segment(mesh.points[a], mesh.points[b], degree)
-
-
 # ----------------------------------------------------------------------
-# element basis
+# batched element geometry and rules
 
 
-def _scalar_monomials(exps, xi, eta, dx=0, dy=0, inv_h=1.0):
-    """Values of (d/dx)^dx (d/dy)^dy of the scaled monomials at (xi, eta)."""
-    a = exps[:, 0][:, None]
-    b = exps[:, 1][:, None]
-    coef = np.ones(a.shape, dtype=float)
-    for _ in range(dx):
-        coef = coef * a
-        a = np.maximum(a - 1, 0)
-    for _ in range(dy):
-        coef = coef * b
-        b = np.maximum(b - 1, 0)
-    # derivative kills monomials with too-small exponent: coef already 0 there
-    vals = coef * xi[None, :] ** a * eta[None, :] ** b
-    return vals * inv_h ** (dx + dy)
+class ElementBatch:
+    """Stacked geometry for all elements with the same vertex count."""
+
+    def __init__(self, mesh, ids: np.ndarray):
+        self.ids = ids
+        ne = len(ids)
+        nv = len(mesh.elements[ids[0]].vertex_loop)
+        self.nv = nv
+        self.verts = np.empty((ne, nv, 2))
+        self.centroid = np.empty((ne, 2))
+        self.h = np.empty(ne)
+        self.edge_ids = np.empty((ne, nv), dtype=int)
+        self.edge_signs = np.empty((ne, nv), dtype=int)
+        for row, eid in enumerate(ids):
+            el = mesh.elements[eid]
+            self.verts[row] = mesh.points[list(el.vertex_loop)]
+            self.centroid[row] = el.centroid
+            self.h[row] = el.diameter
+            self.edge_ids[row] = [e for e, _ in el.edges]
+            self.edge_signs[row] = [s for _, s in el.edges]
+        # per local edge: traversal direction = in-element tangent,
+        # outward normal = tangent rotated by -90 degrees
+        nxt = np.roll(self.verts, -1, axis=1)
+        d = nxt - self.verts
+        self.edge_len = np.hypot(d[..., 0], d[..., 1])
+        self.tangents = d / self.edge_len[..., None]
+        self.normals = np.stack(
+            [self.tangents[..., 1], -self.tangents[..., 0]], axis=-1)
+
+    def volume_rule(self, degree: int):
+        """Points (ne, nq, 2) and weights (ne, nq), exact for P_degree."""
+        ref, w0 = triangle_reference_rule(degree)
+        if self.nv == 3:
+            # triangles map onto the reference rule without subdivision
+            p0 = self.verts[:, 0, :][:, None, :]
+            a = self.verts[:, 1, :][:, None, :] - p0
+            b = self.verts[:, 2, :][:, None, :] - p0
+            jac = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+            return (p0 + ref[None, :, :1] * a + ref[None, :, 1:] * b,
+                    w0[None, :] * jac)
+        pts, wts = [], []
+        c = self.centroid[:, None, :]
+        for i in range(self.nv):
+            a = self.verts[:, i, :][:, None, :] - c
+            b = self.verts[:, (i + 1) % self.nv, :][:, None, :] - c
+            jac = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+            pts.append(c + ref[None, :, :1] * a + ref[None, :, 1:] * b)
+            wts.append(w0[None, :] * jac)
+        return np.concatenate(pts, axis=1), np.concatenate(wts, axis=1)
+
+    def edge_rule(self, local_edge: int, degree: int):
+        """Points, weights and global arclength parameter on one local edge."""
+        npts = max(1, (degree + 2) // 2)
+        x, w = gauss_legendre_01(npts)
+        p0 = self.verts[:, local_edge, :]
+        p1 = self.verts[:, (local_edge + 1) % self.nv, :]
+        pts = p0[:, None, :] + x[None, :, None] * (p1 - p0)[:, None, :]
+        wts = w[None, :] * self.edge_len[:, local_edge][:, None]
+        sign = self.edge_signs[:, local_edge][:, None]
+        s = np.where(sign > 0, x[None, :], 1.0 - x[None, :])
+        return pts, wts, s
 
 
-class ElementBasis:
-    """Scaled-monomial basis on one element, optionally orthonormalized.
+def element_batches(mesh) -> list[ElementBatch]:
+    by_nv: dict[int, list[int]] = {}
+    for el in mesh.elements:
+        by_nv.setdefault(len(el.vertex_loop), []).append(el.id)
+    return [ElementBatch(mesh, np.array(ids))
+            for _, ids in sorted(by_nv.items())]
 
-    Parameters
-    ----------
-    centroid, h : geometry of the owning element
-    degree : polynomial degree
-    rank : "scalar", "vector2" or "symtensor2x2"
-    orthonormalize : if True, the scalar factor basis is replaced by its
-        Gram-Schmidt (Cholesky) orthonormalization w.r.t. the element L2
-        inner product; ``rule`` must then supply an exact mass quadrature.
+
+def scalar_vals(exps, centroid, h, pts, dx=0, dy=0):
+    """Scaled-monomial values on stacked elements: (ne, nb, nq).
+
+    ``dx``/``dy`` select the order of the x/y derivative.
     """
-
-    def __init__(self, centroid, h: float, degree: int, rank: str = "scalar",
-                 orthonormalize: bool = False, rule: QuadratureRule | None = None):
-        if rank not in VALUE_RANKS:
-            raise ValueError(f"unknown value rank {rank!r}")
-        self.centroid = np.asarray(centroid, dtype=float)
-        self.h = float(h)
-        self.degree = int(degree)
-        self.rank = rank
-        self.exps = monomial_exponents(degree)
-        self.nscalar = len(self.exps)
-        self.ncomp = _RANK_COMPONENTS[rank]
-        self.nfun = self.nscalar * self.ncomp
-        self._transform = None
-        if orthonormalize:
-            if rule is None:
-                raise ValueError("orthonormalization needs a quadrature rule")
-            vals = self._scalar_values(rule.points)
-            mass = (vals * rule.weights) @ vals.T
-            chol = np.linalg.cholesky(mass)
-            self._transform = np.linalg.inv(chol)  # rows: new basis in old
-
-    @classmethod
-    def for_element(cls, mesh, element_id: int, degree: int, rank: str = "scalar",
-                    **kw) -> "ElementBasis":
-        el = mesh.elements[element_id]
-        return cls(el.centroid, el.diameter, degree, rank, **kw)
-
-    # -- scalar building block ----------------------------------------
-
-    def _scalar_values(self, points, dx=0, dy=0):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        xi = (pts[:, 0] - self.centroid[0]) / self.h
-        eta = (pts[:, 1] - self.centroid[1]) / self.h
-        vals = _scalar_monomials(self.exps, xi, eta, dx, dy, 1.0 / self.h)
-        if self._transform is not None:
-            vals = self._transform @ vals
-        return vals
-
-    # -- public evaluation ---------------------------------------------
-
-    def eval(self, op: str, points) -> np.ndarray:
-        """Evaluate a derivative operator; returns (nfun, ncomp_out, npts).
-
-        Supported ops by rank: scalar -> value/grad/perp_grad;
-        vector2 -> value/div/curl2d/symgrad; symtensor2x2 -> value/div.
-        Symmetric tensors use the component order (11, 22, 12).
-        """
-        v = self._scalar_values(points)
-        n = self.nscalar
-        npts = v.shape[1]
-
-        if op == "value":
-            out = np.zeros((self.nfun, self.ncomp, npts))
-            for c in range(self.ncomp):
-                out[c * n:(c + 1) * n, c, :] = v
-            return out
-
-        gx = self._scalar_values(points, dx=1)
-        gy = self._scalar_values(points, dy=1)
-
-        if self.rank == "scalar":
-            if op == "grad":
-                return np.stack([gx, gy], axis=1)
-            if op == "perp_grad":
-                return np.stack([gy, -gx], axis=1)
-        elif self.rank == "vector2":
-            if op == "div":
-                out = np.zeros((self.nfun, 1, npts))
-                out[:n, 0] = gx
-                out[n:, 0] = gy
-                return out
-            if op == "curl2d":
-                out = np.zeros((self.nfun, 1, npts))
-                out[:n, 0] = -gy
-                out[n:, 0] = gx
-                return out
-            if op == "symgrad":
-                out = np.zeros((self.nfun, 3, npts))
-                out[:n, 0] = gx
-                out[:n, 2] = gy / 2
-                out[n:, 1] = gy
-                out[n:, 2] = gx / 2
-                return out
-        elif self.rank == "symtensor2x2":
-            if op == "div":
-                # rows of [[t11, t12], [t12, t22]]
-                out = np.zeros((self.nfun, 2, npts))
-                out[:n, 0] = gx
-                out[n:2 * n, 1] = gy
-                out[2 * n:, 0] = gy
-                out[2 * n:, 1] = gx
-                return out
-        raise ValueError(f"operator {op!r} incompatible with rank {self.rank!r}")
-
-
-class EdgeBasis:
-    """1D monomial basis in normalized arclength along the global tangent."""
-
-    def __init__(self, p0, tangent, length: float, degree: int,
-                 rank: str = "scalar"):
-        if rank not in ("scalar", "vector2"):
-            raise ValueError(f"unknown edge value rank {rank!r}")
-        self.p0 = np.asarray(p0, dtype=float)
-        self.tangent = np.asarray(tangent, dtype=float)
-        self.length = float(length)
-        self.degree = int(degree)
-        self.rank = rank
-        self.nscalar = degree + 1
-        self.ncomp = 1 if rank == "scalar" else 2
-        self.nfun = self.nscalar * self.ncomp
-
-    @classmethod
-    def for_edge(cls, mesh, edge_id: int, degree: int, rank: str = "scalar"):
-        e = mesh.edges[edge_id]
-        return cls(mesh.points[e.endpoints[0]], e.tangent, e.length, degree, rank)
-
-    def param(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return (pts - self.p0) @ self.tangent / self.length
-
-    def _scalar_values(self, points) -> np.ndarray:
-        s = self.param(points)
-        return s[None, :] ** np.arange(self.nscalar)[:, None]
-
-    def eval(self, op: str, points) -> np.ndarray:
-        if op != "value":
-            raise ValueError("edge bases only support 'value'")
-        v = self._scalar_values(points)
-        out = np.zeros((self.nfun, self.ncomp, v.shape[1]))
-        for c in range(self.ncomp):
-            out[c * self.nscalar:(c + 1) * self.nscalar, c, :] = v
-        return out
-
-
-# ----------------------------------------------------------------------
-# L2 projections
-
-
-def _project(basis_vals, weights, fvals):
-    # basis_vals: (nb, ncomp, nq); fvals: (ncomp, nq)
-    bw = basis_vals * weights
-    mass = np.einsum("icq,jcq->ij", bw, basis_vals)
-    load = np.einsum("icq,cq->i", bw, fvals)
-    try:
-        coeffs = np.linalg.solve(mass, load)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            "singular projection mass matrix (broken quadrature?)") from None
-    resid = np.linalg.norm(mass @ coeffs - load)
-    scale = np.linalg.norm(mass) * np.linalg.norm(coeffs) + np.linalg.norm(load)
-    if scale > 0 and resid > 1e-12 * scale:
-        raise np.linalg.LinAlgError("projection normal equations did not solve")
-    return coeffs
-
-
-def _eval_f(f, pts, ncomp):
-    vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    if ncomp == 1:
-        return vals.reshape(1, -1)
-    return vals.reshape(ncomp, -1)
-
-
-def project_element(f, degree: int, mesh, element_id: int, rank: str = "scalar",
-                    quad_degree: int | None = None) -> np.ndarray:
-    """L2-project ``f(x, y)`` onto P_degree (per component) on an element."""
-    if quad_degree is None:
-        quad_degree = 2 * degree + 2
-    rule = quad_element(mesh, element_id, quad_degree)
-    basis = ElementBasis.for_element(mesh, element_id, degree, rank)
-    vals = basis.eval("value", rule.points)
-    return _project(vals, rule.weights, _eval_f(f, rule.points, basis.ncomp))
-
-
-def project_edge(f, degree: int, mesh, edge_id: int, rank: str = "scalar",
-                 quad_degree: int | None = None) -> np.ndarray:
-    """L2-project ``f(x, y)`` onto P_degree on an edge (1D mass system)."""
-    if quad_degree is None:
-        quad_degree = 2 * degree + 2
-    rule = quad_edge(mesh, edge_id, quad_degree)
-    basis = EdgeBasis.for_edge(mesh, edge_id, degree, rank)
-    vals = basis.eval("value", rule.points)
-    return _project(vals, rule.weights, _eval_f(f, rule.points, basis.ncomp))
+    a = exps[:, 0].astype(float)
+    b = exps[:, 1].astype(float)
+    coef = np.ones_like(a)
+    for _ in range(dx):
+        coef, a = coef * a, np.maximum(a - 1, 0)
+    for _ in range(dy):
+        coef, b = coef * b, np.maximum(b - 1, 0)
+    xi = (pts[..., 0] - centroid[:, None, 0]) / h[:, None]
+    eta = (pts[..., 1] - centroid[:, None, 1]) / h[:, None]
+    vals = (coef[None, :, None]
+            * xi[:, None, :] ** a[None, :, None]
+            * eta[:, None, :] ** b[None, :, None])
+    if dx or dy:
+        vals = vals / h[:, None, None] ** (dx + dy)
+    return vals

@@ -18,7 +18,6 @@ from typing import Sequence, TextIO
 import numpy as np
 
 __all__ = [
-    "Vertex",
     "Edge",
     "Element",
     "Mesh",
@@ -40,18 +39,12 @@ class MeshFormatError(ValueError):
 
 
 class MeshTopologyError(ValueError):
-    """Raised for non-manifold connectivity (edge with >2 adjacent elements)."""
+    """Raised for invalid connectivity or elements: an edge with more than
+    two adjacent elements, a degenerate, clockwise or non-convex loop."""
 
 
 class ShapeRegularityWarning(UserWarning):
     """Emitted when an element has an edge much shorter than its diameter."""
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    x: float
-    y: float
 
 
 @dataclass
@@ -97,8 +90,6 @@ class Mesh:
         self.points = np.asarray(points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be a (V, 2) array")
-        self.vertices = [Vertex(i, float(p[0]), float(p[1]))
-                         for i, p in enumerate(self.points)]
         self.edges: list[Edge] = []
         self.elements: list[Element] = []
         self._build(loops, c_reg)
@@ -122,6 +113,10 @@ class Mesh:
             if area <= 0.0:
                 raise MeshTopologyError(
                     f"element {eid} is not counter-clockwise (signed area {area:g})")
+            # the centroid fan rule and the h_K penalties need convexity;
+            # a triangle with positive area is always convex
+            if len(loop) > 3 and not _is_convex(pts):
+                raise MeshTopologyError(f"element {eid} is not convex")
             centroid = _polygon_centroid(pts, area)
             diam = _max_pairwise_distance(pts)
 
@@ -166,7 +161,7 @@ class Mesh:
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.points)
 
     @property
     def num_edges(self) -> int:
@@ -182,9 +177,6 @@ class Mesh:
         edge_id, sign = el.edges[local_edge_index]
         return sign * self.edges[edge_id].normal
 
-    def element_points(self, element_id: int) -> np.ndarray:
-        return self.points[list(self.elements[element_id].vertex_loop)]
-
 
 # ----------------------------------------------------------------------
 # geometry helpers
@@ -194,6 +186,18 @@ def _signed_area(pts: np.ndarray) -> float:
     x, y = pts[:, 0], pts[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     return float(0.5 * np.sum(x * yn - xn * y))
+
+
+def _is_convex(pts: np.ndarray) -> bool:
+    """Every vertex lies left of or on every edge of the CCW loop.
+
+    Unlike a check of the turn at each vertex, this also rejects
+    self-intersecting loops such as a pentagram.
+    """
+    d = np.roll(pts, -1, axis=0) - pts
+    rel = pts[None, :, :] - pts[:, None, :]
+    cross = d[:, None, 0] * rel[..., 1] - d[:, None, 1] * rel[..., 0]
+    return not np.any(cross < -1e-14 * np.max(np.abs(cross)))
 
 
 def _polygon_centroid(pts: np.ndarray, area: float) -> np.ndarray:

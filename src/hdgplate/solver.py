@@ -6,8 +6,8 @@ the condensed matrix is symmetric positive definite and is solved by
 preconditioned CG.  For the saddle stage the condensed matrix keeps a
 two-by-two structure in (rotation trace, pressure trace); an outer CG
 runs on the pressure Schur complement with the rotation-trace block
-inverted by a sparse factorization (or an inner CG), and the constant
-pressure mode is removed by deflation.
+inverted by a sparse factorization, and the constant pressure mode is
+removed by deflation.
 """
 
 from __future__ import annotations
@@ -65,16 +65,12 @@ class SolverConfig:
     max_iter: int = 20000
     preconditioner: str = "direct"   # none | jacobi | direct
     deflate_kernel: bool = True
-    inner: str = "direct"            # direct | cg  (saddle stage only)
-    inner_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.preconditioner not in ("none", "jacobi", "direct"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
-        if self.inner not in ("direct", "cg"):
-            raise ValueError(f"unknown inner solver {self.inner!r}")
 
 
 @dataclass
@@ -323,18 +319,7 @@ def solve_saddle_trace(cond: CondensedSystem,
     c1, c2 = cond.rhs[:m], cond.rhs[m:]
 
     B21 = B12.T.tocsr()
-    lu11 = spla.splu(B11)
-    if config.inner == "direct":
-        inner_solve = lu11.solve
-    else:
-        d11 = _jacobi(B11.diagonal())
-
-        def inner_solve(v):
-            y, _, _, ok, _ = _pcg(lambda u: B11 @ u, v, d11,
-                                  config.inner_tol, config.max_iter)
-            if not ok:
-                raise RuntimeError("inner rotation-trace solve failed")
-            return y
+    inner_solve = spla.splu(B11).solve
 
     def apply_outer(v):
         return B21 @ inner_solve(B12 @ v) - B22c @ v

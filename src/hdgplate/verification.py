@@ -22,7 +22,8 @@ from numpy.polynomial.polynomial import polyval2d
 from . import assembly as asm
 from . import solver as slv
 from .assembly import (DiscreteField, PlateMaterial, SolutionFields,
-                       SpaceConfig, element_batches, recover_gamma)
+                       SpaceConfig, recover_gamma)
+from .femspace import element_batches
 from .mesh import Mesh, generate_structured
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "RateTable",
     "run_convergence",
     "CSV_HEADER",
+    "ERROR_DEGREE",
 ]
 
 
@@ -236,12 +238,16 @@ def exact_fields(material: PlateMaterial = PlateMaterial()) -> ExactSolution:
 # errors
 
 
+# Exactness degree of the error rule: the exact fields have degree at
+# most 12, so squared errors of fields up to degree 13 integrate exactly.
+ERROR_DEGREE = 26
+
 _COMPONENT_WEIGHTS = {"scalar": np.array([1.0]),
                       "vector2": np.array([1.0, 1.0]),
                       "symtensor2x2": np.array([1.0, 1.0, 2.0])}
 
 
-def l2_error(fld: DiscreteField, exact, quad_degree: int = 26) -> float:
+def l2_error(fld: DiscreteField, exact, quad_degree: int = ERROR_DEGREE) -> float:
     """Broken L2 norm of (exact - field); Frobenius norm for tensors.
 
     ``exact`` is any callable returning (ncomp,) + points.shape values;
@@ -298,17 +304,13 @@ def solve_plate(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
 
     bs2 = asm.assemble_step2(mesh, spaces, material, L, f)
     y1, y2, rep2 = slv.solve_stage(bs2, config)
+    asm.shift_pressure_to_zero_mean(bs2, y1, y2)
     dof2 = bs2.dof
     sigma = DiscreteField(mesh, k - 1, "symtensor2x2",
                           y1[:, dof2.interior_slice("sigma")])
     R = DiscreteField(mesh, k - 1, "vector2", y1[:, dof2.interior_slice("R")])
     theta = DiscreteField(mesh, k, "vector2", y1[:, dof2.interior_slice("theta")])
     p = DiscreteField(mesh, k, "scalar", y1[:, dof2.interior_slice("p")])
-    # fix the pressure constant: shift the pair (p, p_hat) to zero mean
-    shift = p.mean()
-    p.coeffs[:, 0] -= shift
-    tf_p = dof2.trace_fields["p_hat"]
-    y2[tf_p.offset + np.arange(mesh.num_edges) * k] -= shift
     theta_hat = dof2.trace_to_edge_array("theta_hat", y2)
     p_hat = dof2.trace_to_edge_array("p_hat", y2)
 
@@ -390,7 +392,7 @@ class RateTable:
 
 
 def table_errors(fields: SolutionFields, exact: ExactSolution,
-                 quad_degree: int = 26):
+                 quad_degree: int = ERROR_DEGREE):
     """The four table norms, sharing quadrature data across fields."""
     mat = fields.material
     acc = np.zeros(4)
@@ -411,8 +413,8 @@ def table_errors(fields: SolutionFields, exact: ExactSolution,
 
 
 def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
-                    levels, config: slv.SolverConfig = slv.SolverConfig(),
-                    error_degree: int = 26) -> RateTable:
+                    levels, config: slv.SolverConfig = slv.SolverConfig()
+                    ) -> RateTable:
     """Solve on a sequence of structured meshes and tabulate errors.
 
     ``levels`` lists the cells-per-side counts; consecutive entries
@@ -432,7 +434,7 @@ def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
                     f"level n={n}: {stage} solve did not reach tolerance "
                     f"(residual {rep.residual:.3e})")
         err_theta, err_tgamma, err_sigma, err_omega = table_errors(
-            fields, exact, error_degree)
+            fields, exact)
         table.reports.append(ErrorReport(
             n, fields.reports["step2"].iterations,
             err_theta, err_tgamma, err_sigma, err_omega,

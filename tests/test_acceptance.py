@@ -149,12 +149,8 @@ def _oracle_case(kind, n, k, t):
     ni2 = bs2.n_interior
     y1r = ref2[:ni2].reshape(mesh.num_elements, -1)
     y2r = ref2[ni2:].copy()
-    slp = bs2.dof.interior_slice("p")
     for yy1, yy2 in ((y1, y2), (y1r, y2r)):
-        shift = DiscreteField(mesh, k, "scalar", yy1[:, slp].copy()).mean()
-        yy1[:, slp.start] -= shift
-        tfp = bs2.dof.trace_fields["p_hat"]
-        yy2[tfp.offset + np.arange(mesh.num_edges) * k] -= shift
+        asm.shift_pressure_to_zero_mean(bs2, yy1, yy2)
     for name in ("sigma", "R", "theta", "p"):
         sl = bs2.dof.interior_slice(name)
         worst = max(worst, compare(y1[:, sl].ravel(), y1r[:, sl].ravel()))
@@ -185,27 +181,29 @@ def test_criterion6_oracle_equivalence():
 def test_criterion7_property_suites():
     checks = []
 
-    # femspace: projection idempotence and boundedness
+    # edge L2 projection of interior traces, as in the stabilization
+    # C^T E^-1 C: idempotent on the edge space, bounded by the trace norm
     mesh = generate_structured("triangle", 2)
     rng = np.random.default_rng(42)
-    basis = fs.ElementBasis.for_element(mesh, 0, 2)
-    c = rng.standard_normal(basis.nfun)
-    f = lambda x, y: np.einsum("n,ncq->q", c,
-                               basis.eval("value", np.column_stack([x, y])))
-    proj = fs.project_element(f, 2, mesh, 0, quad_degree=6)
-    pts = rng.uniform(0.1, 0.4, size=(10, 2))
-    got = np.einsum("n,ncq->q", proj, basis.eval("value", pts))
-    want = f(pts[:, 0], pts[:, 1])
-    checks.append(("projection idempotence",
-                   np.abs(got - want).max() <= 1e-11 * np.abs(want).max()))
-    rule = fs.quad_element(mesh, 0, 10)
-    fq = np.sin(rule.points[:, 0] * 3) + rule.points[:, 1]
-    pr = fs.project_element(lambda x, y: np.sin(3 * x) + y, 2, mesh, 0,
-                            quad_degree=10)
-    pv = np.einsum("n,ncq->q", pr, basis.eval("value", rule.points))
-    checks.append(("projection boundedness",
-                   np.sqrt((rule.weights * pv ** 2).sum())
-                   <= np.sqrt((rule.weights * fq ** 2).sum()) * (1 + 1e-12)))
+    ok_idem, ok_bound = True, True
+    for batch in fs.element_batches(mesh):
+        for e in range(batch.nv):
+            pts, w, _ = batch.edge_rule(e, 6)
+            for trace_deg, elem_deg in ((2, 2), (1, 2)):
+                C, E = asm._edge_projection_blocks(batch, e, 6, trace_deg,
+                                                   elem_deg)
+                tr = fs.scalar_vals(fs.monomial_exponents(elem_deg),
+                                    batch.centroid, batch.h, pts)
+                M = np.einsum("eiq,ejq,eq->eij", tr, tr, w)
+                gap = M - asm._stab_volume_block(C, E)
+                scale = np.abs(M).max()
+                if trace_deg >= elem_deg:
+                    ok_idem &= bool(np.abs(gap).max() <= 1e-12 * scale)
+                else:
+                    ok_bound &= bool(
+                        np.linalg.eigvalsh(gap).min() >= -1e-12 * scale)
+    checks.append(("projection idempotence", ok_idem))
+    checks.append(("projection boundedness", ok_bound))
 
     # mesh identities
     ok_mesh = True

@@ -45,6 +45,14 @@ class TestMaterial:
         h = mesh.elements[0].diameter
         assert got == pytest.approx((1 / h, 1 / h, h + 1 / h))
 
+    def test_stabilization_accepts_batch_diameters(self):
+        h = np.array([1.0, 0.25])
+        a1, a2, a3 = stabilization(h, PlateMaterial(t=0.01))
+        assert a1 == pytest.approx([1.0, 4.0]) and a2 == pytest.approx(a1)
+        assert a3 == pytest.approx([1.0001, 0.2504])
+        with pytest.raises(ValueError):
+            stabilization(np.array([0.5, 0.0]), PlateMaterial())
+
 
 class TestConstitutive:
     def setup_method(self):
@@ -176,13 +184,8 @@ class TestSystems:
         mesh = generate_structured("triangle", 2)
         bs, _, _ = _step2_system(mesh, with_load=False)
         y1, y2, _ = slv.solve_stage(bs)
-        slp = bs.dof.interior_slice("p")
-        p = DiscreteField(mesh, 1, "scalar", y1[:, slp].copy())
-        shift = p.mean()
-        y1[:, slp.start] -= shift
+        asm.shift_pressure_to_zero_mean(bs, y1, y2)
         assert np.abs(y1).max() <= 1e-12
-        tfp = bs.dof.trace_fields["p_hat"]
-        y2[tfp.offset + np.arange(mesh.num_edges)] -= shift
         assert np.abs(y2).max() <= 1e-12
 
     def test_step3_zero_inputs_zero_solution(self):
@@ -276,21 +279,34 @@ class TestSystems:
         assert A[int(r), int(c)] == float(v)
 
 
+def fan_rule(verts, degree):
+    """Per-element reference rule: the femspace triangle rule mapped onto
+    the fan of sub-triangles from the vertex mean of a convex polygon."""
+    ref, w = fs.triangle_reference_rule(degree)
+    c = verts.mean(axis=0)
+    pts, wts = [], []
+    for a, b in zip(verts - c, np.roll(verts, -1, axis=0) - c):
+        pts.append(c + ref[:, :1] * a + ref[:, 1:] * b)
+        wts.append(w * (a[0] * b[1] - a[1] * b[0]))
+    return np.vstack(pts), np.concatenate(wts)
+
+
 class TestBatchedQuadrature:
     @pytest.mark.parametrize("kind", ["triangle", "quadrilateral"])
     def test_batched_rule_matches_femspace_rule(self, kind):
-        # the assembly fast path must integrate like the public rule
+        # the batched rule assembly uses must integrate like a plain
+        # per-element loop over the reference rule
         mesh = generate_structured(kind, 2)
         batch = asm.element_batches(mesh)[0]
         for degree in (3, 8):
             pts, w = batch.volume_rule(degree)
-            for row, eid in enumerate(batch.ids):
-                ref = fs.quad_element(mesh, eid, degree)
+            for row in range(len(batch.ids)):
+                ref_pts, ref_w = fan_rule(batch.verts[row], degree)
                 for a, b in ((0, 0), (2, 1), (degree, 0), (1, degree - 1)):
                     got = (w[row] * pts[row, :, 0] ** a
                            * pts[row, :, 1] ** b).sum()
-                    want = (ref.weights * ref.points[:, 0] ** a
-                            * ref.points[:, 1] ** b).sum()
+                    want = (ref_w * ref_pts[:, 0] ** a
+                            * ref_pts[:, 1] ** b).sum()
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
 
 
@@ -356,12 +372,8 @@ class TestGeneralPolygons:
         n1 = bs2.dof.n_interior_per_element
         y1_ref = ref2[:ni2].reshape(mesh.num_elements, n1)
         y2_ref = ref2[ni2:].copy()
-        slp = bs2.dof.interior_slice("p")
-        tfp = bs2.dof.trace_fields["p_hat"]
         for yy1, yy2 in ((y1, y2), (y1_ref, y2_ref)):
-            shift = DiscreteField(mesh, 2, "scalar", yy1[:, slp].copy()).mean()
-            yy1[:, slp.start] -= shift
-            yy2[tfp.offset + np.arange(mesh.num_edges) * 2] -= shift
+            asm.shift_pressure_to_zero_mean(bs2, yy1, yy2)
         assert np.abs(y1 - y1_ref).max() <= 1e-8 * np.abs(y1_ref).max()
         assert np.abs(y2 - y2_ref).max() <= 1e-8 * np.abs(y2_ref).max()
 

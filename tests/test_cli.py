@@ -1,7 +1,9 @@
 import json
 
+from hdgplate import assembly as asm
+from hdgplate import verification as vf
 from hdgplate.cli import main
-from hdgplate.mesh import load_mesh
+from hdgplate.mesh import generate_structured, load_mesh
 
 
 class TestMeshCommand:
@@ -53,6 +55,9 @@ class TestConvergenceCommand:
         assert meta["k"] == 2 and meta["l"] == 1
         assert meta["material"]["t"] == 0.5
         assert meta["solver"]["tol"] == 1e-10
+        bs = asm.assemble_step1(generate_structured("quadrilateral", 1),
+                                asm.SpaceConfig(2, 1), lambda x, y: 0 * x)
+        assert meta["quadrature"] == dict(bs.meta, error_degree=vf.ERROR_DEGREE)
         assert "assembly_degree" in meta["quadrature"]
         assert len(meta["wall_times"]) == 2
         assert "git_revision" in meta

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hdgplate import assembly as asm
 from hdgplate import femspace as fs
-from hdgplate.mesh import generate_structured
+from hdgplate.assembly import DiscreteField
+from hdgplate.mesh import Mesh, generate_structured
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -15,14 +17,47 @@ def tri_monomial_integral(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
+def single_element_batch(points):
+    mesh = Mesh(points, [tuple(range(len(points)))])
+    return fs.element_batches(mesh)[0]
+
+
+def l2_project(mesh, f, degree, quad_degree):
+    """Element-wise L2 projection onto P_degree from the batched values."""
+    exps = fs.monomial_exponents(degree)
+    coeffs = np.empty((mesh.num_elements, len(exps)))
+    for batch in fs.element_batches(mesh):
+        pts, w = batch.volume_rule(quad_degree)
+        vals = fs.scalar_vals(exps, batch.centroid, batch.h, pts)
+        mass = np.einsum("eiq,ejq,eq->eij", vals, vals, w)
+        load = np.einsum("eiq,eq,eq->ei", vals, f(pts[..., 0], pts[..., 1]), w)
+        coeffs[batch.ids] = np.linalg.solve(mass, load[..., None])[..., 0]
+    return DiscreteField(mesh, degree, "scalar", coeffs)
+
+
+def edge_projection_blocks(mesh, trace_deg, elem_deg):
+    """Per batch and local edge: the cross mass C and edge mass E the
+    assembly uses, and the edge mass M of the element traces."""
+    degree = fs.quadrature_degrees(max(trace_deg, elem_deg))["edge_degree"]
+    exps = fs.monomial_exponents(elem_deg)
+    for batch in fs.element_batches(mesh):
+        for e in range(batch.nv):
+            C, E = asm._edge_projection_blocks(batch, e, degree,
+                                               trace_deg, elem_deg)
+            pts, w, _ = batch.edge_rule(e, degree)
+            tr = fs.scalar_vals(exps, batch.centroid, batch.h, pts)
+            M = np.einsum("eiq,ejq,eq->eij", tr, tr, w)
+            yield batch, e, C, E, M
+
+
 class TestQuadrature:
     def test_triangle_area(self):
-        rule = fs.quad_polygon(UNIT_TRI, 0)
-        assert rule.weights.sum() == pytest.approx(0.5, rel=1e-13)
+        _, w = single_element_batch(UNIT_TRI).volume_rule(0)
+        assert w.sum() == pytest.approx(0.5, rel=1e-13)
 
     def test_square_x2y2(self):
-        rule = fs.quad_polygon(UNIT_SQUARE, 4)
-        val = (rule.weights * rule.points[:, 0] ** 2 * rule.points[:, 1] ** 2).sum()
+        pts, w = single_element_batch(UNIT_SQUARE).volume_rule(4)
+        val = (w * pts[..., 0] ** 2 * pts[..., 1] ** 2).sum()
         assert val == pytest.approx(1.0 / 9.0, rel=1e-13)
 
     def test_weight_sum_is_area(self):
@@ -31,213 +66,197 @@ class TestQuadrature:
         area = 0.5 * abs(sum(
             pentagon[i, 0] * pentagon[(i + 1) % 5, 1]
             - pentagon[(i + 1) % 5, 0] * pentagon[i, 1] for i in range(5)))
+        batch = single_element_batch(pentagon)
         for d in (0, 3, 11):
-            rule = fs.quad_polygon(pentagon, d)
-            assert rule.weights.sum() == pytest.approx(area, rel=1e-13)
+            _, w = batch.volume_rule(d)
+            assert w.sum() == pytest.approx(area, rel=1e-13)
 
     @pytest.mark.parametrize("degree", [1, 4, 9, 26])
     def test_monomial_exactness_triangle(self, degree):
-        rule = fs.quad_polygon(UNIT_TRI, degree)
+        pts, w = single_element_batch(UNIT_TRI).volume_rule(degree)
+        x, y = pts[0, :, 0], pts[0, :, 1]
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
-                val = (rule.weights * rule.points[:, 0] ** a
-                       * rule.points[:, 1] ** b).sum()
+                val = (w[0] * x ** a * y ** b).sum()
                 assert val == pytest.approx(tri_monomial_integral(a, b), rel=1e-12)
 
     @pytest.mark.parametrize("degree", [2, 7, 13])
     def test_monomial_exactness_square(self, degree):
-        rule = fs.quad_polygon(UNIT_SQUARE, degree)
+        pts, w = single_element_batch(UNIT_SQUARE).volume_rule(degree)
+        x, y = pts[0, :, 0], pts[0, :, 1]
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
-                val = (rule.weights * rule.points[:, 0] ** a
-                       * rule.points[:, 1] ** b).sum()
+                val = (w[0] * x ** a * y ** b).sum()
                 assert val == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-12)
 
     def test_nonconvex_rejected(self):
+        # the fan rule needs convex elements; Mesh is where batches come from
         bad = np.array([[0, 0], [2, 0], [1, 0.2], [2, 2]], dtype=float)
         with pytest.raises(ValueError):
-            fs.quad_polygon(bad, 2)
+            single_element_batch(bad)
 
     def test_edge_rule_degree1_is_midpoint(self):
-        rule = fs.quad_segment([0.0, 0.0], [1.0, 0.0], 1)
-        assert len(rule.weights) == 1
-        assert rule.points[0] == pytest.approx([0.5, 0.0], abs=1e-15)
-        assert rule.weights[0] == pytest.approx(1.0, rel=1e-14)
+        # local edge 0 of the unit triangle runs from (0, 0) to (1, 0)
+        pts, w, s = single_element_batch(UNIT_TRI).edge_rule(0, 1)
+        assert w.shape == (1, 1)
+        assert pts[0, 0] == pytest.approx([0.5, 0.0], abs=1e-15)
+        assert w[0, 0] == pytest.approx(1.0, rel=1e-14)
+        assert s[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_edge_weight_sum_and_param_integral(self):
         mesh = generate_structured("triangle", 2)
-        for eid in (0, 3, 7):
-            edge = mesh.edges[eid]
-            rule = fs.quad_edge(mesh, eid, 5)
-            assert rule.weights.sum() == pytest.approx(edge.length, rel=1e-13)
-            basis = fs.EdgeBasis.for_edge(mesh, eid, 1)
-            s = basis.param(rule.points)
-            assert (rule.weights * s).sum() == pytest.approx(
-                edge.length / 2, rel=1e-13)
+        for batch in fs.element_batches(mesh):
+            for e in range(batch.nv):
+                pts, w, s = batch.edge_rule(e, 5)
+                for row, eid in enumerate(batch.edge_ids[:, e]):
+                    edge = mesh.edges[eid]
+                    assert w[row].sum() == pytest.approx(edge.length, rel=1e-13)
+                    assert (w[row] * s[row]).sum() == pytest.approx(
+                        edge.length / 2, rel=1e-13)
+                    # s is the arclength along the global tangent
+                    p0 = mesh.points[edge.endpoints[0]]
+                    want = (pts[row] - p0) @ edge.tangent / edge.length
+                    assert s[row] == pytest.approx(want, abs=1e-14)
 
 
-class TestElementBasis:
+class TestScaledMonomials:
     def setup_method(self):
-        self.centroid = np.array([0.4, 0.7])
-        self.h = 0.8
+        self.centroid = np.array([[0.4, 0.7]])
+        self.h = np.array([0.8])
+        self.pts = np.array([[[0.1, 0.9], [0.5, 0.3], [0.2, 0.1]]])
 
-    def field(self, rank, degree, coeff_fn):
-        basis = fs.ElementBasis(self.centroid, self.h, degree, rank)
-        return basis, coeff_fn(basis)
+    def gradient(self, degree, coeffs):
+        """(d/dx, d/dy) of one scaled-monomial expansion at self.pts."""
+        exps = fs.monomial_exponents(degree)
+        gx = fs.scalar_vals(exps, self.centroid, self.h, self.pts, dx=1)
+        gy = fs.scalar_vals(exps, self.centroid, self.h, self.pts, dy=1)
+        return coeffs @ gx[0], coeffs @ gy[0]
 
     def test_dimensions(self):
-        assert fs.ElementBasis(self.centroid, self.h, 2, "scalar").nfun == 6
-        assert fs.ElementBasis(self.centroid, self.h, 2, "vector2").nfun == 12
-        assert fs.ElementBasis(self.centroid, self.h, 1, "symtensor2x2").nfun == 9
+        exps = fs.monomial_exponents(2)
+        vals = fs.scalar_vals(exps, self.centroid, self.h, self.pts)
+        assert vals.shape == (1, 6, 3)
+        mesh = generate_structured("triangle", 1)
+        assert DiscreteField(mesh, 2, "vector2", np.zeros((2, 12))).ncomp == 2
+        assert DiscreteField(mesh, 1, "symtensor2x2", np.zeros((2, 9))).ncomp == 3
+        with pytest.raises(ValueError):
+            DiscreteField(mesh, 2, "vector2", np.zeros((2, 6)))
 
     def test_perp_grad_of_x(self):
-        # represent f(x, y) = x in the scaled basis: c0 + h * xi
-        basis = fs.ElementBasis(self.centroid, self.h, 1, "scalar")
-        coeffs = np.array([self.centroid[0], self.h, 0.0])
-        vals = basis.eval("perp_grad", np.array([[0.1, 0.9], [0.5, 0.3]]))
-        field = np.einsum("n,ncq->cq", coeffs, vals)
-        assert field[:, 0] == pytest.approx([0.0, -1.0], abs=1e-14)
-        assert field[:, 1] == pytest.approx([0.0, -1.0], abs=1e-14)
+        # f(x, y) = x in the scaled basis: xc + h * xi; perp grad = (f_y, -f_x)
+        fx, fy = self.gradient(1, np.array([self.centroid[0, 0], self.h[0], 0.0]))
+        assert fy == pytest.approx([0.0] * 3, abs=1e-14)
+        assert -fx == pytest.approx([-1.0] * 3, abs=1e-14)
 
     def test_curl2d_of_rotation(self):
         # phi = (-y, x): curl = d(phi2)/dx - d(phi1)/dy = 2
-        basis = fs.ElementBasis(self.centroid, self.h, 1, "vector2")
-        c = np.zeros(6)
-        c[0] = -self.centroid[1]
-        c[2] = -self.h          # phi1 = -(yc + h*eta)
-        c[3] = self.centroid[0]
-        c[4] = self.h           # phi2 = xc + h*xi
-        vals = basis.eval("curl2d", np.array([[0.2, 0.1]]))
-        assert np.einsum("n,ncq->cq", c, vals)[0, 0] == pytest.approx(2.0, rel=1e-14)
+        _, d1y = self.gradient(1, np.array([-self.centroid[0, 1], 0.0, -self.h[0]]))
+        d2x, _ = self.gradient(1, np.array([self.centroid[0, 0], self.h[0], 0.0]))
+        assert d2x - d1y == pytest.approx([2.0] * 3, rel=1e-14)
 
-    def test_symgrad_of_shear(self):
-        # phi = (y, 0): symmetric gradient = [[0, 1/2], [1/2, 0]]
-        basis = fs.ElementBasis(self.centroid, self.h, 1, "vector2")
-        c = np.zeros(6)
-        c[0] = self.centroid[1]
-        c[2] = self.h
-        vals = basis.eval("symgrad", np.array([[0.2, 0.1]]))
-        field = np.einsum("n,ncq->cq", c, vals)[:, 0]
-        assert field == pytest.approx([0.0, 0.0, 0.5], abs=1e-14)
-
-    def test_div_of_symtensor(self):
-        # tau = [[x, y], [y, 0]] has div (rows) = (1 + 1, 0) = (2, 0)
-        basis = fs.ElementBasis(self.centroid, self.h, 1, "symtensor2x2")
-        c = np.zeros(9)
-        c[0] = self.centroid[0]
-        c[1] = self.h            # tau11 = x
-        c[6] = self.centroid[1]
-        c[8] = self.h            # tau12 = y
-        vals = basis.eval("div", np.array([[0.2, 0.4]]))
-        field = np.einsum("n,ncq->cq", c, vals)[:, 0]
-        assert field == pytest.approx([2.0, 0.0], abs=1e-14)
+    def test_divergence_of_position_field(self):
+        # phi = (x, y) on every element of a mixed mesh: div phi = 2
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
+                           [2.0, 1.0], [2.0, 2.0], [0.0, 2.0]])
+        mesh = Mesh(points, [(1, 2, 3), (0, 1, 3, 4, 5)])
+        coeffs = np.zeros((2, 6))
+        for el in mesh.elements:
+            h = el.diameter
+            coeffs[el.id] = [el.centroid[0], h, 0.0, el.centroid[1], 0.0, h]
+        phi = DiscreteField(mesh, 1, "vector2", coeffs)
+        for batch in fs.element_batches(mesh):
+            pts, _ = batch.volume_rule(2)
+            assert phi.divergence_batched(batch, pts) == pytest.approx(
+                np.full(pts.shape[:2], 2.0), rel=1e-13)
 
     def test_rank_mismatch_raises(self):
-        basis = fs.ElementBasis(self.centroid, self.h, 1, "scalar")
+        mesh = generate_structured("triangle", 1)
+        scalar = DiscreteField(mesh, 1, "scalar", np.zeros((2, 3)))
+        batch = fs.element_batches(mesh)[0]
+        pts, _ = batch.volume_rule(2)
         with pytest.raises(ValueError):
-            basis.eval("div", np.array([[0.0, 0.0]]))
+            scalar.divergence_batched(batch, pts)
         with pytest.raises(ValueError):
-            fs.ElementBasis(self.centroid, self.h, 1, "tensor9")
+            DiscreteField(mesh, 1, "tensor9", np.zeros((2, 3)))
 
     def test_local_mass_matrix_spd(self):
         mesh = generate_structured("triangle", 2)
+        batch = fs.element_batches(mesh)[0]
         for degree in (1, 3):
-            rule = fs.quad_element(mesh, 1, 2 * degree)
-            basis = fs.ElementBasis.for_element(mesh, 1, degree)
-            vals = basis.eval("value", rule.points)[:, 0, :]
-            mass = (vals * rule.weights) @ vals.T
+            pts, w = batch.volume_rule(2 * degree)
+            vals = fs.scalar_vals(fs.monomial_exponents(degree),
+                                  batch.centroid, batch.h, pts)
+            mass = np.einsum("eiq,ejq,eq->eij", vals, vals, w)[1]
             assert np.abs(mass - mass.T).max() <= 1e-14 * np.abs(mass).max()
             assert np.linalg.eigvalsh(mass).min() > 0
-
-    def test_edge_basis_dimensions(self):
-        mesh = generate_structured("triangle", 1)
-        assert fs.EdgeBasis.for_edge(mesh, 0, 2).nfun == 3
-        assert fs.EdgeBasis.for_edge(mesh, 0, 2, "vector2").nfun == 6
-
-    def test_orthonormalize_gives_identity_mass(self):
-        mesh = generate_structured("quadrilateral", 1)
-        rule = fs.quad_element(mesh, 0, 8)
-        basis = fs.ElementBasis.for_element(mesh, 0, 3, "scalar",
-                                            orthonormalize=True, rule=rule)
-        vals = basis.eval("value", rule.points)[:, 0, :]
-        mass = (vals * rule.weights) @ vals.T
-        assert np.abs(mass - np.eye(len(mass))).max() < 1e-12
 
 
 class TestProjections:
     def test_linear_reproduced_exactly(self):
         mesh = generate_structured("triangle", 2)
-        coeffs = fs.project_element(lambda x, y: x, 1, mesh, 3)
-        basis = fs.ElementBasis.for_element(mesh, 3, 1)
+        proj = l2_project(mesh, lambda x, y: x, 1, 4)
         rng = np.random.default_rng(7)
-        pts = rng.uniform(0, 1, size=(10, 2))
-        vals = np.einsum("n,ncq->q", coeffs, basis.eval("value", pts))
-        assert vals == pytest.approx(pts[:, 0], rel=1e-12)
+        sample = rng.uniform(0, 1, size=(10, 2))
+        for batch in fs.element_batches(mesh):
+            pts = np.broadcast_to(sample, (len(batch.ids),) + sample.shape)
+            vals = proj.values_batched(batch, pts)[:, 0]
+            assert vals == pytest.approx(pts[..., 0], rel=1e-12)
 
     def test_degree0_projection_is_centroid_mean(self):
         mesh = generate_structured("quadrilateral", 2)
-        for eid in range(mesh.num_elements):
-            coeffs = fs.project_element(lambda x, y: x, 0, mesh, eid)
-            assert coeffs[0] == pytest.approx(mesh.elements[eid].centroid[0],
-                                              rel=1e-13)
-
-    def test_projection_boundedness(self):
-        mesh = generate_structured("triangle", 2)
-        rng = np.random.default_rng(3)
-        rule = fs.quad_element(mesh, 1, 12)
-        for _ in range(5):
-            c = rng.standard_normal(5)
-            f = lambda x, y: (c[0] + c[1] * x + c[2] * y + c[3] * x * y * y
-                              + c[4] * x ** 4)
-            proj = fs.project_element(f, 1, mesh, 1, quad_degree=12)
-            basis = fs.ElementBasis.for_element(mesh, 1, 1)
-            pvals = np.einsum("n,ncq->q", proj, basis.eval("value", rule.points))
-            fvals = f(rule.points[:, 0], rule.points[:, 1])
-            norm_p = np.sqrt((rule.weights * pvals ** 2).sum())
-            norm_f = np.sqrt((rule.weights * fvals ** 2).sum())
-            assert norm_p <= norm_f * (1 + 1e-12)
+        proj = l2_project(mesh, lambda x, y: x, 0, 2)
+        for el in mesh.elements:
+            assert proj.coeffs[el.id, 0] == pytest.approx(el.centroid[0],
+                                                          rel=1e-13)
 
     def test_projection_idempotent_on_space(self):
+        # traces already in the edge space are reproduced: C^T E^-1 C = M
         mesh = generate_structured("quadrilateral", 2)
-        rng = np.random.default_rng(11)
-        for degree in (1, 2, 3):
-            basis = fs.ElementBasis.for_element(mesh, 0, degree)
-            c = rng.standard_normal(basis.nfun)
-            f = lambda x, y: np.einsum(
-                "n,ncq->q", c, basis.eval("value", np.column_stack([x, y])))
-            proj = fs.project_element(f, degree, mesh, 0,
-                                      quad_degree=2 * degree + 2)
-            pts = rng.uniform(0.4, 0.6, size=(10, 2))
-            got = np.einsum("n,ncq->q", proj, basis.eval("value", pts))
-            want = f(pts[:, 0], pts[:, 1])
-            scale = np.abs(want).max()
-            assert np.abs(got - want).max() <= 1e-11 * max(scale, 1e-30)
+        for trace_deg, elem_deg in ((1, 1), (2, 1), (2, 2), (3, 3)):
+            for _, _, C, E, M in edge_projection_blocks(mesh, trace_deg,
+                                                        elem_deg):
+                stab = asm._stab_volume_block(C, E)
+                assert np.abs(stab - M).max() <= 1e-12 * np.abs(M).max()
+
+    def test_projection_boundedness(self):
+        # the projected trace is never longer: M - C^T E^-1 C is PSD
+        mesh = generate_structured("triangle", 2)
+        for trace_deg, elem_deg in ((0, 1), (1, 2), (2, 3)):
+            for _, _, C, E, M in edge_projection_blocks(mesh, trace_deg,
+                                                        elem_deg):
+                gap = M - asm._stab_volume_block(C, E)
+                scale = np.abs(M).max()
+                assert np.linalg.eigvalsh(gap).min() >= -1e-12 * scale
+                assert np.linalg.eigvalsh(gap).max() > 1e-8 * scale
 
     def test_edge_projection_linear_and_mean(self):
+        # the trace of f = x: degree 1 reproduces it, degree 0 is its mean
         mesh = generate_structured("triangle", 2)
-        eid = 1
-        basis = fs.EdgeBasis.for_edge(mesh, eid, 1)
-        f = lambda x, y: basis.param(np.column_stack([x, y]))
-        exact = fs.project_edge(f, 1, mesh, eid)
-        assert exact == pytest.approx([0.0, 1.0], abs=1e-12)
-        mean = fs.project_edge(f, 0, mesh, eid)
-        assert mean[0] == pytest.approx(0.5, rel=1e-13)
+        for trace_deg in (0, 1):
+            for batch, e, C, E, _ in edge_projection_blocks(mesh, trace_deg, 1):
+                coeffs = np.column_stack([batch.centroid[:, 0], batch.h,
+                                          np.zeros(len(batch.ids))])
+                load = np.einsum("emj,ej->em", C, coeffs)
+                proj = np.linalg.solve(E, load[..., None])[..., 0]
+                pts, _, s = batch.edge_rule(e, 2)
+                got = np.einsum("em,emq->eq", proj,
+                                s[:, None, :] ** np.arange(trace_deg + 1)[:, None])
+                if trace_deg == 1:
+                    assert got == pytest.approx(pts[..., 0], abs=1e-13)
+                else:
+                    mid = (batch.verts[:, e, 0]
+                           + batch.verts[:, (e + 1) % batch.nv, 0])
+                    assert got[:, 0] == pytest.approx(mid / 2, abs=1e-13)
 
     def test_edge_projection_boundedness(self):
         mesh = generate_structured("quadrilateral", 2)
         rng = np.random.default_rng(5)
-        eid = 4
-        rule = fs.quad_edge(mesh, eid, 10)
-        for _ in range(5):
-            c = rng.standard_normal(4)
-            f = lambda x, y: c[0] + c[1] * x + c[2] * y * y + c[3] * x * y
-            proj = fs.project_edge(f, 1, mesh, eid, quad_degree=10)
-            basis = fs.EdgeBasis.for_edge(mesh, eid, 1)
-            pvals = np.einsum("n,ncq->q", proj, basis.eval("value", rule.points))
-            fvals = f(rule.points[:, 0], rule.points[:, 1])
-            norm_p = np.sqrt((rule.weights * pvals ** 2).sum())
-            norm_f = np.sqrt((rule.weights * fvals ** 2).sum())
-            assert norm_p <= norm_f * (1 + 1e-12)
+        for _, _, C, E, M in edge_projection_blocks(mesh, 1, 2):
+            for c in rng.standard_normal((5, M.shape[1])):
+                proj = np.linalg.solve(E, (C @ c)[..., None])[..., 0]
+                norm_p = np.einsum("em,emn,en->e", proj, E, proj)
+                norm_f = np.einsum("i,eij,j->e", c, M, c)
+                assert np.all(norm_p <= norm_f * (1 + 1e-12))
 
 
 class TestApproximationProperties:
@@ -247,38 +266,32 @@ class TestApproximationProperties:
         errors = []
         for n in (8, 16, 32):
             mesh = generate_structured("triangle", n)
+            proj = l2_project(mesh, f, degree, 2 * degree + 6)
             total = 0.0
-            for eid in range(mesh.num_elements):
-                rule = fs.quad_element(mesh, eid, 2 * degree + 6)
-                proj = fs.project_element(f, degree, mesh, eid,
-                                          quad_degree=2 * degree + 6)
-                basis = fs.ElementBasis.for_element(mesh, eid, degree)
-                pvals = np.einsum("n,ncq->q", proj,
-                                  basis.eval("value", rule.points))
-                fvals = f(rule.points[:, 0], rule.points[:, 1])
-                total += (rule.weights * (pvals - fvals) ** 2).sum()
+            for batch in fs.element_batches(mesh):
+                pts, w = batch.volume_rule(2 * degree + 6)
+                diff = proj.values_batched(batch, pts)[:, 0] \
+                    - f(pts[..., 0], pts[..., 1])
+                total += (w * diff ** 2).sum()
             errors.append(np.sqrt(total))
         rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(np.abs(rates - (degree + 1)) < 0.2)
 
     def test_inverse_inequality_uniform(self):
         samples = np.random.default_rng(2).standard_normal((20, 6))
+        exps = fs.monomial_exponents(2)
         maxima = []
         for n in (8, 16, 32):
             mesh = generate_structured("triangle", n)
-            level_max = 0.0
-            for eid in (0, mesh.num_elements // 2):
-                basis = fs.ElementBasis.for_element(mesh, eid, 2)
-                rule = fs.quad_element(mesh, eid, 6)
-                for c in samples:
-                    vals = np.einsum("n,ncq->q", c,
-                                     basis.eval("value", rule.points))
-                    grads = np.einsum("n,ncq->cq", c,
-                                      basis.eval("grad", rule.points))
-                    l2 = np.sqrt((rule.weights * vals ** 2).sum())
-                    h1 = np.sqrt((rule.weights * (grads ** 2).sum(0)).sum())
-                    level_max = max(level_max,
-                                    h1 * mesh.elements[eid].diameter / l2)
-            maxima.append(level_max)
+            batch = fs.element_batches(mesh)[0]
+            pts, w = batch.volume_rule(6)
+            args = (exps, batch.centroid, batch.h, pts)
+            vals = np.einsum("sn,enq->seq", samples, fs.scalar_vals(*args))
+            gx = np.einsum("sn,enq->seq", samples, fs.scalar_vals(*args, dx=1))
+            gy = np.einsum("sn,enq->seq", samples, fs.scalar_vals(*args, dy=1))
+            l2 = np.sqrt((w * vals ** 2).sum(-1))
+            h1 = np.sqrt((w * (gx ** 2 + gy ** 2)).sum(-1))
+            ratio = h1 * batch.h / l2
+            maxima.append(ratio[:, [0, len(batch.ids) // 2]].max())
         for coarse, fine in zip(maxima, maxima[1:]):
             assert fine <= coarse * 1.1

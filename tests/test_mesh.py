@@ -8,6 +8,9 @@ from hdgplate.mesh import (Mesh, MeshFormatError, MeshTopologyError,
                            load_mesh, save_mesh)
 
 
+NONCONVEX_PENTAGON = np.array([[0, 0], [2, 0], [1, 0.2], [2, 2], [0, 2]])
+
+
 def euler_characteristic(mesh):
     return mesh.num_vertices - mesh.num_edges + mesh.num_elements
 
@@ -166,3 +169,22 @@ class TestIO:
         points = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
         with pytest.raises(MeshTopologyError):
             Mesh(points, [(0, 2, 1)])
+
+    def test_nonconvex_element_rejected(self):
+        # counter-clockwise with positive area, but vertex 2 is reflex
+        with pytest.raises(MeshTopologyError, match="element 0 is not convex"):
+            Mesh(NONCONVEX_PENTAGON, [(0, 1, 2, 3, 4)])
+
+    def test_load_mesh_rejects_nonconvex_element(self):
+        text = ("polymesh 1\nvertices 5\n"
+                + "".join(f"{x} {y}\n" for x, y in NONCONVEX_PENTAGON)
+                + "elements 1\n5 0 1 2 3 4\n")
+        with pytest.raises(MeshTopologyError, match="not convex"):
+            load_mesh(io.StringIO(text))
+
+    def test_self_intersecting_element_rejected(self):
+        # a pentagram turns left at every vertex but crosses itself
+        angles = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+        points = np.column_stack([np.cos(angles), np.sin(angles)])
+        with pytest.raises(MeshTopologyError, match="not convex"):
+            Mesh(points, [(0, 2, 4, 1, 3)])

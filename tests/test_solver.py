@@ -181,16 +181,6 @@ class TestSaddle:
         x_direct = x_direct - (x_direct @ z) * z  # same kernel gauge
         assert np.abs(x_cg - x_direct).max() <= 1e-8 * np.abs(x_direct).max()
 
-    @pytest.mark.parametrize("inner", ["direct", "cg"])
-    def test_inner_solver_options_agree(self, inner):
-        bs, _ = self._stage2()
-        cond = slv.condense(bs)
-        th, ph, report = slv.solve_saddle_trace(
-            cond, slv.SolverConfig(inner=inner))
-        assert report.converged
-        ref_th, ref_ph, _ = slv.solve_saddle_trace(cond)
-        assert np.abs(th - ref_th).max() <= 1e-7 * max(np.abs(ref_th).max(), 1e-30)
-
 
 class TestBackSubstitution:
     def test_decoupled_interior(self):
