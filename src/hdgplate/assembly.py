@@ -169,14 +169,13 @@ class DiscreteField:
 
     def values_batched(self, batch: ElementBatch, pts: np.ndarray) -> np.ndarray:
         """(ne, ncomp, nq) values at per-element points of a batch."""
-        vals = fs.scalar_vals(fs.monomial_exponents(self.degree),
-                            batch.centroid, batch.h, pts)
-        coeffs = self.coeffs[batch.ids]
-        out = np.empty((len(batch.ids), self.ncomp, pts.shape[1]))
-        for c in range(self.ncomp):
-            block = coeffs[:, c * self.nscalar:(c + 1) * self.nscalar]
-            out[:, c, :] = np.einsum("enq,en->eq", vals, block)
-        return out
+        return self.combine(batch, fs.scalar_vals(
+            fs.monomial_exponents(self.degree), batch.centroid, batch.h, pts))
+
+    def combine(self, batch: ElementBatch, vals: np.ndarray) -> np.ndarray:
+        """(ne, ncomp, nq) values from the batch's scaled monomials (ne, nb, nq)."""
+        coeffs = self.coeffs[batch.ids].reshape(-1, self.ncomp, self.nscalar)
+        return np.einsum("enq,ecn->ecq", vals, coeffs)
 
     def divergence_batched(self, batch: ElementBatch, pts: np.ndarray) -> np.ndarray:
         if self.rank != "vector2":
@@ -380,7 +379,7 @@ class BlockSystem:
 def _edge_projection_blocks(batch, local_edge, edge_degree, trace_deg, elem_deg):
     """Edge cross-mass C (edge basis x element trace) and edge mass E."""
     pts, w, s = batch.edge_rule(local_edge, edge_degree)
-    ehat = s[:, None, :] ** np.arange(trace_deg + 1)[None, :, None]
+    ehat = fs.power_table(s, trace_deg)
     tr = fs.scalar_vals(fs.monomial_exponents(elem_deg),
                       batch.centroid, batch.h, pts)
     C = _ip(w, ehat, tr)          # (ne, m, nb)
@@ -533,7 +532,7 @@ def assemble_step3(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         # trace load <theta . n, s_hat>assembled from both adjacent elements
         for e in range(batch.nv):
             epts, ew, s = batch.edge_rule(e, degrees["edge_degree"] + k)
-            ehat = s[:, None, :] ** np.arange(k)[None, :, None]
+            ehat = fs.power_table(s, k - 1)
             thv = theta.values_batched(batch, epts)
             th_n = np.einsum("ecq,ec->eq", thv, batch.normals[:, e, :])
             load = np.einsum("emq,eq,eq->em", ehat, th_n, ew)
@@ -765,8 +764,8 @@ def bh_norm(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         theta_coeffs = theta.coeffs[batch.ids]
         for e in range(batch.nv):
             epts, ew, s = batch.edge_rule(e, degrees["edge_degree"])
-            ehat_l = s[:, None, :] ** np.arange(l + 1)[None, :, None]
-            ehat_k = s[:, None, :] ** np.arange(k)[None, :, None]
+            ehat_l = fs.power_table(s, l)
+            ehat_k = fs.power_table(s, k - 1)
             tr_v = fs.scalar_vals(exps_v, batch.centroid, batch.h, epts)
             El = _ip(ew, ehat_l, ehat_l)
             Ek = _ip(ew, ehat_k, ehat_k)

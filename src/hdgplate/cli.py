@@ -149,8 +149,10 @@ def _cmd_solve(args) -> int:
     mesh = generate_structured(kind, args.n)
     fields = vf.solve_plate(mesh, spaces, material, exact, config=config)
     rep = fields.reports["step2"]
-    if not all(r.converged for r in fields.reports.values()):
-        print("solver failed to reach tolerance", file=sys.stderr)
+    failed = [f"{s} stopped on {r.stop_reason}"
+              for s, r in fields.reports.items() if not r.converged]
+    if failed:
+        print("solver failed: " + ", ".join(failed), file=sys.stderr)
         return _EXIT_SOLVER
     errs = vf.table_errors(fields, exact)
     print(f"n={args.n} iter={rep.iterations} "

@@ -28,6 +28,7 @@ __all__ = [
     "ElementBatch",
     "element_batches",
     "scalar_vals",
+    "power_table",
 ]
 
 
@@ -126,6 +127,9 @@ class ElementBatch:
         self.tangents = d / self.edge_len[..., None]
         self.normals = np.stack(
             [self.tangents[..., 1], -self.tangents[..., 0]], axis=-1)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)  # shared by every caller
 
     def volume_rule(self, degree: int):
         """Points (ne, nq, 2) and weights (ne, nq), exact for P_degree."""
@@ -161,12 +165,25 @@ class ElementBatch:
         return pts, wts, s
 
 
-def element_batches(mesh) -> list[ElementBatch]:
-    by_nv: dict[int, list[int]] = {}
-    for el in mesh.elements:
-        by_nv.setdefault(len(el.vertex_loop), []).append(el.id)
-    return [ElementBatch(mesh, np.array(ids))
-            for _, ids in sorted(by_nv.items())]
+def element_batches(mesh) -> tuple[ElementBatch, ...]:
+    """Batches by vertex count, built once and kept on the (immutable)
+    mesh; every caller shares them, so their arrays are read-only."""
+    if not hasattr(mesh, "_element_batches"):
+        by_nv: dict[int, list[int]] = {}
+        for el in mesh.elements:
+            by_nv.setdefault(len(el.vertex_loop), []).append(el.id)
+        mesh._element_batches = tuple(ElementBatch(mesh, np.array(ids))
+                                      for _, ids in sorted(by_nv.items()))
+    return mesh._element_batches
+
+
+def power_table(z: np.ndarray, n: int) -> np.ndarray:
+    """z^0 .. z^n by repeated multiplication, on a new axis before the last."""
+    out = np.empty(z.shape[:-1] + (n + 1, z.shape[-1]))
+    out[..., 0, :] = 1.0
+    for i in range(1, n + 1):
+        np.multiply(out[..., i - 1, :], z, out=out[..., i, :])
+    return out
 
 
 def scalar_vals(exps, centroid, h, pts, dx=0, dy=0):
@@ -174,18 +191,17 @@ def scalar_vals(exps, centroid, h, pts, dx=0, dy=0):
 
     ``dx``/``dy`` select the order of the x/y derivative.
     """
-    a = exps[:, 0].astype(float)
-    b = exps[:, 1].astype(float)
-    coef = np.ones_like(a)
+    a = exps[:, 0]
+    b = exps[:, 1]
+    coef = np.ones(len(exps))
     for _ in range(dx):
         coef, a = coef * a, np.maximum(a - 1, 0)
     for _ in range(dy):
         coef, b = coef * b, np.maximum(b - 1, 0)
     xi = (pts[..., 0] - centroid[:, None, 0]) / h[:, None]
     eta = (pts[..., 1] - centroid[:, None, 1]) / h[:, None]
-    vals = (coef[None, :, None]
-            * xi[:, None, :] ** a[None, :, None]
-            * eta[:, None, :] ** b[None, :, None])
+    vals = (coef[None, :, None] * power_table(xi, a.max())[:, a]
+            * power_table(eta, b.max())[:, b])
     if dx or dy:
         vals = vals / h[:, None, None] ** (dx + dy)
     return vals

@@ -78,7 +78,8 @@ class SolveReport:
     iterations: int
     residual: float
     wall_time: float
-    converged: bool = True
+    # converged | zero_rhs | max_iter | indefinite (a direction with pAp <= 0)
+    stop_reason: str = "converged"
     deflated: bool = False
     kernel_rejected: bool = False
     residual_history: list = field(default_factory=list)
@@ -86,6 +87,10 @@ class SolveReport:
     # factorized preconditioners (it is the quantity CG minimizes when
     # the preconditioner is the operator itself)
     precond_residual_history: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("converged", "zero_rhs")
 
 
 @dataclass
@@ -190,7 +195,7 @@ def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
          tol: float, max_iter: int, project: Callable | None = None):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros_like(b), 0, [0.0], True, [0.0]
+        return np.zeros_like(b), 0, [0.0], "zero_rhs", [0.0]
     if project is not None:
         b = project(b)
     x = np.zeros_like(b)
@@ -203,14 +208,15 @@ def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
     history = [float(np.linalg.norm(r)) / bnorm]
     rz_history = [np.sqrt(abs(rz))]
     iterations = 0
-    converged = False
+    stop_reason = "max_iter"
     for it in range(1, max_iter + 1):
         Ap = apply_op(p)
         if project is not None:
             Ap = project(Ap)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
-            break  # loss of positivity; return best iterate
+            stop_reason = "indefinite"  # return the best iterate
+            break
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
@@ -225,11 +231,11 @@ def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
         rz_new = float(r @ z)
         rz_history.append(np.sqrt(abs(rz_new)))
         if res <= tol:
-            converged = True
+            stop_reason = "converged"
             break
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, iterations, history, converged, rz_history
+    return x, iterations, history, stop_reason, rz_history
 
 
 def _jacobi(diagonal: np.ndarray) -> Callable:
@@ -270,10 +276,10 @@ def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
         lu = spla.splu(S.tocsc())
         precond = lu.solve
 
-    x, iterations, history, converged, rz_hist = _pcg(
+    x, iterations, history, stop_reason, rz_hist = _pcg(
         lambda v: S @ v, b, precond, config.tol, config.max_iter, project)
     report = SolveReport(iterations, history[-1],
-                         time.perf_counter() - t0, converged,
+                         time.perf_counter() - t0, stop_reason,
                          deflated, kernel_rejected, history, rz_hist)
     return x, report
 
@@ -356,11 +362,11 @@ def solve_saddle_trace(cond: CondensedSystem,
         else:
             precond = spla.splu(surrogate).solve
 
-    p_hat, iterations, history, converged, rz_hist = _pcg(
+    p_hat, iterations, history, stop_reason, rz_hist = _pcg(
         apply_outer, rhs, precond, config.tol, config.max_iter, project)
     theta_hat = inner_solve(c1 - B12 @ p_hat)
     report = SolveReport(iterations, history[-1],
-                         time.perf_counter() - t0, converged,
+                         time.perf_counter() - t0, stop_reason,
                          deflated, kernel_rejected, history, rz_hist)
     return theta_hat, p_hat, report
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval2d
 
 from . import assembly as asm
+from . import femspace as fs
 from . import solver as slv
 from .assembly import (DiscreteField, PlateMaterial, SolutionFields,
                        SpaceConfig, recover_gamma)
@@ -126,19 +126,8 @@ class Poly2:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def float_matrix(self) -> np.ndarray:
-        if not self.coeffs:
-            return np.zeros((1, 1))
-        da = max(a for a, _ in self.coeffs)
-        db = max(b for _, b in self.coeffs)
-        mat = np.zeros((da + 1, db + 1))
-        for (a, b), v in self.coeffs.items():
-            mat[a, b] = float(v)
-        return mat
-
     def __call__(self, x, y):
-        return polyval2d(np.asarray(x, float), np.asarray(y, float),
-                         self.float_matrix())
+        return _evaluate((self,), x, y)[0]
 
     def eval_exact(self, x, y) -> Fraction:
         """Round-off-free evaluation at a rational point."""
@@ -147,15 +136,34 @@ class Poly2:
                    Fraction(0))
 
 
+# Points per evaluation chunk; bounds the monomial table's memory.
+_CHUNK = 4096
+
+
+def _evaluate(polys, x, y) -> np.ndarray:
+    """Values (len(polys),) + broadcast shape of ``polys`` at (x, y): the
+    union of their monomials, gathered from power tables, times coefficients."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    exps = sorted(set().union(*(p.coeffs for p in polys))) or [(0, 0)]
+    ea, eb = np.array(exps).T
+    coef = np.array([[float(p.coeffs.get(e, 0)) for e in exps] for p in polys])
+    out = np.empty((len(polys), x.size))
+    xf, yf = x.ravel(), y.ravel()
+    for start in range(0, x.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        out[:, chunk] = coef @ (fs.power_table(xf[chunk], ea.max())[ea]
+                                * fs.power_table(yf[chunk], eb.max())[eb])
+    return out.reshape((len(polys),) + x.shape)
+
+
 class PolyField:
     """Tuple of polynomial components evaluated as (ncomp,) + shape arrays."""
 
     def __init__(self, components):
         self.components = tuple(components)
-        self.ncomp = len(self.components)
 
     def __call__(self, x, y):
-        return np.stack([c(x, y) for c in self.components])
+        return _evaluate(self.components, x, y)
 
     def __getitem__(self, i) -> Poly2:
         return self.components[i]
@@ -242,9 +250,32 @@ def exact_fields(material: PlateMaterial = PlateMaterial()) -> ExactSolution:
 # most 12, so squared errors of fields up to degree 13 integrate exactly.
 ERROR_DEGREE = 26
 
-_COMPONENT_WEIGHTS = {"scalar": np.array([1.0]),
-                      "vector2": np.array([1.0, 1.0]),
-                      "symtensor2x2": np.array([1.0, 1.0, 2.0])}
+_COMPONENT_WEIGHTS = {"scalar": (1.0,), "vector2": (1.0, 1.0),
+                      "symtensor2x2": (1.0, 1.0, 2.0)}
+
+
+def _squared_errors(flds, exact, quad_degree: int) -> np.ndarray:
+    """Squared broken L2 norms of (exact - field) per field; ``exact``
+    returns all fields' components stacked, (total ncomp,) + points.shape."""
+    ncomp = sum(fld.ncomp for fld in flds)
+    acc = np.zeros(len(flds))
+    for batch in element_batches(flds[0].mesh):
+        pts, w = batch.volume_rule(quad_degree)
+        ex = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
+        ex = ex.reshape((-1,) + w.shape)
+        if ex.shape[0] != ncomp:
+            raise ValueError(f"exact field has {ex.shape[0]} components, "
+                             f"discrete field has {ncomp}")
+        basis = {d: fs.scalar_vals(fs.monomial_exponents(d), batch.centroid,
+                                   batch.h, pts)
+                 for d in {fld.degree for fld in flds}}
+        rows = iter(ex)
+        for slot, fld in enumerate(flds):
+            vals = fld.combine(batch, basis[fld.degree])
+            for c, wc in enumerate(_COMPONENT_WEIGHTS[fld.rank]):
+                diff = next(rows) - vals[:, c, :]
+                acc[slot] += wc * float(np.einsum("eq,eq->", diff ** 2, w))
+    return acc
 
 
 def l2_error(fld: DiscreteField, exact, quad_degree: int = ERROR_DEGREE) -> float:
@@ -253,23 +284,9 @@ def l2_error(fld: DiscreteField, exact, quad_degree: int = ERROR_DEGREE) -> floa
     ``exact`` is any callable returning (ncomp,) + points.shape values;
     pass a zero-coefficient field to measure the norm of ``exact`` itself.
     """
-    weights = _COMPONENT_WEIGHTS[fld.rank]
     if quad_degree < 2 * fld.degree:
         raise ValueError("error quadrature degree too low for the field")
-    total = 0.0
-    for batch in element_batches(fld.mesh):
-        pts, w = batch.volume_rule(quad_degree)
-        vals = fld.values_batched(batch, pts)
-        ex = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
-        if ex.ndim == 2:
-            ex = ex[None, ...]
-        if ex.shape[0] != fld.ncomp:
-            raise ValueError(
-                f"exact field has {ex.shape[0]} components, "
-                f"discrete field has {fld.ncomp}")
-        diff = np.moveaxis(ex, 0, 1) - vals
-        total += float(np.einsum("ecq,c,eq->", diff ** 2, weights, w))
-    return float(np.sqrt(total))
+    return float(np.sqrt(_squared_errors((fld,), exact, quad_degree)[0]))
 
 
 def observed_rate(e_coarse: float, e_fine: float) -> float:
@@ -393,23 +410,12 @@ class RateTable:
 
 def table_errors(fields: SolutionFields, exact: ExactSolution,
                  quad_degree: int = ERROR_DEGREE):
-    """The four table norms, sharing quadrature data across fields."""
-    mat = fields.material
-    acc = np.zeros(4)
-    jobs = ((0, fields.theta, exact.theta, (1.0, 1.0)),
-            (1, fields.gamma, exact.gamma, (1.0, 1.0)),
-            (2, fields.sigma, exact.sigma, (1.0, 1.0, 2.0)),
-            (3, fields.omega, exact.omega, (1.0,)))
-    for batch in element_batches(fields.mesh):
-        pts, w = batch.volume_rule(quad_degree)
-        x, y = pts[..., 0], pts[..., 1]
-        for slot, fld, ex, weights in jobs:
-            vals = fld.values_batched(batch, pts)
-            for c, wc in enumerate(weights):
-                diff = ex[c](x, y) - vals[:, c, :]
-                acc[slot] += wc * float(np.einsum("eq,eq->", diff ** 2, w))
-    errs = np.sqrt(acc)
-    return errs[0], mat.t * errs[1], errs[2], errs[3]
+    """The four table norms, from one pass over the eight exact components."""
+    exact_all = PolyField(exact.theta.components + exact.gamma.components
+                          + exact.sigma.components + exact.omega.components)
+    errs = np.sqrt(_squared_errors((fields.theta, fields.gamma, fields.sigma,
+                                    fields.omega), exact_all, quad_degree))
+    return errs[0], fields.material.t * errs[1], errs[2], errs[3]
 
 
 def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
@@ -431,8 +437,8 @@ def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
         for stage, rep in fields.reports.items():
             if not rep.converged:
                 raise RuntimeError(
-                    f"level n={n}: {stage} solve did not reach tolerance "
-                    f"(residual {rep.residual:.3e})")
+                    f"level n={n}: {stage} solve stopped on "
+                    f"{rep.stop_reason} (residual {rep.residual:.3e})")
         err_theta, err_tgamma, err_sigma, err_omega = table_errors(
             fields, exact)
         table.reports.append(ErrorReport(

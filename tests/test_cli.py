@@ -94,8 +94,15 @@ class TestExitCodes:
                      "--levels", "4", "--max-iter", "1", "--precond", "none",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "n=4" in capsys.readouterr().err
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "n=4" in err and "step1 solve stopped on max_iter" in err
+
+    def test_solve_failure_names_stage_and_stop(self, capsys):
+        code = main(["solve", "--mesh", "tri", "--n", "4", "--t", "0.1",
+                     "--max-iter", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "step2 stopped on max_iter" in err and "step1" not in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

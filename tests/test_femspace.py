@@ -142,6 +142,21 @@ class TestScaledMonomials:
         with pytest.raises(ValueError):
             DiscreteField(mesh, 2, "vector2", np.zeros((2, 6)))
 
+    @pytest.mark.parametrize("dx", [0, 1, 2])
+    @pytest.mark.parametrize("dy", [0, 1, 2])
+    def test_matches_closed_form(self, dx, dy):
+        exps = fs.monomial_exponents(4)
+        vals = fs.scalar_vals(exps, self.centroid, self.h, self.pts,
+                              dx=dx, dy=dy)
+        h = self.h[0]
+        xi = (self.pts[0, :, 0] - self.centroid[0, 0]) / h
+        eta = (self.pts[0, :, 1] - self.centroid[0, 1]) / h
+        for m, (a, b) in enumerate(exps):
+            # d^dx/dx^dx d^dy/dy^dy of xi^a eta^b; zero once dx > a or dy > b
+            factor = math.perm(a, dx) * math.perm(b, dy) / h ** (dx + dy)
+            expected = (factor * xi ** max(a - dx, 0) * eta ** max(b - dy, 0))
+            assert vals[0, m] == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
     def test_perp_grad_of_x(self):
         # f(x, y) = x in the scaled basis: xc + h * xi; perp grad = (f_y, -f_x)
         fx, fy = self.gradient(1, np.array([self.centroid[0, 0], self.h[0], 0.0]))

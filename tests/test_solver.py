@@ -66,29 +66,43 @@ class TestCG:
         n = 17
         rng = np.random.default_rng(0)
         b = rng.standard_normal(n)
-        x, iters, hist, ok, _ = slv._pcg(lambda v: v, b, lambda r: r, 1e-12, 100)
-        assert ok and iters == 1
+        x, iters, hist, reason, _ = slv._pcg(lambda v: v, b, lambda r: r,
+                                             1e-12, 100)
+        assert reason == "converged" and iters == 1
         assert np.allclose(x, b)
 
     def test_two_eigenvalues_two_iterations(self):
         A = np.diag([1.0, 2.0])
         b = np.array([1.0, 1.0])
-        x, iters, hist, ok, _ = slv._pcg(lambda v: A @ v, b, lambda r: r,
-                                         1e-12, 100)
-        assert ok and iters <= 2
+        x, iters, hist, reason, _ = slv._pcg(lambda v: A @ v, b, lambda r: r,
+                                             1e-12, 100)
+        assert reason == "converged" and iters <= 2
         assert x == pytest.approx([1.0, 0.5], rel=1e-12)
 
     def test_zero_rhs(self):
-        x, iters, hist, ok, _ = slv._pcg(lambda v: v, np.zeros(4),
-                                         lambda r: r, 1e-12, 100)
-        assert ok and iters == 0 and np.all(x == 0)
+        x, iters, hist, reason, _ = slv._pcg(lambda v: v, np.zeros(4),
+                                             lambda r: r, 1e-12, 100)
+        assert reason == "zero_rhs" and iters == 0 and np.all(x == 0)
 
     def test_max_iter_flagged(self):
         A = np.diag(np.linspace(1, 1e6, 50))
         b = np.ones(50)
-        x, iters, hist, ok, _ = slv._pcg(lambda v: A @ v, b, lambda r: r,
-                                         1e-14, 3)
-        assert not ok and iters == 3
+        x, iters, hist, reason, _ = slv._pcg(lambda v: A @ v, b, lambda r: r,
+                                             1e-14, 3)
+        assert reason == "max_iter" and iters == 3
+
+    def test_negative_definite_operator_is_indefinite(self):
+        b = np.random.default_rng(1).standard_normal(5)
+        x, iters, hist, reason, _ = slv._pcg(lambda v: -v, b, lambda r: r,
+                                             1e-12, 100)
+        assert reason == "indefinite" and iters == 0 and np.all(x == 0)
+
+    def test_zero_load_reports_zero_rhs(self):
+        mesh = generate_structured("triangle", 2)
+        bs = asm.assemble_step1(mesh, SpaceConfig(1), lambda x, y: 0 * x)
+        x, report = slv.solve_spd(slv.condense(bs))
+        assert report.stop_reason == "zero_rhs" and report.converged
+        assert np.all(x == 0)
 
     def test_residual_monotone_with_default_preconditioner(self):
         mesh = generate_structured("triangle", 8)
@@ -169,6 +183,19 @@ class TestSaddle:
         assert report.iterations == it_ref
         assert np.allclose(ph, x_ref, rtol=1e-9, atol=1e-12)
         assert np.allclose(th, np.zeros(6), atol=1e-12)
+
+    def test_iteration_budget_reports_max_iter(self):
+        bs, _ = self._stage2(n=4)
+        _, _, report = slv.solve_saddle_trace(slv.condense(bs),
+                                              slv.SolverConfig(max_iter=1))
+        assert report.stop_reason == "max_iter" and not report.converged
+        assert report.iterations == 1
+
+    def test_run_convergence_names_stage_and_stop(self):
+        with pytest.raises(RuntimeError,
+                           match="n=2: step2 solve stopped on max_iter"):
+            vf.run_convergence(PlateMaterial(t=0.1), "tri", SpaceConfig(1),
+                               [2], slv.SolverConfig(max_iter=1))
 
     def test_direct_oracle_matches_cg_path(self):
         bs, mesh = self._stage2(t=0.01)

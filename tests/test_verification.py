@@ -1,5 +1,8 @@
+import csv
+import dataclasses
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,82 @@ class TestPoly2:
         p = 3 * X ** 2 * Y - Y ** 2 + vf.Poly2.const(Fraction(1, 4))
         assert p(0.5, 0.25) == pytest.approx(float(p.eval_exact(
             Fraction(1, 2), Fraction(1, 4))), rel=1e-15)
+
+
+def _abs_sum(poly, x, y) -> float:
+    """Sum of |c_ab x^a y^b| at a rational point: the scale of round-off."""
+    return float(sum(abs(v * x ** a * y ** b)
+                     for (a, b), v in poly.coeffs.items()))
+
+
+def _monomial_sum(poly, x, y):
+    """Reference float evaluation, one broadcast term per monomial."""
+    out = np.zeros(np.broadcast(x, y).shape)
+    for (a, b), v in poly.coeffs.items():
+        out = out + float(v) * x ** a * y ** b
+    return out
+
+
+class TestPolynomialKernel:
+    @pytest.mark.parametrize("t", [0.5, 1e-4])
+    def test_exact_fields_match_rational_evaluation(self, t):
+        exact = vf.exact_fields(PlateMaterial(t=t))
+        # dyadic points are exact floats, so x_f = x_q below
+        rng = np.random.default_rng(11)
+        num = rng.integers(0, 2 ** 20 + 1, size=(2, 25))
+        xq = [Fraction(int(i), 2 ** 20) for i in num[0]]
+        yq = [Fraction(int(i), 2 ** 20) for i in num[1]]
+        xf = np.array([float(v) for v in xq])
+        yf = np.array([float(v) for v in yq])
+        for f in dataclasses.fields(exact):
+            field_ = getattr(exact, f.name)
+            if not isinstance(field_, vf.PolyField):
+                continue
+            vals = field_(xf, yf)
+            for c, poly in enumerate(field_.components):
+                for i, (x, y) in enumerate(zip(xq, yq)):
+                    err = abs(vals[c, i] - float(poly.eval_exact(x, y)))
+                    assert err <= 1e-13 * _abs_sum(poly, x, y), (f.name, c)
+
+    @pytest.mark.parametrize("npts", [0, 1, vf._CHUNK - 1, vf._CHUNK,
+                                      vf._CHUNK + 1])
+    def test_point_counts_across_chunks(self, npts):
+        sigma = vf.exact_fields(PlateMaterial(t=0.1)).sigma
+        rng = np.random.default_rng(npts)
+        x, y = rng.uniform(0, 1, size=(2, npts))
+        vals = sigma(x, y)
+        assert vals.shape == (3, npts)
+        for c, poly in enumerate(sigma.components):
+            ref = _monomial_sum(poly, x, y)
+            scale = _monomial_sum(_abs_poly(poly), x, y)
+            assert np.all(np.abs(vals[c] - ref) <= 1e-13 * scale)
+
+    def test_scalar_and_broadcast_input(self):
+        exact = vf.exact_fields(PlateMaterial(t=0.1))
+        omega = exact.omega[0]
+        value = omega(0.3, 0.6)
+        assert np.ndim(value) == 0
+        assert value == pytest.approx(_monomial_sum(omega, 0.3, 0.6),
+                                      rel=1e-13)
+        assert exact.theta(0.3, 0.6).shape == (2,)
+        x = np.linspace(0.1, 0.9, 3)[:, None]
+        y = np.linspace(0.2, 0.8, 4)[None, :]
+        vals = exact.gamma(x, y)
+        assert vals.shape == (2, 3, 4)
+        for c, poly in enumerate(exact.gamma.components):
+            ref = _monomial_sum(poly, x, y)
+            scale = _monomial_sum(_abs_poly(poly), x, y)
+            assert ref.shape == (3, 4)
+            assert np.all(np.abs(vals[c] - ref) <= 1e-13 * scale)
+
+    def test_zero_polynomial(self):
+        p = vf.exact_fields(PlateMaterial(t=0.1)).p
+        assert np.all(p(np.ones((2, 3)), np.ones((2, 3))) == 0)
+        assert p(np.ones((2, 3)), 0.5).shape == (1, 2, 3)
+
+
+def _abs_poly(poly):
+    return vf.Poly2({key: abs(v) for key, v in poly.coeffs.items()})
 
 
 class TestExactSolution:
@@ -245,3 +324,31 @@ class TestRateTable:
                              str(table.reports[0].iterations)]
         assert first[6] == ""  # no rate on the first level
         assert lines[2].split(",")[6] != ""
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, kind, k, t, levels", [
+    ("convergence_tri_k1_t0.01.csv", "tri", 1, 0.01, [4, 8, 16]),
+    ("convergence_quad_k2_t1e-06.csv", "quad", 2, 1e-6, [2, 4, 8]),
+])
+def test_convergence_csv_matches_reference(name, kind, k, t, levels):
+    """The committed tables were written by ``hdgplate convergence`` with
+    the same arguments; ids and iteration counts must match exactly, the
+    numbers up to the round-off another BLAS may bring."""
+    table = vf.run_convergence(PlateMaterial(t=t), kind, SpaceConfig(k),
+                               levels)
+    stream = io.StringIO()
+    table.write_csv(stream)
+    rows = list(csv.reader(io.StringIO(stream.getvalue())))
+    with open(DATA / name, newline="") as ref_stream:
+        ref = list(csv.reader(ref_stream))
+    assert rows[0] == ref[0] and len(rows) == len(ref)
+    for row, ref_row in zip(rows[1:], ref[1:]):
+        assert row[:5] == ref_row[:5]
+        for cell, ref_cell in zip(row[5:], ref_row[5:]):
+            if ref_cell == "":
+                assert cell == ""
+            else:
+                assert float(cell) == pytest.approx(float(ref_cell), rel=1e-9)
