@@ -39,6 +39,10 @@ def _abs_sum(poly, x, y) -> float:
                      for (a, b), v in poly.coeffs.items()))
 
 
+def _abs_poly(poly):
+    return vf.Poly2({key: abs(v) for key, v in poly.coeffs.items()})
+
+
 def _monomial_sum(poly, x, y):
     """Reference float evaluation, one broadcast term per monomial."""
     out = np.zeros(np.broadcast(x, y).shape)
@@ -103,10 +107,6 @@ class TestPolynomialKernel:
         p = vf.exact_fields(PlateMaterial(t=0.1)).p
         assert np.all(p(np.ones((2, 3)), np.ones((2, 3))) == 0)
         assert p(np.ones((2, 3)), 0.5).shape == (1, 2, 3)
-
-
-def _abs_poly(poly):
-    return vf.Poly2({key: abs(v) for key, v in poly.coeffs.items()})
 
 
 class TestExactSolution:
