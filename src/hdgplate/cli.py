@@ -179,6 +179,8 @@ def _cmd_convergence(args) -> int:
         "mesh_kind": args.mesh,
         "levels": levels,
         "iterations": [r.iterations for r in table.reports],
+        "stop_reasons": [r.stop_reasons for r in table.reports],
+        "kernel_rejected": [r.kernel_rejected for r in table.reports],
         "wall_times": [r.wall_time for r in table.reports],
     })
     with open(args.out + ".meta.json", "w") as stream:

@@ -13,16 +13,14 @@ removed by deflation.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BlockSystem
+from .assembly import BlockSystem, _scatter_symmetric, _scatter_vector
 
 __all__ = [
     "SolverConfig",
@@ -95,12 +93,13 @@ class SolveReport:
 
 @dataclass
 class CondensedSystem:
-    """Schur complement trace system with retained interior factorizations."""
+    """Schur complement trace system; ``local`` keeps, per element group,
+    ``Y = A11^{-1} [A12 | b1]`` (ne, n1, ntl + 1) for back-substitution."""
 
     system: BlockSystem
     S: sp.csr_matrix
     rhs: np.ndarray
-    factors: list            # per group: list of scipy (lu, piv) per element
+    local: list
     kernel: np.ndarray | None
 
     @property
@@ -108,62 +107,52 @@ class CondensedSystem:
         return self.system.n_trace
 
 
+def _local_solve(grp) -> np.ndarray:
+    """Y = A11^{-1} [A12 | b1] for every element of a group at once."""
+    try:
+        y = np.linalg.solve(
+            grp.a11, np.concatenate([grp.a12, grp.b1[..., None]], axis=-1))
+    except np.linalg.LinAlgError:  # some block has an exactly zero pivot
+        ok = np.isfinite(np.linalg.slogdet(grp.a11)[1])
+    else:
+        if np.isfinite(y).all():
+            return y
+        ok = np.isfinite(y).all(axis=(1, 2))
+    raise SingularElementBlockError(int(grp.batch.ids[np.argmin(ok)]))
+
+
 def condense(bs: BlockSystem) -> CondensedSystem:
     """Eliminate interior unknowns element-by-element (never globally)."""
-    nt = bs.n_trace
     rhs = bs.b2.copy()
     coo_r, coo_c, coo_v = [], [], []
-    factors = []
+    local = []
     for grp in bs.groups:
-        grp_factors = []
-        ne, n1, ntl = grp.a12.shape
-        for i in range(ne):
-            with np.errstate(all="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    lu = scipy.linalg.lu_factor(grp.a11[i])
-                except (scipy.linalg.LinAlgError, ValueError) as exc:
-                    raise SingularElementBlockError(
-                        int(grp.batch.ids[i])) from exc
-            diag = np.abs(np.diag(lu[0]))
-            if not np.all(np.isfinite(lu[0])) or diag.min() == 0.0:
-                raise SingularElementBlockError(int(grp.batch.ids[i]))
-            grp_factors.append(lu)
-            aug = np.column_stack([grp.a12[i], grp.b1[i]])
-            y = scipy.linalg.lu_solve(lu, aug)
-            schur = grp.a12[i].T @ y[:, :-1]
-            load = grp.a12[i].T @ y[:, -1]
-            idx = grp.trace_indices[i]
-            keep = idx >= 0
-            kidx = idx[keep]
-            local = schur[np.ix_(keep, keep)]
-            coo_r.append(np.repeat(kidx, len(kidx)))
-            coo_c.append(np.tile(kidx, len(kidx)))
-            coo_v.append(-local.ravel())
-            np.add.at(rhs, kidx, -load[keep])
-        factors.append(grp_factors)
+        y = _local_solve(grp)
+        # -A12^T [Y_A | Y_b]: the Schur block and, in the last column, the load
+        z = grp.a12.transpose(0, 2, 1) @ y
+        np.negative(z, out=z)
+        _scatter_symmetric(coo_r, coo_c, coo_v, grp.trace_indices, z[..., :-1])
+        _scatter_vector(rhs, grp.trace_indices, z[..., -1])
+        local.append(y)
 
     S = bs.a22.copy()
     if coo_r:
         S = (S + sp.coo_matrix(
             (np.concatenate(coo_v),
              (np.concatenate(coo_r), np.concatenate(coo_c))),
-            shape=(nt, nt))).tocsr()
-    return CondensedSystem(bs, S, rhs, factors, bs.kernel_hint)
+            shape=(bs.n_trace, bs.n_trace))).tocsr()
+    return CondensedSystem(bs, S, rhs, local, bs.kernel_hint)
 
 
 def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
     """Interior solution (num_elements, n1) from the trace solution."""
-    bs = cond.system
-    n1 = bs.dof.n_interior_per_element
-    x1 = np.zeros((bs.dof.mesh.num_elements, n1))
-    for grp, grp_factors in zip(bs.groups, cond.factors):
-        ne = len(grp.batch.ids)
+    dof = cond.system.dof
+    x1 = np.zeros((dof.mesh.num_elements, dof.n_interior_per_element))
+    for grp, y in zip(cond.system.groups, cond.local):
         x2loc = np.where(grp.trace_indices >= 0,
                          x2[np.clip(grp.trace_indices, 0, None)], 0.0)
-        rhs = grp.b1 - np.einsum("eij,ej->ei", grp.a12, x2loc)
-        for i in range(ne):
-            x1[grp.batch.ids[i]] = scipy.linalg.lu_solve(grp_factors[i], rhs[i])
+        x1[grp.batch.ids] = y[..., -1] - np.einsum("eij,ej->ei",
+                                                   y[..., :-1], x2loc)
     return x1
 
 
@@ -193,11 +182,11 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
 
 def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
          tol: float, max_iter: int, project: Callable | None = None):
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0, [0.0], "zero_rhs", [0.0]
+    bnorm = float(np.linalg.norm(b))  # residuals stay relative to the raw load
     if project is not None:
         b = project(b)
+    if not b.any():  # zero, or entirely in the deflated kernel: x = 0 is exact
+        return np.zeros_like(b), 0, [0.0], "zero_rhs", [0.0]
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)

@@ -369,6 +369,9 @@ class ErrorReport:
     err_sigma: float
     err_omega: float
     wall_time: float = 0.0
+    # per stage: SolveReport.stop_reason and SolveReport.kernel_rejected
+    stop_reasons: dict = field(default_factory=dict)
+    kernel_rejected: dict = field(default_factory=dict)
 
     def errors(self) -> tuple[float, float, float, float]:
         return (self.err_theta, self.err_tgamma, self.err_sigma, self.err_omega)
@@ -444,5 +447,8 @@ def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
         table.reports.append(ErrorReport(
             n, fields.reports["step2"].iterations,
             err_theta, err_tgamma, err_sigma, err_omega,
-            wall_time=time.perf_counter() - t0))
+            wall_time=time.perf_counter() - t0,
+            stop_reasons={s: r.stop_reason for s, r in fields.reports.items()},
+            kernel_rejected={s: r.kernel_rejected
+                             for s, r in fields.reports.items()}))
     return table

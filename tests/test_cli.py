@@ -60,6 +60,13 @@ class TestConvergenceCommand:
         assert meta["quadrature"] == dict(bs.meta, error_degree=vf.ERROR_DEGREE)
         assert "assembly_degree" in meta["quadrature"]
         assert len(meta["wall_times"]) == 2
+        stages = {"step1", "step2", "step3"}
+        assert len(meta["stop_reasons"]) == len(meta["kernel_rejected"]) == 2
+        for reasons, rejected in zip(meta["stop_reasons"],
+                                     meta["kernel_rejected"]):
+            assert set(reasons) == set(rejected) == stages
+            assert set(reasons.values()) <= {"converged", "zero_rhs"}
+            assert rejected == dict.fromkeys(stages, False)
         assert "git_revision" in meta
 
     def test_rerun_reproduces_csv_bytes(self, tmp_path):

@@ -9,15 +9,16 @@ from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import generate_structured
 
 
-def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2):
+def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None):
     """Single-group BlockSystem with hand-built blocks for formula tests."""
     from types import SimpleNamespace
     ne, n1, ntl = a12_blocks.shape
     nt = a22.shape[0]
+    ids = np.arange(ne) if ids is None else np.asarray(ids)
     dof = SimpleNamespace(n_interior_per_element=n1, n_interior=ne * n1,
                           n_trace=nt,
-                          mesh=SimpleNamespace(num_elements=ne))
-    batch = SimpleNamespace(ids=np.arange(ne))
+                          mesh=SimpleNamespace(num_elements=ids.max() + 1))
+    batch = SimpleNamespace(ids=ids)
     trace = np.tile(np.arange(ntl), (ne, 1))
     group = asm.ElementBlockGroup(batch, a11_blocks, a12_blocks, b1, trace)
     return asm.BlockSystem(dof=dof, groups=[group],
@@ -58,7 +59,94 @@ class TestCondense:
         bs = toy_block_system(a11, a12, np.eye(2), np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(slv.SingularElementBlockError) as err:
             slv.condense(bs)
-        assert err.value.element_id in (0, 1)
+        assert err.value.element_id == 0
+
+    @staticmethod
+    def _four_element_group(bad_block):
+        # four elements numbered out of order; the third block is broken
+        a11 = np.stack([np.eye(3) * (i + 2.0) for i in range(4)])
+        a11[2] = bad_block
+        a12 = np.ones((4, 3, 2))
+        return toy_block_system(a11, a12, np.eye(2), np.ones((4, 3)),
+                                np.zeros(2), ids=[7, 3, 11, 5])
+
+    def test_singular_block_in_stack_names_its_element(self):
+        bs = self._four_element_group(np.diag([1.0, 0.0, 1.0]))
+        with pytest.raises(slv.SingularElementBlockError) as err:
+            slv.condense(bs)
+        assert err.value.element_id == 11
+
+    def test_nan_block_in_stack_names_its_element(self):
+        bs = self._four_element_group(np.full((3, 3), np.nan))
+        with pytest.raises(slv.SingularElementBlockError) as err:
+            slv.condense(bs)
+        assert err.value.element_id == 11
+
+
+def mixed_group_mesh():
+    """Triangles, pentagons and quadrilaterals, each group numbered out of order."""
+    from hdgplate.mesh import Mesh
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
+                       [4.0, 0.0], [2.0, 1.0], [0.0, 2.0], [2.0, 2.0],
+                       [4.0, 2.0], [0.0, 3.0], [2.0, 3.0], [4.0, 3.0]]) / 4.0
+    loops = [(1, 2, 5), (0, 1, 5, 7, 6), (6, 7, 10, 9),
+             (2, 3, 5), (3, 4, 8, 7, 5), (7, 8, 11, 10)]
+    return Mesh(points, loops)
+
+
+def _stage_systems(mesh, k):
+    """The three stage systems, driven by random (not solved) coefficients."""
+    rng = np.random.default_rng(k)
+    spaces, mat = SpaceConfig(k), PlateMaterial(t=0.1)
+    ne = mesh.num_elements
+    g = lambda x, y: 1.0 + x * y
+    L = DiscreteField(mesh, k - 1, "vector2",
+                      rng.standard_normal((ne, 2 * (k * (k + 1) // 2))))
+    theta = DiscreteField(mesh, k, "vector2",
+                          rng.standard_normal((ne, (k + 1) * (k + 2))))
+    return (asm.assemble_step1(mesh, spaces, g),
+            asm.assemble_step2(mesh, spaces, mat, L),
+            asm.assemble_step3(mesh, spaces, mat, theta, g))
+
+
+class TestBatchedCondensation:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_per_element_dense_elimination(self, k):
+        mesh = mixed_group_mesh()
+        rng = np.random.default_rng(10 + k)
+        for bs in _stage_systems(mesh, k):
+            assert len(bs.groups) == 3
+            S_ref = bs.a22.toarray()
+            rhs_ref = bs.b2.copy()
+            x2 = rng.standard_normal(bs.n_trace)
+            x1_ref = np.zeros((mesh.num_elements, bs.dof.n_interior_per_element))
+            for grp in bs.groups:
+                for i, e in enumerate(grp.batch.ids):
+                    idx = grp.trace_indices[i]
+                    keep = idx >= 0
+                    a11, a12, b1 = grp.a11[i], grp.a12[i][:, keep], grp.b1[i]
+                    kidx = idx[keep]
+                    S_ref[np.ix_(kidx, kidx)] -= a12.T @ np.linalg.solve(a11, a12)
+                    rhs_ref[kidx] -= a12.T @ np.linalg.solve(a11, b1)
+                    x1_ref[e] = np.linalg.solve(a11, b1 - a12 @ x2[kidx])
+            cond = slv.condense(bs)
+            x1 = slv.back_substitute(cond, x2)
+            for got, ref in ((cond.S.toarray(), S_ref), (cond.rhs, rhs_ref),
+                             (x1, x1_ref)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_no_dense_lu_factor_or_solve(self, monkeypatch):
+        import scipy.linalg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-element dense LU call")
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden)
+        monkeypatch.setattr(scipy.linalg, "lu_solve", forbidden)
+        mat = PlateMaterial(t=0.1)
+        fields = vf.solve_plate(generate_structured("triangle", 4),
+                                SpaceConfig(2), mat, vf.exact_fields(mat))
+        assert all(rep.converged for rep in fields.reports.values())
 
 
 class TestCG:
@@ -96,6 +184,22 @@ class TestCG:
         x, iters, hist, reason, _ = slv._pcg(lambda v: -v, b, lambda r: r,
                                              1e-12, 100)
         assert reason == "indefinite" and iters == 0 and np.all(x == 0)
+
+    def test_rhs_in_deflated_kernel_is_zero_rhs(self):
+        x, iters, hist, reason, _ = slv._pcg(
+            lambda v: v, 3 * np.ones(5), lambda r: r, 1e-10, 50,
+            slv._deflation_projector(np.ones(5)))
+        assert reason == "zero_rhs" and iters == 0 and hist == [0.0]
+        assert np.all(x == 0)
+
+    def test_spd_load_in_kernel_is_zero_rhs(self):
+        # path-graph Laplacian: constants span the kernel, and so does the load
+        S = sp.diags([-np.ones(3), [1.0, 2.0, 2.0, 1.0], -np.ones(3)],
+                     [-1, 0, 1]).tocsr()
+        cond = slv.CondensedSystem(None, S, 3 * np.ones(4), [], np.ones(4))
+        x, report = slv.solve_spd(cond, slv.SolverConfig(preconditioner="jacobi"))
+        assert report.deflated and report.stop_reason == "zero_rhs"
+        assert report.iterations == 0 and np.all(x == 0)
 
     def test_zero_load_reports_zero_rhs(self):
         mesh = generate_structured("triangle", 2)
