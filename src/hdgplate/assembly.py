@@ -95,13 +95,12 @@ class SpaceConfig:
                 f"[{max(1, self.k - 1)}, {self.k}]")
 
 
-def stabilization(element, material: PlateMaterial):
+def stabilization(h, material: PlateMaterial):
     """Edge penalty weights (1/h_K, 1/h_K, h_K + t^2/h_K).
 
-    ``element`` is an element, its diameter, or an array of diameters
-    (one per element of a batch).
+    ``h`` is an element diameter or an array of diameters (one per
+    element of a batch).
     """
-    h = element.diameter if hasattr(element, "diameter") else element
     if not np.all(h > 0):
         raise ValueError("element diameter must be positive")
     return 1.0 / h, 1.0 / h, h + material.t ** 2 / h
@@ -277,12 +276,9 @@ class StageDofMap:
         self.n_interior = off * mesh.num_elements
 
         n_edges = mesh.num_edges
-        interior_rank = np.full(n_edges, -1, dtype=int)
-        rank = 0
-        for e in range(n_edges):
-            if e not in mesh.boundary_edges:
-                interior_rank[e] = rank
-                rank += 1
+        interior = ~mesh.boundary_mask
+        interior_rank = np.where(interior, np.cumsum(interior) - 1, -1)
+        rank = int(np.count_nonzero(interior))
         self.num_interior_edges = rank
 
         self.trace_fields: dict[str, TraceField] = {}

@@ -1,4 +1,4 @@
-"""Command-line driver: mesh generation, single solves, convergence studies.
+"""Command-line driver: single solves and convergence studies.
 
 Numerical work is imported lazily so the HDG_THREADS environment variable
 can cap the BLAS worker pool before numpy is loaded.  All outputs are
@@ -13,32 +13,13 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
 _EXIT_SOLVER = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    mesh_kind: str = "tri"
-    n: int = 8
-    levels: tuple = ()
-    k: int = 1
-    l: int = -1
-    t: float = 1.0
-    E: float = 1.0
-    nu: float = 0.3
-    kappa: float = 5.0 / 6.0
-    tol: float = 1e-10
-    max_iter: int = 20000
-    preconditioner: str = "direct"
-    out: str | None = None
-    seed: int = 0
 
 
 def _apply_thread_cap() -> None:
@@ -66,11 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hybrid DG solver for clamped Reissner-Mindlin plates "
                     "on the unit square")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    mesh_p = sub.add_parser("mesh", help="generate a structured mesh file")
-    mesh_p.add_argument("--kind", choices=["tri", "quad"], default="tri")
-    mesh_p.add_argument("--n", type=int, required=True)
-    mesh_p.add_argument("--out", required=True)
 
     def common(p):
         p.add_argument("--mesh", choices=["tri", "quad"], default="tri")
@@ -127,17 +103,6 @@ def _metadata(args, material, spaces, config, extra=None):
     if extra:
         meta.update(extra)
     return meta
-
-
-def _cmd_mesh(args) -> int:
-    from .mesh import generate_structured, save_mesh
-    kind = {"tri": "triangle", "quad": "quadrilateral"}[args.kind]
-    mesh = generate_structured(kind, args.n)
-    with open(args.out, "w") as stream:
-        save_mesh(mesh, stream)
-    print(f"wrote {args.out}: {mesh.num_vertices} vertices, "
-          f"{mesh.num_edges} edges, {mesh.num_elements} elements")
-    return _EXIT_OK
 
 
 def _cmd_solve(args) -> int:
@@ -199,8 +164,6 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors; keep 2 for solver failures
         return _EXIT_OK if exc.code == 0 else _EXIT_CONFIG
     try:
-        if args.command == "mesh":
-            return _cmd_mesh(args)
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_convergence(args)

@@ -100,30 +100,22 @@ def triangle_reference_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ElementBatch:
-    """Stacked geometry for all elements with the same vertex count."""
+    """Stacked geometry for the elements ``ids``, which all have the same
+    vertex count; sliced from the mesh arrays."""
 
     def __init__(self, mesh, ids: np.ndarray):
         self.ids = ids
-        ne = len(ids)
-        nv = len(mesh.elements[ids[0]].vertex_loop)
-        self.nv = nv
-        self.verts = np.empty((ne, nv, 2))
-        self.centroid = np.empty((ne, 2))
-        self.h = np.empty(ne)
-        self.edge_ids = np.empty((ne, nv), dtype=int)
-        self.edge_signs = np.empty((ne, nv), dtype=int)
-        for row, eid in enumerate(ids):
-            el = mesh.elements[eid]
-            self.verts[row] = mesh.points[list(el.vertex_loop)]
-            self.centroid[row] = el.centroid
-            self.h[row] = el.diameter
-            self.edge_ids[row] = [e for e, _ in el.edges]
-            self.edge_signs[row] = [s for _, s in el.edges]
+        slots = mesh.slots(ids)
+        self.nv = slots.shape[1]
+        self.verts = mesh.points[mesh.loop_vertices[slots]]
+        self.centroid = mesh.centroid[ids]
+        self.h = mesh.diameter[ids]
+        self.edge_ids = mesh.loop_edges[slots]
+        self.edge_signs = mesh.loop_signs[slots]
+        self.edge_len = mesh.edge_length[self.edge_ids]
         # per local edge: traversal direction = in-element tangent,
         # outward normal = tangent rotated by -90 degrees
-        nxt = np.roll(self.verts, -1, axis=1)
-        d = nxt - self.verts
-        self.edge_len = np.hypot(d[..., 0], d[..., 1])
+        d = np.roll(self.verts, -1, axis=1) - self.verts
         self.tangents = d / self.edge_len[..., None]
         self.normals = np.stack(
             [self.tangents[..., 1], -self.tangents[..., 0]], axis=-1)
@@ -169,11 +161,8 @@ def element_batches(mesh) -> tuple[ElementBatch, ...]:
     """Batches by vertex count, built once and kept on the (immutable)
     mesh; every caller shares them, so their arrays are read-only."""
     if not hasattr(mesh, "_element_batches"):
-        by_nv: dict[int, list[int]] = {}
-        for el in mesh.elements:
-            by_nv.setdefault(len(el.vertex_loop), []).append(el.id)
-        mesh._element_batches = tuple(ElementBatch(mesh, np.array(ids))
-                                      for _, ids in sorted(by_nv.items()))
+        mesh._element_batches = tuple(ElementBatch(mesh, ids)
+                                      for ids in mesh.groups)
     return mesh._element_batches
 
 

@@ -1,24 +1,23 @@
 """Planar polygonal meshes with oriented edges for hybrid DG assembly.
 
-A mesh stores vertices, derived edges and convex polygonal elements.
-Every edge carries a globally fixed unit tangent (pointing from its
-lower-numbered vertex to the higher-numbered one) and the normal
-obtained by rotating that tangent by -90 degrees.  Elements reference
-edges together with a sign ``s`` such that ``s * edge.normal`` is the
-outward normal of the element on that edge.  This makes all trace
+A mesh stores vertices, derived edges and convex polygonal elements as
+arrays.  Every edge has a globally fixed orientation, from its
+lower-numbered vertex to the higher-numbered one, whose normal is that
+tangent rotated by -90 degrees.  Each element records, per local edge,
+the edge id and a sign ``s`` such that ``s`` times the global normal is
+the outward normal of the element on that edge.  This makes all trace
 quantities single-valued across element interfaces.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from itertools import chain
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 __all__ = [
-    "Edge",
     "Element",
     "Mesh",
     "MeshFormatError",
@@ -47,32 +46,14 @@ class ShapeRegularityWarning(UserWarning):
     """Emitted when an element has an edge much shorter than its diameter."""
 
 
-@dataclass
-class Edge:
-    id: int
-    endpoints: tuple[int, int]          # (lower vertex id, higher vertex id)
-    tangent: np.ndarray                 # unit vector, first -> second endpoint
-    normal: np.ndarray                  # tangent rotated by -90 degrees
-    length: float
-    adjacent_elements: list[int] = field(default_factory=list)
-
-    @property
-    def is_boundary(self) -> bool:
-        return len(self.adjacent_elements) == 1
-
-
-@dataclass
-class Element:
+class Element(NamedTuple):
+    """An element's id and its vertex loop; the geometry is on the mesh."""
     id: int
     vertex_loop: tuple[int, ...]        # counter-clockwise
-    edges: tuple[tuple[int, int], ...]  # (edge id, sign) per loop segment
-    area: float
-    centroid: np.ndarray
-    diameter: float                     # max pairwise vertex distance
 
 
 class Mesh:
-    """Immutable collection of vertices, edges and CCW polygonal elements.
+    """Immutable vertices, edges and CCW convex polygonal elements.
 
     Parameters
     ----------
@@ -83,79 +64,122 @@ class Mesh:
     c_reg : float
         Shape-regularity threshold; a warning is emitted for any element
         with an edge shorter than ``c_reg`` times its diameter.
+
+    The loops are stored flattened: local edge ``j`` of element ``i`` is
+    slot ``loop_start[i] + j``, which runs from vertex ``loop_vertices``
+    to the next vertex of the loop along edge ``loop_edges`` with sign
+    ``loop_signs``.  Edges are numbered in order of first appearance
+    (element by element, then local edge); ``edge_vertices`` holds the
+    (lower, higher) vertex ids, ``edge_length`` the lengths and
+    ``boundary_mask`` is True on edges with one adjacent element.
+    Elements carry ``area``, ``centroid`` and ``diameter`` (the largest
+    vertex distance), and ``groups`` lists the element ids of each
+    vertex count in ascending count.  All arrays are read-only.
     """
 
     def __init__(self, points: np.ndarray, loops: Sequence[Sequence[int]],
                  c_reg: float = 0.05):
-        self.points = np.asarray(points, dtype=float)
+        self.points = np.array(points, dtype=float)  # read-only copy
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be a (V, 2) array")
-        self.edges: list[Edge] = []
-        self.elements: list[Element] = []
-        self._build(loops, c_reg)
-        self.h = max(el.diameter for el in self.elements)
-        self.boundary_edges = frozenset(
-            e.id for e in self.edges if e.is_boundary)
+        loops = [tuple(map(int, loop)) for loop in loops]
+        self.elements = tuple(map(Element, range(len(loops)), loops))
+        sizes = np.fromiter(map(len, loops), int, len(loops))
+        bad = np.flatnonzero(sizes < 3)
+        if bad.size:
+            raise MeshTopologyError(
+                f"element {bad[0]} has fewer than 3 vertices")
+        self.loop_start = np.concatenate([[0], np.cumsum(sizes)])
+        owner = np.repeat(np.arange(len(loops)), sizes)
+        a = np.fromiter(chain.from_iterable(loops), int, self.loop_start[-1])
+        bad = np.flatnonzero((a < 0) | (a >= len(self.points)))
+        if bad.size:
+            raise MeshTopologyError(
+                f"element {owner[bad[0]]} references unknown vertex")
+        self.loop_vertices = a
+        self.groups = tuple(np.flatnonzero(sizes == nv)
+                            for nv in np.unique(sizes))
+        self._element_geometry()
+        self._number_edges()
+        self.h = float(self.diameter.max())
 
-    # ------------------------------------------------------------------
+        short = (self.edge_length[self.loop_edges]
+                 < c_reg * self.diameter[owner])
+        flagged, first = np.unique(owner[short], return_index=True)
+        for eid, slot in zip(flagged, np.flatnonzero(short)[first]):
+            warnings.warn(
+                f"element {eid}: edge {self.loop_edges[slot]} shorter than "
+                f"{c_reg} * h_K", ShapeRegularityWarning)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
-    def _build(self, loops, c_reg):
-        nv = len(self.points)
-        edge_of_pair: dict[tuple[int, int], int] = {}
-        for eid, loop in enumerate(loops):
-            loop = tuple(int(v) for v in loop)
-            if len(loop) < 3:
-                raise MeshTopologyError(f"element {eid} has fewer than 3 vertices")
-            if any(v < 0 or v >= nv for v in loop):
-                raise MeshTopologyError(f"element {eid} references unknown vertex")
-            pts = self.points[list(loop)]
-            area = _signed_area(pts)
-            if area <= 0.0:
+    def slots(self, ids: np.ndarray) -> np.ndarray:
+        """(len(ids), nv) loop slots of elements that all have nv vertices."""
+        start = self.loop_start[ids]
+        nv = self.loop_start[ids[0] + 1] - start[0]
+        return start[:, None] + np.arange(nv)
+
+    def _element_geometry(self):
+        ne = len(self.elements)
+        self.area, self.diameter = np.empty(ne), np.empty(ne)
+        self.centroid = np.empty((ne, 2))
+        for ids in self.groups:
+            pts = self.points[self.loop_vertices[self.slots(ids)]]
+            x, y = pts[..., 0], pts[..., 1]
+            xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+            cross = x * yn - xn * y
+            area = 0.5 * np.sum(cross, axis=1)
+            bad = np.flatnonzero(area <= 0.0)
+            if bad.size:
                 raise MeshTopologyError(
-                    f"element {eid} is not counter-clockwise (signed area {area:g})")
+                    f"element {ids[bad[0]]} is not counter-clockwise "
+                    f"(signed area {area[bad[0]]:g})")
             # the centroid fan rule and the h_K penalties need convexity;
             # a triangle with positive area is always convex
-            if len(loop) > 3 and not _is_convex(pts):
-                raise MeshTopologyError(f"element {eid} is not convex")
-            centroid = _polygon_centroid(pts, area)
-            diam = _max_pairwise_distance(pts)
-
-            elem_edges = []
-            for a, b in zip(loop, loop[1:] + loop[:1]):
-                key = (min(a, b), max(a, b))
-                if key not in edge_of_pair:
-                    edge_of_pair[key] = len(self.edges)
-                    p0, p1 = self.points[key[0]], self.points[key[1]]
-                    d = p1 - p0
-                    length = float(np.hypot(d[0], d[1]))
-                    if length == 0.0:
-                        raise MeshTopologyError(
-                            f"degenerate edge between vertices {key}")
-                    tangent = d / length
-                    normal = np.array([tangent[1], -tangent[0]])
-                    self.edges.append(Edge(edge_of_pair[key], key,
-                                           tangent, normal, length))
-                edge = self.edges[edge_of_pair[key]]
-                if len(edge.adjacent_elements) >= 2:
+            if pts.shape[1] > 3:
+                bad = np.flatnonzero(~_is_convex(pts))
+                if bad.size:
                     raise MeshTopologyError(
-                        f"edge {edge.id} shared by more than two elements")
-                edge.adjacent_elements.append(eid)
-                # Traversal a->b is CCW, so the outward normal is the
-                # traversal direction rotated by -90 degrees; the sign
-                # records whether that matches the stored global normal.
-                sign = 1 if a == key[0] else -1
-                elem_edges.append((edge.id, sign))
+                        f"element {ids[bad[0]]} is not convex")
+            self.area[ids] = area
+            self.centroid[ids, 0] = (np.sum((x + xn) * cross, axis=1)
+                                     / (6.0 * area))
+            self.centroid[ids, 1] = (np.sum((y + yn) * cross, axis=1)
+                                     / (6.0 * area))
+            diff = pts[:, :, None, :] - pts[:, None, :, :]
+            self.diameter[ids] = np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
 
-            self.elements.append(Element(eid, loop, tuple(elem_edges),
-                                         area, centroid, diam))
-
-        for el in self.elements:
-            for edge_id, _ in el.edges:
-                if self.edges[edge_id].length < c_reg * el.diameter:
-                    warnings.warn(
-                        f"element {el.id}: edge {edge_id} shorter than "
-                        f"{c_reg} * h_K", ShapeRegularityWarning)
-                    break
+    def _number_edges(self):
+        a = self.loop_vertices
+        nxt = np.arange(1, len(a) + 1)     # slot of the loop's next vertex
+        nxt[self.loop_start[1:] - 1] = self.loop_start[:-1]
+        b = a[nxt]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first, inverse = np.unique(lo * len(self.points) + hi,
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)           # edge ids by first appearance
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.loop_edges = rank[inverse]
+        # Traversal a->b is CCW, so the outward normal is the traversal
+        # direction rotated by -90 degrees; the sign records whether that
+        # matches the global normal of the (lower, higher) orientation.
+        self.loop_signs = np.where(a <= b, 1, -1)
+        self.edge_vertices = np.column_stack([lo, hi])[first[order]]
+        ends = self.points[self.edge_vertices]
+        d = ends[:, 1] - ends[:, 0]
+        self.edge_length = np.hypot(d[:, 0], d[:, 1])
+        bad = np.flatnonzero(self.edge_length == 0.0)
+        if bad.size:
+            key = tuple(int(v) for v in self.edge_vertices[bad[0]])
+            raise MeshTopologyError(f"degenerate edge between vertices {key}")
+        adjacent = np.bincount(self.loop_edges, minlength=len(order))
+        bad = np.flatnonzero(adjacent > 2)
+        if bad.size:
+            raise MeshTopologyError(
+                f"edge {bad[0]} shared by more than two elements")
+        self.boundary_mask = adjacent == 1
 
     # ------------------------------------------------------------------
 
@@ -165,53 +189,25 @@ class Mesh:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_length)
 
     @property
     def num_elements(self) -> int:
         return len(self.elements)
 
-    def outward_normal(self, element_id: int, local_edge_index: int) -> np.ndarray:
-        """Unit outward normal of an element on the given local edge."""
-        el = self.elements[element_id]
-        edge_id, sign = el.edges[local_edge_index]
-        return sign * self.edges[edge_id].normal
 
-
-# ----------------------------------------------------------------------
-# geometry helpers
-
-
-def _signed_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return float(0.5 * np.sum(x * yn - xn * y))
-
-
-def _is_convex(pts: np.ndarray) -> bool:
-    """Every vertex lies left of or on every edge of the CCW loop.
+def _is_convex(pts: np.ndarray) -> np.ndarray:
+    """Per element of the (ne, nv, 2) stack: every vertex lies left of or
+    on every edge of the CCW loop.
 
     Unlike a check of the turn at each vertex, this also rejects
     self-intersecting loops such as a pentagram.
     """
-    d = np.roll(pts, -1, axis=0) - pts
-    rel = pts[None, :, :] - pts[:, None, :]
-    cross = d[:, None, 0] * rel[..., 1] - d[:, None, 1] * rel[..., 0]
-    return not np.any(cross < -1e-14 * np.max(np.abs(cross)))
-
-
-def _polygon_centroid(pts: np.ndarray, area: float) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    cx = np.sum((x + xn) * cross) / (6.0 * area)
-    cy = np.sum((y + yn) * cross) / (6.0 * area)
-    return np.array([cx, cy])
-
-
-def _max_pairwise_distance(pts: np.ndarray) -> float:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
+    d = np.roll(pts, -1, axis=1) - pts
+    rel = pts[:, None, :, :] - pts[:, :, None, :]
+    cross = d[:, :, None, 0] * rel[..., 1] - d[:, :, None, 1] * rel[..., 0]
+    tol = -1e-14 * np.abs(cross).max(axis=(1, 2), keepdims=True)
+    return ~np.any(cross < tol, axis=(1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +219,7 @@ def generate_structured(kind: str, n: int, c_reg: float = 0.05) -> Mesh:
 
     ``kind`` is ``"triangle"`` (each cell split along the lower-left to
     upper-right diagonal) or ``"quadrilateral"`` (axis-aligned squares).
+    Cells are numbered row by row from the lower-left corner.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -233,20 +230,14 @@ def generate_structured(kind: str, n: int, c_reg: float = 0.05) -> Mesh:
     xv, yv = np.meshgrid(coords, coords, indexing="xy")
     points = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    loops = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            if kind == "quadrilateral":
-                loops.append((a, b, c, d))
-            else:
-                loops.append((a, b, c))
-                loops.append((a, c, d))
-    return Mesh(points, loops, c_reg=c_reg)
+    j, i = np.divmod(np.arange(n * n), n)
+    a = j * (n + 1) + i
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    if kind == "quadrilateral":
+        loops = np.stack([a, b, c, d], axis=1)
+    else:
+        loops = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return Mesh(points, loops.tolist(), c_reg=c_reg)
 
 
 # ----------------------------------------------------------------------

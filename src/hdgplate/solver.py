@@ -278,7 +278,7 @@ def _phat_edge_mass(dof) -> sp.csr_matrix:
     k = dof.trace_fields["p_hat"].per_edge
     mesh = dof.mesh
     H = 1.0 / (np.add.outer(np.arange(k), np.arange(k)) + 1.0)
-    h_f = np.array([e.length for e in mesh.edges])
+    h_f = mesh.edge_length
     ne = mesh.num_edges
     blocks = h_f[:, None, None] * H[None, :, :]
     base = np.arange(ne)[:, None, None] * k

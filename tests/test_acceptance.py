@@ -210,9 +210,8 @@ def test_criterion7_property_suites():
     for kind in ("triangle", "quadrilateral"):
         m = generate_structured(kind, 3)
         ok_mesh &= (m.num_vertices - m.num_edges + m.num_elements) == 1
-        for el in m.elements:
-            total = sum(m.edges[eid].length * m.outward_normal(el.id, i)
-                        for i, (eid, _) in enumerate(el.edges))
+        for batch in fs.element_batches(m):
+            total = (batch.edge_len[..., None] * batch.normals).sum(axis=1)
             ok_mesh &= bool(np.abs(total).max() <= 1e-13)
     checks.append(("mesh geometric identities", ok_mesh))
 

@@ -40,10 +40,14 @@ class TestMaterial:
         assert a3[0] > a3[1] > h
 
     def test_stabilization_uses_element_diameter(self):
+        # h_K is the element diameter: the cell diagonal at n=2
         mesh = generate_structured("triangle", 2)
-        got = stabilization(mesh.elements[0], PlateMaterial(t=1.0))
-        h = mesh.elements[0].diameter
-        assert got == pytest.approx((1 / h, 1 / h, h + 1 / h))
+        batch = asm.element_batches(mesh)[0]
+        got = stabilization(batch.h, PlateMaterial(t=1.0))
+        h = np.sqrt(0.5)
+        assert batch.h == pytest.approx(np.full(8, h))
+        for val, want in zip(got, (1 / h, 1 / h, h + 1 / h)):
+            assert val == pytest.approx(np.full(8, want))
 
     def test_stabilization_accepts_batch_diameters(self):
         h = np.array([1.0, 0.25])
@@ -137,8 +141,9 @@ class TestDofCounts:
         mesh = generate_structured("triangle", 2)
         bs = asm.assemble_step1(mesh, SpaceConfig(1), lambda x, y: 0 * x)
         ranks = bs.dof.trace_fields["rhat"].edge_rank
-        for e in mesh.edges:
-            assert (ranks[e.id] == -1) == e.is_boundary
+        assert np.array_equal(ranks == -1, mesh.boundary_mask)
+        assert np.array_equal(ranks[~mesh.boundary_mask],
+                              np.arange(bs.dof.num_interior_edges))
 
 
 def _step2_system(mesh, k=1, t=1.0, with_load=True):

@@ -3,18 +3,7 @@ import json
 from hdgplate import assembly as asm
 from hdgplate import verification as vf
 from hdgplate.cli import main
-from hdgplate.mesh import generate_structured, load_mesh
-
-
-class TestMeshCommand:
-    def test_writes_mesh_file(self, tmp_path, capsys):
-        out = tmp_path / "m.poly"
-        assert main(["mesh", "--kind", "tri", "--n", "2",
-                     "--out", str(out)]) == 0
-        with open(out) as stream:
-            mesh = load_mesh(stream)
-        assert mesh.num_vertices == 9
-        assert mesh.num_elements == 8
+from hdgplate.mesh import generate_structured
 
 
 class TestSolveCommand:

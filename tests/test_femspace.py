@@ -109,13 +109,15 @@ class TestQuadrature:
             for e in range(batch.nv):
                 pts, w, s = batch.edge_rule(e, 5)
                 for row, eid in enumerate(batch.edge_ids[:, e]):
-                    edge = mesh.edges[eid]
-                    assert w[row].sum() == pytest.approx(edge.length, rel=1e-13)
+                    length = mesh.edge_length[eid]
+                    assert w[row].sum() == pytest.approx(length, rel=1e-13)
                     assert (w[row] * s[row]).sum() == pytest.approx(
-                        edge.length / 2, rel=1e-13)
-                    # s is the arclength along the global tangent
-                    p0 = mesh.points[edge.endpoints[0]]
-                    want = (pts[row] - p0) @ edge.tangent / edge.length
+                        length / 2, rel=1e-13)
+                    # s is the arclength along the global tangent, from
+                    # the lower-numbered vertex to the higher one
+                    p0, p1 = mesh.points[mesh.edge_vertices[eid]]
+                    tangent = (p1 - p0) / length
+                    want = (pts[row] - p0) @ tangent / length
                     assert s[row] == pytest.approx(want, abs=1e-14)
 
 
@@ -174,10 +176,8 @@ class TestScaledMonomials:
         points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
                            [2.0, 1.0], [2.0, 2.0], [0.0, 2.0]])
         mesh = Mesh(points, [(1, 2, 3), (0, 1, 3, 4, 5)])
-        coeffs = np.zeros((2, 6))
-        for el in mesh.elements:
-            h = el.diameter
-            coeffs[el.id] = [el.centroid[0], h, 0.0, el.centroid[1], 0.0, h]
+        (cx, cy), h = mesh.centroid.T, mesh.diameter
+        coeffs = np.column_stack([cx, h, 0 * h, cy, 0 * h, h])
         phi = DiscreteField(mesh, 1, "vector2", coeffs)
         for batch in fs.element_batches(mesh):
             pts, _ = batch.volume_rule(2)
@@ -220,9 +220,8 @@ class TestProjections:
     def test_degree0_projection_is_centroid_mean(self):
         mesh = generate_structured("quadrilateral", 2)
         proj = l2_project(mesh, lambda x, y: x, 0, 2)
-        for el in mesh.elements:
-            assert proj.coeffs[el.id, 0] == pytest.approx(el.centroid[0],
-                                                          rel=1e-13)
+        assert proj.coeffs[:, 0] == pytest.approx(mesh.centroid[:, 0],
+                                                  rel=1e-13)
 
     def test_projection_idempotent_on_space(self):
         # traces already in the edge space are reproduced: C^T E^-1 C = M

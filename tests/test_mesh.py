@@ -3,12 +3,22 @@ import io
 import numpy as np
 import pytest
 
+from hdgplate.femspace import element_batches
 from hdgplate.mesh import (Mesh, MeshFormatError, MeshTopologyError,
                            ShapeRegularityWarning, generate_structured,
                            load_mesh, save_mesh)
 
 
 NONCONVEX_PENTAGON = np.array([[0, 0], [2, 0], [1, 0.2], [2, 2], [0, 2]])
+
+# triangles, pentagons and quadrilaterals tiling [0, 1]^2, the groups
+# interleaved in the element order
+MIXED_POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
+                         [4.0, 0.0], [2.0, 1.0], [0.0, 2.0], [2.0, 2.0],
+                         [4.0, 2.0], [0.0, 3.0], [2.0, 3.0], [4.0, 3.0]]) \
+    / np.array([4.0, 3.0])
+MIXED_LOOPS = [(1, 2, 5), (0, 1, 5, 7, 6), (6, 7, 10, 9),
+               (2, 3, 5), (3, 4, 8, 7, 5), (7, 8, 11, 10)]
 
 
 def euler_characteristic(mesh):
@@ -28,7 +38,18 @@ class TestGenerators:
     def test_triangle_1x1(self):
         mesh = generate_structured("triangle", 1)
         assert (mesh.num_vertices, mesh.num_edges, mesh.num_elements) == (4, 5, 2)
-        assert all(el.area == pytest.approx(0.5, abs=1e-15) for el in mesh.elements)
+        assert mesh.area == pytest.approx([0.5, 0.5], abs=1e-15)
+
+    def test_loop_order(self):
+        # cells row by row from the lower-left corner, each triangle pair
+        # split along the lower-left to upper-right diagonal
+        quad = generate_structured("quadrilateral", 2)
+        assert [el.vertex_loop for el in quad.elements] == [
+            (0, 1, 4, 3), (1, 2, 5, 4), (3, 4, 7, 6), (4, 5, 8, 7)]
+        tri = generate_structured("triangle", 2)
+        assert [el.vertex_loop for el in tri.elements] == [
+            (0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4),
+            (3, 4, 7), (3, 7, 6), (4, 5, 8), (4, 8, 7)]
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -52,7 +73,7 @@ class TestGenerators:
 class TestGeometry:
     def test_outward_normals_unit_square(self):
         mesh = generate_structured("quadrilateral", 1)
-        normals = [mesh.outward_normal(0, i) for i in range(4)]
+        normals = element_batches(mesh)[0].normals[0]
         expected = [(0, -1), (1, 0), (0, 1), (-1, 0)]
         for got, want in zip(normals, expected):
             assert got == pytest.approx(want, abs=1e-15)
@@ -60,60 +81,166 @@ class TestGeometry:
     def test_normal_sum_closes(self):
         for kind in ("triangle", "quadrilateral"):
             mesh = generate_structured(kind, 3)
-            for el in mesh.elements:
-                total = np.zeros(2)
-                for i, (eid, _) in enumerate(el.edges):
-                    total += mesh.edges[eid].length * mesh.outward_normal(el.id, i)
+            for batch in element_batches(mesh):
+                total = (batch.edge_len[..., None] * batch.normals).sum(1)
                 assert np.abs(total).max() <= 1e-13
 
     def test_interior_edge_normals_opposite(self):
         mesh = generate_structured("triangle", 3)
-        for edge in mesh.edges:
-            if edge.is_boundary:
-                continue
-            e1, e2 = edge.adjacent_elements
-            n1 = next(s for eid, s in mesh.elements[e1].edges if eid == edge.id)
-            n2 = next(s for eid, s in mesh.elements[e2].edges if eid == edge.id)
-            assert n1 == -n2  # signs exactly opposite on the shared normal
+        interior = ~mesh.boundary_mask
+        # signs exactly opposite on the shared normal
+        net = np.bincount(mesh.loop_edges, weights=mesh.loop_signs)
+        assert np.all(net[interior] == 0)
+        assert np.all(np.abs(net[~interior]) == 1)
 
     def test_edge_frame_orthonormal(self):
         mesh = generate_structured("triangle", 4)
-        for e in mesh.edges:
-            assert np.linalg.norm(e.tangent) == pytest.approx(1.0, abs=1e-14)
-            assert np.linalg.norm(e.normal) == pytest.approx(1.0, abs=1e-14)
-            assert e.tangent @ e.normal == pytest.approx(0.0, abs=1e-15)
+        for batch in element_batches(mesh):
+            t, n = batch.tangents, batch.normals
+            assert np.linalg.norm(t, axis=-1) == pytest.approx(1.0, abs=1e-14)
+            assert np.linalg.norm(n, axis=-1) == pytest.approx(1.0, abs=1e-14)
+            assert (t * n).sum(-1) == pytest.approx(0.0, abs=1e-15)
 
     def test_tangent_fixed_by_vertex_order(self):
         mesh = generate_structured("quadrilateral", 2)
-        for e in mesh.edges:
-            assert e.endpoints[0] < e.endpoints[1]
-            d = mesh.points[e.endpoints[1]] - mesh.points[e.endpoints[0]]
-            assert d / np.linalg.norm(d) == pytest.approx(e.tangent, abs=1e-14)
+        lo, hi = mesh.edge_vertices.T
+        assert np.all(lo < hi)
+        d = mesh.points[hi] - mesh.points[lo]
+        tangent = d / np.linalg.norm(d, axis=1)[:, None]
+        for batch in element_batches(mesh):
+            # the in-element tangent is the global one times the sign
+            want = batch.edge_signs[..., None] * tangent[batch.edge_ids]
+            assert batch.tangents == pytest.approx(want, abs=1e-14)
 
     def test_normal_points_outward(self):
         mesh = generate_structured("triangle", 2)
-        for el in mesh.elements:
-            for i, (eid, _) in enumerate(el.edges):
-                edge = mesh.edges[eid]
-                mid = mesh.points[list(edge.endpoints)].mean(axis=0)
-                assert (mid - el.centroid) @ mesh.outward_normal(el.id, i) > 0
+        for batch in element_batches(mesh):
+            mid = mesh.points[mesh.edge_vertices[batch.edge_ids]].mean(axis=2)
+            out = ((mid - batch.centroid[:, None, :]) * batch.normals).sum(-1)
+            assert np.all(out > 0)
 
     def test_adjacency_symmetric(self):
+        # each slot's edge joins the slot's vertex to the next in its loop
         mesh = generate_structured("quadrilateral", 3)
-        for edge in mesh.edges:
-            for eid in edge.adjacent_elements:
-                assert any(e == edge.id for e, _ in mesh.elements[eid].edges)
+        for batch in element_batches(mesh):
+            slots = mesh.slots(batch.ids)
+            a = mesh.loop_vertices[slots]
+            pairs = np.sort(np.stack([a, np.roll(a, -1, axis=1)], -1), -1)
+            assert np.array_equal(mesh.edge_vertices[batch.edge_ids], pairs)
 
     def test_adjacency_counts(self):
         mesh = generate_structured("triangle", 3)
-        for edge in mesh.edges:
-            expected = 1 if edge.is_boundary else 2
-            assert len(edge.adjacent_elements) == expected
+        adjacent = np.bincount(mesh.loop_edges)
+        assert np.array_equal(adjacent, np.where(mesh.boundary_mask, 1, 2))
 
     def test_shape_regularity_warning(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.001], [0.0, 0.001]])
-        with pytest.warns(ShapeRegularityWarning):
+        with pytest.warns(ShapeRegularityWarning,
+                          match=r"^element 0: edge 1 shorter than 0.05 \* h_K$"):
             Mesh(points, [(0, 1, 2, 3)], c_reg=0.05)
+
+
+def reference_geometry(points, loops):
+    """Edge numbering and element geometry by a loop over the elements,
+    with the per-element formulas that Mesh applies to whole groups."""
+    edge_of_pair, edge_ids, signs = {}, [], []
+    area, centroid, diameter = [], [], []
+    for loop in loops:
+        pts = points[list(loop)]
+        x, y = pts[:, 0], pts[:, 1]
+        xn, yn = np.roll(x, -1), np.roll(y, -1)
+        cross = x * yn - xn * y
+        a = 0.5 * np.sum(cross)
+        area.append(a)
+        centroid.append([np.sum((x + xn) * cross) / (6.0 * a),
+                         np.sum((y + yn) * cross) / (6.0 * a)])
+        diff = pts[:, None, :] - pts[None, :, :]
+        diameter.append(np.sqrt((diff ** 2).sum(-1)).max())
+        for v, w in zip(loop, loop[1:] + loop[:1]):
+            key = (min(v, w), max(v, w))
+            edge_ids.append(edge_of_pair.setdefault(key, len(edge_of_pair)))
+            signs.append(1 if v == key[0] else -1)
+    ends = np.array(list(edge_of_pair))   # first-appearance order
+    d = points[ends[:, 1]] - points[ends[:, 0]]
+    return {"edge_vertices": ends, "edge_length": np.hypot(d[:, 0], d[:, 1]),
+            "boundary_mask": np.bincount(edge_ids) == 1,
+            "loop_edges": np.array(edge_ids), "loop_signs": np.array(signs),
+            "area": np.array(area), "centroid": np.array(centroid),
+            "diameter": np.array(diameter)}
+
+
+def renumbered_grid(kind, n, seed):
+    """The structured grid with shuffled vertex ids and element order."""
+    base = generate_structured(kind, n)
+    rng = np.random.default_rng(seed)
+    relabel = rng.permutation(base.num_vertices)
+    points = np.empty_like(base.points)
+    points[relabel] = base.points
+    loops = [tuple(int(v) for v in relabel[list(base.elements[i].vertex_loop)])
+             for i in rng.permutation(base.num_elements)]
+    return points, loops
+
+
+class TestArrays:
+    @pytest.mark.parametrize("points, loops", [
+        (MIXED_POINTS, MIXED_LOOPS),
+        renumbered_grid("triangle", 6, seed=3),
+        renumbered_grid("quadrilateral", 5, seed=4),
+    ], ids=["mixed", "tri-renumbered", "quad-renumbered"])
+    def test_bitwise_equal_to_per_element_reference(self, points, loops):
+        mesh = Mesh(points, loops)
+        for name, want in reference_geometry(points, loops).items():
+            got = getattr(mesh, name)
+            assert got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+        assert mesh.h == max(mesh.diameter)
+
+    def test_groups_and_batches_slice_the_arrays(self):
+        mesh = Mesh(MIXED_POINTS, MIXED_LOOPS)
+        assert [g.tolist() for g in mesh.groups] == [[0, 3], [2, 5], [1, 4]]
+        for batch, ids in zip(element_batches(mesh), mesh.groups):
+            assert np.array_equal(batch.ids, ids)
+            assert batch.nv == len(MIXED_LOOPS[ids[0]])
+            for row, eid in enumerate(ids):
+                loop = list(MIXED_LOOPS[eid])
+                assert np.array_equal(batch.verts[row], MIXED_POINTS[loop])
+                start = mesh.loop_start[eid]
+                sl = slice(start, start + len(loop))
+                assert np.array_equal(batch.edge_ids[row], mesh.loop_edges[sl])
+                assert np.array_equal(batch.edge_signs[row],
+                                      mesh.loop_signs[sl])
+            assert np.array_equal(batch.centroid, mesh.centroid[ids])
+            assert np.array_equal(batch.h, mesh.diameter[ids])
+            assert np.array_equal(batch.edge_len,
+                                  mesh.edge_length[batch.edge_ids])
+
+    def test_arrays_are_read_only(self):
+        mesh = generate_structured("triangle", 2)
+        with pytest.raises(ValueError):
+            mesh.area[0] = 1.0
+        with pytest.raises(ValueError):
+            mesh.loop_edges[0] = 3
+
+
+class TestTopologyErrors:
+    def test_fewer_than_three_vertices(self):
+        with pytest.raises(MeshTopologyError,
+                           match=r"^element 1 has fewer than 3 vertices$"):
+            Mesh(MIXED_POINTS, [(1, 2, 5), (2, 3)])
+
+    @pytest.mark.parametrize("bad", [12, -1])
+    def test_unknown_vertex(self, bad):
+        with pytest.raises(MeshTopologyError,
+                           match=r"^element 2 references unknown vertex$"):
+            Mesh(MIXED_POINTS, [(1, 2, 5), (2, 3, 5), (3, 4, bad)])
+
+    def test_degenerate_edge(self):
+        # vertices 3 and 4 coincide; the loops are CCW and convex
+        points = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [2, 1], [0, 1.0]])
+        with pytest.raises(
+                MeshTopologyError,
+                match=r"^degenerate edge between vertices \(3, 4\)$"):
+            Mesh(points, [(0, 1, 4, 5), (1, 2, 3, 4)])
 
 
 class TestIO:
