@@ -291,6 +291,12 @@ class StageDofMap:
             off += count * per_edge
         self.n_trace = off
 
+    def trace_order(self, name: str) -> np.ndarray:
+        """Global DOFs of trace field ``name`` in the mesh's
+        nested-dissection edge order (``Mesh.edge_order``)."""
+        dofs = self.trace_fields[name].dofs(self.mesh.edge_order)
+        return dofs[dofs >= 0]
+
     def interior_slice(self, name: str) -> slice:
         off, size = self.interior_fields[name]
         return slice(off, off + size)
@@ -359,13 +365,6 @@ class BlockSystem:
                 A[ni + cols[keep], i0:i0 + n1] = g.a12[row][:, keep].T
                 b[i0:i0 + n1] = g.b1[row]
         return A, b
-
-    def export_matrix(self, stream) -> None:
-        """Write the monolithic matrix in '(row, col, value)' text triplets."""
-        A, _ = self.monolithic_dense()
-        rows, cols = np.nonzero(A)
-        for r, c in zip(rows, cols):
-            stream.write(f"{r} {c} {float(A[r, c])!r}\n")
 
 
 # ----------------------------------------------------------------------

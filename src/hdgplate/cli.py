@@ -146,6 +146,8 @@ def _cmd_convergence(args) -> int:
         "iterations": [r.iterations for r in table.reports],
         "stop_reasons": [r.stop_reasons for r in table.reports],
         "kernel_rejected": [r.kernel_rejected for r in table.reports],
+        "factor_fill": [r.factor_fill for r in table.reports],
+        "factor_time": [r.factor_time for r in table.reports],
         "wall_times": [r.wall_time for r in table.reports],
     })
     with open(args.out + ".meta.json", "w") as stream:

@@ -8,13 +8,17 @@ two-by-two structure in (rotation trace, pressure trace); an outer CG
 runs on the pressure Schur complement with the rotation-trace block
 inverted by a sparse factorization, and the constant pressure mode is
 removed by deflation.
+
+Every trace factorization is a no-pivot LU of a symmetric positive
+definite block in the mesh's nested-dissection edge order, expanded to
+the block's DOFs; the matrices and CG vectors keep the assembly order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +31,7 @@ __all__ = [
     "SolveReport",
     "CondensedSystem",
     "SingularElementBlockError",
+    "SingularTraceBlockError",
     "condense",
     "solve_spd",
     "solve_saddle_trace",
@@ -43,6 +48,14 @@ class SingularElementBlockError(RuntimeError):
         super().__init__(
             f"interior block of element {element_id} is singular "
             "(assembly bug or degenerate element)")
+
+
+class SingularTraceBlockError(RuntimeError):
+    def __init__(self, stage: str, block: str):
+        self.stage, self.block = stage, block
+        super().__init__(
+            f"{stage}: trace block {block} hit a zero pivot in its "
+            "no-pivot factorization (the block is singular)")
 
 
 @dataclass(frozen=True)
@@ -85,6 +98,9 @@ class SolveReport:
     # factorized preconditioners (it is the quantity CG minimizes when
     # the preconditioner is the operator itself)
     precond_residual_history: list = field(default_factory=list)
+    # L.nnz + U.nnz and wall time, summed over the stage's factorizations
+    factor_fill: int = 0
+    factor_time: float = 0.0
 
     @property
     def converged(self) -> bool:
@@ -227,6 +243,43 @@ def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
     return x, iterations, history, stop_reason, rz_history
 
 
+class _Factor(NamedTuple):
+    solve: Callable
+    fill: int
+    seconds: float
+
+
+def _factorize(A: sp.spmatrix, perm: np.ndarray, stage: str = "",
+               block: str = "") -> _Factor:
+    """Sparse LU of the SPD block ``A`` in the symmetric order ``perm``.
+
+    SuperLU factors ``A[perm][:, perm]`` in that column order with
+    diagonal pivots only, as a Cholesky factorization would; ``solve``
+    permutes in and out, so callers keep ``A``'s own order.  A zero
+    pivot raises :class:`SingularTraceBlockError` naming ``stage`` and
+    ``block``.
+    """
+    t0 = time.perf_counter()
+    try:
+        lu = spla.splu(A[perm][:, perm].tocsc(), permc_spec="NATURAL",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+        raise SingularTraceBlockError(stage, block) from err
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[perm] = lu.solve(b[perm])
+        return x
+    return _Factor(solve, lu.L.nnz + lu.U.nnz, time.perf_counter() - t0)
+
+
+def _factor_totals(factors) -> tuple[int, float]:
+    """(fill, seconds) summed over a stage's factorizations."""
+    return (sum(f.fill for f in factors),
+            sum(f.seconds for f in factors))
+
+
 def _jacobi(diagonal: np.ndarray) -> Callable:
     d = np.where(np.abs(diagonal) > 0, diagonal, 1.0)
     return lambda r: r / d
@@ -257,19 +310,24 @@ def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
         else:
             kernel_rejected = True
 
+    factors = []
     if config.preconditioner == "none":
         precond = lambda r: r
     elif config.preconditioner == "jacobi":
         precond = _jacobi(S.diagonal())
     else:
-        lu = spla.splu(S.tocsc())
-        precond = lu.solve
+        dof = cond.system.dof
+        (name,) = dof.trace_fields   # stages one and three: one field
+        factors.append(_factorize(S, dof.trace_order(name),
+                                  cond.system.stage, "S"))
+        precond = factors[-1].solve
 
     x, iterations, history, stop_reason, rz_hist = _pcg(
         lambda v: S @ v, b, precond, config.tol, config.max_iter, project)
     report = SolveReport(iterations, history[-1],
                          time.perf_counter() - t0, stop_reason,
-                         deflated, kernel_rejected, history, rz_hist)
+                         deflated, kernel_rejected, history, rz_hist,
+                         *_factor_totals(factors))
     return x, report
 
 
@@ -293,7 +351,7 @@ def _saddle_split(cond: CondensedSystem):
     tf_p = dof.trace_fields["p_hat"]
     m = tf_p.offset
     S = cond.S
-    B11 = S[:m, :m].tocsc()
+    B11 = S[:m, :m]
     B12 = S[:m, m:].tocsr()
     B22c = S[m:, m:].tocsr()
     return m, B11, B12, B22c
@@ -312,9 +370,11 @@ def solve_saddle_trace(cond: CondensedSystem,
     t0 = time.perf_counter()
     m, B11, B12, B22c = _saddle_split(cond)
     c1, c2 = cond.rhs[:m], cond.rhs[m:]
+    dof, stage = cond.system.dof, cond.system.stage
 
     B21 = B12.T.tocsr()
-    inner_solve = spla.splu(B11).solve
+    factors = [_factorize(B11, dof.trace_order("theta_hat"), stage, "B11")]
+    inner_solve = factors[0].solve
 
     def apply_outer(v):
         return B21 @ inner_solve(B12 @ v) - B22c @ v
@@ -345,18 +405,21 @@ def solve_saddle_trace(cond: CondensedSystem,
             probe = project(probe)
         coupled = float(probe @ (B21 @ inner_solve(B12 @ probe)))
         rho = max(coupled / float(probe @ (W @ probe)), 0.0)
-        surrogate = (rho * W - B22c).tocsc()
+        surrogate = rho * W - B22c
         if config.preconditioner == "jacobi":
             precond = _jacobi(surrogate.diagonal())
         else:
-            precond = spla.splu(surrogate).solve
+            factors.append(_factorize(surrogate, dof.trace_order("p_hat") - m,
+                                      stage, "surrogate"))
+            precond = factors[-1].solve
 
     p_hat, iterations, history, stop_reason, rz_hist = _pcg(
         apply_outer, rhs, precond, config.tol, config.max_iter, project)
     theta_hat = inner_solve(c1 - B12 @ p_hat)
     report = SolveReport(iterations, history[-1],
                          time.perf_counter() - t0, stop_reason,
-                         deflated, kernel_rejected, history, rz_hist)
+                         deflated, kernel_rejected, history, rz_hist,
+                         *_factor_totals(factors))
     return theta_hat, p_hat, report
 
 

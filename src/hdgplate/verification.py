@@ -369,9 +369,12 @@ class ErrorReport:
     err_sigma: float
     err_omega: float
     wall_time: float = 0.0
-    # per stage: SolveReport.stop_reason and SolveReport.kernel_rejected
+    # per stage: SolveReport.stop_reason, kernel_rejected, factor_fill
+    # and factor_time
     stop_reasons: dict = field(default_factory=dict)
     kernel_rejected: dict = field(default_factory=dict)
+    factor_fill: dict = field(default_factory=dict)
+    factor_time: dict = field(default_factory=dict)
 
     def errors(self) -> tuple[float, float, float, float]:
         return (self.err_theta, self.err_tgamma, self.err_sigma, self.err_omega)
@@ -444,11 +447,15 @@ def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
                     f"{rep.stop_reason} (residual {rep.residual:.3e})")
         err_theta, err_tgamma, err_sigma, err_omega = table_errors(
             fields, exact)
+
+        def per_stage(attr):
+            return {s: getattr(r, attr) for s, r in fields.reports.items()}
         table.reports.append(ErrorReport(
             n, fields.reports["step2"].iterations,
             err_theta, err_tgamma, err_sigma, err_omega,
             wall_time=time.perf_counter() - t0,
-            stop_reasons={s: r.stop_reason for s, r in fields.reports.items()},
-            kernel_rejected={s: r.kernel_rejected
-                             for s, r in fields.reports.items()}))
+            stop_reasons=per_stage("stop_reason"),
+            kernel_rejected=per_stage("kernel_rejected"),
+            factor_fill=per_stage("factor_fill"),
+            factor_time=per_stage("factor_time")))
     return table

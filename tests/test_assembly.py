@@ -272,17 +272,6 @@ class TestSystems:
             asm.assemble_step3(mesh, SpaceConfig(1), PlateMaterial(), None,
                                lambda x, y: 0 * x)
 
-    def test_matrix_export_triplets(self):
-        mesh = generate_structured("triangle", 1)
-        bs = asm.assemble_step1(mesh, SpaceConfig(1), lambda x, y: 0 * x + 1)
-        buf = io.StringIO()
-        bs.export_matrix(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines
-        A, _ = bs.monolithic_dense()
-        r, c, v = lines[0].split()
-        assert A[int(r), int(c)] == float(v)
-
 
 def fan_rule(verts, degree):
     """Per-element reference rule: the femspace triangle rule mapped onto

@@ -56,6 +56,11 @@ class TestConvergenceCommand:
             assert set(reasons) == set(rejected) == stages
             assert set(reasons.values()) <= {"converged", "zero_rhs"}
             assert rejected == dict.fromkeys(stages, False)
+        assert len(meta["factor_fill"]) == len(meta["factor_time"]) == 2
+        for fill, seconds in zip(meta["factor_fill"], meta["factor_time"]):
+            assert set(fill) == set(seconds) == stages
+            assert all(v > 0 for v in fill.values())
+            assert all(v > 0 for v in seconds.values())
         assert "git_revision" in meta
 
     def test_rerun_reproduces_csv_bytes(self, tmp_path):

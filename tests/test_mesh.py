@@ -222,7 +222,41 @@ class TestArrays:
             mesh.loop_edges[0] = 3
 
 
+class TestEdgeOrder:
+    @pytest.mark.parametrize("points, loops", [
+        (MIXED_POINTS, MIXED_LOOPS),
+        renumbered_grid("triangle", 12, seed=3),
+        renumbered_grid("quadrilateral", 10, seed=4),
+    ], ids=["mixed", "tri-renumbered", "quad-renumbered"])
+    def test_cached_read_only_permutation(self, points, loops):
+        mesh = Mesh(points, loops)
+        order = mesh.edge_order
+        assert np.array_equal(np.sort(order), np.arange(mesh.num_edges))
+        assert mesh.edge_order is order
+        with pytest.raises(ValueError):
+            order[0] = 1
+
+    def test_small_mesh_keeps_edge_order(self):
+        # 32 elements form a single part, numbered by edge id
+        mesh = generate_structured("triangle", 4)
+        assert np.array_equal(mesh.edge_order, np.arange(mesh.num_edges))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_root_separator_is_midline_numbered_last(self, seed):
+        # 512 triangles: the first cut is at x = 1/2 (equal extents split
+        # along x), and the 16 edges on that line come last
+        mesh = Mesh(*renumbered_grid("triangle", 16, seed))
+        on_midline = np.all(mesh.points[mesh.edge_vertices][..., 0] == 0.5,
+                            axis=1)
+        assert np.count_nonzero(on_midline) == 16
+        assert np.all(on_midline[mesh.edge_order[-16:]])
+
+
 class TestTopologyErrors:
+    def test_empty_mesh(self):
+        with pytest.raises(MeshTopologyError, match=r"^mesh has no elements$"):
+            Mesh(MIXED_POINTS, [])
+
     def test_fewer_than_three_vertices(self):
         with pytest.raises(MeshTopologyError,
                            match=r"^element 1 has fewer than 3 vertices$"):
@@ -268,6 +302,13 @@ class TestIO:
     def test_empty_file_is_parse_error(self):
         with pytest.raises(MeshFormatError):
             load_mesh(io.StringIO(""))
+
+    def test_zero_elements_is_parse_error(self):
+        text = "polymesh 1\nvertices 3\n0 0\n1 0\n0 1\nelements 0\n"
+        with pytest.raises(
+                MeshFormatError,
+                match=r"^line 6: mesh has no elements \(count 0\)$"):
+            load_mesh(io.StringIO(text))
 
     def test_parse_error_carries_line_number(self):
         text = "polymesh 1\nvertices 2\n0 0\nnot a number\n"

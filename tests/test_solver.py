@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hdgplate import assembly as asm
 from hdgplate import solver as slv
@@ -23,6 +24,21 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None):
     group = asm.ElementBlockGroup(batch, a11_blocks, a12_blocks, b1, trace)
     return asm.BlockSystem(dof=dof, groups=[group],
                            a22=sp.csr_matrix(a22), b2=b2)
+
+
+def toy_saddle_system(B11, Mp, rhs):
+    """Condensed stage-two system [[B11, 0], [0, -Mp]] without a mesh; the
+    trace orders are the identity."""
+    from types import SimpleNamespace
+    m, n = len(B11), len(Mp)
+    S = np.block([[B11, np.zeros((m, n))], [np.zeros((n, m)), -Mp]])
+    dof = SimpleNamespace(
+        trace_fields={"p_hat": SimpleNamespace(offset=m, per_edge=1)},
+        trace_order={"theta_hat": np.arange(m),
+                     "p_hat": np.arange(m, m + n)}.get,
+        n_trace=m + n, n_interior=0)
+    bs = SimpleNamespace(dof=dof, stage="step2")
+    return slv.CondensedSystem(bs, sp.csr_matrix(S), rhs, [], None)
 
 
 class TestCondense:
@@ -267,19 +283,12 @@ class TestSaddle:
 
     def test_decoupled_saddle_matches_plain_cg(self):
         # B12 = 0: outer iterations equal CG on the pressure block alone
-        from types import SimpleNamespace
         rng = np.random.default_rng(6)
         Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         B11 = Q @ np.diag(np.linspace(1, 3, 6)) @ Q.T
         Mp = np.diag(np.linspace(0.5, 2.0, 5))
-        S = np.block([[B11, np.zeros((6, 5))],
-                      [np.zeros((5, 6)), -Mp]])
-        dof = SimpleNamespace(
-            trace_fields={"p_hat": SimpleNamespace(offset=6, per_edge=1)},
-            n_trace=11, n_interior=0)
-        bs = SimpleNamespace(dof=dof, stage="step2")
         rhs = np.concatenate([np.zeros(6), rng.standard_normal(5)])
-        cond = slv.CondensedSystem(bs, sp.csr_matrix(S), rhs, [], None)
+        cond = toy_saddle_system(B11, Mp, rhs)
         cfg = slv.SolverConfig(preconditioner="none", deflate_kernel=False)
         th, ph, report = slv.solve_saddle_trace(cond, cfg)
         x_ref, it_ref, _, _, _ = slv._pcg(lambda v: Mp @ v, -rhs[6:],
@@ -311,6 +320,94 @@ class TestSaddle:
         z = cond.kernel
         x_direct = x_direct - (x_direct @ z) * z  # same kernel gauge
         assert np.abs(x_cg - x_direct).max() <= 1e-8 * np.abs(x_direct).max()
+
+
+def mixed_strip(tiles):
+    """``tiles`` copies of ``mixed_group_mesh`` (6 elements) side by side."""
+    from hdgplate.mesh import Mesh
+    base = mixed_group_mesh()
+    points = np.vstack([base.points + [i, 0.0] for i in range(tiles)])
+    _, first, inv = np.unique(np.round(4 * points).astype(int), axis=0,
+                              return_index=True, return_inverse=True)
+    inv, nv = inv.ravel(), base.num_vertices
+    loops = [tuple(int(inv[v + i * nv]) for v in el.vertex_loop)
+             for i in range(tiles) for el in base.elements]
+    return Mesh(points[first], loops)
+
+
+def _factor_blocks(cond):
+    """(name, block, trace order) of every factorization of one stage."""
+    dof = cond.system.dof
+    if cond.system.stage != "step2":
+        (name,) = dof.trace_fields
+        return [("S", cond.S, dof.trace_order(name))]
+    m, B11, _, B22c = slv._saddle_split(cond)
+    surrogate = slv._phat_edge_mass(dof) - B22c
+    return [("B11", B11, dof.trace_order("theta_hat")),
+            ("surrogate", surrogate, dof.trace_order("p_hat") - m)]
+
+
+class TestTraceFactorization:
+    MESHES = {"tri": lambda: generate_structured("triangle", 12),
+              "quad": lambda: generate_structured("quadrilateral", 10),
+              "mixed": lambda: mixed_strip(12)}
+
+    @pytest.mark.parametrize("kind", MESHES)
+    def test_order_is_permutation_of_each_stage(self, kind):
+        mesh = self.MESHES[kind]()
+        assert mesh.num_elements > 64   # dissected at least once
+        for bs in _stage_systems(mesh, 2):
+            dof = bs.dof
+            orders = [dof.trace_order(name) for name in dof.trace_fields]
+            assert np.array_equal(np.sort(np.concatenate(orders)),
+                                  np.arange(dof.n_trace))
+            for name, order in zip(dof.trace_fields, orders):
+                f = dof.trace_fields[name]
+                assert order.min() == f.offset
+                assert order.max() == f.offset + len(order) - 1
+
+    @pytest.mark.parametrize("kind", MESHES)
+    def test_solve_matches_default_splu(self, kind):
+        mesh = self.MESHES[kind]()
+        rng = np.random.default_rng(3)
+        for bs in _stage_systems(mesh, 2):
+            for name, A, perm in _factor_blocks(slv.condense(bs)):
+                b = rng.standard_normal(A.shape[0])
+                ref = spla.splu(A.tocsc()).solve(b)
+                got = slv._factorize(A, perm).solve(b)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), \
+                    (bs.stage, name)
+
+    def test_b11_fill_below_colamd(self):
+        mesh = generate_structured("triangle", 16)
+        bs = _stage_systems(mesh, 3)[1]
+        (_, B11, perm), _ = _factor_blocks(slv.condense(bs))
+        lu = spla.splu(B11.tocsc())
+        assert slv._factorize(B11, perm).fill < lu.L.nnz + lu.U.nnz
+
+    def test_singular_b11_names_stage_and_block(self):
+        B11 = np.diag([1.0, 2.0, 0.0, 3.0])
+        cond = toy_saddle_system(B11, np.eye(3), np.ones(7))
+        with pytest.raises(slv.SingularTraceBlockError) as err:
+            slv.solve_saddle_trace(cond)
+        assert str(err.value) == (
+            "step2: trace block B11 hit a zero pivot in its no-pivot "
+            "factorization (the block is singular)")
+        assert (err.value.stage, err.value.block) == ("step2", "B11")
+        assert isinstance(err.value, RuntimeError)
+
+    def test_reports_fill_and_time_per_stage(self):
+        mat = PlateMaterial(t=0.1)
+        mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
+        fields = vf.solve_plate(mesh, SpaceConfig(1), mat, ex)
+        for rep in fields.reports.values():
+            assert rep.factor_fill > 0 and rep.factor_time > 0
+        jacobi = slv.SolverConfig(preconditioner="jacobi")
+        fields = vf.solve_plate(mesh, SpaceConfig(1), mat, ex, config=jacobi)
+        # only B11 is factored: the surrogate is applied by its diagonal
+        assert fields.reports["step1"].factor_fill == 0
+        assert fields.reports["step3"].factor_fill == 0
+        assert fields.reports["step2"].factor_fill > 0
 
 
 class TestBackSubstitution:
