@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 __all__ = ["main"]
 
@@ -31,9 +32,15 @@ def _apply_thread_cap() -> None:
 
 
 def _git_revision() -> str:
+    """HEAD of the checkout this package is imported from (the root that
+    holds ``src/hdgplate``), not of the caller's working directory;
+    ``"unknown"`` outside such a checkout."""
+    root = Path(__file__).resolve().parents[2]
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=5)
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+            text=True, timeout=5,
+            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)})
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:
@@ -149,6 +156,7 @@ def _cmd_convergence(args) -> int:
         "factor_fill": [r.factor_fill for r in table.reports],
         "factor_time": [r.factor_time for r in table.reports],
         "wall_times": [r.wall_time for r in table.reports],
+        "peak_rss_mb": [r.peak_rss_mb for r in table.reports],
     })
     with open(args.out + ".meta.json", "w") as stream:
         json.dump(meta, stream, indent=2)

@@ -222,61 +222,60 @@ def _is_convex(pts: np.ndarray) -> np.ndarray:
     return ~np.any(cross < tol, axis=(1, 2))
 
 
-# Parts of at most this many elements are not bisected further.
-_DISSECTION_LEAF = 64
-
-
 def _nested_dissection(mesh: Mesh) -> np.ndarray:
-    """Edge ids ordered by a geometric nested dissection of the elements.
+    """Edge ids ordered by a complete geometric nested dissection.
 
-    Every part with more than ``_DISSECTION_LEAF`` elements is bisected
-    at the median centroid along its longer extent (a stable sort, so
-    ties keep the element order), all parts of one level at once.  Parts
-    are heap-numbered: root 1, children 2v and 2v + 1.  An edge belongs
-    to the part whose bisection put its two elements on different sides
-    (its separator), or else to the leaf holding its elements.  Edges
-    are listed in post-order of their parts, by edge id within a part,
-    so each separator follows both of the halves it separates: a sparse
-    factorization in this order fills in only O(N log N) entries on
-    planar meshes (A. George, SIAM J. Numer. Anal. 10, 1973).
+    Every part of two or more elements is bisected at the median
+    centroid along its longer extent (x on a tie; ties in that coordinate
+    go by the other one), all parts of one level at once, down to single
+    elements.  Parts are heap-numbered: root 1, children 2v and 2v + 1.
+    An edge belongs to the part whose bisection put its two elements on
+    different sides (its separator), a boundary edge to its element.
+    Edges are listed in post-order of their parts, by midpoint (x, then
+    y) within a part, so each separator follows both halves it separates
+    and the order depends on the geometry only: a sparse factorization
+    in this order fills in only O(N log N) entries on planar meshes
+    (A. George, SIAM J. Numer. Anal. 10, 1973).
     """
     ne, c = mesh.num_elements, mesh.centroid
-    owner = np.repeat(np.arange(ne), np.diff(mesh.loop_start))
-    slot = np.argsort(mesh.loop_edges, kind="stable")
-    count = np.bincount(mesh.loop_edges)
-    first = np.cumsum(count) - count
-    # the two elements of each edge; a boundary edge has one, twice
-    left, right = owner[slot[first]], owner[slot[first + count - 1]]
-
-    part = np.ones(ne, dtype=np.int64)
-    edge_part = np.zeros(mesh.num_edges, dtype=np.int64)  # 0: not cut yet
-    levels = 0
+    perm = np.arange(ne)            # elements, each part contiguous
+    size = np.array([ne])           # part sizes, in perm order
+    heap, leaf = np.ones(1, dtype=np.int64), np.empty(ne, dtype=np.int64)
     while True:
-        _, inv, size = np.unique(part, return_inverse=True,
-                                 return_counts=True)
-        split = size[inv] > _DISSECTION_LEAF
-        if not split.any():
+        one = size == 1
+        leaf[perm[(np.cumsum(size) - size)[one]]] = heap[one]
+        if one.all():
             break
-        lo = np.full((len(size), 2), np.inf)
-        hi = np.full((len(size), 2), -np.inf)
-        np.minimum.at(lo, inv, c)
-        np.maximum.at(hi, inv, c)
-        axis = np.argmax(hi - lo, axis=1)[inv]    # ties: x
-        order = np.lexsort((c[np.arange(ne), axis], inv))  # stable
-        rank = np.empty(ne, dtype=np.int64)
-        rank[order] = np.arange(ne) - (np.cumsum(size) - size)[inv[order]]
-        parent = part
-        part = np.where(split, 2 * part + (rank >= size[inv] // 2), part)
-        cut = (edge_part == 0) & (part[left] != part[right])
-        edge_part[cut] = parent[left[cut]]
-        levels += 1
-    edge_part = np.where(edge_part == 0, part[left], edge_part)
+        perm = perm[np.repeat(~one, size)]
+        size, heap = size[~one], heap[~one]
+        start = np.cumsum(size) - size
+        seg = np.repeat(np.arange(len(size)), size)
+        cp = c[perm]
+        span = np.maximum.reduceat(cp, start) - np.minimum.reduceat(cp, start)
+        axis = np.argmax(span, axis=1)[seg]
+        i = np.arange(len(perm))
+        perm = perm[np.lexsort((cp[i, 1 - axis], cp[i, axis], seg))]
+        size = np.column_stack([size // 2, size - size // 2]).ravel()
+        heap = np.column_stack([2 * heap, 2 * heap + 1]).ravel()
+
+    # the leaves of each edge's two elements (a boundary edge's, twice);
+    # its part is their lowest common ancestor, the common bit prefix
+    ends = leaf[np.repeat(np.arange(ne), np.diff(mesh.loop_start))]
+    ends = ends[np.argsort(mesh.loop_edges, kind="stable")]
+    count = np.bincount(mesh.loop_edges)
+    last = np.cumsum(count) - 1
+    a, b = ends[last - count + 1], ends[last]
+    da, db = np.frexp(a)[1], np.frexp(b)[1]
+    a, b = a >> (da - np.minimum(da, db)), b >> (db - np.minimum(da, db))
+    part = a >> np.frexp(a ^ b)[1]
 
     # Part v at depth d (2^d <= v < 2^(d+1)) spans leaf slots up to
-    # (v + 1) << (levels - d); sorting by that end, deeper parts first
-    # on a tie, is post-order.
-    depth = np.frexp(edge_part)[1] - 1
-    return np.lexsort((-depth, (edge_part + 1) << (levels - depth)))
+    # (v + 1) << (D - d), D the deepest part's depth; sorting by that
+    # end, deeper parts first on a tie, is post-order.
+    depth = np.frexp(part)[1] - 1
+    mid = mesh.points[mesh.edge_vertices].sum(axis=1)
+    return np.lexsort((mid[:, 1], mid[:, 0], -depth,
+                       (part + 1) << (depth.max() - depth)))
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ any closed-form shortcut; its validity is certified by that residual.
 from __future__ import annotations
 
 import csv
+import resource
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -369,6 +370,7 @@ class ErrorReport:
     err_sigma: float
     err_omega: float
     wall_time: float = 0.0
+    peak_rss_mb: float = 0.0    # of this process, after the level
     # per stage: SolveReport.stop_reason, kernel_rejected, factor_fill
     # and factor_time
     stop_reasons: dict = field(default_factory=dict)
@@ -454,6 +456,8 @@ def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
             n, fields.reports["step2"].iterations,
             err_theta, err_tgamma, err_sigma, err_omega,
             wall_time=time.perf_counter() - t0,
+            peak_rss_mb=resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             stop_reasons=per_stage("stop_reason"),
             kernel_rejected=per_stage("kernel_rejected"),
             factor_fill=per_stage("factor_fill"),

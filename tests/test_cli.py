@@ -1,4 +1,6 @@
 import json
+import re
+import subprocess
 
 from hdgplate import assembly as asm
 from hdgplate import verification as vf
@@ -62,6 +64,29 @@ class TestConvergenceCommand:
             assert all(v > 0 for v in fill.values())
             assert all(v > 0 for v in seconds.values())
         assert "git_revision" in meta
+        rss = meta["peak_rss_mb"]
+        assert len(rss) == 2 and rss[0] > 0 and rss[1] >= rss[0]
+
+    def test_revision_ignores_callers_repository(self, tmp_path,
+                                                 monkeypatch):
+        # a study run from inside another git repository must not record
+        # that repository's HEAD
+        git = ["git", "-c", "user.name=hdg", "-c", "user.email=hdg@localhost",
+               "-c", "commit.gpgsign=false"]
+        for args in (["init", "-q"], ["commit", "-q", "--allow-empty",
+                                      "-m", "other"]):
+            subprocess.run(git + args, cwd=tmp_path, check=True,
+                           capture_output=True)
+        foreign = subprocess.run(git + ["rev-parse", "HEAD"], cwd=tmp_path,
+                                 check=True, capture_output=True,
+                                 text=True).stdout.strip()
+        monkeypatch.chdir(tmp_path)
+        assert main(["convergence", "--mesh", "tri", "--levels", "2",
+                     "--out", "c.csv"]) == 0
+        revision = json.loads((tmp_path / "c.csv.meta.json").read_text())[
+            "git_revision"]
+        assert revision != foreign
+        assert re.fullmatch(r"[0-9a-f]+|unknown", revision)
 
     def test_rerun_reproduces_csv_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -7,6 +7,7 @@ from hdgplate.femspace import element_batches
 from hdgplate.mesh import (Mesh, MeshFormatError, MeshTopologyError,
                            ShapeRegularityWarning, generate_structured,
                            load_mesh, save_mesh)
+from meshes import mixed_strip, renumbered, renumbered_grid
 
 
 NONCONVEX_PENTAGON = np.array([[0, 0], [2, 0], [1, 0.2], [2, 2], [0, 2]])
@@ -169,18 +170,6 @@ def reference_geometry(points, loops):
             "diameter": np.array(diameter)}
 
 
-def renumbered_grid(kind, n, seed):
-    """The structured grid with shuffled vertex ids and element order."""
-    base = generate_structured(kind, n)
-    rng = np.random.default_rng(seed)
-    relabel = rng.permutation(base.num_vertices)
-    points = np.empty_like(base.points)
-    points[relabel] = base.points
-    loops = [tuple(int(v) for v in relabel[list(base.elements[i].vertex_loop)])
-             for i in rng.permutation(base.num_elements)]
-    return points, loops
-
-
 class TestArrays:
     @pytest.mark.parametrize("points, loops", [
         (MIXED_POINTS, MIXED_LOOPS),
@@ -236,10 +225,22 @@ class TestEdgeOrder:
         with pytest.raises(ValueError):
             order[0] = 1
 
-    def test_small_mesh_keeps_edge_order(self):
-        # 32 elements form a single part, numbered by edge id
-        mesh = generate_structured("triangle", 4)
-        assert np.array_equal(mesh.edge_order, np.arange(mesh.num_edges))
+    @pytest.mark.parametrize("base", [
+        lambda: generate_structured("triangle", 12),
+        lambda: generate_structured("quadrilateral", 10),
+        lambda: mixed_strip(12),
+    ], ids=["tri", "quad", "mixed"])
+    def test_order_depends_on_geometry_only(self, base):
+        # the edge midpoints, taken in edge order, are the same sequence
+        # for every vertex and element numbering of one mesh
+        def ordered_midpoints(mesh):
+            return mesh.points[mesh.edge_vertices].mean(axis=1)[
+                mesh.edge_order]
+        base = base()
+        want = ordered_midpoints(base)
+        for seed in (1, 2, 3):
+            got = ordered_midpoints(Mesh(*renumbered(base, seed)))
+            assert np.array_equal(got, want), seed
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_root_separator_is_midline_numbered_last(self, seed):

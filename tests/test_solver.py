@@ -7,7 +7,8 @@ from hdgplate import assembly as asm
 from hdgplate import solver as slv
 from hdgplate import verification as vf
 from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
-from hdgplate.mesh import generate_structured
+from hdgplate.mesh import Mesh, generate_structured
+from meshes import mixed_group_mesh, mixed_strip, renumbered_grid
 
 
 def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None):
@@ -97,17 +98,6 @@ class TestCondense:
         with pytest.raises(slv.SingularElementBlockError) as err:
             slv.condense(bs)
         assert err.value.element_id == 11
-
-
-def mixed_group_mesh():
-    """Triangles, pentagons and quadrilaterals, each group numbered out of order."""
-    from hdgplate.mesh import Mesh
-    points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
-                       [4.0, 0.0], [2.0, 1.0], [0.0, 2.0], [2.0, 2.0],
-                       [4.0, 2.0], [0.0, 3.0], [2.0, 3.0], [4.0, 3.0]]) / 4.0
-    loops = [(1, 2, 5), (0, 1, 5, 7, 6), (6, 7, 10, 9),
-             (2, 3, 5), (3, 4, 8, 7, 5), (7, 8, 11, 10)]
-    return Mesh(points, loops)
 
 
 def _stage_systems(mesh, k):
@@ -322,19 +312,6 @@ class TestSaddle:
         assert np.abs(x_cg - x_direct).max() <= 1e-8 * np.abs(x_direct).max()
 
 
-def mixed_strip(tiles):
-    """``tiles`` copies of ``mixed_group_mesh`` (6 elements) side by side."""
-    from hdgplate.mesh import Mesh
-    base = mixed_group_mesh()
-    points = np.vstack([base.points + [i, 0.0] for i in range(tiles)])
-    _, first, inv = np.unique(np.round(4 * points).astype(int), axis=0,
-                              return_index=True, return_inverse=True)
-    inv, nv = inv.ravel(), base.num_vertices
-    loops = [tuple(int(inv[v + i * nv]) for v in el.vertex_loop)
-             for i in range(tiles) for el in base.elements]
-    return Mesh(points[first], loops)
-
-
 def _factor_blocks(cond):
     """(name, block, trace order) of every factorization of one stage."""
     dof = cond.system.dof
@@ -347,6 +324,13 @@ def _factor_blocks(cond):
             ("surrogate", surrogate, dof.trace_order("p_hat") - m)]
 
 
+def _b11(mesh, k):
+    """The stage-two block ``B11`` and its trace order."""
+    bs = _stage_systems(mesh, k)[1]
+    (_, B11, perm), _ = _factor_blocks(slv.condense(bs))
+    return B11, perm
+
+
 class TestTraceFactorization:
     MESHES = {"tri": lambda: generate_structured("triangle", 12),
               "quad": lambda: generate_structured("quadrilateral", 10),
@@ -355,7 +339,9 @@ class TestTraceFactorization:
     @pytest.mark.parametrize("kind", MESHES)
     def test_order_is_permutation_of_each_stage(self, kind):
         mesh = self.MESHES[kind]()
-        assert mesh.num_elements > 64   # dissected at least once
+        # the order differs from the edge numbering, so that the
+        # permutation checks below are not vacuous
+        assert np.any(mesh.edge_order != np.arange(mesh.num_edges))
         for bs in _stage_systems(mesh, 2):
             dof = bs.dof
             orders = [dof.trace_order(name) for name in dof.trace_fields]
@@ -379,11 +365,22 @@ class TestTraceFactorization:
                     (bs.stage, name)
 
     def test_b11_fill_below_colamd(self):
-        mesh = generate_structured("triangle", 16)
-        bs = _stage_systems(mesh, 3)[1]
-        (_, B11, perm), _ = _factor_blocks(slv.condense(bs))
+        B11, perm = _b11(generate_structured("triangle", 16), 3)
         lu = spla.splu(B11.tocsc())
         assert slv._factorize(B11, perm).fill < lu.L.nnz + lu.U.nnz
+
+    def test_b11_fill_below_mmd(self):
+        # also below SuperLU's minimum degree order of A + A^T, unpivoted
+        for kind, k in [("triangle", 3), ("quadrilateral", 2)]:
+            B11, perm = _b11(generate_structured(kind, 16), k)
+            lu = spla.splu(B11.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+            assert slv._factorize(B11, perm).fill < lu.L.nnz + lu.U.nnz, kind
+        # and the same, to 0.1%, for three numberings of one mesh
+        fills = [slv._factorize(*_b11(mesh, 3)).fill for mesh in (
+            Mesh(*renumbered_grid("triangle", 16, seed)) for seed in range(3))]
+        assert max(fills) - min(fills) <= 1e-3 * min(fills)
 
     def test_singular_b11_names_stage_and_block(self):
         B11 = np.diag([1.0, 2.0, 0.0, 3.0])
