@@ -758,16 +758,12 @@ def bh_norm(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         _, alpha2, alpha3 = stabilization(batch.h, material)
         theta_coeffs = theta.coeffs[batch.ids]
         for e in range(batch.nv):
-            epts, ew, s = batch.edge_rule(e, degrees["edge_degree"])
-            ehat_l = fs.power_table(s, l)
-            ehat_k = fs.power_table(s, k - 1)
-            tr_v = fs.scalar_vals(exps_v, batch.centroid, batch.h, epts)
-            El = _ip(ew, ehat_l, ehat_l)
-            Ek = _ip(ew, ehat_k, ehat_k)
+            Clv, El = _edge_projection_blocks(batch, e, degrees["edge_degree"],
+                                              l, k)
+            Ckv, Ek = _edge_projection_blocks(batch, e, degrees["edge_degree"],
+                                              k - 1, k)
             th_hat_e = theta_hat[batch.edge_ids[:, e]]
             p_hat_e = p_hat[batch.edge_ids[:, e]]
-            Clv = _ip(ew, ehat_l, tr_v)
-            Ckv = _ip(ew, ehat_k, tr_v)
             for u in range(2):
                 cu = theta_coeffs[:, u * Tv:(u + 1) * Tv]
                 load = np.einsum("emj,ej->em", Clv, cu)

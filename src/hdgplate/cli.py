@@ -49,6 +49,8 @@ def _git_revision() -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .assembly import PlateMaterial, SpaceConfig
+    from .solver import SolverConfig
     parser = argparse.ArgumentParser(
         prog="hdgplate",
         description="Hybrid DG solver for clamped Reissner-Mindlin plates "
@@ -58,16 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--mesh", choices=["tri", "quad"], default="tri")
         p.add_argument("--k", type=int, default=1)
-        p.add_argument("--l", type=int, default=-1,
+        p.add_argument("--l", type=int, default=SpaceConfig.l,
                        help="rotation trace degree (default: k)")
-        p.add_argument("--t", type=float, default=1.0)
-        p.add_argument("--E", type=float, default=1.0)
-        p.add_argument("--nu", type=float, default=0.3)
-        p.add_argument("--kappa", type=float, default=5.0 / 6.0)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--max-iter", type=int, default=20000)
-        p.add_argument("--precond", choices=["none", "jacobi", "direct"],
-                       default="direct")
+        p.add_argument("--t", type=float, default=PlateMaterial.t)
+        p.add_argument("--E", type=float, default=PlateMaterial.E)
+        p.add_argument("--nu", type=float, default=PlateMaterial.nu)
+        p.add_argument("--kappa", type=float, default=PlateMaterial.kappa)
+        p.add_argument("--tol", type=float, default=SolverConfig.tol)
+        p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
         p.add_argument("--seed", type=int, default=0,
                        help="recorded in run metadata")
 
@@ -89,8 +89,7 @@ def _materials(args):
     from .solver import SolverConfig
     material = PlateMaterial(E=args.E, nu=args.nu, kappa=args.kappa, t=args.t)
     spaces = SpaceConfig(args.k, args.l)
-    config = SolverConfig(tol=args.tol, max_iter=args.max_iter,
-                          preconditioner=args.precond)
+    config = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     return material, spaces, config
 
 
@@ -116,9 +115,8 @@ def _cmd_solve(args) -> int:
     from .mesh import generate_structured
     from . import verification as vf
     material, spaces, config = _materials(args)
-    kind = {"tri": "triangle", "quad": "quadrilateral"}[args.mesh]
     exact = vf.exact_fields(material)
-    mesh = generate_structured(kind, args.n)
+    mesh = generate_structured(vf._KIND_ALIASES[args.mesh], args.n)
     fields = vf.solve_plate(mesh, spaces, material, exact, config=config)
     rep = fields.reports["step2"]
     failed = [f"{s} stopped on {r.stop_reason}"

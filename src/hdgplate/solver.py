@@ -2,12 +2,13 @@
 
 Condensation eliminates the element-diagonal interior block, producing a
 sparse system in the edge unknowns only.  For the Poisson-type stages
-the condensed matrix is symmetric positive definite and is solved by
-preconditioned CG.  For the saddle stage the condensed matrix keeps a
-two-by-two structure in (rotation trace, pressure trace); an outer CG
+the condensed matrix is symmetric positive definite and is solved by CG
+preconditioned with its own factorization.  For the saddle stage the
+condensed matrix keeps a two-by-two structure in (rotation trace,
+pressure trace); an outer CG, preconditioned with a factored surrogate,
 runs on the pressure Schur complement with the rotation-trace block
-inverted by a sparse factorization, and the constant pressure mode is
-removed by deflation.
+inverted by a sparse factorization and the constant pressure mode
+deflated.
 
 Every trace factorization is a no-pivot LU of a symmetric positive
 definite block in the mesh's nested-dissection edge order, expanded to
@@ -62,26 +63,23 @@ class SingularTraceBlockError(RuntimeError):
 class SolverConfig:
     """CG settings.
 
-    ``preconditioner='direct'`` (the default) uses a sparse factorization
-    as the CG preconditioner: the condensed matrix itself for the
-    positive definite stages, and for the saddle stage the surrogate
-    ``rho * W - B22c`` (pressure-trace edge mass plus the condensed
-    pressure block).  The surrogate captures both the mass-like coupling
-    part and the thickness-scaled rotational stiffness of the pressure
-    Schur complement, which plain Jacobi does not, and keeps the outer
+    Every trace solve is preconditioned by a sparse factorization: the
+    condensed matrix itself for the positive definite stages, and for the
+    saddle stage the surrogate ``rho * W - B22c`` (pressure-trace edge
+    mass plus the condensed pressure block).  The surrogate captures both
+    the mass-like coupling part and the thickness-scaled rotational
+    stiffness of the pressure Schur complement, and keeps the outer
     iteration count nearly mesh-independent uniformly in thickness.
     """
 
     tol: float = 1e-10
     max_iter: int = 20000
-    preconditioner: str = "direct"   # none | jacobi | direct
-    deflate_kernel: bool = True
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.preconditioner not in ("none", "jacobi", "direct"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -94,9 +92,8 @@ class SolveReport:
     deflated: bool = False
     kernel_rejected: bool = False
     residual_history: list = field(default_factory=list)
-    # sqrt(r^T M^{-1} r) per iteration; monotone for the default
-    # factorized preconditioners (it is the quantity CG minimizes when
-    # the preconditioner is the operator itself)
+    # sqrt(r^T M^{-1} r) per iteration, M the factored block; monotone
+    # (it is the quantity CG minimizes when M is the operator itself)
     precond_residual_history: list = field(default_factory=list)
     # L.nnz + U.nnz and wall time, summed over the stage's factorizations
     factor_fill: int = 0
@@ -280,11 +277,6 @@ def _factor_totals(factors) -> tuple[int, float]:
             sum(f.seconds for f in factors))
 
 
-def _jacobi(diagonal: np.ndarray) -> Callable:
-    d = np.where(np.abs(diagonal) > 0, diagonal, 1.0)
-    return lambda r: r / d
-
-
 def _deflation_projector(z: np.ndarray) -> Callable:
     z = z / np.linalg.norm(z)
     return lambda v: v - (z @ v) * z
@@ -296,38 +288,19 @@ def _kernel_is_valid(S: sp.csr_matrix, kernel: np.ndarray) -> bool:
 
 
 def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
-    """CG on the condensed SPD trace system; returns (x2, report)."""
+    """CG on the condensed SPD trace system, preconditioned by its own
+    factorization; returns (x2, report)."""
     t0 = time.perf_counter()
-    S, b = cond.S, cond.rhs
-
-    project = None
-    deflated = False
-    kernel_rejected = False
-    if config.deflate_kernel and cond.kernel is not None:
-        if _kernel_is_valid(S, cond.kernel):
-            project = _deflation_projector(cond.kernel)
-            deflated = True
-        else:
-            kernel_rejected = True
-
-    factors = []
-    if config.preconditioner == "none":
-        precond = lambda r: r
-    elif config.preconditioner == "jacobi":
-        precond = _jacobi(S.diagonal())
-    else:
-        dof = cond.system.dof
-        (name,) = dof.trace_fields   # stages one and three: one field
-        factors.append(_factorize(S, dof.trace_order(name),
-                                  cond.system.stage, "S"))
-        precond = factors[-1].solve
-
+    S, dof = cond.S, cond.system.dof
+    (name,) = dof.trace_fields   # stages one and three: one field
+    factor = _factorize(S, dof.trace_order(name), cond.system.stage, "S")
     x, iterations, history, stop_reason, rz_hist = _pcg(
-        lambda v: S @ v, b, precond, config.tol, config.max_iter, project)
+        lambda v: S @ v, cond.rhs, factor.solve, config.tol, config.max_iter)
     report = SolveReport(iterations, history[-1],
                          time.perf_counter() - t0, stop_reason,
-                         deflated, kernel_rejected, history, rz_hist,
-                         *_factor_totals(factors))
+                         residual_history=history,
+                         precond_residual_history=rz_hist,
+                         factor_fill=factor.fill, factor_time=factor.seconds)
     return x, report
 
 
@@ -384,37 +357,30 @@ def solve_saddle_trace(cond: CondensedSystem,
     project = None
     deflated = False
     kernel_rejected = False
-    if config.deflate_kernel and cond.kernel is not None:
+    if cond.kernel is not None:
         if _kernel_is_valid(cond.S, cond.kernel):
             project = _deflation_projector(cond.kernel[m:])
             deflated = True
         else:
             kernel_rejected = True
 
-    if config.preconditioner == "none":
-        precond = lambda r: r
-    else:
-        # Surrogate -B22c + rho * W: the pressure-trace block carries the
-        # thickness-scaled rotational stiffness of the operator, and the
-        # edge mass W (scale rho fitted by one probe) covers the mass-like
-        # part contributed through the rotation-trace coupling.  The
-        # combination stays spectrally equivalent uniformly in h and t.
-        W = _phat_edge_mass(cond.system.dof)
-        probe = np.random.default_rng(0).standard_normal(B12.shape[1])
-        if project is not None:
-            probe = project(probe)
-        coupled = float(probe @ (B21 @ inner_solve(B12 @ probe)))
-        rho = max(coupled / float(probe @ (W @ probe)), 0.0)
-        surrogate = rho * W - B22c
-        if config.preconditioner == "jacobi":
-            precond = _jacobi(surrogate.diagonal())
-        else:
-            factors.append(_factorize(surrogate, dof.trace_order("p_hat") - m,
-                                      stage, "surrogate"))
-            precond = factors[-1].solve
+    # Surrogate -B22c + rho * W: the pressure-trace block carries the
+    # thickness-scaled rotational stiffness of the operator, and the edge
+    # mass W (scale rho fitted by one probe) covers the mass-like part
+    # contributed through the rotation-trace coupling.  The combination
+    # stays spectrally equivalent uniformly in h and t.
+    W = _phat_edge_mass(dof)
+    probe = np.random.default_rng(0).standard_normal(B12.shape[1])
+    if project is not None:
+        probe = project(probe)
+    coupled = float(probe @ (B21 @ inner_solve(B12 @ probe)))
+    rho = max(coupled / float(probe @ (W @ probe)), 0.0)
+    factors.append(_factorize(rho * W - B22c, dof.trace_order("p_hat") - m,
+                              stage, "surrogate"))
 
     p_hat, iterations, history, stop_reason, rz_hist = _pcg(
-        apply_outer, rhs, precond, config.tol, config.max_iter, project)
+        apply_outer, rhs, factors[-1].solve, config.tol, config.max_iter,
+        project)
     theta_hat = inner_solve(c1 - B12 @ p_hat)
     report = SolveReport(iterations, history[-1],
                          time.perf_counter() - t0, stop_reason,
@@ -423,16 +389,14 @@ def solve_saddle_trace(cond: CondensedSystem,
     return theta_hat, p_hat, report
 
 
-def solve_saddle_direct(cond: CondensedSystem,
-                        config: SolverConfig = SolverConfig()) -> np.ndarray:
+def solve_saddle_direct(cond: CondensedSystem) -> np.ndarray:
     """Sparse direct fallback/oracle for the whole condensed saddle system.
 
     The one-dimensional constant-pressure kernel is removed by bordering
     the matrix with the kernel vector.
     """
     S, b = cond.S, cond.rhs
-    if config.deflate_kernel and cond.kernel is not None \
-            and _kernel_is_valid(S, cond.kernel):
+    if cond.kernel is not None and _kernel_is_valid(S, cond.kernel):
         z = sp.csr_matrix(cond.kernel.reshape(-1, 1))
         A = sp.bmat([[S, z], [z.T, None]], format="csc")
         return spla.splu(A).solve(np.concatenate([b, [0.0]]))[:-1]

@@ -184,7 +184,7 @@ class ExactSolution:
     gamma: PolyField       # shear stress (2), t-independent
     sigma: PolyField       # bending stress (3: 11, 22, 12)
     g: PolyField           # transverse load (1), derived from the strong form
-    f: PolyField           # body force residual (2), vanishes identically
+    f: PolyField           # body force residual (2), zero only for kappa = 5/6
     r: PolyField           # gradient potential of the shear stress (1)
     p: PolyField           # rotated-gradient potential (1), zero here
 
@@ -302,15 +302,11 @@ def observed_rate(e_coarse: float, e_fine: float) -> float:
 
 
 def solve_plate(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
-                exact: ExactSolution | None = None,
-                g=None, f=None,
+                exact: ExactSolution,
                 config: slv.SolverConfig = slv.SolverConfig()) -> SolutionFields:
-    """Run the four solution stages on one mesh and collect all fields."""
-    if exact is not None:
-        g = exact.g[0]
-        f = None  # body force vanishes for the benchmark
-    if g is None:
-        raise ValueError("either an exact solution or a load g is required")
+    """Run the four solution stages on one mesh and collect all fields;
+    the load ``g`` and body force ``f`` are those of ``exact``."""
+    g, f = exact.g[0], exact.f
     k = spaces.k
 
     bs1 = asm.assemble_step1(mesh, spaces, g)

@@ -2,10 +2,14 @@ import json
 import re
 import subprocess
 
+import pytest
+
 from hdgplate import assembly as asm
 from hdgplate import verification as vf
-from hdgplate.cli import main
+from hdgplate.assembly import PlateMaterial, SpaceConfig
+from hdgplate.cli import _build_parser, _materials, main
 from hdgplate.mesh import generate_structured
+from hdgplate.solver import SolverConfig
 
 
 class TestSolveCommand:
@@ -117,11 +121,17 @@ class TestExitCodes:
     def test_solver_failure_exits_two(self, tmp_path, capsys):
         # starving the iteration budget must surface as a solver failure
         code = main(["convergence", "--mesh", "tri", "--k", "1", "--t", "1",
-                     "--levels", "4", "--max-iter", "1", "--precond", "none",
+                     "--levels", "4", "--max-iter", "1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "n=4" in err and "step1 solve stopped on max_iter" in err
+        assert "n=4" in err and "step2 solve stopped on max_iter" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_config_error_impossible_iteration_budget(self, budget, capsys):
+        assert main(["solve", "--mesh", "tri", "--n", "2",
+                     "--max-iter", budget]) == 1
+        assert "max_iter must be >= 1" in capsys.readouterr().err
 
     def test_solve_failure_names_stage_and_stop(self, capsys):
         code = main(["solve", "--mesh", "tri", "--n", "4", "--t", "0.1",
@@ -133,3 +143,10 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestDefaults:
+    def test_flag_defaults_are_the_library_defaults(self):
+        args = _build_parser().parse_args(["solve"])
+        assert _materials(args) == (PlateMaterial(), SpaceConfig(1),
+                                    SolverConfig())

@@ -28,8 +28,9 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None):
 
 
 def toy_saddle_system(B11, Mp, rhs):
-    """Condensed stage-two system [[B11, 0], [0, -Mp]] without a mesh; the
-    trace orders are the identity."""
+    """Condensed stage-two system [[B11, 0], [0, -Mp]] on a stand-in mesh
+    of unit-length edges, one pressure dof each; the trace orders are the
+    identity."""
     from types import SimpleNamespace
     m, n = len(B11), len(Mp)
     S = np.block([[B11, np.zeros((m, n))], [np.zeros((n, m)), -Mp]])
@@ -37,9 +38,20 @@ def toy_saddle_system(B11, Mp, rhs):
         trace_fields={"p_hat": SimpleNamespace(offset=m, per_edge=1)},
         trace_order={"theta_hat": np.arange(m),
                      "p_hat": np.arange(m, m + n)}.get,
+        mesh=SimpleNamespace(num_edges=n, edge_length=np.ones(n)),
         n_trace=m + n, n_interior=0)
     bs = SimpleNamespace(dof=dof, stage="step2")
     return slv.CondensedSystem(bs, sp.csr_matrix(S), rhs, [], None)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"max_iter": -3}, "max_iter must be >= 1"),
+        ({"tol": 0.0}, "tol must be positive")])
+    def test_rejects_impossible_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            slv.SolverConfig(**kwargs)
 
 
 class TestCondense:
@@ -198,15 +210,6 @@ class TestCG:
         assert reason == "zero_rhs" and iters == 0 and hist == [0.0]
         assert np.all(x == 0)
 
-    def test_spd_load_in_kernel_is_zero_rhs(self):
-        # path-graph Laplacian: constants span the kernel, and so does the load
-        S = sp.diags([-np.ones(3), [1.0, 2.0, 2.0, 1.0], -np.ones(3)],
-                     [-1, 0, 1]).tocsr()
-        cond = slv.CondensedSystem(None, S, 3 * np.ones(4), [], np.ones(4))
-        x, report = slv.solve_spd(cond, slv.SolverConfig(preconditioner="jacobi"))
-        assert report.deflated and report.stop_reason == "zero_rhs"
-        assert report.iterations == 0 and np.all(x == 0)
-
     def test_zero_load_reports_zero_rhs(self):
         mesh = generate_structured("triangle", 2)
         bs = asm.assemble_step1(mesh, SpaceConfig(1), lambda x, y: 0 * x)
@@ -222,17 +225,6 @@ class TestCG:
         hist = np.array(report.precond_residual_history)
         assert report.converged
         assert np.all(np.diff(hist) <= 1e-12 * hist[0])
-
-    @pytest.mark.parametrize("precond", ["none", "jacobi"])
-    def test_other_preconditioners_converge(self, precond):
-        mesh = generate_structured("triangle", 4)
-        bs = asm.assemble_step1(mesh, SpaceConfig(1), lambda x, y: x * y + 1)
-        cond = slv.condense(bs)
-        x_ref, _ = slv.solve_spd(cond, slv.SolverConfig())
-        x, report = slv.solve_spd(
-            cond, slv.SolverConfig(preconditioner=precond, tol=1e-12))
-        assert report.converged
-        assert np.abs(x - x_ref).max() <= 1e-9 * np.abs(x_ref).max()
 
 
 class TestSaddle:
@@ -272,19 +264,19 @@ class TestSaddle:
         assert np.linalg.norm(S @ z) <= 1e-8 * sp.linalg.norm(S)
 
     def test_decoupled_saddle_matches_plain_cg(self):
-        # B12 = 0: outer iterations equal CG on the pressure block alone
+        # B12 = 0: the outer operator is Mp, the probe fits rho = 0, and
+        # the surrogate rho * W - B22c is Mp itself, so one iteration
+        # solves Mp p = -c2 exactly
         rng = np.random.default_rng(6)
         Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         B11 = Q @ np.diag(np.linspace(1, 3, 6)) @ Q.T
         Mp = np.diag(np.linspace(0.5, 2.0, 5))
         rhs = np.concatenate([np.zeros(6), rng.standard_normal(5)])
         cond = toy_saddle_system(B11, Mp, rhs)
-        cfg = slv.SolverConfig(preconditioner="none", deflate_kernel=False)
-        th, ph, report = slv.solve_saddle_trace(cond, cfg)
-        x_ref, it_ref, _, _, _ = slv._pcg(lambda v: Mp @ v, -rhs[6:],
-                                          lambda r: r, cfg.tol, 100)
-        assert report.iterations == it_ref
-        assert np.allclose(ph, x_ref, rtol=1e-9, atol=1e-12)
+        th, ph, report = slv.solve_saddle_trace(cond)
+        assert report.stop_reason == "converged" and report.iterations == 1
+        assert not report.deflated and not report.kernel_rejected
+        assert np.allclose(Mp @ ph, -rhs[6:], rtol=1e-12, atol=1e-14)
         assert np.allclose(th, np.zeros(6), atol=1e-12)
 
     def test_iteration_budget_reports_max_iter(self):
@@ -399,12 +391,6 @@ class TestTraceFactorization:
         fields = vf.solve_plate(mesh, SpaceConfig(1), mat, ex)
         for rep in fields.reports.values():
             assert rep.factor_fill > 0 and rep.factor_time > 0
-        jacobi = slv.SolverConfig(preconditioner="jacobi")
-        fields = vf.solve_plate(mesh, SpaceConfig(1), mat, ex, config=jacobi)
-        # only B11 is factored: the surrogate is applied by its diagonal
-        assert fields.reports["step1"].factor_fill == 0
-        assert fields.reports["step3"].factor_fill == 0
-        assert fields.reports["step2"].factor_fill > 0
 
 
 class TestBackSubstitution:

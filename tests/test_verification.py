@@ -294,6 +294,18 @@ class TestLockingFree:
         assert max(errs) / min(errs) < 2.0
 
 
+class TestBodyForce:
+    def test_rates_at_other_shear_correction_factor(self):
+        # away from kappa = 5/6 the manufactured body force f is not zero,
+        # and the solve must carry it to keep the criterion-2 rate bands
+        mat = PlateMaterial(kappa=0.5, t=0.1)
+        assert np.abs(vf.exact_fields(mat).f(0.3, 0.4)).max() > 1e-3
+        table = vf.run_convergence(mat, "tri", SpaceConfig(1), [4, 8, 16])
+        th, tg, sg, om = table.final_rates()
+        assert th >= 1.85 and om >= 1.85
+        assert 0.85 <= sg <= 1.15 and 0.85 <= tg <= 1.15
+
+
 class TestRateTable:
     def test_single_level_has_no_rates(self):
         table = vf.run_convergence(PlateMaterial(t=0.1), "tri", SpaceConfig(1),
