@@ -18,7 +18,8 @@ matrix algebra, never through pointwise approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -85,6 +86,8 @@ class SpaceConfig:
     l: int = -1
 
     def __post_init__(self):
+        if not all(isinstance(d, numbers.Integral) for d in (self.k, self.l)):
+            raise ValueError(f"k={self.k!r} and l={self.l!r} must be integers")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.l == -1:
@@ -284,10 +287,11 @@ class StageDofMap:
         self.trace_fields: dict[str, TraceField] = {}
         off = 0
         for name, per_edge, dirichlet in trace_fields:
-            er = interior_rank if dirichlet else np.arange(n_edges)
+            er = (interior_rank if dirichlet else np.arange(n_edges)).copy()
+            er.setflags(write=False)
             count = rank if dirichlet else n_edges
             self.trace_fields[name] = TraceField(name, off, per_edge,
-                                                 dirichlet, er.copy())
+                                                 dirichlet, er)
             off += count * per_edge
         self.n_trace = off
 
@@ -338,6 +342,8 @@ class BlockSystem:
     kernel_hint: np.ndarray | None = None
     stage: str = ""
     meta: dict = field(default_factory=dict)
+    # A11^{-1} A12 per group, S and its factor (solver.condense, solve_spd)
+    _operator: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_interior(self) -> int:
@@ -404,26 +410,16 @@ def _scatter_vector(vec, idx, local):
 
 
 # ----------------------------------------------------------------------
-# stage one / three operator (shared assembly path)
+# stage one / three operator (assembled once, shared by both stages)
 
 
-def _poisson_dofmap(mesh: Mesh, spaces: SpaceConfig, trace_name: str) -> StageDofMap:
-    k = spaces.k
-    Ts, Tv = fs.space_dim(k - 1), fs.space_dim(k)
-    return StageDofMap(
-        mesh,
-        interior_fields=[("flux", 2 * Ts), ("primal", Tv)],
-        trace_fields=[(trace_name, k, True)],
-    )
-
-
-def _assemble_poisson_operator(mesh, spaces, trace_name, degrees):
-    k = spaces.k
+def _assemble_poisson_operator(mesh, k, degrees):
     quad_degree, edge_degree = degrees["assembly_degree"], degrees["edge_degree"]
     Ts, Tv = fs.space_dim(k - 1), fs.space_dim(k)
-    dof = _poisson_dofmap(mesh, spaces, trace_name)
+    dof = StageDofMap(mesh, interior_fields=[("flux", 2 * Ts), ("primal", Tv)],
+                      trace_fields=[("u_hat", k, True)])
     n1 = dof.n_interior_per_element
-    tf = dof.trace_fields[trace_name]
+    tf = dof.trace_fields["u_hat"]
 
     exps_s = fs.monomial_exponents(k - 1)
     exps_v = fs.monomial_exponents(k)
@@ -483,14 +479,17 @@ def _assemble_poisson_operator(mesh, spaces, trace_name, degrees):
     a22 = sp.coo_matrix(
         (np.concatenate(coo_v), (np.concatenate(coo_r), np.concatenate(coo_c))),
         shape=(dof.n_trace, dof.n_trace)).tocsr()
+    for arr in (a22.data, a22.indices, a22.indptr, *(
+            a for g in groups for a in (g.a11, g.a12, g.trace_indices))):
+        arr.setflags(write=False)
     return dof, groups, a22
 
 
 def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
-    """Stage-one system for the load potential: find (L, r, rhat) from g."""
+    """Stage-one system for the load potential: find (L, r, r_hat) from g."""
     k = spaces.k
     degrees = fs.quadrature_degrees(k)
-    dof, groups, a22 = _assemble_poisson_operator(mesh, spaces, "rhat", degrees)
+    dof, groups, a22 = _assemble_poisson_operator(mesh, k, degrees)
     sl_r = dof.interior_slice("primal")
     for grp in groups:
         pts, w = grp.batch.volume_rule(degrees["source_degree"])
@@ -503,26 +502,36 @@ def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
                        meta=degrees)
 
 
-def assemble_step3(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
+def assemble_step3(step1: BlockSystem, material: PlateMaterial,
                    theta: DiscreteField, g: Callable) -> BlockSystem:
-    """Stage-three system for the deflection, driven by the stage-two rotation."""
-    if theta is None:
-        raise ValueError("stage-three assembly needs the stage-two rotation")
-    k = spaces.k
+    """Stage-three system for the deflection, driven by the stage-two rotation:
+    stage one's read-only operator and ``_operator`` with new ``b1``, ``b2``."""
+    if step1.stage != "step1":
+        raise ValueError("stage-three assembly needs the stage-one system, "
+                         f"not a {step1.stage!r} system")
+    dof = step1.dof
+    k = dof.trace_fields["u_hat"].per_edge
+    if getattr(theta, "mesh", None) is not dof.mesh:
+        raise ValueError("stage-three assembly needs the stage-two rotation "
+                         "on the stage-one system's mesh")
+    if theta.degree != k:
+        raise ValueError(f"the stage-two rotation has degree {theta.degree}, "
+                         f"the stage-one system k={k}")
     degrees = fs.quadrature_degrees(k)
-    dof, groups, a22 = _assemble_poisson_operator(mesh, spaces, "what", degrees)
     sl_r = dof.interior_slice("primal")
-    tf = dof.trace_fields["what"]
     b2 = np.zeros(dof.n_trace)
     scale = material.t ** 2 / material.lam
 
-    for grp in groups:
+    groups = []
+    for grp in step1.groups:
         batch = grp.batch
         pts, w = batch.volume_rule(degrees["source_degree"])
         Vv = fs.scalar_vals(fs.monomial_exponents(k), batch.centroid, batch.h, pts)
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
         divth = theta.divergence_batched(batch, pts)
-        grp.b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, scale * gvals - divth, w)
+        b1 = np.zeros_like(grp.b1)
+        b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, scale * gvals - divth, w)
+        groups.append(replace(grp, b1=b1))
 
         # trace load <theta . n, s_hat>assembled from both adjacent elements
         for e in range(batch.nv):
@@ -531,9 +540,10 @@ def assemble_step3(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             thv = theta.values_batched(batch, epts)
             th_n = np.einsum("ecq,ec->eq", thv, batch.normals[:, e, :])
             load = np.einsum("emq,eq,eq->em", ehat, th_n, ew)
-            _scatter_vector(b2, tf.dofs(batch.edge_ids[:, e]), load)
+            _scatter_vector(b2, grp.trace_indices[:, e * k:(e + 1) * k], load)
 
-    return BlockSystem(dof, groups, a22, b2, stage="step3", meta=degrees)
+    return BlockSystem(dof, groups, step1.a22, b2, stage="step3", meta=degrees,
+                       _operator=step1._operator)
 
 
 # ----------------------------------------------------------------------

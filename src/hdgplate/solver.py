@@ -17,6 +17,7 @@ the block's DOFs; the matrices and CG vectors keep the assembly order.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -78,6 +79,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter={self.max_iter!r} must be an integer")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -95,7 +98,7 @@ class SolveReport:
     # sqrt(r^T M^{-1} r) per iteration, M the factored block; monotone
     # (it is the quantity CG minimizes when M is the operator itself)
     precond_residual_history: list = field(default_factory=list)
-    # L.nnz + U.nnz and wall time, summed over the stage's factorizations
+    # L.nnz + U.nnz and wall time, summed over the factorizations it made
     factor_fill: int = 0
     factor_time: float = 0.0
 
@@ -107,7 +110,7 @@ class SolveReport:
 @dataclass
 class CondensedSystem:
     """Schur complement trace system; ``local`` keeps, per element group,
-    ``Y = A11^{-1} [A12 | b1]`` (ne, n1, ntl + 1) for back-substitution."""
+    ``(Y_A, Y_b) = (A11^{-1} A12, A11^{-1} b1)`` for back-substitution."""
 
     system: BlockSystem
     S: sp.csr_matrix
@@ -115,16 +118,11 @@ class CondensedSystem:
     local: list
     kernel: np.ndarray | None
 
-    @property
-    def n_trace(self) -> int:
-        return self.system.n_trace
 
-
-def _local_solve(grp) -> np.ndarray:
-    """Y = A11^{-1} [A12 | b1] for every element of a group at once."""
+def _local_solve(grp, rhs: np.ndarray) -> np.ndarray:
+    """A11^{-1} rhs for every element of a group at once."""
     try:
-        y = np.linalg.solve(
-            grp.a11, np.concatenate([grp.a12, grp.b1[..., None]], axis=-1))
+        y = np.linalg.solve(grp.a11, rhs)
     except np.linalg.LinAlgError:  # some block has an exactly zero pivot
         ok = np.isfinite(np.linalg.slogdet(grp.a11)[1])
     else:
@@ -135,37 +133,46 @@ def _local_solve(grp) -> np.ndarray:
 
 
 def condense(bs: BlockSystem) -> CondensedSystem:
-    """Eliminate interior unknowns element-by-element (never globally)."""
+    """Eliminate interior unknowns element-by-element (never globally); the
+    first condense of an operator keeps ``Y_A`` and ``S`` on ``bs._operator``,
+    a later one (stage three's) solves for ``b1`` alone."""
+    op = bs._operator
     rhs = bs.b2.copy()
     coo_r, coo_c, coo_v = [], [], []
     local = []
-    for grp in bs.groups:
-        y = _local_solve(grp)
+    for i, grp in enumerate(bs.groups):
+        if op:
+            y_b = _local_solve(grp, grp.b1[..., None])[..., 0]
+            _scatter_vector(rhs, grp.trace_indices,
+                            -np.einsum("eij,ei->ej", grp.a12, y_b))
+            local.append((op["Y_A"][i], y_b))
+            continue
+        y = _local_solve(
+            grp, np.concatenate([grp.a12, grp.b1[..., None]], axis=-1))
         # -A12^T [Y_A | Y_b]: the Schur block and, in the last column, the load
         z = grp.a12.transpose(0, 2, 1) @ y
         np.negative(z, out=z)
         _scatter_symmetric(coo_r, coo_c, coo_v, grp.trace_indices, z[..., :-1])
         _scatter_vector(rhs, grp.trace_indices, z[..., -1])
-        local.append(y)
+        local.append((y[..., :-1], y[..., -1]))
 
-    S = bs.a22.copy()
-    if coo_r:
-        S = (S + sp.coo_matrix(
+    if not op:
+        S = (bs.a22 + sp.coo_matrix(
             (np.concatenate(coo_v),
              (np.concatenate(coo_r), np.concatenate(coo_c))),
             shape=(bs.n_trace, bs.n_trace))).tocsr()
-    return CondensedSystem(bs, S, rhs, local, bs.kernel_hint)
+        op.update(Y_A=[y_a for y_a, _ in local], S=S)
+    return CondensedSystem(bs, op["S"], rhs, local, bs.kernel_hint)
 
 
 def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
     """Interior solution (num_elements, n1) from the trace solution."""
     dof = cond.system.dof
     x1 = np.zeros((dof.mesh.num_elements, dof.n_interior_per_element))
-    for grp, y in zip(cond.system.groups, cond.local):
+    for grp, (y_a, y_b) in zip(cond.system.groups, cond.local):
         x2loc = np.where(grp.trace_indices >= 0,
                          x2[np.clip(grp.trace_indices, 0, None)], 0.0)
-        x1[grp.batch.ids] = y[..., -1] - np.einsum("eij,ej->ei",
-                                                   y[..., :-1], x2loc)
+        x1[grp.batch.ids] = y_b - np.einsum("eij,ej->ei", y_a, x2loc)
     return x1
 
 
@@ -271,12 +278,6 @@ def _factorize(A: sp.spmatrix, perm: np.ndarray, stage: str = "",
     return _Factor(solve, lu.L.nnz + lu.U.nnz, time.perf_counter() - t0)
 
 
-def _factor_totals(factors) -> tuple[int, float]:
-    """(fill, seconds) summed over a stage's factorizations."""
-    return (sum(f.fill for f in factors),
-            sum(f.seconds for f in factors))
-
-
 def _deflation_projector(z: np.ndarray) -> Callable:
     z = z / np.linalg.norm(z)
     return lambda v: v - (z @ v) * z
@@ -289,18 +290,21 @@ def _kernel_is_valid(S: sp.csr_matrix, kernel: np.ndarray) -> bool:
 
 def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
     """CG on the condensed SPD trace system, preconditioned by its own
-    factorization; returns (x2, report)."""
+    factorization, which it keeps with the operator for a later solve
+    (stage three's) to reuse; returns (x2, report)."""
     t0 = time.perf_counter()
-    S, dof = cond.S, cond.system.dof
-    (name,) = dof.trace_fields   # stages one and three: one field
-    factor = _factorize(S, dof.trace_order(name), cond.system.stage, "S")
+    S, dof, op = cond.S, cond.system.dof, cond.system._operator
+    fresh = "factor" not in op
+    factor = op["factor"] = op.get("factor") or _factorize(
+        S, dof.trace_order("u_hat"), cond.system.stage, "S")
     x, iterations, history, stop_reason, rz_hist = _pcg(
         lambda v: S @ v, cond.rhs, factor.solve, config.tol, config.max_iter)
     report = SolveReport(iterations, history[-1],
                          time.perf_counter() - t0, stop_reason,
                          residual_history=history,
                          precond_residual_history=rz_hist,
-                         factor_fill=factor.fill, factor_time=factor.seconds)
+                         factor_fill=factor.fill if fresh else 0,
+                         factor_time=factor.seconds if fresh else 0.0)
     return x, report
 
 
@@ -346,13 +350,12 @@ def solve_saddle_trace(cond: CondensedSystem,
     dof, stage = cond.system.dof, cond.system.stage
 
     B21 = B12.T.tocsr()
-    factors = [_factorize(B11, dof.trace_order("theta_hat"), stage, "B11")]
-    inner_solve = factors[0].solve
+    inner = _factorize(B11, dof.trace_order("theta_hat"), stage, "B11")
 
     def apply_outer(v):
-        return B21 @ inner_solve(B12 @ v) - B22c @ v
+        return B21 @ inner.solve(B12 @ v) - B22c @ v
 
-    rhs = B21 @ inner_solve(c1) - c2
+    rhs = B21 @ inner.solve(c1) - c2
 
     project = None
     deflated = False
@@ -373,19 +376,20 @@ def solve_saddle_trace(cond: CondensedSystem,
     probe = np.random.default_rng(0).standard_normal(B12.shape[1])
     if project is not None:
         probe = project(probe)
-    coupled = float(probe @ (B21 @ inner_solve(B12 @ probe)))
+    coupled = float(probe @ (B21 @ inner.solve(B12 @ probe)))
     rho = max(coupled / float(probe @ (W @ probe)), 0.0)
-    factors.append(_factorize(rho * W - B22c, dof.trace_order("p_hat") - m,
-                              stage, "surrogate"))
+    surrogate = _factorize(rho * W - B22c, dof.trace_order("p_hat") - m,
+                           stage, "surrogate")
 
     p_hat, iterations, history, stop_reason, rz_hist = _pcg(
-        apply_outer, rhs, factors[-1].solve, config.tol, config.max_iter,
+        apply_outer, rhs, surrogate.solve, config.tol, config.max_iter,
         project)
-    theta_hat = inner_solve(c1 - B12 @ p_hat)
+    theta_hat = inner.solve(c1 - B12 @ p_hat)
     report = SolveReport(iterations, history[-1],
                          time.perf_counter() - t0, stop_reason,
                          deflated, kernel_rejected, history, rz_hist,
-                         *_factor_totals(factors))
+                         inner.fill + surrogate.fill,
+                         inner.seconds + surrogate.seconds)
     return theta_hat, p_hat, report
 
 

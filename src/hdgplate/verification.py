@@ -314,7 +314,7 @@ def solve_plate(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     dof1 = bs1.dof
     L = DiscreteField(mesh, k - 1, "vector2", x1[:, dof1.interior_slice("flux")])
     r = DiscreteField(mesh, k, "scalar", x1[:, dof1.interior_slice("primal")])
-    r_hat = dof1.trace_to_edge_array("rhat", x2)
+    r_hat = dof1.trace_to_edge_array("u_hat", x2)
 
     bs2 = asm.assemble_step2(mesh, spaces, material, L, f)
     y1, y2, rep2 = slv.solve_stage(bs2, config)
@@ -328,12 +328,11 @@ def solve_plate(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     theta_hat = dof2.trace_to_edge_array("theta_hat", y2)
     p_hat = dof2.trace_to_edge_array("p_hat", y2)
 
-    bs3 = asm.assemble_step3(mesh, spaces, material, theta, g)
+    bs3 = asm.assemble_step3(bs1, material, theta, g)
     z1, z2, rep3 = slv.solve_stage(bs3, config)
-    dof3 = bs3.dof
-    G = DiscreteField(mesh, k - 1, "vector2", z1[:, dof3.interior_slice("flux")])
-    omega = DiscreteField(mesh, k, "scalar", z1[:, dof3.interior_slice("primal")])
-    omega_hat = dof3.trace_to_edge_array("what", z2)
+    G = DiscreteField(mesh, k - 1, "vector2", z1[:, dof1.interior_slice("flux")])
+    omega = DiscreteField(mesh, k, "scalar", z1[:, dof1.interior_slice("primal")])
+    omega_hat = dof1.trace_to_edge_array("u_hat", z2)
 
     gamma = recover_gamma(L, R, material)
 

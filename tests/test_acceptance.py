@@ -157,7 +157,7 @@ def _oracle_case(kind, n, k, t):
     worst = max(worst, compare(y2, y2r))
 
     theta = DiscreteField(mesh, k, "vector2", y1[:, bs2.dof.interior_slice("theta")])
-    bs3 = asm.assemble_step3(mesh, spaces, mat, theta, exact.g[0])
+    bs3 = asm.assemble_step3(bs1, mat, theta, exact.g[0])
     z1, z2, _ = slv.solve_stage(bs3, cfg)
     A3, b3 = bs3.monolithic_dense()
     ref3 = np.linalg.solve(A3, b3)

@@ -105,6 +105,9 @@ class TestSpaceConfig:
             SpaceConfig(2, 3)
         with pytest.raises(ValueError):
             SpaceConfig(1, 0)  # k=1 forces l=1
+        for k, l in ((1.5, -1), (2, 1.5), (2.0, 2)):
+            with pytest.raises(ValueError, match="must be integers"):
+                SpaceConfig(k, l)
 
 
 class TestDofCounts:
@@ -140,7 +143,7 @@ class TestDofCounts:
     def test_boundary_trace_dofs_eliminated(self):
         mesh = generate_structured("triangle", 2)
         bs = asm.assemble_step1(mesh, SpaceConfig(1), lambda x, y: 0 * x)
-        ranks = bs.dof.trace_fields["rhat"].edge_rank
+        ranks = bs.dof.trace_fields["u_hat"].edge_rank
         assert np.array_equal(ranks == -1, mesh.boundary_mask)
         assert np.array_equal(ranks[~mesh.boundary_mask],
                               np.arange(bs.dof.num_interior_edges))
@@ -174,7 +177,7 @@ class TestSystems:
         y1, _, _ = slv.solve_stage(bs2)
         theta = DiscreteField(mesh, 2, "vector2",
                               y1[:, bs2.dof.interior_slice("theta")])
-        bs3 = asm.assemble_step3(mesh, spaces, mat, theta, ex.g[0])
+        bs3 = asm.assemble_step3(bs1, mat, theta, ex.g[0])
         for bs in (bs1, bs2, bs3):
             A, _ = bs.monolithic_dense()
             assert np.abs(A - A.T).max() <= 1e-13 * np.abs(A).max()
@@ -196,7 +199,8 @@ class TestSystems:
     def test_step3_zero_inputs_zero_solution(self):
         mesh = generate_structured("triangle", 2)
         theta = DiscreteField(mesh, 1, "vector2", np.zeros((8, 6)))
-        bs = asm.assemble_step3(mesh, SpaceConfig(1), PlateMaterial(), theta,
+        bs1 = asm.assemble_step1(mesh, SpaceConfig(1), lambda x, y: 0 * x)
+        bs = asm.assemble_step3(bs1, PlateMaterial(), theta,
                                 lambda x, y: 0 * x)
         z1, z2, _ = slv.solve_stage(bs)
         assert np.abs(z1).max() == 0.0 and np.abs(z2).max() == 0.0
@@ -216,13 +220,20 @@ class TestSystems:
         spaces = SpaceConfig(2)
         theta = DiscreteField(mesh, 2, "vector2", np.zeros((4, 12)))
         bs1 = asm.assemble_step1(mesh, spaces, lambda x, y: 0 * x)
-        bs3 = asm.assemble_step3(mesh, spaces, PlateMaterial(), theta,
+        bs3 = asm.assemble_step3(bs1, PlateMaterial(), theta,
                                  lambda x, y: 0 * x)
-        for g1, g3 in zip(bs1.groups, bs3.groups):
-            assert np.array_equal(g1.a11, g3.a11)
-            assert np.array_equal(g1.a12, g3.a12)
-            assert np.array_equal(g1.trace_indices, g3.trace_indices)
-        assert np.array_equal(bs1.a22.toarray(), bs3.a22.toarray())
+        assert bs3.dof is bs1.dof and bs3.a22 is bs1.a22
+        assert bs3._operator is bs1._operator
+        shared = [bs1.a22.data, bs1.a22.indices, bs1.a22.indptr,
+                  bs1.dof.trace_fields["u_hat"].edge_rank]
+        for g1, g3 in zip(bs1.groups, bs3.groups, strict=True):
+            for name in ("a11", "a12", "trace_indices"):
+                assert getattr(g3, name) is getattr(g1, name)
+                shared.append(getattr(g1, name))
+            assert g3.b1 is not g1.b1
+        for arr in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
 
     def test_linearity_in_load(self):
         mesh = generate_structured("triangle", 2)
@@ -250,7 +261,7 @@ class TestSystems:
         assert slv.full_residual(bs2, y1, y2) <= 1e-10
         theta = DiscreteField(mesh, 1, "vector2",
                               y1[:, bs2.dof.interior_slice("theta")])
-        bs3 = asm.assemble_step3(mesh, spaces, mat, theta, ex.g[0])
+        bs3 = asm.assemble_step3(bs1, mat, theta, ex.g[0])
         z1, z2, _ = slv.solve_stage(bs3)
         assert slv.full_residual(bs3, z1, z2) <= 1e-10
 
@@ -268,9 +279,22 @@ class TestSystems:
         mesh = generate_structured("triangle", 1)
         with pytest.raises(ValueError):
             asm.assemble_step2(mesh, SpaceConfig(1), PlateMaterial(), None)
-        with pytest.raises(ValueError):
-            asm.assemble_step3(mesh, SpaceConfig(1), PlateMaterial(), None,
-                               lambda x, y: 0 * x)
+        bs1 = asm.assemble_step1(mesh, SpaceConfig(1), lambda x, y: 0 * x)
+        g = lambda x, y: 0 * x
+        with pytest.raises(ValueError, match="stage-two rotation"):
+            asm.assemble_step3(bs1, PlateMaterial(), None, g)
+        L = DiscreteField(mesh, 0, "vector2", np.zeros((2, 2)))
+        theta = DiscreteField(mesh, 1, "vector2", np.zeros((2, 6)))
+        bs2 = asm.assemble_step2(mesh, SpaceConfig(1), PlateMaterial(), L)
+        with pytest.raises(ValueError, match="stage-one system, not a 'step2'"):
+            asm.assemble_step3(bs2, PlateMaterial(), theta, g)
+        other = generate_structured("triangle", 2)
+        with pytest.raises(ValueError, match="stage-one system's mesh"):
+            asm.assemble_step3(bs1, PlateMaterial(), DiscreteField(
+                other, 1, "vector2", np.zeros((8, 6))), g)
+        with pytest.raises(ValueError, match="degree 3, the stage-one system k=1"):
+            asm.assemble_step3(bs1, PlateMaterial(), DiscreteField(
+                mesh, 3, "vector2", np.zeros((2, 20))), g)
 
 
 def fan_rule(verts, degree):
@@ -373,7 +397,7 @@ class TestGeneralPolygons:
 
         theta = DiscreteField(mesh, 2, "vector2",
                               y1[:, bs2.dof.interior_slice("theta")])
-        bs3 = asm.assemble_step3(mesh, spaces, mat, theta, ex.g[0])
+        bs3 = asm.assemble_step3(bs1, mat, theta, ex.g[0])
         z1, z2, _ = slv.solve_stage(bs3, cfg)
         A3, b3 = bs3.monolithic_dense()
         ref3 = np.linalg.solve(A3, b3)

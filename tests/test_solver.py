@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -48,6 +51,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_iter": 0}, "max_iter must be >= 1"),
         ({"max_iter": -3}, "max_iter must be >= 1"),
+        ({"max_iter": 2.5}, "max_iter=2.5 must be an integer"),
         ({"tol": 0.0}, "tol must be positive")])
     def test_rejects_impossible_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -122,9 +126,9 @@ def _stage_systems(mesh, k):
                       rng.standard_normal((ne, 2 * (k * (k + 1) // 2))))
     theta = DiscreteField(mesh, k, "vector2",
                           rng.standard_normal((ne, (k + 1) * (k + 2))))
-    return (asm.assemble_step1(mesh, spaces, g),
-            asm.assemble_step2(mesh, spaces, mat, L),
-            asm.assemble_step3(mesh, spaces, mat, theta, g))
+    bs1 = asm.assemble_step1(mesh, spaces, g)
+    return (bs1, asm.assemble_step2(mesh, spaces, mat, L),
+            asm.assemble_step3(bs1, mat, theta, g))
 
 
 class TestBatchedCondensation:
@@ -389,8 +393,40 @@ class TestTraceFactorization:
         mat = PlateMaterial(t=0.1)
         mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
         fields = vf.solve_plate(mesh, SpaceConfig(1), mat, ex)
-        for rep in fields.reports.values():
+        for stage in ("step1", "step2"):
+            rep = fields.reports[stage]
             assert rep.factor_fill > 0 and rep.factor_time > 0
+        # stage three reuses stage one's factor
+        assert fields.reports["step3"].factor_fill == 0
+        assert fields.reports["step3"].factor_time == 0
+
+    def test_one_poisson_operator_and_three_factorizations_per_solve(
+            self, monkeypatch):
+        calls = {"_factorize": 0, "_assemble_poisson_operator": 0}
+
+        def counting(module, name):
+            orig = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        counting(slv, "_factorize")
+        counting(asm, "_assemble_poisson_operator")
+        step1, refs = asm.assemble_step1, []
+
+        def keep_ref(*args):
+            bs = step1(*args)
+            refs.append(weakref.ref(bs))
+            return bs
+        monkeypatch.setattr(asm, "assemble_step1", keep_ref)
+        mat = PlateMaterial(t=0.1)
+        mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
+        fields = vf.solve_plate(mesh, SpaceConfig(1), mat, ex)
+        assert calls == {"_factorize": 3, "_assemble_poisson_operator": 1}
+        # the shared operator and its factor do not outlive the solve
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None and fields.omega.coeffs.any()
 
 
 class TestBackSubstitution:

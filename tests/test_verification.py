@@ -261,7 +261,7 @@ class TestPipeline:
     def test_galerkin_residual(self):
         bs1 = asm.assemble_step1(self.mesh, self.spaces, self.exact.g[0])
         x1 = np.column_stack([self.fields.L.coeffs, self.fields.r.coeffs])
-        tf = bs1.dof.trace_fields["rhat"]
+        tf = bs1.dof.trace_fields["u_hat"]
         mask = tf.edge_rank >= 0
         x2 = self.fields.r_hat[mask].ravel()
         assert slv.full_residual(bs1, x1, x2) <= 1e-10
