@@ -51,8 +51,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_iter": 0}, "max_iter must be >= 1"),
         ({"max_iter": -3}, "max_iter must be >= 1"),
-        ({"max_iter": 2.5}, "max_iter=2.5 must be an integer"),
-        ({"tol": 0.0}, "tol must be positive")])
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"max_iter": 2.5}, "max_iter=2.5 must be an integer")])
     def test_rejects_impossible_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             slv.SolverConfig(**kwargs)
