@@ -148,6 +148,10 @@ def _ip(w, rows, cols):
 # discrete fields
 
 
+# components of each value rank
+_NCOMP = {"scalar": 1, "vector2": 2, "symtensor2x2": 3}
+
+
 @dataclass
 class DiscreteField:
     """Element-wise polynomial field: coefficient rows over all elements.
@@ -162,7 +166,7 @@ class DiscreteField:
     coeffs: np.ndarray  # (num_elements, ncomp * nscalar)
 
     def __post_init__(self):
-        self.ncomp = {"scalar": 1, "vector2": 2, "symtensor2x2": 3}.get(self.rank)
+        self.ncomp = _NCOMP.get(self.rank)
         if self.ncomp is None:
             raise ValueError(f"unknown value rank {self.rank!r}")
         self.nscalar = fs.space_dim(self.degree)
@@ -262,19 +266,21 @@ class TraceField:
 class StageDofMap:
     """Interior (per-element) and trace (per-edge) numbering for one stage.
 
-    Interior unknowns are element-major; each element owns one contiguous
-    block with the per-field layout of ``interior_fields``.  Trace
-    unknowns are field-major then edge-major; Dirichlet trace fields skip
-    boundary edges entirely.
+    Interior fields are declared as ``(name, degree, rank)``; each element
+    owns one contiguous block holding the fields in that order, each one
+    component-major like :class:`DiscreteField`.  Trace fields are
+    ``(name, per_edge, dirichlet)``; their unknowns are field-major then
+    edge-major, and Dirichlet trace fields skip boundary edges entirely.
     """
 
     def __init__(self, mesh: Mesh, interior_fields, trace_fields):
         self.mesh = mesh
-        self.interior_fields: dict[str, tuple[int, int]] = {}
+        # name -> (offset, degree, rank)
+        self.interior_fields: dict[str, tuple[int, int, str]] = {}
         off = 0
-        for name, size in interior_fields:
-            self.interior_fields[name] = (off, size)
-            off += size
+        for name, degree, rank in interior_fields:
+            self.interior_fields[name] = (off, degree, rank)
+            off += _NCOMP[rank] * fs.space_dim(degree)
         self.n_interior_per_element = off
         self.n_interior = off * mesh.num_elements
 
@@ -282,7 +288,6 @@ class StageDofMap:
         interior = ~mesh.boundary_mask
         interior_rank = np.where(interior, np.cumsum(interior) - 1, -1)
         rank = int(np.count_nonzero(interior))
-        self.num_interior_edges = rank
 
         self.trace_fields: dict[str, TraceField] = {}
         off = 0
@@ -301,9 +306,22 @@ class StageDofMap:
         dofs = self.trace_fields[name].dofs(self.mesh.edge_order)
         return dofs[dofs >= 0]
 
+    def components(self, name: str) -> list[slice]:
+        """One interior slice per component of field ``name``."""
+        off, degree, rank = self.interior_fields[name]
+        n = fs.space_dim(degree)
+        return [slice(off + c * n, off + (c + 1) * n)
+                for c in range(_NCOMP[rank])]
+
     def interior_slice(self, name: str) -> slice:
-        off, size = self.interior_fields[name]
-        return slice(off, off + size)
+        comps = self.components(name)
+        return slice(comps[0].start, comps[-1].stop)
+
+    def field(self, name: str, x1: np.ndarray) -> DiscreteField:
+        """Interior field ``name`` of the (num_elements, n1) solution ``x1``."""
+        _, degree, rank = self.interior_fields[name]
+        return DiscreteField(self.mesh, degree, rank,
+                             x1[:, self.interior_slice(name)])
 
     def trace_to_edge_array(self, name: str, x2: np.ndarray) -> np.ndarray:
         """(num_edges, per_edge) coefficients; zeros on eliminated edges."""
@@ -341,8 +359,7 @@ class BlockSystem:
     b2: np.ndarray
     kernel_hint: np.ndarray | None = None
     stage: str = ""
-    meta: dict = field(default_factory=dict)
-    # A11^{-1} A12 per group, S and its factor (solver.condense, solve_spd)
+    # A11^{-1} A12 per group, S and its factor (kept by solver.solve_spd)
     _operator: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -388,6 +405,29 @@ def _edge_projection_blocks(batch, local_edge, edge_degree, trace_deg, elem_deg)
     return C, E
 
 
+def _local_matrices(batch, k, trace_deg, degrees):
+    """Volume and edge matrices of one batch that every stage slices.
+
+    Returns the P_{k-1} mass ``Mss``, ``EX``/``EY`` (rows: d/dx, d/dy of
+    P_k; cols: P_k) and one ``(C, E)`` per local edge for the edge basis
+    of degree ``trace_deg`` against P_k.  P_{k-1} is the first
+    ``space_dim(k-1)`` monomials of P_k, and an edge basis of lower
+    degree is a leading run of rows, so smaller blocks are leading
+    slices: ``EX[:, :Ts]`` is d/dx of P_{k-1} against P_k, and
+    ``C[:, :k, :Ts]``, ``E[:, :k, :k]`` are the degree k-1 edge blocks
+    against P_{k-1}.
+    """
+    pts, w = batch.volume_rule(degrees["assembly_degree"])
+    exps = fs.monomial_exponents(k)
+    V = fs.scalar_vals(exps, batch.centroid, batch.h, pts)
+    Vs = V[:, :fs.space_dim(k - 1)]
+    EX = _ip(w, fs.scalar_vals(exps, batch.centroid, batch.h, pts, dx=1), V)
+    EY = _ip(w, fs.scalar_vals(exps, batch.centroid, batch.h, pts, dy=1), V)
+    edges = [_edge_projection_blocks(batch, e, degrees["edge_degree"],
+                                     trace_deg, k) for e in range(batch.nv)]
+    return _ip(w, Vs, Vs), EX, EY, edges
+
+
 def _stab_volume_block(C, E):
     """C^T E^{-1} C: exact edge-projection stabilization of interior traces."""
     return np.einsum("emi,emj->eij", C, np.linalg.solve(E, C), optimize=True)
@@ -409,46 +449,38 @@ def _scatter_vector(vec, idx, local):
     np.add.at(vec, idx[keep], local[keep])
 
 
+def _trace_matrix(coo_rows, coo_cols, coo_vals, n):
+    """(n, n) CSR matrix summing the blocks collected by _scatter_symmetric."""
+    return sp.coo_matrix(
+        (np.concatenate(coo_vals),
+         (np.concatenate(coo_rows), np.concatenate(coo_cols))),
+        shape=(n, n)).tocsr()
+
+
 # ----------------------------------------------------------------------
 # stage one / three operator (assembled once, shared by both stages)
 
 
 def _assemble_poisson_operator(mesh, k, degrees):
-    quad_degree, edge_degree = degrees["assembly_degree"], degrees["edge_degree"]
-    Ts, Tv = fs.space_dim(k - 1), fs.space_dim(k)
-    dof = StageDofMap(mesh, interior_fields=[("flux", 2 * Ts), ("primal", Tv)],
+    dof = StageDofMap(mesh, interior_fields=[("flux", k - 1, "vector2"),
+                                             ("primal", k, "scalar")],
                       trace_fields=[("u_hat", k, True)])
-    n1 = dof.n_interior_per_element
+    n1, Ts = dof.n_interior_per_element, fs.space_dim(k - 1)
     tf = dof.trace_fields["u_hat"]
-
-    exps_s = fs.monomial_exponents(k - 1)
-    exps_v = fs.monomial_exponents(k)
+    sl_L = dof.components("flux")
+    sl_r = dof.interior_slice("primal")
 
     groups = []
     coo_r, coo_c, coo_v = [], [], []
-    sl_L1 = slice(0, Ts)
-    sl_L2 = slice(Ts, 2 * Ts)
-    sl_r = slice(2 * Ts, 2 * Ts + Tv)
-
     for batch in element_batches(mesh):
         ne, nv = len(batch.ids), batch.nv
-        pts, w = batch.volume_rule(quad_degree)
-        Vs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts)
-        GXs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts, dx=1)
-        GYs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts, dy=1)
-        Vv = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts)
-
-        Mss = _ip(w, Vs, Vs)
-        DX = _ip(w, GXs, Vv)   # rows: d/dx of P_{k-1}; cols: P_k
-        DY = _ip(w, GYs, Vv)
+        Mss, EX, EY, edges = _local_matrices(batch, k, k - 1, degrees)
 
         a11 = np.zeros((ne, n1, n1))
-        a11[:, sl_L1, sl_L1] = -Mss
-        a11[:, sl_L2, sl_L2] = -Mss
-        a11[:, sl_L1, sl_r] = -DX
-        a11[:, sl_L2, sl_r] = -DY
-        a11[:, sl_r, sl_L1] = -DX.transpose(0, 2, 1)
-        a11[:, sl_r, sl_L2] = -DY.transpose(0, 2, 1)
+        for sl, D in zip(sl_L, (EX[:, :Ts], EY[:, :Ts])):
+            a11[:, sl, sl] = -Mss
+            a11[:, sl, sl_r] = -D
+            a11[:, sl_r, sl] = -D.transpose(0, 2, 1)
 
         ntl = nv * k
         a12 = np.zeros((ne, n1, ntl))
@@ -456,16 +488,15 @@ def _assemble_poisson_operator(mesh, k, degrees):
         # alpha1 does not depend on the thickness
         alpha1 = stabilization(batch.h, PlateMaterial())[0]
 
-        for e in range(nv):
-            Cs, _ = _edge_projection_blocks(batch, e, edge_degree, k - 1, k - 1)
-            Cv, Ee = _edge_projection_blocks(batch, e, edge_degree, k - 1, k)
+        for e, (Cv, Ee) in enumerate(edges):
             # alpha1-weighted projection stabilization on the primal trace
             a11[:, sl_r, sl_r] += alpha1[:, None, None] * _stab_volume_block(Cv, Ee)
 
             cols = slice(e * k, (e + 1) * k)
             nrm = batch.normals[:, e, :]
-            a12[:, sl_L1, cols] = nrm[:, 0, None, None] * Cs.transpose(0, 2, 1)
-            a12[:, sl_L2, cols] = nrm[:, 1, None, None] * Cs.transpose(0, 2, 1)
+            for u, sl in enumerate(sl_L):
+                a12[:, sl, cols] = (nrm[:, u, None, None]
+                                    * Cv[:, :, :Ts].transpose(0, 2, 1))
             a12[:, sl_r, cols] = -alpha1[:, None, None] * Cv.transpose(0, 2, 1)
 
             idx = tf.dofs(batch.edge_ids[:, e])
@@ -476,9 +507,7 @@ def _assemble_poisson_operator(mesh, k, degrees):
         groups.append(ElementBlockGroup(batch, a11, a12,
                                         np.zeros((ne, n1)), trace_idx))
 
-    a22 = sp.coo_matrix(
-        (np.concatenate(coo_v), (np.concatenate(coo_r), np.concatenate(coo_c))),
-        shape=(dof.n_trace, dof.n_trace)).tocsr()
+    a22 = _trace_matrix(coo_r, coo_c, coo_v, dof.n_trace)
     for arr in (a22.data, a22.indices, a22.indptr, *(
             a for g in groups for a in (g.a11, g.a12, g.trace_indices))):
         arr.setflags(write=False)
@@ -498,8 +527,7 @@ def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
         grp.b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, gvals, w)
 
-    return BlockSystem(dof, groups, a22, np.zeros(dof.n_trace), stage="step1",
-                       meta=degrees)
+    return BlockSystem(dof, groups, a22, np.zeros(dof.n_trace), stage="step1")
 
 
 def assemble_step3(step1: BlockSystem, material: PlateMaterial,
@@ -542,23 +570,12 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
             load = np.einsum("emq,eq,eq->em", ehat, th_n, ew)
             _scatter_vector(b2, grp.trace_indices[:, e * k:(e + 1) * k], load)
 
-    return BlockSystem(dof, groups, step1.a22, b2, stage="step3", meta=degrees,
+    return BlockSystem(dof, groups, step1.a22, b2, stage="step3",
                        _operator=step1._operator)
 
 
 # ----------------------------------------------------------------------
 # stage two
-
-
-def saddle_dofmap(mesh: Mesh, spaces: SpaceConfig) -> StageDofMap:
-    k, l = spaces.k, spaces.l
-    Ts, Tv = fs.space_dim(k - 1), fs.space_dim(k)
-    return StageDofMap(
-        mesh,
-        interior_fields=[("sigma", 3 * Ts), ("R", 2 * Ts),
-                         ("theta", 2 * Tv), ("p", Tv)],
-        trace_fields=[("theta_hat", 2 * (l + 1), True), ("p_hat", k, False)],
-    )
 
 
 def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
@@ -568,27 +585,20 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         raise ValueError("stage-two assembly needs the stage-one flux field")
     k, l = spaces.k, spaces.l
     degrees = fs.quadrature_degrees(k)
-    edge_degree = degrees["edge_degree"]
-
-    Ts, Tv = fs.space_dim(k - 1), fs.space_dim(k)
-    dof = saddle_dofmap(mesh, spaces)
-    n1 = dof.n_interior_per_element
+    m_th = 2 * (l + 1)
+    dof = StageDofMap(
+        mesh,
+        interior_fields=[("sigma", k - 1, "symtensor2x2"), ("R", k - 1, "vector2"),
+                         ("theta", k, "vector2"), ("p", k, "scalar")],
+        trace_fields=[("theta_hat", m_th, True), ("p_hat", k, False)])
+    n1, Ts = dof.n_interior_per_element, fs.space_dim(k - 1)
     tf_th = dof.trace_fields["theta_hat"]
     tf_p = dof.trace_fields["p_hat"]
-    m_th = 2 * (l + 1)
+    sl_sig, sl_R, sl_th = (dof.components(name) for name in ("sigma", "R", "theta"))
+    sl_p = dof.interior_slice("p")
 
     Kinv = constitutive_inverse_matrix(material)
     lam_t2 = material.lam / material.t ** 2
-
-    sl_sig = [slice(c * Ts, (c + 1) * Ts) for c in range(3)]
-    off = 3 * Ts
-    sl_R = [slice(off + c * Ts, off + (c + 1) * Ts) for c in range(2)]
-    off += 2 * Ts
-    sl_th = [slice(off + c * Tv, off + (c + 1) * Tv) for c in range(2)]
-    off += 2 * Tv
-    sl_p = slice(off, off + Tv)
-
-    exps_s = fs.monomial_exponents(k - 1)
     exps_v = fs.monomial_exponents(k)
 
     groups = []
@@ -596,19 +606,8 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
 
     for batch in element_batches(mesh):
         ne, nv = len(batch.ids), batch.nv
-        pts, w = batch.volume_rule(degrees["assembly_degree"])
-        Vs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts)
-        GXs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts, dx=1)
-        GYs = fs.scalar_vals(exps_s, batch.centroid, batch.h, pts, dy=1)
-        Vv = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts)
-        GXv = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts, dx=1)
-        GYv = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts, dy=1)
-
-        Mss = _ip(w, Vs, Vs)
-        DX = _ip(w, GXs, Vv)
-        DY = _ip(w, GYs, Vv)
-        EX = _ip(w, GXv, Vv)
-        EY = _ip(w, GYv, Vv)
+        Mss, EX, EY, edges = _local_matrices(batch, k, l, degrees)
+        DX, DY = EX[:, :Ts], EY[:, :Ts]
 
         a11 = np.zeros((ne, n1, n1))
         # stress mass, negated for the symmetric arrangement
@@ -639,12 +638,10 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         trace_idx = np.empty((ne, ntl), dtype=int)
         _, alpha2, alpha3 = stabilization(batch.h, material)
 
-        for e in range(nv):
-            Cls, El = _edge_projection_blocks(batch, e, edge_degree, l, k - 1)
-            Clv, _ = _edge_projection_blocks(batch, e, edge_degree, l, k)
-            Cks, Ek = _edge_projection_blocks(batch, e, edge_degree, k - 1, k - 1)
-            Ckv, _ = _edge_projection_blocks(batch, e, edge_degree, k - 1, k)
-
+        for e, (Clv, El) in enumerate(edges):
+            # degree k-1 edge basis: the leading k rows of the degree-l one
+            Cls, Ckv, Cks, Ek = (Clv[:, :, :Ts], Clv[:, :k], Clv[:, :k, :Ts],
+                                 El[:, :k, :k])
             stab2 = alpha2[:, None, None] * _stab_volume_block(Clv, El)
             a11[:, sl_th[0], sl_th[0]] += stab2
             a11[:, sl_th[1], sl_th[1]] += stab2
@@ -699,9 +696,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
 
         groups.append(ElementBlockGroup(batch, a11, a12, b1, trace_idx))
 
-    a22 = sp.coo_matrix(
-        (np.concatenate(coo_v), (np.concatenate(coo_r), np.concatenate(coo_c))),
-        shape=(dof.n_trace, dof.n_trace)).tocsr()
+    a22 = _trace_matrix(coo_r, coo_c, coo_v, dof.n_trace)
 
     # the condensed system annihilates constant pressure: mark that mode
     kernel = np.zeros(dof.n_trace)
@@ -710,7 +705,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     kernel /= np.linalg.norm(kernel)
 
     return BlockSystem(dof, groups, a22, np.zeros(dof.n_trace),
-                       kernel_hint=kernel, stage="step2", meta=degrees)
+                       kernel_hint=kernel, stage="step2")
 
 
 def shift_pressure_to_zero_mean(bs: BlockSystem, x1: np.ndarray,
@@ -719,12 +714,10 @@ def shift_pressure_to_zero_mean(bs: BlockSystem, x1: np.ndarray,
     that p has zero mean.  ``x1``/``x2`` are the interior and trace
     solutions of the ``assemble_step2`` system ``bs``."""
     dof = bs.dof
-    sl_p = dof.interior_slice("p")
     tf_p = dof.trace_fields["p_hat"]
-    k = tf_p.per_edge
-    shift = DiscreteField(dof.mesh, k, "scalar", x1[:, sl_p]).mean()
-    x1[:, sl_p.start] -= shift
-    x2[tf_p.offset + np.arange(dof.mesh.num_edges) * k] -= shift
+    shift = dof.field("p", x1).mean()
+    x1[:, dof.interior_slice("p").start] -= shift
+    x2[tf_p.offset + np.arange(dof.mesh.num_edges) * tf_p.per_edge] -= shift
 
 
 # ----------------------------------------------------------------------
@@ -770,8 +763,7 @@ def bh_norm(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         for e in range(batch.nv):
             Clv, El = _edge_projection_blocks(batch, e, degrees["edge_degree"],
                                               l, k)
-            Ckv, Ek = _edge_projection_blocks(batch, e, degrees["edge_degree"],
-                                              k - 1, k)
+            Ckv, Ek = Clv[:, :k], El[:, :k, :k]
             th_hat_e = theta_hat[batch.edge_ids[:, e]]
             p_hat_e = p_hat[batch.edge_ids[:, e]]
             for u in range(2):

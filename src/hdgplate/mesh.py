@@ -47,6 +47,10 @@ class ShapeRegularityWarning(UserWarning):
     """Emitted when an element has an edge much shorter than its diameter."""
 
 
+# shape-regularity threshold: warn on an edge shorter than C_REG * h_K
+C_REG = 0.05
+
+
 class Element(NamedTuple):
     """An element's id and its vertex loop; the geometry is on the mesh."""
     id: int
@@ -62,9 +66,6 @@ class Mesh:
         Vertex coordinates; vertex ids are the row indices.
     loops : sequence of vertex-id sequences
         One counter-clockwise loop per element.
-    c_reg : float
-        Shape-regularity threshold; a warning is emitted for any element
-        with an edge shorter than ``c_reg`` times its diameter.
 
     The loops are stored flattened: local edge ``j`` of element ``i`` is
     slot ``loop_start[i] + j``, which runs from vertex ``loop_vertices``
@@ -79,8 +80,7 @@ class Mesh:
     ``edge_order`` is built on first use.
     """
 
-    def __init__(self, points: np.ndarray, loops: Sequence[Sequence[int]],
-                 c_reg: float = 0.05):
+    def __init__(self, points: np.ndarray, loops: Sequence[Sequence[int]]):
         self.points = np.array(points, dtype=float)  # read-only copy
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be a (V, 2) array")
@@ -108,12 +108,12 @@ class Mesh:
         self.h = float(self.diameter.max())
 
         short = (self.edge_length[self.loop_edges]
-                 < c_reg * self.diameter[owner])
+                 < C_REG * self.diameter[owner])
         flagged, first = np.unique(owner[short], return_index=True)
         for eid, slot in zip(flagged, np.flatnonzero(short)[first]):
             warnings.warn(
                 f"element {eid}: edge {self.loop_edges[slot]} shorter than "
-                f"{c_reg} * h_K", ShapeRegularityWarning)
+                f"{C_REG} * h_K", ShapeRegularityWarning)
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
@@ -282,7 +282,7 @@ def _nested_dissection(mesh: Mesh) -> np.ndarray:
 # generators
 
 
-def generate_structured(kind: str, n: int, c_reg: float = 0.05) -> Mesh:
+def generate_structured(kind: str, n: int) -> Mesh:
     """Structured mesh of the unit square with n x n cells.
 
     ``kind`` is ``"triangle"`` (each cell split along the lower-left to
@@ -305,7 +305,7 @@ def generate_structured(kind: str, n: int, c_reg: float = 0.05) -> Mesh:
         loops = np.stack([a, b, c, d], axis=1)
     else:
         loops = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
-    return Mesh(points, loops.tolist(), c_reg=c_reg)
+    return Mesh(points, loops.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +324,7 @@ def save_mesh(mesh: Mesh, stream: TextIO) -> None:
                               + [str(v) for v in el.vertex_loop]) + "\n")
 
 
-def load_mesh(stream: TextIO, c_reg: float = 0.05) -> Mesh:
+def load_mesh(stream: TextIO) -> Mesh:
     """Parse the polymesh text format; raises MeshFormatError with line info."""
     lines = stream.read().splitlines()
     pos = 0
@@ -387,4 +387,4 @@ def load_mesh(stream: TextIO, c_reg: float = 0.05) -> Mesh:
             raise MeshFormatError(ln, "vertex id out of range")
         loops.append(tuple(ids[1:]))
 
-    return Mesh(points, loops, c_reg=c_reg)
+    return Mesh(points, loops)

@@ -26,7 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BlockSystem, _scatter_symmetric, _scatter_vector
+from .assembly import (BlockSystem, _scatter_symmetric, _scatter_vector,
+                       _trace_matrix)
 
 __all__ = [
     "SolverConfig",
@@ -133,15 +134,16 @@ def _local_solve(grp, rhs: np.ndarray) -> np.ndarray:
 
 
 def condense(bs: BlockSystem) -> CondensedSystem:
-    """Eliminate interior unknowns element-by-element (never globally); the
-    first condense of an operator keeps ``Y_A`` and ``S`` on ``bs._operator``,
-    a later one (stage three's) solves for ``b1`` alone."""
+    """Eliminate interior unknowns element-by-element (never globally); on
+    an operator that ``solve_spd`` kept (stage three's) it reuses ``Y_A``
+    and ``S`` and solves for ``b1`` alone."""
     op = bs._operator
+    reuse = "S" in op
     rhs = bs.b2.copy()
     coo_r, coo_c, coo_v = [], [], []
     local = []
     for i, grp in enumerate(bs.groups):
-        if op:
+        if reuse:
             y_b = _local_solve(grp, grp.b1[..., None])[..., 0]
             _scatter_vector(rhs, grp.trace_indices,
                             -np.einsum("eij,ei->ej", grp.a12, y_b))
@@ -156,13 +158,9 @@ def condense(bs: BlockSystem) -> CondensedSystem:
         _scatter_vector(rhs, grp.trace_indices, z[..., -1])
         local.append((y[..., :-1], y[..., -1]))
 
-    if not op:
-        S = (bs.a22 + sp.coo_matrix(
-            (np.concatenate(coo_v),
-             (np.concatenate(coo_r), np.concatenate(coo_c))),
-            shape=(bs.n_trace, bs.n_trace))).tocsr()
-        op.update(Y_A=[y_a for y_a, _ in local], S=S)
-    return CondensedSystem(bs, op["S"], rhs, local, bs.kernel_hint)
+    S = op["S"] if reuse else bs.a22 + _trace_matrix(coo_r, coo_c, coo_v,
+                                                     bs.n_trace)
+    return CondensedSystem(bs, S, rhs, local, bs.kernel_hint)
 
 
 def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
@@ -189,9 +187,8 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
               + np.einsum("eij,ej->ei", grp.a12, x2loc) - grp.b1)
         rnorm2 += float((r1 ** 2).sum())
         bnorm2 += float((grp.b1 ** 2).sum())
-        contrib = np.einsum("eij,ei->ej", grp.a12, x1g)
-        keep = grp.trace_indices >= 0
-        np.add.at(r2, grp.trace_indices[keep], contrib[keep])
+        _scatter_vector(r2, grp.trace_indices,
+                        np.einsum("eij,ei->ej", grp.a12, x1g))
     rnorm2 += float((r2 ** 2).sum())
     return np.sqrt(rnorm2) / max(np.sqrt(bnorm2), 1e-300)
 
@@ -290,13 +287,16 @@ def _kernel_is_valid(S: sp.csr_matrix, kernel: np.ndarray) -> bool:
 
 def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
     """CG on the condensed SPD trace system, preconditioned by its own
-    factorization, which it keeps with the operator for a later solve
-    (stage three's) to reuse; returns (x2, report)."""
+    factorization; a fresh factor is kept with ``Y_A`` and ``S`` on the
+    operator for a later condense and solve (stage three's) to reuse;
+    returns (x2, report)."""
     t0 = time.perf_counter()
     S, dof, op = cond.S, cond.system.dof, cond.system._operator
     fresh = "factor" not in op
-    factor = op["factor"] = op.get("factor") or _factorize(
-        S, dof.trace_order("u_hat"), cond.system.stage, "S")
+    if fresh:
+        op.update(Y_A=[y_a for y_a, _ in cond.local], S=S, factor=_factorize(
+            S, dof.trace_order("u_hat"), cond.system.stage, "S"))
+    factor = op["factor"]
     x, iterations, history, stop_reason, rz_hist = _pcg(
         lambda v: S @ v, cond.rhs, factor.solve, config.tol, config.max_iter)
     report = SolveReport(iterations, history[-1],

@@ -307,31 +307,25 @@ def solve_plate(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     """Run the four solution stages on one mesh and collect all fields;
     the load ``g`` and body force ``f`` are those of ``exact``."""
     g, f = exact.g[0], exact.f
-    k = spaces.k
 
     bs1 = asm.assemble_step1(mesh, spaces, g)
     x1, x2, rep1 = slv.solve_stage(bs1, config)
     dof1 = bs1.dof
-    L = DiscreteField(mesh, k - 1, "vector2", x1[:, dof1.interior_slice("flux")])
-    r = DiscreteField(mesh, k, "scalar", x1[:, dof1.interior_slice("primal")])
+    L, r = (dof1.field(name, x1) for name in ("flux", "primal"))
     r_hat = dof1.trace_to_edge_array("u_hat", x2)
 
     bs2 = asm.assemble_step2(mesh, spaces, material, L, f)
     y1, y2, rep2 = slv.solve_stage(bs2, config)
     asm.shift_pressure_to_zero_mean(bs2, y1, y2)
     dof2 = bs2.dof
-    sigma = DiscreteField(mesh, k - 1, "symtensor2x2",
-                          y1[:, dof2.interior_slice("sigma")])
-    R = DiscreteField(mesh, k - 1, "vector2", y1[:, dof2.interior_slice("R")])
-    theta = DiscreteField(mesh, k, "vector2", y1[:, dof2.interior_slice("theta")])
-    p = DiscreteField(mesh, k, "scalar", y1[:, dof2.interior_slice("p")])
+    sigma, R, theta, p = (dof2.field(name, y1)
+                          for name in ("sigma", "R", "theta", "p"))
     theta_hat = dof2.trace_to_edge_array("theta_hat", y2)
     p_hat = dof2.trace_to_edge_array("p_hat", y2)
 
     bs3 = asm.assemble_step3(bs1, material, theta, g)
     z1, z2, rep3 = slv.solve_stage(bs3, config)
-    G = DiscreteField(mesh, k - 1, "vector2", z1[:, dof1.interior_slice("flux")])
-    omega = DiscreteField(mesh, k, "scalar", z1[:, dof1.interior_slice("primal")])
+    G, omega = (dof1.field(name, z1) for name in ("flux", "primal"))
     omega_hat = dof1.trace_to_edge_array("u_hat", z2)
 
     gamma = recover_gamma(L, R, material)

@@ -111,12 +111,28 @@ class TestSpaceConfig:
 
 
 class TestDofCounts:
+    @staticmethod
+    def assert_fields(dof, declared):
+        """dof.field reads each declared (name, degree, rank) from x1."""
+        x1 = np.arange(dof.n_interior, dtype=float).reshape(
+            dof.mesh.num_elements, -1)
+        assert list(dof.interior_fields) == [name for name, _, _ in declared]
+        for name, degree, rank in declared:
+            fld = dof.field(name, x1)
+            assert (fld.degree, fld.rank) == (degree, rank)
+            assert np.array_equal(fld.coeffs, x1[:, dof.interior_slice(name)])
+            comps = dof.components(name)
+            assert len(comps) == fld.ncomp
+            assert all(c.stop - c.start == fld.nscalar for c in comps)
+
     def test_step1_counts_k1(self):
         mesh = generate_structured("triangle", 2)
         bs = asm.assemble_step1(mesh, SpaceConfig(1), lambda x, y: 0 * x)
         assert bs.dof.n_interior_per_element == 5
         assert bs.n_interior == 40
         assert bs.n_trace == 8  # interior edges only
+        self.assert_fields(bs.dof, [("flux", 0, "vector2"),
+                                    ("primal", 1, "scalar")])
 
     def test_step2_counts_k1(self):
         mesh = generate_structured("triangle", 2)
@@ -128,6 +144,9 @@ class TestDofCounts:
         tf_p = bs.dof.trace_fields["p_hat"]
         assert tf_p.offset == 8 * 4        # theta trace block first
         assert bs.n_trace == 8 * 4 + 16 * 1
+        self.assert_fields(bs.dof, [
+            ("sigma", 0, "symtensor2x2"), ("R", 0, "vector2"),
+            ("theta", 1, "vector2"), ("p", 1, "scalar")])
 
     def test_interior_counts_general_k(self):
         mesh = generate_structured("quadrilateral", 2)
@@ -137,8 +156,13 @@ class TestDofCounts:
                               np.zeros((4, 2 * Ts)))
             bs = asm.assemble_step2(mesh, SpaceConfig(k), PlateMaterial(), L)
             assert bs.dof.n_interior_per_element == 5 * Ts + 3 * Tv
+            self.assert_fields(bs.dof, [
+                ("sigma", k - 1, "symtensor2x2"), ("R", k - 1, "vector2"),
+                ("theta", k, "vector2"), ("p", k, "scalar")])
             bs1 = asm.assemble_step1(mesh, SpaceConfig(k), lambda x, y: 0 * x)
             assert bs1.dof.n_interior_per_element == 2 * Ts + Tv
+            self.assert_fields(bs1.dof, [("flux", k - 1, "vector2"),
+                                         ("primal", k, "scalar")])
 
     def test_boundary_trace_dofs_eliminated(self):
         mesh = generate_structured("triangle", 2)
@@ -146,7 +170,7 @@ class TestDofCounts:
         ranks = bs.dof.trace_fields["u_hat"].edge_rank
         assert np.array_equal(ranks == -1, mesh.boundary_mask)
         assert np.array_equal(ranks[~mesh.boundary_mask],
-                              np.arange(bs.dof.num_interior_edges))
+                              np.arange(np.count_nonzero(~mesh.boundary_mask)))
 
 
 def _step2_system(mesh, k=1, t=1.0, with_load=True):
@@ -214,6 +238,27 @@ class TestSystems:
         for _ in range(20):
             x = rng.standard_normal(S.shape[0])
             assert x @ (S @ x) > 0
+
+    @pytest.mark.parametrize("kind, k", [("triangle", 1), ("quadrilateral", 3)])
+    def test_one_edge_block_per_local_edge(self, monkeypatch, kind, k):
+        # every stage slices its smaller edge blocks from one (C, E) pair
+        calls = []
+        orig = asm._edge_projection_blocks
+
+        def counting(*args):
+            calls.append(args[3:])
+            return orig(*args)
+        monkeypatch.setattr(asm, "_edge_projection_blocks", counting)
+        mesh = generate_structured(kind, 2)
+        nv = sum(b.nv for b in asm.element_batches(mesh))
+        spaces = SpaceConfig(k, max(1, k - 1))
+        asm.assemble_step1(mesh, spaces, lambda x, y: 0 * x)
+        assert calls == [(k - 1, k)] * nv
+        calls.clear()
+        L = DiscreteField(mesh, k - 1, "vector2",
+                          np.zeros((mesh.num_elements, 2 * fs.space_dim(k - 1))))
+        asm.assemble_step2(mesh, spaces, PlateMaterial(), L)
+        assert calls == [(spaces.l, k)] * nv
 
     def test_step3_operator_identical_to_step1(self):
         mesh = generate_structured("quadrilateral", 2)

@@ -138,7 +138,7 @@ class TestGeometry:
         points = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.001], [0.0, 0.001]])
         with pytest.warns(ShapeRegularityWarning,
                           match=r"^element 0: edge 1 shorter than 0.05 \* h_K$"):
-            Mesh(points, [(0, 1, 2, 3)], c_reg=0.05)
+            Mesh(points, [(0, 1, 2, 3)])
 
 
 def reference_geometry(points, loops):

@@ -400,6 +400,19 @@ class TestTraceFactorization:
         assert fields.reports["step3"].factor_fill == 0
         assert fields.reports["step3"].factor_time == 0
 
+    def test_saddle_operator_not_kept(self):
+        # only solve_spd keeps an operator: stage two's Y_A and S are
+        # freed with its condensed system
+        mat = PlateMaterial(t=0.1)
+        mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
+        bs1 = asm.assemble_step1(mesh, SpaceConfig(1), ex.g[0])
+        x1, _, _ = slv.solve_stage(bs1)
+        assert set(bs1._operator) == {"Y_A", "S", "factor"}
+        bs2 = asm.assemble_step2(mesh, SpaceConfig(1), mat,
+                                 bs1.dof.field("flux", x1))
+        slv.solve_stage(bs2)
+        assert bs2._operator == {}
+
     def test_one_poisson_operator_and_three_factorizations_per_solve(
             self, monkeypatch):
         calls = {"_factorize": 0, "_assemble_poisson_operator": 0}
