@@ -4,12 +4,14 @@ Elements with the same vertex count are stacked into an
 :class:`ElementBatch`, and every basis evaluation and quadrature rule
 works on the whole batch at once.  Element bases are scaled monomials
 ``((x-x_K)/h_K)^a ((y-y_K)/h_K)^b`` with ``a+b <= degree``.  Volume
-rules map a conical-product Gauss rule of any requested exactness degree
-onto each triangle, or onto the fan sub-triangulation of a convex
-polygon from its centroid; edge rules are mapped Gauss-Legendre rules
-that also return the arclength parameter ``s in [0, 1]`` along the
-edge's global tangent.  With the degrees of :func:`quadrature_degrees`,
-all inner products of the discretization are exact.
+rules of any requested exactness degree are a conical-product Gauss
+rule mapped onto each triangle, a tensor Gauss-Legendre rule mapped
+bilinearly onto each quadrilateral, and the triangle rule on the fan
+sub-triangulation from the centroid of any other convex polygon.  Edge
+rules are mapped Gauss-Legendre rules that also return the arclength
+parameter ``s in [0, 1]`` along the edge's global tangent.  With the
+degrees of :func:`quadrature_degrees`, all inner products of the
+discretization are exact.
 """
 
 from __future__ import annotations
@@ -134,6 +136,17 @@ class ElementBatch:
             jac = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
             return (p0 + ref[None, :, :1] * a + ref[None, :, 1:] * b,
                     w0[None, :] * jac)
+        if self.nv == 4:
+            # tensor Gauss rule through the bilinear map; det J is affine,
+            # so n points per direction integrate P_degree exactly
+            x, w = gauss_legendre_01((degree + 3) // 2)
+            u = np.repeat(x, len(x))[None, :, None]
+            v = np.tile(x, len(x))[None, :, None]
+            p0, p1, p2, p3 = (self.verts[:, i, None, :] for i in range(4))
+            du = (1.0 - v) * (p1 - p0) + v * (p2 - p3)
+            dv = (1.0 - u) * (p3 - p0) + u * (p2 - p1)
+            jac = du[..., 0] * dv[..., 1] - du[..., 1] * dv[..., 0]
+            return p0 + u * (p1 - p0) + v * dv, np.outer(w, w).ravel() * jac
         pts, wts = [], []
         c = self.centroid[:, None, :]
         for i in range(self.nv):

@@ -7,9 +7,16 @@ from hdgplate import assembly as asm
 from hdgplate import femspace as fs
 from hdgplate.assembly import DiscreteField
 from hdgplate.mesh import Mesh, generate_structured
+from meshes import mixed_group_mesh, mixed_strip
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+# convex quadrilaterals that are not parallelograms; the second has a
+# straight angle at its second vertex
+JITTERED_QUAD = np.array([[0.3, 0.2], [1.45, 0.31], [1.62, 1.13],
+                          [0.17, 1.26]])
+STRAIGHT_ANGLE_QUAD = np.array([[0.3, 0.2], [1.3, 0.2], [2.3, 0.2],
+                                [1.1, 1.7]])
 
 
 def tri_monomial_integral(a, b):
@@ -20,6 +27,42 @@ def tri_monomial_integral(a, b):
 def single_element_batch(points):
     mesh = Mesh(points, [tuple(range(len(points)))])
     return fs.element_batches(mesh)[0]
+
+
+def polygon_moment(verts, a, b):
+    """Integral of x^a y^b over a polygon: x^a y^b is homogeneous of degree
+    a+b, so by the divergence theorem it is the boundary integral of
+    x^a y^b (x . n) / (a+b+2), and x . n ds = (p_i x p_i+1) dt on each edge."""
+    t, w = fs.gauss_legendre_01((a + b) // 2 + 1)
+    total = 0.0
+    for p, q in zip(verts, np.roll(verts, -1, axis=0)):
+        x = p[0] + t * (q[0] - p[0])
+        y = p[1] + t * (q[1] - p[1])
+        total += (p[0] * q[1] - p[1] * q[0]) * (w * x ** a * y ** b).sum()
+    return total / (a + b + 2)
+
+
+def conical_and_fan_rule(batch, degree):
+    """The triangle rule mapped onto each triangle, or onto the fan from
+    the centroid of a polygon with five or more vertices, written out
+    separately so that its arithmetic is pinned bitwise."""
+    ref, w0 = fs.triangle_reference_rule(degree)
+    if batch.nv == 3:
+        p0 = batch.verts[:, 0, :][:, None, :]
+        a = batch.verts[:, 1, :][:, None, :] - p0
+        b = batch.verts[:, 2, :][:, None, :] - p0
+        jac = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+        return (p0 + ref[None, :, :1] * a + ref[None, :, 1:] * b,
+                w0[None, :] * jac)
+    pts, wts = [], []
+    c = batch.centroid[:, None, :]
+    for i in range(batch.nv):
+        a = batch.verts[:, i, :][:, None, :] - c
+        b = batch.verts[:, (i + 1) % batch.nv, :][:, None, :] - c
+        jac = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+        pts.append(c + ref[None, :, :1] * a + ref[None, :, 1:] * b)
+        wts.append(w0[None, :] * jac)
+    return np.concatenate(pts, axis=1), np.concatenate(wts, axis=1)
 
 
 def l2_project(mesh, f, degree, quad_degree):
@@ -88,6 +131,32 @@ class TestQuadrature:
             for b in range(degree + 1 - a):
                 val = (w[0] * x ** a * y ** b).sum()
                 assert val == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-12)
+
+    @pytest.mark.parametrize("verts", [JITTERED_QUAD, STRAIGHT_ANGLE_QUAD],
+                             ids=["jittered", "straight-angle"])
+    def test_quadrilateral_rule_exact_to_degree(self, verts):
+        batch = single_element_batch(verts)
+        for degree in range(14):
+            pts, w = batch.volume_rule(degree)
+            npts = ((degree + 3) // 2) ** 2
+            assert pts.shape == (1, npts, 2) and w.shape == (1, npts)
+            x, y = pts[0, :, 0], pts[0, :, 1]
+            for a in range(degree + 1):
+                for b in range(degree + 1 - a):
+                    assert (w[0] * x ** a * y ** b).sum() == pytest.approx(
+                        polygon_moment(verts, a, b), rel=1e-12), (degree, a, b)
+
+    @pytest.mark.parametrize("mesh", [mixed_group_mesh(), mixed_strip(3)],
+                             ids=["mixed_group_mesh", "mixed_strip"])
+    def test_other_vertex_counts_keep_their_rule_bitwise(self, mesh):
+        batches = {b.nv: b for b in fs.element_batches(mesh)}
+        assert sorted(batches) == [3, 4, 5]
+        for nv in (3, 5):
+            for degree in (0, 3, 6, 10, 26):
+                got = batches[nv].volume_rule(degree)
+                want = conical_and_fan_rule(batches[nv], degree)
+                for g, r in zip(got, want):
+                    assert g.shape == r.shape and np.array_equal(g, r)
 
     def test_nonconvex_rejected(self):
         # the fan rule needs convex elements; Mesh is where batches come from

@@ -12,42 +12,81 @@ from hdgplate import solver as slv
 from hdgplate import verification as vf
 from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import Mesh, generate_structured
+from oracles import eval_exact, is_zero, table_errors_longdouble
 
 
 class TestPoly2:
     def test_arithmetic_is_exact(self):
         X, Y = vf.Poly2.x(), vf.Poly2.y()
         p = (X + Y) * (X - Y) - X * X + Y * Y
-        assert p.is_zero()
+        assert is_zero(p)
 
     def test_differentiation(self):
         X, Y = vf.Poly2.x(), vf.Poly2.y()
         p = X ** 3 * Y + 2 * Y
-        assert (p.dx() - 3 * X ** 2 * Y).is_zero()
-        assert (p.dy() - (X ** 3 + vf.Poly2.const(2))).is_zero()
+        assert is_zero(p.dx() - 3 * X ** 2 * Y)
+        assert is_zero(p.dy() - (X ** 3 + vf.Poly2.const(2)))
 
     def test_float_and_exact_eval_agree(self):
         X, Y = vf.Poly2.x(), vf.Poly2.y()
         p = 3 * X ** 2 * Y - Y ** 2 + vf.Poly2.const(Fraction(1, 4))
-        assert p(0.5, 0.25) == pytest.approx(float(p.eval_exact(
-            Fraction(1, 2), Fraction(1, 4))), rel=1e-15)
+        assert p(0.5, 0.25) == pytest.approx(float(eval_exact(
+            p, Fraction(1, 2), Fraction(1, 4))), rel=1e-15)
+
+    def test_shifted_variables(self):
+        o = (Fraction(1, 2), Fraction(-1, 4))
+        X = vf.Poly2.x(o) + o[0]
+        Y = vf.Poly2.y(o) + o[1]
+        p = 3 * X ** 2 * Y - Y ** 2 + 7
+        q = 3 * vf.Poly2.x() ** 2 * vf.Poly2.y() - vf.Poly2.y() ** 2 + 7
+        assert p.origin == o and p.dx().origin == o and (-p).origin == o
+        assert p.degree == 3
+        for x, y in ((0, 0), (Fraction(1, 3), 2), (-1, Fraction(5, 7))):
+            assert eval_exact(p, x, y) == eval_exact(q, x, y)
+            assert eval_exact(p.dx(), x, y) == eval_exact(q.dx(), x, y)
+            assert eval_exact(p.dy(), x, y) == eval_exact(q.dy(), x, y)
+        assert p(0.75, 0.5) == pytest.approx(float(eval_exact(q, 0.75, 0.5)),
+                                             rel=1e-15)
+        assert is_zero(p - p) and not is_zero(p - q.coeffs[(0, 0)])
+
+    def test_different_origins_do_not_combine(self):
+        X, Xc = vf.Poly2.x(), vf.Poly2.x((Fraction(1, 2), 0))
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b):
+            with pytest.raises(ValueError, match="different origins"):
+                op(X, Xc)
+        with pytest.raises(ValueError, match="different origins"):
+            vf.PolyField([X, Xc])(0.5, 0.5)
+
+    @pytest.mark.parametrize("n", [-1, 2.0, 0.5, Fraction(2)])
+    def test_power_needs_non_negative_integer(self, n):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            vf.Poly2.x() ** n
+
+    def test_power_zero_is_one(self):
+        o = (Fraction(1, 2), Fraction(1, 2))
+        one = vf.Poly2.y(o) ** 0
+        assert one.origin == o and one.coeffs == {(0, 0): 1}
 
 
 def _abs_sum(poly, x, y) -> float:
-    """Sum of |c_ab x^a y^b| at a rational point: the scale of round-off."""
-    return float(sum(abs(v * x ** a * y ** b)
+    """Sum of |c_ab dx^a dy^b| at a rational point, (dx, dy) = (x, y) -
+    origin: the scale of round-off."""
+    dx, dy = x - poly.origin[0], y - poly.origin[1]
+    return float(sum(abs(v * dx ** a * dy ** b)
                      for (a, b), v in poly.coeffs.items()))
 
 
-def _abs_poly(poly):
-    return vf.Poly2({key: abs(v) for key, v in poly.coeffs.items()})
-
-
-def _monomial_sum(poly, x, y):
-    """Reference float evaluation, one broadcast term per monomial."""
+def _monomial_sum(poly, x, y, absolute=False):
+    """Reference float evaluation, one broadcast term per monomial of the
+    shifted variables; with ``absolute``, the sum of the terms' magnitudes
+    (the scale of round-off)."""
+    dx = x - float(poly.origin[0])
+    dy = y - float(poly.origin[1])
     out = np.zeros(np.broadcast(x, y).shape)
     for (a, b), v in poly.coeffs.items():
-        out = out + float(v) * x ** a * y ** b
+        term = float(v) * dx ** a * dy ** b
+        out = out + (np.abs(term) if absolute else term)
     return out
 
 
@@ -69,7 +108,7 @@ class TestPolynomialKernel:
             vals = field_(xf, yf)
             for c, poly in enumerate(field_.components):
                 for i, (x, y) in enumerate(zip(xq, yq)):
-                    err = abs(vals[c, i] - float(poly.eval_exact(x, y)))
+                    err = abs(vals[c, i] - float(eval_exact(poly, x, y)))
                     assert err <= 1e-13 * _abs_sum(poly, x, y), (f.name, c)
 
     @pytest.mark.parametrize("npts", [0, 1, vf._CHUNK - 1, vf._CHUNK,
@@ -82,7 +121,7 @@ class TestPolynomialKernel:
         assert vals.shape == (3, npts)
         for c, poly in enumerate(sigma.components):
             ref = _monomial_sum(poly, x, y)
-            scale = _monomial_sum(_abs_poly(poly), x, y)
+            scale = _monomial_sum(poly, x, y, absolute=True)
             assert np.all(np.abs(vals[c] - ref) <= 1e-13 * scale)
 
     def test_scalar_and_broadcast_input(self):
@@ -99,7 +138,7 @@ class TestPolynomialKernel:
         assert vals.shape == (2, 3, 4)
         for c, poly in enumerate(exact.gamma.components):
             ref = _monomial_sum(poly, x, y)
-            scale = _monomial_sum(_abs_poly(poly), x, y)
+            scale = _monomial_sum(poly, x, y, absolute=True)
             assert ref.shape == (3, 4)
             assert np.all(np.abs(vals[c] - ref) <= 1e-13 * scale)
 
@@ -134,22 +173,22 @@ class TestExactSolution:
         for field in (self.exact.theta[0], self.exact.theta[1],
                       self.exact.omega[0]):
             for s in samples:
-                assert field.eval_exact(s, 0) == 0
-                assert field.eval_exact(s, 1) == 0
-                assert field.eval_exact(0, s) == 0
-                assert field.eval_exact(1, s) == 0
+                assert eval_exact(field, s, 0) == 0
+                assert eval_exact(field, s, 1) == 0
+                assert eval_exact(field, 0, s) == 0
+                assert eval_exact(field, 1, s) == 0
 
     def test_load_is_thickness_independent(self):
         g_thin = vf.exact_fields(PlateMaterial(t=0.003)).g[0]
         g_thick = vf.exact_fields(PlateMaterial(t=0.9)).g[0]
-        assert (g_thin - g_thick).is_zero()
+        assert is_zero(g_thin - g_thick)
 
     def test_shear_potentials(self):
         # gamma = grad(r) + perp_grad(p) with p identically zero here
         r = self.exact.r[0]
-        assert (self.exact.gamma[0] - r.dx()).is_zero()
-        assert (self.exact.gamma[1] - r.dy()).is_zero()
-        assert self.exact.p[0].is_zero()
+        assert is_zero(self.exact.gamma[0] - r.dx())
+        assert is_zero(self.exact.gamma[1] - r.dy())
+        assert is_zero(self.exact.p[0])
 
     def test_degrees(self):
         assert self.exact.omega[0].degree == 12
@@ -197,6 +236,23 @@ class TestErrorNorms:
         fld = DiscreteField(mesh, 1, "vector2", np.zeros((2, 6)))
         with pytest.raises(ValueError):
             vf.l2_error(fld, lambda x, y: x, quad_degree=4)
+
+    @pytest.mark.parametrize("kind, k", [("quadrilateral", 2),
+                                         ("triangle", 3)])
+    def test_table_errors_match_longdouble(self, kind, k):
+        # the same discrete fields and rule, recomputed in long double:
+        # round-off in evaluating the degree-12 exact fields once moved
+        # these norms by up to 7e-12 relative
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double is no wider than double here")
+        mat = PlateMaterial(t=1e-6)
+        exact = vf.exact_fields(mat)
+        fields = vf.solve_plate(generate_structured(kind, 8), SpaceConfig(k),
+                                mat, exact)
+        got = vf.table_errors(fields, exact)
+        ref = table_errors_longdouble(fields, exact)
+        for name, g, r in zip(("theta", "tgamma", "sigma", "omega"), got, ref):
+            assert abs(np.longdouble(g) - r) <= 1e-13 * r, name
 
     def test_tensor_norm_uses_frobenius_weights(self):
         mesh = generate_structured("quadrilateral", 1)
