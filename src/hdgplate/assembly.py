@@ -122,13 +122,9 @@ def _constitutive_matrix(material: PlateMaterial) -> np.ndarray:
                          [0.0, 0.0, 1.0 - nu]])
 
 
-def _constitutive_inverse_component_matrix(material: PlateMaterial) -> np.ndarray:
-    return np.linalg.inv(_constitutive_matrix(material))
-
-
 def constitutive_inverse_matrix(material: PlateMaterial) -> np.ndarray:
     """Matrix K with K[a,b] = (Cinv E_a) : E_b on unit component tensors."""
-    return _constitutive_inverse_component_matrix(material) * _FROBENIUS_W[None, :]
+    return np.linalg.inv(_constitutive_matrix(material)) * _FROBENIUS_W[None, :]
 
 
 def constitutive_apply(tau: np.ndarray, material: PlateMaterial) -> np.ndarray:
@@ -137,7 +133,7 @@ def constitutive_apply(tau: np.ndarray, material: PlateMaterial) -> np.ndarray:
 
 
 def constitutive_inverse_apply(tau: np.ndarray, material: PlateMaterial) -> np.ndarray:
-    return np.asarray(tau) @ _constitutive_inverse_component_matrix(material).T
+    return np.asarray(tau) @ np.linalg.inv(_constitutive_matrix(material)).T
 
 
 def _ip(w, rows, cols):
@@ -175,12 +171,13 @@ class DiscreteField:
 
     def values_batched(self, batch: ElementBatch, pts: np.ndarray) -> np.ndarray:
         """(ne, ncomp, nq) values at per-element points of a batch."""
-        return self.combine(batch, fs.scalar_vals(
+        return self.combine(batch.ids, fs.scalar_vals(
             fs.monomial_exponents(self.degree), batch.centroid, batch.h, pts))
 
-    def combine(self, batch: ElementBatch, vals: np.ndarray) -> np.ndarray:
-        """(ne, ncomp, nq) values from the batch's scaled monomials (ne, nb, nq)."""
-        coeffs = self.coeffs[batch.ids].reshape(-1, self.ncomp, self.nscalar)
+    def combine(self, ids: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """(ne, ncomp, nq) values on the elements ``ids`` from their scaled
+        monomials (ne, nb, nq)."""
+        coeffs = self.coeffs[ids].reshape(-1, self.ncomp, self.nscalar)
         return np.einsum("enq,ecn->ecq", vals, coeffs)
 
     def divergence_batched(self, batch: ElementBatch, pts: np.ndarray) -> np.ndarray:
@@ -359,7 +356,8 @@ class BlockSystem:
     b2: np.ndarray
     kernel_hint: np.ndarray | None = None
     stage: str = ""
-    # A11^{-1} A12 per group, S and its factor (kept by solver.solve_spd)
+    # the Poisson stages' shared operator, kept on the mesh (see
+    # _poisson_operator); empty for stage two
     _operator: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -369,25 +367,6 @@ class BlockSystem:
     @property
     def n_trace(self) -> int:
         return self.dof.n_trace
-
-    def monolithic_dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full symmetric system (interior + trace) as dense arrays."""
-        n1 = self.dof.n_interior_per_element
-        ni, nt = self.n_interior, self.n_trace
-        A = np.zeros((ni + nt, ni + nt))
-        b = np.zeros(ni + nt)
-        A[ni:, ni:] = self.a22.toarray()
-        b[ni:] = self.b2
-        for g in self.groups:
-            for row in range(len(g.batch.ids)):
-                i0 = g.batch.ids[row] * n1
-                A[i0:i0 + n1, i0:i0 + n1] = g.a11[row]
-                cols = g.trace_indices[row]
-                keep = cols >= 0
-                A[i0:i0 + n1, ni + cols[keep]] = g.a12[row][:, keep]
-                A[ni + cols[keep], i0:i0 + n1] = g.a12[row][:, keep].T
-                b[i0:i0 + n1] = g.b1[row]
-        return A, b
 
 
 # ----------------------------------------------------------------------
@@ -458,21 +437,18 @@ def _trace_matrix(coo_rows, coo_cols, coo_vals, n):
 
 
 # ----------------------------------------------------------------------
-# stage one / three operator (assembled once, shared by both stages)
+# stage one / three operator (kept on the mesh, shared by both stages)
 
 
-def _assemble_poisson_operator(mesh, k, degrees):
-    dof = StageDofMap(mesh, interior_fields=[("flux", k - 1, "vector2"),
-                                             ("primal", k, "scalar")],
-                      trace_fields=[("u_hat", k, True)])
+def _assemble_poisson_operator(dof, k, degrees):
     n1, Ts = dof.n_interior_per_element, fs.space_dim(k - 1)
     tf = dof.trace_fields["u_hat"]
     sl_L = dof.components("flux")
     sl_r = dof.interior_slice("primal")
 
-    groups = []
+    groups, source = [], []
     coo_r, coo_c, coo_v = [], [], []
-    for batch in element_batches(mesh):
+    for batch in element_batches(dof.mesh):
         ne, nv = len(batch.ids), batch.nv
         Mss, EX, EY, edges = _local_matrices(batch, k, k - 1, degrees)
 
@@ -504,36 +480,56 @@ def _assemble_poisson_operator(mesh, k, degrees):
             _scatter_symmetric(coo_r, coo_c, coo_v, idx,
                                alpha1[:, None, None] * Ee)
 
-        groups.append(ElementBlockGroup(batch, a11, a12,
-                                        np.zeros((ne, n1)), trace_idx))
+        # the loads differ per solve: each stage replaces b1
+        groups.append(ElementBlockGroup(batch, a11, a12, None, trace_idx))
+        pts, w = batch.volume_rule(degrees["source_degree"])
+        source.append((pts, w, fs.scalar_vals(fs.monomial_exponents(k),
+                                               batch.centroid, batch.h, pts)))
 
     a22 = _trace_matrix(coo_r, coo_c, coo_v, dof.n_trace)
     for arr in (a22.data, a22.indices, a22.indptr, *(
-            a for g in groups for a in (g.a11, g.a12, g.trace_indices))):
+            a for g in groups for a in (g.a11, g.a12, g.trace_indices)),
+            *(a for rule in source for a in rule)):
         arr.setflags(write=False)
-    return dof, groups, a22
+    return {"groups": groups, "a22": a22, "source": source}
+
+
+def _poisson_operator(dof: StageDofMap) -> dict:
+    """The stage one/three operator on ``dof``: groups without loads,
+    ``a22`` and per batch the source rule's points, weights and P_k basis;
+    ``solver`` adds ``Y_A``, ``S`` and its factor.  None of it depends on
+    t or the load, or refers to the mesh, so it is built on first use and
+    kept on the mesh, for its lifetime."""
+    kept = vars(dof.mesh).setdefault("_poisson_operators", {})
+    k = dof.trace_fields["u_hat"].per_edge
+    if k not in kept:
+        kept[k] = _assemble_poisson_operator(dof, k, fs.quadrature_degrees(k))
+    return kept[k]
 
 
 def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
     """Stage-one system for the load potential: find (L, r, r_hat) from g."""
     k = spaces.k
-    degrees = fs.quadrature_degrees(k)
-    dof, groups, a22 = _assemble_poisson_operator(mesh, k, degrees)
+    dof = StageDofMap(mesh, interior_fields=[("flux", k - 1, "vector2"),
+                                             ("primal", k, "scalar")],
+                      trace_fields=[("u_hat", k, True)])
+    op = _poisson_operator(dof)
     sl_r = dof.interior_slice("primal")
-    for grp in groups:
-        pts, w = grp.batch.volume_rule(degrees["source_degree"])
-        Vv = fs.scalar_vals(fs.monomial_exponents(k),
-                          grp.batch.centroid, grp.batch.h, pts)
+    groups = []
+    for grp, (pts, w, Vv) in zip(op["groups"], op["source"]):
+        b1 = np.zeros(grp.a11.shape[:2])
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
-        grp.b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, gvals, w)
-
-    return BlockSystem(dof, groups, a22, np.zeros(dof.n_trace), stage="step1")
+        b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, gvals, w)
+        groups.append(replace(grp, b1=b1))
+    return BlockSystem(dof, groups, op["a22"], np.zeros(dof.n_trace),
+                       stage="step1", _operator=op)
 
 
 def assemble_step3(step1: BlockSystem, material: PlateMaterial,
                    theta: DiscreteField, g: Callable) -> BlockSystem:
     """Stage-three system for the deflection, driven by the stage-two rotation:
-    stage one's read-only operator and ``_operator`` with new ``b1``, ``b2``."""
+    stage one's read-only operator, ``_operator`` and source rule with new
+    ``b1``, ``b2``."""
     if step1.stage != "step1":
         raise ValueError("stage-three assembly needs the stage-one system, "
                          f"not a {step1.stage!r} system")
@@ -545,16 +541,14 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
     if theta.degree != k:
         raise ValueError(f"the stage-two rotation has degree {theta.degree}, "
                          f"the stage-one system k={k}")
-    degrees = fs.quadrature_degrees(k)
+    edge_degree = fs.quadrature_degrees(k)["edge_degree"]
     sl_r = dof.interior_slice("primal")
     b2 = np.zeros(dof.n_trace)
     scale = material.t ** 2 / material.lam
 
     groups = []
-    for grp in step1.groups:
+    for grp, (pts, w, Vv) in zip(step1.groups, step1._operator["source"]):
         batch = grp.batch
-        pts, w = batch.volume_rule(degrees["source_degree"])
-        Vv = fs.scalar_vals(fs.monomial_exponents(k), batch.centroid, batch.h, pts)
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
         divth = theta.divergence_batched(batch, pts)
         b1 = np.zeros_like(grp.b1)
@@ -563,7 +557,7 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
 
         # trace load <theta . n, s_hat>assembled from both adjacent elements
         for e in range(batch.nv):
-            epts, ew, s = batch.edge_rule(e, degrees["edge_degree"] + k)
+            epts, ew, s = batch.edge_rule(e, edge_degree + k)
             ehat = fs.power_table(s, k - 1)
             thv = theta.values_batched(batch, epts)
             th_n = np.einsum("ecq,ec->eq", thv, batch.normals[:, e, :])
@@ -759,7 +753,6 @@ def bh_norm(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             + material.t ** 2 * perp2, w))
 
         _, alpha2, alpha3 = stabilization(batch.h, material)
-        theta_coeffs = theta.coeffs[batch.ids]
         for e in range(batch.nv):
             Clv, El = _edge_projection_blocks(batch, e, degrees["edge_degree"],
                                               l, k)
@@ -767,7 +760,7 @@ def bh_norm(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             th_hat_e = theta_hat[batch.edge_ids[:, e]]
             p_hat_e = p_hat[batch.edge_ids[:, e]]
             for u in range(2):
-                cu = theta_coeffs[:, u * Tv:(u + 1) * Tv]
+                cu = tc[:, u * Tv:(u + 1) * Tv]
                 load = np.einsum("emj,ej->em", Clv, cu)
                 proj = np.linalg.solve(El, load[..., None])[..., 0]
                 diff = proj - th_hat_e[:, u * (l + 1):(u + 1) * (l + 1)]

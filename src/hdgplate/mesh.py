@@ -77,7 +77,12 @@ class Mesh:
     Elements carry ``area``, ``centroid`` and ``diameter`` (the largest
     vertex distance), and ``groups`` lists the element ids of each
     vertex count in ascending count.  All arrays are read-only.
-    ``edge_order`` is built on first use.
+
+    Kept on the mesh from first use until it is freed: ``edge_order``, the
+    element batches, the stage one/three operator per degree k
+    (``assembly``) and the error rules and bases (``verification``).
+    None depends on the thickness, so a t sweep on one mesh builds each
+    once, and none refers back to the mesh.
     """
 
     def __init__(self, points: np.ndarray, loops: Sequence[Sequence[int]]):

@@ -38,7 +38,6 @@ __all__ = [
     "condense",
     "solve_spd",
     "solve_saddle_trace",
-    "solve_saddle_direct",
     "back_substitute",
     "solve_stage",
     "full_residual",
@@ -134,32 +133,42 @@ def _local_solve(grp, rhs: np.ndarray) -> np.ndarray:
 
 
 def condense(bs: BlockSystem) -> CondensedSystem:
-    """Eliminate interior unknowns element-by-element (never globally); on
-    an operator that ``solve_spd`` kept (stage three's) it reuses ``Y_A``
-    and ``S`` and solves for ``b1`` alone."""
+    """Eliminate interior unknowns element-by-element (never globally).
+
+    The Poisson stages share an operator kept on the mesh: its ``Y_A``
+    and ``S`` are built on first use, and every condense solves
+    ``A11^{-1} b1`` alone.  Stage two gets both from one stacked solve
+    ``A11^{-1} [A12 | b1]``.
+    """
     op = bs._operator
-    reuse = "S" in op
     rhs = bs.b2.copy()
     coo_r, coo_c, coo_v = [], [], []
+    if op and "S" not in op:
+        op["Y_A"] = [_local_solve(grp, grp.a12) for grp in bs.groups]
+        for grp, y_a in zip(bs.groups, op["Y_A"]):
+            _scatter_symmetric(coo_r, coo_c, coo_v, grp.trace_indices,
+                               -(grp.a12.transpose(0, 2, 1) @ y_a))
+        op["S"] = bs.a22 + _trace_matrix(coo_r, coo_c, coo_v, bs.n_trace)
+        for arr in (*op["Y_A"], op["S"].data, op["S"].indices, op["S"].indptr):
+            arr.setflags(write=False)
     local = []
     for i, grp in enumerate(bs.groups):
-        if reuse:
-            y_b = _local_solve(grp, grp.b1[..., None])[..., 0]
-            _scatter_vector(rhs, grp.trace_indices,
-                            -np.einsum("eij,ei->ej", grp.a12, y_b))
-            local.append((op["Y_A"][i], y_b))
-            continue
-        y = _local_solve(
-            grp, np.concatenate([grp.a12, grp.b1[..., None]], axis=-1))
-        # -A12^T [Y_A | Y_b]: the Schur block and, in the last column, the load
-        z = grp.a12.transpose(0, 2, 1) @ y
-        np.negative(z, out=z)
-        _scatter_symmetric(coo_r, coo_c, coo_v, grp.trace_indices, z[..., :-1])
-        _scatter_vector(rhs, grp.trace_indices, z[..., -1])
-        local.append((y[..., :-1], y[..., -1]))
+        if op:
+            y_a, y_b = op["Y_A"][i], _local_solve(grp, grp.b1[..., None])[..., 0]
+            load = -np.einsum("eij,ei->ej", grp.a12, y_b)
+        else:
+            y = _local_solve(
+                grp, np.concatenate([grp.a12, grp.b1[..., None]], axis=-1))
+            # -A12^T [Y_A | Y_b]: the Schur block and, in the last column, the load
+            z = grp.a12.transpose(0, 2, 1) @ y
+            np.negative(z, out=z)
+            _scatter_symmetric(coo_r, coo_c, coo_v, grp.trace_indices, z[..., :-1])
+            y_a, y_b, load = y[..., :-1], y[..., -1], z[..., -1]
+        _scatter_vector(rhs, grp.trace_indices, load)
+        local.append((y_a, y_b))
 
-    S = op["S"] if reuse else bs.a22 + _trace_matrix(coo_r, coo_c, coo_v,
-                                                     bs.n_trace)
+    S = op["S"] if op else bs.a22 + _trace_matrix(coo_r, coo_c, coo_v,
+                                                  bs.n_trace)
     return CondensedSystem(bs, S, rhs, local, bs.kernel_hint)
 
 
@@ -287,16 +296,15 @@ def _kernel_is_valid(S: sp.csr_matrix, kernel: np.ndarray) -> bool:
 
 def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
     """CG on the condensed SPD trace system, preconditioned by its own
-    factorization; a fresh factor is kept with ``Y_A`` and ``S`` on the
-    operator for a later condense and solve (stage three's) to reuse;
-    returns (x2, report)."""
+    factorization; the factor is kept on a shared operator for every
+    later solve on it to reuse; returns (x2, report)."""
     t0 = time.perf_counter()
     S, dof, op = cond.S, cond.system.dof, cond.system._operator
     fresh = "factor" not in op
-    if fresh:
-        op.update(Y_A=[y_a for y_a, _ in cond.local], S=S, factor=_factorize(
-            S, dof.trace_order("u_hat"), cond.system.stage, "S"))
-    factor = op["factor"]
+    factor = op.get("factor") or _factorize(
+        S, dof.trace_order("u_hat"), cond.system.stage, "S")
+    if op:
+        op["factor"] = factor
     x, iterations, history, stop_reason, rz_hist = _pcg(
         lambda v: S @ v, cond.rhs, factor.solve, config.tol, config.max_iter)
     report = SolveReport(iterations, history[-1],
@@ -309,29 +317,16 @@ def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
 
 
 def _phat_edge_mass(dof) -> sp.csr_matrix:
-    """Edge mass matrix of the pressure trace space (analytic, per edge)."""
+    """Edge mass matrix of the pressure trace space (analytic, per edge):
+    the edge length times the Gram matrix of 1, s, ..., s^(k-1) on [0, 1]."""
     k = dof.trace_fields["p_hat"].per_edge
-    mesh = dof.mesh
     H = 1.0 / (np.add.outer(np.arange(k), np.arange(k)) + 1.0)
-    h_f = mesh.edge_length
-    ne = mesh.num_edges
-    blocks = h_f[:, None, None] * H[None, :, :]
-    base = np.arange(ne)[:, None, None] * k
-    rows = np.broadcast_to(base + np.arange(k)[None, :, None], blocks.shape)
-    cols = np.broadcast_to(base + np.arange(k)[None, None, :], blocks.shape)
-    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(ne * k, ne * k)).tocsr()
+    return sp.kron(sp.diags(dof.mesh.edge_length), H, format="csr")
 
 
 def _saddle_split(cond: CondensedSystem):
-    dof = cond.system.dof
-    tf_p = dof.trace_fields["p_hat"]
-    m = tf_p.offset
-    S = cond.S
-    B11 = S[:m, :m]
-    B12 = S[:m, m:].tocsr()
-    B22c = S[m:, m:].tocsr()
-    return m, B11, B12, B22c
+    m, S = cond.system.dof.trace_fields["p_hat"].offset, cond.S
+    return m, S[:m, :m], S[:m, m:].tocsr(), S[m:, m:].tocsr()
 
 
 def solve_saddle_trace(cond: CondensedSystem,
@@ -371,9 +366,13 @@ def solve_saddle_trace(cond: CondensedSystem,
     # thickness-scaled rotational stiffness of the operator, and the edge
     # mass W (scale rho fitted by one probe) covers the mass-like part
     # contributed through the rotation-trace coupling.  The combination
-    # stays spectrally equivalent uniformly in h and t.
+    # stays spectrally equivalent uniformly in h and t.  The probe is drawn
+    # in ``edge_order``, not in DOF order, so the element and edge numbering
+    # do not move rho; for k >= 2 each edge's s still runs by vertex id.
     W = _phat_edge_mass(dof)
-    probe = np.random.default_rng(0).standard_normal(B12.shape[1])
+    order = dof.trace_order("p_hat") - m
+    probe = np.empty(B12.shape[1])
+    probe[order] = np.random.default_rng(0).standard_normal(len(order))
     if project is not None:
         probe = project(probe)
     coupled = float(probe @ (B21 @ inner.solve(B12 @ probe)))
@@ -391,20 +390,6 @@ def solve_saddle_trace(cond: CondensedSystem,
                          inner.fill + surrogate.fill,
                          inner.seconds + surrogate.seconds)
     return theta_hat, p_hat, report
-
-
-def solve_saddle_direct(cond: CondensedSystem) -> np.ndarray:
-    """Sparse direct fallback/oracle for the whole condensed saddle system.
-
-    The one-dimensional constant-pressure kernel is removed by bordering
-    the matrix with the kernel vector.
-    """
-    S, b = cond.S, cond.rhs
-    if cond.kernel is not None and _kernel_is_valid(S, cond.kernel):
-        z = sp.csr_matrix(cond.kernel.reshape(-1, 1))
-        A = sp.bmat([[S, z], [z.T, None]], format="csc")
-        return spla.splu(A).solve(np.concatenate([b, [0.0]]))[:-1]
-    return spla.splu(S.tocsc()).solve(b)
 
 
 def solve_stage(bs: BlockSystem, config: SolverConfig = SolverConfig()):

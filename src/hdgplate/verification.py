@@ -262,27 +262,43 @@ _COMPONENT_WEIGHTS = {"scalar": (1.0,), "vector2": (1.0, 1.0),
                       "symtensor2x2": (1.0, 1.0, 2.0)}
 
 
+# Points per error chunk: bounds the exact-field table, (components, points)
+_ERROR_CHUNK = 200_000
+
+
 def _squared_errors(flds, exact, quad_degree: int) -> np.ndarray:
     """Squared broken L2 norms of (exact - field) per field; ``exact``
-    returns all fields' components stacked, (total ncomp,) + points.shape."""
-    ncomp = sum(fld.ncomp for fld in flds)
+    returns all fields' components stacked, (total ncomp,) + points.shape.
+    Each batch's rule and its basis per field degree are built on first
+    use and kept, read-only, on the mesh like its element batches."""
+    mesh, ncomp = flds[0].mesh, sum(fld.ncomp for fld in flds)
+    batches = element_batches(mesh)
+    kept = vars(mesh).setdefault("_error_tables", {})
+    if quad_degree not in kept:
+        kept[quad_degree] = [dict(zip(("pts", "w"), b.volume_rule(quad_degree)))
+                             for b in batches]
     acc = np.zeros(len(flds))
-    for batch in element_batches(flds[0].mesh):
-        pts, w = batch.volume_rule(quad_degree)
-        ex = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
-        ex = ex.reshape((-1,) + w.shape)
-        if ex.shape[0] != ncomp:
-            raise ValueError(f"exact field has {ex.shape[0]} components, "
-                             f"discrete field has {ncomp}")
-        basis = {d: fs.scalar_vals(fs.monomial_exponents(d), batch.centroid,
-                                   batch.h, pts)
-                 for d in {fld.degree for fld in flds}}
-        rows = iter(ex)
-        for slot, fld in enumerate(flds):
-            vals = fld.combine(batch, basis[fld.degree])
-            for c, wc in enumerate(_COMPONENT_WEIGHTS[fld.rank]):
-                diff = next(rows) - vals[:, c, :]
-                acc[slot] += wc * float(np.einsum("eq,eq->", diff ** 2, w))
+    for batch, tab in zip(batches, kept[quad_degree]):
+        for d in {fld.degree for fld in flds} - tab.keys():
+            tab[d] = fs.scalar_vals(fs.monomial_exponents(d), batch.centroid,
+                                    batch.h, tab["pts"])
+        for arr in tab.values():
+            arr.setflags(write=False)
+        step = max(1, _ERROR_CHUNK // tab["w"].shape[1])
+        for start in range(0, len(batch.ids), step):
+            part = slice(start, start + step)
+            pts, w = tab["pts"][part], tab["w"][part]
+            ex = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
+            ex = ex.reshape((-1,) + w.shape)
+            if ex.shape[0] != ncomp:
+                raise ValueError(f"exact field has {ex.shape[0]} components, "
+                                 f"discrete field has {ncomp}")
+            rows = iter(ex)
+            for slot, fld in enumerate(flds):
+                vals = fld.combine(batch.ids[part], tab[fld.degree][part])
+                for c, wc in enumerate(_COMPONENT_WEIGHTS[fld.rank]):
+                    diff = next(rows) - vals[:, c, :]
+                    acc[slot] += wc * float(np.einsum("eq,eq->", diff ** 2, w))
     return acc
 
 

@@ -1,15 +1,19 @@
 """Reference evaluations that only the tests use.
 
-They trade speed for accuracy: exact rational arithmetic, or
-``np.longdouble`` where a whole error norm has to be recomputed.
+They trade speed for accuracy: exact rational arithmetic,
+``np.longdouble`` where a whole error norm has to be recomputed, or a
+dense or sparse direct solve of a whole block system.
 """
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hdgplate import femspace as fs
+from hdgplate import solver as slv
 from hdgplate import verification as vf
 
 
@@ -74,3 +78,38 @@ def table_errors_longdouble(fields, exact, quad_degree=vf.ERROR_DEGREE):
     errs = [np.sqrt(a) for a in acc]
     errs[1] *= to_longdouble(fields.material.t)
     return errs
+
+
+def monolithic_dense(bs) -> tuple[np.ndarray, np.ndarray]:
+    """The uncondensed symmetric system (interior + trace) of the
+    ``BlockSystem`` ``bs`` as dense arrays."""
+    n1 = bs.dof.n_interior_per_element
+    ni, nt = bs.n_interior, bs.n_trace
+    A = np.zeros((ni + nt, ni + nt))
+    b = np.zeros(ni + nt)
+    A[ni:, ni:] = bs.a22.toarray()
+    b[ni:] = bs.b2
+    for g in bs.groups:
+        for row in range(len(g.batch.ids)):
+            i0 = g.batch.ids[row] * n1
+            A[i0:i0 + n1, i0:i0 + n1] = g.a11[row]
+            cols = g.trace_indices[row]
+            keep = cols >= 0
+            A[i0:i0 + n1, ni + cols[keep]] = g.a12[row][:, keep]
+            A[ni + cols[keep], i0:i0 + n1] = g.a12[row][:, keep].T
+            b[i0:i0 + n1] = g.b1[row]
+    return A, b
+
+
+def solve_saddle_direct(cond) -> np.ndarray:
+    """Sparse direct solve of a whole condensed saddle system.
+
+    The one-dimensional constant-pressure kernel is removed by bordering
+    the matrix with the kernel vector.
+    """
+    S, b = cond.S, cond.rhs
+    if cond.kernel is not None and slv._kernel_is_valid(S, cond.kernel):
+        z = sp.csr_matrix(cond.kernel.reshape(-1, 1))
+        A = sp.bmat([[S, z], [z.T, None]], format="csc")
+        return spla.splu(A).solve(np.concatenate([b, [0.0]]))[:-1]
+    return spla.splu(S.tocsc()).solve(b)

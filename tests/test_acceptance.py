@@ -16,6 +16,7 @@ from hdgplate import solver as slv
 from hdgplate import verification as vf
 from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import generate_structured
+from oracles import monolithic_dense
 
 # published table cells for k=1, t=1, triangles: n -> (iter, theta, tgamma,
 # sigma, omega)
@@ -136,7 +137,7 @@ def _oracle_case(kind, n, k, t):
 
     bs1 = asm.assemble_step1(mesh, spaces, exact.g[0])
     x1, x2, _ = slv.solve_stage(bs1, cfg)
-    A, b = bs1.monolithic_dense()
+    A, b = monolithic_dense(bs1)
     ref = np.linalg.solve(A, b)
     ni = bs1.n_interior
     worst = max(worst, compare(x1.ravel(), ref[:ni]), compare(x2, ref[ni:]))
@@ -144,7 +145,7 @@ def _oracle_case(kind, n, k, t):
     L = DiscreteField(mesh, k - 1, "vector2", x1[:, bs1.dof.interior_slice("flux")])
     bs2 = asm.assemble_step2(mesh, spaces, mat, L)
     y1, y2, _ = slv.solve_stage(bs2, cfg)
-    A2, b2 = bs2.monolithic_dense()
+    A2, b2 = monolithic_dense(bs2)
     ref2, *_ = np.linalg.lstsq(A2, b2, rcond=None)
     ni2 = bs2.n_interior
     y1r = ref2[:ni2].reshape(mesh.num_elements, -1)
@@ -159,7 +160,7 @@ def _oracle_case(kind, n, k, t):
     theta = DiscreteField(mesh, k, "vector2", y1[:, bs2.dof.interior_slice("theta")])
     bs3 = asm.assemble_step3(bs1, mat, theta, exact.g[0])
     z1, z2, _ = slv.solve_stage(bs3, cfg)
-    A3, b3 = bs3.monolithic_dense()
+    A3, b3 = monolithic_dense(bs3)
     ref3 = np.linalg.solve(A3, b3)
     worst = max(worst, compare(z1.ravel(), ref3[:bs3.n_interior]),
                 compare(z2, ref3[bs3.n_interior:]))

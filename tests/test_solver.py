@@ -12,6 +12,7 @@ from hdgplate import verification as vf
 from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import Mesh, generate_structured
 from meshes import mixed_group_mesh, mixed_strip, renumbered_grid
+from oracles import solve_saddle_direct
 
 
 def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None):
@@ -301,7 +302,7 @@ class TestSaddle:
         cond = slv.condense(bs)
         th, ph, _ = slv.solve_saddle_trace(cond)
         x_cg = np.concatenate([th, ph])
-        x_direct = slv.solve_saddle_direct(cond)
+        x_direct = solve_saddle_direct(cond)
         m = bs.dof.trace_fields["p_hat"].offset
         z = cond.kernel
         x_direct = x_direct - (x_direct @ z) * z  # same kernel gauge
@@ -401,13 +402,14 @@ class TestTraceFactorization:
         assert fields.reports["step3"].factor_time == 0
 
     def test_saddle_operator_not_kept(self):
-        # only solve_spd keeps an operator: stage two's Y_A and S are
-        # freed with its condensed system
+        # only the Poisson stages share an operator: stage two's Y_A and S
+        # are freed with its condensed system
         mat = PlateMaterial(t=0.1)
         mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
         bs1 = asm.assemble_step1(mesh, SpaceConfig(1), ex.g[0])
         x1, _, _ = slv.solve_stage(bs1)
-        assert set(bs1._operator) == {"Y_A", "S", "factor"}
+        assert set(bs1._operator) == {"groups", "a22", "source",
+                                      "Y_A", "S", "factor"}
         bs2 = asm.assemble_step2(mesh, SpaceConfig(1), mat,
                                  bs1.dof.field("flux", x1))
         slv.solve_stage(bs2)
@@ -437,9 +439,24 @@ class TestTraceFactorization:
         mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
         fields = vf.solve_plate(mesh, SpaceConfig(1), mat, ex)
         assert calls == {"_factorize": 3, "_assemble_poisson_operator": 1}
-        # the shared operator and its factor do not outlive the solve
+        assert fields.reports["step1"].factor_fill > 0
+        # the stage-one system does not outlive the solve
         gc.collect()
         assert len(refs) == 1 and refs[0]() is None and fields.omega.coeffs.any()
+        # a second solve on the mesh, at another t, reuses the operator and
+        # its factor, and factors stage two's blocks only
+        mat = PlateMaterial(t=1e-6)
+        fields = vf.solve_plate(mesh, SpaceConfig(1), mat, vf.exact_fields(mat))
+        assert calls == {"_factorize": 1 + 2 * 2, "_assemble_poisson_operator": 1}
+        for stage in ("step1", "step3"):
+            assert fields.reports[stage].factor_fill == 0
+            assert fields.reports[stage].factor_time == 0
+        assert fields.reports["step2"].factor_fill > 0
+        # the operator and its factor do not outlive the mesh
+        S = weakref.ref(mesh._poisson_operators[1]["S"])
+        del mesh, fields
+        gc.collect()
+        assert S() is None
 
 
 class TestBackSubstitution:
@@ -475,3 +492,72 @@ class TestDeterminism:
             assert np.array_equal(getattr(a, name).coeffs,
                                   getattr(b, name).coeffs)
         assert np.array_equal(a.p_hat, b.p_hat)
+
+
+_FIELDS = ("L", "r", "sigma", "R", "theta", "p", "G", "omega", "gamma")
+_TRACES = ("r_hat", "theta_hat", "p_hat", "omega_hat")
+
+
+class TestMeshCache:
+    """The Poisson operator and the error tables are kept on the mesh."""
+
+    @pytest.mark.parametrize("kind,k", [("triangle", 1), ("quadrilateral", 2)])
+    def test_t_sweep_equals_fresh_meshes(self, kind, k):
+        shared = generate_structured(kind, 4)
+        for t in (1.0, 1e-2, 1e-6):
+            mat = PlateMaterial(t=t)
+            ex = vf.exact_fields(mat)
+            swept = vf.solve_plate(shared, SpaceConfig(k), mat, ex)
+            fresh = vf.solve_plate(generate_structured(kind, 4), SpaceConfig(k),
+                                   mat, ex)
+            for name in _FIELDS:
+                assert np.array_equal(getattr(swept, name).coeffs,
+                                      getattr(fresh, name).coeffs), (t, name)
+            for name in _TRACES:
+                assert np.array_equal(getattr(swept, name),
+                                      getattr(fresh, name)), (t, name)
+            for stage, rep in swept.reports.items():
+                assert rep.iterations == fresh.reports[stage].iterations
+            assert vf.table_errors(swept, ex) == vf.table_errors(fresh, ex)
+
+    def test_freed_with_mesh_by_reference_counting(self):
+        mat = PlateMaterial(t=1e-2)
+        ex = vf.exact_fields(mat)
+        gc.collect()
+        gc.disable()
+        try:
+            mesh = generate_structured("quadrilateral", 2)
+            fields = vf.solve_plate(mesh, SpaceConfig(2), mat, ex)
+            vf.table_errors(fields, ex)
+            op = mesh._poisson_operators[2]
+            kept = [op["a22"].data, op["S"].data, op["S"].indices, *op["Y_A"],
+                    *(getattr(g, a) for g in op["groups"]
+                      for a in ("a11", "a12", "trace_indices")),
+                    *(a for rule in op["source"] for a in rule),
+                    *(a for tables in mesh._error_tables.values()
+                      for tab in tables for a in tab.values())]
+            for arr in kept:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
+            ref = weakref.ref(mesh)
+            del mesh, fields, op, kept
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("kind,n,k,t", [("triangle", 16, 1, 1e-2),
+                                            ("quadrilateral", 8, 2, 1e-6)])
+    def test_outer_iterations_do_not_depend_on_numbering(self, kind, n, k, t):
+        mat = PlateMaterial(t=t)
+        ex = vf.exact_fields(mat)
+        reports = [vf.solve_plate(mesh, SpaceConfig(k), mat, ex).reports["step2"]
+                   for mesh in (generate_structured(kind, n),
+                                *(Mesh(*renumbered_grid(kind, n, seed))
+                                  for seed in (1, 2)))]
+        assert len({rep.iterations for rep in reports}) == 1
+        if k == 1:
+            # one constant per edge: the surrogate's probe, and with it the
+            # whole outer CG, is the same up to round-off
+            for rep in reports[1:]:
+                assert np.allclose(rep.residual_history,
+                                   reports[0].residual_history, rtol=1e-9)
