@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import femspace as fs
 from .femspace import ElementBatch, element_batches
@@ -342,18 +341,20 @@ class ElementBlockGroup:
     batch: ElementBatch
     a11: np.ndarray           # (ne, n1, n1)
     a12: np.ndarray           # (ne, n1, ntl)
+    a22: np.ndarray           # (ne, ntl, ntl)
     b1: np.ndarray            # (ne, n1)
+    b2: np.ndarray            # (ne, ntl)
     trace_indices: np.ndarray  # (ne, ntl), -1 for eliminated trace dofs
 
 
 @dataclass
 class BlockSystem:
-    """Symmetric two-by-two block system with element-diagonal interior block."""
+    """Symmetric two-by-two block system with element-diagonal interior
+    block, kept as element-local blocks; only ``solver`` scatters the
+    trace blocks into sparse form."""
 
     dof: StageDofMap
     groups: list[ElementBlockGroup]
-    a22: sp.csr_matrix
-    b2: np.ndarray
     kernel_hint: np.ndarray | None = None
     stage: str = ""
     # the Poisson stages' shared operator, kept on the mesh (see
@@ -412,30 +413,6 @@ def _stab_volume_block(C, E):
     return np.einsum("emi,emj->eij", C, np.linalg.solve(E, C), optimize=True)
 
 
-def _scatter_symmetric(coo_rows, coo_cols, coo_vals, idx, local):
-    """Collect a batched local trace block into COO lists, dropping -1 dofs."""
-    ne, m, n = local.shape
-    rows = np.broadcast_to(idx[:, :, None], (ne, m, n))
-    cols = np.broadcast_to(idx[:, None, :], (ne, m, n))
-    keep = (rows >= 0) & (cols >= 0)
-    coo_rows.append(rows[keep])
-    coo_cols.append(cols[keep])
-    coo_vals.append(local[keep])
-
-
-def _scatter_vector(vec, idx, local):
-    keep = idx >= 0
-    np.add.at(vec, idx[keep], local[keep])
-
-
-def _trace_matrix(coo_rows, coo_cols, coo_vals, n):
-    """(n, n) CSR matrix summing the blocks collected by _scatter_symmetric."""
-    return sp.coo_matrix(
-        (np.concatenate(coo_vals),
-         (np.concatenate(coo_rows), np.concatenate(coo_cols))),
-        shape=(n, n)).tocsr()
-
-
 # ----------------------------------------------------------------------
 # stage one / three operator (kept on the mesh, shared by both stages)
 
@@ -447,7 +424,6 @@ def _assemble_poisson_operator(dof, k, degrees):
     sl_r = dof.interior_slice("primal")
 
     groups, source = [], []
-    coo_r, coo_c, coo_v = [], [], []
     for batch in element_batches(dof.mesh):
         ne, nv = len(batch.ids), batch.nv
         Mss, EX, EY, edges = _local_matrices(batch, k, k - 1, degrees)
@@ -460,6 +436,7 @@ def _assemble_poisson_operator(dof, k, degrees):
 
         ntl = nv * k
         a12 = np.zeros((ne, n1, ntl))
+        a22 = np.zeros((ne, ntl, ntl))
         trace_idx = np.empty((ne, ntl), dtype=int)
         # alpha1 does not depend on the thickness
         alpha1 = stabilization(batch.h, PlateMaterial())[0]
@@ -474,29 +451,26 @@ def _assemble_poisson_operator(dof, k, degrees):
                 a12[:, sl, cols] = (nrm[:, u, None, None]
                                     * Cv[:, :, :Ts].transpose(0, 2, 1))
             a12[:, sl_r, cols] = -alpha1[:, None, None] * Cv.transpose(0, 2, 1)
+            a22[:, cols, cols] = alpha1[:, None, None] * Ee
+            trace_idx[:, cols] = tf.dofs(batch.edge_ids[:, e])
 
-            idx = tf.dofs(batch.edge_ids[:, e])
-            trace_idx[:, cols] = idx
-            _scatter_symmetric(coo_r, coo_c, coo_v, idx,
-                               alpha1[:, None, None] * Ee)
-
-        # the loads differ per solve: each stage replaces b1
-        groups.append(ElementBlockGroup(batch, a11, a12, None, trace_idx))
+        # the loads differ per solve: each stage sets b1 and b2
+        groups.append(ElementBlockGroup(batch, a11, a12, a22, None, None,
+                                        trace_idx))
         pts, w = batch.volume_rule(degrees["source_degree"])
         source.append((pts, w, fs.scalar_vals(fs.monomial_exponents(k),
                                                batch.centroid, batch.h, pts)))
 
-    a22 = _trace_matrix(coo_r, coo_c, coo_v, dof.n_trace)
-    for arr in (a22.data, a22.indices, a22.indptr, *(
-            a for g in groups for a in (g.a11, g.a12, g.trace_indices)),
-            *(a for rule in source for a in rule)):
+    for arr in (*(a for g in groups
+                  for a in (g.a11, g.a12, g.a22, g.trace_indices)),
+                *(a for rule in source for a in rule)):
         arr.setflags(write=False)
-    return {"groups": groups, "a22": a22, "source": source}
+    return {"groups": groups, "source": source}
 
 
 def _poisson_operator(dof: StageDofMap) -> dict:
-    """The stage one/three operator on ``dof``: groups without loads,
-    ``a22`` and per batch the source rule's points, weights and P_k basis;
+    """The stage one/three operator on ``dof``: groups without loads and
+    per batch the source rule's points, weights and P_k basis;
     ``solver`` adds ``Y_A``, ``S`` and its factor.  None of it depends on
     t or the load, or refers to the mesh, so it is built on first use and
     kept on the mesh, for its lifetime."""
@@ -520,16 +494,15 @@ def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
         b1 = np.zeros(grp.a11.shape[:2])
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
         b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, gvals, w)
-        groups.append(replace(grp, b1=b1))
-    return BlockSystem(dof, groups, op["a22"], np.zeros(dof.n_trace),
-                       stage="step1", _operator=op)
+        groups.append(replace(grp, b1=b1, b2=np.zeros(grp.trace_indices.shape)))
+    return BlockSystem(dof, groups, stage="step1", _operator=op)
 
 
 def assemble_step3(step1: BlockSystem, material: PlateMaterial,
                    theta: DiscreteField, g: Callable) -> BlockSystem:
     """Stage-three system for the deflection, driven by the stage-two rotation:
     stage one's read-only operator, ``_operator`` and source rule with new
-    ``b1``, ``b2``."""
+    loads ``b1``, ``b2``."""
     if step1.stage != "step1":
         raise ValueError("stage-three assembly needs the stage-one system, "
                          f"not a {step1.stage!r} system")
@@ -543,7 +516,6 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
                          f"the stage-one system k={k}")
     edge_degree = fs.quadrature_degrees(k)["edge_degree"]
     sl_r = dof.interior_slice("primal")
-    b2 = np.zeros(dof.n_trace)
     scale = material.t ** 2 / material.lam
 
     groups = []
@@ -553,19 +525,19 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
         divth = theta.divergence_batched(batch, pts)
         b1 = np.zeros_like(grp.b1)
         b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, scale * gvals - divth, w)
-        groups.append(replace(grp, b1=b1))
 
-        # trace load <theta . n, s_hat>assembled from both adjacent elements
+        # trace load <theta . n, s_hat>, per element and local edge
+        b2 = np.zeros_like(grp.b2)
         for e in range(batch.nv):
             epts, ew, s = batch.edge_rule(e, edge_degree + k)
             ehat = fs.power_table(s, k - 1)
             thv = theta.values_batched(batch, epts)
             th_n = np.einsum("ecq,ec->eq", thv, batch.normals[:, e, :])
-            load = np.einsum("emq,eq,eq->em", ehat, th_n, ew)
-            _scatter_vector(b2, grp.trace_indices[:, e * k:(e + 1) * k], load)
+            b2[:, e * k:(e + 1) * k] = np.einsum("emq,eq,eq->em",
+                                                 ehat, th_n, ew)
+        groups.append(replace(grp, b1=b1, b2=b2))
 
-    return BlockSystem(dof, groups, step1.a22, b2, stage="step3",
-                       _operator=step1._operator)
+    return BlockSystem(dof, groups, stage="step3", _operator=step1._operator)
 
 
 # ----------------------------------------------------------------------
@@ -596,8 +568,6 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     exps_v = fs.monomial_exponents(k)
 
     groups = []
-    coo_r, coo_c, coo_v = [], [], []
-
     for batch in element_batches(mesh):
         ne, nv = len(batch.ids), batch.nv
         Mss, EX, EY, edges = _local_matrices(batch, k, l, degrees)
@@ -629,6 +599,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
 
         ntl = nv * (m_th + k)
         a12 = np.zeros((ne, n1, ntl))
+        a22 = np.zeros((ne, ntl, ntl))
         trace_idx = np.empty((ne, ntl), dtype=int)
         _, alpha2, alpha3 = stabilization(batch.h, material)
 
@@ -664,17 +635,11 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
                     -tang[:, u, None, None] * Ckv.transpose(0, 2, 1)
             a12[:, sl_p, sl_phat] = alpha3[:, None, None] * Ckv.transpose(0, 2, 1)
 
-            idx_th = tf_th.dofs(batch.edge_ids[:, e])  # (ne, 2(l+1))
-            idx_p = tf_p.dofs(batch.edge_ids[:, e])
-            trace_idx[:, c_th:c_th + m_th] = idx_th
-            trace_idx[:, sl_phat] = idx_p
-
-            a22_th = np.zeros((ne, m_th, m_th))
-            a22_th[:, :l + 1, :l + 1] = alpha2[:, None, None] * El
-            a22_th[:, l + 1:, l + 1:] = alpha2[:, None, None] * El
-            _scatter_symmetric(coo_r, coo_c, coo_v, idx_th, a22_th)
-            _scatter_symmetric(coo_r, coo_c, coo_v, idx_p,
-                               -alpha3[:, None, None] * Ek)
+            for sl in sl_that:
+                a22[:, sl, sl] = alpha2[:, None, None] * El
+            a22[:, sl_phat, sl_phat] = -alpha3[:, None, None] * Ek
+            trace_idx[:, c_th:c_th + m_th] = tf_th.dofs(batch.edge_ids[:, e])
+            trace_idx[:, sl_phat] = tf_p.dofs(batch.edge_ids[:, e])
 
         # load: (L + f, phi) on the rotation test rows
         b1 = np.zeros((ne, n1))
@@ -688,9 +653,8 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         for u in range(2):
             b1[:, sl_th[u]] = np.einsum("enq,eq,eq->en", Vv_s, load[:, u, :], sw)
 
-        groups.append(ElementBlockGroup(batch, a11, a12, b1, trace_idx))
-
-    a22 = _trace_matrix(coo_r, coo_c, coo_v, dof.n_trace)
+        groups.append(ElementBlockGroup(batch, a11, a12, a22, b1,
+                                        np.zeros((ne, ntl)), trace_idx))
 
     # the condensed system annihilates constant pressure: mark that mode
     kernel = np.zeros(dof.n_trace)
@@ -698,8 +662,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     kernel[const_modes] = 1.0
     kernel /= np.linalg.norm(kernel)
 
-    return BlockSystem(dof, groups, a22, np.zeros(dof.n_trace),
-                       kernel_hint=kernel, stage="step2")
+    return BlockSystem(dof, groups, kernel_hint=kernel, stage="step2")
 
 
 def shift_pressure_to_zero_mean(bs: BlockSystem, x1: np.ndarray,

@@ -68,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kappa", type=float, default=PlateMaterial.kappa)
         p.add_argument("--tol", type=float, default=SolverConfig.tol)
         p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-        p.add_argument("--seed", type=int, default=0,
-                       help="recorded in run metadata")
 
     solve_p = sub.add_parser("solve", help="solve one level, print errors")
     common(solve_p)
@@ -93,22 +91,19 @@ def _materials(args):
     return material, spaces, config
 
 
-def _metadata(args, material, spaces, config, extra=None):
+def _metadata(material, spaces, config, **extra):
     from .femspace import quadrature_degrees
     from .verification import ERROR_DEGREE
-    meta = {
+    return {
         "material": asdict(material),
         "k": spaces.k,
         "l": spaces.l,
         "solver": asdict(config),
         "quadrature": dict(quadrature_degrees(spaces.k),
                            error_degree=ERROR_DEGREE),
-        "seed": args.seed,
         "git_revision": _git_revision(),
+        **extra,
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _cmd_solve(args) -> int:
@@ -145,17 +140,15 @@ def _cmd_convergence(args) -> int:
     with open(args.out, "w") as stream:
         table.write_csv(stream)
 
-    meta = _metadata(args, material, spaces, config, extra={
-        "mesh_kind": args.mesh,
-        "levels": levels,
-        "iterations": [r.iterations for r in table.reports],
-        "stop_reasons": [r.stop_reasons for r in table.reports],
-        "kernel_rejected": [r.kernel_rejected for r in table.reports],
-        "factor_fill": [r.factor_fill for r in table.reports],
-        "factor_time": [r.factor_time for r in table.reports],
-        "wall_times": [r.wall_time for r in table.reports],
-        "peak_rss_mb": [r.peak_rss_mb for r in table.reports],
-    })
+    meta = _metadata(
+        material, spaces, config, mesh_kind=args.mesh, levels=levels,
+        iterations=[r.iterations for r in table.reports],
+        stop_reasons=[r.stop_reasons for r in table.reports],
+        kernel_rejected=[r.kernel_rejected for r in table.reports],
+        factor_fill=[r.factor_fill for r in table.reports],
+        factor_time=[r.factor_time for r in table.reports],
+        wall_times=[r.wall_time for r in table.reports],
+        peak_rss_mb=[r.peak_rss_mb for r in table.reports])
     with open(args.out + ".meta.json", "w") as stream:
         json.dump(meta, stream, indent=2)
         stream.write("\n")

@@ -11,6 +11,7 @@ quantities single-valued across element interfaces.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from functools import cached_property
 from itertools import chain
@@ -89,6 +90,9 @@ class Mesh:
         self.points = np.array(points, dtype=float)  # read-only copy
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be a (V, 2) array")
+        bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
+        if bad.size:
+            raise ValueError(f"vertex {bad[0]} has a non-finite coordinate")
         loops = [tuple(map(int, loop)) for loop in loops]
         if not loops:
             raise MeshTopologyError("mesh has no elements")
@@ -294,6 +298,8 @@ def generate_structured(kind: str, n: int) -> Mesh:
     upper-right diagonal) or ``"quadrilateral"`` (axis-aligned squares).
     Cells are numbered row by row from the lower-left corner.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n={n!r} must be an integer")
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind not in ("triangle", "quadrilateral"):
@@ -366,6 +372,8 @@ def load_mesh(stream: TextIO) -> Mesh:
             points[i] = [float(parts[0]), float(parts[1])]
         except ValueError:
             raise MeshFormatError(ln, f"bad coordinate in {line!r}") from None
+        if not np.isfinite(points[i]).all():
+            raise MeshFormatError(ln, f"non-finite coordinate in {line!r}")
 
     ln, eline = next_line()
     parts = eline.split()

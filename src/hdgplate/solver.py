@@ -26,8 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (BlockSystem, _scatter_symmetric, _scatter_vector,
-                       _trace_matrix)
+from .assembly import BlockSystem
 
 __all__ = [
     "SolverConfig",
@@ -132,43 +131,70 @@ def _local_solve(grp, rhs: np.ndarray) -> np.ndarray:
     raise SingularElementBlockError(int(grp.batch.ids[np.argmin(ok)]))
 
 
+def _coo_block(idx: np.ndarray, local: np.ndarray):
+    """(rows, cols, values) of a batched local trace block, without the
+    entries of eliminated (-1) dofs."""
+    rows = np.broadcast_to(idx[:, :, None], local.shape)
+    cols = np.broadcast_to(idx[:, None, :], local.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], local[keep]
+
+
+def _trace_matrix(blocks, n: int) -> sp.csr_matrix:
+    """(n, n) CSR sum of the ``_coo_block`` triplets, without exact zeros."""
+    rows, cols, vals = zip(*blocks)
+    # concatenated inline, so that the int64 index arrays are freed as
+    # soon as coo_matrix has made its int32 copies
+    S = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                              np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+    S.eliminate_zeros()
+    return S
+
+
+def _scatter_vector(vec: np.ndarray, idx: np.ndarray, local: np.ndarray):
+    """Add a batched local trace vector into ``vec``, dropping -1 dofs."""
+    keep = idx >= 0
+    np.add.at(vec, idx[keep], local[keep])
+
+
 def condense(bs: BlockSystem) -> CondensedSystem:
     """Eliminate interior unknowns element-by-element (never globally).
 
-    The Poisson stages share an operator kept on the mesh: its ``Y_A``
-    and ``S`` are built on first use, and every condense solves
-    ``A11^{-1} b1`` alone.  Stage two gets both from one stacked solve
-    ``A11^{-1} [A12 | b1]``.
+    This is the one place where trace blocks become sparse: ``S`` sums
+    the local ``A22 - A12^T A11^{-1} A12`` and ``rhs`` the local
+    ``b2 - A12^T A11^{-1} b1``.  The Poisson stages share an operator
+    kept on the mesh: its ``Y_A`` and ``S`` are built on first use, and
+    every condense solves ``A11^{-1} b1`` alone.  Stage two gets both
+    from one stacked solve ``A11^{-1} [A12 | b1]``.
     """
     op = bs._operator
-    rhs = bs.b2.copy()
-    coo_r, coo_c, coo_v = [], [], []
     if op and "S" not in op:
         op["Y_A"] = [_local_solve(grp, grp.a12) for grp in bs.groups]
-        for grp, y_a in zip(bs.groups, op["Y_A"]):
-            _scatter_symmetric(coo_r, coo_c, coo_v, grp.trace_indices,
-                               -(grp.a12.transpose(0, 2, 1) @ y_a))
-        op["S"] = bs.a22 + _trace_matrix(coo_r, coo_c, coo_v, bs.n_trace)
+        op["S"] = _trace_matrix(
+            [_coo_block(grp.trace_indices,
+                        grp.a22 - grp.a12.transpose(0, 2, 1) @ y_a)
+             for grp, y_a in zip(bs.groups, op["Y_A"])], bs.n_trace)
         for arr in (*op["Y_A"], op["S"].data, op["S"].indices, op["S"].indptr):
             arr.setflags(write=False)
-    local = []
+    rhs = np.zeros(bs.n_trace)
+    blocks, local = [], []
     for i, grp in enumerate(bs.groups):
         if op:
             y_a, y_b = op["Y_A"][i], _local_solve(grp, grp.b1[..., None])[..., 0]
-            load = -np.einsum("eij,ei->ej", grp.a12, y_b)
+            z_b = np.einsum("eij,ei->ej", grp.a12, y_b)
         else:
             y = _local_solve(
                 grp, np.concatenate([grp.a12, grp.b1[..., None]], axis=-1))
-            # -A12^T [Y_A | Y_b]: the Schur block and, in the last column, the load
+            # A12^T [Y_A | Y_b]: the Schur block and, in the last column, the load
             z = grp.a12.transpose(0, 2, 1) @ y
-            np.negative(z, out=z)
-            _scatter_symmetric(coo_r, coo_c, coo_v, grp.trace_indices, z[..., :-1])
-            y_a, y_b, load = y[..., :-1], y[..., -1], z[..., -1]
-        _scatter_vector(rhs, grp.trace_indices, load)
+            np.subtract(grp.a22, z[..., :-1], out=z[..., :-1])
+            blocks.append(_coo_block(grp.trace_indices, z[..., :-1]))
+            y_a, y_b, z_b = y[..., :-1], y[..., -1], z[..., -1]
+        _scatter_vector(rhs, grp.trace_indices, grp.b2 - z_b)
         local.append((y_a, y_b))
 
-    S = op["S"] if op else bs.a22 + _trace_matrix(coo_r, coo_c, coo_v,
-                                                  bs.n_trace)
+    S = op["S"] if op else _trace_matrix(blocks, bs.n_trace)
     return CondensedSystem(bs, S, rhs, local, bs.kernel_hint)
 
 
@@ -185,9 +211,8 @@ def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
 
 def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
     """Relative residual of the uncondensed block system."""
-    r2 = bs.a22 @ x2 - bs.b2
-    rnorm2 = 0.0
-    bnorm2 = float(np.dot(bs.b2, bs.b2))
+    r2, b2 = np.zeros(bs.n_trace), np.zeros(bs.n_trace)
+    rnorm2 = bnorm2 = 0.0
     for grp in bs.groups:
         x1g = x1[grp.batch.ids]
         x2loc = np.where(grp.trace_indices >= 0,
@@ -197,8 +222,11 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
         rnorm2 += float((r1 ** 2).sum())
         bnorm2 += float((grp.b1 ** 2).sum())
         _scatter_vector(r2, grp.trace_indices,
-                        np.einsum("eij,ei->ej", grp.a12, x1g))
+                        np.einsum("eij,ei->ej", grp.a12, x1g)
+                        + np.einsum("eij,ej->ei", grp.a22, x2loc) - grp.b2)
+        _scatter_vector(b2, grp.trace_indices, grp.b2)
     rnorm2 += float((r2 ** 2).sum())
+    bnorm2 += float((b2 ** 2).sum())
     return np.sqrt(rnorm2) / max(np.sqrt(bnorm2), 1e-300)
 
 

@@ -447,6 +447,8 @@ def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
     related by doubling get rate entries.  The reported iteration count
     is the outer CG iteration count of the stage-two trace solve.
     """
+    if kind not in _KIND_ALIASES:
+        raise ValueError(f"unknown mesh kind {kind!r}")
     kind = _KIND_ALIASES[kind]
     exact = exact_fields(material)
     table = RateTable(kind, spaces, material)

@@ -87,8 +87,6 @@ def monolithic_dense(bs) -> tuple[np.ndarray, np.ndarray]:
     ni, nt = bs.n_interior, bs.n_trace
     A = np.zeros((ni + nt, ni + nt))
     b = np.zeros(ni + nt)
-    A[ni:, ni:] = bs.a22.toarray()
-    b[ni:] = bs.b2
     for g in bs.groups:
         for row in range(len(g.batch.ids)):
             i0 = g.batch.ids[row] * n1
@@ -97,7 +95,10 @@ def monolithic_dense(bs) -> tuple[np.ndarray, np.ndarray]:
             keep = cols >= 0
             A[i0:i0 + n1, ni + cols[keep]] = g.a12[row][:, keep]
             A[ni + cols[keep], i0:i0 + n1] = g.a12[row][:, keep].T
+            A[np.ix_(ni + cols[keep], ni + cols[keep])] += \
+                g.a22[row][np.ix_(keep, keep)]
             b[i0:i0 + n1] = g.b1[row]
+            b[ni + cols[keep]] += g.b2[row][keep]
     return A, b
 
 

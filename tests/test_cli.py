@@ -67,7 +67,7 @@ class TestConvergenceCommand:
             assert fill["step1"] > 0 and fill["step2"] > 0
             assert seconds["step1"] > 0 and seconds["step2"] > 0
             assert fill["step3"] == 0 and seconds["step3"] == 0
-        assert "git_revision" in meta
+        assert "git_revision" in meta and "seed" not in meta
         rss = meta["peak_rss_mb"]
         assert len(rss) == 2 and rss[0] > 0 and rss[1] >= rss[0]
 

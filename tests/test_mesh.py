@@ -55,8 +55,10 @@ class TestGenerators:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             generate_structured("triangle", 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown mesh kind 'hex'"):
             generate_structured("hex", 2)
+        with pytest.raises(ValueError, match=r"^n=2.5 must be an integer$"):
+            generate_structured("quadrilateral", 2.5)
 
     @pytest.mark.parametrize("kind", ["triangle", "quadrilateral"])
     def test_euler_relation(self, kind):
@@ -269,6 +271,12 @@ class TestTopologyErrors:
                            match=r"^element 2 references unknown vertex$"):
             Mesh(MIXED_POINTS, [(1, 2, 5), (2, 3, 5), (3, 4, bad)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex(self, bad):
+        with pytest.raises(ValueError,
+                           match=r"^vertex 2 has a non-finite coordinate$"):
+            Mesh([[0, 0], [1, 0], [bad, 1]], [[0, 1, 2]])
+
     def test_degenerate_edge(self):
         # vertices 3 and 4 coincide; the loops are CCW and convex
         points = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [2, 1], [0, 1.0]])
@@ -316,6 +324,12 @@ class TestIO:
         with pytest.raises(MeshFormatError) as err:
             load_mesh(io.StringIO(text))
         assert err.value.line == 4
+
+    def test_non_finite_coordinate_is_parse_error(self):
+        text = "polymesh 1\nvertices 3\n0 0\n1 0\nnan 1\nelements 1\n3 0 1 2\n"
+        with pytest.raises(MeshFormatError,
+                           match=r"^line 5: non-finite coordinate in 'nan 1'$"):
+            load_mesh(io.StringIO(text))
 
     def test_bad_header(self):
         with pytest.raises(MeshFormatError):

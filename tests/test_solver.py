@@ -16,19 +16,22 @@ from oracles import solve_saddle_direct
 
 
 def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None):
-    """Single-group BlockSystem with hand-built blocks for formula tests."""
+    """Single-group BlockSystem with hand-built blocks for formula tests;
+    every element couples to all trace dofs, and the first element
+    carries the whole trace block ``a22`` and trace load ``b2``."""
     from types import SimpleNamespace
     ne, n1, ntl = a12_blocks.shape
-    nt = a22.shape[0]
     ids = np.arange(ne) if ids is None else np.asarray(ids)
     dof = SimpleNamespace(n_interior_per_element=n1, n_interior=ne * n1,
-                          n_trace=nt,
+                          n_trace=ntl,
                           mesh=SimpleNamespace(num_elements=ids.max() + 1))
     batch = SimpleNamespace(ids=ids)
     trace = np.tile(np.arange(ntl), (ne, 1))
-    group = asm.ElementBlockGroup(batch, a11_blocks, a12_blocks, b1, trace)
-    return asm.BlockSystem(dof=dof, groups=[group],
-                           a22=sp.csr_matrix(a22), b2=b2)
+    a22_local, b2_local = np.zeros((ne, ntl, ntl)), np.zeros((ne, ntl))
+    a22_local[0], b2_local[0] = a22, b2
+    group = asm.ElementBlockGroup(batch, a11_blocks, a12_blocks, a22_local,
+                                  b1, b2_local, trace)
+    return asm.BlockSystem(dof=dof, groups=[group])
 
 
 def toy_saddle_system(B11, Mp, rhs):
@@ -139,8 +142,8 @@ class TestBatchedCondensation:
         rng = np.random.default_rng(10 + k)
         for bs in _stage_systems(mesh, k):
             assert len(bs.groups) == 3
-            S_ref = bs.a22.toarray()
-            rhs_ref = bs.b2.copy()
+            S_ref = np.zeros((bs.n_trace, bs.n_trace))
+            rhs_ref = np.zeros(bs.n_trace)
             x2 = rng.standard_normal(bs.n_trace)
             x1_ref = np.zeros((mesh.num_elements, bs.dof.n_interior_per_element))
             for grp in bs.groups:
@@ -148,15 +151,25 @@ class TestBatchedCondensation:
                     idx = grp.trace_indices[i]
                     keep = idx >= 0
                     a11, a12, b1 = grp.a11[i], grp.a12[i][:, keep], grp.b1[i]
+                    a22, b2 = grp.a22[i][np.ix_(keep, keep)], grp.b2[i][keep]
                     kidx = idx[keep]
-                    S_ref[np.ix_(kidx, kidx)] -= a12.T @ np.linalg.solve(a11, a12)
-                    rhs_ref[kidx] -= a12.T @ np.linalg.solve(a11, b1)
+                    S_ref[np.ix_(kidx, kidx)] += \
+                        a22 - a12.T @ np.linalg.solve(a11, a12)
+                    rhs_ref[kidx] += b2 - a12.T @ np.linalg.solve(a11, b1)
                     x1_ref[e] = np.linalg.solve(a11, b1 - a12 @ x2[kidx])
             cond = slv.condense(bs)
             x1 = slv.back_substitute(cond, x2)
             for got, ref in ((cond.S.toarray(), S_ref), (cond.rhs, rhs_ref),
                              (x1, x1_ref)):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_condensed_matrix_stores_no_zeros(self, k):
+        # the scatter sums every element's local block into one CSR, so
+        # entries that cancel exactly must be dropped, not stored
+        for bs in _stage_systems(mixed_group_mesh(), k):
+            S = slv.condense(bs).S
+            assert S.has_canonical_format and np.all(S.data != 0), bs.stage
 
     def test_no_dense_lu_factor_or_solve(self, monkeypatch):
         import scipy.linalg
@@ -408,8 +421,8 @@ class TestTraceFactorization:
         mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
         bs1 = asm.assemble_step1(mesh, SpaceConfig(1), ex.g[0])
         x1, _, _ = slv.solve_stage(bs1)
-        assert set(bs1._operator) == {"groups", "a22", "source",
-                                      "Y_A", "S", "factor"}
+        assert set(bs1._operator) == {"groups", "source", "Y_A", "S",
+                                      "factor"}
         bs2 = asm.assemble_step2(mesh, SpaceConfig(1), mat,
                                  bs1.dof.field("flux", x1))
         slv.solve_stage(bs2)
@@ -530,9 +543,9 @@ class TestMeshCache:
             fields = vf.solve_plate(mesh, SpaceConfig(2), mat, ex)
             vf.table_errors(fields, ex)
             op = mesh._poisson_operators[2]
-            kept = [op["a22"].data, op["S"].data, op["S"].indices, *op["Y_A"],
+            kept = [op["S"].data, op["S"].indices, *op["Y_A"],
                     *(getattr(g, a) for g in op["groups"]
-                      for a in ("a11", "a12", "trace_indices")),
+                      for a in ("a11", "a12", "a22", "trace_indices")),
                     *(a for rule in op["source"] for a in rule),
                     *(a for tables in mesh._error_tables.values()
                       for tab in tables for a in tab.values())]

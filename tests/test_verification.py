@@ -369,6 +369,10 @@ class TestRateTable:
         assert table.rates() == []
         assert table.final_rates() == (None,) * 4
 
+    def test_unknown_mesh_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown mesh kind 'hex'$"):
+            vf.run_convergence(PlateMaterial(t=0.1), "hex", SpaceConfig(1), [2])
+
     def test_non_halving_levels_skip_rates(self):
         table = vf.RateTable("triangle", SpaceConfig(1), PlateMaterial())
         table.reports = [vf.ErrorReport(2, 1, 1, 1, 1, 1),
