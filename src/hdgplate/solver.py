@@ -97,7 +97,8 @@ class SolveReport:
     # sqrt(r^T M^{-1} r) per iteration, M the factored block; monotone
     # (it is the quantity CG minimizes when M is the operator itself)
     precond_residual_history: list = field(default_factory=list)
-    # L.nnz + U.nnz and wall time, summed over the factorizations it made
+    # SuperLU's stored nonzeros of L and U and wall time, summed over the
+    # factorizations it made
     factor_fill: int = 0
     factor_time: float = 0.0
 
@@ -109,13 +110,16 @@ class SolveReport:
 @dataclass
 class CondensedSystem:
     """Schur complement trace system; ``local`` keeps, per element group,
-    ``(Y_A, Y_b) = (A11^{-1} A12, A11^{-1} b1)`` for back-substitution."""
+    ``(Y_A, Y_b) = (A11^{-1} A12, A11^{-1} b1)`` for back-substitution,
+    and ``pattern`` the kept pattern of ``S`` (empty for a hand-built
+    ``S``)."""
 
     system: BlockSystem
     S: sp.csr_matrix
     rhs: np.ndarray
     local: list
     kernel: np.ndarray | None
+    pattern: dict = field(default_factory=dict, repr=False)
 
 
 def _local_solve(grp, rhs: np.ndarray) -> np.ndarray:
@@ -131,54 +135,114 @@ def _local_solve(grp, rhs: np.ndarray) -> np.ndarray:
     raise SingularElementBlockError(int(grp.batch.ids[np.argmin(ok)]))
 
 
-def _coo_block(idx: np.ndarray, local: np.ndarray):
-    """(rows, cols, values) of a batched local trace block, without the
-    entries of eliminated (-1) dofs."""
-    rows = np.broadcast_to(idx[:, :, None], local.shape)
-    cols = np.broadcast_to(idx[:, None, :], local.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    return rows[keep], cols[keep], local[keep]
-
-
-def _trace_matrix(blocks, n: int) -> sp.csr_matrix:
-    """(n, n) CSR sum of the ``_coo_block`` triplets, without exact zeros."""
-    rows, cols, vals = zip(*blocks)
-    # concatenated inline, so that the int64 index arrays are freed as
-    # soon as coo_matrix has made its int32 copies
-    S = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                              np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
-    S.eliminate_zeros()
-    return S
-
-
 def _scatter_vector(vec: np.ndarray, idx: np.ndarray, local: np.ndarray):
     """Add a batched local trace vector into ``vec``, dropping -1 dofs."""
     keep = idx >= 0
     np.add.at(vec, idx[keep], local[keep])
 
 
+# ----------------------------------------------------------------------
+# the fixed pattern of the condensed trace matrix
+
+
+def _edge_adjacency(groups, num_edges: int) -> sp.csr_matrix:
+    """The (num_edges, num_edges) pattern of edges that share an element."""
+    pairs = [(np.repeat(e, e.shape[1]), np.tile(e, e.shape[1]).ravel())
+             for e in (grp.batch.edge_ids for grp in groups)]
+    rows, cols = map(np.concatenate, zip(*pairs))
+    adjacency = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                              (num_edges,) * 2)
+    for arr in (adjacency.data, adjacency.indices, adjacency.indptr):
+        arr.setflags(write=False)
+    return adjacency
+
+
+def _build_pattern(adjacency: sp.csr_matrix, bs: BlockSystem) -> dict:
+    n, edges = bs.n_trace, np.arange(adjacency.shape[0])
+    dof_edge = np.zeros(n, dtype=np.intp)
+    for f in bs.dof.trace_fields.values():
+        dofs = f.dofs(edges)
+        dof_edge[dofs[dofs >= 0]] = np.nonzero(dofs >= 0)[0]
+    # S's pattern: a row holds the dofs of every edge adjacent to its own
+    P = sp.csr_matrix((np.ones(n), (np.arange(n), dof_edge)), (n, len(edges)))
+    S = P @ adjacency @ P.T
+    S.sort_indices()
+    ids = sp.csr_array((np.arange(S.nnz, dtype=S.indices.dtype), S.indices,
+                        S.indptr), S.shape)
+    edge_row = np.zeros(len(edges), dtype=np.intp)  # any row of each edge
+    edge_row[dof_edge] = np.arange(n)
+    position = np.empty(sum(grp.a22.size for grp in bs.groups), ids.dtype)
+    for grp, pos in zip(bs.groups, np.split(position, np.cumsum(
+            [grp.a22.size for grp in bs.groups])[:-1])):
+        ok = grp.trace_indices >= 0
+        dof = np.where(ok, grp.trace_indices, 0)
+        edge = np.argmax(dof_edge[dof][:, :, None]      # each dof's local edge
+                         == grp.batch.edge_ids[:, None, :], axis=2)
+        # all rows of an edge hold the same columns: look their places up
+        # once per local edge, then offset them to every row
+        row, col = np.broadcast_arrays(edge_row[grp.batch.edge_ids][..., None],
+                                       dof[:, None])
+        col = ids[row.ravel(), col.ravel()].reshape(row.shape) - S.indptr[row]
+        pos = pos.reshape(grp.a22.shape)
+        np.add(col[np.arange(len(dof))[:, None], edge],
+               S.indptr[dof][..., None], out=pos)
+        pos[~(ok[:, :, None] & ok[:, None, :])] = S.nnz
+    for arr in (S.indptr, S.indices, position):
+        arr.setflags(write=False)
+    return {"indptr": S.indptr, "indices": S.indices, "position": position}
+
+
+def _pattern(bs: BlockSystem) -> dict:
+    """The CSR pattern of ``bs``'s condensed matrix, kept on the mesh per
+    trace layout: ``indptr``, ``indices`` and, for every entry of every
+    group's (ne, ntl, ntl) block in turn, its ``position`` in ``S.data``
+    (``nnz`` for eliminated dofs), int32 while they fit.  It expands the
+    mesh's edge adjacency, kept beside it, without a global sort.  Two
+    elements share at most one edge, so no entry sums more than two local
+    entries, and ``S`` is bitwise the COO-to-CSR sum of the blocks."""
+    mesh = bs.dof.mesh
+    kept = vars(mesh).setdefault("_trace_patterns", {})
+    key = tuple((f.per_edge, f.dirichlet)
+                for f in bs.dof.trace_fields.values())
+    if key not in kept:
+        if "edges" not in kept:
+            kept["edges"] = _edge_adjacency(bs.groups, mesh.num_edges)
+        kept[key] = _build_pattern(kept["edges"], bs)
+    return kept[key]
+
+
+def _scatter(pattern: dict, blocks: np.ndarray) -> sp.csr_matrix:
+    """``S`` summed from the flat local blocks by one ``np.bincount``."""
+    indptr, indices = pattern["indptr"], pattern["indices"]
+    data = np.bincount(pattern["position"], blocks,
+                       minlength=len(indices) + 1)
+    data.resize(len(indices), refcheck=False)  # drop the eliminated slot
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+
+
 def condense(bs: BlockSystem) -> CondensedSystem:
     """Eliminate interior unknowns element-by-element (never globally).
 
     This is the one place where trace blocks become sparse: ``S`` sums
-    the local ``A22 - A12^T A11^{-1} A12`` and ``rhs`` the local
-    ``b2 - A12^T A11^{-1} b1``.  The Poisson stages share an operator
-    kept on the mesh: its ``Y_A`` and ``S`` are built on first use, and
-    every condense solves ``A11^{-1} b1`` alone.  Stage two gets both
-    from one stacked solve ``A11^{-1} [A12 | b1]``.
+    the local ``A22 - A12^T A11^{-1} A12`` into the mesh's kept pattern,
+    and ``rhs`` the local ``b2 - A12^T A11^{-1} b1``.  The Poisson
+    stages share an operator kept on the mesh: its ``Y_A`` and ``S`` are
+    built on first use, and every condense solves ``A11^{-1} b1`` alone.
+    Stage two gets both from one stacked solve ``A11^{-1} [A12 | b1]``.
     """
-    op = bs._operator
+    pattern, op = _pattern(bs), bs._operator
+    schur = np.empty(len(pattern["position"]))  # the local Schur blocks
+    blocks = [b.reshape(grp.a22.shape) for grp, b in zip(bs.groups, np.split(
+        schur, np.cumsum([grp.a22.size for grp in bs.groups])[:-1]))]
     if op and "S" not in op:
         op["Y_A"] = [_local_solve(grp, grp.a12) for grp in bs.groups]
-        op["S"] = _trace_matrix(
-            [_coo_block(grp.trace_indices,
-                        grp.a22 - grp.a12.transpose(0, 2, 1) @ y_a)
-             for grp, y_a in zip(bs.groups, op["Y_A"])], bs.n_trace)
-        for arr in (*op["Y_A"], op["S"].data, op["S"].indices, op["S"].indptr):
+        for grp, y_a, out in zip(bs.groups, op["Y_A"], blocks):
+            np.subtract(grp.a22, grp.a12.transpose(0, 2, 1) @ y_a, out=out)
+        op["S"] = _scatter(pattern, schur)
+        for arr in (*op["Y_A"], op["S"].data):
             arr.setflags(write=False)
     rhs = np.zeros(bs.n_trace)
-    blocks, local = [], []
+    local = []
     for i, grp in enumerate(bs.groups):
         if op:
             y_a, y_b = op["Y_A"][i], _local_solve(grp, grp.b1[..., None])[..., 0]
@@ -188,14 +252,14 @@ def condense(bs: BlockSystem) -> CondensedSystem:
                 grp, np.concatenate([grp.a12, grp.b1[..., None]], axis=-1))
             # A12^T [Y_A | Y_b]: the Schur block and, in the last column, the load
             z = grp.a12.transpose(0, 2, 1) @ y
-            np.subtract(grp.a22, z[..., :-1], out=z[..., :-1])
-            blocks.append(_coo_block(grp.trace_indices, z[..., :-1]))
-            y_a, y_b, z_b = y[..., :-1], y[..., -1], z[..., -1]
+            np.subtract(grp.a22, z[..., :-1], out=blocks[i])
+            y_a, y_b, z_b = y[..., :-1], y[..., -1], z[..., -1].copy()
+            del z  # freed before the scatter
         _scatter_vector(rhs, grp.trace_indices, grp.b2 - z_b)
         local.append((y_a, y_b))
 
-    S = op["S"] if op else _trace_matrix(blocks, bs.n_trace)
-    return CondensedSystem(bs, S, rhs, local, bs.kernel_hint)
+    S = op["S"] if op else _scatter(pattern, schur)
+    return CondensedSystem(bs, S, rhs, local, bs.kernel_hint, pattern)
 
 
 def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
@@ -287,20 +351,24 @@ class _Factor(NamedTuple):
     seconds: float
 
 
-def _factorize(A: sp.spmatrix, perm: np.ndarray, stage: str = "",
+def _factorize(A: sp.csc_matrix, perm: np.ndarray, stage: str = "",
                block: str = "") -> _Factor:
-    """Sparse LU of the SPD block ``A`` in the symmetric order ``perm``.
+    """Sparse LU of an SPD block ``B`` given in the symmetric order
+    ``perm``, as ``A = B[perm][:, perm].tocsc()``.
 
-    SuperLU factors ``A[perm][:, perm]`` in that column order with
-    diagonal pivots only, as a Cholesky factorization would; ``solve``
-    permutes in and out, so callers keep ``A``'s own order.  A zero
-    pivot raises :class:`SingularTraceBlockError` naming ``stage`` and
-    ``block``.
+    SuperLU factors ``A`` in its own column order with diagonal pivots
+    only, as a Cholesky factorization would; ``solve`` permutes in and
+    out, so callers keep ``B``'s own order.  The fill is SuperLU's own
+    count of stored nonzeros (reading ``L`` or ``U`` would copy them).
+    A zero pivot raises :class:`SingularTraceBlockError` naming
+    ``stage`` and ``block``.
     """
     t0 = time.perf_counter()
+    if not A.data.all():  # the kept pattern's exact zeros stay out
+        A = A.copy()
+        A.eliminate_zeros()
     try:
-        lu = spla.splu(A[perm][:, perm].tocsc(), permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0,
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise SingularTraceBlockError(stage, block) from err
@@ -309,7 +377,7 @@ def _factorize(A: sp.spmatrix, perm: np.ndarray, stage: str = "",
         x = np.empty_like(b)
         x[perm] = lu.solve(b[perm])
         return x
-    return _Factor(solve, lu.L.nnz + lu.U.nnz, time.perf_counter() - t0)
+    return _Factor(solve, lu.nnz, time.perf_counter() - t0)
 
 
 def _deflation_projector(z: np.ndarray) -> Callable:
@@ -329,8 +397,9 @@ def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
     t0 = time.perf_counter()
     S, dof, op = cond.S, cond.system.dof, cond.system._operator
     fresh = "factor" not in op
+    perm = dof.trace_order("u_hat")
     factor = op.get("factor") or _factorize(
-        S, dof.trace_order("u_hat"), cond.system.stage, "S")
+        S[perm][:, perm].tocsc(), perm, cond.system.stage, "S")
     if op:
         op["factor"] = factor
     x, iterations, history, stop_reason, rz_hist = _pcg(
@@ -352,9 +421,18 @@ def _phat_edge_mass(dof) -> sp.csr_matrix:
     return sp.kron(sp.diags(dof.mesh.edge_length), H, format="csr")
 
 
-def _saddle_split(cond: CondensedSystem):
-    m, S = cond.system.dof.trace_fields["p_hat"].offset, cond.S
-    return m, S[:m, :m], S[:m, m:].tocsr(), S[m:, m:].tocsr()
+def _block(cond: CondensedSystem, name: str, take: Callable):
+    """The block ``take(S)``, its values gathered from ``S.data`` through
+    the index map that ``take`` gives on S's entry numbers; kept under
+    ``name`` beside S's pattern, so ``take`` runs once per pattern."""
+    S, kept = cond.S, cond.pattern
+    if name not in kept:
+        ids = kept[name] = take(sp.csr_matrix((np.arange(
+            S.nnz, dtype=S.indices.dtype), S.indices, S.indptr), S.shape))
+        for arr in (ids.data, ids.indices, ids.indptr):
+            arr.setflags(write=False)
+    ids = kept[name]
+    return type(ids)((S.data[ids.data], ids.indices, ids.indptr), ids.shape)
 
 
 def solve_saddle_trace(cond: CondensedSystem,
@@ -368,12 +446,18 @@ def solve_saddle_trace(cond: CondensedSystem,
     iteration count is the number of outer CG iterations.
     """
     t0 = time.perf_counter()
-    m, B11, B12, B22c = _saddle_split(cond)
-    c1, c2 = cond.rhs[:m], cond.rhs[m:]
     dof, stage = cond.system.dof, cond.system.stage
+    m = dof.trace_fields["p_hat"].offset
+    c1, c2 = cond.rhs[:m], cond.rhs[m:]
 
-    B21 = B12.T.tocsr()
-    inner = _factorize(B11, dof.trace_order("theta_hat"), stage, "B11")
+    # B11 goes to SuperLU in nested-dissection order, without an
+    # assembly-order copy; the other blocks keep the assembly order
+    perm = dof.trace_order("theta_hat")
+    inner = _factorize(_block(cond, "B11", lambda A: A[:m, :m][perm][
+        :, perm].tocsc()), perm, stage, "B11")
+    B12 = _block(cond, "B12", lambda A: A[:m, m:])
+    B21 = _block(cond, "B21", lambda A: A[:m, m:].T.tocsr())
+    B22c = _block(cond, "B22c", lambda A: A[m:, m:])
 
     def apply_outer(v):
         return B21 @ inner.solve(B12 @ v) - B22c @ v
@@ -405,7 +489,7 @@ def solve_saddle_trace(cond: CondensedSystem,
         probe = project(probe)
     coupled = float(probe @ (B21 @ inner.solve(B12 @ probe)))
     rho = max(coupled / float(probe @ (W @ probe)), 0.0)
-    surrogate = _factorize(rho * W - B22c, dof.trace_order("p_hat") - m,
+    surrogate = _factorize((rho * W - B22c)[order][:, order].tocsc(), order,
                            stage, "surrogate")
 
     p_hat, iterations, history, stop_reason, rz_hist = _pcg(

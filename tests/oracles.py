@@ -1,8 +1,10 @@
 """Reference evaluations that only the tests use.
 
 They trade speed for accuracy: exact rational arithmetic,
-``np.longdouble`` where a whole error norm has to be recomputed, or a
-dense or sparse direct solve of a whole block system.
+``np.longdouble`` where a whole error norm has to be recomputed, a
+dense or sparse direct solve of a whole block system, or the condensed
+matrix summed from COO triplets, as the solver did before it kept a
+fixed pattern.
 """
 
 from decimal import Decimal, localcontext
@@ -114,3 +116,67 @@ def solve_saddle_direct(cond) -> np.ndarray:
         A = sp.bmat([[S, z], [z.T, None]], format="csc")
         return spla.splu(A).solve(np.concatenate([b, [0.0]]))[:-1]
     return spla.splu(S.tocsc()).solve(b)
+
+
+def _coo_block(idx: np.ndarray, local: np.ndarray):
+    """(rows, cols, values) of a batched local trace block, without the
+    entries of eliminated (-1) dofs."""
+    rows = np.broadcast_to(idx[:, :, None], local.shape)
+    cols = np.broadcast_to(idx[:, None, :], local.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], local[keep]
+
+
+def _trace_matrix(blocks, n: int) -> sp.csr_matrix:
+    """(n, n) CSR sum of the ``_coo_block`` triplets, without exact zeros."""
+    rows, cols, vals = zip(*blocks)
+    S = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                              np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+    S.eliminate_zeros()
+    return S
+
+
+def condensed_matrix(bs) -> sp.csr_matrix:
+    """``solver.condense(bs).S`` without its exact zeros, as the COO-to-CSR
+    sum of every element's ``A22 - A12^T A11^{-1} A12``, each computed
+    with the same operations as in ``condense``."""
+    blocks = []
+    for grp in bs.groups:
+        if bs._operator:    # the Poisson stages: A11^{-1} A12 alone
+            local = grp.a22 - grp.a12.transpose(0, 2, 1) @ np.linalg.solve(
+                grp.a11, grp.a12)
+        else:               # stage two: A11^{-1} [A12 | b1]
+            y = np.linalg.solve(grp.a11, np.concatenate(
+                [grp.a12, grp.b1[..., None]], axis=-1))
+            local = grp.a22 - (grp.a12.transpose(0, 2, 1) @ y)[..., :-1]
+        blocks.append(_coo_block(grp.trace_indices, local))
+    return _trace_matrix(blocks, bs.n_trace)
+
+
+def factor_inputs(bs) -> list:
+    """The matrices SuperLU factors for ``bs``: ``S``, or ``B11`` and the
+    surrogate ``rho W - B22c``, each sliced from ``condensed_matrix(bs)``
+    in assembly order and then put in its trace order as
+    ``A[perm][:, perm].tocsc()``; ``rho`` comes from the same probe as in
+    ``solver.solve_saddle_trace``."""
+    S, dof = condensed_matrix(bs), bs.dof
+    if bs.stage != "step2":
+        perm = dof.trace_order("u_hat")
+        return [S[perm][:, perm].tocsc()]
+    m = dof.trace_fields["p_hat"].offset
+    perm, order = dof.trace_order("theta_hat"), dof.trace_order("p_hat") - m
+    B12, B22c = S[:m, m:].tocsr(), S[m:, m:].tocsr()
+    B11 = S[:m, :m][perm][:, perm].tocsc()
+    lu = spla.splu(B11, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    x = np.empty(m)
+    W = slv._phat_edge_mass(dof)
+    probe = np.empty(len(order))
+    probe[order] = np.random.default_rng(0).standard_normal(len(order))
+    if bs.kernel_hint is not None and slv._kernel_is_valid(S, bs.kernel_hint):
+        probe = slv._deflation_projector(bs.kernel_hint[m:])(probe)
+    x[perm] = lu.solve((B12 @ probe)[perm])
+    rho = max(float(probe @ (B12.T.tocsr() @ x)) / float(probe @ (W @ probe)),
+              0.0)
+    return [B11, (rho * W - B22c)[order][:, order].tocsc()]

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,20 +13,23 @@ from hdgplate import verification as vf
 from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import Mesh, generate_structured
 from meshes import mixed_group_mesh, mixed_strip, renumbered_grid
-from oracles import solve_saddle_direct
+from oracles import condensed_matrix, factor_inputs, solve_saddle_direct
 
 
 def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None):
     """Single-group BlockSystem with hand-built blocks for formula tests;
-    every element couples to all trace dofs, and the first element
-    carries the whole trace block ``a22`` and trace load ``b2``."""
+    every element couples to all trace dofs, which sit on one edge that
+    all elements share, and the first element carries the whole trace
+    block ``a22`` and trace load ``b2``."""
     from types import SimpleNamespace
     ne, n1, ntl = a12_blocks.shape
     ids = np.arange(ne) if ids is None else np.asarray(ids)
+    trace = asm.TraceField("x", 0, ntl, False, np.zeros(1, dtype=int))
     dof = SimpleNamespace(n_interior_per_element=n1, n_interior=ne * n1,
-                          n_trace=ntl,
-                          mesh=SimpleNamespace(num_elements=ids.max() + 1))
-    batch = SimpleNamespace(ids=ids)
+                          n_trace=ntl, trace_fields={"x": trace},
+                          mesh=SimpleNamespace(num_elements=ids.max() + 1,
+                                               num_edges=1))
+    batch = SimpleNamespace(ids=ids, edge_ids=np.zeros((ne, 1), dtype=int))
     trace = np.tile(np.arange(ntl), (ne, 1))
     a22_local, b2_local = np.zeros((ne, ntl, ntl)), np.zeros((ne, ntl))
     a22_local[0], b2_local[0] = a22, b2
@@ -163,13 +167,71 @@ class TestBatchedCondensation:
                              (x1, x1_ref)):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_condensed_matrix_stores_no_zeros(self, k):
-        # the scatter sums every element's local block into one CSR, so
-        # entries that cancel exactly must be dropped, not stored
-        for bs in _stage_systems(mixed_group_mesh(), k):
-            S = slv.condense(bs).S
-            assert S.has_canonical_format and np.all(S.data != 0), bs.stage
+    MESHES = {"tri": lambda: generate_structured("triangle", 4),
+              "quad": lambda: generate_structured("quadrilateral", 4),
+              "mixed": lambda: mixed_strip(2),
+              "renumbered": lambda: Mesh(*renumbered_grid("triangle", 4, 5))}
+
+    @pytest.mark.parametrize("kind,k", [("tri", 3), ("quad", 2), ("mixed", 1),
+                                        ("mixed", 2), ("mixed", 3),
+                                        ("renumbered", 1)])
+    def test_condensed_matrix_is_the_coo_sum(self, kind, k):
+        # every entry sums at most two local entries, so the kept pattern
+        # gives the COO-to-CSR sum bit for bit; it also keeps the entries
+        # that cancel exactly (on axis-aligned edges, say), and only those
+        for bs in _stage_systems(self.MESHES[kind](), k):
+            S, ref = slv.condense(bs).S, condensed_matrix(bs)
+            assert S.has_canonical_format, bs.stage
+            # no slack slots behind data or indices
+            for arr in (S.data, S.indices):
+                assert (arr if arr.base is None else arr.base).size == S.nnz
+            nonzero = S.copy()
+            nonzero.eliminate_zeros()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(nonzero, name),
+                                      getattr(ref, name)), (bs.stage, name)
+
+    def test_factor_inputs_are_the_reordered_blocks(self, monkeypatch):
+        # SuperLU gets S, B11 and the surrogate in trace order, without
+        # zeros, exactly as slicing the assembly-order matrix gives them;
+        # the fill is SuperLU's own count, without copies of L or U
+        class NoFactorCopies:
+            def __init__(self, lu):
+                self.nnz, self.solve = lu.nnz, lu.solve
+
+            @property
+            def L(self):
+                raise AssertionError("reads (copies) the L factor")
+
+            @property
+            def U(self):
+                raise AssertionError("reads (copies) the U factor")
+
+        splu, received, fills = spla.splu, [], []
+
+        def recording(A, *args, **kwargs):
+            received.append(A.copy())
+            lu = splu(A, *args, **kwargs)
+            fills.append(lu.nnz)
+            return NoFactorCopies(lu)
+
+        for kind, k in [("tri", 3), ("quad", 2), ("mixed", 2)]:
+            bs1, bs2, _ = _stage_systems(self.MESHES[kind](), k)
+            expected = factor_inputs(bs1) + factor_inputs(bs2)
+            received.clear()
+            fills.clear()
+            monkeypatch.setattr(spla, "splu", recording)
+            _, report1 = slv.solve_spd(slv.condense(bs1))
+            *_, report2 = slv.solve_saddle_trace(slv.condense(bs2))
+            monkeypatch.undo()
+            assert len(received) == len(expected) == 3
+            for got, ref, name in zip(received, expected,
+                                      ("S", "B11", "surrogate")):
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, attr),
+                                          getattr(ref, attr)), (kind, name)
+            assert (report1.factor_fill, report2.factor_fill) == (
+                fills[0], fills[1] + fills[2])
 
     def test_no_dense_lu_factor_or_solve(self, monkeypatch):
         import scipy.linalg
@@ -323,13 +385,14 @@ class TestSaddle:
 
 
 def _factor_blocks(cond):
-    """(name, block, trace order) of every factorization of one stage."""
-    dof = cond.system.dof
+    """(name, block, trace order) of every factorization of one stage, the
+    blocks in assembly order."""
+    dof, S = cond.system.dof, cond.S
     if cond.system.stage != "step2":
         (name,) = dof.trace_fields
-        return [("S", cond.S, dof.trace_order(name))]
-    m, B11, _, B22c = slv._saddle_split(cond)
-    surrogate = slv._phat_edge_mass(dof) - B22c
+        return [("S", S, dof.trace_order(name))]
+    m = dof.trace_fields["p_hat"].offset
+    B11, surrogate = S[:m, :m], slv._phat_edge_mass(dof) - S[m:, m:]
     return [("B11", B11, dof.trace_order("theta_hat")),
             ("surrogate", surrogate, dof.trace_order("p_hat") - m)]
 
@@ -370,14 +433,14 @@ class TestTraceFactorization:
             for name, A, perm in _factor_blocks(slv.condense(bs)):
                 b = rng.standard_normal(A.shape[0])
                 ref = spla.splu(A.tocsc()).solve(b)
-                got = slv._factorize(A, perm).solve(b)
+                got = slv._factorize(A[perm][:, perm].tocsc(), perm).solve(b)
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), \
                     (bs.stage, name)
 
     def test_b11_fill_below_colamd(self):
         B11, perm = _b11(generate_structured("triangle", 16), 3)
         lu = spla.splu(B11.tocsc())
-        assert slv._factorize(B11, perm).fill < lu.L.nnz + lu.U.nnz
+        assert slv._factorize(B11[perm][:, perm].tocsc(), perm).fill < lu.nnz
 
     def test_b11_fill_below_mmd(self):
         # also below SuperLU's minimum degree order of A + A^T, unpivoted
@@ -386,10 +449,13 @@ class TestTraceFactorization:
             lu = spla.splu(B11.tocsc(), permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
-            assert slv._factorize(B11, perm).fill < lu.L.nnz + lu.U.nnz, kind
+            fill = slv._factorize(B11[perm][:, perm].tocsc(), perm).fill
+            assert fill < lu.nnz, kind
         # and the same, to 0.1%, for three numberings of one mesh
-        fills = [slv._factorize(*_b11(mesh, 3)).fill for mesh in (
-            Mesh(*renumbered_grid("triangle", 16, seed)) for seed in range(3))]
+        blocks = [_b11(Mesh(*renumbered_grid("triangle", 16, seed)), 3)
+                  for seed in range(3)]
+        fills = [slv._factorize(B11[perm][:, perm].tocsc(), perm).fill
+                 for B11, perm in blocks]
         assert max(fills) - min(fills) <= 1e-3 * min(fills)
 
     def test_singular_b11_names_stage_and_block(self):
@@ -512,7 +578,8 @@ _TRACES = ("r_hat", "theta_hat", "p_hat", "omega_hat")
 
 
 class TestMeshCache:
-    """The Poisson operator and the error tables are kept on the mesh."""
+    """The Poisson operator, the trace patterns and the error tables are
+    kept on the mesh."""
 
     @pytest.mark.parametrize("kind,k", [("triangle", 1), ("quadrilateral", 2)])
     def test_t_sweep_equals_fresh_meshes(self, kind, k):
@@ -543,20 +610,73 @@ class TestMeshCache:
             fields = vf.solve_plate(mesh, SpaceConfig(2), mat, ex)
             vf.table_errors(fields, ex)
             op = mesh._poisson_operators[2]
+            patterns = mesh._trace_patterns
+            # the Poisson layout, stage two's with its four block maps, and
+            # the edge adjacency they were built from
+            assert len(patterns) == 3
+            assert set(patterns[(6, True), (2, False)]) == {
+                "indptr", "indices", "position", "B11", "B12", "B21", "B22c"}
             kept = [op["S"].data, op["S"].indices, *op["Y_A"],
                     *(getattr(g, a) for g in op["groups"]
                       for a in ("a11", "a12", "a22", "trace_indices")),
                     *(a for rule in op["source"] for a in rule),
                     *(a for tables in mesh._error_tables.values()
-                      for tab in tables for a in tab.values())]
+                      for tab in tables for a in tab.values()),
+                    *(a for entry in patterns.values()
+                      for item in (entry.values() if isinstance(entry, dict)
+                                   else (entry,))
+                      for a in ((item.data, item.indices, item.indptr)
+                                if sp.issparse(item) else (item,)))]
             for arr in kept:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[...] = 0.0
             ref = weakref.ref(mesh)
-            del mesh, fields, op, kept
+            del mesh, fields, op, kept, patterns
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_t_sweep_builds_each_pattern_once(self, monkeypatch):
+        built, conds = [], []
+
+        def wrap(name, log):
+            orig = getattr(slv, name)
+
+            def wrapper(*args):
+                out = orig(*args)
+                log.append(out)
+                return out
+            monkeypatch.setattr(slv, name, wrapper)
+        wrap("_build_pattern", built)
+        wrap("condense", conds)
+        mesh = generate_structured("triangle", 4)
+        for t in (1.0, 1e-6):
+            mat = PlateMaterial(t=t)
+            vf.solve_plate(mesh, SpaceConfig(2), mat, vf.exact_fields(mat))
+        # one pattern for stages one and three, one for stage two
+        assert len(built) == 2 and len(conds) == 6
+        first, second = conds[1], conds[4]
+        assert first.system.stage == second.system.stage == "step2"
+        assert first.pattern is second.pattern is built[1]
+        for S in (first.S, second.S):
+            assert np.shares_memory(S.indices, built[1]["indices"])
+        assert first.S is not second.S
+
+    def test_stage_two_condense_transient(self):
+        # above what condense returns (Y and S), stage two's condense at
+        # tri n=16 k=3 peaks at 9.9 MB, the pattern build included; a sum
+        # of COO triplets through a COO-to-CSR copy peaks at 26.5 MB
+        bs = _stage_systems(generate_structured("triangle", 16), 3)[1]
+        for _ in range(2):  # builds the pattern, then reuses it
+            gc.collect()
+            tracemalloc.start()
+            try:
+                cond = slv.condense(bs)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - kept <= 12 * 2 ** 20
+            del cond
 
     @pytest.mark.parametrize("kind,n,k,t", [("triangle", 16, 1, 1e-2),
                                             ("quadrilateral", 8, 2, 1e-6)])
