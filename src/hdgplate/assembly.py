@@ -18,6 +18,7 @@ matrix algebra, never through pointwise approximation.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -63,12 +64,12 @@ class PlateMaterial:
     t: float = 1.0
 
     def __post_init__(self):
-        if not self.E > 0:
-            raise ValueError("E must be positive")
+        if not 0 < self.E < math.inf:
+            raise ValueError("E must be positive and finite")
         if not 0 < self.nu <= 0.5:
             raise ValueError("nu must lie in (0, 1/2]")
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
         if not 0 < self.t <= 1:
             raise ValueError("t must lie in (0, 1]")
 
@@ -357,9 +358,9 @@ class BlockSystem:
     groups: list[ElementBlockGroup]
     kernel_hint: np.ndarray | None = None
     stage: str = ""
-    # the Poisson stages' shared operator, kept on the mesh (see
-    # _poisson_operator); empty for stage two
-    _operator: dict = field(default_factory=dict, repr=False)
+    # the Poisson stages' key on the mesh (see _poisson_operator), which
+    # ``solver`` extends for what it keeps; None for stage two
+    kept_as: tuple | None = None
 
     @property
     def n_interior(self) -> int:
@@ -461,24 +462,16 @@ def _assemble_poisson_operator(dof, k, degrees):
         source.append((pts, w, fs.scalar_vals(fs.monomial_exponents(k),
                                                batch.centroid, batch.h, pts)))
 
-    for arr in (*(a for g in groups
-                  for a in (g.a11, g.a12, g.a22, g.trace_indices)),
-                *(a for rule in source for a in rule)):
-        arr.setflags(write=False)
-    return {"groups": groups, "source": source}
+    return groups, source
 
 
-def _poisson_operator(dof: StageDofMap) -> dict:
-    """The stage one/three operator on ``dof``: groups without loads and
-    per batch the source rule's points, weights and P_k basis;
-    ``solver`` adds ``Y_A``, ``S`` and its factor.  None of it depends on
-    t or the load, or refers to the mesh, so it is built on first use and
-    kept on the mesh, for its lifetime."""
-    kept = vars(dof.mesh).setdefault("_poisson_operators", {})
+def _poisson_operator(dof: StageDofMap) -> tuple:
+    """The stage one/three operator on ``dof``, kept on the mesh under
+    ``("poisson", k)``: groups without loads and per batch the source
+    rule's points, weights and P_k basis."""
     k = dof.trace_fields["u_hat"].per_edge
-    if k not in kept:
-        kept[k] = _assemble_poisson_operator(dof, k, fs.quadrature_degrees(k))
-    return kept[k]
+    return dof.mesh.keep(("poisson", k), lambda: _assemble_poisson_operator(
+        dof, k, fs.quadrature_degrees(k)))
 
 
 def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
@@ -487,22 +480,21 @@ def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
     dof = StageDofMap(mesh, interior_fields=[("flux", k - 1, "vector2"),
                                              ("primal", k, "scalar")],
                       trace_fields=[("u_hat", k, True)])
-    op = _poisson_operator(dof)
     sl_r = dof.interior_slice("primal")
     groups = []
-    for grp, (pts, w, Vv) in zip(op["groups"], op["source"]):
+    for grp, (pts, w, Vv) in zip(*_poisson_operator(dof)):
         b1 = np.zeros(grp.a11.shape[:2])
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
         b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, gvals, w)
         groups.append(replace(grp, b1=b1, b2=np.zeros(grp.trace_indices.shape)))
-    return BlockSystem(dof, groups, stage="step1", _operator=op)
+    return BlockSystem(dof, groups, stage="step1", kept_as=("poisson", k))
 
 
 def assemble_step3(step1: BlockSystem, material: PlateMaterial,
                    theta: DiscreteField, g: Callable) -> BlockSystem:
     """Stage-three system for the deflection, driven by the stage-two rotation:
-    stage one's read-only operator, ``_operator`` and source rule with new
-    loads ``b1``, ``b2``."""
+    stage one's read-only operator and the kept source rule with new loads
+    ``b1``, ``b2``."""
     if step1.stage != "step1":
         raise ValueError("stage-three assembly needs the stage-one system, "
                          f"not a {step1.stage!r} system")
@@ -519,7 +511,7 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
     scale = material.t ** 2 / material.lam
 
     groups = []
-    for grp, (pts, w, Vv) in zip(step1.groups, step1._operator["source"]):
+    for grp, (pts, w, Vv) in zip(step1.groups, _poisson_operator(dof)[1]):
         batch = grp.batch
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
         divth = theta.divergence_batched(batch, pts)
@@ -537,7 +529,7 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
                                                  ehat, th_n, ew)
         groups.append(replace(grp, b1=b1, b2=b2))
 
-    return BlockSystem(dof, groups, stage="step3", _operator=step1._operator)
+    return BlockSystem(dof, groups, stage="step3", kept_as=step1.kept_as)
 
 
 # ----------------------------------------------------------------------

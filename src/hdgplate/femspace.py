@@ -121,9 +121,6 @@ class ElementBatch:
         self.tangents = d / self.edge_len[..., None]
         self.normals = np.stack(
             [self.tangents[..., 1], -self.tangents[..., 0]], axis=-1)
-        for arr in vars(self).values():
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)  # shared by every caller
 
     def volume_rule(self, degree: int):
         """Points (ne, nq, 2) and weights (ne, nq), exact for P_degree."""
@@ -171,12 +168,10 @@ class ElementBatch:
 
 
 def element_batches(mesh) -> tuple[ElementBatch, ...]:
-    """Batches by vertex count, built once and kept on the (immutable)
-    mesh; every caller shares them, so their arrays are read-only."""
-    if not hasattr(mesh, "_element_batches"):
-        mesh._element_batches = tuple(ElementBatch(mesh, ids)
-                                      for ids in mesh.groups)
-    return mesh._element_batches
+    """Batches by vertex count, kept on the mesh (``Mesh.keep``); every
+    caller shares them, so their arrays are read-only."""
+    return mesh.keep("element_batches", lambda: tuple(
+        ElementBatch(mesh, ids) for ids in mesh.groups))
 
 
 def power_table(z: np.ndarray, n: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from functools import cached_property
 from itertools import chain
 from typing import NamedTuple, Sequence, TextIO
 
@@ -41,7 +40,8 @@ class MeshFormatError(ValueError):
 
 class MeshTopologyError(ValueError):
     """Raised for invalid connectivity or elements: an edge with more than
-    two adjacent elements, a degenerate, clockwise or non-convex loop."""
+    two adjacent elements or run through twice in the same direction, a
+    degenerate, clockwise or non-convex loop."""
 
 
 class ShapeRegularityWarning(UserWarning):
@@ -77,13 +77,9 @@ class Mesh:
     ``boundary_mask`` is True on edges with one adjacent element.
     Elements carry ``area``, ``centroid`` and ``diameter`` (the largest
     vertex distance), and ``groups`` lists the element ids of each
-    vertex count in ascending count.  All arrays are read-only.
-
-    Kept on the mesh from first use until it is freed: ``edge_order``, the
-    element batches, the stage one/three operator per degree k
-    (``assembly``) and the error rules and bases (``verification``).
-    None depends on the thickness, so a t sweep on one mesh builds each
-    once, and none refers back to the mesh.
+    vertex count in ascending count.  All arrays are read-only.  What is
+    built from the mesh on first use and kept for its lifetime is in
+    ``kept``, through :meth:`keep`.
     """
 
     def __init__(self, points: np.ndarray, loops: Sequence[Sequence[int]]):
@@ -96,7 +92,6 @@ class Mesh:
         loops = [tuple(map(int, loop)) for loop in loops]
         if not loops:
             raise MeshTopologyError("mesh has no elements")
-        self.elements = tuple(map(Element, range(len(loops)), loops))
         sizes = np.fromiter(map(len, loops), int, len(loops))
         bad = np.flatnonzero(sizes < 3)
         if bad.size:
@@ -123,9 +118,9 @@ class Mesh:
             warnings.warn(
                 f"element {eid}: edge {self.loop_edges[slot]} shorter than "
                 f"{C_REG} * h_K", ShapeRegularityWarning)
-        for arr in vars(self).values():
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
+        _freeze(vars(self))     # before the records, which hold no array
+        self.elements = tuple(map(Element, range(len(loops)), loops))
+        self.kept = {}
 
     def slots(self, ids: np.ndarray) -> np.ndarray:
         """(len(ids), nv) loop slots of elements that all have nv vertices."""
@@ -134,7 +129,7 @@ class Mesh:
         return start[:, None] + np.arange(nv)
 
     def _element_geometry(self):
-        ne = len(self.elements)
+        ne = len(self.loop_start) - 1
         self.area, self.diameter = np.empty(ne), np.empty(ne)
         self.centroid = np.empty((ne, 2))
         for ids in self.groups:
@@ -192,15 +187,39 @@ class Mesh:
         if bad.size:
             raise MeshTopologyError(
                 f"edge {bad[0]} shared by more than two elements")
+        # two CCW elements run through their shared edge in opposite ways
+        bad = np.flatnonzero(abs(np.bincount(self.loop_edges,
+                                             self.loop_signs)) > 1)
+        if bad.size:
+            raise MeshTopologyError(
+                f"edge {bad[0]} {tuple(self.edge_vertices[bad[0]].tolist())} "
+                "is traversed in the same direction by both its elements")
         self.boundary_mask = adjacent == 1
 
-    @cached_property
+    def keep(self, key, build):
+        """``build()``, run on first use of ``key`` and kept in ``kept``
+        for the mesh's lifetime, all its arrays made read-only.  Nothing
+        kept depends on t, E, nu, kappa or a load, or refers back to the
+        mesh, so a t sweep builds each item once and it goes with the mesh
+        by reference counting.  Keys by owner: ``"edge_order"``,
+        :attr:`edge_order`; in ``femspace``, ``"element_batches"``; in
+        ``assembly``, ``("poisson", k)``, the stage one/three operator; in
+        ``solver``, ``("poisson", k, "S" | "factor")``, its ``A11^{-1}
+        A12`` with ``S`` and the factor, ``"edge_adjacency"``,
+        ``("pattern", layout)`` per trace layout and ``("pattern", layout,
+        "B11" | "B12" | "B21" | "B22c")``, the index maps of stage two's
+        blocks; in ``verification``, ``("error_rule", degree)`` and
+        ``("error_basis", degree, d)``, per batch the error rule and the
+        P_d basis on it."""
+        if key not in self.kept:
+            self.kept[key] = _freeze(build())
+        return self.kept[key]
+
+    @property
     def edge_order(self) -> np.ndarray:
         """Edge ids in nested-dissection elimination order (see
         :func:`_nested_dissection`); built once, on first use."""
-        order = _nested_dissection(self)
-        order.setflags(write=False)
-        return order
+        return self.keep("edge_order", lambda: _nested_dissection(self))
 
     # ------------------------------------------------------------------
 
@@ -215,6 +234,19 @@ class Mesh:
     @property
     def num_elements(self) -> int:
         return len(self.elements)
+
+
+def _freeze(value):
+    """``value``, with every array reachable through tuples, lists, dicts
+    and object attributes (dataclasses, sparse matrices) made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _freeze(item)
+    elif hasattr(value, "__dict__"):
+        _freeze(vars(value))
+    return value
 
 
 def _is_convex(pts: np.ndarray) -> np.ndarray:

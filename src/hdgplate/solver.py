@@ -17,6 +17,7 @@ the block's DOFs; the matrices and CG vectors keep the assembly order.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -76,8 +77,8 @@ class SolverConfig:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if not isinstance(self.max_iter, numbers.Integral):
             raise ValueError(f"max_iter={self.max_iter!r} must be an integer")
         if not self.max_iter >= 1:
@@ -110,16 +111,13 @@ class SolveReport:
 @dataclass
 class CondensedSystem:
     """Schur complement trace system; ``local`` keeps, per element group,
-    ``(Y_A, Y_b) = (A11^{-1} A12, A11^{-1} b1)`` for back-substitution,
-    and ``pattern`` the kept pattern of ``S`` (empty for a hand-built
-    ``S``)."""
+    ``(Y_A, Y_b) = (A11^{-1} A12, A11^{-1} b1)`` for back-substitution."""
 
     system: BlockSystem
     S: sp.csr_matrix
     rhs: np.ndarray
     local: list
     kernel: np.ndarray | None
-    pattern: dict = field(default_factory=dict, repr=False)
 
 
 def _local_solve(grp, rhs: np.ndarray) -> np.ndarray:
@@ -150,11 +148,7 @@ def _edge_adjacency(groups, num_edges: int) -> sp.csr_matrix:
     pairs = [(np.repeat(e, e.shape[1]), np.tile(e, e.shape[1]).ravel())
              for e in (grp.batch.edge_ids for grp in groups)]
     rows, cols = map(np.concatenate, zip(*pairs))
-    adjacency = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                              (num_edges,) * 2)
-    for arr in (adjacency.data, adjacency.indices, adjacency.indptr):
-        arr.setflags(write=False)
-    return adjacency
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), (num_edges,) * 2)
 
 
 def _build_pattern(adjacency: sp.csr_matrix, bs: BlockSystem) -> dict:
@@ -187,9 +181,12 @@ def _build_pattern(adjacency: sp.csr_matrix, bs: BlockSystem) -> dict:
         np.add(col[np.arange(len(dof))[:, None], edge],
                S.indptr[dof][..., None], out=pos)
         pos[~(ok[:, :, None] & ok[:, None, :])] = S.nnz
-    for arr in (S.indptr, S.indices, position):
-        arr.setflags(write=False)
     return {"indptr": S.indptr, "indices": S.indices, "position": position}
+
+
+def _layout(dof) -> tuple:
+    """The trace layout: ``(per_edge, dirichlet)`` per trace field."""
+    return tuple((f.per_edge, f.dirichlet) for f in dof.trace_fields.values())
 
 
 def _pattern(bs: BlockSystem) -> dict:
@@ -201,14 +198,9 @@ def _pattern(bs: BlockSystem) -> dict:
     elements share at most one edge, so no entry sums more than two local
     entries, and ``S`` is bitwise the COO-to-CSR sum of the blocks."""
     mesh = bs.dof.mesh
-    kept = vars(mesh).setdefault("_trace_patterns", {})
-    key = tuple((f.per_edge, f.dirichlet)
-                for f in bs.dof.trace_fields.values())
-    if key not in kept:
-        if "edges" not in kept:
-            kept["edges"] = _edge_adjacency(bs.groups, mesh.num_edges)
-        kept[key] = _build_pattern(kept["edges"], bs)
-    return kept[key]
+    return mesh.keep(("pattern", _layout(bs.dof)), lambda: _build_pattern(
+        mesh.keep("edge_adjacency", lambda: _edge_adjacency(
+            bs.groups, mesh.num_edges)), bs))
 
 
 def _scatter(pattern: dict, blocks: np.ndarray) -> sp.csr_matrix:
@@ -226,26 +218,27 @@ def condense(bs: BlockSystem) -> CondensedSystem:
     This is the one place where trace blocks become sparse: ``S`` sums
     the local ``A22 - A12^T A11^{-1} A12`` into the mesh's kept pattern,
     and ``rhs`` the local ``b2 - A12^T A11^{-1} b1``.  The Poisson
-    stages share an operator kept on the mesh: its ``Y_A`` and ``S`` are
-    built on first use, and every condense solves ``A11^{-1} b1`` alone.
-    Stage two gets both from one stacked solve ``A11^{-1} [A12 | b1]``.
+    stages keep their ``Y_A`` and ``S`` on the mesh, beside their
+    operator, and every condense solves ``A11^{-1} b1`` alone.  Stage two
+    gets both from one stacked solve ``A11^{-1} [A12 | b1]``.
     """
-    pattern, op = _pattern(bs), bs._operator
+    pattern = _pattern(bs)
     schur = np.empty(len(pattern["position"]))  # the local Schur blocks
     blocks = [b.reshape(grp.a22.shape) for grp, b in zip(bs.groups, np.split(
         schur, np.cumsum([grp.a22.size for grp in bs.groups])[:-1]))]
-    if op and "S" not in op:
-        op["Y_A"] = [_local_solve(grp, grp.a12) for grp in bs.groups]
-        for grp, y_a, out in zip(bs.groups, op["Y_A"], blocks):
+
+    def poisson():
+        y_as = [_local_solve(grp, grp.a12) for grp in bs.groups]
+        for grp, y_a, out in zip(bs.groups, y_as, blocks):
             np.subtract(grp.a22, grp.a12.transpose(0, 2, 1) @ y_a, out=out)
-        op["S"] = _scatter(pattern, schur)
-        for arr in (*op["Y_A"], op["S"].data):
-            arr.setflags(write=False)
+        return y_as, _scatter(pattern, schur)
+    if bs.kept_as:
+        y_as, S = bs.dof.mesh.keep((*bs.kept_as, "S"), poisson)
     rhs = np.zeros(bs.n_trace)
     local = []
     for i, grp in enumerate(bs.groups):
-        if op:
-            y_a, y_b = op["Y_A"][i], _local_solve(grp, grp.b1[..., None])[..., 0]
+        if bs.kept_as:
+            y_a, y_b = y_as[i], _local_solve(grp, grp.b1[..., None])[..., 0]
             z_b = np.einsum("eij,ei->ej", grp.a12, y_b)
         else:
             y = _local_solve(
@@ -258,8 +251,9 @@ def condense(bs: BlockSystem) -> CondensedSystem:
         _scatter_vector(rhs, grp.trace_indices, grp.b2 - z_b)
         local.append((y_a, y_b))
 
-    S = op["S"] if op else _scatter(pattern, schur)
-    return CondensedSystem(bs, S, rhs, local, bs.kernel_hint, pattern)
+    if not bs.kept_as:
+        S = _scatter(pattern, schur)
+    return CondensedSystem(bs, S, rhs, local, bs.kernel_hint)
 
 
 def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
@@ -299,17 +293,14 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
 
 
 def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
-         tol: float, max_iter: int, project: Callable | None = None):
+         tol: float, max_iter: int, project: Callable = lambda v: v):
     bnorm = float(np.linalg.norm(b))  # residuals stay relative to the raw load
-    if project is not None:
-        b = project(b)
+    b = project(b)
     if not b.any():  # zero, or entirely in the deflated kernel: x = 0 is exact
         return np.zeros_like(b), 0, [0.0], "zero_rhs", [0.0]
     x = np.zeros_like(b)
     r = b.copy()
-    z = precond(r)
-    if project is not None:
-        z = project(z)
+    z = project(precond(r))
     p = z.copy()
     rz = float(r @ z)
     history = [float(np.linalg.norm(r)) / bnorm]
@@ -317,24 +308,18 @@ def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
     iterations = 0
     stop_reason = "max_iter"
     for it in range(1, max_iter + 1):
-        Ap = apply_op(p)
-        if project is not None:
-            Ap = project(Ap)
+        Ap = project(apply_op(p))
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             stop_reason = "indefinite"  # return the best iterate
             break
         alpha = rz / pAp
         x += alpha * p
-        r -= alpha * Ap
-        if project is not None:
-            r = project(r)
+        r = project(r - alpha * Ap)
         res = float(np.linalg.norm(r)) / bnorm
         history.append(res)
         iterations = it
-        z = precond(r)
-        if project is not None:
-            z = project(z)
+        z = project(precond(r))
         rz_new = float(r @ z)
         rz_history.append(np.sqrt(abs(rz_new)))
         if res <= tol:
@@ -392,16 +377,14 @@ def _kernel_is_valid(S: sp.csr_matrix, kernel: np.ndarray) -> bool:
 
 def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
     """CG on the condensed SPD trace system, preconditioned by its own
-    factorization; the factor is kept on a shared operator for every
-    later solve on it to reuse; returns (x2, report)."""
+    factorization; a Poisson stage's factor is kept on the mesh for every
+    later solve to reuse; returns (x2, report)."""
     t0 = time.perf_counter()
-    S, dof, op = cond.S, cond.system.dof, cond.system._operator
-    fresh = "factor" not in op
-    perm = dof.trace_order("u_hat")
-    factor = op.get("factor") or _factorize(
-        S[perm][:, perm].tocsc(), perm, cond.system.stage, "S")
-    if op:
-        op["factor"] = factor
+    S, bs = cond.S, cond.system
+    key, perm = (*bs.kept_as, "factor"), bs.dof.trace_order("u_hat")
+    fresh = key not in bs.dof.mesh.kept
+    factor = bs.dof.mesh.keep(key, lambda: _factorize(
+        S[perm][:, perm].tocsc(), perm, bs.stage, "S"))
     x, iterations, history, stop_reason, rz_hist = _pcg(
         lambda v: S @ v, cond.rhs, factor.solve, config.tol, config.max_iter)
     report = SolveReport(iterations, history[-1],
@@ -423,15 +406,13 @@ def _phat_edge_mass(dof) -> sp.csr_matrix:
 
 def _block(cond: CondensedSystem, name: str, take: Callable):
     """The block ``take(S)``, its values gathered from ``S.data`` through
-    the index map that ``take`` gives on S's entry numbers; kept under
-    ``name`` beside S's pattern, so ``take`` runs once per pattern."""
-    S, kept = cond.S, cond.pattern
-    if name not in kept:
-        ids = kept[name] = take(sp.csr_matrix((np.arange(
-            S.nnz, dtype=S.indices.dtype), S.indices, S.indptr), S.shape))
-        for arr in (ids.data, ids.indices, ids.indptr):
-            arr.setflags(write=False)
-    ids = kept[name]
+    the index map that ``take`` gives on S's entry numbers; the map is
+    kept on the mesh under ``name`` beside S's pattern, so ``take`` runs
+    once per trace layout."""
+    S, dof = cond.S, cond.system.dof
+    ids = dof.mesh.keep(("pattern", _layout(dof), name), lambda: take(
+        sp.csr_matrix((np.arange(S.nnz, dtype=S.indices.dtype), S.indices,
+                       S.indptr), S.shape)))
     return type(ids)((S.data[ids.data], ids.indices, ids.indptr), ids.shape)
 
 
@@ -464,15 +445,11 @@ def solve_saddle_trace(cond: CondensedSystem,
 
     rhs = B21 @ inner.solve(c1) - c2
 
-    project = None
-    deflated = False
-    kernel_rejected = False
-    if cond.kernel is not None:
-        if _kernel_is_valid(cond.S, cond.kernel):
-            project = _deflation_projector(cond.kernel[m:])
-            deflated = True
-        else:
-            kernel_rejected = True
+    deflated = (cond.kernel is not None
+                and _kernel_is_valid(cond.S, cond.kernel))
+    kernel_rejected = cond.kernel is not None and not deflated
+    project = (_deflation_projector(cond.kernel[m:]) if deflated
+               else lambda v: v)
 
     # Surrogate -B22c + rho * W: the pressure-trace block carries the
     # thickness-scaled rotational stiffness of the operator, and the edge
@@ -485,8 +462,7 @@ def solve_saddle_trace(cond: CondensedSystem,
     order = dof.trace_order("p_hat") - m
     probe = np.empty(B12.shape[1])
     probe[order] = np.random.default_rng(0).standard_normal(len(order))
-    if project is not None:
-        probe = project(probe)
+    probe = project(probe)
     coupled = float(probe @ (B21 @ inner.solve(B12 @ probe)))
     rho = max(coupled / float(probe @ (W @ probe)), 0.0)
     surrogate = _factorize((rho * W - B22c)[order][:, order].tocsc(), order,

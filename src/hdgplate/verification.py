@@ -270,24 +270,21 @@ def _squared_errors(flds, exact, quad_degree: int) -> np.ndarray:
     """Squared broken L2 norms of (exact - field) per field; ``exact``
     returns all fields' components stacked, (total ncomp,) + points.shape.
     Each batch's rule and its basis per field degree are built on first
-    use and kept, read-only, on the mesh like its element batches."""
+    use and kept on the mesh like its element batches."""
     mesh, ncomp = flds[0].mesh, sum(fld.ncomp for fld in flds)
     batches = element_batches(mesh)
-    kept = vars(mesh).setdefault("_error_tables", {})
-    if quad_degree not in kept:
-        kept[quad_degree] = [dict(zip(("pts", "w"), b.volume_rule(quad_degree)))
-                             for b in batches]
+    rules = mesh.keep(("error_rule", quad_degree), lambda: tuple(
+        b.volume_rule(quad_degree) for b in batches))
+    bases = {d: mesh.keep(("error_basis", quad_degree, d), lambda: tuple(
+        fs.scalar_vals(fs.monomial_exponents(d), b.centroid, b.h, pts)
+        for b, (pts, _) in zip(batches, rules)))
+        for d in {fld.degree for fld in flds}}
     acc = np.zeros(len(flds))
-    for batch, tab in zip(batches, kept[quad_degree]):
-        for d in {fld.degree for fld in flds} - tab.keys():
-            tab[d] = fs.scalar_vals(fs.monomial_exponents(d), batch.centroid,
-                                    batch.h, tab["pts"])
-        for arr in tab.values():
-            arr.setflags(write=False)
-        step = max(1, _ERROR_CHUNK // tab["w"].shape[1])
+    for i, (batch, (pts_all, w_all)) in enumerate(zip(batches, rules)):
+        step = max(1, _ERROR_CHUNK // w_all.shape[1])
         for start in range(0, len(batch.ids), step):
             part = slice(start, start + step)
-            pts, w = tab["pts"][part], tab["w"][part]
+            pts, w = pts_all[part], w_all[part]
             ex = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
             ex = ex.reshape((-1,) + w.shape)
             if ex.shape[0] != ncomp:
@@ -295,7 +292,7 @@ def _squared_errors(flds, exact, quad_degree: int) -> np.ndarray:
                                  f"discrete field has {ncomp}")
             rows = iter(ex)
             for slot, fld in enumerate(flds):
-                vals = fld.combine(batch.ids[part], tab[fld.degree][part])
+                vals = fld.combine(batch.ids[part], bases[fld.degree][i][part])
                 for c, wc in enumerate(_COMPONENT_WEIGHTS[fld.rank]):
                     diff = next(rows) - vals[:, c, :]
                     acc[slot] += wc * float(np.einsum("eq,eq->", diff ** 2, w))

@@ -143,7 +143,7 @@ def condensed_matrix(bs) -> sp.csr_matrix:
     with the same operations as in ``condense``."""
     blocks = []
     for grp in bs.groups:
-        if bs._operator:    # the Poisson stages: A11^{-1} A12 alone
+        if bs.kept_as:      # the Poisson stages: A11^{-1} A12 alone
             local = grp.a22 - grp.a12.transpose(0, 2, 1) @ np.linalg.solve(
                 grp.a11, grp.a12)
         else:               # stage two: A11^{-1} [A12 | b1]

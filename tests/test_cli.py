@@ -114,6 +114,14 @@ class TestExitCodes:
         assert main(["convergence", "--mesh", "tri", "--levels", "2,x",
                      "--out", str(tmp_path / "c.csv")]) == 1
 
+    @pytest.mark.parametrize("flag, name", [("--E", "E"),
+                                            ("--kappa", "kappa"),
+                                            ("--tol", "tol")])
+    def test_config_error_non_finite_value(self, flag, name, capsys):
+        assert main(["solve", "--mesh", "tri", "--n", "2", flag, "inf"]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {name} must be positive and finite\n")
+
     def test_unknown_flag(self, capsys):
         assert main(["solve", "--frobnicate"]) == 1
         capsys.readouterr()

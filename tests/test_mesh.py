@@ -1,13 +1,17 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
 
+from hdgplate import verification as vf
+from hdgplate.assembly import PlateMaterial, SpaceConfig
 from hdgplate.femspace import element_batches
 from hdgplate.mesh import (Mesh, MeshFormatError, MeshTopologyError,
                            ShapeRegularityWarning, generate_structured,
                            load_mesh, save_mesh)
-from meshes import mixed_strip, renumbered, renumbered_grid
+from meshes import mixed_group_mesh, mixed_strip, renumbered, renumbered_grid
 
 
 NONCONVEX_PENTAGON = np.array([[0, 0], [2, 0], [1, 0.2], [2, 2], [0, 2]])
@@ -284,6 +288,75 @@ class TestTopologyErrors:
                 MeshTopologyError,
                 match=r"^degenerate edge between vertices \(3, 4\)$"):
             Mesh(points, [(0, 1, 4, 5), (1, 2, 3, 4)])
+
+    @pytest.mark.parametrize("loops", [
+        [[0, 1, 2], [0, 1, 3]],     # folded onto each other along (0, 1)
+        [[0, 1, 2], [0, 1, 2]],     # one triangle twice: no boundary edge
+    ], ids=["folded", "duplicated"])
+    def test_shared_edge_traversed_in_same_direction(self, loops):
+        points = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        with pytest.raises(
+                MeshTopologyError,
+                match=r"^edge 0 \(0, 1\) is traversed in the same direction "
+                      r"by both its elements$"):
+            Mesh(points, loops)
+
+
+def _arrays(value):
+    """Every array reachable from ``value`` through tuples, lists, dicts
+    and object attributes (dataclasses, batches, sparse matrices)."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        yield from _arrays(list(value.values()))
+    elif hasattr(value, "__dict__"):
+        yield from _arrays(vars(value))
+
+
+class TestKept:
+    """What is built from a mesh stays in its one store, ``Mesh.kept``."""
+
+    @pytest.mark.parametrize("make", [
+        mixed_group_mesh, lambda: generate_structured("quadrilateral", 2),
+    ], ids=["mixed", "quad"])
+    def test_only_kept_grows_read_only_and_freed(self, make):
+        gc.collect()
+        gc.disable()
+        try:
+            mesh = make()
+            attrs = set(vars(mesh))
+            assert "kept" in attrs and mesh.kept == {}
+            for t in (1e-2, 1e-6):
+                mat = PlateMaterial(t=t)
+                ex = vf.exact_fields(mat)
+                fields = vf.solve_plate(mesh, SpaceConfig(2), mat, ex)
+                vf.table_errors(fields, ex)
+            assert set(vars(mesh)) == attrs
+            # stage two keeps its pattern and block maps, not Y_A or S
+            poisson, saddle = ((2, True),), ((6, True), (2, False))
+            assert set(mesh.kept) == {
+                "edge_order", "element_batches", "edge_adjacency",
+                ("poisson", 2), ("poisson", 2, "S"), ("poisson", 2, "factor"),
+                ("pattern", poisson), ("pattern", saddle),
+                *(("pattern", saddle, name)
+                  for name in ("B11", "B12", "B21", "B22c")),
+                ("error_rule", vf.ERROR_DEGREE),
+                *(("error_basis", vf.ERROR_DEGREE, d) for d in (1, 2))}
+            for key, value in mesh.kept.items():
+                arrays = list(_arrays(value))
+                assert arrays or key[-1] == "factor", key  # SuperLU holds it
+                for arr in arrays:
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[...] = 0
+            S = weakref.ref(mesh.kept["poisson", 2, "S"][1])
+            ref = weakref.ref(mesh)
+            del mesh, fields, value, arrays
+            assert ref() is None and S() is None
+        finally:
+            gc.enable()
 
 
 class TestIO:

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,19 +17,25 @@ from meshes import mixed_group_mesh, mixed_strip, renumbered_grid
 from oracles import condensed_matrix, factor_inputs, solve_saddle_direct
 
 
+def stand_in_mesh(**attrs):
+    """A mesh stand-in with the attributes ``attrs`` and its own store."""
+    mesh = SimpleNamespace(kept={}, **attrs)
+    mesh.keep = lambda key, build: Mesh.keep(mesh, key, build)
+    return mesh
+
+
 def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None):
     """Single-group BlockSystem with hand-built blocks for formula tests;
     every element couples to all trace dofs, which sit on one edge that
     all elements share, and the first element carries the whole trace
     block ``a22`` and trace load ``b2``."""
-    from types import SimpleNamespace
     ne, n1, ntl = a12_blocks.shape
     ids = np.arange(ne) if ids is None else np.asarray(ids)
     trace = asm.TraceField("x", 0, ntl, False, np.zeros(1, dtype=int))
     dof = SimpleNamespace(n_interior_per_element=n1, n_interior=ne * n1,
                           n_trace=ntl, trace_fields={"x": trace},
-                          mesh=SimpleNamespace(num_elements=ids.max() + 1,
-                                               num_edges=1))
+                          mesh=stand_in_mesh(num_elements=ids.max() + 1,
+                                             num_edges=1))
     batch = SimpleNamespace(ids=ids, edge_ids=np.zeros((ne, 1), dtype=int))
     trace = np.tile(np.arange(ntl), (ne, 1))
     a22_local, b2_local = np.zeros((ne, ntl, ntl)), np.zeros((ne, ntl))
@@ -42,14 +49,14 @@ def toy_saddle_system(B11, Mp, rhs):
     """Condensed stage-two system [[B11, 0], [0, -Mp]] on a stand-in mesh
     of unit-length edges, one pressure dof each; the trace orders are the
     identity."""
-    from types import SimpleNamespace
     m, n = len(B11), len(Mp)
     S = np.block([[B11, np.zeros((m, n))], [np.zeros((n, m)), -Mp]])
     dof = SimpleNamespace(
-        trace_fields={"p_hat": SimpleNamespace(offset=m, per_edge=1)},
+        trace_fields={"p_hat": SimpleNamespace(offset=m, per_edge=1,
+                                               dirichlet=False)},
         trace_order={"theta_hat": np.arange(m),
                      "p_hat": np.arange(m, m + n)}.get,
-        mesh=SimpleNamespace(num_edges=n, edge_length=np.ones(n)),
+        mesh=stand_in_mesh(num_edges=n, edge_length=np.ones(n)),
         n_trace=m + n, n_interior=0)
     bs = SimpleNamespace(dof=dof, stage="step2")
     return slv.CondensedSystem(bs, sp.csr_matrix(S), rhs, [], None)
@@ -60,7 +67,8 @@ class TestSolverConfig:
         ({"max_iter": 0}, "max_iter must be >= 1"),
         ({"max_iter": -3}, "max_iter must be >= 1"),
         ({"tol": 0.0}, "tol must be positive"),
-        ({"max_iter": 2.5}, "max_iter=2.5 must be an integer")])
+        ({"max_iter": 2.5}, "max_iter=2.5 must be an integer"),
+        ({"tol": np.inf}, "tol must be positive and finite")])
     def test_rejects_impossible_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             slv.SolverConfig(**kwargs)
@@ -481,18 +489,25 @@ class TestTraceFactorization:
         assert fields.reports["step3"].factor_time == 0
 
     def test_saddle_operator_not_kept(self):
-        # only the Poisson stages share an operator: stage two's Y_A and S
-        # are freed with its condensed system
+        # only the Poisson stages keep an operator: stage two's Y_A and S
+        # are freed with its condensed system, and it keeps on the mesh
+        # only its pattern and block maps
         mat = PlateMaterial(t=0.1)
         mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
         bs1 = asm.assemble_step1(mesh, SpaceConfig(1), ex.g[0])
         x1, _, _ = slv.solve_stage(bs1)
-        assert set(bs1._operator) == {"groups", "source", "Y_A", "S",
-                                      "factor"}
+        assert bs1.kept_as == ("poisson", 1)
+        assert {("poisson", 1), ("poisson", 1, "S"),
+                ("poisson", 1, "factor")} <= set(mesh.kept)
         bs2 = asm.assemble_step2(mesh, SpaceConfig(1), mat,
                                  bs1.dof.field("flux", x1))
+        before = set(mesh.kept)
         slv.solve_stage(bs2)
-        assert bs2._operator == {}
+        assert bs2.kept_as is None
+        layout = ((4, True), (1, False))
+        assert set(mesh.kept) - before == {
+            ("pattern", layout), *(("pattern", layout, name)
+                                   for name in ("B11", "B12", "B21", "B22c"))}
 
     def test_one_poisson_operator_and_three_factorizations_per_solve(
             self, monkeypatch):
@@ -532,7 +547,7 @@ class TestTraceFactorization:
             assert fields.reports[stage].factor_time == 0
         assert fields.reports["step2"].factor_fill > 0
         # the operator and its factor do not outlive the mesh
-        S = weakref.ref(mesh._poisson_operators[1]["S"])
+        S = weakref.ref(mesh.kept["poisson", 1, "S"][1])
         del mesh, fields
         gc.collect()
         assert S() is None
@@ -579,7 +594,7 @@ _TRACES = ("r_hat", "theta_hat", "p_hat", "omega_hat")
 
 class TestMeshCache:
     """The Poisson operator, the trace patterns and the error tables are
-    kept on the mesh."""
+    kept on the mesh (see also ``test_mesh.TestKept``)."""
 
     @pytest.mark.parametrize("kind,k", [("triangle", 1), ("quadrilateral", 2)])
     def test_t_sweep_equals_fresh_meshes(self, kind, k):
@@ -599,42 +614,6 @@ class TestMeshCache:
             for stage, rep in swept.reports.items():
                 assert rep.iterations == fresh.reports[stage].iterations
             assert vf.table_errors(swept, ex) == vf.table_errors(fresh, ex)
-
-    def test_freed_with_mesh_by_reference_counting(self):
-        mat = PlateMaterial(t=1e-2)
-        ex = vf.exact_fields(mat)
-        gc.collect()
-        gc.disable()
-        try:
-            mesh = generate_structured("quadrilateral", 2)
-            fields = vf.solve_plate(mesh, SpaceConfig(2), mat, ex)
-            vf.table_errors(fields, ex)
-            op = mesh._poisson_operators[2]
-            patterns = mesh._trace_patterns
-            # the Poisson layout, stage two's with its four block maps, and
-            # the edge adjacency they were built from
-            assert len(patterns) == 3
-            assert set(patterns[(6, True), (2, False)]) == {
-                "indptr", "indices", "position", "B11", "B12", "B21", "B22c"}
-            kept = [op["S"].data, op["S"].indices, *op["Y_A"],
-                    *(getattr(g, a) for g in op["groups"]
-                      for a in ("a11", "a12", "a22", "trace_indices")),
-                    *(a for rule in op["source"] for a in rule),
-                    *(a for tables in mesh._error_tables.values()
-                      for tab in tables for a in tab.values()),
-                    *(a for entry in patterns.values()
-                      for item in (entry.values() if isinstance(entry, dict)
-                                   else (entry,))
-                      for a in ((item.data, item.indices, item.indptr)
-                                if sp.issparse(item) else (item,)))]
-            for arr in kept:
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[...] = 0.0
-            ref = weakref.ref(mesh)
-            del mesh, fields, op, kept, patterns
-            assert ref() is None
-        finally:
-            gc.enable()
 
     def test_t_sweep_builds_each_pattern_once(self, monkeypatch):
         built, conds = [], []
@@ -657,7 +636,7 @@ class TestMeshCache:
         assert len(built) == 2 and len(conds) == 6
         first, second = conds[1], conds[4]
         assert first.system.stage == second.system.stage == "step2"
-        assert first.pattern is second.pattern is built[1]
+        assert mesh.kept["pattern", ((6, True), (2, False))] is built[1]
         for S in (first.S, second.S):
             assert np.shares_memory(S.indices, built[1]["indices"])
         assert first.S is not second.S
