@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import femspace as fs
 from .femspace import ElementBatch, element_batches
@@ -40,6 +41,7 @@ __all__ = [
     "StageDofMap",
     "BlockSystem",
     "ElementBlockGroup",
+    "MassFields",
     "assemble_step1",
     "assemble_step2",
     "assemble_step3",
@@ -336,16 +338,31 @@ class StageDofMap:
 
 
 @dataclass
+class MassFields:
+    """A group's leading interior fields that enter only through an L2
+    mass: their block is ``coef ⊗ mass``, and they couple to the later
+    fields only through ``sum_d coupling[d] ⊗ D[d]``."""
+
+    mass: np.ndarray      # (ne, Ts, Ts)
+    coef: np.ndarray      # (nc, nc)
+    D: np.ndarray         # (nd, ne, Ts, Tv)
+    coupling: np.ndarray  # (nd, nc, np)
+
+
+@dataclass
 class ElementBlockGroup:
-    """Dense local blocks for one batch of same-size elements."""
+    """Dense local blocks for one batch of same-size elements; with
+    ``mass``, ``a11`` is the block of the interior fields after its
+    ``nm = nc * Ts`` mass fields."""
 
     batch: ElementBatch
-    a11: np.ndarray           # (ne, n1, n1)
+    a11: np.ndarray           # (ne, n1 - nm, n1 - nm)
     a12: np.ndarray           # (ne, n1, ntl)
     a22: np.ndarray           # (ne, ntl, ntl)
     b1: np.ndarray            # (ne, n1)
     b2: np.ndarray            # (ne, ntl)
     trace_indices: np.ndarray  # (ne, ntl), -1 for eliminated trace dofs
+    mass: MassFields | None = None
 
 
 @dataclass
@@ -535,10 +552,18 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
 # ----------------------------------------------------------------------
 # stage two
 
+# sigma (11, 22, 12) and R (1, 2) against theta (1, 2) and p, per
+# derivative d/dx, d/dy: -(theta, div tau) and (p, curl S)
+_COUPLING = np.zeros((2, 5, 3))
+_COUPLING[0, [0, 2, 4], [0, 1, 2]] = -1.0, -1.0, 1.0
+_COUPLING[1, [1, 2, 3], [1, 0, 2]] = -1.0
+_COUPLING.setflags(write=False)
+
 
 def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
                    L: DiscreteField, f: Callable | None = None) -> BlockSystem:
-    """Stage-two saddle system: find (sigma, R, theta, theta_hat, p, p_hat)."""
+    """Stage-two saddle system: find (sigma, R, theta, theta_hat, p, p_hat).
+    sigma and R are :class:`MassFields`; ``a11`` is the (theta, p) block."""
     if L is None:
         raise ValueError("stage-two assembly needs the stage-one flux field")
     k, l = spaces.k, spaces.l
@@ -549,14 +574,16 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         interior_fields=[("sigma", k - 1, "symtensor2x2"), ("R", k - 1, "vector2"),
                          ("theta", k, "vector2"), ("p", k, "scalar")],
         trace_fields=[("theta_hat", m_th, True), ("p_hat", k, False)])
-    n1, Ts = dof.n_interior_per_element, fs.space_dim(k - 1)
+    n1, Ts, Tv = dof.n_interior_per_element, fs.space_dim(k - 1), fs.space_dim(k)
     tf_th = dof.trace_fields["theta_hat"]
     tf_p = dof.trace_fields["p_hat"]
     sl_sig, sl_R, sl_th = (dof.components(name) for name in ("sigma", "R", "theta"))
     sl_p = dof.interior_slice("p")
 
-    Kinv = constitutive_inverse_matrix(material)
-    lam_t2 = material.lam / material.t ** 2
+    # the sigma mass Kinv ⊗ Mss and the R mass lam/t^2 Mss, negated for
+    # the symmetric arrangement
+    coef = block_diag(-constitutive_inverse_matrix(material),
+                      material.lam / material.t ** 2 * np.eye(2))
     exps_v = fs.monomial_exponents(k)
 
     groups = []
@@ -565,29 +592,12 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         Mss, EX, EY, edges = _local_matrices(batch, k, l, degrees)
         DX, DY = EX[:, :Ts], EY[:, :Ts]
 
-        a11 = np.zeros((ne, n1, n1))
-        # stress mass, negated for the symmetric arrangement
-        for ci in range(3):
-            for cj in range(3):
-                if Kinv[ci, cj] != 0.0:
-                    a11[:, sl_sig[ci], sl_sig[cj]] = -Kinv[ci, cj] * Mss
-        # (theta, div tau) coupling:  rows (11,22,12) x cols (1,2)
-        for (c, u, blk) in ((0, 0, DX), (1, 1, DY), (2, 0, DY), (2, 1, DX)):
-            a11[:, sl_sig[c], sl_th[u]] = -blk
-            a11[:, sl_th[u], sl_sig[c]] = -blk.transpose(0, 2, 1)
-        # scaled rotation-moment mass
-        a11[:, sl_R[0], sl_R[0]] = lam_t2 * Mss
-        a11[:, sl_R[1], sl_R[1]] = lam_t2 * Mss
-        # (p, curl S) and its transpose
-        a11[:, sl_R[0], sl_p] = -DY
-        a11[:, sl_R[1], sl_p] = DX
-        a11[:, sl_p, sl_R[0]] = -DY.transpose(0, 2, 1)
-        a11[:, sl_p, sl_R[1]] = DX.transpose(0, 2, 1)
+        # theta and p after the mass fields sigma and R
+        a11 = np.zeros((ne, 3 * Tv, 3 * Tv))
+        th, p = (slice(0, Tv), slice(Tv, 2 * Tv)), slice(2 * Tv, None)
         # (curl phi, p) and its transpose
-        a11[:, sl_th[0], sl_p] = -EY
-        a11[:, sl_th[1], sl_p] = EX
-        a11[:, sl_p, sl_th[0]] = -EY.transpose(0, 2, 1)
-        a11[:, sl_p, sl_th[1]] = EX.transpose(0, 2, 1)
+        a11[:, th[0], p], a11[:, p, th[0]] = -EY, -EY.mT
+        a11[:, th[1], p], a11[:, p, th[1]] = EX, EX.mT
 
         ntl = nv * (m_th + k)
         a12 = np.zeros((ne, n1, ntl))
@@ -600,9 +610,9 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             Cls, Ckv, Cks, Ek = (Clv[:, :, :Ts], Clv[:, :k], Clv[:, :k, :Ts],
                                  El[:, :k, :k])
             stab2 = alpha2[:, None, None] * _stab_volume_block(Clv, El)
-            a11[:, sl_th[0], sl_th[0]] += stab2
-            a11[:, sl_th[1], sl_th[1]] += stab2
-            a11[:, sl_p, sl_p] -= alpha3[:, None, None] * _stab_volume_block(Ckv, Ek)
+            a11[:, th[0], th[0]] += stab2
+            a11[:, th[1], th[1]] += stab2
+            a11[:, p, p] -= alpha3[:, None, None] * _stab_volume_block(Ckv, Ek)
 
             nrm = batch.normals[:, e, :]
             tang = batch.tangents[:, e, :]
@@ -645,8 +655,9 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         for u in range(2):
             b1[:, sl_th[u]] = np.einsum("enq,eq,eq->en", Vv_s, load[:, u, :], sw)
 
-        groups.append(ElementBlockGroup(batch, a11, a12, a22, b1,
-                                        np.zeros((ne, ntl)), trace_idx))
+        groups.append(ElementBlockGroup(
+            batch, a11, a12, a22, b1, np.zeros((ne, ntl)), trace_idx,
+            MassFields(Mss, coef, np.stack([DX, DY]), _COUPLING)))
 
     # the condensed system annihilates constant pressure: mark that mode
     kernel = np.zeros(dof.n_trace)

@@ -207,8 +207,8 @@ class Mesh:
         ``solver``, ``("poisson", k, "S" | "factor")``, its ``A11^{-1}
         A12`` with ``S`` and the factor, ``"edge_adjacency"``,
         ``("pattern", layout)`` per trace layout and ``("pattern", layout,
-        "B11" | "B12" | "B21" | "B22c")``, the index maps of stage two's
-        blocks; in ``verification``, ``("error_rule", degree)`` and
+        "B11" | "B12" | "B22c")``, the index maps of stage two's blocks;
+        in ``verification``, ``("error_rule", degree)`` and
         ``("error_basis", degree, d)``, per batch the error rule and the
         P_d basis on it."""
         if key not in self.kept:

@@ -1,7 +1,8 @@
 """Static condensation and iterative solution of the trace systems.
 
 Condensation eliminates the element-diagonal interior block, producing a
-sparse system in the edge unknowns only.  For the Poisson-type stages
+sparse system in the edge unknowns only; stage two's sigma and R, which
+enter only through L2 masses, go first.  For the Poisson-type stages
 the condensed matrix is symmetric positive definite and is solved by CG
 preconditioned with its own factorization.  For the saddle stage the
 condensed matrix keeps a two-by-two structure in (rotation trace,
@@ -111,7 +112,8 @@ class SolveReport:
 @dataclass
 class CondensedSystem:
     """Schur complement trace system; ``local`` keeps, per element group,
-    ``(Y_A, Y_b) = (A11^{-1} A12, A11^{-1} b1)`` for back-substitution."""
+    ``(Y_A, Y_b, minv)`` for back-substitution (see :func:`_eliminate`;
+    ``minv`` is None without mass fields)."""
 
     system: BlockSystem
     S: sp.csr_matrix
@@ -120,17 +122,75 @@ class CondensedSystem:
     kernel: np.ndarray | None
 
 
-def _local_solve(grp, rhs: np.ndarray) -> np.ndarray:
-    """A11^{-1} rhs for every element of a group at once."""
+def _local_solve(ids, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """a^{-1} rhs for a stack of elements ``ids`` at once."""
     try:
-        y = np.linalg.solve(grp.a11, rhs)
+        y = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:  # some block has an exactly zero pivot
-        ok = np.isfinite(np.linalg.slogdet(grp.a11)[1])
+        ok = np.isfinite(np.linalg.slogdet(a)[1])
     else:
         if np.isfinite(y).all():
             return y
         ok = np.isfinite(y).all(axis=(1, 2))
-    raise SingularElementBlockError(int(grp.batch.ids[np.argmin(ok)]))
+    raise SingularElementBlockError(int(ids[np.argmin(ok)]))
+
+
+def _mass_inverse(ids, mass: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of element masses, from one stacked
+    Cholesky; names an element whose mass is not positive definite."""
+    try:
+        linv = _local_solve(ids, np.linalg.cholesky(mass), np.eye(mass.shape[1]))
+    except np.linalg.LinAlgError:
+        ok = (np.isfinite(mass).all(axis=(1, 2))
+              & (np.linalg.eigvalsh(np.nan_to_num(mass))[:, 0] > 0))
+        raise SingularElementBlockError(int(ids[np.argmin(ok)])) from None
+    return linv.mT @ linv
+
+
+def _kron(c: np.ndarray, M: np.ndarray, x: np.ndarray, T=False) -> np.ndarray:
+    """``(sum_d c[d] ⊗ M[d]) x`` per element for (nd, a, b) ``c``, (nd, ne,
+    s, t) ``M`` and an (ne, b * t, ...) stack ``x``, never forming the
+    product's matrix; with ``T``, its transpose times an (ne, a * s, ...)
+    stack."""
+    if T:
+        c, M = c.transpose(0, 2, 1), M.mT
+    y = M[:, :, None] @ x.reshape(len(x), c.shape[2], M.shape[3], -1)
+    return np.einsum("dij,dejs...->eis...", c, y).reshape(
+        len(x), -1, *x.shape[2:])
+
+
+# elements per pass of the stage-two elimination: bounds its temporaries
+# and changes no bit of its results
+_CHUNK = 64
+
+
+def _eliminate(grp, out: np.ndarray) -> tuple:
+    """Eliminate a group's interior unknowns: write its local Schur blocks
+    into ``out`` and return ``(Y, rhs, minv)``, with ``Y = A11'^{-1}
+    [A12' | b1']`` for the fields after the mass fields, the local loads
+    and the inverse element masses.  The mass fields, if any, go first,
+    through ``coef^{-1} ⊗ minv``; the primes mark what that leaves of
+    the other fields' blocks, which a stacked dense solve eliminates."""
+    (ne, n1), n, m = grp.b1.shape, grp.a11.shape[1], grp.mass
+    nm = n1 - n
+    y, rhs = np.empty((ne, n, grp.a12.shape[2] + 1)), np.empty(grp.b2.shape)
+    minv = None if m is None else np.empty(m.mass.shape)
+    for e in (slice(i, i + _CHUNK) for i in range(0, ne, _CHUNK)):
+        cols = np.concatenate([grp.a12[e], grp.b1[e, :, None]], -1)
+        rest, z = np.concatenate([grp.a11[e], cols[:, nm:]], -1), 0.0
+        if m is not None:  # rest -= A_pm A_mm^{-1} [A_mp | A12_m | b1_m]
+            minv[e] = _mass_inverse(grp.batch.ids[e], m.mass[e])
+            amp = _kron(m.coupling, m.D[:, e],
+                        np.broadcast_to(np.eye(n), (len(cols), n, n)))
+            w = _kron(np.linalg.inv(m.coef)[None], minv[None, e],
+                      np.concatenate([amp, cols[:, :nm]], -1))
+            rest -= amp.mT @ w
+            z = cols[:, :nm, :-1].mT @ w[..., n:]
+        y[e] = _local_solve(grp.batch.ids[e], rest[..., :n], rest[..., n:])
+        z += rest[..., n:-1].mT @ y[e]
+        np.subtract(grp.a22[e], z[..., :-1], out=out[e])
+        np.subtract(grp.b2[e], z[..., -1], out=rhs[e])
+    return y, rhs, minv
 
 
 def _scatter_vector(vec: np.ndarray, idx: np.ndarray, local: np.ndarray):
@@ -220,7 +280,8 @@ def condense(bs: BlockSystem) -> CondensedSystem:
     and ``rhs`` the local ``b2 - A12^T A11^{-1} b1``.  The Poisson
     stages keep their ``Y_A`` and ``S`` on the mesh, beside their
     operator, and every condense solves ``A11^{-1} b1`` alone.  Stage two
-    gets both from one stacked solve ``A11^{-1} [A12 | b1]``.
+    eliminates sigma and R with the inverse element mass first, then
+    (theta, p) by one stacked solve (see :func:`_eliminate`).
     """
     pattern = _pattern(bs)
     schur = np.empty(len(pattern["position"]))  # the local Schur blocks
@@ -228,7 +289,8 @@ def condense(bs: BlockSystem) -> CondensedSystem:
         schur, np.cumsum([grp.a22.size for grp in bs.groups])[:-1]))]
 
     def poisson():
-        y_as = [_local_solve(grp, grp.a12) for grp in bs.groups]
+        y_as = [_local_solve(grp.batch.ids, grp.a11, grp.a12)
+                for grp in bs.groups]
         for grp, y_a, out in zip(bs.groups, y_as, blocks):
             np.subtract(grp.a22, grp.a12.transpose(0, 2, 1) @ y_a, out=out)
         return y_as, _scatter(pattern, schur)
@@ -237,19 +299,16 @@ def condense(bs: BlockSystem) -> CondensedSystem:
     rhs = np.zeros(bs.n_trace)
     local = []
     for i, grp in enumerate(bs.groups):
+        minv = None
         if bs.kept_as:
-            y_a, y_b = y_as[i], _local_solve(grp, grp.b1[..., None])[..., 0]
-            z_b = np.einsum("eij,ei->ej", grp.a12, y_b)
+            y_a, y_b = y_as[i], _local_solve(
+                grp.batch.ids, grp.a11, grp.b1[..., None])[..., 0]
+            local_rhs = grp.b2 - np.einsum("eij,ei->ej", grp.a12, y_b)
         else:
-            y = _local_solve(
-                grp, np.concatenate([grp.a12, grp.b1[..., None]], axis=-1))
-            # A12^T [Y_A | Y_b]: the Schur block and, in the last column, the load
-            z = grp.a12.transpose(0, 2, 1) @ y
-            np.subtract(grp.a22, z[..., :-1], out=blocks[i])
-            y_a, y_b, z_b = y[..., :-1], y[..., -1], z[..., -1].copy()
-            del z  # freed before the scatter
-        _scatter_vector(rhs, grp.trace_indices, grp.b2 - z_b)
-        local.append((y_a, y_b))
+            y, local_rhs, minv = _eliminate(grp, blocks[i])
+            y_a, y_b = y[..., :-1], y[..., -1]
+        _scatter_vector(rhs, grp.trace_indices, local_rhs)
+        local.append((y_a, y_b, minv))
 
     if not bs.kept_as:
         S = _scatter(pattern, schur)
@@ -260,10 +319,18 @@ def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
     """Interior solution (num_elements, n1) from the trace solution."""
     dof = cond.system.dof
     x1 = np.zeros((dof.mesh.num_elements, dof.n_interior_per_element))
-    for grp, (y_a, y_b) in zip(cond.system.groups, cond.local):
+    for grp, (y_a, y_b, minv) in zip(cond.system.groups, cond.local):
         x2loc = np.where(grp.trace_indices >= 0,
                          x2[np.clip(grp.trace_indices, 0, None)], 0.0)
-        x1[grp.batch.ids] = y_b - np.einsum("eij,ej->ei", y_a, x2loc)
+        xp = y_b - np.einsum("eij,ej->ei", y_a, x2loc)
+        nm = x1.shape[1] - xp.shape[1]
+        x1[grp.batch.ids, nm:] = xp
+        if minv is not None:  # the mass fields from the rest
+            m = grp.mass
+            v = (grp.b1[:, :nm] - np.einsum("eij,ej->ei", grp.a12[:, :nm], x2loc)
+                 - _kron(m.coupling, m.D, xp))
+            x1[grp.batch.ids, :nm] = _kron(np.linalg.inv(m.coef)[None],
+                                           minv[None], v)
     return x1
 
 
@@ -275,8 +342,14 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
         x1g = x1[grp.batch.ids]
         x2loc = np.where(grp.trace_indices >= 0,
                          x2[np.clip(grp.trace_indices, 0, None)], 0.0)
-        r1 = (np.einsum("eij,ej->ei", grp.a11, x1g)
-              + np.einsum("eij,ej->ei", grp.a12, x2loc) - grp.b1)
+        r1 = np.einsum("eij,ej->ei", grp.a12, x2loc) - grp.b1
+        nm = x1g.shape[1] - grp.a11.shape[1]
+        r1[:, nm:] += np.einsum("eij,ej->ei", grp.a11, x1g[:, nm:])
+        if grp.mass is not None:  # the mass fields' rows and columns
+            m, xm = grp.mass, x1g[:, :nm]
+            r1[:, :nm] += (_kron(m.coef[None], m.mass[None], xm)
+                           + _kron(m.coupling, m.D, x1g[:, nm:]))
+            r1[:, nm:] += _kron(m.coupling, m.D, xm, T=True)
         rnorm2 += float((r1 ** 2).sum())
         bnorm2 += float((grp.b1 ** 2).sum())
         _scatter_vector(r2, grp.trace_indices,
@@ -331,9 +404,15 @@ def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
 
 
 class _Factor(NamedTuple):
-    solve: Callable
+    lu: spla.SuperLU
+    perm: np.ndarray
     fill: int
     seconds: float
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[self.perm] = self.lu.solve(b[self.perm])
+        return x
 
 
 def _factorize(A: sp.csc_matrix, perm: np.ndarray, stage: str = "",
@@ -357,12 +436,7 @@ def _factorize(A: sp.csc_matrix, perm: np.ndarray, stage: str = "",
                        options={"SymmetricMode": True})
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise SingularTraceBlockError(stage, block) from err
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x = np.empty_like(b)
-        x[perm] = lu.solve(b[perm])
-        return x
-    return _Factor(solve, lu.nnz, time.perf_counter() - t0)
+    return _Factor(lu, perm, lu.nnz, time.perf_counter() - t0)
 
 
 def _deflation_projector(z: np.ndarray) -> Callable:
@@ -437,13 +511,12 @@ def solve_saddle_trace(cond: CondensedSystem,
     inner = _factorize(_block(cond, "B11", lambda A: A[:m, :m][perm][
         :, perm].tocsc()), perm, stage, "B11")
     B12 = _block(cond, "B12", lambda A: A[:m, m:])
-    B21 = _block(cond, "B21", lambda A: A[:m, m:].T.tocsr())
     B22c = _block(cond, "B22c", lambda A: A[m:, m:])
 
     def apply_outer(v):
-        return B21 @ inner.solve(B12 @ v) - B22c @ v
+        return B12.T @ inner.solve(B12 @ v) - B22c @ v
 
-    rhs = B21 @ inner.solve(c1) - c2
+    rhs = B12.T @ inner.solve(c1) - c2
 
     deflated = (cond.kernel is not None
                 and _kernel_is_valid(cond.S, cond.kernel))
@@ -463,7 +536,7 @@ def solve_saddle_trace(cond: CondensedSystem,
     probe = np.empty(B12.shape[1])
     probe[order] = np.random.default_rng(0).standard_normal(len(order))
     probe = project(probe)
-    coupled = float(probe @ (B21 @ inner.solve(B12 @ probe)))
+    coupled = float(probe @ (B12.T @ inner.solve(B12 @ probe)))
     rho = max(coupled / float(probe @ (W @ probe)), 0.0)
     surrogate = _factorize((rho * W - B22c)[order][:, order].tocsc(), order,
                            stage, "surrogate")

@@ -2,9 +2,10 @@
 
 They trade speed for accuracy: exact rational arithmetic,
 ``np.longdouble`` where a whole error norm has to be recomputed, a
-dense or sparse direct solve of a whole block system, or the condensed
-matrix summed from COO triplets, as the solver did before it kept a
-fixed pattern.
+dense or sparse direct solve of a whole block system, the dense
+interior block that stage two keeps in its field blocks, or the
+condensed matrix summed from COO triplets, as the solver did before it
+kept a fixed pattern.
 """
 
 from decimal import Decimal, localcontext
@@ -82,6 +83,25 @@ def table_errors_longdouble(fields, exact, quad_degree=vf.ERROR_DEGREE):
     return errs
 
 
+def dense_a11(grp) -> np.ndarray:
+    """The whole (ne, n1, n1) interior block of an element group: its
+    ``a11`` with, when the group has mass fields, their blocks
+    ``coef ⊗ mass`` and couplings ``sum_d coupling[d] ⊗ D[d]`` put back."""
+    m = grp.mass
+    if m is None:
+        return grp.a11
+    ne, n1 = grp.b1.shape
+    nm = n1 - grp.a11.shape[1]
+    a11 = np.zeros((ne, n1, n1))
+    a11[:, :nm, :nm] = np.einsum("ij,est->eisjt", m.coef,
+                                 m.mass).reshape(ne, nm, nm)
+    a11[:, :nm, nm:] = np.einsum("dij,dest->eisjt", m.coupling,
+                                 m.D).reshape(ne, nm, n1 - nm)
+    a11[:, nm:, :nm] = a11[:, :nm, nm:].transpose(0, 2, 1)
+    a11[:, nm:, nm:] = grp.a11
+    return a11
+
+
 def monolithic_dense(bs) -> tuple[np.ndarray, np.ndarray]:
     """The uncondensed symmetric system (interior + trace) of the
     ``BlockSystem`` ``bs`` as dense arrays."""
@@ -90,9 +110,10 @@ def monolithic_dense(bs) -> tuple[np.ndarray, np.ndarray]:
     A = np.zeros((ni + nt, ni + nt))
     b = np.zeros(ni + nt)
     for g in bs.groups:
+        a11 = dense_a11(g)
         for row in range(len(g.batch.ids)):
             i0 = g.batch.ids[row] * n1
-            A[i0:i0 + n1, i0:i0 + n1] = g.a11[row]
+            A[i0:i0 + n1, i0:i0 + n1] = a11[row]
             cols = g.trace_indices[row]
             keep = cols >= 0
             A[i0:i0 + n1, ni + cols[keep]] = g.a12[row][:, keep]
@@ -139,19 +160,38 @@ def _trace_matrix(blocks, n: int) -> sp.csr_matrix:
 
 def condensed_matrix(bs) -> sp.csr_matrix:
     """``solver.condense(bs).S`` without its exact zeros, as the COO-to-CSR
-    sum of every element's ``A22 - A12^T A11^{-1} A12``, each computed
-    with the same operations as in ``condense``."""
+    sum of every element's local Schur block, each computed with the
+    same operations as in ``condense``."""
     blocks = []
     for grp in bs.groups:
         if bs.kept_as:      # the Poisson stages: A11^{-1} A12 alone
             local = grp.a22 - grp.a12.transpose(0, 2, 1) @ np.linalg.solve(
                 grp.a11, grp.a12)
-        else:               # stage two: A11^{-1} [A12 | b1]
-            y = np.linalg.solve(grp.a11, np.concatenate(
-                [grp.a12, grp.b1[..., None]], axis=-1))
-            local = grp.a22 - (grp.a12.transpose(0, 2, 1) @ y)[..., :-1]
+        else:               # stage two: mass fields first, then the rest
+            local = np.empty(grp.a22.shape)
+            slv._eliminate(grp, local)
         blocks.append(_coo_block(grp.trace_indices, local))
     return _trace_matrix(blocks, bs.n_trace)
+
+
+def dense_elimination(bs, x2: np.ndarray) -> tuple:
+    """``(S, rhs, x1)`` of ``bs`` from one stacked solve ``A11^{-1}
+    [A12 | b1]`` per group with the dense interior block ``dense_a11``:
+    the condensed matrix (dense), its load and the interior solution
+    back-substituted from the trace solution ``x2``."""
+    blocks, rhs = [], np.zeros(bs.n_trace)
+    x1 = np.zeros((bs.dof.mesh.num_elements, bs.dof.n_interior_per_element))
+    for grp in bs.groups:
+        idx = grp.trace_indices
+        y = np.linalg.solve(dense_a11(grp), np.concatenate(
+            [grp.a12, grp.b1[..., None]], axis=-1))
+        z = grp.a12.transpose(0, 2, 1) @ y
+        blocks.append(_coo_block(idx, grp.a22 - z[..., :-1]))
+        np.add.at(rhs, idx[idx >= 0], (grp.b2 - z[..., -1])[idx >= 0])
+        x2loc = np.where(idx >= 0, x2[idx], 0.0)
+        x1[grp.batch.ids] = y[..., -1] - np.einsum("eij,ej->ei",
+                                                   y[..., :-1], x2loc)
+    return _trace_matrix(blocks, bs.n_trace).toarray(), rhs, x1
 
 
 def factor_inputs(bs) -> list:

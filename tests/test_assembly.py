@@ -330,6 +330,19 @@ class TestSystems:
             assert np.array_equal(ga.a22, gb.a22)
             assert np.array_equal(ga.b1, gb.b1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_step2_keeps_no_dense_interior_block(self, k):
+        # sigma and R stay in their mass blocks; a11 is the (theta, p) one
+        mesh = mixed_polygon_mesh()
+        bs, _, _ = _step2_system(mesh, k)
+        n1 = bs.dof.n_interior_per_element
+        n = n1 - bs.dof.interior_slice("theta").start
+        for grp in bs.groups:
+            ne = len(grp.batch.ids)
+            assert grp.a11.shape == (ne, n, n)
+            arrays = [*vars(grp).values(), *vars(grp.mass).values()]
+            assert all(np.shape(a) != (ne, n1, n1) for a in arrays)
+
     def test_missing_stage_inputs_raise(self):
         mesh = generate_structured("triangle", 1)
         with pytest.raises(ValueError):

@@ -14,7 +14,8 @@ from hdgplate import verification as vf
 from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import Mesh, generate_structured
 from meshes import mixed_group_mesh, mixed_strip, renumbered_grid
-from oracles import condensed_matrix, factor_inputs, solve_saddle_direct
+from oracles import (condensed_matrix, dense_a11, dense_elimination,
+                     factor_inputs, solve_saddle_direct)
 
 
 def stand_in_mesh(**attrs):
@@ -24,11 +25,13 @@ def stand_in_mesh(**attrs):
     return mesh
 
 
-def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None):
+def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
+                     mass=None):
     """Single-group BlockSystem with hand-built blocks for formula tests;
     every element couples to all trace dofs, which sit on one edge that
     all elements share, and the first element carries the whole trace
-    block ``a22`` and trace load ``b2``."""
+    block ``a22`` and trace load ``b2``.  With ``mass`` (``MassFields``),
+    ``a11_blocks`` is the block after the mass fields."""
     ne, n1, ntl = a12_blocks.shape
     ids = np.arange(ne) if ids is None else np.asarray(ids)
     trace = asm.TraceField("x", 0, ntl, False, np.zeros(1, dtype=int))
@@ -41,7 +44,7 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None):
     a22_local, b2_local = np.zeros((ne, ntl, ntl)), np.zeros((ne, ntl))
     a22_local[0], b2_local[0] = a22, b2
     group = asm.ElementBlockGroup(batch, a11_blocks, a12_blocks, a22_local,
-                                  b1, b2_local, trace)
+                                  b1, b2_local, trace, mass)
     return asm.BlockSystem(dof=dof, groups=[group])
 
 
@@ -131,6 +134,50 @@ class TestCondense:
             slv.condense(bs)
         assert err.value.element_id == 11
 
+    @staticmethod
+    def _four_element_mass_group(bad_mass=None, bad_rest=None):
+        # one mass field of two dofs (block 2 Mss), coupled to the two
+        # dofs after it by A_mp = D = I; the third element is broken
+        mass = np.stack([np.eye(2) * s for s in (2.0, 4.0, 1.0, 3.0)])
+        a11 = np.stack([np.eye(2) * (i + 3.0) for i in range(4)])
+        if bad_mass is not None:
+            mass[2] = bad_mass
+        if bad_rest is not None:
+            a11[2] = bad_rest
+        fields = asm.MassFields(mass, np.array([[2.0]]),
+                                np.eye(2)[None, None].repeat(4, axis=1),
+                                np.ones((1, 1, 1)))
+        return toy_block_system(a11, np.ones((4, 4, 2)), np.eye(2),
+                                np.ones((4, 4)), np.zeros(2),
+                                ids=[7, 3, 11, 5], mass=fields)
+
+    @pytest.mark.parametrize("bad", [np.diag([1.0, -1.0]), np.zeros((2, 2)),
+                                     np.full((2, 2), np.nan)],
+                             ids=["indefinite", "zero", "nan"])
+    def test_mass_not_positive_definite_names_its_element(self, bad):
+        bs = self._four_element_mass_group(bad_mass=bad)
+        with pytest.raises(slv.SingularElementBlockError) as err:
+            slv.condense(bs)
+        assert err.value.element_id == 11
+
+    def test_singular_block_after_mass_names_its_element(self):
+        # element 11's mass is I, so a11 = I / 2 leaves an exactly zero
+        # (theta, p) block once the mass fields are eliminated
+        bs = self._four_element_mass_group(bad_rest=np.eye(2) / 2)
+        with pytest.raises(slv.SingularElementBlockError) as err:
+            slv.condense(bs)
+        assert err.value.element_id == 11
+
+    def test_mass_group_matches_dense_elimination(self):
+        bs = self._four_element_mass_group()
+        x2 = np.array([0.5, -1.0])
+        cond = slv.condense(bs)
+        S, rhs, x1 = dense_elimination(bs, x2)
+        assert np.allclose(cond.S.toarray(), S, rtol=1e-14, atol=1e-14)
+        assert np.allclose(cond.rhs, rhs, rtol=1e-14, atol=1e-14)
+        assert np.allclose(slv.back_substitute(cond, x2), x1,
+                           rtol=1e-13, atol=1e-14)
+
 
 def _stage_systems(mesh, k):
     """The three stage systems, driven by random (not solved) coefficients."""
@@ -162,7 +209,7 @@ class TestBatchedCondensation:
                 for i, e in enumerate(grp.batch.ids):
                     idx = grp.trace_indices[i]
                     keep = idx >= 0
-                    a11, a12, b1 = grp.a11[i], grp.a12[i][:, keep], grp.b1[i]
+                    a11, a12, b1 = dense_a11(grp)[i], grp.a12[i][:, keep], grp.b1[i]
                     a22, b2 = grp.a22[i][np.ix_(keep, keep)], grp.b2[i][keep]
                     kidx = idx[keep]
                     S_ref[np.ix_(kidx, kidx)] += \
@@ -253,6 +300,60 @@ class TestBatchedCondensation:
         fields = vf.solve_plate(generate_structured("triangle", 4),
                                 SpaceConfig(2), mat, vf.exact_fields(mat))
         assert all(rep.converged for rep in fields.reports.values())
+
+
+class TestMassFirstElimination:
+    """Stage two eliminates sigma and R through the inverse element mass
+    first; the reference is one stacked solve with the whole dense
+    interior block (``oracles.dense_elimination``)."""
+
+    @pytest.mark.parametrize("t", [1.0, 1e-2, 1e-6])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["triangle", "quadrilateral"])
+    def test_matches_dense_stacked_solve(self, kind, k, t):
+        # measured on these cases: S and rhs agree to 2.3e-14 of their
+        # largest entry, x1 to 1.3e-12 of each field's largest entry
+        mesh = generate_structured(kind, 3)
+        rng = np.random.default_rng(k)
+        L = DiscreteField(mesh, k - 1, "vector2", rng.standard_normal(
+            (mesh.num_elements, k * (k + 1))))
+        bs = asm.assemble_step2(mesh, SpaceConfig(k), PlateMaterial(t=t), L)
+        x2 = rng.standard_normal(bs.n_trace)
+        cond = slv.condense(bs)
+        S, rhs, x1 = dense_elimination(bs, x2)
+        assert np.abs(cond.S.toarray() - S).max() <= 1e-12 * np.abs(S).max()
+        assert np.abs(cond.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+        got = slv.back_substitute(cond, x2)
+        for name in ("sigma", "R", "theta", "p"):
+            sl = bs.dof.interior_slice(name)
+            assert (np.abs(got[:, sl] - x1[:, sl]).max()
+                    <= 1e-10 * np.abs(x1[:, sl]).max()), name
+
+    def test_chunks_change_no_bit(self, monkeypatch):
+        bs = _stage_systems(mixed_group_mesh(), 2)[1]
+        x2 = np.linspace(-1.0, 1.0, bs.n_trace)
+        runs = []
+        for chunk in (slv._CHUNK, 1, 10 ** 9):
+            monkeypatch.setattr(slv, "_CHUNK", chunk)
+            cond = slv.condense(bs)
+            runs.append((cond.S.data, cond.rhs, slv.back_substitute(cond, x2)))
+        for run in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
+
+    def test_full_residual_never_forms_the_dense_block(self):
+        # its peak stays below the bytes of one dense (ne, n1, n1) block
+        bs = _stage_systems(generate_structured("triangle", 16), 3)[1]
+        rng = np.random.default_rng(0)
+        ne, n1 = bs.groups[0].b1.shape
+        x1, x2 = rng.standard_normal((ne, n1)), rng.standard_normal(bs.n_trace)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            slv.full_residual(bs, x1, x2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ne * n1 * n1 * 8
 
 
 class TestCG:
@@ -507,7 +608,7 @@ class TestTraceFactorization:
         layout = ((4, True), (1, False))
         assert set(mesh.kept) - before == {
             ("pattern", layout), *(("pattern", layout, name)
-                                   for name in ("B11", "B12", "B21", "B22c"))}
+                                   for name in ("B11", "B12", "B22c"))}
 
     def test_one_poisson_operator_and_three_factorizations_per_solve(
             self, monkeypatch):
@@ -643,8 +744,9 @@ class TestMeshCache:
 
     def test_stage_two_condense_transient(self):
         # above what condense returns (Y and S), stage two's condense at
-        # tri n=16 k=3 peaks at 9.9 MB, the pattern build included; a sum
-        # of COO triplets through a COO-to-CSR copy peaks at 26.5 MB
+        # tri n=16 k=3 peaks at 9.1 MB, the pattern build included; a sum
+        # of COO triplets through a COO-to-CSR copy peaks at 26.5 MB, and
+        # the mass-first elimination of a whole group at once at 21.7 MB
         bs = _stage_systems(generate_structured("triangle", 16), 3)[1]
         for _ in range(2):  # builds the pattern, then reuses it
             gc.collect()
