@@ -340,8 +340,9 @@ class StageDofMap:
 @dataclass
 class MassFields:
     """A group's leading interior fields that enter only through an L2
-    mass: their block is ``coef ⊗ mass``, and they couple to the later
-    fields only through ``sum_d coupling[d] ⊗ D[d]``."""
+    mass (the Poisson flux; stage two's sigma and R): their block is
+    ``coef ⊗ mass``, and they couple to the later fields only through
+    ``sum_d coupling[d] ⊗ D[d]``."""
 
     mass: np.ndarray      # (ne, Ts, Ts)
     coef: np.ndarray      # (nc, nc)
@@ -351,9 +352,9 @@ class MassFields:
 
 @dataclass
 class ElementBlockGroup:
-    """Dense local blocks for one batch of same-size elements; with
-    ``mass``, ``a11`` is the block of the interior fields after its
-    ``nm = nc * Ts`` mass fields."""
+    """Dense local blocks for one batch of same-size elements; ``a11`` is
+    the block of the interior fields after the ``nm = nc * Ts`` fields
+    kept in ``mass``."""
 
     batch: ElementBatch
     a11: np.ndarray           # (ne, n1 - nm, n1 - nm)
@@ -362,7 +363,7 @@ class ElementBlockGroup:
     b1: np.ndarray            # (ne, n1)
     b2: np.ndarray            # (ne, ntl)
     trace_indices: np.ndarray  # (ne, ntl), -1 for eliminated trace dofs
-    mass: MassFields | None = None
+    mass: MassFields
 
 
 @dataclass
@@ -436,7 +437,7 @@ def _stab_volume_block(C, E):
 
 
 def _assemble_poisson_operator(dof, k, degrees):
-    n1, Ts = dof.n_interior_per_element, fs.space_dim(k - 1)
+    n1, Ts, Tv = dof.n_interior_per_element, fs.space_dim(k - 1), fs.space_dim(k)
     tf = dof.trace_fields["u_hat"]
     sl_L = dof.components("flux")
     sl_r = dof.interior_slice("primal")
@@ -445,12 +446,12 @@ def _assemble_poisson_operator(dof, k, degrees):
     for batch in element_batches(dof.mesh):
         ne, nv = len(batch.ids), batch.nv
         Mss, EX, EY, edges = _local_matrices(batch, k, k - 1, degrees)
-
-        a11 = np.zeros((ne, n1, n1))
-        for sl, D in zip(sl_L, (EX[:, :Ts], EY[:, :Ts])):
-            a11[:, sl, sl] = -Mss
-            a11[:, sl, sl_r] = -D
-            a11[:, sl_r, sl] = -D.transpose(0, 2, 1)
+        # the flux is a mass field, -I2 ⊗ Mss, coupled to the primal field
+        # by -(r, div q): its component u through -d/du; a11 is the primal
+        # block
+        flux = MassFields(Mss, -np.eye(2), np.stack([EX[:, :Ts], EY[:, :Ts]]),
+                          -np.eye(2)[:, :, None])
+        a11 = np.zeros((ne, Tv, Tv))
 
         ntl = nv * k
         a12 = np.zeros((ne, n1, ntl))
@@ -461,7 +462,7 @@ def _assemble_poisson_operator(dof, k, degrees):
 
         for e, (Cv, Ee) in enumerate(edges):
             # alpha1-weighted projection stabilization on the primal trace
-            a11[:, sl_r, sl_r] += alpha1[:, None, None] * _stab_volume_block(Cv, Ee)
+            a11 += alpha1[:, None, None] * _stab_volume_block(Cv, Ee)
 
             cols = slice(e * k, (e + 1) * k)
             nrm = batch.normals[:, e, :]
@@ -474,7 +475,7 @@ def _assemble_poisson_operator(dof, k, degrees):
 
         # the loads differ per solve: each stage sets b1 and b2
         groups.append(ElementBlockGroup(batch, a11, a12, a22, None, None,
-                                        trace_idx))
+                                        trace_idx, flux))
         pts, w = batch.volume_rule(degrees["source_degree"])
         source.append((pts, w, fs.scalar_vals(fs.monomial_exponents(k),
                                                batch.centroid, batch.h, pts)))
@@ -500,7 +501,7 @@ def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
     sl_r = dof.interior_slice("primal")
     groups = []
     for grp, (pts, w, Vv) in zip(*_poisson_operator(dof)):
-        b1 = np.zeros(grp.a11.shape[:2])
+        b1 = np.zeros((len(grp.batch.ids), dof.n_interior_per_element))
         gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
         b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, gvals, w)
         groups.append(replace(grp, b1=b1, b2=np.zeros(grp.trace_indices.shape)))

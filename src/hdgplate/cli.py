@@ -24,11 +24,13 @@ _EXIT_SOLVER = 2
 
 
 def _apply_thread_cap() -> None:
-    cap = os.environ.get("HDG_THREADS", "")
-    if cap and cap != "0":
+    cap = os.environ.get("HDG_THREADS") or "0"
+    if not (cap.isascii() and cap.isdigit()):
+        raise ValueError("HDG_THREADS must be a non-negative integer")
+    if int(cap):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+            os.environ.setdefault(var, str(int(cap)))
 
 
 def _git_revision() -> str:
@@ -157,14 +159,13 @@ def _cmd_convergence(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors; keep 2 for solver failures
-        return _EXIT_OK if exc.code == 0 else _EXIT_CONFIG
-    try:
+        _apply_thread_cap()
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits with 2 on usage errors; keep 2 for solver failures
+            return _EXIT_OK if exc.code == 0 else _EXIT_CONFIG
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_convergence(args)

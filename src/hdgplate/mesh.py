@@ -204,8 +204,8 @@ class Mesh:
         by reference counting.  Keys by owner: ``"edge_order"``,
         :attr:`edge_order`; in ``femspace``, ``"element_batches"``; in
         ``assembly``, ``("poisson", k)``, the stage one/three operator; in
-        ``solver``, ``("poisson", k, "S" | "factor")``, its ``A11^{-1}
-        A12`` with ``S`` and the factor, ``"edge_adjacency"``,
+        ``solver``, ``("poisson", k, "factor")``, the factor of its
+        condensed matrix, ``"edge_adjacency"``,
         ``("pattern", layout)`` per trace layout and ``("pattern", layout,
         "B11" | "B12" | "B22c")``, the index maps of stage two's blocks;
         in ``verification``, ``("error_rule", degree)`` and

@@ -1,8 +1,9 @@
 """Static condensation and iterative solution of the trace systems.
 
 Condensation eliminates the element-diagonal interior block, producing a
-sparse system in the edge unknowns only; stage two's sigma and R, which
-enter only through L2 masses, go first.  For the Poisson-type stages
+sparse system in the edge unknowns only, in one way for every stage:
+the fields that enter only through L2 masses (the Poisson flux, stage
+two's sigma and R) go first, then the rest.  For the Poisson-type stages
 the condensed matrix is symmetric positive definite and is solved by CG
 preconditioned with its own factorization.  For the saddle stage the
 condensed matrix keeps a two-by-two structure in (rotation trace,
@@ -112,8 +113,7 @@ class SolveReport:
 @dataclass
 class CondensedSystem:
     """Schur complement trace system; ``local`` keeps, per element group,
-    ``(Y_A, Y_b, minv)`` for back-substitution (see :func:`_eliminate`;
-    ``minv`` is None without mass fields)."""
+    ``(Y_A, Y_b, minv)`` for back-substitution (see :func:`_eliminate`)."""
 
     system: BlockSystem
     S: sp.csr_matrix
@@ -159,8 +159,8 @@ def _kron(c: np.ndarray, M: np.ndarray, x: np.ndarray, T=False) -> np.ndarray:
         len(x), -1, *x.shape[2:])
 
 
-# elements per pass of the stage-two elimination: bounds its temporaries
-# and changes no bit of its results
+# elements per pass of the elimination: bounds its temporaries and
+# changes no bit of its results
 _CHUNK = 64
 
 
@@ -168,25 +168,24 @@ def _eliminate(grp, out: np.ndarray) -> tuple:
     """Eliminate a group's interior unknowns: write its local Schur blocks
     into ``out`` and return ``(Y, rhs, minv)``, with ``Y = A11'^{-1}
     [A12' | b1']`` for the fields after the mass fields, the local loads
-    and the inverse element masses.  The mass fields, if any, go first,
-    through ``coef^{-1} ⊗ minv``; the primes mark what that leaves of
-    the other fields' blocks, which a stacked dense solve eliminates."""
+    and the inverse element masses.  The mass fields go first, through
+    ``coef^{-1} ⊗ minv``; the primes mark what that leaves of the other
+    fields' blocks, which a stacked dense solve eliminates."""
     (ne, n1), n, m = grp.b1.shape, grp.a11.shape[1], grp.mass
-    nm = n1 - n
+    nm, cinv = n1 - n, np.linalg.inv(m.coef)[None]
     y, rhs = np.empty((ne, n, grp.a12.shape[2] + 1)), np.empty(grp.b2.shape)
-    minv = None if m is None else np.empty(m.mass.shape)
+    minv = np.empty(m.mass.shape)
     for e in (slice(i, i + _CHUNK) for i in range(0, ne, _CHUNK)):
         cols = np.concatenate([grp.a12[e], grp.b1[e, :, None]], -1)
-        rest, z = np.concatenate([grp.a11[e], cols[:, nm:]], -1), 0.0
-        if m is not None:  # rest -= A_pm A_mm^{-1} [A_mp | A12_m | b1_m]
-            minv[e] = _mass_inverse(grp.batch.ids[e], m.mass[e])
-            amp = _kron(m.coupling, m.D[:, e],
-                        np.broadcast_to(np.eye(n), (len(cols), n, n)))
-            w = _kron(np.linalg.inv(m.coef)[None], minv[None, e],
-                      np.concatenate([amp, cols[:, :nm]], -1))
-            rest -= amp.mT @ w
-            z = cols[:, :nm, :-1].mT @ w[..., n:]
+        # rest = [A11 | A12_p | b1_p] - A_pm A_mm^{-1} [A_mp | A12_m | b1_m]
+        minv[e] = _mass_inverse(grp.batch.ids[e], m.mass[e])
+        amp = _kron(m.coupling, m.D[:, e],
+                    np.broadcast_to(np.eye(n), (len(cols), n, n)))
+        w = _kron(cinv, minv[None, e], np.concatenate([amp, cols[:, :nm]], -1))
+        rest = np.concatenate([grp.a11[e], cols[:, nm:]], -1)
+        rest -= amp.mT @ w
         y[e] = _local_solve(grp.batch.ids[e], rest[..., :n], rest[..., n:])
+        z = cols[:, :nm, :-1].mT @ w[..., n:]
         z += rest[..., n:-1].mT @ y[e]
         np.subtract(grp.a22[e], z[..., :-1], out=out[e])
         np.subtract(grp.b2[e], z[..., -1], out=rhs[e])
@@ -277,42 +276,21 @@ def condense(bs: BlockSystem) -> CondensedSystem:
 
     This is the one place where trace blocks become sparse: ``S`` sums
     the local ``A22 - A12^T A11^{-1} A12`` into the mesh's kept pattern,
-    and ``rhs`` the local ``b2 - A12^T A11^{-1} b1``.  The Poisson
-    stages keep their ``Y_A`` and ``S`` on the mesh, beside their
-    operator, and every condense solves ``A11^{-1} b1`` alone.  Stage two
-    eliminates sigma and R with the inverse element mass first, then
-    (theta, p) by one stacked solve (see :func:`_eliminate`).
+    and ``rhs`` the local ``b2 - A12^T A11^{-1} b1``.  Every stage
+    eliminates its mass fields with the inverse element mass first, then
+    the rest by one stacked solve (see :func:`_eliminate`).
     """
     pattern = _pattern(bs)
     schur = np.empty(len(pattern["position"]))  # the local Schur blocks
-    blocks = [b.reshape(grp.a22.shape) for grp, b in zip(bs.groups, np.split(
-        schur, np.cumsum([grp.a22.size for grp in bs.groups])[:-1]))]
-
-    def poisson():
-        y_as = [_local_solve(grp.batch.ids, grp.a11, grp.a12)
-                for grp in bs.groups]
-        for grp, y_a, out in zip(bs.groups, y_as, blocks):
-            np.subtract(grp.a22, grp.a12.transpose(0, 2, 1) @ y_a, out=out)
-        return y_as, _scatter(pattern, schur)
-    if bs.kept_as:
-        y_as, S = bs.dof.mesh.keep((*bs.kept_as, "S"), poisson)
+    blocks = np.split(schur, np.cumsum([g.a22.size for g in bs.groups])[:-1])
     rhs = np.zeros(bs.n_trace)
     local = []
-    for i, grp in enumerate(bs.groups):
-        minv = None
-        if bs.kept_as:
-            y_a, y_b = y_as[i], _local_solve(
-                grp.batch.ids, grp.a11, grp.b1[..., None])[..., 0]
-            local_rhs = grp.b2 - np.einsum("eij,ei->ej", grp.a12, y_b)
-        else:
-            y, local_rhs, minv = _eliminate(grp, blocks[i])
-            y_a, y_b = y[..., :-1], y[..., -1]
+    for grp, out in zip(bs.groups, blocks):
+        y, local_rhs, minv = _eliminate(grp, out.reshape(grp.a22.shape))
         _scatter_vector(rhs, grp.trace_indices, local_rhs)
-        local.append((y_a, y_b, minv))
-
-    if not bs.kept_as:
-        S = _scatter(pattern, schur)
-    return CondensedSystem(bs, S, rhs, local, bs.kernel_hint)
+        local.append((y[..., :-1], y[..., -1], minv))
+    return CondensedSystem(bs, _scatter(pattern, schur), rhs, local,
+                           bs.kernel_hint)
 
 
 def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
@@ -323,14 +301,13 @@ def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
         x2loc = np.where(grp.trace_indices >= 0,
                          x2[np.clip(grp.trace_indices, 0, None)], 0.0)
         xp = y_b - np.einsum("eij,ej->ei", y_a, x2loc)
-        nm = x1.shape[1] - xp.shape[1]
+        nm, m = x1.shape[1] - xp.shape[1], grp.mass
         x1[grp.batch.ids, nm:] = xp
-        if minv is not None:  # the mass fields from the rest
-            m = grp.mass
-            v = (grp.b1[:, :nm] - np.einsum("eij,ej->ei", grp.a12[:, :nm], x2loc)
-                 - _kron(m.coupling, m.D, xp))
-            x1[grp.batch.ids, :nm] = _kron(np.linalg.inv(m.coef)[None],
-                                           minv[None], v)
+        # the mass fields from the rest
+        v = (grp.b1[:, :nm] - np.einsum("eij,ej->ei", grp.a12[:, :nm], x2loc)
+             - _kron(m.coupling, m.D, xp))
+        x1[grp.batch.ids, :nm] = _kron(np.linalg.inv(m.coef)[None],
+                                       minv[None], v)
     return x1
 
 
@@ -343,13 +320,12 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
         x2loc = np.where(grp.trace_indices >= 0,
                          x2[np.clip(grp.trace_indices, 0, None)], 0.0)
         r1 = np.einsum("eij,ej->ei", grp.a12, x2loc) - grp.b1
-        nm = x1g.shape[1] - grp.a11.shape[1]
-        r1[:, nm:] += np.einsum("eij,ej->ei", grp.a11, x1g[:, nm:])
-        if grp.mass is not None:  # the mass fields' rows and columns
-            m, xm = grp.mass, x1g[:, :nm]
-            r1[:, :nm] += (_kron(m.coef[None], m.mass[None], xm)
-                           + _kron(m.coupling, m.D, x1g[:, nm:]))
-            r1[:, nm:] += _kron(m.coupling, m.D, xm, T=True)
+        nm, m = x1g.shape[1] - grp.a11.shape[1], grp.mass
+        xm, xp = x1g[:, :nm], x1g[:, nm:]
+        r1[:, :nm] += (_kron(m.coef[None], m.mass[None], xm)
+                       + _kron(m.coupling, m.D, xp))
+        r1[:, nm:] += (np.einsum("eij,ej->ei", grp.a11, xp)
+                       + _kron(m.coupling, m.D, xm, T=True))
         rnorm2 += float((r1 ** 2).sum())
         bnorm2 += float((grp.b1 ** 2).sum())
         _scatter_vector(r2, grp.trace_indices,
@@ -452,7 +428,8 @@ def _kernel_is_valid(S: sp.csr_matrix, kernel: np.ndarray) -> bool:
 def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
     """CG on the condensed SPD trace system, preconditioned by its own
     factorization; a Poisson stage's factor is kept on the mesh for every
-    later solve to reuse; returns (x2, report)."""
+    later solve to reuse, each of which condenses to the same ``S`` bit
+    for bit; returns (x2, report)."""
     t0 = time.perf_counter()
     S, bs = cond.S, cond.system
     key, perm = (*bs.kept_as, "factor"), bs.dof.trace_order("u_hat")

@@ -3,7 +3,7 @@
 They trade speed for accuracy: exact rational arithmetic,
 ``np.longdouble`` where a whole error norm has to be recomputed, a
 dense or sparse direct solve of a whole block system, the dense
-interior block that stage two keeps in its field blocks, or the
+interior block that every stage keeps in its field blocks, or the
 condensed matrix summed from COO triplets, as the solver did before it
 kept a fixed pattern.
 """
@@ -85,11 +85,9 @@ def table_errors_longdouble(fields, exact, quad_degree=vf.ERROR_DEGREE):
 
 def dense_a11(grp) -> np.ndarray:
     """The whole (ne, n1, n1) interior block of an element group: its
-    ``a11`` with, when the group has mass fields, their blocks
-    ``coef ⊗ mass`` and couplings ``sum_d coupling[d] ⊗ D[d]`` put back."""
+    ``a11`` with the blocks ``coef ⊗ mass`` of its mass fields and their
+    couplings ``sum_d coupling[d] ⊗ D[d]`` put back."""
     m = grp.mass
-    if m is None:
-        return grp.a11
     ne, n1 = grp.b1.shape
     nm = n1 - grp.a11.shape[1]
     a11 = np.zeros((ne, n1, n1))
@@ -164,12 +162,8 @@ def condensed_matrix(bs) -> sp.csr_matrix:
     same operations as in ``condense``."""
     blocks = []
     for grp in bs.groups:
-        if bs.kept_as:      # the Poisson stages: A11^{-1} A12 alone
-            local = grp.a22 - grp.a12.transpose(0, 2, 1) @ np.linalg.solve(
-                grp.a11, grp.a12)
-        else:               # stage two: mass fields first, then the rest
-            local = np.empty(grp.a22.shape)
-            slv._eliminate(grp, local)
+        local = np.empty(grp.a22.shape)
+        slv._eliminate(grp, local)
         blocks.append(_coo_block(grp.trace_indices, local))
     return _trace_matrix(blocks, bs.n_trace)
 

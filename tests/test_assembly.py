@@ -332,16 +332,27 @@ class TestSystems:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_step2_keeps_no_dense_interior_block(self, k):
-        # sigma and R stay in their mass blocks; a11 is the (theta, p) one
+        # the flux, and sigma and R, stay in their mass blocks; a11 is the
+        # primal block (ne, Tv, Tv), and in stage two the (theta, p) one
         mesh = mixed_polygon_mesh()
-        bs, _, _ = _step2_system(mesh, k)
-        n1 = bs.dof.n_interior_per_element
-        n = n1 - bs.dof.interior_slice("theta").start
-        for grp in bs.groups:
-            ne = len(grp.batch.ids)
-            assert grp.a11.shape == (ne, n, n)
-            arrays = [*vars(grp).values(), *vars(grp.mass).values()]
-            assert all(np.shape(a) != (ne, n1, n1) for a in arrays)
+        bs2, _, _ = _step2_system(mesh, k)
+        theta = DiscreteField(mesh, k, "vector2", np.zeros(
+            (mesh.num_elements, 2 * fs.space_dim(k))))
+        bs1 = asm.assemble_step1(mesh, SpaceConfig(k), lambda x, y: 0 * x)
+        bs3 = asm.assemble_step3(bs1, PlateMaterial(), theta,
+                                 lambda x, y: 0 * x)
+        Tv = fs.space_dim(k)
+        for bs, n in ((bs1, Tv), (bs2, 3 * Tv), (bs3, Tv)):
+            n1 = bs.dof.n_interior_per_element
+            for grp in bs.groups:
+                ne = len(grp.batch.ids)
+                assert grp.a11.shape == (ne, n, n)
+                # a12 and a22 are sized by the trace dofs (at k=1 a
+                # pentagon's are (ne, 5, 5), as is its Poisson interior)
+                arrays = [v for name, v in vars(grp).items()
+                          if name not in ("a12", "a22")]
+                arrays += vars(grp.mass).values()
+                assert all(np.shape(a) != (ne, n1, n1) for a in arrays)
 
     def test_missing_stage_inputs_raise(self):
         mesh = generate_structured("triangle", 1)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 
@@ -121,6 +122,18 @@ class TestExitCodes:
         assert main(["solve", "--mesh", "tri", "--n", "2", flag, "inf"]) == 1
         assert capsys.readouterr().err == (
             f"configuration error: {name} must be positive and finite\n")
+
+    @pytest.mark.parametrize("cap", ["abc", "-2", "1.5", " 2"])
+    def test_config_error_bad_thread_cap(self, cap, monkeypatch, capsys):
+        monkeypatch.setenv("HDG_THREADS", cap)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert main(["solve", "--mesh", "tri", "--n", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: HDG_THREADS must be a non-negative "
+            "integer\n")
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
     def test_unknown_flag(self, capsys):
         assert main(["solve", "--frobnicate"]) == 1

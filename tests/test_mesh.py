@@ -335,11 +335,12 @@ class TestKept:
                 fields = vf.solve_plate(mesh, SpaceConfig(2), mat, ex)
                 vf.table_errors(fields, ex)
             assert set(vars(mesh)) == attrs
-            # stage two keeps its pattern and block maps, not Y_A or S
+            # no stage keeps its Y_A or S: stages one and three keep their
+            # operator and factor, stage two its pattern and block maps
             poisson, saddle = ((2, True),), ((6, True), (2, False))
             assert set(mesh.kept) == {
                 "edge_order", "element_batches", "edge_adjacency",
-                ("poisson", 2), ("poisson", 2, "S"), ("poisson", 2, "factor"),
+                ("poisson", 2), ("poisson", 2, "factor"),
                 ("pattern", poisson), ("pattern", saddle),
                 *(("pattern", saddle, name)
                   for name in ("B11", "B12", "B22c")),
@@ -351,10 +352,11 @@ class TestKept:
                 for arr in arrays:
                     with pytest.raises(ValueError, match="read-only"):
                         arr[...] = 0
-            S = weakref.ref(mesh.kept["poisson", 2, "S"][1])
+            # the factor's own permutation: SuperLU takes no weak reference
+            lu = weakref.ref(mesh.kept["poisson", 2, "factor"].perm)
             ref = weakref.ref(mesh)
             del mesh, fields, value, arrays
-            assert ref() is None and S() is None
+            assert ref() is None and lu() is None
         finally:
             gc.enable()
 

@@ -30,8 +30,18 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
     """Single-group BlockSystem with hand-built blocks for formula tests;
     every element couples to all trace dofs, which sit on one edge that
     all elements share, and the first element carries the whole trace
-    block ``a22`` and trace load ``b2``.  With ``mass`` (``MassFields``),
-    ``a11_blocks`` is the block after the mass fields."""
+    block ``a22`` and trace load ``b2``.  ``a11_blocks`` is the block
+    after the mass fields ``mass`` (``MassFields``); without them, one
+    decoupled and unloaded unit-mass field of one dof goes in front, so
+    the blocks given are the whole toy and its solution's leading column
+    is 0."""
+    if mass is None:
+        ne, n = a11_blocks.shape[:2]
+        mass = asm.MassFields(np.ones((ne, 1, 1)), np.eye(1),
+                              np.zeros((1, ne, 1, n)), np.zeros((1, 1, 1)))
+        a12_blocks = np.concatenate(
+            [np.zeros((ne, 1, a12_blocks.shape[2])), a12_blocks], axis=1)
+        b1 = np.concatenate([np.zeros((ne, 1)), b1], axis=1)
     ne, n1, ntl = a12_blocks.shape
     ids = np.arange(ne) if ids is None else np.asarray(ids)
     trace = asm.TraceField("x", 0, ntl, False, np.zeros(1, dtype=int))
@@ -303,28 +313,35 @@ class TestBatchedCondensation:
 
 
 class TestMassFirstElimination:
-    """Stage two eliminates sigma and R through the inverse element mass
-    first; the reference is one stacked solve with the whole dense
-    interior block (``oracles.dense_elimination``)."""
+    """Every stage eliminates its mass fields (the flux; sigma and R)
+    through the inverse element mass first; the reference is one stacked
+    solve with the whole dense interior block
+    (``oracles.dense_elimination``)."""
 
-    @pytest.mark.parametrize("t", [1.0, 1e-2, 1e-6])
+    @pytest.mark.parametrize("stage,t", [
+        *(pytest.param("step2", t, id=str(t)) for t in (1.0, 1e-2, 1e-6)),
+        pytest.param("step1", None, id="step1")])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["triangle", "quadrilateral"])
-    def test_matches_dense_stacked_solve(self, kind, k, t):
+    def test_matches_dense_stacked_solve(self, kind, k, stage, t):
         # measured on these cases: S and rhs agree to 2.3e-14 of their
         # largest entry, x1 to 1.3e-12 of each field's largest entry
+        # (stage one: 1.1e-15 and 2.1e-13)
         mesh = generate_structured(kind, 3)
         rng = np.random.default_rng(k)
-        L = DiscreteField(mesh, k - 1, "vector2", rng.standard_normal(
-            (mesh.num_elements, k * (k + 1))))
-        bs = asm.assemble_step2(mesh, SpaceConfig(k), PlateMaterial(t=t), L)
+        if stage == "step1":
+            bs = asm.assemble_step1(mesh, SpaceConfig(k), lambda x, y: 1 + x * y)
+        else:
+            L = DiscreteField(mesh, k - 1, "vector2", rng.standard_normal(
+                (mesh.num_elements, k * (k + 1))))
+            bs = asm.assemble_step2(mesh, SpaceConfig(k), PlateMaterial(t=t), L)
         x2 = rng.standard_normal(bs.n_trace)
         cond = slv.condense(bs)
         S, rhs, x1 = dense_elimination(bs, x2)
         assert np.abs(cond.S.toarray() - S).max() <= 1e-12 * np.abs(S).max()
         assert np.abs(cond.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
         got = slv.back_substitute(cond, x2)
-        for name in ("sigma", "R", "theta", "p"):
+        for name in bs.dof.interior_fields:
             sl = bs.dof.interior_slice(name)
             assert (np.abs(got[:, sl] - x1[:, sl]).max()
                     <= 1e-10 * np.abs(x1[:, sl]).max()), name
@@ -590,16 +607,16 @@ class TestTraceFactorization:
         assert fields.reports["step3"].factor_time == 0
 
     def test_saddle_operator_not_kept(self):
-        # only the Poisson stages keep an operator: stage two's Y_A and S
-        # are freed with its condensed system, and it keeps on the mesh
-        # only its pattern and block maps
+        # only the Poisson stages keep an operator and its factor, not
+        # their Y_A or S; stage two keeps on the mesh only its pattern
+        # and block maps
         mat = PlateMaterial(t=0.1)
         mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
         bs1 = asm.assemble_step1(mesh, SpaceConfig(1), ex.g[0])
         x1, _, _ = slv.solve_stage(bs1)
         assert bs1.kept_as == ("poisson", 1)
-        assert {("poisson", 1), ("poisson", 1, "S"),
-                ("poisson", 1, "factor")} <= set(mesh.kept)
+        assert {key for key in mesh.kept if key[0] == "poisson"} == {
+            ("poisson", 1), ("poisson", 1, "factor")}
         bs2 = asm.assemble_step2(mesh, SpaceConfig(1), mat,
                                  bs1.dof.field("flux", x1))
         before = set(mesh.kept)
@@ -623,6 +640,14 @@ class TestTraceFactorization:
             monkeypatch.setattr(module, name, wrapper)
         counting(slv, "_factorize")
         counting(asm, "_assemble_poisson_operator")
+        condense, poisson_S = slv.condense, []
+
+        def record_S(bs):
+            cond = condense(bs)
+            if bs.stage != "step2":
+                poisson_S.append(cond.S.data)
+            return cond
+        monkeypatch.setattr(slv, "condense", record_S)
         step1, refs = asm.assemble_step1, []
 
         def keep_ref(*args):
@@ -635,6 +660,10 @@ class TestTraceFactorization:
         fields = vf.solve_plate(mesh, SpaceConfig(1), mat, ex)
         assert calls == {"_factorize": 3, "_assemble_poisson_operator": 1}
         assert fields.reports["step1"].factor_fill > 0
+        # stage one's factor preconditions stage three: both condense to
+        # the same S, bit for bit
+        assert len(poisson_S) == 2
+        assert np.array_equal(poisson_S[0], poisson_S[1])
         # the stage-one system does not outlive the solve
         gc.collect()
         assert len(refs) == 1 and refs[0]() is None and fields.omega.coeffs.any()
@@ -647,11 +676,16 @@ class TestTraceFactorization:
             assert fields.reports[stage].factor_fill == 0
             assert fields.reports[stage].factor_time == 0
         assert fields.reports["step2"].factor_fill > 0
-        # the operator and its factor do not outlive the mesh
-        S = weakref.ref(mesh.kept["poisson", 1, "S"][1])
+        # and its S is still the one the kept factor was made from
+        assert len(poisson_S) == 4
+        assert all(np.array_equal(poisson_S[0], S) for S in poisson_S[2:])
+        # the operator and its factor do not outlive the mesh (a SuperLU
+        # object takes no weak reference; the factor's own permutation
+        # stands for it)
+        lu = weakref.ref(mesh.kept["poisson", 1, "factor"].perm)
         del mesh, fields
         gc.collect()
-        assert S() is None
+        assert lu() is None
 
 
 class TestBackSubstitution:
@@ -662,7 +696,8 @@ class TestBackSubstitution:
         bs = toy_block_system(a11, a12, np.eye(2), b1, np.zeros(2))
         cond = slv.condense(bs)
         x1 = slv.back_substitute(cond, np.zeros(2))
-        assert np.allclose(x1, [[1.0, 2.0], [1.0, 0.0]])
+        assert np.all(x1[:, 0] == 0.0)  # the toy's padded mass field
+        assert np.allclose(x1[:, 1:], [[1.0, 2.0], [1.0, 0.0]])
 
     def test_zero_data_zero_solution(self):
         a11 = np.stack([np.eye(2)] * 2)
