@@ -122,49 +122,45 @@ class ElementBatch:
         self.normals = np.stack(
             [self.tangents[..., 1], -self.tangents[..., 0]], axis=-1)
 
-    def volume_rule(self, degree: int):
-        """Points (ne, nq, 2) and weights (ne, nq), exact for P_degree."""
+    def volume_rule(self, degree: int, part=slice(None)):
+        """Points (ne, nq, 2) and weights (ne, nq), exact for P_degree, on
+        the elements ``part``; the points are a view of a (2, ne, nq) array,
+        so that every broadcast runs along the points, not the axis of 2."""
         ref, w0 = triangle_reference_rule(degree)
+        v = np.moveaxis(self.verts[part], -1, 0)[..., None]  # (2, ne, nv, 1)
+
+        def mapped(p0, a, b):  # the reference rule on p0 + span(a, b)
+            return (p0 + ref[:, 0] * a + ref[:, 1] * b,
+                    w0 * (a[0] * b[1] - a[1] * b[0]))
         if self.nv == 3:
             # triangles map onto the reference rule without subdivision
-            p0 = self.verts[:, 0, :][:, None, :]
-            a = self.verts[:, 1, :][:, None, :] - p0
-            b = self.verts[:, 2, :][:, None, :] - p0
-            jac = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-            return (p0 + ref[None, :, :1] * a + ref[None, :, 1:] * b,
-                    w0[None, :] * jac)
-        if self.nv == 4:
+            pts, w = mapped(v[:, :, 0], v[:, :, 1] - v[:, :, 0],
+                            v[:, :, 2] - v[:, :, 0])
+        elif self.nv == 4:
             # tensor Gauss rule through the bilinear map; det J is affine,
             # so n points per direction integrate P_degree exactly
-            x, w = gauss_legendre_01((degree + 3) // 2)
-            u = np.repeat(x, len(x))[None, :, None]
-            v = np.tile(x, len(x))[None, :, None]
-            p0, p1, p2, p3 = (self.verts[:, i, None, :] for i in range(4))
-            du = (1.0 - v) * (p1 - p0) + v * (p2 - p3)
-            dv = (1.0 - u) * (p3 - p0) + u * (p2 - p1)
-            jac = du[..., 0] * dv[..., 1] - du[..., 1] * dv[..., 0]
-            return p0 + u * (p1 - p0) + v * dv, np.outer(w, w).ravel() * jac
-        pts, wts = [], []
-        c = self.centroid[:, None, :]
-        for i in range(self.nv):
-            a = self.verts[:, i, :][:, None, :] - c
-            b = self.verts[:, (i + 1) % self.nv, :][:, None, :] - c
-            jac = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
-            pts.append(c + ref[None, :, :1] * a + ref[None, :, 1:] * b)
-            wts.append(w0[None, :] * jac)
-        return np.concatenate(pts, axis=1), np.concatenate(wts, axis=1)
+            x, wx = gauss_legendre_01((degree + 3) // 2)
+            s, t = np.repeat(x, len(x)), np.tile(x, len(x))
+            p0, p1, p2, p3 = (v[:, :, i] for i in range(4))
+            ds = (1.0 - t) * (p1 - p0) + t * (p2 - p3)
+            dt = (1.0 - s) * (p3 - p0) + s * (p2 - p1)
+            pts = p0 + s * (p1 - p0) + t * dt
+            w = np.outer(wx, wx).ravel() * (ds[0] * dt[1] - ds[1] * dt[0])
+        else:
+            c = np.moveaxis(self.centroid[part], -1, 0)[:, :, None, None]
+            pts, w = mapped(c, v - c, np.roll(v, -1, axis=2) - c)  # per edge
+            pts, w = pts.reshape(2, len(w), -1), w.reshape(len(w), -1)
+        return np.moveaxis(pts, 0, -1), w
 
     def edge_rule(self, local_edge: int, degree: int):
-        """Points, weights and global arclength parameter on one local edge."""
-        npts = max(1, (degree + 2) // 2)
-        x, w = gauss_legendre_01(npts)
-        p0 = self.verts[:, local_edge, :]
-        p1 = self.verts[:, (local_edge + 1) % self.nv, :]
-        pts = p0[:, None, :] + x[None, :, None] * (p1 - p0)[:, None, :]
-        wts = w[None, :] * self.edge_len[:, local_edge][:, None]
-        sign = self.edge_signs[:, local_edge][:, None]
-        s = np.where(sign > 0, x[None, :], 1.0 - x[None, :])
-        return pts, wts, s
+        """Points, weights and global arclength parameter on one local
+        edge; the points are a view of a (2, ne, nq) array."""
+        x, w = gauss_legendre_01(max(1, (degree + 2) // 2))
+        v = np.moveaxis(self.verts, -1, 0)[..., None]
+        p0, p1 = v[:, :, local_edge], v[:, :, (local_edge + 1) % self.nv]
+        s = np.where(self.edge_signs[:, local_edge, None] > 0, x, 1.0 - x)
+        return (np.moveaxis(p0 + x * (p1 - p0), 0, -1),
+                w * self.edge_len[:, local_edge, None], s)
 
 
 def element_batches(mesh) -> tuple[ElementBatch, ...]:

@@ -205,12 +205,9 @@ class Mesh:
         :attr:`edge_order`; in ``femspace``, ``"element_batches"``; in
         ``assembly``, ``("poisson", k)``, the stage one/three operator; in
         ``solver``, ``("poisson", k, "factor")``, the factor of its
-        condensed matrix, ``"edge_adjacency"``,
-        ``("pattern", layout)`` per trace layout and ``("pattern", layout,
-        "B11" | "B12" | "B22c")``, the index maps of stage two's blocks;
-        in ``verification``, ``("error_rule", degree)`` and
-        ``("error_basis", degree, d)``, per batch the error rule and the
-        P_d basis on it."""
+        condensed matrix, ``"edge_adjacency"``, ``("pattern", layout)`` per
+        trace layout and ``("pattern", layout, "B11" | "B12" | "B22c")``,
+        the index maps of stage two's blocks."""
         if key not in self.kept:
             self.kept[key] = _freeze(build())
         return self.kept[key]

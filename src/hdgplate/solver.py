@@ -159,9 +159,9 @@ def _kron(c: np.ndarray, M: np.ndarray, x: np.ndarray, T=False) -> np.ndarray:
         len(x), -1, *x.shape[2:])
 
 
-# elements per pass of the elimination: bounds its temporaries and
-# changes no bit of its results
-_CHUNK = 64
+# bytes of [A11 | A12 | b1] per pass of the elimination, about 64 elements
+# at stage two, k=3: bounds its temporaries and changes no bit of its results
+_CHUNK_BYTES = 3 * 2 ** 20
 
 
 def _eliminate(grp, out: np.ndarray) -> tuple:
@@ -175,7 +175,8 @@ def _eliminate(grp, out: np.ndarray) -> tuple:
     nm, cinv = n1 - n, np.linalg.inv(m.coef)[None]
     y, rhs = np.empty((ne, n, grp.a12.shape[2] + 1)), np.empty(grp.b2.shape)
     minv = np.empty(m.mass.shape)
-    for e in (slice(i, i + _CHUNK) for i in range(0, ne, _CHUNK)):
+    step = max(1, _CHUNK_BYTES // (8 * n1 * (n1 + y.shape[2])))
+    for e in (slice(i, i + step) for i in range(0, ne, step)):
         cols = np.concatenate([grp.a12[e], grp.b1[e, :, None]], -1)
         # rest = [A11 | A12_p | b1_p] - A_pm A_mm^{-1} [A_mp | A12_m | b1_m]
         minv[e] = _mass_inverse(grp.batch.ids[e], m.mass[e])
@@ -341,9 +342,14 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
 # preconditioned CG with optional deflation
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a @ b`` without BLAS, whose rounding follows its thread count."""
+    return float(np.add.reduce(a * b))
+
+
 def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
          tol: float, max_iter: int, project: Callable = lambda v: v):
-    bnorm = float(np.linalg.norm(b))  # residuals stay relative to the raw load
+    bnorm = math.sqrt(_dot(b, b))  # residuals stay relative to the raw load
     b = project(b)
     if not b.any():  # zero, or entirely in the deflated kernel: x = 0 is exact
         return np.zeros_like(b), 0, [0.0], "zero_rhs", [0.0]
@@ -351,27 +357,26 @@ def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
     r = b.copy()
     z = project(precond(r))
     p = z.copy()
-    rz = float(r @ z)
-    history = [float(np.linalg.norm(r)) / bnorm]
-    rz_history = [np.sqrt(abs(rz))]
+    rz = _dot(r, z)
+    history = [math.sqrt(_dot(r, r)) / bnorm]
+    rz_history = [math.sqrt(abs(rz))]
     iterations = 0
     stop_reason = "max_iter"
     for it in range(1, max_iter + 1):
         Ap = project(apply_op(p))
-        pAp = float(p @ Ap)
+        pAp = _dot(p, Ap)
         if pAp <= 0.0:
             stop_reason = "indefinite"  # return the best iterate
             break
         alpha = rz / pAp
         x += alpha * p
         r = project(r - alpha * Ap)
-        res = float(np.linalg.norm(r)) / bnorm
-        history.append(res)
+        history.append(math.sqrt(_dot(r, r)) / bnorm)
         iterations = it
         z = project(precond(r))
-        rz_new = float(r @ z)
-        rz_history.append(np.sqrt(abs(rz_new)))
-        if res <= tol:
+        rz_new = _dot(r, z)
+        rz_history.append(math.sqrt(abs(rz_new)))
+        if history[-1] <= tol:
             stop_reason = "converged"
             break
         p = z + (rz_new / rz) * p
@@ -416,8 +421,8 @@ def _factorize(A: sp.csc_matrix, perm: np.ndarray, stage: str = "",
 
 
 def _deflation_projector(z: np.ndarray) -> Callable:
-    z = z / np.linalg.norm(z)
-    return lambda v: v - (z @ v) * z
+    z = z / math.sqrt(_dot(z, z))
+    return lambda v: v - _dot(z, v) * z
 
 
 def _kernel_is_valid(S: sp.csr_matrix, kernel: np.ndarray) -> bool:
@@ -513,8 +518,8 @@ def solve_saddle_trace(cond: CondensedSystem,
     probe = np.empty(B12.shape[1])
     probe[order] = np.random.default_rng(0).standard_normal(len(order))
     probe = project(probe)
-    coupled = float(probe @ (B12.T @ inner.solve(B12 @ probe)))
-    rho = max(coupled / float(probe @ (W @ probe)), 0.0)
+    coupled = _dot(probe, B12.T @ inner.solve(B12 @ probe))
+    rho = max(coupled / _dot(probe, W @ probe), 0.0)
     surrogate = _factorize((rho * W - B22c)[order][:, order].tocsc(), order,
                            stage, "surrogate")
 

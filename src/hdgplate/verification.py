@@ -135,41 +135,46 @@ class Poly2:
         return max((a + b for (a, b) in self.coeffs), default=0)
 
     def __call__(self, x, y):
-        return _evaluate((self,), x, y)[0]
+        return PolyField([self])(x, y)[0]
 
 
 # Points per evaluation chunk; bounds the monomial table's memory.  At 2048
-# the table of ~50 monomials and its two gathers fit a 2 MB L2 cache.
+# the table of ~50 monomials and its two power tables fit a 2 MB L2 cache;
+# at 4096 OpenBLAS runs the product threaded, several times slower.
 _CHUNK = 2048
 
 
-def _evaluate(polys, x, y) -> np.ndarray:
-    """Values (len(polys),) + broadcast shape of ``polys`` (one shared origin)
-    at (x, y): their monomials, gathered from power tables, times coefficients."""
-    if len({p.origin for p in polys}) != 1:
-        raise ValueError("polynomials about different origins")
-    ox, oy = (float(v) for v in polys[0].origin)
-    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    exps = sorted(set().union(*(p.coeffs for p in polys))) or [(0, 0)]
-    ea, eb = np.array(exps).T
-    coef = np.array([[float(p.coeffs.get(e, 0)) for e in exps] for p in polys])
-    out = np.empty((len(polys), x.size))
-    xf, yf = x.ravel(), y.ravel()
-    for start in range(0, x.size, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        out[:, chunk] = coef @ (fs.power_table(xf[chunk] - ox, ea.max())[ea]
-                                * fs.power_table(yf[chunk] - oy, eb.max())[eb])
-    return out.reshape((len(polys),) + x.shape)
-
-
 class PolyField:
-    """Tuple of polynomial components evaluated as (ncomp,) + shape arrays."""
+    """Tuple of polynomial components about one origin, evaluated as
+    (ncomp,) + shape arrays: the outer product of the x and y power tables,
+    restricted to the exponents in use, times the float coefficients, which
+    are taken from the Fractions once."""
 
     def __init__(self, components):
         self.components = tuple(components)
+        if len({p.origin for p in self.components}) != 1:
+            raise ValueError("polynomials about different origins")
+        exps = sorted(set().union(*(p.coeffs for p in self.components))
+                      or {(0, 0)})
+        self._exps = np.array(exps)
+        self._coef = np.array([[float(p.coeffs.get(e, 0)) for e in exps]
+                               for p in self.components])
 
     def __call__(self, x, y):
-        return _evaluate(self.components, x, y)
+        (ox, oy), (da, db) = self.components[0].origin, self._exps.max(axis=0)
+        rows = self._exps @ (db + 1, 1)   # the exponents' rows in the table
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        out = np.empty((len(self.components), x.size))
+        xf, yf = x.ravel() - float(ox), y.ravel() - float(oy)
+        table = np.empty((da + 1, db + 1, min(x.size, _CHUNK)))  # every chunk
+        for start in range(0, x.size, _CHUNK):
+            px, py = (fs.power_table(z[start:start + _CHUNK], d)
+                      for z, d in ((xf, da), (yf, db)))
+            t = np.multiply(px[:, None], py, out=table[..., :px.shape[1]])
+            t = t.reshape(-1, px.shape[1])
+            out[:, start:start + _CHUNK] = self._coef @ (
+                t if len(rows) == len(t) else t[rows])
+        return out.reshape((len(self.components),) + x.shape)
 
     def __getitem__(self, i) -> Poly2:
         return self.components[i]
@@ -262,40 +267,37 @@ _COMPONENT_WEIGHTS = {"scalar": (1.0,), "vector2": (1.0, 1.0),
                       "symtensor2x2": (1.0, 1.0, 2.0)}
 
 
-# Points per error chunk: bounds the exact-field table, (components, points)
-_ERROR_CHUNK = 200_000
+# Points per error chunk: its rule, exact and discrete values and bases
+# stay cache-sized, and nothing outlives the chunk
+_ERROR_CHUNK = 20_000
 
 
 def _squared_errors(flds, exact, quad_degree: int) -> np.ndarray:
     """Squared broken L2 norms of (exact - field) per field; ``exact``
     returns all fields' components stacked, (total ncomp,) + points.shape.
-    Each batch's rule and its basis per field degree are built on first
-    use and kept on the mesh like its element batches."""
-    mesh, ncomp = flds[0].mesh, sum(fld.ncomp for fld in flds)
-    batches = element_batches(mesh)
-    rules = mesh.keep(("error_rule", quad_degree), lambda: tuple(
-        b.volume_rule(quad_degree) for b in batches))
-    bases = {d: mesh.keep(("error_basis", quad_degree, d), lambda: tuple(
-        fs.scalar_vals(fs.monomial_exponents(d), b.centroid, b.h, pts)
-        for b, (pts, _) in zip(batches, rules)))
-        for d in {fld.degree for fld in flds}}
+    One pass over chunks of elements, each with its own rule, exact values
+    and basis of the highest field degree (its leading rows are the rest)."""
+    rows = np.cumsum([0] + [fld.ncomp for fld in flds])
+    exps = fs.monomial_exponents(max(fld.degree for fld in flds))
     acc = np.zeros(len(flds))
-    for i, (batch, (pts_all, w_all)) in enumerate(zip(batches, rules)):
-        step = max(1, _ERROR_CHUNK // w_all.shape[1])
+    for batch in element_batches(flds[0].mesh):
+        nq = batch.volume_rule(quad_degree, slice(1))[1].size
+        step = max(1, _ERROR_CHUNK // nq)
         for start in range(0, len(batch.ids), step):
             part = slice(start, start + step)
-            pts, w = pts_all[part], w_all[part]
-            ex = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=float)
-            ex = ex.reshape((-1,) + w.shape)
-            if ex.shape[0] != ncomp:
+            pts, w = batch.volume_rule(quad_degree, part)
+            ex = np.reshape(exact(pts[..., 0], pts[..., 1]), (-1,) + w.shape)
+            if ex.shape[0] != rows[-1]:
                 raise ValueError(f"exact field has {ex.shape[0]} components, "
-                                 f"discrete field has {ncomp}")
-            rows = iter(ex)
+                                 f"discrete field has {rows[-1]}")
+            basis = fs.scalar_vals(exps, batch.centroid[part], batch.h[part],
+                                   pts)
             for slot, fld in enumerate(flds):
-                vals = fld.combine(batch.ids[part], bases[fld.degree][i][part])
-                for c, wc in enumerate(_COMPONENT_WEIGHTS[fld.rank]):
-                    diff = next(rows) - vals[:, c, :]
-                    acc[slot] += wc * float(np.einsum("eq,eq->", diff ** 2, w))
+                diff = ex[rows[slot]:rows[slot + 1]] - fld.combine(
+                    batch.ids[part], basis[:, :fs.space_dim(fld.degree)]
+                ).transpose(1, 0, 2)
+                acc[slot] += np.einsum("ceq,ceq,eq->c", diff, diff, w) @ \
+                    _COMPONENT_WEIGHTS[fld.rank]
     return acc
 
 

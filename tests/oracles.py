@@ -5,7 +5,8 @@ They trade speed for accuracy: exact rational arithmetic,
 dense or sparse direct solve of a whole block system, the dense
 interior block that every stage keeps in its field blocks, or the
 condensed matrix summed from COO triplets, as the solver did before it
-kept a fixed pattern.
+kept a fixed pattern.  Some keep a kernel's arithmetic as it was written
+before a rewrite that must not change a bit of its results.
 """
 
 from decimal import Decimal, localcontext
@@ -50,6 +51,65 @@ def eval_longdouble(poly, x, y) -> np.ndarray:
     for (a, b), v in poly.coeffs.items():
         out += to_longdouble(v) * dx ** a * dy ** b
     return out
+
+
+def volume_rule(batch, degree):
+    """``ElementBatch.volume_rule(degree)`` as it was written on (ne, nq, 2)
+    arrays, before each coordinate was computed on its own."""
+    ref, w0 = fs.triangle_reference_rule(degree)
+    if batch.nv == 3:
+        p0 = batch.verts[:, 0, :][:, None, :]
+        a = batch.verts[:, 1, :][:, None, :] - p0
+        b = batch.verts[:, 2, :][:, None, :] - p0
+        jac = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+        return (p0 + ref[None, :, :1] * a + ref[None, :, 1:] * b,
+                w0[None, :] * jac)
+    if batch.nv == 4:
+        x, w = fs.gauss_legendre_01((degree + 3) // 2)
+        u = np.repeat(x, len(x))[None, :, None]
+        v = np.tile(x, len(x))[None, :, None]
+        p0, p1, p2, p3 = (batch.verts[:, i, None, :] for i in range(4))
+        du = (1.0 - v) * (p1 - p0) + v * (p2 - p3)
+        dv = (1.0 - u) * (p3 - p0) + u * (p2 - p1)
+        jac = du[..., 0] * dv[..., 1] - du[..., 1] * dv[..., 0]
+        return p0 + u * (p1 - p0) + v * dv, np.outer(w, w).ravel() * jac
+    pts, wts = [], []
+    c = batch.centroid[:, None, :]
+    for i in range(batch.nv):
+        a = batch.verts[:, i, :][:, None, :] - c
+        b = batch.verts[:, (i + 1) % batch.nv, :][:, None, :] - c
+        jac = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+        pts.append(c + ref[None, :, :1] * a + ref[None, :, 1:] * b)
+        wts.append(w0[None, :] * jac)
+    return np.concatenate(pts, axis=1), np.concatenate(wts, axis=1)
+
+
+def edge_rule(batch, local_edge, degree):
+    """``ElementBatch.edge_rule`` as it was written on (ne, nq, 2) arrays."""
+    x, w = fs.gauss_legendre_01(max(1, (degree + 2) // 2))
+    p0 = batch.verts[:, local_edge, :]
+    p1 = batch.verts[:, (local_edge + 1) % batch.nv, :]
+    pts = p0[:, None, :] + x[None, :, None] * (p1 - p0)[:, None, :]
+    wts = w[None, :] * batch.edge_len[:, local_edge][:, None]
+    sign = batch.edge_signs[:, local_edge][:, None]
+    return pts, wts, np.where(sign > 0, x[None, :], 1.0 - x[None, :])
+
+
+def evaluate_gathered(polys, x, y) -> np.ndarray:
+    """``verification.PolyField(polys)(x, y)`` as it was: the coefficient
+    matrix built from the Fractions on every call, the monomials gathered
+    from the power tables."""
+    ox, oy = (float(v) for v in polys[0].origin)
+    exps = sorted(set().union(*(p.coeffs for p in polys))) or [(0, 0)]
+    ea, eb = np.array(exps).T
+    coef = np.array([[float(p.coeffs.get(e, 0)) for e in exps] for p in polys])
+    out = np.empty((len(polys), x.size))
+    xf, yf = x.ravel(), y.ravel()
+    for start in range(0, x.size, vf._CHUNK):
+        chunk = slice(start, start + vf._CHUNK)
+        out[:, chunk] = coef @ (fs.power_table(xf[chunk] - ox, ea.max())[ea]
+                                * fs.power_table(yf[chunk] - oy, eb.max())[eb])
+    return out.reshape((len(polys),) + x.shape)
 
 
 def table_errors_longdouble(fields, exact, quad_degree=vf.ERROR_DEGREE):
@@ -211,6 +271,6 @@ def factor_inputs(bs) -> list:
     if bs.kernel_hint is not None and slv._kernel_is_valid(S, bs.kernel_hint):
         probe = slv._deflation_projector(bs.kernel_hint[m:])(probe)
     x[perm] = lu.solve((B12 @ probe)[perm])
-    rho = max(float(probe @ (B12.T.tocsr() @ x)) / float(probe @ (W @ probe)),
+    rho = max(slv._dot(probe, B12.T.tocsr() @ x) / slv._dot(probe, W @ probe),
               0.0)
     return [B11, (rho * W - B22c)[order][:, order].tocsc()]

@@ -8,6 +8,8 @@ from hdgplate import femspace as fs
 from hdgplate.assembly import DiscreteField
 from hdgplate.mesh import Mesh, generate_structured
 from meshes import mixed_group_mesh, mixed_strip
+from oracles import edge_rule as oracle_edge_rule
+from oracles import volume_rule as oracle_volume_rule
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -40,29 +42,6 @@ def polygon_moment(verts, a, b):
         y = p[1] + t * (q[1] - p[1])
         total += (p[0] * q[1] - p[1] * q[0]) * (w * x ** a * y ** b).sum()
     return total / (a + b + 2)
-
-
-def conical_and_fan_rule(batch, degree):
-    """The triangle rule mapped onto each triangle, or onto the fan from
-    the centroid of a polygon with five or more vertices, written out
-    separately so that its arithmetic is pinned bitwise."""
-    ref, w0 = fs.triangle_reference_rule(degree)
-    if batch.nv == 3:
-        p0 = batch.verts[:, 0, :][:, None, :]
-        a = batch.verts[:, 1, :][:, None, :] - p0
-        b = batch.verts[:, 2, :][:, None, :] - p0
-        jac = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-        return (p0 + ref[None, :, :1] * a + ref[None, :, 1:] * b,
-                w0[None, :] * jac)
-    pts, wts = [], []
-    c = batch.centroid[:, None, :]
-    for i in range(batch.nv):
-        a = batch.verts[:, i, :][:, None, :] - c
-        b = batch.verts[:, (i + 1) % batch.nv, :][:, None, :] - c
-        jac = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
-        pts.append(c + ref[None, :, :1] * a + ref[None, :, 1:] * b)
-        wts.append(w0[None, :] * jac)
-    return np.concatenate(pts, axis=1), np.concatenate(wts, axis=1)
 
 
 def l2_project(mesh, f, degree, quad_degree):
@@ -149,14 +128,22 @@ class TestQuadrature:
     @pytest.mark.parametrize("mesh", [mixed_group_mesh(), mixed_strip(3)],
                              ids=["mixed_group_mesh", "mixed_strip"])
     def test_other_vertex_counts_keep_their_rule_bitwise(self, mesh):
+        # each coordinate on its own gives the bits of the formulas on
+        # (ne, nq, 2) arrays, on every batch, on a part of it and on edges
         batches = {b.nv: b for b in fs.element_batches(mesh)}
         assert sorted(batches) == [3, 4, 5]
-        for nv in (3, 5):
+        for nv, batch in batches.items():
             for degree in (0, 3, 6, 10, 26):
-                got = batches[nv].volume_rule(degree)
-                want = conical_and_fan_rule(batches[nv], degree)
-                for g, r in zip(got, want):
-                    assert g.shape == r.shape and np.array_equal(g, r)
+                for part in (slice(None), slice(1, 2)):
+                    got = batch.volume_rule(degree, part)
+                    want = oracle_volume_rule(batch, degree)
+                    for g, r in zip(got, want):
+                        assert np.array_equal(g, r[part]), (nv, degree)
+            for e in range(nv):
+                for degree in (1, 6):
+                    for g, r in zip(batch.edge_rule(e, degree),
+                                    oracle_edge_rule(batch, e, degree)):
+                        assert g.shape == r.shape and np.array_equal(g, r)
 
     def test_nonconvex_rejected(self):
         # the fan rule needs convex elements; Mesh is where batches come from

@@ -336,16 +336,15 @@ class TestKept:
                 vf.table_errors(fields, ex)
             assert set(vars(mesh)) == attrs
             # no stage keeps its Y_A or S: stages one and three keep their
-            # operator and factor, stage two its pattern and block maps
+            # operator and factor, stage two its pattern and block maps;
+            # table_errors keeps nothing
             poisson, saddle = ((2, True),), ((6, True), (2, False))
             assert set(mesh.kept) == {
                 "edge_order", "element_batches", "edge_adjacency",
                 ("poisson", 2), ("poisson", 2, "factor"),
                 ("pattern", poisson), ("pattern", saddle),
                 *(("pattern", saddle, name)
-                  for name in ("B11", "B12", "B22c")),
-                ("error_rule", vf.ERROR_DEGREE),
-                *(("error_basis", vf.ERROR_DEGREE, d) for d in (1, 2))}
+                  for name in ("B11", "B12", "B22c"))}
             for key, value in mesh.kept.items():
                 arrays = list(_arrays(value))
                 assert arrays, key

@@ -1,4 +1,7 @@
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -350,8 +353,9 @@ class TestMassFirstElimination:
         bs = _stage_systems(mixed_group_mesh(), 2)[1]
         x2 = np.linspace(-1.0, 1.0, bs.n_trace)
         runs = []
-        for chunk in (slv._CHUNK, 1, 10 ** 9):
-            monkeypatch.setattr(slv, "_CHUNK", chunk)
+        # the default, one element per pass and one pass per group
+        for chunk in (slv._CHUNK_BYTES, 1, 10 ** 12):
+            monkeypatch.setattr(slv, "_CHUNK_BYTES", chunk)
             cond = slv.condense(bs)
             runs.append((cond.S.data, cond.rhs, slv.back_substitute(cond, x2)))
         for run in runs[1:]:
@@ -422,6 +426,33 @@ class TestCG:
         x, report = slv.solve_spd(slv.condense(bs))
         assert report.stop_reason == "zero_rhs" and report.converged
         assert np.all(x == 0)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two CPUs for two BLAS threads")
+    def test_iterates_do_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a dot product of more than about 10,000 entries
+        # across its threads, which changes its rounding
+        script = (
+            "import hashlib, numpy as np, scipy.sparse as sp\n"
+            "from hdgplate import solver as slv\n"
+            "n = 60_000\n"
+            "A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], (n, n), 'csr')\n"
+            "A = A - sp.diags(np.asarray(A.sum(axis=1)).ravel())\n"
+            "b = np.random.default_rng(0).standard_normal(n)\n"
+            "x, _, hist, _, rz = slv._pcg(\n"
+            "    lambda v: A @ v, b, lambda r: r / (2.0 + np.arange(n) % 3),\n"
+            "    1e-12, 40, slv._deflation_projector(np.ones(n)))\n"
+            "print([float(v).hex() for v in hist + rz],\n"
+            "      hashlib.sha256(x.tobytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(slv.__file__))
+        runs = [subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, timeout=300, env={
+                **os.environ, "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")]))}).stdout
+            for threads in ("1", "2")]
+        assert runs[0] == runs[1]
 
     def test_residual_monotone_with_default_preconditioner(self):
         mesh = generate_structured("triangle", 8)
