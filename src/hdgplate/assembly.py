@@ -352,18 +352,29 @@ class MassFields:
 
 @dataclass
 class ElementBlockGroup:
-    """Dense local blocks for one batch of same-size elements; ``a11`` is
-    the block of the interior fields after the ``nm = nc * Ts`` fields
-    kept in ``mass``."""
+    """Local blocks for one batch of same-size elements.  ``a11`` is the
+    block of the interior fields after the ``nm = nc * Ts`` fields kept in
+    ``mass``; the trace columns ``[A12; A22]`` are kept as the ``terms``
+    that write them, ``(rows, cols, scale, block)`` with ``scale`` (ne,)
+    and ``block`` (ne, r, c), and each region is written by one term."""
 
     batch: ElementBatch
     a11: np.ndarray           # (ne, n1 - nm, n1 - nm)
-    a12: np.ndarray           # (ne, n1, ntl)
-    a22: np.ndarray           # (ne, ntl, ntl)
+    terms: tuple
     b1: np.ndarray            # (ne, n1)
     b2: np.ndarray            # (ne, ntl)
     trace_indices: np.ndarray  # (ne, ntl), -1 for eliminated trace dofs
     mass: MassFields
+
+    def trace_columns(self, e: slice) -> np.ndarray:
+        """The dense (len, n1 + ntl, ntl) ``[A12; A22]`` of the elements
+        ``e``: ``scale * block`` in each term's region, zero elsewhere."""
+        ntl = self.trace_indices.shape[1]
+        n1 = len(self.mass.coef) * self.mass.mass.shape[1] + self.a11.shape[1]
+        out = np.zeros((len(self.batch.ids[e]), n1 + ntl, ntl))
+        for rows, cols, scale, block in self.terms:
+            out[:, rows, cols] = scale[e, None, None] * block[e]
+        return out
 
 
 @dataclass
@@ -427,6 +438,11 @@ def _local_matrices(batch, k, trace_deg, degrees):
     return _ip(w, Vs, Vs), EX, EY, edges
 
 
+def _below(n1: int, cols: slice) -> slice:
+    """The ``[A12; A22]`` rows of the ``A22`` rows ``cols``."""
+    return slice(n1 + cols.start, n1 + cols.stop)
+
+
 def _stab_volume_block(C, E):
     """C^T E^{-1} C: exact edge-projection stabilization of interior traces."""
     return np.einsum("emi,emj->eij", C, np.linalg.solve(E, C), optimize=True)
@@ -453,10 +469,7 @@ def _assemble_poisson_operator(dof, k, degrees):
                           -np.eye(2)[:, :, None])
         a11 = np.zeros((ne, Tv, Tv))
 
-        ntl = nv * k
-        a12 = np.zeros((ne, n1, ntl))
-        a22 = np.zeros((ne, ntl, ntl))
-        trace_idx = np.empty((ne, ntl), dtype=int)
+        terms, trace_idx = [], np.empty((ne, nv * k), dtype=int)
         # alpha1 does not depend on the thickness
         alpha1 = stabilization(batch.h, PlateMaterial())[0]
 
@@ -466,15 +479,14 @@ def _assemble_poisson_operator(dof, k, degrees):
 
             cols = slice(e * k, (e + 1) * k)
             nrm = batch.normals[:, e, :]
-            for u, sl in enumerate(sl_L):
-                a12[:, sl, cols] = (nrm[:, u, None, None]
-                                    * Cv[:, :, :Ts].transpose(0, 2, 1))
-            a12[:, sl_r, cols] = -alpha1[:, None, None] * Cv.transpose(0, 2, 1)
-            a22[:, cols, cols] = alpha1[:, None, None] * Ee
+            terms += [(sl, cols, nrm[:, u], Cv[:, :, :Ts].mT)
+                      for u, sl in enumerate(sl_L)]
+            terms += [(sl_r, cols, -alpha1, Cv.mT),
+                      (_below(n1, cols), cols, alpha1, Ee)]
             trace_idx[:, cols] = tf.dofs(batch.edge_ids[:, e])
 
         # the loads differ per solve: each stage sets b1 and b2
-        groups.append(ElementBlockGroup(batch, a11, a12, a22, None, None,
+        groups.append(ElementBlockGroup(batch, a11, tuple(terms), None, None,
                                         trace_idx, flux))
         pts, w = batch.volume_rule(degrees["source_degree"])
         source.append((pts, w, fs.scalar_vals(fs.monomial_exponents(k),
@@ -600,10 +612,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         a11[:, th[0], p], a11[:, p, th[0]] = -EY, -EY.mT
         a11[:, th[1], p], a11[:, p, th[1]] = EX, EX.mT
 
-        ntl = nv * (m_th + k)
-        a12 = np.zeros((ne, n1, ntl))
-        a22 = np.zeros((ne, ntl, ntl))
-        trace_idx = np.empty((ne, ntl), dtype=int)
+        terms, trace_idx = [], np.empty((ne, nv * (m_th + k)), dtype=int)
         _, alpha2, alpha3 = stabilization(batch.h, material)
 
         for e, (Clv, El) in enumerate(edges):
@@ -616,7 +625,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             a11[:, p, p] -= alpha3[:, None, None] * _stab_volume_block(Ckv, Ek)
 
             nrm = batch.normals[:, e, :]
-            tang = batch.tangents[:, e, :]
+            tang = -batch.tangents[:, e, :]  # enters negated
             c_th = e * m_th
             sl_that = [slice(c_th + u * (l + 1), c_th + (u + 1) * (l + 1))
                        for u in range(2)]
@@ -626,21 +635,16 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             # <theta_hat, tau n>: unit tensors map n to (n1,0),(0,n2),(n2,n1)
             coeff = ((0, 0, nrm[:, 0]), (1, 1, nrm[:, 1]),
                      (2, 0, nrm[:, 1]), (2, 1, nrm[:, 0]))
-            for c, u, val in coeff:
-                a12[:, sl_sig[c], sl_that[u]] = \
-                    val[:, None, None] * Cls.transpose(0, 2, 1)
+            terms += [(sl_sig[c], sl_that[u], val, Cls.mT)
+                      for c, u, val in coeff]
             for u in range(2):
-                a12[:, sl_R[u], sl_phat] = \
-                    -tang[:, u, None, None] * Cks.transpose(0, 2, 1)
-                a12[:, sl_th[u], sl_that[u]] = \
-                    -alpha2[:, None, None] * Clv.transpose(0, 2, 1)
-                a12[:, sl_th[u], sl_phat] = \
-                    -tang[:, u, None, None] * Ckv.transpose(0, 2, 1)
-            a12[:, sl_p, sl_phat] = alpha3[:, None, None] * Ckv.transpose(0, 2, 1)
+                terms += [(sl_R[u], sl_phat, tang[:, u], Cks.mT),
+                          (sl_th[u], sl_that[u], -alpha2, Clv.mT),
+                          (sl_th[u], sl_phat, tang[:, u], Ckv.mT)]
+            terms.append((sl_p, sl_phat, alpha3, Ckv.mT))
 
-            for sl in sl_that:
-                a22[:, sl, sl] = alpha2[:, None, None] * El
-            a22[:, sl_phat, sl_phat] = -alpha3[:, None, None] * Ek
+            terms += [(_below(n1, sl), sl, alpha2, El) for sl in sl_that]
+            terms.append((_below(n1, sl_phat), sl_phat, -alpha3, Ek))
             trace_idx[:, c_th:c_th + m_th] = tf_th.dofs(batch.edge_ids[:, e])
             trace_idx[:, sl_phat] = tf_p.dofs(batch.edge_ids[:, e])
 
@@ -657,7 +661,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             b1[:, sl_th[u]] = np.einsum("enq,eq,eq->en", Vv_s, load[:, u, :], sw)
 
         groups.append(ElementBlockGroup(
-            batch, a11, a12, a22, b1, np.zeros((ne, ntl)), trace_idx,
+            batch, a11, tuple(terms), b1, np.zeros(trace_idx.shape), trace_idx,
             MassFields(Mss, coef, np.stack([DX, DY]), _COUPLING)))
 
     # the condensed system annihilates constant pressure: mark that mode

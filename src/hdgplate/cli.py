@@ -137,11 +137,11 @@ def _cmd_convergence(args) -> int:
         raise ValueError(f"bad --levels value {args.levels!r}") from None
     if not levels or any(n < 1 for n in levels):
         raise ValueError("--levels must list positive integers")
+    folder = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(folder):
+        raise ValueError(f"cannot write {args.out}: no directory {folder}")
 
     table = vf.run_convergence(material, args.mesh, spaces, levels, config)
-    with open(args.out, "w") as stream:
-        table.write_csv(stream)
-
     meta = _metadata(
         material, spaces, config, mesh_kind=args.mesh, levels=levels,
         iterations=[r.iterations for r in table.reports],
@@ -151,9 +151,14 @@ def _cmd_convergence(args) -> int:
         factor_time=[r.factor_time for r in table.reports],
         wall_times=[r.wall_time for r in table.reports],
         peak_rss_mb=[r.peak_rss_mb for r in table.reports])
-    with open(args.out + ".meta.json", "w") as stream:
-        json.dump(meta, stream, indent=2)
-        stream.write("\n")
+    try:
+        with open(args.out, "w") as stream:
+            table.write_csv(stream)
+        with open(args.out + ".meta.json", "w") as stream:
+            json.dump(meta, stream, indent=2)
+            stream.write("\n")
+    except OSError as err:
+        raise ValueError(f"cannot write {err.filename}: {err.strerror}") from err
     print(f"wrote {args.out} ({len(levels)} levels) and {args.out}.meta.json")
     return _EXIT_OK
 

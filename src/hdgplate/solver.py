@@ -113,10 +113,11 @@ class SolveReport:
 @dataclass
 class CondensedSystem:
     """Schur complement trace system; ``local`` keeps, per element group,
-    ``(Y_A, Y_b, minv)`` for back-substitution (see :func:`_eliminate`)."""
+    ``(Y_A, Y_b, minv)`` for back-substitution (see :func:`_eliminate`);
+    ``S`` is None once :func:`solve_saddle_trace` has gathered it."""
 
     system: BlockSystem
-    S: sp.csr_matrix
+    S: sp.csr_matrix | None
     rhs: np.ndarray
     local: list
     kernel: np.ndarray | None
@@ -159,9 +160,18 @@ def _kron(c: np.ndarray, M: np.ndarray, x: np.ndarray, T=False) -> np.ndarray:
         len(x), -1, *x.shape[2:])
 
 
-# bytes of [A11 | A12 | b1] per pass of the elimination, about 64 elements
-# at stage two, k=3: bounds its temporaries and changes no bit of its results
+# bytes of [A11 | A12 | b1] per pass over a group's elements, about 64
+# elements at stage two, k=3: bounds the temporaries of the elimination and
+# of the dense trace columns, and changes no bit of any result
 _CHUNK_BYTES = 3 * 2 ** 20
+
+
+def _chunks(grp) -> list:
+    """Slices of ``grp``'s elements, each at most ``_CHUNK_BYTES`` of
+    ``[A11 | A12 | b1]`` (one element at least)."""
+    ne, n1 = grp.b1.shape
+    step = max(1, _CHUNK_BYTES // (8 * n1 * (n1 + grp.b2.shape[1] + 1)))
+    return [slice(i, i + step) for i in range(0, ne, step)]
 
 
 def _eliminate(grp, out: np.ndarray) -> tuple:
@@ -173,11 +183,11 @@ def _eliminate(grp, out: np.ndarray) -> tuple:
     fields' blocks, which a stacked dense solve eliminates."""
     (ne, n1), n, m = grp.b1.shape, grp.a11.shape[1], grp.mass
     nm, cinv = n1 - n, np.linalg.inv(m.coef)[None]
-    y, rhs = np.empty((ne, n, grp.a12.shape[2] + 1)), np.empty(grp.b2.shape)
+    y, rhs = np.empty((ne, n, grp.b2.shape[1] + 1)), np.empty(grp.b2.shape)
     minv = np.empty(m.mass.shape)
-    step = max(1, _CHUNK_BYTES // (8 * n1 * (n1 + y.shape[2])))
-    for e in (slice(i, i + step) for i in range(0, ne, step)):
-        cols = np.concatenate([grp.a12[e], grp.b1[e, :, None]], -1)
+    for e in _chunks(grp):
+        a = grp.trace_columns(e)
+        cols = np.concatenate([a[:, :n1], grp.b1[e, :, None]], -1)
         # rest = [A11 | A12_p | b1_p] - A_pm A_mm^{-1} [A_mp | A12_m | b1_m]
         minv[e] = _mass_inverse(grp.batch.ids[e], m.mass[e])
         amp = _kron(m.coupling, m.D[:, e],
@@ -188,7 +198,7 @@ def _eliminate(grp, out: np.ndarray) -> tuple:
         y[e] = _local_solve(grp.batch.ids[e], rest[..., :n], rest[..., n:])
         z = cols[:, :nm, :-1].mT @ w[..., n:]
         z += rest[..., n:-1].mT @ y[e]
-        np.subtract(grp.a22[e], z[..., :-1], out=out[e])
+        np.subtract(a[:, n1:], z[..., :-1], out=out[e])
         np.subtract(grp.b2[e], z[..., -1], out=rhs[e])
     return y, rhs, minv
 
@@ -225,9 +235,9 @@ def _build_pattern(adjacency: sp.csr_matrix, bs: BlockSystem) -> dict:
                         S.indptr), S.shape)
     edge_row = np.zeros(len(edges), dtype=np.intp)  # any row of each edge
     edge_row[dof_edge] = np.arange(n)
-    position = np.empty(sum(grp.a22.size for grp in bs.groups), ids.dtype)
-    for grp, pos in zip(bs.groups, np.split(position, np.cumsum(
-            [grp.a22.size for grp in bs.groups])[:-1])):
+    sizes = [g.trace_indices.size * g.trace_indices.shape[1] for g in bs.groups]
+    position = np.empty(sum(sizes), ids.dtype)
+    for grp, pos in zip(bs.groups, np.split(position, np.cumsum(sizes)[:-1])):
         ok = grp.trace_indices >= 0
         dof = np.where(ok, grp.trace_indices, 0)
         edge = np.argmax(dof_edge[dof][:, :, None]      # each dof's local edge
@@ -237,7 +247,7 @@ def _build_pattern(adjacency: sp.csr_matrix, bs: BlockSystem) -> dict:
         row, col = np.broadcast_arrays(edge_row[grp.batch.edge_ids][..., None],
                                        dof[:, None])
         col = ids[row.ravel(), col.ravel()].reshape(row.shape) - S.indptr[row]
-        pos = pos.reshape(grp.a22.shape)
+        pos = pos.reshape(*dof.shape, dof.shape[1])
         np.add(col[np.arange(len(dof))[:, None], edge],
                S.indptr[dof][..., None], out=pos)
         pos[~(ok[:, :, None] & ok[:, None, :])] = S.nnz
@@ -283,11 +293,13 @@ def condense(bs: BlockSystem) -> CondensedSystem:
     """
     pattern = _pattern(bs)
     schur = np.empty(len(pattern["position"]))  # the local Schur blocks
-    blocks = np.split(schur, np.cumsum([g.a22.size for g in bs.groups])[:-1])
+    sizes = [g.trace_indices.size * g.trace_indices.shape[1] for g in bs.groups]
+    blocks = np.split(schur, np.cumsum(sizes)[:-1])
     rhs = np.zeros(bs.n_trace)
     local = []
     for grp, out in zip(bs.groups, blocks):
-        y, local_rhs, minv = _eliminate(grp, out.reshape(grp.a22.shape))
+        ne, ntl = grp.trace_indices.shape
+        y, local_rhs, minv = _eliminate(grp, out.reshape(ne, ntl, ntl))
         _scatter_vector(rhs, grp.trace_indices, local_rhs)
         local.append((y[..., :-1], y[..., -1], minv))
     return CondensedSystem(bs, _scatter(pattern, schur), rhs, local,
@@ -305,8 +317,10 @@ def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
         nm, m = x1.shape[1] - xp.shape[1], grp.mass
         x1[grp.batch.ids, nm:] = xp
         # the mass fields from the rest
-        v = (grp.b1[:, :nm] - np.einsum("eij,ej->ei", grp.a12[:, :nm], x2loc)
-             - _kron(m.coupling, m.D, xp))
+        a12x = np.concatenate([np.einsum(
+            "eij,ej->ei", grp.trace_columns(e)[:, :nm], x2loc[e])
+            for e in _chunks(grp)])
+        v = grp.b1[:, :nm] - a12x - _kron(m.coupling, m.D, xp)
         x1[grp.batch.ids, :nm] = _kron(np.linalg.inv(m.coef)[None],
                                        minv[None], v)
     return x1
@@ -320,7 +334,13 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
         x1g = x1[grp.batch.ids]
         x2loc = np.where(grp.trace_indices >= 0,
                          x2[np.clip(grp.trace_indices, 0, None)], 0.0)
-        r1 = np.einsum("eij,ej->ei", grp.a12, x2loc) - grp.b1
+        n1, r1, rt = x1g.shape[1], np.empty_like(grp.b1), np.empty_like(grp.b2)
+        for e in _chunks(grp):
+            a = grp.trace_columns(e)
+            r1[e] = np.einsum("eij,ej->ei", a[:, :n1], x2loc[e])
+            rt[e] = (np.einsum("eij,ei->ej", a[:, :n1], x1g[e])
+                     + np.einsum("eij,ej->ei", a[:, n1:], x2loc[e]))
+        r1 -= grp.b1
         nm, m = x1g.shape[1] - grp.a11.shape[1], grp.mass
         xm, xp = x1g[:, :nm], x1g[:, nm:]
         r1[:, :nm] += (_kron(m.coef[None], m.mass[None], xm)
@@ -329,9 +349,7 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
                        + _kron(m.coupling, m.D, xm, T=True))
         rnorm2 += float((r1 ** 2).sum())
         bnorm2 += float((grp.b1 ** 2).sum())
-        _scatter_vector(r2, grp.trace_indices,
-                        np.einsum("eij,ei->ej", grp.a12, x1g)
-                        + np.einsum("eij,ej->ei", grp.a22, x2loc) - grp.b2)
+        _scatter_vector(r2, grp.trace_indices, rt - grp.b2)
         _scatter_vector(b2, grp.trace_indices, grp.b2)
     rnorm2 += float((r2 ** 2).sum())
     bnorm2 += float((b2 ** 2).sum())
@@ -425,9 +443,17 @@ def _deflation_projector(z: np.ndarray) -> Callable:
     return lambda v: v - _dot(z, v) * z
 
 
-def _kernel_is_valid(S: sp.csr_matrix, kernel: np.ndarray) -> bool:
-    snorm = spla.norm(S)
-    return float(np.linalg.norm(S @ kernel)) <= 1e-8 * snorm * np.linalg.norm(kernel)
+def _kernel_is_valid(B11, B12, B22c, kernel: np.ndarray) -> bool:
+    """Whether ``kernel``, which has to live on the pressure trace, is a
+    null vector of ``S = [[B11, B12], [B12^T, B22c]]`` to 1e-8 of
+    ``|S|_F``; every sum goes through :func:`_dot`, not BLAS."""
+    m = B11.shape[0]
+    kp = kernel[m:]
+    Sz = np.concatenate([B12 @ kp, B22c @ kp])
+    snorm2 = sum(c * _dot(B.data, B.data)
+                 for c, B in ((1, B11), (2, B12), (1, B22c)))
+    return (not kernel[:m].any() and math.sqrt(_dot(Sz, Sz))
+            <= 1e-8 * math.sqrt(snorm2 * _dot(kp, kp)))
 
 
 def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
@@ -480,7 +506,8 @@ def solve_saddle_trace(cond: CondensedSystem,
     ``B12^T B11^{-1} B12 - B22c`` (positive semidefinite with the
     constant mode as kernel); the rotation-trace block is inverted per
     application.  Returns (theta_hat, p_hat, report); the reported
-    iteration count is the number of outer CG iterations.
+    iteration count is the number of outer CG iterations.  ``cond.S`` is
+    set to None once its blocks are gathered.
     """
     t0 = time.perf_counter()
     dof, stage = cond.system.dof, cond.system.stage
@@ -490,21 +517,24 @@ def solve_saddle_trace(cond: CondensedSystem,
     # B11 goes to SuperLU in nested-dissection order, without an
     # assembly-order copy; the other blocks keep the assembly order
     perm = dof.trace_order("theta_hat")
-    inner = _factorize(_block(cond, "B11", lambda A: A[:m, :m][perm][
-        :, perm].tocsc()), perm, stage, "B11")
+    B11 = _block(cond, "B11", lambda A: A[:m, :m][perm][:, perm].tocsc())
     B12 = _block(cond, "B12", lambda A: A[:m, m:])
     B22c = _block(cond, "B22c", lambda A: A[m:, m:])
+    deflated = (cond.kernel is not None
+                and _kernel_is_valid(B11, B12, B22c, cond.kernel))
+    kernel_rejected = cond.kernel is not None and not deflated
+    project = (_deflation_projector(cond.kernel[m:]) if deflated
+               else lambda v: v)
+    # the blocks are all that is read of S: drop it before the
+    # factorizations, which set the solve's peak memory, and B11 once used
+    cond.S = None
+    inner = _factorize(B11, perm, stage, "B11")
+    del B11
 
     def apply_outer(v):
         return B12.T @ inner.solve(B12 @ v) - B22c @ v
 
     rhs = B12.T @ inner.solve(c1) - c2
-
-    deflated = (cond.kernel is not None
-                and _kernel_is_valid(cond.S, cond.kernel))
-    kernel_rejected = cond.kernel is not None and not deflated
-    project = (_deflation_projector(cond.kernel[m:]) if deflated
-               else lambda v: v)
 
     # Surrogate -B22c + rho * W: the pressure-trace block carries the
     # thickness-scaled rotational stiffness of the operator, and the edge

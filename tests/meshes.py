@@ -1,4 +1,4 @@
-"""Mesh builders shared by the tests."""
+"""Mesh builders, and a walk over what a mesh keeps, shared by the tests."""
 
 import numpy as np
 
@@ -42,3 +42,17 @@ def mixed_strip(tiles):
     loops = [tuple(int(inv[v + i * nv]) for v in el.vertex_loop)
              for i in range(tiles) for el in base.elements]
     return Mesh(points[first], loops)
+
+
+def arrays_in(value):
+    """Every array reachable from ``value`` through tuples, lists, dicts
+    and object attributes (dataclasses, batches, sparse matrices)."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+    elif isinstance(value, dict):
+        yield from arrays_in(list(value.values()))
+    elif hasattr(value, "__dict__"):
+        yield from arrays_in(vars(value))

@@ -3,9 +3,10 @@
 They trade speed for accuracy: exact rational arithmetic,
 ``np.longdouble`` where a whole error norm has to be recomputed, a
 dense or sparse direct solve of a whole block system, the dense
-interior block that every stage keeps in its field blocks, or the
-condensed matrix summed from COO triplets, as the solver did before it
-kept a fixed pattern.  Some keep a kernel's arithmetic as it was written
+interior block that every stage keeps in its field blocks, the dense
+trace columns that every stage keeps as terms, or the condensed matrix
+summed from COO triplets, as the solver did before it kept a fixed
+pattern.  Some keep a kernel's arithmetic as it was written
 before a rewrite that must not change a bit of its results.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from hdgplate import assembly as asm
 from hdgplate import femspace as fs
 from hdgplate import solver as slv
 from hdgplate import verification as vf
@@ -160,6 +162,105 @@ def dense_a11(grp) -> np.ndarray:
     return a11
 
 
+def dense_trace_blocks(bs, material) -> list:
+    """``(a12, a22, trace_idx)`` per group of the stage system ``bs``,
+    written by the dense assembly loops that ``assembly`` ran before it
+    kept them as terms; ``material`` is stage two's (stages one and three
+    do not depend on it)."""
+    dof, out = bs.dof, []
+    n1 = dof.n_interior_per_element
+    if bs.stage != "step2":
+        k = dof.trace_fields["u_hat"].per_edge
+        Ts = fs.space_dim(k - 1)
+        tf = dof.trace_fields["u_hat"]
+        sl_L = dof.components("flux")
+        sl_r = dof.interior_slice("primal")
+        for grp in bs.groups:
+            batch = grp.batch
+            ne, nv = len(batch.ids), batch.nv
+            edges = asm._local_matrices(batch, k, k - 1,
+                                        fs.quadrature_degrees(k))[3]
+            ntl = nv * k
+            a12 = np.zeros((ne, n1, ntl))
+            a22 = np.zeros((ne, ntl, ntl))
+            trace_idx = np.empty((ne, ntl), dtype=int)
+            alpha1 = asm.stabilization(batch.h, asm.PlateMaterial())[0]
+
+            for e, (Cv, Ee) in enumerate(edges):
+                cols = slice(e * k, (e + 1) * k)
+                nrm = batch.normals[:, e, :]
+                for u, sl in enumerate(sl_L):
+                    a12[:, sl, cols] = (nrm[:, u, None, None]
+                                        * Cv[:, :, :Ts].transpose(0, 2, 1))
+                a12[:, sl_r, cols] = -alpha1[:, None, None] * Cv.transpose(0, 2, 1)
+                a22[:, cols, cols] = alpha1[:, None, None] * Ee
+                trace_idx[:, cols] = tf.dofs(batch.edge_ids[:, e])
+            out.append((a12, a22, trace_idx))
+        return out
+
+    tf_th = dof.trace_fields["theta_hat"]
+    tf_p = dof.trace_fields["p_hat"]
+    k, l = tf_p.per_edge, tf_th.per_edge // 2 - 1
+    m_th, Ts = 2 * (l + 1), fs.space_dim(k - 1)
+    sl_sig, sl_R, sl_th = (dof.components(name) for name in ("sigma", "R", "theta"))
+    sl_p = dof.interior_slice("p")
+    for grp in bs.groups:
+        batch = grp.batch
+        ne, nv = len(batch.ids), batch.nv
+        edges = asm._local_matrices(batch, k, l, fs.quadrature_degrees(k))[3]
+        ntl = nv * (m_th + k)
+        a12 = np.zeros((ne, n1, ntl))
+        a22 = np.zeros((ne, ntl, ntl))
+        trace_idx = np.empty((ne, ntl), dtype=int)
+        _, alpha2, alpha3 = asm.stabilization(batch.h, material)
+
+        for e, (Clv, El) in enumerate(edges):
+            Cls, Ckv, Cks, Ek = (Clv[:, :, :Ts], Clv[:, :k], Clv[:, :k, :Ts],
+                                 El[:, :k, :k])
+            nrm = batch.normals[:, e, :]
+            tang = batch.tangents[:, e, :]
+            c_th = e * m_th
+            sl_that = [slice(c_th + u * (l + 1), c_th + (u + 1) * (l + 1))
+                       for u in range(2)]
+            c_p = nv * m_th + e * k
+            sl_phat = slice(c_p, c_p + k)
+
+            coeff = ((0, 0, nrm[:, 0]), (1, 1, nrm[:, 1]),
+                     (2, 0, nrm[:, 1]), (2, 1, nrm[:, 0]))
+            for c, u, val in coeff:
+                a12[:, sl_sig[c], sl_that[u]] = \
+                    val[:, None, None] * Cls.transpose(0, 2, 1)
+            for u in range(2):
+                a12[:, sl_R[u], sl_phat] = \
+                    -tang[:, u, None, None] * Cks.transpose(0, 2, 1)
+                a12[:, sl_th[u], sl_that[u]] = \
+                    -alpha2[:, None, None] * Clv.transpose(0, 2, 1)
+                a12[:, sl_th[u], sl_phat] = \
+                    -tang[:, u, None, None] * Ckv.transpose(0, 2, 1)
+            a12[:, sl_p, sl_phat] = alpha3[:, None, None] * Ckv.transpose(0, 2, 1)
+
+            for sl in sl_that:
+                a22[:, sl, sl] = alpha2[:, None, None] * El
+            a22[:, sl_phat, sl_phat] = -alpha3[:, None, None] * Ek
+            trace_idx[:, c_th:c_th + m_th] = tf_th.dofs(batch.edge_ids[:, e])
+            trace_idx[:, sl_phat] = tf_p.dofs(batch.edge_ids[:, e])
+        out.append((a12, a22, trace_idx))
+    return out
+
+
+def trace_blocks(grp) -> tuple:
+    """A group's dense ``(a12, a22)``, from its terms in one chunk."""
+    a = grp.trace_columns(slice(None))
+    n1 = a.shape[1] - a.shape[2]
+    return a[:, :n1], a[:, n1:]
+
+
+def saddle_blocks(S, m: int) -> tuple:
+    """``(B11, B12, B22c)`` of a condensed saddle matrix ``S`` whose
+    pressure trace starts at ``m``."""
+    return S[:m, :m].tocsr(), S[:m, m:].tocsr(), S[m:, m:].tocsr()
+
+
 def monolithic_dense(bs) -> tuple[np.ndarray, np.ndarray]:
     """The uncondensed symmetric system (interior + trace) of the
     ``BlockSystem`` ``bs`` as dense arrays."""
@@ -168,16 +269,16 @@ def monolithic_dense(bs) -> tuple[np.ndarray, np.ndarray]:
     A = np.zeros((ni + nt, ni + nt))
     b = np.zeros(ni + nt)
     for g in bs.groups:
-        a11 = dense_a11(g)
+        a11, (a12, a22) = dense_a11(g), trace_blocks(g)
         for row in range(len(g.batch.ids)):
             i0 = g.batch.ids[row] * n1
             A[i0:i0 + n1, i0:i0 + n1] = a11[row]
             cols = g.trace_indices[row]
             keep = cols >= 0
-            A[i0:i0 + n1, ni + cols[keep]] = g.a12[row][:, keep]
-            A[ni + cols[keep], i0:i0 + n1] = g.a12[row][:, keep].T
+            A[i0:i0 + n1, ni + cols[keep]] = a12[row][:, keep]
+            A[ni + cols[keep], i0:i0 + n1] = a12[row][:, keep].T
             A[np.ix_(ni + cols[keep], ni + cols[keep])] += \
-                g.a22[row][np.ix_(keep, keep)]
+                a22[row][np.ix_(keep, keep)]
             b[i0:i0 + n1] = g.b1[row]
             b[ni + cols[keep]] += g.b2[row][keep]
     return A, b
@@ -190,7 +291,9 @@ def solve_saddle_direct(cond) -> np.ndarray:
     the matrix with the kernel vector.
     """
     S, b = cond.S, cond.rhs
-    if cond.kernel is not None and slv._kernel_is_valid(S, cond.kernel):
+    m = cond.system.dof.trace_fields["p_hat"].offset
+    if cond.kernel is not None and slv._kernel_is_valid(
+            *saddle_blocks(S, m), cond.kernel):
         z = sp.csr_matrix(cond.kernel.reshape(-1, 1))
         A = sp.bmat([[S, z], [z.T, None]], format="csc")
         return spla.splu(A).solve(np.concatenate([b, [0.0]]))[:-1]
@@ -222,7 +325,8 @@ def condensed_matrix(bs) -> sp.csr_matrix:
     same operations as in ``condense``."""
     blocks = []
     for grp in bs.groups:
-        local = np.empty(grp.a22.shape)
+        ne, ntl = grp.trace_indices.shape
+        local = np.empty((ne, ntl, ntl))
         slv._eliminate(grp, local)
         blocks.append(_coo_block(grp.trace_indices, local))
     return _trace_matrix(blocks, bs.n_trace)
@@ -236,11 +340,11 @@ def dense_elimination(bs, x2: np.ndarray) -> tuple:
     blocks, rhs = [], np.zeros(bs.n_trace)
     x1 = np.zeros((bs.dof.mesh.num_elements, bs.dof.n_interior_per_element))
     for grp in bs.groups:
-        idx = grp.trace_indices
+        idx, (a12, a22) = grp.trace_indices, trace_blocks(grp)
         y = np.linalg.solve(dense_a11(grp), np.concatenate(
-            [grp.a12, grp.b1[..., None]], axis=-1))
-        z = grp.a12.transpose(0, 2, 1) @ y
-        blocks.append(_coo_block(idx, grp.a22 - z[..., :-1]))
+            [a12, grp.b1[..., None]], axis=-1))
+        z = a12.transpose(0, 2, 1) @ y
+        blocks.append(_coo_block(idx, a22 - z[..., :-1]))
         np.add.at(rhs, idx[idx >= 0], (grp.b2 - z[..., -1])[idx >= 0])
         x2loc = np.where(idx >= 0, x2[idx], 0.0)
         x1[grp.batch.ids] = y[..., -1] - np.einsum("eij,ej->ei",
@@ -260,7 +364,8 @@ def factor_inputs(bs) -> list:
         return [S[perm][:, perm].tocsc()]
     m = dof.trace_fields["p_hat"].offset
     perm, order = dof.trace_order("theta_hat"), dof.trace_order("p_hat") - m
-    B12, B22c = S[:m, m:].tocsr(), S[m:, m:].tocsr()
+    blocks = saddle_blocks(S, m)
+    _, B12, B22c = blocks
     B11 = S[:m, :m][perm][:, perm].tocsc()
     lu = spla.splu(B11, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
@@ -268,7 +373,8 @@ def factor_inputs(bs) -> list:
     W = slv._phat_edge_mass(dof)
     probe = np.empty(len(order))
     probe[order] = np.random.default_rng(0).standard_normal(len(order))
-    if bs.kernel_hint is not None and slv._kernel_is_valid(S, bs.kernel_hint):
+    if bs.kernel_hint is not None and slv._kernel_is_valid(*blocks,
+                                                           bs.kernel_hint):
         probe = slv._deflation_projector(bs.kernel_hint[m:])(probe)
     x[perm] = lu.solve((B12 @ probe)[perm])
     rho = max(slv._dot(probe, B12.T.tocsr() @ x) / slv._dot(probe, W @ probe),

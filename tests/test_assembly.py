@@ -1,4 +1,6 @@
+import gc
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hdgplate.assembly import (DiscreteField, PlateMaterial, SpaceConfig,
                                constitutive_apply, constitutive_inverse_apply,
                                recover_gamma, stabilization)
 from hdgplate.mesh import generate_structured
-from oracles import monolithic_dense
+from meshes import arrays_in, mixed_group_mesh
+from oracles import dense_trace_blocks, monolithic_dense
 
 
 class TestMaterial:
@@ -281,10 +284,11 @@ class TestSystems:
         shared = [bs1.dof.trace_fields["u_hat"].edge_rank]
         for g0, g1, g3 in zip(kept_groups, bs1.groups, bs3.groups,
                               strict=True):
-            for name in ("a11", "a12", "a22", "trace_indices"):
+            for name in ("a11", "terms", "trace_indices"):
                 assert getattr(g3, name) is getattr(g1, name) \
                     is getattr(g0, name)
-                shared.append(getattr(g1, name))
+            shared += [g1.a11, g1.trace_indices]
+            shared += [arr for term in g1.terms for arr in term[2:]]
             assert g3.b1 is not g1.b1 and g3.b2 is not g1.b2
         for arr in shared:
             with pytest.raises(ValueError, match="read-only"):
@@ -326,33 +330,54 @@ class TestSystems:
         bs_b, _, _ = _step2_system(mesh)
         for ga, gb in zip(bs_a.groups, bs_b.groups):
             assert np.array_equal(ga.a11, gb.a11)
-            assert np.array_equal(ga.a12, gb.a12)
-            assert np.array_equal(ga.a22, gb.a22)
+            assert np.array_equal(ga.trace_columns(slice(None)),
+                                  gb.trace_columns(slice(None)))
             assert np.array_equal(ga.b1, gb.b1)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_step2_keeps_no_dense_interior_block(self, k):
         # the flux, and sigma and R, stay in their mass blocks; a11 is the
-        # primal block (ne, Tv, Tv), and in stage two the (theta, p) one
+        # primal block (ne, Tv, Tv), and in stage two the (theta, p) one;
+        # the trace columns stay edge-local terms, in the groups and in
+        # what the mesh keeps
         mesh = mixed_polygon_mesh()
         bs2, _, _ = _step2_system(mesh, k)
+        slv.solve_stage(bs2)  # keeps stage two's pattern and block maps
         theta = DiscreteField(mesh, k, "vector2", np.zeros(
             (mesh.num_elements, 2 * fs.space_dim(k))))
         bs1 = asm.assemble_step1(mesh, SpaceConfig(k), lambda x, y: 0 * x)
         bs3 = asm.assemble_step3(bs1, PlateMaterial(), theta,
                                  lambda x, y: 0 * x)
         Tv = fs.space_dim(k)
+        # the a11 blocks, whose (Tv, Tv) at k=1 is a triangle's (ntl, ntl)
+        # and a pentagon's (n1, n1), are checked on their own
+        a11s = {id(grp.a11) for bs in (bs1, bs2) for grp in bs.groups}
+        kept = list(arrays_in(mesh.kept))
         for bs, n in ((bs1, Tv), (bs2, 3 * Tv), (bs3, Tv)):
             n1 = bs.dof.n_interior_per_element
             for grp in bs.groups:
-                ne = len(grp.batch.ids)
+                ne, ntl = grp.trace_indices.shape
                 assert grp.a11.shape == (ne, n, n)
-                # a12 and a22 are sized by the trace dofs (at k=1 a
-                # pentagon's are (ne, 5, 5), as is its Poisson interior)
-                arrays = [v for name, v in vars(grp).items()
-                          if name not in ("a12", "a22")]
-                arrays += vars(grp.mass).values()
-                assert all(np.shape(a) != (ne, n1, n1) for a in arrays)
+                dense = {(n1, n1), (n1, ntl), (ntl, ntl)}
+                for arr in [*arrays_in(grp), *kept]:
+                    assert (id(arr) in a11s or arr.ndim < 3
+                            or arr.shape[-2:] not in dense), (bs.stage, arr.shape)
+
+    def test_step2_retains_only_edge_local_blocks(self):
+        # measured at tri n=16 k=3: 5.73 MB retained, 3.69 MB of it a11;
+        # with the dense a12 and a22 it was 17.5 MB
+        mesh = generate_structured("triangle", 16)
+        L = DiscreteField(mesh, 2, "vector2",
+                          np.zeros((mesh.num_elements, 2 * fs.space_dim(2))))
+        asm.element_batches(mesh)  # kept by the mesh, not by the system
+        gc.collect()
+        tracemalloc.start()
+        try:
+            bs = asm.assemble_step2(mesh, SpaceConfig(3), PlateMaterial(), L)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert bs.groups and retained <= 6.0e6
 
     def test_missing_stage_inputs_raise(self):
         mesh = generate_structured("triangle", 1)
@@ -374,6 +399,43 @@ class TestSystems:
         with pytest.raises(ValueError, match="degree 3, the stage-one system k=1"):
             asm.assemble_step3(bs1, PlateMaterial(), DiscreteField(
                 mesh, 3, "vector2", np.zeros((2, 20))), g)
+
+
+class TestTraceColumns:
+    """Every stage keeps its trace columns as edge-local terms; densified
+    one chunk at a time they are, bit for bit, the dense blocks that
+    assembly wrote before (``oracles.dense_trace_blocks``)."""
+
+    MESHES = {"tri": lambda: generate_structured("triangle", 2),
+              "quad": lambda: generate_structured("quadrilateral", 2),
+              "mixed": mixed_group_mesh}
+
+    @pytest.mark.parametrize("t", [1.0, 1e-6])
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("kind", MESHES)
+    def test_equal_the_dense_assembly_bit_for_bit(self, monkeypatch, kind,
+                                                  k, l, t):
+        mesh, spaces = self.MESHES[kind](), SpaceConfig(k, l)
+        mat, ne = PlateMaterial(t=t), mesh.num_elements
+        rng = np.random.default_rng(k)
+        L = DiscreteField(mesh, k - 1, "vector2",
+                          rng.standard_normal((ne, 2 * fs.space_dim(k - 1))))
+        theta = DiscreteField(mesh, k, "vector2",
+                              rng.standard_normal((ne, 2 * fs.space_dim(k))))
+        g = lambda x, y: 1.0 + x * y
+        bs1 = asm.assemble_step1(mesh, spaces, g)
+        chunks = (1, slv._CHUNK_BYTES, 10 ** 12)
+        for bs in (bs1, asm.assemble_step2(mesh, spaces, mat, L),
+                   asm.assemble_step3(bs1, mat, theta, g)):
+            ref = dense_trace_blocks(bs, mat)
+            for chunk in chunks:
+                monkeypatch.setattr(slv, "_CHUNK_BYTES", chunk)
+                for grp, (a12, a22, idx) in zip(bs.groups, ref, strict=True):
+                    got = np.concatenate([grp.trace_columns(e)
+                                          for e in slv._chunks(grp)])
+                    want = np.concatenate([a12, a22], axis=1)
+                    assert got.tobytes() == want.tobytes(), (bs.stage, chunk)
+                    assert np.array_equal(grp.trace_indices, idx)
 
 
 def fan_rule(verts, degree):
@@ -438,7 +500,7 @@ class TestGeneralPolygons:
         mesh = mixed_polygon_mesh()
         bs = asm.assemble_step1(mesh, SpaceConfig(1), lambda x, y: 0 * x + 1)
         assert len(bs.groups) == 2
-        sizes = sorted(g.a12.shape[2] for g in bs.groups)
+        sizes = sorted(g.trace_indices.shape[1] for g in bs.groups)
         assert sizes == [3, 5]  # one trace dof per edge and element side
 
     def test_all_stages_match_dense_oracle_on_mixed_mesh(self):

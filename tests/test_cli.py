@@ -161,6 +161,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "step2 stopped on max_iter" in err and "step1" not in err
 
+    def test_missing_out_directory_fails_before_the_study(
+            self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("run_convergence was called")
+        monkeypatch.setattr(vf, "run_convergence", never)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["convergence", "--levels", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot write {out}: "
+            f"no directory {out.parent}\n")
+
+    def test_unwritable_out_is_a_configuration_error(self, tmp_path, capsys):
+        # the output path is a directory: open() fails after the study
+        assert main(["convergence", "--levels", "2",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot write {tmp_path}: ")
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

@@ -11,7 +11,8 @@ from hdgplate.femspace import element_batches
 from hdgplate.mesh import (Mesh, MeshFormatError, MeshTopologyError,
                            ShapeRegularityWarning, generate_structured,
                            load_mesh, save_mesh)
-from meshes import mixed_group_mesh, mixed_strip, renumbered, renumbered_grid
+from meshes import (arrays_in, mixed_group_mesh, mixed_strip, renumbered,
+                    renumbered_grid)
 
 
 NONCONVEX_PENTAGON = np.array([[0, 0], [2, 0], [1, 0.2], [2, 2], [0, 2]])
@@ -302,20 +303,6 @@ class TestTopologyErrors:
             Mesh(points, loops)
 
 
-def _arrays(value):
-    """Every array reachable from ``value`` through tuples, lists, dicts
-    and object attributes (dataclasses, batches, sparse matrices)."""
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            yield from _arrays(item)
-    elif isinstance(value, dict):
-        yield from _arrays(list(value.values()))
-    elif hasattr(value, "__dict__"):
-        yield from _arrays(vars(value))
-
-
 class TestKept:
     """What is built from a mesh stays in its one store, ``Mesh.kept``."""
 
@@ -346,7 +333,7 @@ class TestKept:
                 *(("pattern", saddle, name)
                   for name in ("B11", "B12", "B22c"))}
             for key, value in mesh.kept.items():
-                arrays = list(_arrays(value))
+                arrays = list(arrays_in(value))
                 assert arrays, key
                 for arr in arrays:
                     with pytest.raises(ValueError, match="read-only"):

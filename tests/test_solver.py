@@ -18,7 +18,7 @@ from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import Mesh, generate_structured
 from meshes import mixed_group_mesh, mixed_strip, renumbered_grid
 from oracles import (condensed_matrix, dense_a11, dense_elimination,
-                     factor_inputs, solve_saddle_direct)
+                     factor_inputs, solve_saddle_direct, trace_blocks)
 
 
 def stand_in_mesh(**attrs):
@@ -33,7 +33,8 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
     """Single-group BlockSystem with hand-built blocks for formula tests;
     every element couples to all trace dofs, which sit on one edge that
     all elements share, and the first element carries the whole trace
-    block ``a22`` and trace load ``b2``.  ``a11_blocks`` is the block
+    block ``a22`` and trace load ``b2``; the trace columns are one term
+    over all rows and columns.  ``a11_blocks`` is the block
     after the mass fields ``mass`` (``MassFields``); without them, one
     decoupled and unloaded unit-mass field of one dof goes in front, so
     the blocks given are the whole toy and its solution's leading column
@@ -56,8 +57,10 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
     trace = np.tile(np.arange(ntl), (ne, 1))
     a22_local, b2_local = np.zeros((ne, ntl, ntl)), np.zeros((ne, ntl))
     a22_local[0], b2_local[0] = a22, b2
-    group = asm.ElementBlockGroup(batch, a11_blocks, a12_blocks, a22_local,
-                                  b1, b2_local, trace, mass)
+    term = (slice(None), slice(None), np.ones(ne),
+            np.concatenate([a12_blocks, a22_local], axis=1))
+    group = asm.ElementBlockGroup(batch, a11_blocks, (term,), b1, b2_local,
+                                  trace, mass)
     return asm.BlockSystem(dof=dof, groups=[group])
 
 
@@ -219,11 +222,12 @@ class TestBatchedCondensation:
             x2 = rng.standard_normal(bs.n_trace)
             x1_ref = np.zeros((mesh.num_elements, bs.dof.n_interior_per_element))
             for grp in bs.groups:
+                a12s, a22s = trace_blocks(grp)
                 for i, e in enumerate(grp.batch.ids):
                     idx = grp.trace_indices[i]
                     keep = idx >= 0
-                    a11, a12, b1 = dense_a11(grp)[i], grp.a12[i][:, keep], grp.b1[i]
-                    a22, b2 = grp.a22[i][np.ix_(keep, keep)], grp.b2[i][keep]
+                    a11, a12, b1 = dense_a11(grp)[i], a12s[i][:, keep], grp.b1[i]
+                    a22, b2 = a22s[i][np.ix_(keep, keep)], grp.b2[i][keep]
                     kidx = idx[keep]
                     S_ref[np.ix_(kidx, kidx)] += \
                         a22 - a12.T @ np.linalg.solve(a11, a12)
@@ -530,11 +534,12 @@ class TestSaddle:
                                [2], slv.SolverConfig(max_iter=1))
 
     def test_direct_oracle_matches_cg_path(self):
+        # the direct solve goes first: the CG path frees cond.S
         bs, mesh = self._stage2(t=0.01)
         cond = slv.condense(bs)
+        x_direct = solve_saddle_direct(cond)
         th, ph, _ = slv.solve_saddle_trace(cond)
         x_cg = np.concatenate([th, ph])
-        x_direct = solve_saddle_direct(cond)
         m = bs.dof.trace_fields["p_hat"].offset
         z = cond.kernel
         x_direct = x_direct - (x_direct @ z) * z  # same kernel gauge
@@ -718,6 +723,28 @@ class TestTraceFactorization:
         gc.collect()
         assert lu() is None
 
+    def test_stage_two_frees_S_before_its_factorizations(self, monkeypatch):
+        # the gathered blocks hold all that the solve reads of S
+        refs, seen = [], []
+        condense, factorize = slv.condense, slv._factorize
+
+        def record(bs):
+            cond = condense(bs)
+            if bs.stage == "step2":
+                refs.append(weakref.ref(cond.S.data))
+            return cond
+
+        def check(A, perm, stage="", block=""):
+            if block in ("B11", "surrogate"):
+                seen.append((block, refs[-1]() is None))
+            return factorize(A, perm, stage, block)
+        monkeypatch.setattr(slv, "condense", record)
+        monkeypatch.setattr(slv, "_factorize", check)
+        mat = PlateMaterial(t=1e-6)
+        vf.solve_plate(generate_structured("triangle", 4), SpaceConfig(2), mat,
+                       vf.exact_fields(mat))
+        assert seen == [("B11", True), ("surrogate", True)]
+
 
 class TestBackSubstitution:
     def test_decoupled_interior(self):
@@ -785,34 +812,37 @@ class TestMeshCache:
     def test_t_sweep_builds_each_pattern_once(self, monkeypatch):
         built, conds = [], []
 
-        def wrap(name, log):
+        def wrap(name, log, entry=lambda out: out):
             orig = getattr(slv, name)
 
             def wrapper(*args):
                 out = orig(*args)
-                log.append(out)
+                log.append(entry(out))
                 return out
             monkeypatch.setattr(slv, name, wrapper)
         wrap("_build_pattern", built)
-        wrap("condense", conds)
+        # S as condense returns it: the saddle solve frees it
+        wrap("condense", conds, lambda cond: (cond.system.stage, cond.S))
         mesh = generate_structured("triangle", 4)
         for t in (1.0, 1e-6):
             mat = PlateMaterial(t=t)
             vf.solve_plate(mesh, SpaceConfig(2), mat, vf.exact_fields(mat))
         # one pattern for stages one and three, one for stage two
         assert len(built) == 2 and len(conds) == 6
-        first, second = conds[1], conds[4]
-        assert first.system.stage == second.system.stage == "step2"
+        (stage1, first), (stage2, second) = conds[1], conds[4]
+        assert stage1 == stage2 == "step2"
         assert mesh.kept["pattern", ((6, True), (2, False))] is built[1]
-        for S in (first.S, second.S):
+        for S in (first, second):
             assert np.shares_memory(S.indices, built[1]["indices"])
-        assert first.S is not second.S
+        assert first is not second
 
     def test_stage_two_condense_transient(self):
         # above what condense returns (Y and S), stage two's condense at
-        # tri n=16 k=3 peaks at 9.1 MB, the pattern build included; a sum
-        # of COO triplets through a COO-to-CSR copy peaks at 26.5 MB, and
-        # the mass-first elimination of a whole group at once at 21.7 MB
+        # tri n=16 k=3 peaks at 10.3 MB, the pattern build and the dense
+        # trace columns of one chunk included (9.1 MB when the group kept
+        # them dense); a sum of COO triplets through a COO-to-CSR copy
+        # peaks at 26.5 MB, and the mass-first elimination of a whole
+        # group at once at 21.7 MB
         bs = _stage_systems(generate_structured("triangle", 16), 3)[1]
         for _ in range(2):  # builds the pattern, then reuses it
             gc.collect()
