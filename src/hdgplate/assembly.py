@@ -34,8 +34,6 @@ __all__ = [
     "PlateMaterial",
     "SpaceConfig",
     "stabilization",
-    "constitutive_apply",
-    "constitutive_inverse_apply",
     "constitutive_inverse_matrix",
     "DiscreteField",
     "StageDofMap",
@@ -48,7 +46,6 @@ __all__ = [
     "shift_pressure_to_zero_mean",
     "recover_gamma",
     "SolutionFields",
-    "bh_norm",
 ]
 
 
@@ -127,15 +124,6 @@ def _constitutive_matrix(material: PlateMaterial) -> np.ndarray:
 def constitutive_inverse_matrix(material: PlateMaterial) -> np.ndarray:
     """Matrix K with K[a,b] = (Cinv E_a) : E_b on unit component tensors."""
     return np.linalg.inv(_constitutive_matrix(material)) * _FROBENIUS_W[None, :]
-
-
-def constitutive_apply(tau: np.ndarray, material: PlateMaterial) -> np.ndarray:
-    """Apply the plane-stress tensor to (..., 3) arrays of (11, 22, 12)."""
-    return np.asarray(tau) @ _constitutive_matrix(material).T
-
-
-def constitutive_inverse_apply(tau: np.ndarray, material: PlateMaterial) -> np.ndarray:
-    return np.asarray(tau) @ np.linalg.inv(_constitutive_matrix(material)).T
 
 
 def _ip(w, rows, cols):
@@ -366,14 +354,19 @@ class ElementBlockGroup:
     trace_indices: np.ndarray  # (ne, ntl), -1 for eliminated trace dofs
     mass: MassFields
 
-    def trace_columns(self, e: slice) -> np.ndarray:
+    def trace_columns(self, e: slice, stop: int | None = None) -> np.ndarray:
         """The dense (len, n1 + ntl, ntl) ``[A12; A22]`` of the elements
-        ``e``: ``scale * block`` in each term's region, zero elsewhere."""
+        ``e``: ``scale * block`` in each term's region, zero elsewhere.
+        With ``stop``, only its first ``stop`` rows, written by the terms
+        whose rows end there or before (no term straddles a field)."""
         ntl = self.trace_indices.shape[1]
-        n1 = len(self.mass.coef) * self.mass.mass.shape[1] + self.a11.shape[1]
-        out = np.zeros((len(self.batch.ids[e]), n1 + ntl, ntl))
+        if stop is None:
+            stop = (len(self.mass.coef) * self.mass.mass.shape[1]
+                    + self.a11.shape[1] + ntl)
+        out = np.zeros((len(self.batch.ids[e]), stop, ntl))
         for rows, cols, scale, block in self.terms:
-            out[:, rows, cols] = scale[e, None, None] * block[e]
+            if rows.stop <= stop:
+                out[:, rows, cols] = scale[e, None, None] * block[e]
         return out
 
 
@@ -683,63 +676,3 @@ def shift_pressure_to_zero_mean(bs: BlockSystem, x1: np.ndarray,
     shift = dof.field("p", x1).mean()
     x1[:, dof.interior_slice("p").start] -= shift
     x2[tf_p.offset + np.arange(dof.mesh.num_edges) * tf_p.per_edge] -= shift
-
-
-# ----------------------------------------------------------------------
-# diagnostics
-
-
-def bh_norm(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
-            sigma: DiscreteField, R: DiscreteField, theta: DiscreteField,
-            theta_hat: np.ndarray, p: DiscreteField, p_hat: np.ndarray) -> float:
-    """Energy-type norm of a stage-two state (zero iff the state is zero).
-
-    ``theta_hat``/``p_hat`` are (num_edges, per_edge) coefficient arrays
-    with component-major layout for the vector trace.
-    """
-    k, l = spaces.k, spaces.l
-    degrees = fs.quadrature_degrees(k)
-    exps_v = fs.monomial_exponents(k)
-    total = 0.0
-    for batch in element_batches(mesh):
-        pts, w = batch.volume_rule(degrees["assembly_degree"])
-        sv = sigma.values_batched(batch, pts)
-        sv2 = sv[:, 0] ** 2 + sv[:, 1] ** 2 + 2 * sv[:, 2] ** 2
-        rv = R.values_batched(batch, pts)
-        rv2 = (rv ** 2).sum(axis=1)
-        gx_v = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts, dx=1)
-        gy_v = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts, dy=1)
-        tc = theta.coeffs[batch.ids]
-        Tv = fs.space_dim(k)
-        grad2 = np.zeros_like(rv2)
-        for u in range(2):
-            cu = tc[:, u * Tv:(u + 1) * Tv]
-            grad2 += np.einsum("enq,en->eq", gx_v, cu) ** 2
-            grad2 += np.einsum("enq,en->eq", gy_v, cu) ** 2
-        pc = p.coeffs[batch.ids]
-        perp2 = (np.einsum("enq,en->eq", gx_v, pc) ** 2
-                 + np.einsum("enq,en->eq", gy_v, pc) ** 2)
-        total += float(np.einsum(
-            "eq,eq->", sv2 + rv2 / material.t ** 2 + grad2
-            + material.t ** 2 * perp2, w))
-
-        _, alpha2, alpha3 = stabilization(batch.h, material)
-        for e in range(batch.nv):
-            Clv, El = _edge_projection_blocks(batch, e, degrees["edge_degree"],
-                                              l, k)
-            Ckv, Ek = Clv[:, :k], El[:, :k, :k]
-            th_hat_e = theta_hat[batch.edge_ids[:, e]]
-            p_hat_e = p_hat[batch.edge_ids[:, e]]
-            for u in range(2):
-                cu = tc[:, u * Tv:(u + 1) * Tv]
-                load = np.einsum("emj,ej->em", Clv, cu)
-                proj = np.linalg.solve(El, load[..., None])[..., 0]
-                diff = proj - th_hat_e[:, u * (l + 1):(u + 1) * (l + 1)]
-                total += float((alpha2 * np.einsum(
-                    "em,emn,en->e", diff, El, diff)).sum())
-            loadp = np.einsum("emj,ej->em", Ckv, pc)
-            projp = np.linalg.solve(Ek, loadp[..., None])[..., 0]
-            diffp = projp - p_hat_e
-            total += float((alpha3 * np.einsum(
-                "em,emn,en->e", diffp, Ek, diffp)).sum())
-    return float(np.sqrt(total))

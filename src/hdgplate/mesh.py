@@ -14,28 +14,17 @@ from __future__ import annotations
 import numbers
 import warnings
 from itertools import chain
-from typing import NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "Element",
     "Mesh",
-    "MeshFormatError",
     "MeshTopologyError",
     "ShapeRegularityWarning",
     "generate_structured",
-    "load_mesh",
-    "save_mesh",
 ]
-
-
-class MeshFormatError(ValueError):
-    """Raised when a mesh file cannot be parsed; carries the line number."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
 
 
 class MeshTopologyError(ValueError):
@@ -221,10 +210,6 @@ class Mesh:
     # ------------------------------------------------------------------
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.points)
-
-    @property
     def num_edges(self) -> int:
         return len(self.edge_length)
 
@@ -346,87 +331,3 @@ def generate_structured(kind: str, n: int) -> Mesh:
     else:
         loops = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     return Mesh(points, loops.tolist())
-
-
-# ----------------------------------------------------------------------
-# text format: "polymesh 1" header, vertex block, element block
-
-
-def save_mesh(mesh: Mesh, stream: TextIO) -> None:
-    """Write a mesh in the plain-text polymesh format (edges are derived)."""
-    stream.write("polymesh 1\n")
-    stream.write(f"vertices {mesh.num_vertices}\n")
-    for p in mesh.points:
-        stream.write(f"{float(p[0])!r} {float(p[1])!r}\n")
-    stream.write(f"elements {mesh.num_elements}\n")
-    for el in mesh.elements:
-        stream.write(" ".join([str(len(el.vertex_loop))]
-                              + [str(v) for v in el.vertex_loop]) + "\n")
-
-
-def load_mesh(stream: TextIO) -> Mesh:
-    """Parse the polymesh text format; raises MeshFormatError with line info."""
-    lines = stream.read().splitlines()
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            raise MeshFormatError(pos + 1, "unexpected end of file")
-        pos += 1
-        return pos, lines[pos - 1].strip()
-
-    ln, header = next_line()
-    if header != "polymesh 1":
-        raise MeshFormatError(ln, f"expected 'polymesh 1', got {header!r}")
-
-    ln, vline = next_line()
-    parts = vline.split()
-    if len(parts) != 2 or parts[0] != "vertices":
-        raise MeshFormatError(ln, "expected 'vertices <count>'")
-    try:
-        nv = int(parts[1])
-    except ValueError:
-        raise MeshFormatError(ln, f"bad vertex count {parts[1]!r}") from None
-
-    points = np.empty((nv, 2))
-    for i in range(nv):
-        ln, line = next_line()
-        parts = line.split()
-        if len(parts) != 2:
-            raise MeshFormatError(ln, "expected 'x y'")
-        try:
-            points[i] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise MeshFormatError(ln, f"bad coordinate in {line!r}") from None
-        if not np.isfinite(points[i]).all():
-            raise MeshFormatError(ln, f"non-finite coordinate in {line!r}")
-
-    ln, eline = next_line()
-    parts = eline.split()
-    if len(parts) != 2 or parts[0] != "elements":
-        raise MeshFormatError(ln, "expected 'elements <count>'")
-    try:
-        ne = int(parts[1])
-    except ValueError:
-        raise MeshFormatError(ln, f"bad element count {parts[1]!r}") from None
-    if ne < 1:
-        raise MeshFormatError(ln, f"mesh has no elements (count {ne})")
-
-    loops = []
-    for _ in range(ne):
-        ln, line = next_line()
-        parts = line.split()
-        try:
-            ids = [int(s) for s in parts]
-        except ValueError:
-            raise MeshFormatError(ln, f"bad vertex id in {line!r}") from None
-        if not ids or len(ids) != ids[0] + 1:
-            raise MeshFormatError(ln, "expected 'm v0 ... v(m-1)'")
-        if any(v < 0 or v >= nv for v in ids[1:]):
-            raise MeshFormatError(ln, "vertex id out of range")
-        loops.append(tuple(ids[1:]))
-
-    return Mesh(points, loops)

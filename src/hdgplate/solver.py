@@ -318,7 +318,7 @@ def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
         x1[grp.batch.ids, nm:] = xp
         # the mass fields from the rest
         a12x = np.concatenate([np.einsum(
-            "eij,ej->ei", grp.trace_columns(e)[:, :nm], x2loc[e])
+            "eij,ej->ei", grp.trace_columns(e, nm), x2loc[e])
             for e in _chunks(grp)])
         v = grp.b1[:, :nm] - a12x - _kron(m.coupling, m.D, xp)
         x1[grp.batch.ids, :nm] = _kron(np.linalg.inv(m.coef)[None],

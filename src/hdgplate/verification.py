@@ -22,8 +22,8 @@ import numpy as np
 from . import assembly as asm
 from . import femspace as fs
 from . import solver as slv
-from .assembly import (DiscreteField, PlateMaterial, SolutionFields,
-                       SpaceConfig, recover_gamma)
+from .assembly import (PlateMaterial, SolutionFields, SpaceConfig,
+                       recover_gamma)
 from .femspace import element_batches
 from .mesh import Mesh, generate_structured
 
@@ -34,7 +34,6 @@ __all__ = [
     "exact_fields",
     "SolutionFields",
     "solve_plate",
-    "l2_error",
     "table_errors",
     "observed_rate",
     "ErrorReport",
@@ -299,17 +298,6 @@ def _squared_errors(flds, exact, quad_degree: int) -> np.ndarray:
                 acc[slot] += np.einsum("ceq,ceq,eq->c", diff, diff, w) @ \
                     _COMPONENT_WEIGHTS[fld.rank]
     return acc
-
-
-def l2_error(fld: DiscreteField, exact, quad_degree: int = ERROR_DEGREE) -> float:
-    """Broken L2 norm of (exact - field); Frobenius norm for tensors.
-
-    ``exact`` is any callable returning (ncomp,) + points.shape values;
-    pass a zero-coefficient field to measure the norm of ``exact`` itself.
-    """
-    if quad_degree < 2 * fld.degree:
-        raise ValueError("error quadrature degree too low for the field")
-    return float(np.sqrt(_squared_errors((fld,), exact, quad_degree)[0]))
 
 
 def observed_rate(e_coarse: float, e_fine: float) -> float:

@@ -14,7 +14,7 @@ def renumbered(base, seed):
     """Points and loops of ``base`` with shuffled vertex ids and element
     order; every loop keeps its first vertex."""
     rng = np.random.default_rng(seed)
-    relabel = rng.permutation(base.num_vertices)
+    relabel = rng.permutation(len(base.points))
     points = np.empty_like(base.points)
     points[relabel] = base.points
     loops = [tuple(int(v) for v in relabel[list(base.elements[i].vertex_loop)])
@@ -38,7 +38,7 @@ def mixed_strip(tiles):
     points = np.vstack([base.points + [i, 0.0] for i in range(tiles)])
     _, first, inv = np.unique(np.round(4 * points).astype(int), axis=0,
                               return_index=True, return_inverse=True)
-    inv, nv = inv.ravel(), base.num_vertices
+    inv, nv = inv.ravel(), len(base.points)
     loops = [tuple(int(inv[v + i * nv]) for v in el.vertex_loop)
              for i in range(tiles) for el in base.elements]
     return Mesh(points[first], loops)

@@ -1,8 +1,10 @@
 """Reference evaluations that only the tests use.
 
-They trade speed for accuracy: exact rational arithmetic,
-``np.longdouble`` where a whole error norm has to be recomputed, a
-dense or sparse direct solve of a whole block system, the dense
+Two are norms that no solve needs: the L2 error of a single field and
+the energy norm of a stage-two state.  The others trade speed for
+accuracy: exact rational arithmetic, ``np.longdouble`` where a whole
+error norm has to be recomputed, a dense or sparse direct solve of a
+whole block system, the dense
 interior block that every stage keeps in its field blocks, the dense
 trace columns that every stage keeps as terms, or the condensed matrix
 summed from COO triplets, as the solver did before it kept a fixed
@@ -143,6 +145,72 @@ def table_errors_longdouble(fields, exact, quad_degree=vf.ERROR_DEGREE):
     errs = [np.sqrt(a) for a in acc]
     errs[1] *= to_longdouble(fields.material.t)
     return errs
+
+
+def l2_error(fld, exact, quad_degree: int = vf.ERROR_DEGREE) -> float:
+    """Broken L2 norm of (exact - field); Frobenius norm for tensors.
+
+    ``exact`` is any callable returning (ncomp,) + points.shape values;
+    pass a zero-coefficient field to measure the norm of ``exact`` itself.
+    """
+    if quad_degree < 2 * fld.degree:
+        raise ValueError("error quadrature degree too low for the field")
+    return float(np.sqrt(vf._squared_errors((fld,), exact, quad_degree)[0]))
+
+
+def bh_norm(mesh, spaces, material, sigma, R, theta, theta_hat: np.ndarray,
+            p, p_hat: np.ndarray) -> float:
+    """Energy-type norm of a stage-two state (zero iff the state is zero).
+
+    ``theta_hat``/``p_hat`` are (num_edges, per_edge) coefficient arrays
+    with component-major layout for the vector trace.
+    """
+    k, l = spaces.k, spaces.l
+    degrees = fs.quadrature_degrees(k)
+    exps_v = fs.monomial_exponents(k)
+    total = 0.0
+    for batch in fs.element_batches(mesh):
+        pts, w = batch.volume_rule(degrees["assembly_degree"])
+        sv = sigma.values_batched(batch, pts)
+        sv2 = sv[:, 0] ** 2 + sv[:, 1] ** 2 + 2 * sv[:, 2] ** 2
+        rv = R.values_batched(batch, pts)
+        rv2 = (rv ** 2).sum(axis=1)
+        gx_v = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts, dx=1)
+        gy_v = fs.scalar_vals(exps_v, batch.centroid, batch.h, pts, dy=1)
+        tc = theta.coeffs[batch.ids]
+        Tv = fs.space_dim(k)
+        grad2 = np.zeros_like(rv2)
+        for u in range(2):
+            cu = tc[:, u * Tv:(u + 1) * Tv]
+            grad2 += np.einsum("enq,en->eq", gx_v, cu) ** 2
+            grad2 += np.einsum("enq,en->eq", gy_v, cu) ** 2
+        pc = p.coeffs[batch.ids]
+        perp2 = (np.einsum("enq,en->eq", gx_v, pc) ** 2
+                 + np.einsum("enq,en->eq", gy_v, pc) ** 2)
+        total += float(np.einsum(
+            "eq,eq->", sv2 + rv2 / material.t ** 2 + grad2
+            + material.t ** 2 * perp2, w))
+
+        _, alpha2, alpha3 = asm.stabilization(batch.h, material)
+        for e in range(batch.nv):
+            Clv, El = asm._edge_projection_blocks(
+                batch, e, degrees["edge_degree"], l, k)
+            Ckv, Ek = Clv[:, :k], El[:, :k, :k]
+            th_hat_e = theta_hat[batch.edge_ids[:, e]]
+            p_hat_e = p_hat[batch.edge_ids[:, e]]
+            for u in range(2):
+                cu = tc[:, u * Tv:(u + 1) * Tv]
+                load = np.einsum("emj,ej->em", Clv, cu)
+                proj = np.linalg.solve(El, load[..., None])[..., 0]
+                diff = proj - th_hat_e[:, u * (l + 1):(u + 1) * (l + 1)]
+                total += float((alpha2 * np.einsum(
+                    "em,emn,en->e", diff, El, diff)).sum())
+            loadp = np.einsum("emj,ej->em", Ckv, pc)
+            projp = np.linalg.solve(Ek, loadp[..., None])[..., 0]
+            diffp = projp - p_hat_e
+            total += float((alpha3 * np.einsum(
+                "em,emn,en->e", diffp, Ek, diffp)).sum())
+    return float(np.sqrt(total))
 
 
 def dense_a11(grp) -> np.ndarray:

@@ -1,5 +1,4 @@
 import gc
-import io
 import weakref
 
 import numpy as np
@@ -8,9 +7,8 @@ import pytest
 from hdgplate import verification as vf
 from hdgplate.assembly import PlateMaterial, SpaceConfig
 from hdgplate.femspace import element_batches
-from hdgplate.mesh import (Mesh, MeshFormatError, MeshTopologyError,
-                           ShapeRegularityWarning, generate_structured,
-                           load_mesh, save_mesh)
+from hdgplate.mesh import (Mesh, MeshTopologyError, ShapeRegularityWarning,
+                           generate_structured)
 from meshes import (arrays_in, mixed_group_mesh, mixed_strip, renumbered,
                     renumbered_grid)
 
@@ -28,22 +26,22 @@ MIXED_LOOPS = [(1, 2, 5), (0, 1, 5, 7, 6), (6, 7, 10, 9),
 
 
 def euler_characteristic(mesh):
-    return mesh.num_vertices - mesh.num_edges + mesh.num_elements
+    return len(mesh.points) - mesh.num_edges + mesh.num_elements
 
 
 class TestGenerators:
     def test_triangle_2x2_counts(self):
         mesh = generate_structured("triangle", 2)
-        assert (mesh.num_vertices, mesh.num_edges, mesh.num_elements) == (9, 16, 8)
+        assert (len(mesh.points), mesh.num_edges, mesh.num_elements) == (9, 16, 8)
         assert euler_characteristic(mesh) == 1
 
     def test_quad_2x2_counts(self):
         mesh = generate_structured("quadrilateral", 2)
-        assert (mesh.num_vertices, mesh.num_edges, mesh.num_elements) == (9, 12, 4)
+        assert (len(mesh.points), mesh.num_edges, mesh.num_elements) == (9, 12, 4)
 
     def test_triangle_1x1(self):
         mesh = generate_structured("triangle", 1)
-        assert (mesh.num_vertices, mesh.num_edges, mesh.num_elements) == (4, 5, 2)
+        assert (len(mesh.points), mesh.num_edges, mesh.num_elements) == (4, 5, 2)
         assert mesh.area == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_loop_order(self):
@@ -302,6 +300,31 @@ class TestTopologyErrors:
                       r"by both its elements$"):
             Mesh(points, loops)
 
+    def test_nonmanifold_edge_rejected(self):
+        # three triangles sharing the edge (0, 1)
+        points = np.array([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [1.5, 1]],
+                          dtype=float)
+        loops = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
+        with pytest.raises(MeshTopologyError):
+            Mesh(points, loops)
+
+    def test_clockwise_loop_rejected(self):
+        points = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
+        with pytest.raises(MeshTopologyError):
+            Mesh(points, [(0, 2, 1)])
+
+    def test_nonconvex_element_rejected(self):
+        # counter-clockwise with positive area, but vertex 2 is reflex
+        with pytest.raises(MeshTopologyError, match="element 0 is not convex"):
+            Mesh(NONCONVEX_PENTAGON, [(0, 1, 2, 3, 4)])
+
+    def test_self_intersecting_element_rejected(self):
+        # a pentagram turns left at every vertex but crosses itself
+        angles = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+        points = np.column_stack([np.cos(angles), np.sin(angles)])
+        with pytest.raises(MeshTopologyError, match="not convex"):
+            Mesh(points, [(0, 2, 4, 1, 3)])
+
 
 class TestKept:
     """What is built from a mesh stays in its one store, ``Mesh.kept``."""
@@ -345,90 +368,3 @@ class TestKept:
             assert ref() is None and lu() is None
         finally:
             gc.enable()
-
-
-class TestIO:
-    def test_roundtrip_identity(self):
-        for kind, n in (("triangle", 3), ("quadrilateral", 2)):
-            mesh = generate_structured(kind, n)
-            buf = io.StringIO()
-            save_mesh(mesh, buf)
-            buf.seek(0)
-            loaded = load_mesh(buf)
-            assert np.array_equal(loaded.points, mesh.points)
-            assert [el.vertex_loop for el in loaded.elements] \
-                == [el.vertex_loop for el in mesh.elements]
-            assert euler_characteristic(loaded) == 1
-
-    def test_save_line_counts(self):
-        buf = io.StringIO()
-        save_mesh(generate_structured("quadrilateral", 2), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "polymesh 1"
-        assert lines[1] == "vertices 9"
-        assert lines[11] == "elements 4"
-        assert len(lines) == 2 + 9 + 1 + 4
-
-    def test_empty_file_is_parse_error(self):
-        with pytest.raises(MeshFormatError):
-            load_mesh(io.StringIO(""))
-
-    def test_zero_elements_is_parse_error(self):
-        text = "polymesh 1\nvertices 3\n0 0\n1 0\n0 1\nelements 0\n"
-        with pytest.raises(
-                MeshFormatError,
-                match=r"^line 6: mesh has no elements \(count 0\)$"):
-            load_mesh(io.StringIO(text))
-
-    def test_parse_error_carries_line_number(self):
-        text = "polymesh 1\nvertices 2\n0 0\nnot a number\n"
-        with pytest.raises(MeshFormatError) as err:
-            load_mesh(io.StringIO(text))
-        assert err.value.line == 4
-
-    def test_non_finite_coordinate_is_parse_error(self):
-        text = "polymesh 1\nvertices 3\n0 0\n1 0\nnan 1\nelements 1\n3 0 1 2\n"
-        with pytest.raises(MeshFormatError,
-                           match=r"^line 5: non-finite coordinate in 'nan 1'$"):
-            load_mesh(io.StringIO(text))
-
-    def test_bad_header(self):
-        with pytest.raises(MeshFormatError):
-            load_mesh(io.StringIO("trimesh 7\n"))
-
-    def test_vertex_out_of_range(self):
-        text = "polymesh 1\nvertices 3\n0 0\n1 0\n0 1\nelements 1\n3 0 1 9\n"
-        with pytest.raises(MeshFormatError):
-            load_mesh(io.StringIO(text))
-
-    def test_nonmanifold_edge_rejected(self):
-        # three triangles sharing the edge (0, 1)
-        points = np.array([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [1.5, 1]],
-                          dtype=float)
-        loops = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
-        with pytest.raises(MeshTopologyError):
-            Mesh(points, loops)
-
-    def test_clockwise_loop_rejected(self):
-        points = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
-        with pytest.raises(MeshTopologyError):
-            Mesh(points, [(0, 2, 1)])
-
-    def test_nonconvex_element_rejected(self):
-        # counter-clockwise with positive area, but vertex 2 is reflex
-        with pytest.raises(MeshTopologyError, match="element 0 is not convex"):
-            Mesh(NONCONVEX_PENTAGON, [(0, 1, 2, 3, 4)])
-
-    def test_load_mesh_rejects_nonconvex_element(self):
-        text = ("polymesh 1\nvertices 5\n"
-                + "".join(f"{x} {y}\n" for x, y in NONCONVEX_PENTAGON)
-                + "elements 1\n5 0 1 2 3 4\n")
-        with pytest.raises(MeshTopologyError, match="not convex"):
-            load_mesh(io.StringIO(text))
-
-    def test_self_intersecting_element_rejected(self):
-        # a pentagram turns left at every vertex but crosses itself
-        angles = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
-        points = np.column_stack([np.cos(angles), np.sin(angles)])
-        with pytest.raises(MeshTopologyError, match="not convex"):
-            Mesh(points, [(0, 2, 4, 1, 3)])

@@ -33,12 +33,12 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
     """Single-group BlockSystem with hand-built blocks for formula tests;
     every element couples to all trace dofs, which sit on one edge that
     all elements share, and the first element carries the whole trace
-    block ``a22`` and trace load ``b2``; the trace columns are one term
-    over all rows and columns.  ``a11_blocks`` is the block
-    after the mass fields ``mass`` (``MassFields``); without them, one
-    decoupled and unloaded unit-mass field of one dof goes in front, so
-    the blocks given are the whole toy and its solution's leading column
-    is 0."""
+    block ``a22`` and trace load ``b2``; the trace columns are two terms
+    over all columns, one on the rows of the mass fields ``mass``
+    (``MassFields``) and one on the rest.  ``a11_blocks`` is the block
+    after the mass fields; without them, one decoupled and unloaded
+    unit-mass field of one dof goes in front, so the blocks given are the
+    whole toy and its solution's leading column is 0."""
     if mass is None:
         ne, n = a11_blocks.shape[:2]
         mass = asm.MassFields(np.ones((ne, 1, 1)), np.eye(1),
@@ -57,9 +57,11 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
     trace = np.tile(np.arange(ntl), (ne, 1))
     a22_local, b2_local = np.zeros((ne, ntl, ntl)), np.zeros((ne, ntl))
     a22_local[0], b2_local[0] = a22, b2
-    term = (slice(None), slice(None), np.ones(ne),
-            np.concatenate([a12_blocks, a22_local], axis=1))
-    group = asm.ElementBlockGroup(batch, a11_blocks, (term,), b1, b2_local,
+    block, nm = (np.concatenate([a12_blocks, a22_local], axis=1),
+                 len(mass.coef) * mass.mass.shape[1])
+    terms = tuple((rows, slice(0, ntl), np.ones(ne), block[:, rows])
+                  for rows in (slice(0, nm), slice(nm, n1 + ntl)))
+    group = asm.ElementBlockGroup(batch, a11_blocks, terms, b1, b2_local,
                                   trace, mass)
     return asm.BlockSystem(dof=dof, groups=[group])
 
@@ -364,6 +366,27 @@ class TestMassFirstElimination:
             runs.append((cond.S.data, cond.rhs, slv.back_substitute(cond, x2)))
         for run in runs[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
+
+    @pytest.mark.parametrize("mesh,k", [
+        (lambda: generate_structured("triangle", 8), 1),
+        (lambda: generate_structured("quadrilateral", 4), 2),
+        (mixed_group_mesh, 3)], ids=["tri-k1", "quad-k2", "mixed-k3"])
+    def test_back_substitution_rows_equal_all_rows_bit_for_bit(
+            self, monkeypatch, mesh, k):
+        # back substitution densifies only the mass fields' rows of
+        # [A12; A22]; x1 is what those rows of all n1 + ntl give
+        rng = np.random.default_rng(k)
+        for bs in _stage_systems(mesh(), k):
+            x2 = rng.standard_normal(bs.n_trace)
+            cond = slv.condense(bs)
+            got = slv.back_substitute(cond, x2)
+            columns = asm.ElementBlockGroup.trace_columns
+            monkeypatch.setattr(
+                asm.ElementBlockGroup, "trace_columns",
+                lambda grp, e, stop=None: columns(grp, e)[:, :stop])
+            want = slv.back_substitute(cond, x2)
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes(), bs.stage
 
     def test_full_residual_never_forms_the_dense_block(self):
         # its peak stays below the bytes of one dense (ne, n1, n1) block

