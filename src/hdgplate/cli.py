@@ -109,22 +109,13 @@ def _metadata(material, spaces, config, **extra):
 
 
 def _cmd_solve(args) -> int:
-    from .mesh import generate_structured
     from . import verification as vf
     material, spaces, config = _materials(args)
-    exact = vf.exact_fields(material)
-    mesh = generate_structured(vf._KIND_ALIASES[args.mesh], args.n)
-    fields = vf.solve_plate(mesh, spaces, material, exact, config=config)
-    rep = fields.reports["step2"]
-    failed = [f"{s} stopped on {r.stop_reason}"
-              for s, r in fields.reports.items() if not r.converged]
-    if failed:
-        print("solver failed: " + ", ".join(failed), file=sys.stderr)
-        return _EXIT_SOLVER
-    errs = vf.table_errors(fields, exact)
-    print(f"n={args.n} iter={rep.iterations} "
-          f"err_theta={errs[0]:.10e} err_tgamma={errs[1]:.10e} "
-          f"err_sigma={errs[2]:.10e} err_omega={errs[3]:.10e}")
+    rep = vf.run_convergence(material, args.mesh, spaces, [args.n],
+                             config).reports[0]
+    print(f"n={rep.n} iter={rep.iterations} "
+          f"err_theta={rep.err_theta:.10e} err_tgamma={rep.err_tgamma:.10e} "
+          f"err_sigma={rep.err_sigma:.10e} err_omega={rep.err_omega:.10e}")
     return _EXIT_OK
 
 
@@ -144,13 +135,10 @@ def _cmd_convergence(args) -> int:
     table = vf.run_convergence(material, args.mesh, spaces, levels, config)
     meta = _metadata(
         material, spaces, config, mesh_kind=args.mesh, levels=levels,
-        iterations=[r.iterations for r in table.reports],
-        stop_reasons=[r.stop_reasons for r in table.reports],
-        kernel_rejected=[r.kernel_rejected for r in table.reports],
-        factor_fill=[r.factor_fill for r in table.reports],
-        factor_time=[r.factor_time for r in table.reports],
         wall_times=[r.wall_time for r in table.reports],
-        peak_rss_mb=[r.peak_rss_mb for r in table.reports])
+        peak_rss_mb=[r.peak_rss_mb for r in table.reports],
+        stages=[{stage: asdict(rep) for stage, rep in r.reports.items()}
+                for r in table.reports])
     try:
         with open(args.out, "w") as stream:
             table.write_csv(stream)

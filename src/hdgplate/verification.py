@@ -370,12 +370,7 @@ class ErrorReport:
     err_omega: float
     wall_time: float = 0.0
     peak_rss_mb: float = 0.0    # of this process, after the level
-    # per stage: SolveReport.stop_reason, kernel_rejected, factor_fill
-    # and factor_time
-    stop_reasons: dict = field(default_factory=dict)
-    kernel_rejected: dict = field(default_factory=dict)
-    factor_fill: dict = field(default_factory=dict)
-    factor_time: dict = field(default_factory=dict)
+    reports: dict = field(default_factory=dict)   # SolutionFields.reports
 
     def errors(self) -> tuple[float, float, float, float]:
         return (self.err_theta, self.err_tgamma, self.err_sigma, self.err_omega)
@@ -432,7 +427,9 @@ def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
 
     ``levels`` lists the cells-per-side counts; consecutive entries
     related by doubling get rate entries.  The reported iteration count
-    is the outer CG iteration count of the stage-two trace solve.
+    is the outer CG iteration count of the stage-two trace solve.  A
+    level on which any stage stops short raises ``RuntimeError`` naming
+    every such stage.
     """
     if kind not in _KIND_ALIASES:
         raise ValueError(f"unknown mesh kind {kind!r}")
@@ -443,24 +440,17 @@ def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
         t0 = time.perf_counter()
         mesh = generate_structured(kind, n)
         fields = solve_plate(mesh, spaces, material, exact, config=config)
-        for stage, rep in fields.reports.items():
-            if not rep.converged:
-                raise RuntimeError(
-                    f"level n={n}: {stage} solve stopped on "
-                    f"{rep.stop_reason} (residual {rep.residual:.3e})")
-        err_theta, err_tgamma, err_sigma, err_omega = table_errors(
-            fields, exact)
-
-        def per_stage(attr):
-            return {s: getattr(r, attr) for s, r in fields.reports.items()}
+        failed = [f"{stage} solve stopped on {rep.stop_reason} "
+                  f"(residual {rep.residual:.3e})"
+                  for stage, rep in fields.reports.items()
+                  if not rep.converged]
+        if failed:
+            raise RuntimeError(f"level n={n}: " + ", ".join(failed))
         table.reports.append(ErrorReport(
             n, fields.reports["step2"].iterations,
-            err_theta, err_tgamma, err_sigma, err_omega,
+            *table_errors(fields, exact),
             wall_time=time.perf_counter() - t0,
             peak_rss_mb=resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            stop_reasons=per_stage("stop_reason"),
-            kernel_rejected=per_stage("kernel_rejected"),
-            factor_fill=per_stage("factor_fill"),
-            factor_time=per_stage("factor_time")))
+            reports=fields.reports))
     return table

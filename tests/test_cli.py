@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 import re
@@ -9,7 +11,7 @@ from hdgplate import femspace as fs
 from hdgplate import verification as vf
 from hdgplate.assembly import PlateMaterial, SpaceConfig
 from hdgplate.cli import _build_parser, _materials, main
-from hdgplate.solver import SolverConfig
+from hdgplate.solver import SolveReport, SolverConfig
 
 
 class TestSolveCommand:
@@ -20,6 +22,19 @@ class TestSolveCommand:
         assert len(out) == 1
         assert out[0].startswith("n=4 iter=")
         assert "err_omega=" in out[0]
+
+    def test_prints_the_convergence_row(self, tmp_path, capsys):
+        flags = ["--mesh", "tri", "--k", "1", "--t", "0.1"]
+        assert main(["solve", "--n", "4"] + flags) == 0
+        printed = dict(cell.split("=")
+                       for cell in capsys.readouterr().out.split())
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--levels", "4", "--out", str(out)]
+                    + flags) == 0
+        capsys.readouterr()
+        (row,) = csv.DictReader(out.open())
+        assert printed == {key: row[key] for key in (
+            "n", "iter", "err_theta", "err_tgamma", "err_sigma", "err_omega")}
 
 
 class TestConvergenceCommand:
@@ -53,21 +68,26 @@ class TestConvergenceCommand:
         assert meta["quadrature"] == dict(fs.quadrature_degrees(2),
                                           error_degree=vf.ERROR_DEGREE)
         assert "assembly_degree" in meta["quadrature"]
-        assert len(meta["wall_times"]) == 2
-        stages = {"step1", "step2", "step3"}
-        assert len(meta["stop_reasons"]) == len(meta["kernel_rejected"]) == 2
-        for reasons, rejected in zip(meta["stop_reasons"],
-                                     meta["kernel_rejected"]):
-            assert set(reasons) == set(rejected) == stages
-            assert set(reasons.values()) <= {"converged", "zero_rhs"}
-            assert rejected == dict.fromkeys(stages, False)
-        assert len(meta["factor_fill"]) == len(meta["factor_time"]) == 2
-        for fill, seconds in zip(meta["factor_fill"], meta["factor_time"]):
-            assert set(fill) == set(seconds) == stages
+        assert meta["levels"] == [2, 4] and len(meta["wall_times"]) == 2
+        for key in ("iterations", "stop_reasons", "kernel_rejected",
+                    "factor_fill", "factor_time"):
+            assert key not in meta
+        record_keys = {f.name for f in dataclasses.fields(SolveReport)}
+        rows = list(csv.DictReader(out.open()))
+        assert len(meta["stages"]) == len(rows) == 2
+        for level, row in zip(meta["stages"], rows):
+            assert set(level) == {"step1", "step2", "step3"}
+            for rec in level.values():
+                assert set(rec) == record_keys
+                assert rec["stop_reason"] in {"converged", "zero_rhs"}
+                assert rec["kernel_rejected"] is False
             # stage three reuses stage one's factor
-            assert fill["step1"] > 0 and fill["step2"] > 0
-            assert seconds["step1"] > 0 and seconds["step2"] > 0
-            assert fill["step3"] == 0 and seconds["step3"] == 0
+            for stage in ("step1", "step2"):
+                assert level[stage]["factor_fill"] > 0
+                assert level[stage]["factor_time"] > 0
+            assert level["step3"]["factor_fill"] == 0
+            assert level["step3"]["factor_time"] == 0
+            assert level["step2"]["iterations"] == int(row["iter"])
         assert "git_revision" in meta and "seed" not in meta
         rss = meta["peak_rss_mb"]
         assert len(rss) == 2 and rss[0] > 0 and rss[1] >= rss[0]
@@ -159,7 +179,21 @@ class TestExitCodes:
                      "--max-iter", "1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "step2 stopped on max_iter" in err and "step1" not in err
+        assert "step2 solve stopped on max_iter" in err and "step1" not in err
+
+    def test_both_commands_name_every_failed_stage(self, tmp_path, capsys):
+        # one wording for both commands, every stage that stopped short named
+        flags = ["--mesh", "tri", "--tol", "1e-300", "--max-iter", "1"]
+        assert main(["solve", "--n", "4"] + flags) == 2
+        solve_err = capsys.readouterr().err
+        assert main(["convergence", "--levels", "4",
+                     "--out", str(tmp_path / "x.csv")] + flags) == 2
+        conv_err = capsys.readouterr().err
+        assert solve_err == conv_err
+        assert conv_err.startswith("solver error: level n=4: step1 solve "
+                                   "stopped on max_iter (residual ")
+        for stage in ("step2", "step3"):
+            assert f", {stage} solve stopped on max_iter (residual " in conv_err
 
     def test_missing_out_directory_fails_before_the_study(
             self, tmp_path, monkeypatch, capsys):
