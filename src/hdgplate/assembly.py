@@ -312,13 +312,8 @@ class StageDofMap:
 
     def trace_to_edge_array(self, name: str, x2: np.ndarray) -> np.ndarray:
         """(num_edges, per_edge) coefficients; zeros on eliminated edges."""
-        f = self.trace_fields[name]
-        out = np.zeros((self.mesh.num_edges, f.per_edge))
-        mask = f.edge_rank >= 0
-        rows = f.offset + f.edge_rank[mask][:, None] * f.per_edge \
-            + np.arange(f.per_edge)
-        out[mask] = x2[rows]
-        return out
+        dofs = self.trace_fields[name].dofs(np.arange(self.mesh.num_edges))
+        return np.where(dofs >= 0, x2[dofs], 0.0)
 
 
 # ----------------------------------------------------------------------

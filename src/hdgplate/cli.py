@@ -1,9 +1,7 @@
 """Command-line driver: single solves and convergence studies.
 
-Numerical work is imported lazily so the HDG_THREADS environment variable
-can cap the BLAS worker pool before numpy is loaded.  All outputs are
-deterministic; wall-clock times go to the metadata sidecar only, so
-re-running a study reproduces the CSV byte for byte.
+All outputs are deterministic; wall-clock times go to the metadata
+sidecar only, so re-running a study reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -16,21 +14,16 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from . import verification as vf
+from .assembly import PlateMaterial, SpaceConfig
+from .femspace import quadrature_degrees
+from .solver import SolverConfig
+
 __all__ = ["main"]
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
 _EXIT_SOLVER = 2
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("HDG_THREADS") or "0"
-    if not (cap.isascii() and cap.isdigit()):
-        raise ValueError("HDG_THREADS must be a non-negative integer")
-    if int(cap):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, str(int(cap)))
 
 
 def _git_revision() -> str:
@@ -51,8 +44,6 @@ def _git_revision() -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .assembly import PlateMaterial, SpaceConfig
-    from .solver import SolverConfig
     parser = argparse.ArgumentParser(
         prog="hdgplate",
         description="Hybrid DG solver for clamped Reissner-Mindlin plates "
@@ -85,8 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _materials(args):
-    from .assembly import PlateMaterial, SpaceConfig
-    from .solver import SolverConfig
     material = PlateMaterial(E=args.E, nu=args.nu, kappa=args.kappa, t=args.t)
     spaces = SpaceConfig(args.k, args.l)
     config = SolverConfig(tol=args.tol, max_iter=args.max_iter)
@@ -94,22 +83,19 @@ def _materials(args):
 
 
 def _metadata(material, spaces, config, **extra):
-    from .femspace import quadrature_degrees
-    from .verification import ERROR_DEGREE
     return {
         "material": asdict(material),
         "k": spaces.k,
         "l": spaces.l,
         "solver": asdict(config),
         "quadrature": dict(quadrature_degrees(spaces.k),
-                           error_degree=ERROR_DEGREE),
+                           error_degree=vf.ERROR_DEGREE),
         "git_revision": _git_revision(),
         **extra,
     }
 
 
 def _cmd_solve(args) -> int:
-    from . import verification as vf
     material, spaces, config = _materials(args)
     rep = vf.run_convergence(material, args.mesh, spaces, [args.n],
                              config).reports[0]
@@ -120,7 +106,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    from . import verification as vf
     material, spaces, config = _materials(args)
     try:
         levels = [int(s) for s in args.levels.split(",") if s]
@@ -153,7 +138,6 @@ def _cmd_convergence(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:

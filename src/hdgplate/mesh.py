@@ -12,6 +12,7 @@ quantities single-valued across element interfaces.
 from __future__ import annotations
 
 import numbers
+import operator
 import warnings
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -78,7 +79,13 @@ class Mesh:
         bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
         if bad.size:
             raise ValueError(f"vertex {bad[0]} has a non-finite coordinate")
-        loops = [tuple(map(int, loop)) for loop in loops]
+        try:    # operator.index, unlike int, truncates no float or string
+            loops = [tuple(map(operator.index, loop)) for loop in loops]
+        except TypeError:
+            i, v = next((i, v) for i, loop in enumerate(loops) for v in loop
+                        if not hasattr(v, "__index__"))
+            raise MeshTopologyError(f"element {i} has a non-integer vertex "
+                                    f"id {v!r}") from None
         if not loops:
             raise MeshTopologyError("mesh has no elements")
         sizes = np.fromiter(map(len, loops), int, len(loops))
@@ -194,8 +201,8 @@ class Mesh:
         :attr:`edge_order`; in ``femspace``, ``"element_batches"``; in
         ``assembly``, ``("poisson", k)``, the stage one/three operator; in
         ``solver``, ``("poisson", k, "factor")``, the factor of its
-        condensed matrix, ``"edge_adjacency"`` and ``("pattern", layout)``
-        per trace layout, where stage two's maps into its blocks."""
+        condensed matrix, and ``("pattern", layout)`` per trace layout,
+        where stage two's maps into its blocks."""
         if key not in self.kept:
             self.kept[key] = _freeze(build())
         return self.kept[key]

@@ -229,24 +229,19 @@ def _scatter_vector(vec: np.ndarray, idx: np.ndarray, local: np.ndarray):
 # the fixed pattern of the condensed trace matrix
 
 
-def _edge_adjacency(groups, num_edges: int) -> sp.csr_matrix:
-    """The (num_edges, num_edges) pattern of edges that share an element."""
-    pairs = [(np.repeat(e, e.shape[1]), np.tile(e, e.shape[1]).ravel())
-             for e in (grp.batch.edge_ids for grp in groups)]
-    rows, cols = map(np.concatenate, zip(*pairs))
-    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), (num_edges,) * 2)
-
-
-def _build_pattern(adjacency: sp.csr_matrix, bs: BlockSystem) -> dict:
-    n, edges = bs.n_trace, np.arange(adjacency.shape[0])
+def _build_pattern(bs: BlockSystem) -> dict:
+    n, edges = bs.n_trace, np.arange(bs.dof.mesh.num_edges)
     dof_edge = np.zeros(n, dtype=np.intp)
     for f in bs.dof.trace_fields.values():
         dofs = f.dofs(edges)
         dof_edge[dofs[dofs >= 0]] = np.nonzero(dofs >= 0)[0]
     # S's pattern, its entry numbers as data: a row holds the dofs of every
-    # edge adjacent to its own
+    # edge that shares an element with its own (E: element-edge incidence)
+    E = sp.vstack([sp.csr_matrix((np.ones(e.size), e.ravel(), np.arange(
+        0, e.size + 1, e.shape[1])), (len(e), len(edges)))
+        for e in (grp.batch.edge_ids for grp in bs.groups)])
     P = sp.csr_matrix((np.ones(n), (np.arange(n), dof_edge)), (n, len(edges)))
-    S = sp.csr_array(P @ adjacency @ P.T)
+    S = sp.csr_array(P @ (E.T @ E) @ P.T)
     S.sort_indices()
     S.data = np.arange(S.nnz, dtype=S.indices.dtype)
     edge_row = np.zeros(len(edges), dtype=np.intp)  # any row of each edge
@@ -285,14 +280,11 @@ def _pattern(bs: BlockSystem) -> dict:
     :class:`SaddleBlocks`, kept on the mesh per trace layout with each
     local block entry's ``position`` (int32 while it fits) in their data
     laid end to end, one past it for eliminated dofs and ``B12^T``.  Built
-    from the mesh's edge adjacency, kept beside it.  Two elements share at
-    most one edge, so each matrix is bitwise its slice of the COO sum."""
-    mesh = bs.dof.mesh
+    from the edges that share an element.  Two elements share at most one
+    edge, so each matrix is bitwise its slice of the COO sum."""
     layout = tuple((f.per_edge, f.dirichlet)
                    for f in bs.dof.trace_fields.values())
-    return mesh.keep(("pattern", layout), lambda: _build_pattern(
-        mesh.keep("edge_adjacency", lambda: _edge_adjacency(
-            bs.groups, mesh.num_edges)), bs))
+    return bs.dof.mesh.keep(("pattern", layout), lambda: _build_pattern(bs))
 
 
 def _scatter(pattern: dict, blocks: np.ndarray):
@@ -561,9 +553,11 @@ def solve_saddle_trace(cond: CondensedSystem,
     theta_hat = inner.solve(c1 - B12 @ p_hat)
     report = SolveReport(iterations, history[-1],
                          time.perf_counter() - t0, stop_reason,
-                         deflated, kernel_rejected, history, rz_hist,
-                         inner.fill + surrogate.fill,
-                         inner.seconds + surrogate.seconds)
+                         deflated=deflated, kernel_rejected=kernel_rejected,
+                         residual_history=history,
+                         precond_residual_history=rz_hist,
+                         factor_fill=inner.fill + surrogate.fill,
+                         factor_time=inner.seconds + surrogate.seconds)
     return theta_hat, p_hat, report
 
 

@@ -1,6 +1,7 @@
 """Mesh builders, and a walk over what a mesh keeps, shared by the tests."""
 
 import numpy as np
+from scipy.spatial import KDTree, Voronoi
 
 from hdgplate.mesh import Mesh, generate_structured
 
@@ -42,6 +43,57 @@ def mixed_strip(tiles):
     loops = [tuple(int(inv[v + i * nv]) for v in el.vertex_loop)
              for i in range(tiles) for el in base.elements]
     return Mesh(points[first], loops)
+
+
+def voronoi_mesh(cells, seed=0):
+    """A Lloyd-smoothed Voronoi mesh of the unit square with ``cells``
+    convex polygons.  The seeds are reflected across the four sides, so
+    that their cells close on the boundary (PolyMesher, Talischi et al.,
+    Struct. Multidisc. Optim. 45, 2012), and moved to their cells'
+    centroids 30 times; vertices closer than 1e-9 are merged."""
+    seeds = np.random.default_rng(seed).random((cells, 2))
+    for _ in range(30):
+        vertices, loops, sizes = _voronoi_cells(seeds)
+        seeds = _centroids(vertices[loops], sizes)
+    vertices, loops, sizes = _voronoi_cells(seeds)
+    label = np.arange(len(vertices))
+    for i, j in sorted(KDTree(vertices).query_pairs(1e-9)):
+        label[j] = label[i]
+    used, ids = np.unique(label[loops], return_inverse=True)
+    points = vertices[used]
+    for side in (0.0, 1.0):
+        points[np.abs(points - side) < 1e-9] = side
+    loops = np.split(ids, np.cumsum(sizes)[:-1])
+    return Mesh(points, [[int(v) for v, w in zip(loop, np.roll(loop, -1))
+                          if v != w] for loop in loops])
+
+
+def _voronoi_cells(seeds):
+    """Vertices of the Voronoi diagram of ``seeds`` and their mirror images
+    across the unit square's sides, and each seed's cell as a CCW loop of
+    vertex ids: the loops laid end to end, and their sizes."""
+    x, y = seeds.T
+    vor = Voronoi(np.vstack([seeds] + [np.column_stack(xy) for xy in (
+        (-x, y), (2 - x, y), (x, -y), (x, 2 - y))]))
+    regions = [vor.regions[r] for r in vor.point_region[:len(seeds)]]
+    sizes = np.array([len(region) for region in regions])
+    owner = np.repeat(np.arange(len(seeds)), sizes)
+    loops = np.concatenate(regions)
+    pts = vor.vertices[loops]
+    mean = np.add.reduceat(pts, np.cumsum(sizes) - sizes) / sizes[:, None]
+    d = pts - mean[owner]   # a convex cell is CCW by angle about its mean
+    return vor.vertices, loops[np.lexsort(
+        (np.arctan2(d[:, 1], d[:, 0]), owner))], sizes
+
+
+def _centroids(pts, sizes):
+    """Area centroids of CCW polygons laid end to end in ``pts``."""
+    start = np.cumsum(sizes) - sizes
+    nxt = np.arange(1, len(pts) + 1)
+    nxt[start + sizes - 1] = start
+    cross = pts[:, 0] * pts[nxt, 1] - pts[nxt, 0] * pts[:, 1]
+    moment = np.add.reduceat((pts + pts[nxt]) * cross[:, None], start)
+    return moment / (3 * np.add.reduceat(cross, start))[:, None]
 
 
 def arrays_in(value):

@@ -15,7 +15,8 @@ from hdgplate import femspace as fs
 from hdgplate import solver as slv
 from hdgplate import verification as vf
 from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
-from hdgplate.mesh import generate_structured
+from hdgplate.mesh import ShapeRegularityWarning, generate_structured
+from meshes import voronoi_mesh
 from oracles import bh_norm, monolithic_dense
 
 # published table cells for k=1, t=1, triangles: n -> (iter, theta, tgamma,
@@ -123,8 +124,7 @@ def test_criterion5_iteration_counts(table_t1_tri_k1):
             f"t=1e-10: n64 {thin_iters} (<= {2 * REF_ITER_THIN_N64})")
 
 
-def _oracle_case(kind, n, k, t):
-    mesh = generate_structured(kind, n)
+def _oracle_case(mesh, k, t):
     mat = PlateMaterial(t=t)
     spaces = SpaceConfig(k)
     exact = vf.exact_fields(mat)
@@ -168,15 +168,37 @@ def _oracle_case(kind, n, k, t):
 
 
 def test_criterion6_oracle_equivalence():
+    meshes = [generate_structured(kind, n)
+              for kind in ("triangle", "quadrilateral") for n in (2, 4)]
+    with pytest.warns(ShapeRegularityWarning):
+        meshes.append(voronoi_mesh(16))
     worst = 0.0
-    for kind in ("triangle", "quadrilateral"):
-        for n in (2, 4):
-            for k in (1, 2):
-                for t in (1.0, 0.01):
-                    worst = max(worst, _oracle_case(kind, n, k, t))
+    for mesh in meshes:
+        for k in (1, 2):
+            for t in (1.0, 0.01):
+                worst = max(worst, _oracle_case(mesh, k, t))
     ok = worst <= 1e-8
     _report("criterion 6 (condensed vs monolithic oracle)", ok,
             f"max per-field relative difference {worst:.2e} (<= 1e-8)")
+
+
+def test_criterion2_rates_on_voronoi_meshes():
+    # general convex polygons: quadrupling the cells about halves h
+    mat = PlateMaterial(t=0.01)
+    exact = vf.exact_fields(mat)
+    errors = []
+    for cells in (256, 1024):
+        with pytest.warns(ShapeRegularityWarning):
+            mesh = voronoi_mesh(cells)
+        fields = vf.solve_plate(mesh, SpaceConfig(1), mat, exact)
+        assert all(rep.converged for rep in fields.reports.values())
+        errors.append(vf.table_errors(fields, exact))
+    th, tg, sg, om = map(vf.observed_rate, *errors)
+    ok = (th >= 1.85 and om >= 1.85
+          and 0.85 <= sg <= 1.15 and 0.85 <= tg <= 1.15)
+    _report("criterion 2 on Voronoi meshes (t=0.01, k=1, 256 to 1024 "
+            "cells)", ok, f"theta {th:.2f} omega {om:.2f} sigma {sg:.2f} "
+            f"tgamma {tg:.2f}")
 
 
 def test_criterion7_property_suites():

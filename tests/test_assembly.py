@@ -181,6 +181,24 @@ class TestDofCounts:
         assert np.array_equal(ranks[~mesh.boundary_mask],
                               np.arange(np.count_nonzero(~mesh.boundary_mask)))
 
+    def test_trace_to_edge_array_reads_the_trace_dofs(self):
+        mesh = generate_structured("quadrilateral", 3)
+        bs1 = asm.assemble_step1(mesh, SpaceConfig(2), lambda x, y: 0 * x)
+        L = DiscreteField(mesh, 1, "vector2", np.zeros((9, 6)))
+        bs2 = asm.assemble_step2(mesh, SpaceConfig(2), PlateMaterial(), L)
+        # u_hat drops the boundary edges, p_hat keeps every edge
+        for dof, name, dropped in (
+                (bs1.dof, "u_hat", mesh.boundary_mask),
+                (bs2.dof, "p_hat", np.zeros(mesh.num_edges, bool))):
+            f = dof.trace_fields[name]
+            x2 = np.arange(1.0, dof.n_trace + 1)
+            out = dof.trace_to_edge_array(name, x2)
+            assert out.shape == (mesh.num_edges, f.per_edge)
+            assert np.array_equal(f.edge_rank < 0, dropped)
+            assert not out[dropped].any()
+            kept = np.flatnonzero(~dropped)
+            assert np.array_equal(out[kept], x2[f.dofs(kept)])
+
 
 def _step2_system(mesh, k=1, t=1.0, with_load=True):
     mat = PlateMaterial(t=t)

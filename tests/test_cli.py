@@ -4,6 +4,8 @@ import json
 import os
 import re
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,18 @@ class TestSolveCommand:
         (row,) = csv.DictReader(out.open())
         assert printed == {key: row[key] for key in (
             "n", "iter", "err_theta", "err_tgamma", "err_sigma", "err_omega")}
+
+    def test_fresh_interpreter_prints_the_in_process_line(self, capsys):
+        # the CLI's module-level imports, run in an interpreter that has
+        # loaded nothing else
+        args = ["solve", "--mesh", "tri", "--n", "2"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run([sys.executable, "-m", "hdgplate.cli", *args],
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert (run.returncode, run.stdout, run.stderr) == (0, printed, "")
 
 
 class TestConvergenceCommand:
@@ -142,18 +156,6 @@ class TestExitCodes:
         assert main(["solve", "--mesh", "tri", "--n", "2", flag, "inf"]) == 1
         assert capsys.readouterr().err == (
             f"configuration error: {name} must be positive and finite\n")
-
-    @pytest.mark.parametrize("cap", ["abc", "-2", "1.5", " 2"])
-    def test_config_error_bad_thread_cap(self, cap, monkeypatch, capsys):
-        monkeypatch.setenv("HDG_THREADS", cap)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        assert main(["solve", "--mesh", "tri", "--n", "2"]) == 1
-        assert capsys.readouterr().err == (
-            "configuration error: HDG_THREADS must be a non-negative "
-            "integer\n")
-        assert "OMP_NUM_THREADS" not in os.environ
-        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
     def test_unknown_flag(self, capsys):
         assert main(["solve", "--frobnicate"]) == 1

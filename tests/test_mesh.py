@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -282,6 +283,22 @@ class TestTopologyErrors:
                            match=r"^element 2 references unknown vertex$"):
             Mesh(MIXED_POINTS, [(1, 2, 5), (2, 3, 5), (3, 4, bad)])
 
+    @pytest.mark.parametrize("bad", [1.7, 2.0, np.float64(2.0), "2"],
+                             ids=["float", "whole-float", "np-float", "str"])
+    def test_non_integer_vertex_id(self, bad):
+        # int() would have read these as vertex 1 or 2
+        message = f"element 1 has a non-integer vertex id {bad!r}"
+        with pytest.raises(MeshTopologyError, match=f"^{re.escape(message)}$"):
+            Mesh(MIXED_POINTS, [(1, 2, 5), (2, 3, bad)])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+    def test_numpy_integer_loops_build(self, dtype):
+        loops = np.array(MIXED_LOOPS[:1] + MIXED_LOOPS[3:4], dtype=dtype)
+        mesh = Mesh(MIXED_POINTS, loops)
+        assert mesh.elements[1].vertex_loop == (2, 3, 5)
+        assert all(type(v) is int for el in mesh.elements
+                   for v in el.vertex_loop)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vertex(self, bad):
         with pytest.raises(ValueError,
@@ -358,7 +375,7 @@ class TestKept:
             # table_errors keeps nothing
             poisson, saddle = ((2, True),), ((6, True), (2, False))
             assert set(mesh.kept) == {
-                "edge_order", "element_batches", "edge_adjacency",
+                "edge_order", "element_batches",
                 ("poisson", 2), ("poisson", 2, "factor"),
                 ("pattern", poisson), ("pattern", saddle)}
             for key, value in mesh.kept.items():
