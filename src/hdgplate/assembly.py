@@ -373,7 +373,6 @@ class BlockSystem:
 
     dof: StageDofMap
     groups: list[ElementBlockGroup]
-    kernel_hint: np.ndarray | None = None
     stage: str = ""
     # the Poisson stages' key on the mesh (see _poisson_operator), which
     # ``solver`` extends for what it keeps; None for stage two
@@ -652,13 +651,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             batch, a11, tuple(terms), b1, np.zeros(trace_idx.shape), trace_idx,
             MassFields(Mss, coef, np.stack([DX, DY]), _COUPLING)))
 
-    # the condensed system annihilates constant pressure: mark that mode
-    kernel = np.zeros(dof.n_trace)
-    const_modes = tf_p.offset + np.arange(mesh.num_edges) * k
-    kernel[const_modes] = 1.0
-    kernel /= np.linalg.norm(kernel)
-
-    return BlockSystem(dof, groups, kernel_hint=kernel, stage="step2")
+    return BlockSystem(dof, groups, stage="step2")
 
 
 def shift_pressure_to_zero_mean(bs: BlockSystem, x1: np.ndarray,

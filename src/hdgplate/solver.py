@@ -65,16 +65,9 @@ class SingularTraceBlockError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """CG settings.
-
-    Every trace solve is preconditioned by a sparse factorization: the
-    condensed matrix itself for the positive definite stages, and for the
-    saddle stage the surrogate ``rho * W - B22c`` (pressure-trace edge
-    mass plus the condensed pressure block).  The surrogate captures both
-    the mass-like coupling part and the thickness-scaled rotational
-    stiffness of the pressure Schur complement, and keeps the outer
-    iteration count nearly mesh-independent uniformly in thickness.
-    """
+    """CG settings: the relative residual tolerance and the iteration
+    budget of every trace solve (see :func:`solve_saddle_trace` for the
+    saddle stage's preconditioner)."""
 
     tol: float = 1e-10
     max_iter: int = 20000
@@ -136,7 +129,6 @@ class CondensedSystem:
     S: sp.csr_matrix | SaddleBlocks
     rhs: np.ndarray
     local: list
-    kernel: np.ndarray | None
 
 
 def _local_solve(ids, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -320,8 +312,7 @@ def condense(bs: BlockSystem) -> CondensedSystem:
         y, local_rhs, minv = _eliminate(grp, out.reshape(ne, ntl, ntl))
         _scatter_vector(rhs, grp.trace_indices, local_rhs)
         local.append((y[..., :-1], y[..., -1], minv))
-    return CondensedSystem(bs, _scatter(pattern, schur), rhs, local,
-                           bs.kernel_hint)
+    return CondensedSystem(bs, _scatter(pattern, schur), rhs, local)
 
 
 def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
@@ -329,8 +320,7 @@ def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
     dof = cond.system.dof
     x1 = np.zeros((dof.mesh.num_elements, dof.n_interior_per_element))
     for grp, (y_a, y_b, minv) in zip(cond.system.groups, cond.local):
-        x2loc = np.where(grp.trace_indices >= 0,
-                         x2[np.clip(grp.trace_indices, 0, None)], 0.0)
+        x2loc = np.where(grp.trace_indices >= 0, x2[grp.trace_indices], 0.0)
         xp = y_b - np.einsum("eij,ej->ei", y_a, x2loc)
         nm, m = x1.shape[1] - xp.shape[1], grp.mass
         x1[grp.batch.ids, nm:] = xp
@@ -350,8 +340,7 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
     rnorm2 = bnorm2 = 0.0
     for grp in bs.groups:
         x1g = x1[grp.batch.ids]
-        x2loc = np.where(grp.trace_indices >= 0,
-                         x2[np.clip(grp.trace_indices, 0, None)], 0.0)
+        x2loc = np.where(grp.trace_indices >= 0, x2[grp.trace_indices], 0.0)
         n1, r1, rt = x1g.shape[1], np.empty_like(grp.b1), np.empty_like(grp.b2)
         for e in _chunks(grp):
             a = grp.trace_columns(e)
@@ -461,16 +450,13 @@ def _deflation_projector(z: np.ndarray) -> Callable:
     return lambda v: v - _dot(z, v) * z
 
 
-def _kernel_is_valid(S: SaddleBlocks, kernel: np.ndarray) -> bool:
-    """Whether ``kernel``, which has to live on the pressure trace, is a
+def _kernel_is_valid(S: SaddleBlocks, kp: np.ndarray) -> bool:
+    """Whether the pressure-trace vector ``kp`` (zero rotation trace) is a
     null vector of ``S`` to 1e-8 of ``|S|_F``; every sum goes through
     :func:`_dot`, not BLAS."""
-    m = S.B11.shape[0]
-    kp = kernel[m:]
     Sz = np.concatenate([S.B12 @ kp, S.B22c @ kp])
     snorm2 = sum(c * _dot(B.data, B.data) for c, B in zip((1, 2, 1), S))
-    return (not kernel[:m].any() and math.sqrt(_dot(Sz, Sz))
-            <= 1e-8 * math.sqrt(snorm2 * _dot(kp, kp)))
+    return math.sqrt(_dot(Sz, Sz)) <= 1e-8 * math.sqrt(snorm2 * _dot(kp, kp))
 
 
 def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
@@ -509,20 +495,23 @@ def solve_saddle_trace(cond: CondensedSystem,
 
     Outer CG runs on the pressure-trace operator
     ``B12^T B11^{-1} B12 - B22c`` (positive semidefinite with the
-    constant mode as kernel); the rotation-trace block is inverted per
-    application, factored from ``cond.S.B11`` as it comes.  Returns
+    constant pressure trace as kernel, which is deflated once checked to
+    be a null vector of ``cond.S``); the rotation-trace block is inverted
+    per application, factored from ``cond.S.B11`` as it comes.  Returns
     (theta_hat, p_hat, report), with the outer CG's iteration count.
     """
     t0 = time.perf_counter()
     dof, stage = cond.system.dof, cond.system.stage
-    m = dof.trace_fields["p_hat"].offset
+    tf_p = dof.trace_fields["p_hat"]
+    m = tf_p.offset
     c1, c2 = cond.rhs[:m], cond.rhs[m:]
     B11, B12, B22c = cond.S
-    deflated = (cond.kernel is not None
-                and _kernel_is_valid(cond.S, cond.kernel))
-    kernel_rejected = cond.kernel is not None and not deflated
-    project = (_deflation_projector(cond.kernel[m:]) if deflated
-               else lambda v: v)
+    # the pressure is fixed only up to a constant: the constant trace
+    kernel = np.zeros(B12.shape[1])
+    kernel[np.arange(dof.mesh.num_edges) * tf_p.per_edge] = 1.0
+    kernel /= np.linalg.norm(kernel)
+    deflated = _kernel_is_valid(cond.S, kernel)
+    project = _deflation_projector(kernel) if deflated else lambda v: v
     inner = _factorize(B11, dof.trace_order("theta_hat"), stage, "B11")
 
     def apply_outer(v):
@@ -553,7 +542,7 @@ def solve_saddle_trace(cond: CondensedSystem,
     theta_hat = inner.solve(c1 - B12 @ p_hat)
     report = SolveReport(iterations, history[-1],
                          time.perf_counter() - t0, stop_reason,
-                         deflated=deflated, kernel_rejected=kernel_rejected,
+                         deflated=deflated, kernel_rejected=not deflated,
                          residual_history=history,
                          precond_residual_history=rz_hist,
                          factor_fill=inner.fill + surrogate.fill,

@@ -96,9 +96,6 @@ class Poly2:
     def __sub__(self, other):
         return self + (-self._like(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Poly2):
             factor = Fraction(other)

@@ -45,6 +45,18 @@ def mixed_strip(tiles):
     return Mesh(points[first], loops)
 
 
+def jittered_quads(n, seed=0):
+    """The structured ``n`` x ``n`` quadrilateral grid with each interior
+    vertex moved by ``0.2 / n`` times a ``U(-1, 1)^2`` draw; the boundary
+    vertices stay where they are, and every cell stays convex."""
+    base = generate_structured("quadrilateral", n)
+    points = base.points.copy()
+    inner = ((points > 0) & (points < 1)).all(axis=1)
+    points[inner] += 0.2 / n * np.random.default_rng(seed).uniform(
+        -1, 1, (np.count_nonzero(inner), 2))
+    return Mesh(points, [el.vertex_loop for el in base.elements])
+
+
 def voronoi_mesh(cells, seed=0):
     """A Lloyd-smoothed Voronoi mesh of the unit square with ``cells``
     convex polygons.  The seeds are reflected across the four sides, so

@@ -364,6 +364,15 @@ def saddle_matrix(cond) -> sp.csr_matrix:
     return sp.bmat([[B11[back][:, back], B12], [B12.T, B22c]], format="csr")
 
 
+def pressure_kernel(dof) -> np.ndarray:
+    """The unit constant pressure trace of stage two's trace layout
+    ``dof``, over all its trace dofs: the kernel of the condensed matrix."""
+    tf = dof.trace_fields["p_hat"]
+    z = np.zeros(dof.n_trace)
+    z[tf.offset + np.arange(dof.mesh.num_edges) * tf.per_edge] = 1.0
+    return z / np.linalg.norm(z)
+
+
 def solve_saddle_direct(cond) -> np.ndarray:
     """Sparse direct solve of a whole condensed saddle system.
 
@@ -371,8 +380,10 @@ def solve_saddle_direct(cond) -> np.ndarray:
     the matrix with the kernel vector.
     """
     S, b = saddle_matrix(cond), cond.rhs
-    if cond.kernel is not None and slv._kernel_is_valid(cond.S, cond.kernel):
-        z = sp.csr_matrix(cond.kernel.reshape(-1, 1))
+    kernel = pressure_kernel(cond.system.dof)
+    m = cond.system.dof.trace_fields["p_hat"].offset
+    if slv._kernel_is_valid(cond.S, kernel[m:]):
+        z = sp.csr_matrix(kernel.reshape(-1, 1))
         A = sp.bmat([[S, z], [z.T, None]], format="csc")
         return spla.splu(A).solve(np.concatenate([b, [0.0]]))[:-1]
     return spla.splu(S.tocsc()).solve(b)
@@ -456,9 +467,9 @@ def factor_inputs(bs) -> list:
     W = slv._phat_edge_mass(dof)
     probe = np.empty(len(order))
     probe[order] = np.random.default_rng(0).standard_normal(len(order))
-    if bs.kernel_hint is not None and slv._kernel_is_valid(
-            slv.SaddleBlocks(*blocks), bs.kernel_hint):
-        probe = slv._deflation_projector(bs.kernel_hint[m:])(probe)
+    kernel = pressure_kernel(dof)[m:]
+    if slv._kernel_is_valid(slv.SaddleBlocks(*blocks), kernel):
+        probe = slv._deflation_projector(kernel)(probe)
     x[perm] = lu.solve((B12 @ probe)[perm])
     rho = max(slv._dot(probe, B12.T.tocsr() @ x) / slv._dot(probe, W @ probe),
               0.0)

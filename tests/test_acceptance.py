@@ -16,7 +16,7 @@ from hdgplate import solver as slv
 from hdgplate import verification as vf
 from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import ShapeRegularityWarning, generate_structured
-from meshes import voronoi_mesh
+from meshes import jittered_quads, voronoi_mesh
 from oracles import bh_norm, monolithic_dense
 
 # published table cells for k=1, t=1, triangles: n -> (iter, theta, tgamma,
@@ -168,6 +168,9 @@ def _oracle_case(mesh, k, t):
 
 
 def test_criterion6_oracle_equivalence():
+    # the reading follows the BLAS thread count, through the dense
+    # oracle's LAPACK calls (the solver's outputs do not): 4.41e-10 at one
+    # thread and 1.21e-9 at two, both well inside the bound
     meshes = [generate_structured(kind, n)
               for kind in ("triangle", "quadrilateral") for n in (2, 4)]
     with pytest.warns(ShapeRegularityWarning):
@@ -198,6 +201,24 @@ def test_criterion2_rates_on_voronoi_meshes():
           and 0.85 <= sg <= 1.15 and 0.85 <= tg <= 1.15)
     _report("criterion 2 on Voronoi meshes (t=0.01, k=1, 256 to 1024 "
             "cells)", ok, f"theta {th:.2f} omega {om:.2f} sigma {sg:.2f} "
+            f"tgamma {tg:.2f}")
+
+
+def test_criterion2_rates_on_jittered_quads():
+    # general convex quadrilaterals; the bands hold from n=16 on (omega
+    # reads 1.66 from n=8 to 16)
+    mat = PlateMaterial(t=0.01)
+    exact = vf.exact_fields(mat)
+    errors = []
+    for n in (16, 32):
+        fields = vf.solve_plate(jittered_quads(n), SpaceConfig(1), mat, exact)
+        assert all(rep.converged for rep in fields.reports.values())
+        errors.append(vf.table_errors(fields, exact))
+    th, tg, sg, om = map(vf.observed_rate, *errors)
+    ok = (th >= 1.85 and om >= 1.85
+          and 0.85 <= sg <= 1.15 and 0.85 <= tg <= 1.15)
+    _report("criterion 2 on jittered quadrilaterals (t=0.01, k=1, n=16 to "
+            "32)", ok, f"theta {th:.2f} omega {om:.2f} sigma {sg:.2f} "
             f"tgamma {tg:.2f}")
 
 

@@ -53,20 +53,25 @@ def test_mesh_attributes_the_harness_reads():
 def test_condensed_nnz_the_harness_reads(monkeypatch):
     # perfbench records condense(bs).S.nnz as solver.S_nnz.<stage>: for
     # each stage, the stored entries of the COO-to-CSR sum of the local
-    # blocks with its exact zeros kept, stage two's B12^T included
+    # blocks with its exact zeros kept, stage two's B12^T included; it
+    # names the stage from bs.stage and cond.system.stage, and counts
+    # bs.n_interior and bs.n_trace
     condense, seen = solver.condense, []
 
     def record(bs):
         cond = condense(bs)
-        seen.append((bs, cond.S.nnz))
+        seen.append((bs, cond, cond.S.nnz))
         return cond
     monkeypatch.setattr(solver, "condense", record)
     mat = assembly.PlateMaterial(t=1e-2)
     verification.solve_plate(generate_structured("quadrilateral", 3),
                              assembly.SpaceConfig(2), mat,
                              verification.exact_fields(mat))
-    assert [bs.stage for bs, _ in seen] == ["step1", "step2", "step3"]
-    for bs, nnz in seen:
+    assert [bs.stage for bs, *_ in seen] == ["step1", "step2", "step3"]
+    for bs, cond, nnz in seen:
+        assert cond.system is bs
+        assert bs.n_interior == sum(grp.b1.size for grp in bs.groups)
+        assert bs.n_trace == len(cond.rhs)
         rows, cols, vals = map(np.concatenate, zip(*schur_triplets(bs)))
         ref = sp.coo_matrix((vals, (rows, cols)), (bs.n_trace,) * 2).tocsr()
         assert type(nnz) is int and nnz == ref.nnz, bs.stage

@@ -95,6 +95,7 @@ class TestConvergenceCommand:
                 assert set(rec) == record_keys
                 assert rec["stop_reason"] in {"converged", "zero_rhs"}
                 assert rec["kernel_rejected"] is False
+            assert level["step2"]["deflated"] is True
             # stage three reuses stage one's factor
             for stage in ("step1", "step2"):
                 assert level[stage]["factor_fill"] > 0
@@ -148,6 +149,13 @@ class TestExitCodes:
     def test_config_error_bad_levels(self, tmp_path):
         assert main(["convergence", "--mesh", "tri", "--levels", "2,x",
                      "--out", str(tmp_path / "c.csv")]) == 1
+
+    def test_config_error_non_positive_level(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--levels", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: --levels must list positive integers\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, name", [("--E", "E"),
                                             ("--kappa", "kappa"),

@@ -299,6 +299,11 @@ class TestTopologyErrors:
         assert all(type(v) is int for el in mesh.elements
                    for v in el.vertex_loop)
 
+    def test_points_not_two_dimensional(self):
+        with pytest.raises(ValueError,
+                           match=r"^points must be a \(V, 2\) array$"):
+            Mesh(np.zeros((3, 3)), [[0, 1, 2]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vertex(self, bad):
         with pytest.raises(ValueError,

@@ -18,8 +18,8 @@ from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import Mesh, generate_structured
 from meshes import mixed_group_mesh, mixed_strip, renumbered_grid
 from oracles import (condensed_matrix, dense_a11, dense_elimination,
-                     factor_inputs, saddle_matrix, solve_saddle_direct,
-                     trace_blocks)
+                     factor_inputs, pressure_kernel, saddle_matrix,
+                     solve_saddle_direct, trace_blocks)
 
 
 def stand_in_mesh(**attrs):
@@ -82,7 +82,7 @@ def toy_saddle_system(B11, Mp, rhs):
         mesh=stand_in_mesh(num_edges=n, edge_length=np.ones(n)),
         n_trace=m + n, n_interior=0)
     bs = SimpleNamespace(dof=dof, stage="step2")
-    return slv.CondensedSystem(bs, S, rhs, [], None)
+    return slv.CondensedSystem(bs, S, rhs, [])
 
 
 class TestSolverConfig:
@@ -525,28 +525,33 @@ class TestSaddle:
         m = bs.dof.trace_fields["p_hat"].offset
         _, p_hat, report = slv.solve_saddle_trace(cond)
         assert report.deflated and not report.kernel_rejected
-        z = cond.kernel[m:]
+        z = pressure_kernel(bs.dof)[m:]
         assert abs(p_hat @ z) <= 1e-12 * np.linalg.norm(p_hat) * np.linalg.norm(z)
 
     def test_corrupt_kernel_is_rejected(self):
+        # doubling one diagonal entry of B22c (which is negative) moves the
+        # constant pressure trace out of the kernel: it is not deflated,
+        # and the outer operator is definite
         bs, _ = self._stage2()
         cond = slv.condense(bs)
-        cond.kernel = np.ones_like(cond.kernel)  # not a null vector
-        cond.kernel[0] = 5.0
+        B22c = cond.S.B22c
+        assert B22c.indices[0] == 0  # data[0] is the entry (0, 0)
+        B22c.data[0] -= abs(B22c.data[0])
         _, _, report = slv.solve_saddle_trace(cond)
         assert report.kernel_rejected and not report.deflated
         assert report.converged
 
-    def test_kernel_hint_annihilated(self):
+    def test_pressure_kernel_annihilated(self):
         bs, _ = self._stage2()
         cond = slv.condense(bs)
-        S, z = saddle_matrix(cond), cond.kernel
+        S, z = saddle_matrix(cond), pressure_kernel(bs.dof)
         assert np.linalg.norm(S @ z) <= 1e-8 * sp.linalg.norm(S)
 
     def test_decoupled_saddle_matches_plain_cg(self):
         # B12 = 0: the outer operator is Mp, the probe fits rho = 0, and
         # the surrogate rho * W - B22c is Mp itself, so one iteration
-        # solves Mp p = -c2 exactly
+        # solves Mp p = -c2 exactly; Mp is definite, so the constant
+        # pressure trace is no null vector and is rejected
         rng = np.random.default_rng(6)
         Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         B11 = Q @ np.diag(np.linspace(1, 3, 6)) @ Q.T
@@ -555,7 +560,7 @@ class TestSaddle:
         cond = toy_saddle_system(B11, Mp, rhs)
         th, ph, report = slv.solve_saddle_trace(cond)
         assert report.stop_reason == "converged" and report.iterations == 1
-        assert not report.deflated and not report.kernel_rejected
+        assert not report.deflated and report.kernel_rejected
         assert np.allclose(Mp @ ph, -rhs[6:], rtol=1e-12, atol=1e-14)
         assert np.allclose(th, np.zeros(6), atol=1e-12)
 
@@ -578,8 +583,7 @@ class TestSaddle:
         x_direct = solve_saddle_direct(cond)
         th, ph, _ = slv.solve_saddle_trace(cond)
         x_cg = np.concatenate([th, ph])
-        m = bs.dof.trace_fields["p_hat"].offset
-        z = cond.kernel
+        z = pressure_kernel(bs.dof)
         x_direct = x_direct - (x_direct @ z) * z  # same kernel gauge
         assert np.abs(x_cg - x_direct).max() <= 1e-8 * np.abs(x_direct).max()
 
