@@ -239,7 +239,7 @@ class TraceField:
     offset: int
     per_edge: int
     dirichlet: bool
-    edge_rank: np.ndarray  # (num_edges,), -1 on eliminated edges
+    edge_rank: np.ndarray  # (num_edges,), by edge_order; -1 if eliminated
 
     def dofs(self, edge_ids: np.ndarray) -> np.ndarray:
         """Global dof indices (..., per_edge); -1 rows for eliminated edges."""
@@ -257,7 +257,9 @@ class StageDofMap:
     owns one contiguous block holding the fields in that order, each one
     component-major like :class:`DiscreteField`.  Trace fields are
     ``(name, per_edge, dirichlet)``; their unknowns are field-major then
-    edge-major, and Dirichlet trace fields skip boundary edges entirely.
+    edge-major, the edges in the mesh's nested-dissection order
+    (``Mesh.edge_order``), so every trace matrix is assembled in the order
+    it is factored in; Dirichlet trace fields skip boundary edges entirely.
     """
 
     def __init__(self, mesh: Mesh, interior_fields, trace_fields):
@@ -271,27 +273,18 @@ class StageDofMap:
         self.n_interior_per_element = off
         self.n_interior = off * mesh.num_elements
 
-        n_edges = mesh.num_edges
-        interior = ~mesh.boundary_mask
-        interior_rank = np.where(interior, np.cumsum(interior) - 1, -1)
-        rank = int(np.count_nonzero(interior))
-
+        order = mesh.edge_order
         self.trace_fields: dict[str, TraceField] = {}
         off = 0
         for name, per_edge, dirichlet in trace_fields:
-            er = (interior_rank if dirichlet else np.arange(n_edges)).copy()
+            kept = order[~mesh.boundary_mask[order]] if dirichlet else order
+            er = np.full(mesh.num_edges, -1)
+            er[kept] = np.arange(len(kept))
             er.setflags(write=False)
-            count = rank if dirichlet else n_edges
             self.trace_fields[name] = TraceField(name, off, per_edge,
                                                  dirichlet, er)
-            off += count * per_edge
+            off += len(kept) * per_edge
         self.n_trace = off
-
-    def trace_order(self, name: str) -> np.ndarray:
-        """Global DOFs of trace field ``name`` in the mesh's
-        nested-dissection edge order (``Mesh.edge_order``)."""
-        dofs = self.trace_fields[name].dofs(self.mesh.edge_order)
-        return dofs[dofs >= 0]
 
     def components(self, name: str) -> list[slice]:
         """One interior slice per component of field ``name``."""

@@ -198,11 +198,12 @@ class Mesh:
         kept depends on t, E, nu, kappa or a load, or refers back to the
         mesh, so a t sweep builds each item once and it goes with the mesh
         by reference counting.  Keys by owner: ``"edge_order"``,
-        :attr:`edge_order`; in ``femspace``, ``"element_batches"``; in
-        ``assembly``, ``("poisson", k)``, the stage one/three operator; in
-        ``solver``, ``("poisson", k, "factor")``, the factor of its
-        condensed matrix, and ``("pattern", layout)`` per trace layout,
-        where stage two's maps into its blocks."""
+        :attr:`edge_order`, which numbers every trace DOF; in
+        ``femspace``, ``"element_batches"``; in ``assembly``,
+        ``("poisson", k)``, the stage one/three operator; in ``solver``,
+        ``("poisson", k, "factor")``, the SuperLU factor of its condensed
+        matrix and its wall time (no array), and ``("pattern", layout)``
+        per trace layout, where stage two's maps into its blocks."""
         if key not in self.kept:
             self.kept[key] = _freeze(build())
         return self.kept[key]

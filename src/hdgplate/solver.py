@@ -13,8 +13,8 @@ inverted by a sparse factorization and the constant pressure mode
 deflated.
 
 Every trace factorization is a no-pivot LU of a symmetric positive
-definite block in the mesh's nested-dissection edge order, expanded to
-its DOFs, as ``condense`` gives ``B11``; the CG keeps the assembly order.
+definite block in the order ``assembly.StageDofMap`` numbers the trace
+DOFs, the mesh's nested-dissection edge order.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ class SolveReport:
 
 class SaddleBlocks(NamedTuple):
     """Stage two's condensed ``[[B11, B12], [B12^T, B22c]]`` as the blocks
-    the saddle solve reads: ``B11`` CSC in its factorization's order,
-    ``B12`` and ``B22c`` CSR; their data are views of one buffer, and
+    the saddle solve reads: ``B11`` CSC for its factorization, ``B12``
+    and ``B22c`` CSR; their data are views of one buffer, and
     ``nnz`` counts the whole matrix's, ``B12^T``'s included."""
 
     B11: sp.csc_matrix
@@ -256,10 +256,9 @@ def _build_pattern(bs: BlockSystem) -> dict:
         pos[~(ok[:, :, None] & ok[:, None, :])] = S.nnz
     blocks = [("csr", S)]
     if "p_hat" in bs.dof.trace_fields:  # B12^T goes to the dropped slot
-        m, perm = bs.dof.trace_fields["p_hat"].offset, bs.dof.trace_order(
-            "theta_hat")
-        blocks = [("csc", S[:m, :m][perm][:, perm].tocsc()),
-                  ("csr", S[:m, m:]), ("csr", S[m:, m:])]
+        m = bs.dof.trace_fields["p_hat"].offset
+        blocks = [("csc", S[:m, :m].tocsc()), ("csr", S[:m, m:]),
+                  ("csr", S[m:, m:])]
     taken = np.concatenate([b.data for _, b in blocks])
     target = np.full(S.nnz + 1, len(taken), S.dtype)
     target[taken] = np.arange(len(taken))
@@ -373,11 +372,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
-         tol: float, max_iter: int, project: Callable = lambda v: v):
+         tol: float, max_iter: int, project: Callable = lambda v: v,
+         **fields) -> tuple[np.ndarray, SolveReport]:
+    """``(x, report)``; ``fields`` go to the report, whose ``wall_time``
+    the caller sets."""
     bnorm = math.sqrt(_dot(b, b))  # residuals stay relative to the raw load
     b = project(b)
     if not b.any():  # zero, or entirely in the deflated kernel: x = 0 is exact
-        return np.zeros_like(b), 0, [0.0], "zero_rhs", [0.0]
+        return np.zeros_like(b), SolveReport(
+            0, 0.0, 0.0, "zero_rhs", residual_history=[0.0],
+            precond_residual_history=[0.0], **fields)
     x = np.zeros_like(b)
     r = b.copy()
     z = project(precond(r))
@@ -406,32 +410,20 @@ def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
             break
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, iterations, history, stop_reason, rz_history
+    return x, SolveReport(iterations, history[-1], 0.0, stop_reason,
+                          residual_history=history,
+                          precond_residual_history=rz_history, **fields)
 
 
-class _Factor(NamedTuple):
-    lu: spla.SuperLU
-    perm: np.ndarray
-    fill: int
-    seconds: float
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x = np.empty_like(b)
-        x[self.perm] = self.lu.solve(b[self.perm])
-        return x
-
-
-def _factorize(A: sp.csc_matrix, perm: np.ndarray, stage: str = "",
-               block: str = "") -> _Factor:
-    """Sparse LU of an SPD block ``B`` given in the symmetric order
-    ``perm``, as ``A = B[perm][:, perm].tocsc()``.
+def _factorize(A: sp.csc_matrix, stage: str = "",
+               block: str = "") -> tuple[spla.SuperLU, float]:
+    """Sparse LU of an SPD block ``A`` and its wall time in seconds.
 
     SuperLU factors ``A`` in its own column order with diagonal pivots
-    only, as a Cholesky factorization would; ``solve`` permutes in and
-    out, so callers keep ``B``'s own order.  The fill is SuperLU's own
-    count of stored nonzeros (reading ``L`` or ``U`` would copy them).
-    A zero pivot raises :class:`SingularTraceBlockError` naming
-    ``stage`` and ``block``.
+    only, as a Cholesky factorization would; ``lu.nnz`` is its count of
+    stored nonzeros (reading ``L`` or ``U`` would copy them).  A zero
+    pivot raises :class:`SingularTraceBlockError` naming ``stage`` and
+    ``block``.
     """
     t0 = time.perf_counter()
     if not A.data.all():  # the kept pattern's exact zeros stay out
@@ -442,7 +434,7 @@ def _factorize(A: sp.csc_matrix, perm: np.ndarray, stage: str = "",
                        options={"SymmetricMode": True})
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise SingularTraceBlockError(stage, block) from err
-    return _Factor(lu, perm, lu.nnz, time.perf_counter() - t0)
+    return lu, time.perf_counter() - t0
 
 
 def _deflation_projector(z: np.ndarray) -> Callable:
@@ -466,27 +458,25 @@ def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
     for bit; returns (x2, report)."""
     t0 = time.perf_counter()
     S, bs = cond.S, cond.system
-    key, perm = (*bs.kept_as, "factor"), bs.dof.trace_order("u_hat")
+    key = (*bs.kept_as, "factor")
     fresh = key not in bs.dof.mesh.kept
-    factor = bs.dof.mesh.keep(key, lambda: _factorize(
-        S[perm][:, perm].tocsc(), perm, bs.stage, "S"))
-    x, iterations, history, stop_reason, rz_hist = _pcg(
-        lambda v: S @ v, cond.rhs, factor.solve, config.tol, config.max_iter)
-    report = SolveReport(iterations, history[-1],
-                         time.perf_counter() - t0, stop_reason,
-                         residual_history=history,
-                         precond_residual_history=rz_hist,
-                         factor_fill=factor.fill if fresh else 0,
-                         factor_time=factor.seconds if fresh else 0.0)
+    lu, seconds = bs.dof.mesh.keep(key, lambda: _factorize(
+        S.tocsc(), bs.stage, "S"))
+    x, report = _pcg(lambda v: S @ v, cond.rhs, lu.solve, config.tol,
+                     config.max_iter, factor_fill=lu.nnz if fresh else 0,
+                     factor_time=seconds if fresh else 0.0)
+    report.wall_time = time.perf_counter() - t0
     return x, report
 
 
 def _phat_edge_mass(dof) -> sp.csr_matrix:
     """Edge mass matrix of the pressure trace space (analytic, per edge):
     the edge length times the Gram matrix of 1, s, ..., s^(k-1) on [0, 1]."""
-    k = dof.trace_fields["p_hat"].per_edge
+    tf = dof.trace_fields["p_hat"]
+    k, length = tf.per_edge, np.empty(dof.mesh.num_edges)
+    length[tf.edge_rank] = dof.mesh.edge_length
     H = 1.0 / (np.add.outer(np.arange(k), np.arange(k)) + 1.0)
-    return sp.kron(sp.diags(dof.mesh.edge_length), H, format="csr")
+    return sp.kron(sp.diags(length), H, format="csr")
 
 
 def solve_saddle_trace(cond: CondensedSystem,
@@ -512,7 +502,7 @@ def solve_saddle_trace(cond: CondensedSystem,
     kernel /= np.linalg.norm(kernel)
     deflated = _kernel_is_valid(cond.S, kernel)
     project = _deflation_projector(kernel) if deflated else lambda v: v
-    inner = _factorize(B11, dof.trace_order("theta_hat"), stage, "B11")
+    inner, inner_s = _factorize(B11, stage, "B11")
 
     def apply_outer(v):
         return B12.T @ inner.solve(B12 @ v) - B22c @ v
@@ -524,29 +514,23 @@ def solve_saddle_trace(cond: CondensedSystem,
     # mass W (scale rho fitted by one probe) covers the mass-like part
     # contributed through the rotation-trace coupling.  The combination
     # stays spectrally equivalent uniformly in h and t.  The probe is drawn
-    # in ``edge_order``, not in DOF order, so the element and edge numbering
-    # do not move rho; for k >= 2 each edge's s still runs by vertex id.
+    # in DOF order, which follows ``Mesh.edge_order``, so the element and
+    # edge numbering do not move rho; for k >= 2 each edge's s still runs
+    # by vertex id.
     W = _phat_edge_mass(dof)
-    order = dof.trace_order("p_hat") - m
-    probe = np.empty(B12.shape[1])
-    probe[order] = np.random.default_rng(0).standard_normal(len(order))
-    probe = project(probe)
+    probe = project(np.random.default_rng(0).standard_normal(B12.shape[1]))
     coupled = _dot(probe, B12.T @ inner.solve(B12 @ probe))
     rho = max(coupled / _dot(probe, W @ probe), 0.0)
-    surrogate = _factorize((rho * W - B22c)[order][:, order].tocsc(), order,
-                           stage, "surrogate")
+    surrogate, surrogate_s = _factorize((rho * W - B22c).tocsc(), stage,
+                                        "surrogate")
 
-    p_hat, iterations, history, stop_reason, rz_hist = _pcg(
-        apply_outer, rhs, surrogate.solve, config.tol, config.max_iter,
-        project)
+    p_hat, report = _pcg(apply_outer, rhs, surrogate.solve, config.tol,
+                         config.max_iter, project, deflated=deflated,
+                         kernel_rejected=not deflated,
+                         factor_fill=inner.nnz + surrogate.nnz,
+                         factor_time=inner_s + surrogate_s)
     theta_hat = inner.solve(c1 - B12 @ p_hat)
-    report = SolveReport(iterations, history[-1],
-                         time.perf_counter() - t0, stop_reason,
-                         deflated=deflated, kernel_rejected=not deflated,
-                         residual_history=history,
-                         precond_residual_history=rz_hist,
-                         factor_fill=inner.fill + surrogate.fill,
-                         factor_time=inner.seconds + surrogate.seconds)
+    report.wall_time = time.perf_counter() - t0
     return theta_hat, p_hat, report
 
 

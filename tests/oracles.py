@@ -353,15 +353,13 @@ def monolithic_dense(bs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def saddle_matrix(cond) -> sp.csr_matrix:
-    """The condensed matrix of ``cond`` as one CSR matrix in assembly
-    order: a Poisson stage's ``S`` as it is, and stage two's rebuilt from
-    its ``SaddleBlocks``, ``B11`` back in assembly order and ``B12^T``
-    below the diagonal."""
+    """The condensed matrix of ``cond`` as one CSR matrix: a Poisson
+    stage's ``S`` as it is, and stage two's rebuilt from its
+    ``SaddleBlocks``, ``B12^T`` below the diagonal."""
     if not isinstance(cond.S, slv.SaddleBlocks):
         return cond.S
     B11, B12, B22c = cond.S
-    back = np.argsort(cond.system.dof.trace_order("theta_hat"))
-    return sp.bmat([[B11[back][:, back], B12], [B12.T, B22c]], format="csr")
+    return sp.bmat([[B11, B12], [B12.T, B22c]], format="csr")
 
 
 def pressure_kernel(dof) -> np.ndarray:
@@ -449,28 +447,23 @@ def dense_elimination(bs, x2: np.ndarray) -> tuple:
 def factor_inputs(bs) -> list:
     """The matrices SuperLU factors for ``bs``: ``S``, or ``B11`` and the
     surrogate ``rho W - B22c``, each sliced from ``condensed_matrix(bs)``
-    in assembly order and then put in its trace order as
-    ``A[perm][:, perm].tocsc()``; ``rho`` comes from the same probe as in
+    as CSC; ``rho`` comes from the same probe as in
     ``solver.solve_saddle_trace``."""
     S, dof = condensed_matrix(bs), bs.dof
     if bs.stage != "step2":
-        perm = dof.trace_order("u_hat")
-        return [S[perm][:, perm].tocsc()]
+        return [S.tocsc()]
     m = dof.trace_fields["p_hat"].offset
-    perm, order = dof.trace_order("theta_hat"), dof.trace_order("p_hat") - m
     blocks = saddle_blocks(S, m)
     _, B12, B22c = blocks
-    B11 = S[:m, :m][perm][:, perm].tocsc()
+    B11 = S[:m, :m].tocsc()
     lu = spla.splu(B11, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
-    x = np.empty(m)
     W = slv._phat_edge_mass(dof)
-    probe = np.empty(len(order))
-    probe[order] = np.random.default_rng(0).standard_normal(len(order))
+    probe = np.random.default_rng(0).standard_normal(S.shape[0] - m)
     kernel = pressure_kernel(dof)[m:]
     if slv._kernel_is_valid(slv.SaddleBlocks(*blocks), kernel):
         probe = slv._deflation_projector(kernel)(probe)
-    x[perm] = lu.solve((B12 @ probe)[perm])
+    x = lu.solve(B12 @ probe)
     rho = max(slv._dot(probe, B12.T.tocsr() @ x) / slv._dot(probe, W @ probe),
               0.0)
-    return [B11, (rho * W - B22c)[order][:, order].tocsc()]
+    return [B11, (rho * W - B22c).tocsc()]

@@ -69,16 +69,14 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
 
 def toy_saddle_system(B11, Mp, rhs):
     """Condensed stage-two system [[B11, 0], [0, -Mp]] on a stand-in mesh
-    of unit-length edges, one pressure dof each; the trace orders are the
-    identity."""
+    of unit-length edges, one pressure dof each, numbered as the edges."""
     m, n = len(B11), len(Mp)
     S = slv.SaddleBlocks(sp.csc_matrix(B11), sp.csr_matrix((m, n)),
                          sp.csr_matrix(-Mp))
     dof = SimpleNamespace(
         trace_fields={"p_hat": SimpleNamespace(offset=m, per_edge=1,
-                                               dirichlet=False)},
-        trace_order={"theta_hat": np.arange(m),
-                     "p_hat": np.arange(m, m + n)}.get,
+                                               dirichlet=False,
+                                               edge_rank=np.arange(n))},
         mesh=stand_in_mesh(num_edges=n, edge_length=np.ones(n)),
         n_trace=m + n, n_interior=0)
     bs = SimpleNamespace(dof=dof, stage="step2")
@@ -262,9 +260,7 @@ class TestBatchedCondensation:
             mats, refs = [S], [ref]
             if bs.stage == "step2":
                 m = bs.dof.trace_fields["p_hat"].offset
-                perm = bs.dof.trace_order("theta_hat")
-                mats, refs = S, (ref[:m, :m][perm][:, perm].tocsc(),
-                                 ref[:m, m:], ref[m:, m:])
+                mats, refs = S, (ref[:m, :m].tocsc(), ref[:m, m:], ref[m:, m:])
             for got, want in zip(mats, refs, strict=True):
                 assert got.has_canonical_format, bs.stage
                 assert got.format == want.format, bs.stage
@@ -280,8 +276,8 @@ class TestBatchedCondensation:
                                           getattr(want, name)), name
 
     def test_factor_inputs_are_the_reordered_blocks(self, monkeypatch):
-        # SuperLU gets S, B11 and the surrogate in trace order, without
-        # zeros, exactly as slicing the assembly-order matrix gives them;
+        # SuperLU gets S, B11 and the surrogate without zeros, exactly as
+        # slicing the COO-to-CSR sum of the local blocks gives them;
         # the fill is SuperLU's own count, without copies of L or U
         class NoFactorCopies:
             def __init__(self, lu):
@@ -425,42 +421,39 @@ class TestCG:
         n = 17
         rng = np.random.default_rng(0)
         b = rng.standard_normal(n)
-        x, iters, hist, reason, _ = slv._pcg(lambda v: v, b, lambda r: r,
-                                             1e-12, 100)
-        assert reason == "converged" and iters == 1
+        x, rep = slv._pcg(lambda v: v, b, lambda r: r, 1e-12, 100)
+        assert rep.stop_reason == "converged" and rep.iterations == 1
         assert np.allclose(x, b)
 
     def test_two_eigenvalues_two_iterations(self):
         A = np.diag([1.0, 2.0])
         b = np.array([1.0, 1.0])
-        x, iters, hist, reason, _ = slv._pcg(lambda v: A @ v, b, lambda r: r,
-                                             1e-12, 100)
-        assert reason == "converged" and iters <= 2
+        x, rep = slv._pcg(lambda v: A @ v, b, lambda r: r, 1e-12, 100)
+        assert rep.stop_reason == "converged" and rep.iterations <= 2
         assert x == pytest.approx([1.0, 0.5], rel=1e-12)
 
     def test_zero_rhs(self):
-        x, iters, hist, reason, _ = slv._pcg(lambda v: v, np.zeros(4),
-                                             lambda r: r, 1e-12, 100)
-        assert reason == "zero_rhs" and iters == 0 and np.all(x == 0)
+        x, rep = slv._pcg(lambda v: v, np.zeros(4), lambda r: r, 1e-12, 100)
+        assert rep.stop_reason == "zero_rhs" and rep.iterations == 0
+        assert np.all(x == 0)
 
     def test_max_iter_flagged(self):
         A = np.diag(np.linspace(1, 1e6, 50))
         b = np.ones(50)
-        x, iters, hist, reason, _ = slv._pcg(lambda v: A @ v, b, lambda r: r,
-                                             1e-14, 3)
-        assert reason == "max_iter" and iters == 3
+        x, rep = slv._pcg(lambda v: A @ v, b, lambda r: r, 1e-14, 3)
+        assert rep.stop_reason == "max_iter" and rep.iterations == 3
 
     def test_negative_definite_operator_is_indefinite(self):
         b = np.random.default_rng(1).standard_normal(5)
-        x, iters, hist, reason, _ = slv._pcg(lambda v: -v, b, lambda r: r,
-                                             1e-12, 100)
-        assert reason == "indefinite" and iters == 0 and np.all(x == 0)
+        x, rep = slv._pcg(lambda v: -v, b, lambda r: r, 1e-12, 100)
+        assert rep.stop_reason == "indefinite" and rep.iterations == 0
+        assert np.all(x == 0)
 
     def test_rhs_in_deflated_kernel_is_zero_rhs(self):
-        x, iters, hist, reason, _ = slv._pcg(
-            lambda v: v, 3 * np.ones(5), lambda r: r, 1e-10, 50,
-            slv._deflation_projector(np.ones(5)))
-        assert reason == "zero_rhs" and iters == 0 and hist == [0.0]
+        x, rep = slv._pcg(lambda v: v, 3 * np.ones(5), lambda r: r, 1e-10, 50,
+                          slv._deflation_projector(np.ones(5)))
+        assert rep.stop_reason == "zero_rhs" and rep.iterations == 0
+        assert rep.residual_history == [0.0]
         assert np.all(x == 0)
 
     def test_zero_load_reports_zero_rhs(self):
@@ -482,10 +475,11 @@ class TestCG:
             "A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], (n, n), 'csr')\n"
             "A = A - sp.diags(np.asarray(A.sum(axis=1)).ravel())\n"
             "b = np.random.default_rng(0).standard_normal(n)\n"
-            "x, _, hist, _, rz = slv._pcg(\n"
+            "x, rep = slv._pcg(\n"
             "    lambda v: A @ v, b, lambda r: r / (2.0 + np.arange(n) % 3),\n"
             "    1e-12, 40, slv._deflation_projector(np.ones(n)))\n"
-            "print([float(v).hex() for v in hist + rz],\n"
+            "print([float(v).hex() for v in rep.residual_history\n"
+            "       + rep.precond_residual_history],\n"
             "      hashlib.sha256(x.tobytes()).hexdigest())\n")
         src = os.path.dirname(os.path.dirname(slv.__file__))
         runs = [subprocess.run(
@@ -589,23 +583,23 @@ class TestSaddle:
 
 
 def _factor_blocks(cond):
-    """(name, block, trace order) of every factorization of one stage, the
-    blocks in assembly order."""
+    """(name, block) of every factorization of one stage."""
     dof, S = cond.system.dof, saddle_matrix(cond)
     if cond.system.stage != "step2":
-        (name,) = dof.trace_fields
-        return [("S", S, dof.trace_order(name))]
+        return [("S", S)]
     m = dof.trace_fields["p_hat"].offset
-    B11, surrogate = S[:m, :m], slv._phat_edge_mass(dof) - S[m:, m:]
-    return [("B11", B11, dof.trace_order("theta_hat")),
-            ("surrogate", surrogate, dof.trace_order("p_hat") - m)]
+    return [("B11", S[:m, :m]),
+            ("surrogate", slv._phat_edge_mass(dof) - S[m:, m:])]
 
 
 def _b11(mesh, k):
-    """The stage-two block ``B11`` and its trace order."""
+    """The stage-two block ``B11`` as CSC."""
     bs = _stage_systems(mesh, k)[1]
-    (_, B11, perm), _ = _factor_blocks(slv.condense(bs))
-    return B11, perm
+    return _factor_blocks(slv.condense(bs))[0][1].tocsc()
+
+
+def _fill(A: sp.csc_matrix) -> int:
+    return slv._factorize(A)[0].nnz
 
 
 class TestTraceFactorization:
@@ -616,50 +610,44 @@ class TestTraceFactorization:
     @pytest.mark.parametrize("kind", MESHES)
     def test_order_is_permutation_of_each_stage(self, kind):
         mesh = self.MESHES[kind]()
-        # the order differs from the edge numbering, so that the
-        # permutation checks below are not vacuous
+        # the order differs from the edge numbering, so that the check
+        # below is not vacuous
         assert np.any(mesh.edge_order != np.arange(mesh.num_edges))
+        # each stage's trace dofs, listed edge by edge in edge_order,
+        # field by field, count up from 0: the numbering is that order
         for bs in _stage_systems(mesh, 2):
-            dof = bs.dof
-            orders = [dof.trace_order(name) for name in dof.trace_fields]
-            assert np.array_equal(np.sort(np.concatenate(orders)),
-                                  np.arange(dof.n_trace))
-            for name, order in zip(dof.trace_fields, orders):
-                f = dof.trace_fields[name]
-                assert order.min() == f.offset
-                assert order.max() == f.offset + len(order) - 1
+            dofs = [f.dofs(mesh.edge_order)
+                    for f in bs.dof.trace_fields.values()]
+            listed = np.concatenate([d[d >= 0] for d in dofs])
+            assert np.array_equal(listed, np.arange(bs.dof.n_trace))
 
     @pytest.mark.parametrize("kind", MESHES)
     def test_solve_matches_default_splu(self, kind):
         mesh = self.MESHES[kind]()
         rng = np.random.default_rng(3)
         for bs in _stage_systems(mesh, 2):
-            for name, A, perm in _factor_blocks(slv.condense(bs)):
+            for name, A in _factor_blocks(slv.condense(bs)):
                 b = rng.standard_normal(A.shape[0])
                 ref = spla.splu(A.tocsc()).solve(b)
-                got = slv._factorize(A[perm][:, perm].tocsc(), perm).solve(b)
+                got = slv._factorize(A.tocsc())[0].solve(b)
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), \
                     (bs.stage, name)
 
     def test_b11_fill_below_colamd(self):
-        B11, perm = _b11(generate_structured("triangle", 16), 3)
-        lu = spla.splu(B11.tocsc())
-        assert slv._factorize(B11[perm][:, perm].tocsc(), perm).fill < lu.nnz
+        B11 = _b11(generate_structured("triangle", 16), 3)
+        assert _fill(B11) < spla.splu(B11).nnz
 
     def test_b11_fill_below_mmd(self):
         # also below SuperLU's minimum degree order of A + A^T, unpivoted
         for kind, k in [("triangle", 3), ("quadrilateral", 2)]:
-            B11, perm = _b11(generate_structured(kind, 16), k)
-            lu = spla.splu(B11.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            B11 = _b11(generate_structured(kind, 16), k)
+            lu = spla.splu(B11, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
-            fill = slv._factorize(B11[perm][:, perm].tocsc(), perm).fill
-            assert fill < lu.nnz, kind
+            assert _fill(B11) < lu.nnz, kind
         # and the same, to 0.1%, for three numberings of one mesh
-        blocks = [_b11(Mesh(*renumbered_grid("triangle", 16, seed)), 3)
-                  for seed in range(3)]
-        fills = [slv._factorize(B11[perm][:, perm].tocsc(), perm).fill
-                 for B11, perm in blocks]
+        fills = [_fill(_b11(Mesh(*renumbered_grid("triangle", 16, seed)), 3))
+                 for seed in range(3)]
         assert max(fills) - min(fills) <= 1e-3 * min(fills)
 
     def test_singular_b11_names_stage_and_block(self):
@@ -756,12 +744,12 @@ class TestTraceFactorization:
         assert len(poisson_S) == 4
         assert all(np.array_equal(poisson_S[0], S) for S in poisson_S[2:])
         # the operator and its factor do not outlive the mesh (a SuperLU
-        # object takes no weak reference; the factor's own permutation
-        # stands for it)
-        lu = weakref.ref(mesh.kept["poisson", 1, "factor"].perm)
+        # object takes no weak reference: the mesh holds it once)
+        lu = mesh.kept["poisson", 1, "factor"][0]
+        held = sys.getrefcount(lu)
         del mesh, fields
         gc.collect()
-        assert lu() is None
+        assert sys.getrefcount(lu) == held - 1
 
     def test_stage_two_condenses_into_its_blocks(self, monkeypatch):
         # condense sums stage two straight into the blocks the solve
@@ -912,3 +900,20 @@ class TestMeshCache:
             for rep in reports[1:]:
                 assert np.allclose(rep.residual_history,
                                    reports[0].residual_history, rtol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["triangle", "quadrilateral"])
+    def test_stage_one_does_not_depend_on_numbering(self, kind):
+        # the trace dofs follow the mesh's geometric edge order, so at k=1
+        # (one constant per edge) renumbering the vertices and elements
+        # moves no bit of stage one's trace system or its solution; at
+        # k >= 2 each edge's monomials in s still run by vertex id
+        digests = set()
+        for seed in (1, 2, 3):
+            mesh = Mesh(*renumbered_grid(kind, 6, seed))
+            bs = asm.assemble_step1(mesh, SpaceConfig(1),
+                                    lambda x, y: 1.0 + x * y)
+            cond = slv.condense(bs)
+            x2, _ = slv.solve_spd(cond)
+            digests.add(b"".join(a.tobytes() for a in (
+                cond.S.data, cond.S.indices, cond.S.indptr, cond.rhs, x2)))
+        assert len(digests) == 1
