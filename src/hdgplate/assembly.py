@@ -71,6 +71,9 @@ class PlateMaterial:
             raise ValueError("kappa must be positive and finite")
         if not 0 < self.t <= 1:
             raise ValueError("t must lie in (0, 1]")
+        if self.t ** 2 == 0 or not math.isfinite(self.lam / self.t ** 2):
+            raise ValueError(f"t={self.t!r} is too small: lam / t^2 is not "
+                             "a finite float")
 
     @property
     def lam(self) -> float:
@@ -108,9 +111,11 @@ def stabilization(h, material: PlateMaterial):
     return 1.0 / h, 1.0 / h, h + material.t ** 2 / h
 
 
-# Symmetric 2x2 tensors are stored as (11, 22, 12); the Frobenius inner
-# product carries weight 2 on the off-diagonal slot.
-_FROBENIUS_W = np.array([1.0, 1.0, 2.0])
+# The L2 weight of each component per value rank, which has as many
+# components as weights.  Symmetric 2x2 tensors are stored as (11, 22, 12);
+# the Frobenius inner product carries weight 2 on the off-diagonal slot.
+_COMPONENT_WEIGHTS = {"scalar": (1.0,), "vector2": (1.0, 1.0),
+                      "symtensor2x2": (1.0, 1.0, 2.0)}
 
 
 def _constitutive_matrix(material: PlateMaterial) -> np.ndarray:
@@ -123,7 +128,8 @@ def _constitutive_matrix(material: PlateMaterial) -> np.ndarray:
 
 def constitutive_inverse_matrix(material: PlateMaterial) -> np.ndarray:
     """Matrix K with K[a,b] = (Cinv E_a) : E_b on unit component tensors."""
-    return np.linalg.inv(_constitutive_matrix(material)) * _FROBENIUS_W[None, :]
+    return (np.linalg.inv(_constitutive_matrix(material))
+            * _COMPONENT_WEIGHTS["symtensor2x2"])
 
 
 def _ip(w, rows, cols):
@@ -132,10 +138,6 @@ def _ip(w, rows, cols):
 
 # ----------------------------------------------------------------------
 # discrete fields
-
-
-# components of each value rank
-_NCOMP = {"scalar": 1, "vector2": 2, "symtensor2x2": 3}
 
 
 @dataclass
@@ -152,9 +154,9 @@ class DiscreteField:
     coeffs: np.ndarray  # (num_elements, ncomp * nscalar)
 
     def __post_init__(self):
-        self.ncomp = _NCOMP.get(self.rank)
-        if self.ncomp is None:
+        if self.rank not in _COMPONENT_WEIGHTS:
             raise ValueError(f"unknown value rank {self.rank!r}")
+        self.ncomp = len(_COMPONENT_WEIGHTS[self.rank])
         self.nscalar = fs.space_dim(self.degree)
         if self.coeffs.shape != (self.mesh.num_elements, self.ncomp * self.nscalar):
             raise ValueError("coefficient array has the wrong shape")
@@ -269,7 +271,7 @@ class StageDofMap:
         off = 0
         for name, degree, rank in interior_fields:
             self.interior_fields[name] = (off, degree, rank)
-            off += _NCOMP[rank] * fs.space_dim(degree)
+            off += len(_COMPONENT_WEIGHTS[rank]) * fs.space_dim(degree)
         self.n_interior_per_element = off
         self.n_interior = off * mesh.num_elements
 
@@ -291,7 +293,7 @@ class StageDofMap:
         off, degree, rank = self.interior_fields[name]
         n = fs.space_dim(degree)
         return [slice(off + c * n, off + (c + 1) * n)
-                for c in range(_NCOMP[rank])]
+                for c in range(len(_COMPONENT_WEIGHTS[rank]))]
 
     def interior_slice(self, name: str) -> slice:
         comps = self.components(name)
@@ -656,4 +658,4 @@ def shift_pressure_to_zero_mean(bs: BlockSystem, x1: np.ndarray,
     tf_p = dof.trace_fields["p_hat"]
     shift = dof.field("p", x1).mean()
     x1[:, dof.interior_slice("p").start] -= shift
-    x2[tf_p.offset + np.arange(dof.mesh.num_edges) * tf_p.per_edge] -= shift
+    x2[tf_p.dofs(np.arange(dof.mesh.num_edges))[:, 0]] -= shift

@@ -105,7 +105,6 @@ class Mesh:
                             for nv in np.unique(sizes))
         self._element_geometry()
         self._number_edges()
-        self.h = float(self.diameter.max())
 
         short = (self.edge_length[self.loop_edges]
                  < C_REG * self.diameter[owner])

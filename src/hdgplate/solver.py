@@ -106,13 +106,12 @@ class SolveReport:
 
 class SaddleBlocks(NamedTuple):
     """Stage two's condensed ``[[B11, B12], [B12^T, B22c]]`` as the blocks
-    the saddle solve reads: ``B11`` CSC for its factorization, ``B12``
-    and ``B22c`` CSR; their data are views of one buffer, and
-    ``nnz`` counts the whole matrix's, ``B12^T``'s included."""
+    the saddle solve reads, all CSC; their data are views of one buffer,
+    and ``nnz`` counts the whole matrix's, ``B12^T``'s included."""
 
     B11: sp.csc_matrix
-    B12: sp.csr_matrix
-    B22c: sp.csr_matrix
+    B12: sp.csc_matrix
+    B22c: sp.csc_matrix
 
     @property
     def nnz(self) -> int:
@@ -121,12 +120,12 @@ class SaddleBlocks(NamedTuple):
 
 @dataclass
 class CondensedSystem:
-    """Schur complement trace system (``S`` is :class:`SaddleBlocks` at
-    stage two); ``local`` keeps, per element group, ``(Y_A, Y_b, minv)``
-    for back-substitution (see :func:`_eliminate`)."""
+    """Schur complement trace system: ``S`` in CSC, or stage two's
+    :class:`SaddleBlocks`; ``local`` keeps, per element group, ``(Y_A,
+    Y_b, minv)`` for back-substitution (see :func:`_eliminate`)."""
 
     system: BlockSystem
-    S: sp.csr_matrix | SaddleBlocks
+    S: sp.csc_matrix | SaddleBlocks
     rhs: np.ndarray
     local: list
 
@@ -252,22 +251,24 @@ def _build_pattern(bs: BlockSystem) -> dict:
         col = S[row.ravel(), col.ravel()].reshape(row.shape) - S.indptr[row]
         pos = pos.reshape(*dof.shape, dof.shape[1])
         np.add(col[np.arange(len(dof))[:, None], edge],
-               S.indptr[dof][..., None], out=pos)
+               S.indptr[dof][..., None], out=pos.transpose(0, 2, 1))
         pos[~(ok[:, :, None] & ok[:, None, :])] = S.nnz
-    blocks = [("csr", S)]
-    if "p_hat" in bs.dof.trace_fields:  # B12^T goes to the dropped slot
-        m = bs.dof.trace_fields["p_hat"].offset
-        blocks = [("csc", S[:m, :m].tocsc()), ("csr", S[:m, m:]),
-                  ("csr", S[m:, m:])]
-    taken = np.concatenate([b.data for _, b in blocks])
+    # S is symmetric in pattern, so its CSR arrays are its CSC arrays, and
+    # the transposed places above are each local entry's own CSC place
+    S = sp.csc_array((S.data, S.indices, S.indptr), S.shape)
+    bounds = [f.offset for f in bs.dof.trace_fields.values()] + [n]
+    fields = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    # each field against itself and every later one: B12^T is dropped
+    blocks = [S[r, c] for i, r in enumerate(fields) for c in fields[i:]]
+    taken = np.concatenate([b.data for b in blocks])
     target = np.full(S.nnz + 1, len(taken), S.dtype)
     target[taken] = np.arange(len(taken))
-    return {"blocks": [(fmt, b.shape, b.indices, b.indptr)
-                       for fmt, b in blocks], "position": target[position]}
+    return {"blocks": [(b.shape, b.indices, b.indptr) for b in blocks],
+            "position": target[position]}
 
 
 def _pattern(bs: BlockSystem) -> dict:
-    """The ``(format, shape, indices, indptr)`` of ``S``, or of stage two's
+    """The CSC ``(shape, indices, indptr)`` of ``S``, or of stage two's
     :class:`SaddleBlocks`, kept on the mesh per trace layout with each
     local block entry's ``position`` (int32 while it fits) in their data
     laid end to end, one past it for eliminated dofs and ``B12^T``.  Built
@@ -280,15 +281,14 @@ def _pattern(bs: BlockSystem) -> dict:
 
 def _scatter(pattern: dict, blocks: np.ndarray):
     """``S`` or :class:`SaddleBlocks` from one ``np.add.at`` of the blocks."""
-    ends = np.cumsum([len(indices) for _, _, indices, _ in pattern["blocks"]])
+    ends = np.cumsum([len(indices) for _, indices, _ in pattern["blocks"]])
     data = np.zeros(ends[-1] + 1)
     np.add.at(data, pattern["position"], blocks)
-    views = np.split(data, ends)
-    mats = [(sp.csc_matrix if fmt == "csc" else sp.csr_matrix)(
-        (d, indices, indptr), shape) for d, (fmt, shape, indices, indptr)
-        in zip(views, pattern["blocks"])]
-    for mat, d in zip(mats, views):
-        mat.data = d  # scipy copies a view of less than half its buffer
+    mats = []
+    for d, (shape, indices, indptr) in zip(np.split(data, ends),
+                                           pattern["blocks"]):
+        mats.append(sp.csc_matrix((d, indices, indptr), shape))
+        mats[-1].data = d  # scipy copies a view of less than half its buffer
     return mats[0] if len(mats) == 1 else SaddleBlocks(*mats)
 
 
@@ -460,8 +460,7 @@ def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
     S, bs = cond.S, cond.system
     key = (*bs.kept_as, "factor")
     fresh = key not in bs.dof.mesh.kept
-    lu, seconds = bs.dof.mesh.keep(key, lambda: _factorize(
-        S.tocsc(), bs.stage, "S"))
+    lu, seconds = bs.dof.mesh.keep(key, lambda: _factorize(S, bs.stage, "S"))
     x, report = _pcg(lambda v: S @ v, cond.rhs, lu.solve, config.tol,
                      config.max_iter, factor_fill=lu.nnz if fresh else 0,
                      factor_time=seconds if fresh else 0.0)
@@ -469,14 +468,14 @@ def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
     return x, report
 
 
-def _phat_edge_mass(dof) -> sp.csr_matrix:
+def _phat_edge_mass(dof) -> sp.csc_matrix:
     """Edge mass matrix of the pressure trace space (analytic, per edge):
     the edge length times the Gram matrix of 1, s, ..., s^(k-1) on [0, 1]."""
     tf = dof.trace_fields["p_hat"]
     k, length = tf.per_edge, np.empty(dof.mesh.num_edges)
     length[tf.edge_rank] = dof.mesh.edge_length
     H = 1.0 / (np.add.outer(np.arange(k), np.arange(k)) + 1.0)
-    return sp.kron(sp.diags(length), H, format="csr")
+    return sp.kron(sp.diags(length), H, format="csc")
 
 
 def solve_saddle_trace(cond: CondensedSystem,
@@ -488,7 +487,8 @@ def solve_saddle_trace(cond: CondensedSystem,
     constant pressure trace as kernel, which is deflated once checked to
     be a null vector of ``cond.S``); the rotation-trace block is inverted
     per application, factored from ``cond.S.B11`` as it comes.  Returns
-    (theta_hat, p_hat, report), with the outer CG's iteration count.
+    (x2, report) like :func:`solve_spd`, ``x2`` the rotation trace then
+    the pressure trace, with the outer CG's iteration count.
     """
     t0 = time.perf_counter()
     dof, stage = cond.system.dof, cond.system.stage
@@ -498,7 +498,7 @@ def solve_saddle_trace(cond: CondensedSystem,
     B11, B12, B22c = cond.S
     # the pressure is fixed only up to a constant: the constant trace
     kernel = np.zeros(B12.shape[1])
-    kernel[np.arange(dof.mesh.num_edges) * tf_p.per_edge] = 1.0
+    kernel[tf_p.dofs(np.arange(dof.mesh.num_edges))[:, 0] - m] = 1.0
     kernel /= np.linalg.norm(kernel)
     deflated = _kernel_is_valid(cond.S, kernel)
     project = _deflation_projector(kernel) if deflated else lambda v: v
@@ -521,25 +521,21 @@ def solve_saddle_trace(cond: CondensedSystem,
     probe = project(np.random.default_rng(0).standard_normal(B12.shape[1]))
     coupled = _dot(probe, B12.T @ inner.solve(B12 @ probe))
     rho = max(coupled / _dot(probe, W @ probe), 0.0)
-    surrogate, surrogate_s = _factorize((rho * W - B22c).tocsc(), stage,
-                                        "surrogate")
+    surrogate, surrogate_s = _factorize(rho * W - B22c, stage, "surrogate")
 
     p_hat, report = _pcg(apply_outer, rhs, surrogate.solve, config.tol,
                          config.max_iter, project, deflated=deflated,
                          kernel_rejected=not deflated,
                          factor_fill=inner.nnz + surrogate.nnz,
                          factor_time=inner_s + surrogate_s)
-    theta_hat = inner.solve(c1 - B12 @ p_hat)
+    x2 = np.concatenate([inner.solve(c1 - B12 @ p_hat), p_hat])
     report.wall_time = time.perf_counter() - t0
-    return theta_hat, p_hat, report
+    return x2, report
 
 
 def solve_stage(bs: BlockSystem, config: SolverConfig = SolverConfig()):
     """Condense, solve the trace system and back-substitute one stage."""
     cond = condense(bs)
-    if bs.stage == "step2":
-        theta_hat, p_hat, report = solve_saddle_trace(cond, config)
-        x2 = np.concatenate([theta_hat, p_hat])
-    else:
-        x2, report = solve_spd(cond, config)
+    solve = solve_saddle_trace if bs.stage == "step2" else solve_spd
+    x2, report = solve(cond, config)
     return back_substitute(cond, x2), x2, report

@@ -259,9 +259,6 @@ def exact_fields(material: PlateMaterial = PlateMaterial()) -> ExactSolution:
 # 12, so squared errors of fields up to degree 13 integrate exactly.
 ERROR_DEGREE = 26
 
-_COMPONENT_WEIGHTS = {"scalar": (1.0,), "vector2": (1.0, 1.0),
-                      "symtensor2x2": (1.0, 1.0, 2.0)}
-
 
 # Points per error chunk: its rule, exact and discrete values and bases
 # stay cache-sized, and nothing outlives the chunk
@@ -293,7 +290,7 @@ def _squared_errors(flds, exact, quad_degree: int) -> np.ndarray:
                     batch.ids[part], basis[:, :fs.space_dim(fld.degree)]
                 ).transpose(1, 0, 2)
                 acc[slot] += np.einsum("ceq,ceq,eq->c", diff, diff, w) @ \
-                    _COMPONENT_WEIGHTS[fld.rank]
+                    asm._COMPONENT_WEIGHTS[fld.rank]
     return acc
 
 
@@ -312,7 +309,11 @@ def solve_plate(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
                 exact: ExactSolution,
                 config: slv.SolverConfig = slv.SolverConfig()) -> SolutionFields:
     """Run the four solution stages on one mesh and collect all fields;
-    the load ``g`` and body force ``f`` are those of ``exact``."""
+    the load ``g`` and body force ``f`` are those of ``exact``, so
+    ``material`` must be ``exact.material``."""
+    if material != exact.material:
+        raise ValueError(f"material {material} is not the exact solution's "
+                         f"{exact.material}")
     g, f = exact.g[0], exact.f
 
     bs1 = asm.assemble_step1(mesh, spaces, g)

@@ -137,7 +137,7 @@ def table_errors_longdouble(fields, exact, quad_degree=vf.ERROR_DEGREE):
             coeffs = fld.coeffs[batch.ids].reshape(-1, fld.ncomp, fld.nscalar)
             vals = np.einsum("enq,ecn->ecq", basis,
                              coeffs.astype(np.longdouble))
-            weights = vf._COMPONENT_WEIGHTS[fld.rank]
+            weights = asm._COMPONENT_WEIGHTS[fld.rank]
             for c, (poly, wc) in enumerate(zip(ex.components, weights)):
                 diff = eval_longdouble(poly, pts[..., 0], pts[..., 1]) \
                     - vals[:, c, :]
@@ -352,14 +352,14 @@ def monolithic_dense(bs) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def saddle_matrix(cond) -> sp.csr_matrix:
-    """The condensed matrix of ``cond`` as one CSR matrix: a Poisson
+def saddle_matrix(cond) -> sp.csc_matrix:
+    """The condensed matrix of ``cond`` as one CSC matrix: a Poisson
     stage's ``S`` as it is, and stage two's rebuilt from its
     ``SaddleBlocks``, ``B12^T`` below the diagonal."""
     if not isinstance(cond.S, slv.SaddleBlocks):
         return cond.S
     B11, B12, B22c = cond.S
-    return sp.bmat([[B11, B12], [B12.T, B22c]], format="csr")
+    return sp.bmat([[B11, B12], [B12.T, B22c]], format="csc")
 
 
 def pressure_kernel(dof) -> np.ndarray:
@@ -384,7 +384,7 @@ def solve_saddle_direct(cond) -> np.ndarray:
         z = sp.csr_matrix(kernel.reshape(-1, 1))
         A = sp.bmat([[S, z], [z.T, None]], format="csc")
         return spla.splu(A).solve(np.concatenate([b, [0.0]]))[:-1]
-    return spla.splu(S.tocsc()).solve(b)
+    return spla.splu(S).solve(b)
 
 
 def _coo_block(idx: np.ndarray, local: np.ndarray):

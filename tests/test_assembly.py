@@ -29,6 +29,12 @@ class TestMaterial:
         with pytest.raises(ValueError):
             PlateMaterial(**bad)
 
+    @pytest.mark.parametrize("t", [1e-155, 1e-170])
+    def test_rejects_t_the_solver_cannot_use(self, t):
+        # lam / t^2 overflows at 1e-155; t^2 underflows to 0 at 1e-170
+        with pytest.raises(ValueError, match=f"^t={t!r} is too small"):
+            PlateMaterial(t=t)
+
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("name", ["E", "kappa"])
     def test_rejects_non_finite_modulus(self, name, value):
@@ -86,7 +92,7 @@ class TestConstitutive:
         # K without the Frobenius weights of its columns inverts C
         rng = np.random.default_rng(0)
         taus = rng.standard_normal((20, 3))
-        cinv = self.K / asm._FROBENIUS_W[None, :]
+        cinv = self.K / asm._COMPONENT_WEIGHTS["symtensor2x2"]
         back = taus @ asm._constitutive_matrix(self.mat).T @ cinv.T
         assert np.abs(back - taus).max() <= 1e-13 * np.abs(taus).max()
 

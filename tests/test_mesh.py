@@ -75,7 +75,8 @@ class TestGenerators:
         for n in (1, 2, 4, 8):
             coarse = generate_structured(kind, n)
             fine = generate_structured(kind, 2 * n)
-            assert fine.h == coarse.h / 2  # bitwise for dyadic meshes
+            # bitwise for dyadic meshes
+            assert fine.diameter.max() == coarse.diameter.max() / 2
 
 
 class TestGeometry:
@@ -197,7 +198,6 @@ class TestArrays:
             got = getattr(mesh, name)
             assert got.shape == want.shape, name
             assert np.array_equal(got, want), name
-        assert mesh.h == max(mesh.diameter)
 
     def test_groups_and_batches_slice_the_arrays(self):
         mesh = Mesh(MIXED_POINTS, MIXED_LOOPS)

@@ -71,12 +71,11 @@ def toy_saddle_system(B11, Mp, rhs):
     """Condensed stage-two system [[B11, 0], [0, -Mp]] on a stand-in mesh
     of unit-length edges, one pressure dof each, numbered as the edges."""
     m, n = len(B11), len(Mp)
-    S = slv.SaddleBlocks(sp.csc_matrix(B11), sp.csr_matrix((m, n)),
-                         sp.csr_matrix(-Mp))
+    S = slv.SaddleBlocks(sp.csc_matrix(B11), sp.csc_matrix((m, n)),
+                         sp.csc_matrix(-Mp))
     dof = SimpleNamespace(
-        trace_fields={"p_hat": SimpleNamespace(offset=m, per_edge=1,
-                                               dirichlet=False,
-                                               edge_rank=np.arange(n))},
+        trace_fields={"p_hat": asm.TraceField("p_hat", m, 1, False,
+                                              np.arange(n))},
         mesh=stand_in_mesh(num_edges=n, edge_length=np.ones(n)),
         n_trace=m + n, n_interior=0)
     bs = SimpleNamespace(dof=dof, stage="step2")
@@ -252,15 +251,16 @@ class TestBatchedCondensation:
                                         ("renumbered", 1)])
     def test_condensed_matrix_is_the_coo_sum(self, kind, k):
         # every entry sums at most two local entries, so the kept pattern
-        # gives the COO-to-CSR sum bit for bit: S, or each of stage two's
+        # gives the COO sum bit for bit, in CSC: S, or each of stage two's
         # blocks as the same slice of it; it also keeps the entries that
         # cancel exactly (on axis-aligned edges, say), and only those
         for bs in _stage_systems(self.MESHES[kind](), k):
             S, ref = slv.condense(bs).S, condensed_matrix(bs)
-            mats, refs = [S], [ref]
+            mats, refs = [S], [ref.tocsc()]
             if bs.stage == "step2":
                 m = bs.dof.trace_fields["p_hat"].offset
-                mats, refs = S, (ref[:m, :m].tocsc(), ref[:m, m:], ref[m:, m:])
+                mats, refs = S, [B.tocsc() for B in (
+                    ref[:m, :m], ref[:m, m:], ref[m:, m:])]
             for got, want in zip(mats, refs, strict=True):
                 assert got.has_canonical_format, bs.stage
                 assert got.format == want.format, bs.stage
@@ -274,6 +274,29 @@ class TestBatchedCondensation:
                 for name in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(nonzero, name),
                                           getattr(want, name)), name
+
+    @pytest.mark.parametrize("kind,k", [("mixed", 2), ("quad", 2)])
+    def test_blocks_are_built_in_the_format_superlu_factors(
+            self, kind, k, monkeypatch):
+        # every condensed block comes out canonical CSC, and the Poisson S
+        # and B11 go to the factorization as they come, never converted
+        factorize, received = slv._factorize, []
+
+        def record(A, *args):
+            received.append(A)
+            return factorize(A, *args)
+        monkeypatch.setattr(slv, "_factorize", record)
+        conds = [slv.condense(bs)
+                 for bs in _stage_systems(self.MESHES[kind](), k)]
+        for cond in conds:
+            S = cond.S
+            for B in S if isinstance(S, slv.SaddleBlocks) else [S]:
+                assert B.format == "csc", cond.system.stage
+                assert B.has_canonical_format, cond.system.stage
+        slv.solve_spd(conds[0])
+        slv.solve_saddle_trace(conds[1])
+        assert received[0] is conds[0].S
+        assert received[1] is conds[1].S.B11
 
     def test_factor_inputs_are_the_reordered_blocks(self, monkeypatch):
         # SuperLU gets S, B11 and the surrogate without zeros, exactly as
@@ -517,9 +540,9 @@ class TestSaddle:
         bs, _ = self._stage2()
         cond = slv.condense(bs)
         m = bs.dof.trace_fields["p_hat"].offset
-        _, p_hat, report = slv.solve_saddle_trace(cond)
+        x2, report = slv.solve_saddle_trace(cond)
         assert report.deflated and not report.kernel_rejected
-        z = pressure_kernel(bs.dof)[m:]
+        p_hat, z = x2[m:], pressure_kernel(bs.dof)[m:]
         assert abs(p_hat @ z) <= 1e-12 * np.linalg.norm(p_hat) * np.linalg.norm(z)
 
     def test_corrupt_kernel_is_rejected(self):
@@ -531,7 +554,7 @@ class TestSaddle:
         B22c = cond.S.B22c
         assert B22c.indices[0] == 0  # data[0] is the entry (0, 0)
         B22c.data[0] -= abs(B22c.data[0])
-        _, _, report = slv.solve_saddle_trace(cond)
+        _, report = slv.solve_saddle_trace(cond)
         assert report.kernel_rejected and not report.deflated
         assert report.converged
 
@@ -552,7 +575,8 @@ class TestSaddle:
         Mp = np.diag(np.linspace(0.5, 2.0, 5))
         rhs = np.concatenate([np.zeros(6), rng.standard_normal(5)])
         cond = toy_saddle_system(B11, Mp, rhs)
-        th, ph, report = slv.solve_saddle_trace(cond)
+        x2, report = slv.solve_saddle_trace(cond)
+        th, ph = x2[:6], x2[6:]
         assert report.stop_reason == "converged" and report.iterations == 1
         assert not report.deflated and report.kernel_rejected
         assert np.allclose(Mp @ ph, -rhs[6:], rtol=1e-12, atol=1e-14)
@@ -560,8 +584,8 @@ class TestSaddle:
 
     def test_iteration_budget_reports_max_iter(self):
         bs, _ = self._stage2(n=4)
-        _, _, report = slv.solve_saddle_trace(slv.condense(bs),
-                                              slv.SolverConfig(max_iter=1))
+        _, report = slv.solve_saddle_trace(slv.condense(bs),
+                                           slv.SolverConfig(max_iter=1))
         assert report.stop_reason == "max_iter" and not report.converged
         assert report.iterations == 1
 
@@ -575,8 +599,7 @@ class TestSaddle:
         bs, mesh = self._stage2(t=0.01)
         cond = slv.condense(bs)
         x_direct = solve_saddle_direct(cond)
-        th, ph, _ = slv.solve_saddle_trace(cond)
-        x_cg = np.concatenate([th, ph])
+        x_cg, _ = slv.solve_saddle_trace(cond)
         z = pressure_kernel(bs.dof)
         x_direct = x_direct - (x_direct @ z) * z  # same kernel gauge
         assert np.abs(x_cg - x_direct).max() <= 1e-8 * np.abs(x_direct).max()
@@ -593,9 +616,9 @@ def _factor_blocks(cond):
 
 
 def _b11(mesh, k):
-    """The stage-two block ``B11`` as CSC."""
+    """The stage-two block ``B11`` (CSC)."""
     bs = _stage_systems(mesh, k)[1]
-    return _factor_blocks(slv.condense(bs))[0][1].tocsc()
+    return _factor_blocks(slv.condense(bs))[0][1]
 
 
 def _fill(A: sp.csc_matrix) -> int:
@@ -628,8 +651,8 @@ class TestTraceFactorization:
         for bs in _stage_systems(mesh, 2):
             for name, A in _factor_blocks(slv.condense(bs)):
                 b = rng.standard_normal(A.shape[0])
-                ref = spla.splu(A.tocsc()).solve(b)
-                got = slv._factorize(A.tocsc())[0].solve(b)
+                ref = spla.splu(A).solve(b)
+                got = slv._factorize(A)[0].solve(b)
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), \
                     (bs.stage, name)
 
@@ -760,7 +783,7 @@ class TestTraceFactorization:
         cond = slv.condense(bs)
         assert isinstance(cond.S, slv.SaddleBlocks)
         B11, B12, B22c = cond.S
-        assert (B11.format, B12.format, B22c.format) == ("csc", "csr", "csr")
+        assert (B11.format, B12.format, B22c.format) == ("csc", "csc", "csc")
         buffer = B11.data.base
         assert buffer.size == B11.nnz + B12.nnz + B22c.nnz + 1
         assert all(B.data.base is buffer for B in cond.S)
@@ -861,7 +884,7 @@ class TestMeshCache:
         assert mesh.kept["pattern", ((6, True), (2, False))] is built[1]
         for S in (first, second):
             for B, block in zip(S, built[1]["blocks"], strict=True):
-                assert np.shares_memory(B.indices, block[2])
+                assert np.shares_memory(B.indices, block[1])
         assert first is not second
 
     def test_stage_two_condense_transient(self):

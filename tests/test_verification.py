@@ -374,6 +374,24 @@ class TestPipeline:
             DiscreteField(self.mesh, 1, "vector2", np.zeros((3, 3)))
 
 
+class TestMaterialCheck:
+    def test_material_must_be_the_exact_solutions(self):
+        # the loads are built for one t and the operator for the other:
+        # every stage converged, to err_omega 3.4e-2 against 3.3e-4
+        with pytest.raises(ValueError, match=r"t=1e-06\).*t=1\)$"):
+            vf.solve_plate(generate_structured("triangle", 8), SpaceConfig(1),
+                           PlateMaterial(t=1e-6),
+                           vf.exact_fields(PlateMaterial(t=1)))
+
+    def test_tiny_t_still_solves(self):
+        mat = PlateMaterial(t=1e-100)
+        exact = vf.exact_fields(mat)
+        fields = vf.solve_plate(generate_structured("triangle", 8),
+                                SpaceConfig(1), mat, exact)
+        assert all(rep.converged for rep in fields.reports.values())
+        assert np.all(np.isfinite(vf.table_errors(fields, exact)))
+
+
 class TestReducedTraceDegree:
     def test_l_equals_k_minus_1_still_converges(self):
         table = vf.run_convergence(PlateMaterial(t=0.1), "tri",
