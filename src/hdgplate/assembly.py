@@ -88,7 +88,8 @@ class SpaceConfig:
     l: int = -1
 
     def __post_init__(self):
-        if not all(isinstance(d, numbers.Integral) for d in (self.k, self.l)):
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool)
+                   for d in (self.k, self.l)):
             raise ValueError(f"k={self.k!r} and l={self.l!r} must be integers")
         if self.k < 1:
             raise ValueError("k must be >= 1")

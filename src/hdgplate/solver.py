@@ -19,8 +19,10 @@ DOFs, the mesh's nested-dissection edge order.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -75,7 +77,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if not isinstance(self.max_iter, numbers.Integral):
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, numbers.Integral)):
             raise ValueError(f"max_iter={self.max_iter!r} must be an integer")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
@@ -98,6 +101,8 @@ class SolveReport:
     # factorizations it made
     factor_fill: int = 0
     factor_time: float = 0.0
+    # the process's peak resident set when the stage's trace solve returned
+    peak_rss_mb: float = 0.0
 
     @property
     def converged(self) -> bool:
@@ -415,6 +420,25 @@ def _pcg(apply_op: Callable, b: np.ndarray, precond: Callable,
                           precond_residual_history=rz_history, **fields)
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far (``ru_maxrss``), in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _find_malloc_trim() -> Callable[[], None]:
+    """glibc's ``malloc_trim(0)``, which hands the freed heap back to the
+    OS; a no-op where the C library has none (musl, macOS, Windows)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda: None
+    trim.argtypes = [ctypes.c_size_t]
+    return lambda: trim(0)
+
+
+_trim_heap = _find_malloc_trim()
+
+
 def _factorize(A: sp.csc_matrix, stage: str = "",
                block: str = "") -> tuple[spla.SuperLU, float]:
     """Sparse LU of an SPD block ``A`` and its wall time in seconds.
@@ -423,8 +447,11 @@ def _factorize(A: sp.csc_matrix, stage: str = "",
     only, as a Cholesky factorization would; ``lu.nnz`` is its count of
     stored nonzeros (reading ``L`` or ``U`` would copy them).  A zero
     pivot raises :class:`SingularTraceBlockError` naming ``stage`` and
-    ``block``.
+    ``block``.  The factor sets the solve's peak memory, so the heap that
+    assembly and condensation freed goes back to the OS first, and the
+    factor does not land on top of it.
     """
+    _trim_heap()
     t0 = time.perf_counter()
     if not A.data.all():  # the kept pattern's exact zeros stay out
         A = A.copy()
@@ -538,4 +565,5 @@ def solve_stage(bs: BlockSystem, config: SolverConfig = SolverConfig()):
     cond = condense(bs)
     solve = solve_saddle_trace if bs.stage == "step2" else solve_spd
     x2, report = solve(cond, config)
+    report.peak_rss_mb = _peak_rss_mb()
     return back_substitute(cond, x2), x2, report

@@ -12,7 +12,6 @@ any closed-form shortcut; its validity is certified by that residual.
 from __future__ import annotations
 
 import csv
-import resource
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -448,7 +447,6 @@ def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
             n, fields.reports["step2"].iterations,
             *table_errors(fields, exact),
             wall_time=time.perf_counter() - t0,
-            peak_rss_mb=resource.getrusage(
-                resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            peak_rss_mb=slv._peak_rss_mb(),
             reports=fields.reports))
     return table

@@ -124,6 +124,14 @@ class TestSpaceConfig:
             with pytest.raises(ValueError, match="must be integers"):
                 SpaceConfig(k, l)
 
+    # a bool is an Integral, but SpaceConfig(True) would write True into
+    # the CSV's k column
+    @pytest.mark.parametrize("k, l, name", [(True, -1, "k=True"),
+                                            (2, True, "l=True")])
+    def test_rejects_bool_degrees(self, k, l, name):
+        with pytest.raises(ValueError, match=name):
+            SpaceConfig(k, l)
+
 
 class TestDofCounts:
     @staticmethod

@@ -106,6 +106,11 @@ class TestConvergenceCommand:
         assert "git_revision" in meta and "seed" not in meta
         rss = meta["peak_rss_mb"]
         assert len(rss) == 2 and rss[0] > 0 and rss[1] >= rss[0]
+        # each stage's peak_rss_mb, ru_maxrss when its trace solve returned
+        for level, level_rss in zip(meta["stages"], rss):
+            peaks = [level[stage]["peak_rss_mb"]
+                     for stage in ("step1", "step2", "step3")]
+            assert 0 < peaks[0] <= peaks[1] <= peaks[2] <= level_rss
 
     def test_revision_ignores_callers_repository(self, tmp_path,
                                                  monkeypatch):

@@ -88,6 +88,7 @@ class TestSolverConfig:
         ({"max_iter": -3}, "max_iter must be >= 1"),
         ({"tol": 0.0}, "tol must be positive"),
         ({"max_iter": 2.5}, "max_iter=2.5 must be an integer"),
+        ({"max_iter": True}, "max_iter=True must be an integer"),
         ({"tol": np.inf}, "tol must be positive and finite")])
     def test_rejects_impossible_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -835,6 +836,56 @@ class TestDeterminism:
 
 _FIELDS = ("L", "r", "sigma", "R", "theta", "p", "G", "omega", "gamma")
 _TRACES = ("r_hat", "theta_hat", "p_hat", "omega_hat")
+
+
+class TestHeapTrim:
+    """Every factorization first returns the freed heap to the OS
+    (``slv._trim_heap``, glibc's ``malloc_trim(0)``), which moves no bit."""
+
+    @staticmethod
+    def solve(mesh, t=0.1):
+        mat = PlateMaterial(t=t)
+        return vf.solve_plate(mesh, SpaceConfig(2), mat, vf.exact_fields(mat))
+
+    def test_one_trim_per_factorization(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(slv, "_trim_heap", lambda: calls.append(1))
+        mesh = generate_structured("triangle", 4)
+        self.solve(mesh)  # the Poisson S, B11 and the surrogate
+        assert len(calls) == 3
+        self.solve(mesh, t=1e-6)  # the Poisson factor is kept on the mesh
+        assert len(calls) == 3 + 2
+
+    def test_trim_changes_no_bit(self, monkeypatch):
+        trimmed = self.solve(generate_structured("quadrilateral", 4))
+        monkeypatch.setattr(slv, "_trim_heap", lambda: None)
+        plain = self.solve(generate_structured("quadrilateral", 4))
+        for name in _FIELDS:
+            assert np.array_equal(getattr(trimmed, name).coeffs,
+                                  getattr(plain, name).coeffs), name
+        for name in _TRACES:
+            assert np.array_equal(getattr(trimmed, name), getattr(plain, name))
+        for stage, rep in trimmed.reports.items():
+            other = plain.reports[stage]
+            for key in ("iterations", "residual", "stop_reason",
+                        "residual_history", "precond_residual_history",
+                        "factor_fill"):
+                assert getattr(rep, key) == getattr(other, key), (stage, key)
+
+    @pytest.mark.parametrize("missing", ["symbol", "library"])
+    def test_without_malloc_trim_the_trim_is_a_no_op(self, monkeypatch,
+                                                      missing):
+        # musl, macOS and Windows have no malloc_trim
+        def cdll(name):
+            if missing == "library":
+                raise OSError("no C library to load")
+            return SimpleNamespace()  # a C library without malloc_trim
+        monkeypatch.setattr(slv.ctypes, "CDLL", cdll)
+        trim = slv._find_malloc_trim()
+        assert trim() is None
+        monkeypatch.setattr(slv, "_trim_heap", trim)
+        fields = self.solve(generate_structured("triangle", 2))
+        assert all(rep.converged for rep in fields.reports.values())
 
 
 class TestMeshCache:
