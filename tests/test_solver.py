@@ -88,8 +88,8 @@ class TestSolverConfig:
         ({"max_iter": -3}, "max_iter must be >= 1"),
         ({"tol": 0.0}, "tol must be positive"),
         ({"max_iter": 2.5}, "max_iter=2.5 must be an integer"),
-        ({"max_iter": True}, "max_iter=True must be an integer"),
-        ({"tol": np.inf}, "tol must be positive and finite")])
+        ({"tol": np.inf}, "tol must be positive and finite"),
+        ({"max_iter": True}, "max_iter=True must be an integer")])
     def test_rejects_impossible_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             slv.SolverConfig(**kwargs)
