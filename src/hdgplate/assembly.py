@@ -25,10 +25,12 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from . import femspace as fs
 from .femspace import ElementBatch, element_batches
-from .mesh import Mesh
+from .mesh import Mesh, MeshTopologyError
 
 __all__ = [
     "PlateMaterial",
@@ -398,7 +400,7 @@ def _edge_projection_blocks(batch, local_edge, edge_degree, trace_deg, elem_deg)
     return C, E
 
 
-def _local_matrices(batch, k, trace_deg, degrees):
+def _local_matrices(batch, k, trace_deg):
     """Volume and edge matrices of one batch that every stage slices.
 
     Returns the P_{k-1} mass ``Mss``, ``EX``/``EY`` (rows: d/dx, d/dy of
@@ -410,6 +412,7 @@ def _local_matrices(batch, k, trace_deg, degrees):
     ``C[:, :k, :Ts]``, ``E[:, :k, :k]`` are the degree k-1 edge blocks
     against P_{k-1}.
     """
+    degrees = fs.quadrature_degrees(k)
     pts, w = batch.volume_rule(degrees["assembly_degree"])
     exps = fs.monomial_exponents(k)
     V = fs.scalar_vals(exps, batch.centroid, batch.h, pts)
@@ -419,6 +422,20 @@ def _local_matrices(batch, k, trace_deg, degrees):
     edges = [_edge_projection_blocks(batch, e, degrees["edge_degree"],
                                      trace_deg, k) for e in range(batch.nv)]
     return _ip(w, Vs, Vs), EX, EY, edges
+
+
+def _load_moments(batch, k, load):
+    """The P_k moments (ne, ..., space_dim(k)) of ``load(pts)``, its
+    (ne, ..., nq) values at the batch's load rule points ``pts``."""
+    pts, w = batch.volume_rule(fs.quadrature_degrees(k)["source_degree"])
+    V = fs.scalar_vals(fs.monomial_exponents(k), batch.centroid, batch.h, pts)
+    return np.einsum("enq,e...q,eq->e...n", V, load(pts), w)
+
+
+def _values(g: Callable, pts: np.ndarray) -> np.ndarray:
+    """The data ``g(x, y)`` at the (ne, nq, 2) points ``pts``, (ne, ..., nq):
+    a vector callable's leading (2,) axis moves behind the elements'."""
+    return np.moveaxis(np.asarray(g(pts[..., 0], pts[..., 1]), float), 0, -2)
 
 
 def _below(n1: int, cols: slice) -> slice:
@@ -435,16 +452,16 @@ def _stab_volume_block(C, E):
 # stage one / three operator (kept on the mesh, shared by both stages)
 
 
-def _assemble_poisson_operator(dof, k, degrees):
+def _assemble_poisson_operator(dof, k):
     n1, Ts, Tv = dof.n_interior_per_element, fs.space_dim(k - 1), fs.space_dim(k)
     tf = dof.trace_fields["u_hat"]
     sl_L = dof.components("flux")
     sl_r = dof.interior_slice("primal")
 
-    groups, source = [], []
+    groups = []
     for batch in element_batches(dof.mesh):
         ne, nv = len(batch.ids), batch.nv
-        Mss, EX, EY, edges = _local_matrices(batch, k, k - 1, degrees)
+        Mss, EX, EY, edges = _local_matrices(batch, k, k - 1)
         # the flux is a mass field, -I2 ⊗ Mss, coupled to the primal field
         # by -(r, div q): its component u through -d/du; a11 is the primal
         # block
@@ -471,20 +488,15 @@ def _assemble_poisson_operator(dof, k, degrees):
         # the loads differ per solve: each stage sets b1 and b2
         groups.append(ElementBlockGroup(batch, a11, tuple(terms), None, None,
                                         trace_idx, flux))
-        pts, w = batch.volume_rule(degrees["source_degree"])
-        source.append((pts, w, fs.scalar_vals(fs.monomial_exponents(k),
-                                               batch.centroid, batch.h, pts)))
-
-    return groups, source
+    return groups
 
 
-def _poisson_operator(dof: StageDofMap) -> tuple:
+def _poisson_operator(dof: StageDofMap) -> list:
     """The stage one/three operator on ``dof``, kept on the mesh under
-    ``("poisson", k)``: groups without loads and per batch the source
-    rule's points, weights and P_k basis."""
+    ``("poisson", k)``: its element groups, without loads."""
     k = dof.trace_fields["u_hat"].per_edge
-    return dof.mesh.keep(("poisson", k), lambda: _assemble_poisson_operator(
-        dof, k, fs.quadrature_degrees(k)))
+    return dof.mesh.keep(("poisson", k),
+                         lambda: _assemble_poisson_operator(dof, k))
 
 
 def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
@@ -495,10 +507,9 @@ def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
                       trace_fields=[("u_hat", k, True)])
     sl_r = dof.interior_slice("primal")
     groups = []
-    for grp, (pts, w, Vv) in zip(*_poisson_operator(dof)):
+    for grp in _poisson_operator(dof):
         b1 = np.zeros((len(grp.batch.ids), dof.n_interior_per_element))
-        gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
-        b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, gvals, w)
+        b1[:, sl_r] = _load_moments(grp.batch, k, lambda pts: _values(g, pts))
         groups.append(replace(grp, b1=b1, b2=np.zeros(grp.trace_indices.shape)))
     return BlockSystem(dof, groups, stage="step1", kept_as=("poisson", k))
 
@@ -506,8 +517,7 @@ def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
 def assemble_step3(step1: BlockSystem, material: PlateMaterial,
                    theta: DiscreteField, g: Callable) -> BlockSystem:
     """Stage-three system for the deflection, driven by the stage-two rotation:
-    stage one's read-only operator and the kept source rule with new loads
-    ``b1``, ``b2``."""
+    stage one's read-only operator with new loads ``b1``, ``b2``."""
     if step1.stage != "step1":
         raise ValueError("stage-three assembly needs the stage-one system, "
                          f"not a {step1.stage!r} system")
@@ -524,12 +534,11 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
     scale = material.t ** 2 / material.lam
 
     groups = []
-    for grp, (pts, w, Vv) in zip(step1.groups, _poisson_operator(dof)[1]):
+    for grp in step1.groups:
         batch = grp.batch
-        gvals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
-        divth = theta.divergence_batched(batch, pts)
         b1 = np.zeros_like(grp.b1)
-        b1[:, sl_r] = np.einsum("enq,eq,eq->en", Vv, scale * gvals - divth, w)
+        b1[:, sl_r] = _load_moments(batch, k, lambda pts: (
+            scale * _values(g, pts) - theta.divergence_batched(batch, pts)))
 
         # trace load <theta . n, s_hat>, per element and local edge
         b2 = np.zeros_like(grp.b2)
@@ -556,14 +565,38 @@ _COUPLING[1, [1, 2, 3], [1, 0, 2]] = -1.0
 _COUPLING.setflags(write=False)
 
 
+def _check_simply_connected(mesh: Mesh) -> None:
+    """Raise :class:`MeshTopologyError` unless the elements form one
+    edge-connected piece with V - E + F = 1 (V counting the vertices the
+    loops use), that is, a domain without holes."""
+    ne = mesh.num_elements
+    owner = np.repeat(np.arange(ne), np.diff(mesh.loop_start))
+    incidence = coo_array((np.ones(len(owner)), (owner, ne + mesh.loop_edges)),
+                          shape=(ne + mesh.num_edges,) * 2)
+    parts = connected_components(incidence, directed=False)[0]
+    if parts != 1:
+        raise MeshTopologyError(f"the mesh has {parts} edge-connected "
+                                "components; stage two needs one")
+    chi = len(np.unique(mesh.loop_vertices)) - mesh.num_edges + ne
+    if chi != 1:
+        raise MeshTopologyError(
+            f"the mesh has Euler characteristic V - E + F = {chi}, not 1: "
+            "its domain has a hole, and stage two needs a simply connected "
+            "one")
+
+
 def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
                    L: DiscreteField, f: Callable | None = None) -> BlockSystem:
     """Stage-two saddle system: find (sigma, R, theta, theta_hat, p, p_hat).
-    sigma and R are :class:`MassFields`; ``a11`` is the (theta, p) block."""
+    sigma and R are :class:`MassFields`; ``a11`` is the (theta, p) block.
+    The stream-function pressure p rests on a Helmholtz decomposition of
+    the shear stress, which needs a simply connected domain: a mesh with
+    more than one edge-connected component or with a hole raises
+    :class:`MeshTopologyError`."""
     if L is None:
         raise ValueError("stage-two assembly needs the stage-one flux field")
+    _check_simply_connected(mesh)
     k, l = spaces.k, spaces.l
-    degrees = fs.quadrature_degrees(k)
     m_th = 2 * (l + 1)
     dof = StageDofMap(
         mesh,
@@ -574,18 +607,17 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     tf_th = dof.trace_fields["theta_hat"]
     tf_p = dof.trace_fields["p_hat"]
     sl_sig, sl_R, sl_th = (dof.components(name) for name in ("sigma", "R", "theta"))
-    sl_p = dof.interior_slice("p")
+    sl_p, sl_theta = dof.interior_slice("p"), dof.interior_slice("theta")
 
     # the sigma mass Kinv ⊗ Mss and the R mass lam/t^2 Mss, negated for
     # the symmetric arrangement
     coef = block_diag(-constitutive_inverse_matrix(material),
                       material.lam / material.t ** 2 * np.eye(2))
-    exps_v = fs.monomial_exponents(k)
 
     groups = []
     for batch in element_batches(mesh):
         ne, nv = len(batch.ids), batch.nv
-        Mss, EX, EY, edges = _local_matrices(batch, k, l, degrees)
+        Mss, EX, EY, edges = _local_matrices(batch, k, l)
         DX, DY = EX[:, :Ts], EY[:, :Ts]
 
         # theta and p after the mass fields sigma and R
@@ -631,17 +663,12 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             trace_idx[:, c_th:c_th + m_th] = tf_th.dofs(batch.edge_ids[:, e])
             trace_idx[:, sl_phat] = tf_p.dofs(batch.edge_ids[:, e])
 
-        # load: (L + f, phi) on the rotation test rows
+        def load(pts):  # (L + f, phi) on the rotation test rows
+            vals = L.values_batched(batch, pts)
+            return vals if f is None else vals + _values(f, pts)
+
         b1 = np.zeros((ne, n1))
-        spts, sw = batch.volume_rule(degrees["source_degree"])
-        Vv_s = fs.scalar_vals(exps_v, batch.centroid, batch.h, spts)
-        load = L.values_batched(batch, spts)
-        if f is not None:
-            # vector callables return (2,) + points.shape
-            fv = np.asarray(f(spts[..., 0], spts[..., 1]), dtype=float)
-            load = load + np.moveaxis(fv, 0, 1)
-        for u in range(2):
-            b1[:, sl_th[u]] = np.einsum("enq,eq,eq->en", Vv_s, load[:, u, :], sw)
+        b1[:, sl_theta] = _load_moments(batch, k, load).reshape(ne, -1)
 
         groups.append(ElementBlockGroup(
             batch, a11, tuple(terms), b1, np.zeros(trace_idx.shape), trace_idx,

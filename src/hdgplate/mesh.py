@@ -31,7 +31,8 @@ __all__ = [
 class MeshTopologyError(ValueError):
     """Raised for invalid connectivity or elements: an edge with more than
     two adjacent elements or run through twice in the same direction, a
-    degenerate, clockwise or non-convex loop."""
+    degenerate, clockwise or non-convex loop; by stage-two assembly, for a
+    mesh that is not simply connected."""
 
 
 class ShapeRegularityWarning(UserWarning):
@@ -199,7 +200,7 @@ class Mesh:
         by reference counting.  Keys by owner: ``"edge_order"``,
         :attr:`edge_order`, which numbers every trace DOF; in
         ``femspace``, ``"element_batches"``; in ``assembly``,
-        ``("poisson", k)``, the stage one/three operator; in ``solver``,
+        ``("poisson", k)``, the loadless stage one/three groups; in ``solver``,
         ``("poisson", k, "factor")``, the SuperLU factor of its condensed
         matrix and its wall time (no array), and ``("pattern", layout)``
         per trace layout, where stage two's maps into its blocks."""

@@ -246,8 +246,7 @@ def dense_trace_blocks(bs, material) -> list:
         for grp in bs.groups:
             batch = grp.batch
             ne, nv = len(batch.ids), batch.nv
-            edges = asm._local_matrices(batch, k, k - 1,
-                                        fs.quadrature_degrees(k))[3]
+            edges = asm._local_matrices(batch, k, k - 1)[3]
             ntl = nv * k
             a12 = np.zeros((ne, n1, ntl))
             a22 = np.zeros((ne, ntl, ntl))
@@ -275,7 +274,7 @@ def dense_trace_blocks(bs, material) -> list:
     for grp in bs.groups:
         batch = grp.batch
         ne, nv = len(batch.ids), batch.nv
-        edges = asm._local_matrices(batch, k, l, fs.quadrature_degrees(k))[3]
+        edges = asm._local_matrices(batch, k, l)[3]
         ntl = nv * (m_th + k)
         a12 = np.zeros((ne, n1, ntl))
         a22 = np.zeros((ne, ntl, ntl))
@@ -313,6 +312,38 @@ def dense_trace_blocks(bs, material) -> list:
             trace_idx[:, c_th:c_th + m_th] = tf_th.dofs(batch.edge_ids[:, e])
             trace_idx[:, sl_phat] = tf_p.dofs(batch.edge_ids[:, e])
         out.append((a12, a22, trace_idx))
+    return out
+
+
+def load_b1(bs, material, g=None, L=None, f=None, theta=None) -> list:
+    """Each group's ``b1`` of the stage system ``bs``: the P_k moments of
+    its interior load, one component at a time, with the einsum that each
+    stage ran before all three shared one load path.  The load is ``g``
+    (stage one), ``t^2 / lam g - div theta`` (stage three) or each
+    component of ``L + f`` (stage two, ``f`` optional)."""
+    dof, out = bs.dof, []
+    k = dof.trace_fields["p_hat" if bs.stage == "step2" else "u_hat"].per_edge
+    for grp in bs.groups:
+        batch = grp.batch
+        pts, w = batch.volume_rule(fs.quadrature_degrees(k)["source_degree"])
+        V = fs.scalar_vals(fs.monomial_exponents(k), batch.centroid, batch.h,
+                           pts)
+        b1 = np.zeros_like(grp.b1)
+        if bs.stage == "step2":
+            load = L.values_batched(batch, pts)
+            if f is not None:
+                fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+                load = load + np.moveaxis(fv, 0, 1)
+            for u, sl in enumerate(dof.components("theta")):
+                b1[:, sl] = np.einsum("enq,eq,eq->en", V, load[:, u, :], w)
+        else:
+            vals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
+            if bs.stage == "step3":
+                scale = material.t ** 2 / material.lam
+                vals = scale * vals - theta.divergence_batched(batch, pts)
+            b1[:, dof.interior_slice("primal")] = np.einsum(
+                "enq,eq,eq->en", V, vals, w)
+        out.append(b1)
     return out
 
 

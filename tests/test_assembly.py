@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,9 @@ from hdgplate import verification as vf
 from hdgplate.assembly import (DiscreteField, PlateMaterial, SpaceConfig,
                                constitutive_inverse_matrix, recover_gamma,
                                stabilization)
-from hdgplate.mesh import Mesh, generate_structured
-from meshes import arrays_in, mixed_group_mesh
-from oracles import bh_norm, dense_trace_blocks, monolithic_dense
+from hdgplate.mesh import Mesh, MeshTopologyError, generate_structured
+from meshes import arrays_in, mixed_group_mesh, mixed_strip
+from oracles import bh_norm, dense_trace_blocks, load_b1, monolithic_dense
 
 
 class TestMaterial:
@@ -311,7 +312,7 @@ class TestSystems:
                                  lambda x, y: 0 * x)
         assert bs3.dof is bs1.dof
         assert bs3.kept_as == bs1.kept_as == ("poisson", 2)
-        kept_groups, _ = mesh.kept["poisson", 2]
+        kept_groups = mesh.kept["poisson", 2]
         shared = [bs1.dof.trace_fields["u_hat"].edge_rank]
         for g0, g1, g3 in zip(kept_groups, bs1.groups, bs3.groups,
                               strict=True):
@@ -324,6 +325,17 @@ class TestSystems:
         for arr in shared:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
+
+    def test_poisson_key_keeps_the_operator_alone(self):
+        # every stage builds its load rule per solve: the mesh keeps the
+        # loadless element groups and nothing else under ("poisson", k)
+        mesh = mixed_strip(2)
+        mat = PlateMaterial(t=1e-2)
+        vf.solve_plate(mesh, SpaceConfig(2), mat, vf.exact_fields(mat))
+        kept = mesh.kept["poisson", 2]
+        assert isinstance(kept, list)
+        assert [type(grp) for grp in kept] == [asm.ElementBlockGroup] * 3
+        assert all(grp.b1 is None and grp.b2 is None for grp in kept)
 
     def test_linearity_in_load(self):
         mesh = generate_structured("triangle", 2)
@@ -430,6 +442,62 @@ class TestSystems:
         with pytest.raises(ValueError, match="degree 3, the stage-one system k=1"):
             asm.assemble_step3(bs1, PlateMaterial(), DiscreteField(
                 mesh, 3, "vector2", np.zeros((2, 20))), g)
+
+
+class TestLoads:
+    """All three stages take their interior load's P_k moments through one
+    path; each ``b1`` is, bit for bit, the per-component moment each
+    stage computed before (``oracles.load_b1``)."""
+
+    MESHES = {"tri": lambda: generate_structured("triangle", 3),
+              "quad": lambda: generate_structured("quadrilateral", 3),
+              "mixed_strip": lambda: mixed_strip(2)}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", MESHES)
+    def test_equal_the_per_component_moments_bit_for_bit(self, kind, k):
+        mesh, spaces = self.MESHES[kind](), SpaceConfig(k)
+        mat, ne = PlateMaterial(t=1e-2), mesh.num_elements
+        ex = vf.exact_fields(mat)
+        rng = np.random.default_rng(k)
+        L = DiscreteField(mesh, k - 1, "vector2",
+                          rng.standard_normal((ne, 2 * fs.space_dim(k - 1))))
+        theta = DiscreteField(mesh, k, "vector2",
+                              rng.standard_normal((ne, 2 * fs.space_dim(k))))
+        g = ex.g[0]
+        bs1 = asm.assemble_step1(mesh, spaces, g)
+        cases = [(bs1, dict(g=g)),
+                 (asm.assemble_step2(mesh, spaces, mat, L, ex.f),
+                  dict(L=L, f=ex.f)),
+                 (asm.assemble_step2(mesh, spaces, mat, L), dict(L=L)),
+                 (asm.assemble_step3(bs1, mat, theta, g),
+                  dict(g=g, theta=theta))]
+        for bs, data in cases:
+            want = load_b1(bs, mat, **data)
+            for grp, b1 in zip(bs.groups, want, strict=True):
+                assert grp.b1.tobytes() == b1.tobytes(), bs.stage
+
+
+class TestSimplyConnected:
+    """Stage two needs a simply connected domain; stages one and three
+    do not, so a mesh with a hole or two components builds and assembles
+    them."""
+
+    @pytest.mark.parametrize("removed,message", [
+        ({27, 28, 35, 36}, "Euler characteristic V - E + F = 0, not 1"),
+        (set(range(3, 64, 8)), "2 edge-connected components"),
+        # two diagonal neighbours: a hole pinched at their shared vertex
+        ({27, 36}, "Euler characteristic V - E + F = -1, not 1"),
+    ], ids=["hole", "column", "pinched"])
+    def test_step2_rejects(self, removed, message):
+        grid = generate_structured("quadrilateral", 8)
+        mesh = Mesh(grid.points, [el.vertex_loop for el in grid.elements
+                                  if el.id not in removed])
+        spaces = SpaceConfig(1)
+        asm.assemble_step1(mesh, spaces, lambda x, y: 1.0 + x)
+        L = DiscreteField(mesh, 0, "vector2", np.zeros((mesh.num_elements, 2)))
+        with pytest.raises(MeshTopologyError, match=re.escape(message)):
+            asm.assemble_step2(mesh, spaces, PlateMaterial(), L)
 
 
 class TestTraceColumns:
