@@ -331,36 +331,53 @@ class MassFields:
     coupling: np.ndarray  # (nd, nc, np)
 
 
+def _densify(terms, e: slice, ne: int, shape: tuple) -> np.ndarray:
+    """The dense (ne, *shape) block of the ``ne`` elements ``e`` from
+    ``terms``: ``scale * block`` in each term's region, zero elsewhere."""
+    out = np.zeros((ne, *shape))
+    for rows, cols, scale, block in terms:
+        out[:, rows, cols] = scale[e, None, None] * block[e]
+    return out
+
+
 @dataclass
 class ElementBlockGroup:
-    """Local blocks for one batch of same-size elements.  ``a11`` is the
-    block of the interior fields after the ``nm = nc * Ts`` fields kept in
-    ``mass``; the trace columns ``[A12; A22]`` are kept as the ``terms``
-    that write them, ``(rows, cols, scale, block)`` with ``scale`` (ne,)
-    and ``block`` (ne, r, c), and each region is written by one term."""
+    """Local blocks for one batch of same-size elements, each kept as the
+    terms that write it, ``(rows, cols, scale, block)`` with ``scale``
+    (ne,) and ``block`` (ne, r, c), each region written by one term:
+    ``a11``, the block of the interior fields after the ``nm = nc * Ts``
+    fields kept in ``mass``, and ``terms``, the trace columns ``[A12;
+    A22]``.  The local trace dofs run field by field, each field edge by
+    local edge."""
 
     batch: ElementBatch
-    a11: np.ndarray           # (ne, n1 - nm, n1 - nm)
-    terms: tuple
+    a11: tuple                # terms of the (n_a11, n_a11) block
+    terms: tuple              # terms of the (n1 + ntl, ntl) columns
     b1: np.ndarray            # (ne, n1)
     b2: np.ndarray            # (ne, ntl)
     trace_indices: np.ndarray  # (ne, ntl), -1 for eliminated trace dofs
     mass: MassFields
 
+    @property
+    def n_a11(self) -> int:
+        """The size of ``a11``: the interior unknowns after the mass fields."""
+        return max(cols.stop for _, cols, _, _ in self.a11)
+
+    def interior_block(self, e: slice) -> np.ndarray:
+        """The dense (len, n_a11, n_a11) ``a11`` of the elements ``e``."""
+        n = self.n_a11
+        return _densify(self.a11, e, len(self.batch.ids[e]), (n, n))
+
     def trace_columns(self, e: slice, stop: int | None = None) -> np.ndarray:
         """The dense (len, n1 + ntl, ntl) ``[A12; A22]`` of the elements
-        ``e``: ``scale * block`` in each term's region, zero elsewhere.
-        With ``stop``, only its first ``stop`` rows, written by the terms
-        whose rows end there or before (no term straddles a field)."""
+        ``e``.  With ``stop``, only its first ``stop`` rows, written by the
+        terms whose rows end there or before (no term straddles a field)."""
         ntl = self.trace_indices.shape[1]
         if stop is None:
             stop = (len(self.mass.coef) * self.mass.mass.shape[1]
-                    + self.a11.shape[1] + ntl)
-        out = np.zeros((len(self.batch.ids[e]), stop, ntl))
-        for rows, cols, scale, block in self.terms:
-            if rows.stop <= stop:
-                out[:, rows, cols] = scale[e, None, None] * block[e]
-        return out
+                    + self.n_a11 + ntl)
+        return _densify([t for t in self.terms if t[0].stop <= stop], e,
+                        len(self.batch.ids[e]), (stop, ntl))
 
 
 @dataclass
@@ -464,7 +481,7 @@ def _assemble_poisson_operator(dof, k):
         Mss, EX, EY, edges = _local_matrices(batch, k, k - 1)
         # the flux is a mass field, -I2 ⊗ Mss, coupled to the primal field
         # by -(r, div q): its component u through -d/du; a11 is the primal
-        # block
+        # block, one dense term
         flux = MassFields(Mss, -np.eye(2), np.stack([EX[:, :Ts], EY[:, :Ts]]),
                           -np.eye(2)[:, :, None])
         a11 = np.zeros((ne, Tv, Tv))
@@ -486,8 +503,10 @@ def _assemble_poisson_operator(dof, k):
             trace_idx[:, cols] = tf.dofs(batch.edge_ids[:, e])
 
         # the loads differ per solve: each stage sets b1 and b2
-        groups.append(ElementBlockGroup(batch, a11, tuple(terms), None, None,
-                                        trace_idx, flux))
+        primal = slice(0, Tv)
+        groups.append(ElementBlockGroup(
+            batch, ((primal, primal, np.broadcast_to(1.0, ne), a11),),
+            tuple(terms), None, None, trace_idx, flux))
     return groups
 
 
@@ -588,7 +607,8 @@ def _check_simply_connected(mesh: Mesh) -> None:
 def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
                    L: DiscreteField, f: Callable | None = None) -> BlockSystem:
     """Stage-two saddle system: find (sigma, R, theta, theta_hat, p, p_hat).
-    sigma and R are :class:`MassFields`; ``a11`` is the (theta, p) block.
+    sigma and R are :class:`MassFields`; ``a11`` is the (theta, p) block,
+    seven terms over four distinct (ne, Tv, Tv) blocks.
     The stream-function pressure p rests on a Helmholtz decomposition of
     the shear stress, which needs a simply connected domain: a mesh with
     more than one edge-connected component or with a hole raises
@@ -620,13 +640,10 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         Mss, EX, EY, edges = _local_matrices(batch, k, l)
         DX, DY = EX[:, :Ts], EY[:, :Ts]
 
-        # theta and p after the mass fields sigma and R
-        a11 = np.zeros((ne, 3 * Tv, 3 * Tv))
-        th, p = (slice(0, Tv), slice(Tv, 2 * Tv)), slice(2 * Tv, None)
-        # (curl phi, p) and its transpose
-        a11[:, th[0], p], a11[:, p, th[0]] = -EY, -EY.mT
-        a11[:, th[1], p], a11[:, p, th[1]] = EX, EX.mT
-
+        # the edge stabilizations of theta (one block for both components)
+        # and of p, summed edge by edge; p's enters negated, subtracted
+        # from zero so that its exact zeros stay +0
+        stab2, stab3 = np.zeros((ne, Tv, Tv)), np.zeros((ne, Tv, Tv))
         terms, trace_idx = [], np.empty((ne, nv * (m_th + k)), dtype=int)
         _, alpha2, alpha3 = stabilization(batch.h, material)
 
@@ -634,10 +651,8 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             # degree k-1 edge basis: the leading k rows of the degree-l one
             Cls, Ckv, Cks, Ek = (Clv[:, :, :Ts], Clv[:, :k], Clv[:, :k, :Ts],
                                  El[:, :k, :k])
-            stab2 = alpha2[:, None, None] * _stab_volume_block(Clv, El)
-            a11[:, th[0], th[0]] += stab2
-            a11[:, th[1], th[1]] += stab2
-            a11[:, p, p] -= alpha3[:, None, None] * _stab_volume_block(Ckv, Ek)
+            stab2 += alpha2[:, None, None] * _stab_volume_block(Clv, El)
+            stab3 -= alpha3[:, None, None] * _stab_volume_block(Ckv, Ek)
 
             nrm = batch.normals[:, e, :]
             tang = -batch.tangents[:, e, :]  # enters negated
@@ -670,6 +685,14 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         b1 = np.zeros((ne, n1))
         b1[:, sl_theta] = _load_moments(batch, k, load).reshape(ne, -1)
 
+        # theta and p after the mass fields sigma and R: the stabilizations
+        # on the diagonal, (curl phi, p) and its transpose off it
+        th, p = (slice(0, Tv), slice(Tv, 2 * Tv)), slice(2 * Tv, 3 * Tv)
+        one, minus = np.broadcast_to(1.0, ne), np.broadcast_to(-1.0, ne)
+        a11 = ((th[0], th[0], one, stab2), (th[1], th[1], one, stab2),
+               (th[0], p, minus, EY), (p, th[0], minus, EY.mT),
+               (th[1], p, one, EX), (p, th[1], one, EX.mT),
+               (p, p, one, stab3))
         groups.append(ElementBlockGroup(
             batch, a11, tuple(terms), b1, np.zeros(trace_idx.shape), trace_idx,
             MassFields(Mss, coef, np.stack([DX, DY]), _COUPLING)))

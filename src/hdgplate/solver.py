@@ -103,6 +103,11 @@ class SolveReport:
     factor_time: float = 0.0
     # the process's peak resident set when the stage's trace solve returned
     peak_rss_mb: float = 0.0
+    # the stage's interior and trace dofs, and the entries its condensed
+    # matrix stores (stage two's B11, B12 and B22c; B12^T is not stored)
+    n_interior: int = 0
+    n_trace: int = 0
+    stored_nnz: int = 0
 
     @property
     def converged(self) -> bool:
@@ -193,7 +198,7 @@ def _eliminate(grp, out: np.ndarray) -> tuple:
     and the inverse element masses.  The mass fields go first, through
     ``coef^{-1} ⊗ minv``; the primes mark what that leaves of the other
     fields' blocks, which a stacked dense solve eliminates."""
-    (ne, n1), n, m = grp.b1.shape, grp.a11.shape[1], grp.mass
+    (ne, n1), n, m = grp.b1.shape, grp.n_a11, grp.mass
     nm, cinv = n1 - n, np.linalg.inv(m.coef)[None]
     y, rhs = np.empty((ne, n, grp.b2.shape[1] + 1)), np.empty(grp.b2.shape)
     minv = np.empty(m.mass.shape)
@@ -205,7 +210,7 @@ def _eliminate(grp, out: np.ndarray) -> tuple:
         amp = _kron(m.coupling, m.D[:, e],
                     np.broadcast_to(np.eye(n), (len(cols), n, n)))
         w = _kron(cinv, minv[None, e], np.concatenate([amp, cols[:, :nm]], -1))
-        rest = np.concatenate([grp.a11[e], cols[:, nm:]], -1)
+        rest = np.concatenate([grp.interior_block(e), cols[:, nm:]], -1)
         rest -= amp.mT @ w
         y[e] = _local_solve(grp.batch.ids[e], rest[..., :n], rest[..., n:])
         z = cols[:, :nm, :-1].mT @ w[..., n:]
@@ -240,43 +245,52 @@ def _build_pattern(bs: BlockSystem) -> dict:
     S = sp.csr_array(P @ (E.T @ E) @ P.T)
     S.sort_indices()
     S.data = np.arange(S.nnz, dtype=S.indices.dtype)
-    edge_row = np.zeros(len(edges), dtype=np.intp)  # any row of each edge
-    edge_row[dof_edge] = np.arange(n)
-    sizes = [g.trace_indices.size * g.trace_indices.shape[1] for g in bs.groups]
-    position = np.empty(sum(sizes), S.dtype)
-    for grp, pos in zip(bs.groups, np.split(position, np.cumsum(sizes)[:-1])):
-        ok = grp.trace_indices >= 0
-        dof = np.where(ok, grp.trace_indices, 0)
-        edge = np.argmax(dof_edge[dof][:, :, None]      # each dof's local edge
-                         == grp.batch.edge_ids[:, None, :], axis=2)
-        # all rows of an edge hold the same columns: look their places up
-        # once per local edge, then offset them to every row
-        row, col = np.broadcast_arrays(edge_row[grp.batch.edge_ids][..., None],
-                                       dof[:, None])
-        col = S[row.ravel(), col.ravel()].reshape(row.shape) - S.indptr[row]
-        pos = pos.reshape(*dof.shape, dof.shape[1])
-        np.add(col[np.arange(len(dof))[:, None], edge],
-               S.indptr[dof][..., None], out=pos.transpose(0, 2, 1))
-        pos[~(ok[:, :, None] & ok[:, None, :])] = S.nnz
     # S is symmetric in pattern, so its CSR arrays are its CSC arrays, and
-    # the transposed places above are each local entry's own CSC place
-    S = sp.csc_array((S.data, S.indices, S.indptr), S.shape)
+    # the transposed places below are each local entry's own CSC place
+    C = sp.csc_array((S.data, S.indices, S.indptr), S.shape)
     bounds = [f.offset for f in bs.dof.trace_fields.values()] + [n]
     fields = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     # each field against itself and every later one: B12^T is dropped
-    blocks = [S[r, c] for i, r in enumerate(fields) for c in fields[i:]]
+    blocks = [C[r, c] for i, r in enumerate(fields) for c in fields[i:]]
     taken = np.concatenate([b.data for b in blocks])
     target = np.full(S.nnz + 1, len(taken), S.dtype)
     target[taken] = np.arange(len(taken))
+    edge_row = np.zeros(len(edges), dtype=np.intp)  # any row of each edge
+    edge_row[dof_edge] = np.arange(n)
+    per_edge = [f.per_edge for f in bs.dof.trace_fields.values()]
+    starts = []
+    for grp in bs.groups:
+        # a local row block is one field's dofs on one local edge (they run
+        # field by field, edge by local edge): in every column, of S and of
+        # the block that keeps them, a run of places
+        nv = grp.batch.edge_ids.shape[1]
+        size = np.repeat(per_edge, nv)
+        first = np.cumsum(size) - size
+        blk = np.repeat(np.arange(len(size)), size)
+        ok = grp.trace_indices >= 0
+        dof = np.where(ok, grp.trace_indices, 0)
+        # all rows of an edge hold the same columns: look the places of the
+        # blocks' first dofs up once per local edge, then offset them to
+        # every row
+        row, col = np.broadcast_arrays(edge_row[grp.batch.edge_ids][..., None],
+                                       dof[:, None, first])
+        col = S[row.ravel(), col.ravel()].reshape(row.shape) - S.indptr[row]
+        start = (col[:, blk % nv] + S.indptr[dof][..., None]).transpose(0, 2, 1)
+        start[~(ok[:, first, None] & ok[:, None, :])] = S.nnz
+        off = (np.arange(len(blk)) - first[blk]).astype(S.dtype)
+        starts.append((target[start], blk, off))
     return {"blocks": [(b.shape, b.indices, b.indptr) for b in blocks],
-            "position": target[position]}
+            "starts": starts}
 
 
 def _pattern(bs: BlockSystem) -> dict:
     """The CSC ``(shape, indices, indptr)`` of ``S``, or of stage two's
-    :class:`SaddleBlocks`, kept on the mesh per trace layout with each
-    local block entry's ``position`` (int32 while it fits) in their data
-    laid end to end, one past it for eliminated dofs and ``B12^T``.  Built
+    :class:`SaddleBlocks`, kept on the mesh per trace layout with the
+    places of each group's local block entries in their data laid end to
+    end: ``start`` (ne, nblk, ntl), the place of each element's local row
+    block and column, int32 while it fits, with each local row's ``blk``
+    and ``off``, so that the entry (i, j) goes to ``start[blk[i], j] +
+    off[i]``; one past the data for eliminated dofs and ``B12^T``.  Built
     from the edges that share an element.  Two elements share at most one
     edge, so each matrix is bitwise its slice of the COO sum."""
     layout = tuple((f.per_edge, f.dirichlet)
@@ -284,11 +298,18 @@ def _pattern(bs: BlockSystem) -> dict:
     return bs.dof.mesh.keep(("pattern", layout), lambda: _build_pattern(bs))
 
 
-def _scatter(pattern: dict, blocks: np.ndarray):
-    """``S`` or :class:`SaddleBlocks` from one ``np.add.at`` of the blocks."""
+def _scatter(pattern: dict, schur: list):
+    """``S`` or :class:`SaddleBlocks` from the groups' local Schur blocks
+    ``schur``, added in element order by one ``np.add.at`` per chunk."""
     ends = np.cumsum([len(indices) for _, indices, _ in pattern["blocks"]])
     data = np.zeros(ends[-1] + 1)
-    np.add.at(data, pattern["position"], blocks)
+    for (start, blk, off), local in zip(pattern["starts"], schur, strict=True):
+        step = max(1, _CHUNK_BYTES // local[0].nbytes)
+        for i in range(0, len(local), step):
+            pos = start[i:i + step][:, blk]
+            pos += off[:, None]
+            np.minimum(pos, ends[-1], out=pos)
+            np.add.at(data, pos.ravel(), local[i:i + step].ravel())
     mats = []
     for d, (shape, indices, indptr) in zip(np.split(data, ends),
                                            pattern["blocks"]):
@@ -307,13 +328,11 @@ def condense(bs: BlockSystem) -> CondensedSystem:
     inverse element mass first, the rest by one stacked solve.
     """
     pattern = _pattern(bs)
-    schur = np.empty(len(pattern["position"]))  # the local Schur blocks
-    sizes = [g.trace_indices.size * g.trace_indices.shape[1] for g in bs.groups]
-    blocks = np.split(schur, np.cumsum(sizes)[:-1])
-    rhs, local = np.zeros(bs.n_trace), []
-    for grp, out in zip(bs.groups, blocks):
+    rhs, local, schur = np.zeros(bs.n_trace), [], []
+    for grp in bs.groups:
         ne, ntl = grp.trace_indices.shape
-        y, local_rhs, minv = _eliminate(grp, out.reshape(ne, ntl, ntl))
+        schur.append(np.empty((ne, ntl, ntl)))  # the local Schur blocks
+        y, local_rhs, minv = _eliminate(grp, schur[-1])
         _scatter_vector(rhs, grp.trace_indices, local_rhs)
         local.append((y[..., :-1], y[..., -1], minv))
     return CondensedSystem(bs, _scatter(pattern, schur), rhs, local)
@@ -346,18 +365,19 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
         x1g = x1[grp.batch.ids]
         x2loc = np.where(grp.trace_indices >= 0, x2[grp.trace_indices], 0.0)
         n1, r1, rt = x1g.shape[1], np.empty_like(grp.b1), np.empty_like(grp.b2)
+        nm, m = n1 - grp.n_a11, grp.mass
+        xm, xp = x1g[:, :nm], x1g[:, nm:]
+        a11x = np.empty_like(xp)
         for e in _chunks(grp):
             a = grp.trace_columns(e)
             r1[e] = np.einsum("eij,ej->ei", a[:, :n1], x2loc[e])
             rt[e] = (np.einsum("eij,ei->ej", a[:, :n1], x1g[e])
                      + np.einsum("eij,ej->ei", a[:, n1:], x2loc[e]))
+            a11x[e] = np.einsum("eij,ej->ei", grp.interior_block(e), xp[e])
         r1 -= grp.b1
-        nm, m = x1g.shape[1] - grp.a11.shape[1], grp.mass
-        xm, xp = x1g[:, :nm], x1g[:, nm:]
         r1[:, :nm] += (_kron(m.coef[None], m.mass[None], xm)
                        + _kron(m.coupling, m.D, xp))
-        r1[:, nm:] += (np.einsum("eij,ej->ei", grp.a11, xp)
-                       + _kron(m.coupling, m.D, xm, T=True))
+        r1[:, nm:] += a11x + _kron(m.coupling, m.D, xm, T=True)
         rnorm2 += float((r1 ** 2).sum())
         bnorm2 += float((grp.b1 ** 2).sum())
         _scatter_vector(r2, grp.trace_indices, rt - grp.b2)
@@ -566,4 +586,7 @@ def solve_stage(bs: BlockSystem, config: SolverConfig = SolverConfig()):
     solve = solve_saddle_trace if bs.stage == "step2" else solve_spd
     x2, report = solve(cond, config)
     report.peak_rss_mb = _peak_rss_mb()
+    report.n_interior, report.n_trace = bs.n_interior, bs.n_trace
+    blocks = cond.S if isinstance(cond.S, SaddleBlocks) else (cond.S,)
+    report.stored_nnz = sum(B.nnz for B in blocks)
     return back_substitute(cond, x2), x2, report

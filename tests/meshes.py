@@ -23,6 +23,17 @@ def renumbered(base, seed):
     return points, loops
 
 
+# one small mesh of each family, for the bit-for-bit oracle tests
+FAMILIES = {
+    "tri": lambda: generate_structured("triangle", 3),
+    "quad": lambda: generate_structured("quadrilateral", 3),
+    "mixed_strip": lambda: mixed_strip(2),
+    "voronoi": lambda: voronoi_mesh(16),
+    "jittered": lambda: jittered_quads(3),
+    "renumbered": lambda: Mesh(*renumbered_grid("triangle", 3, 1)),
+}
+
+
 def mixed_group_mesh():
     """Triangles, pentagons and quadrilaterals, each group numbered out of order."""
     points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],

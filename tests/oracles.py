@@ -8,7 +8,9 @@ whole block system, the dense
 interior block that every stage keeps in its field blocks, the dense
 trace columns that every stage keeps as terms, or the condensed matrix
 summed from COO triplets, as the solver did before it kept a fixed
-pattern.  Some keep a kernel's arithmetic as it was written
+pattern; others rebuild a kept structure as it was before its block
+form: the dense interior block ``a11`` and one pattern place per local
+entry.  Some keep a kernel's arithmetic as it was written
 before a rewrite that must not change a bit of its results.
 """
 
@@ -219,15 +221,55 @@ def dense_a11(grp) -> np.ndarray:
     couplings ``sum_d coupling[d] ⊗ D[d]`` put back."""
     m = grp.mass
     ne, n1 = grp.b1.shape
-    nm = n1 - grp.a11.shape[1]
+    nm = n1 - grp.n_a11
     a11 = np.zeros((ne, n1, n1))
     a11[:, :nm, :nm] = np.einsum("ij,est->eisjt", m.coef,
                                  m.mass).reshape(ne, nm, nm)
     a11[:, :nm, nm:] = np.einsum("dij,dest->eisjt", m.coupling,
                                  m.D).reshape(ne, nm, n1 - nm)
     a11[:, nm:, :nm] = a11[:, :nm, nm:].transpose(0, 2, 1)
-    a11[:, nm:, nm:] = grp.a11
+    a11[:, nm:, nm:] = grp.interior_block(slice(None))
     return a11
+
+
+def dense_interior_blocks(bs, material) -> list:
+    """Each group's dense ``a11`` of the stage system ``bs``, written by
+    the assembly loop that ``assembly`` ran before it kept the block as
+    terms: the primal block of stages one and three, stage two's (theta,
+    p) one; ``material`` is stage two's."""
+    out = []
+    if bs.stage != "step2":
+        k = bs.dof.trace_fields["u_hat"].per_edge
+        for grp in bs.groups:
+            batch, Tv = grp.batch, fs.space_dim(k)
+            edges = asm._local_matrices(batch, k, k - 1)[3]
+            a11 = np.zeros((len(batch.ids), Tv, Tv))
+            alpha1 = asm.stabilization(batch.h, asm.PlateMaterial())[0]
+            for Cv, Ee in edges:
+                a11 += alpha1[:, None, None] * asm._stab_volume_block(Cv, Ee)
+            out.append(a11)
+        return out
+
+    tf_th, tf_p = bs.dof.trace_fields["theta_hat"], bs.dof.trace_fields["p_hat"]
+    k, l = tf_p.per_edge, tf_th.per_edge // 2 - 1
+    Tv = fs.space_dim(k)
+    th, p = (slice(0, Tv), slice(Tv, 2 * Tv)), slice(2 * Tv, None)
+    for grp in bs.groups:
+        batch = grp.batch
+        _, EX, EY, edges = asm._local_matrices(batch, k, l)
+        a11 = np.zeros((len(batch.ids), 3 * Tv, 3 * Tv))
+        a11[:, th[0], p], a11[:, p, th[0]] = -EY, -EY.mT
+        a11[:, th[1], p], a11[:, p, th[1]] = EX, EX.mT
+        _, alpha2, alpha3 = asm.stabilization(batch.h, material)
+        for Clv, El in edges:
+            Ckv, Ek = Clv[:, :k], El[:, :k, :k]
+            stab2 = alpha2[:, None, None] * asm._stab_volume_block(Clv, El)
+            a11[:, th[0], th[0]] += stab2
+            a11[:, th[1], th[1]] += stab2
+            a11[:, p, p] -= alpha3[:, None, None] * asm._stab_volume_block(
+                Ckv, Ek)
+        out.append(a11)
+    return out
 
 
 def dense_trace_blocks(bs, material) -> list:
@@ -498,3 +540,56 @@ def factor_inputs(bs) -> list:
     rho = max(slv._dot(probe, B12.T.tocsr() @ x) / slv._dot(probe, W @ probe),
               0.0)
     return [B11, (rho * W - B22c).tocsc()]
+
+
+def full_positions(bs) -> dict:
+    """The CSC ``(shape, indices, indptr)`` of each condensed block and
+    every local block entry's place in their data laid end to end, one
+    ``position`` per entry, as ``solver`` kept them before it kept one
+    start per element, local row block and column."""
+    n, edges = bs.n_trace, np.arange(bs.dof.mesh.num_edges)
+    dof_edge = np.zeros(n, dtype=np.intp)
+    for f in bs.dof.trace_fields.values():
+        dofs = f.dofs(edges)
+        dof_edge[dofs[dofs >= 0]] = np.nonzero(dofs >= 0)[0]
+    E = sp.vstack([sp.csr_matrix((np.ones(e.size), e.ravel(), np.arange(
+        0, e.size + 1, e.shape[1])), (len(e), len(edges)))
+        for e in (grp.batch.edge_ids for grp in bs.groups)])
+    P = sp.csr_matrix((np.ones(n), (np.arange(n), dof_edge)), (n, len(edges)))
+    S = sp.csr_array(P @ (E.T @ E) @ P.T)
+    S.sort_indices()
+    S.data = np.arange(S.nnz, dtype=S.indices.dtype)
+    edge_row = np.zeros(len(edges), dtype=np.intp)
+    edge_row[dof_edge] = np.arange(n)
+    sizes = [g.trace_indices.size * g.trace_indices.shape[1] for g in bs.groups]
+    position = np.empty(sum(sizes), S.dtype)
+    for grp, pos in zip(bs.groups, np.split(position, np.cumsum(sizes)[:-1])):
+        ok = grp.trace_indices >= 0
+        dof = np.where(ok, grp.trace_indices, 0)
+        edge = np.argmax(dof_edge[dof][:, :, None]
+                         == grp.batch.edge_ids[:, None, :], axis=2)
+        row, col = np.broadcast_arrays(edge_row[grp.batch.edge_ids][..., None],
+                                       dof[:, None])
+        col = S[row.ravel(), col.ravel()].reshape(row.shape) - S.indptr[row]
+        pos = pos.reshape(*dof.shape, dof.shape[1])
+        np.add(col[np.arange(len(dof))[:, None], edge],
+               S.indptr[dof][..., None], out=pos.transpose(0, 2, 1))
+        pos[~(ok[:, :, None] & ok[:, None, :])] = S.nnz
+    S = sp.csc_array((S.data, S.indices, S.indptr), S.shape)
+    bounds = [f.offset for f in bs.dof.trace_fields.values()] + [n]
+    fields = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    blocks = [S[r, c] for i, r in enumerate(fields) for c in fields[i:]]
+    taken = np.concatenate([b.data for b in blocks])
+    target = np.full(S.nnz + 1, len(taken), S.dtype)
+    target[taken] = np.arange(len(taken))
+    return {"blocks": [(b.shape, b.indices, b.indptr) for b in blocks],
+            "position": target[position]}
+
+
+def expanded_positions(pattern: dict) -> np.ndarray:
+    """Every local block entry's place from the kept ``pattern``'s starts,
+    laid end to end like ``full_positions``' ``position``."""
+    drop = sum(len(indices) for _, indices, _ in pattern["blocks"])
+    return np.concatenate([
+        np.minimum(start[:, blk] + off[:, None], drop).ravel()
+        for start, blk, off in pattern["starts"]])

@@ -13,8 +13,9 @@ from hdgplate.assembly import (DiscreteField, PlateMaterial, SpaceConfig,
                                constitutive_inverse_matrix, recover_gamma,
                                stabilization)
 from hdgplate.mesh import Mesh, MeshTopologyError, generate_structured
-from meshes import arrays_in, mixed_group_mesh, mixed_strip
-from oracles import bh_norm, dense_trace_blocks, load_b1, monolithic_dense
+from meshes import FAMILIES, arrays_in, mixed_group_mesh, mixed_strip
+from oracles import (bh_norm, dense_interior_blocks, dense_trace_blocks,
+                     load_b1, monolithic_dense)
 
 
 class TestMaterial:
@@ -319,8 +320,8 @@ class TestSystems:
             for name in ("a11", "terms", "trace_indices"):
                 assert getattr(g3, name) is getattr(g1, name) \
                     is getattr(g0, name)
-            shared += [g1.a11, g1.trace_indices]
-            shared += [arr for term in g1.terms for arr in term[2:]]
+            shared += [g1.trace_indices]
+            shared += [arr for term in (*g1.a11, *g1.terms) for arr in term[2:]]
             assert g3.b1 is not g1.b1 and g3.b2 is not g1.b2
         for arr in shared:
             with pytest.raises(ValueError, match="read-only"):
@@ -372,7 +373,8 @@ class TestSystems:
         bs_a, _, _ = _step2_system(mesh)
         bs_b, _, _ = _step2_system(mesh)
         for ga, gb in zip(bs_a.groups, bs_b.groups):
-            assert np.array_equal(ga.a11, gb.a11)
+            assert np.array_equal(ga.interior_block(slice(None)),
+                                  gb.interior_block(slice(None)))
             assert np.array_equal(ga.trace_columns(slice(None)),
                                   gb.trace_columns(slice(None)))
             assert np.array_equal(ga.b1, gb.b1)
@@ -380,9 +382,9 @@ class TestSystems:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_step2_keeps_no_dense_interior_block(self, k):
         # the flux, and sigma and R, stay in their mass blocks; a11 is the
-        # primal block (ne, Tv, Tv), and in stage two the (theta, p) one;
-        # the trace columns stay edge-local terms, in the groups and in
-        # what the mesh keeps
+        # primal block (ne, Tv, Tv), one dense term, and in stage two the
+        # (theta, p) one, terms over (ne, Tv, Tv) blocks; the trace columns
+        # stay edge-local terms, in the groups and in what the mesh keeps
         mesh = mixed_polygon_mesh()
         bs2, _, _ = _step2_system(mesh, k)
         slv.solve_stage(bs2)  # keeps the pattern of stage two's blocks
@@ -392,23 +394,38 @@ class TestSystems:
         bs3 = asm.assemble_step3(bs1, PlateMaterial(), theta,
                                  lambda x, y: 0 * x)
         Tv = fs.space_dim(k)
-        # the a11 blocks, whose (Tv, Tv) at k=1 is a triangle's (ntl, ntl)
-        # and a pentagon's (n1, n1), are checked on their own
-        a11s = {id(grp.a11) for bs in (bs1, bs2) for grp in bs.groups}
+        # the primal block, whose (Tv, Tv) at k <= 2 is a triangle's
+        # (ntl, ntl), is checked on its own; so are the kept patterns'
+        # places, one per element, local row block and column, which at
+        # k=1 are a triangle's (ntl, ntl) in the Poisson layout
+        primal = {id(grp.a11[0][3]) for grp in bs1.groups}
+        places = set()
+        for bs in (bs1, bs2):
+            fields = bs.dof.trace_fields.values()
+            pattern = mesh.kept["pattern", tuple((f.per_edge, f.dirichlet)
+                                                 for f in fields)]
+            for grp, (start, blk, off) in zip(bs.groups, pattern["starts"],
+                                              strict=True):
+                ne, ntl = grp.trace_indices.shape
+                assert start.shape == (ne, len(fields) * grp.batch.nv, ntl)
+                assert blk.shape == off.shape == (ntl,)
+                places.add(id(start))
         kept = list(arrays_in(mesh.kept))
         for bs, n in ((bs1, Tv), (bs2, 3 * Tv), (bs3, Tv)):
             n1 = bs.dof.n_interior_per_element
             for grp in bs.groups:
                 ne, ntl = grp.trace_indices.shape
-                assert grp.a11.shape == (ne, n, n)
-                dense = {(n1, n1), (n1, ntl), (ntl, ntl)}
+                assert grp.interior_block(slice(None)).shape == (ne, n, n)
+                dense = {(n, n), (n1, n1), (n1, ntl), (ntl, ntl)}
                 for arr in [*arrays_in(grp), *kept]:
-                    assert (id(arr) in a11s or arr.ndim < 3
+                    assert (id(arr) in primal | places or arr.ndim < 3
                             or arr.shape[-2:] not in dense), (bs.stage, arr.shape)
 
     def test_step2_retains_only_edge_local_blocks(self):
-        # measured at tri n=16 k=3: 5.73 MB retained, 3.69 MB of it a11;
-        # with the dense a12 and a22 it was 17.5 MB
+        # measured at tri n=16 k=3: 3.65 MB retained, 5.69 MB with the
+        # dense (theta, p) block a11 and 17.5 MB with the dense a12 and
+        # a22; a11's seven terms hold four (ne, Tv, Tv) blocks, 1.64 MB,
+        # where the dense block held 3.69 MB
         mesh = generate_structured("triangle", 16)
         L = DiscreteField(mesh, 2, "vector2",
                           np.zeros((mesh.num_elements, 2 * fs.space_dim(2))))
@@ -421,6 +438,11 @@ class TestSystems:
         finally:
             tracemalloc.stop()
         assert bs.groups and retained <= 6.0e6
+        (grp,) = bs.groups
+        blocks = {id(b.base if b.base is not None else b)
+                  for _, _, _, b in grp.a11}
+        assert len(grp.a11) == 7 and len(blocks) == 4
+        assert retained <= 4.0e6
 
     def test_missing_stage_inputs_raise(self):
         mesh = generate_structured("triangle", 1)
@@ -535,6 +557,30 @@ class TestTraceColumns:
                     want = np.concatenate([a12, a22], axis=1)
                     assert got.tobytes() == want.tobytes(), (bs.stage, chunk)
                     assert np.array_equal(grp.trace_indices, idx)
+
+
+class TestInteriorBlock:
+    """Every stage keeps its interior block ``a11`` as terms; densified
+    one chunk at a time it is, bit for bit, the dense block that assembly
+    wrote before (``oracles.dense_interior_blocks``)."""
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equals_the_dense_assembly_bit_for_bit(self, monkeypatch,
+                                                   family, k, l):
+        mesh, spaces, mat = FAMILIES[family](), SpaceConfig(k, l), \
+            PlateMaterial(t=1e-3)
+        L = DiscreteField(mesh, k - 1, "vector2", np.zeros(
+            (mesh.num_elements, 2 * fs.space_dim(k - 1))))
+        for bs in (asm.assemble_step1(mesh, spaces, lambda x, y: 1.0 + x),
+                   asm.assemble_step2(mesh, spaces, mat, L)):
+            ref = dense_interior_blocks(bs, mat)
+            for chunk in (1, slv._CHUNK_BYTES, 10 ** 12):
+                monkeypatch.setattr(slv, "_CHUNK_BYTES", chunk)
+                for grp, want in zip(bs.groups, ref, strict=True):
+                    got = np.concatenate([grp.interior_block(e)
+                                          for e in slv._chunks(grp)])
+                    assert got.tobytes() == want.tobytes(), (bs.stage, chunk)
 
 
 def fan_rule(verts, degree):

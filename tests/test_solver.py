@@ -12,14 +12,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hdgplate import assembly as asm
+from hdgplate import femspace as fs
 from hdgplate import solver as slv
 from hdgplate import verification as vf
 from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import Mesh, generate_structured
-from meshes import mixed_group_mesh, mixed_strip, renumbered_grid
+from meshes import (FAMILIES, arrays_in, mixed_group_mesh, mixed_strip,
+                    renumbered_grid)
 from oracles import (condensed_matrix, dense_a11, dense_elimination,
-                     factor_inputs, pressure_kernel, saddle_matrix,
-                     solve_saddle_direct, trace_blocks)
+                     expanded_positions, factor_inputs, full_positions,
+                     pressure_kernel, saddle_matrix, solve_saddle_direct,
+                     trace_blocks)
 
 
 def stand_in_mesh(**attrs):
@@ -62,8 +65,10 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
                  len(mass.coef) * mass.mass.shape[1])
     terms = tuple((rows, slice(0, ntl), np.ones(ne), block[:, rows])
                   for rows in (slice(0, nm), slice(nm, n1 + ntl)))
-    group = asm.ElementBlockGroup(batch, a11_blocks, terms, b1, b2_local,
-                                  trace, mass)
+    rest = slice(0, a11_blocks.shape[1])
+    group = asm.ElementBlockGroup(batch, ((rest, rest, np.ones(ne),
+                                           a11_blocks),),
+                                  terms, b1, b2_local, trace, mass)
     return asm.BlockSystem(dof=dof, groups=[group])
 
 
@@ -197,6 +202,31 @@ class TestCondense:
                            rtol=1e-13, atol=1e-14)
 
 
+class TestPatternStarts:
+    """The kept pattern keeps one start per element, local row block and
+    column; expanded, its places are, bit for bit, the per-entry positions
+    that the solver kept before (``oracles.full_positions``)."""
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_expand_to_the_full_positions(self, family, k, l):
+        mesh, spaces = FAMILIES[family](), SpaceConfig(k, l)
+        L = DiscreteField(mesh, k - 1, "vector2", np.zeros(
+            (mesh.num_elements, 2 * fs.space_dim(k - 1))))
+        # both trace layouts: the Poisson stages' and stage two's
+        for bs in (asm.assemble_step1(mesh, spaces, lambda x, y: 1.0 + x),
+                   asm.assemble_step2(mesh, spaces, PlateMaterial(), L)):
+            pattern, want = slv._pattern(bs), full_positions(bs)
+            got = expanded_positions(pattern)
+            assert got.dtype == want["position"].dtype
+            assert got.tobytes() == want["position"].tobytes(), bs.stage
+            for block, ref in zip(pattern["blocks"], want["blocks"],
+                                  strict=True):
+                assert block[0] == ref[0]
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(block[1:], ref[1:]))
+
+
 def _stage_systems(mesh, k):
     """The three stage systems, driven by random (not solved) coefficients."""
     rng = np.random.default_rng(k)
@@ -210,6 +240,21 @@ def _stage_systems(mesh, k):
     bs1 = asm.assemble_step1(mesh, spaces, g)
     return (bs1, asm.assemble_step2(mesh, spaces, mat, L),
             asm.assemble_step3(bs1, mat, theta, g))
+
+
+class TestStageSizes:
+    def test_reports_carry_the_stage_sizes(self):
+        # stage two stores B11, B12 and B22c: SaddleBlocks.nnz also counts
+        # the B12^T that no array stores
+        for bs in _stage_systems(mixed_group_mesh(), 2):
+            _, _, report = slv.solve_stage(bs)
+            S = slv.condense(bs).S
+            blocks = S if isinstance(S, slv.SaddleBlocks) else (S,)
+            assert report.n_interior == bs.n_interior > 0
+            assert report.n_trace == bs.n_trace > 0
+            assert report.stored_nnz == sum(B.nnz for B in blocks) > 0
+            if bs.stage == "step2":
+                assert report.stored_nnz == S.nnz - S.B12.nnz
 
 
 class TestBatchedCondensation:
@@ -910,6 +955,18 @@ class TestMeshCache:
             for stage, rep in swept.reports.items():
                 assert rep.iterations == fresh.reports[stage].iterations
             assert vf.table_errors(swept, ex) == vf.table_errors(fresh, ex)
+
+    def test_kept_patterns_hold_one_start_per_row_block(self):
+        # measured at tri n=16 k=3 after one solve_plate: 2.04 MB under the
+        # two ("pattern", layout) keys, 1.85 MB of it stage two's; with one
+        # position per local entry they held 3.98 MB
+        mat = PlateMaterial(t=1e-2)
+        mesh = generate_structured("triangle", 16)
+        vf.solve_plate(mesh, SpaceConfig(3), mat, vf.exact_fields(mat))
+        patterns = [value for key, value in mesh.kept.items()
+                    if key[0] == "pattern"]
+        assert len(patterns) == 2
+        assert sum(arr.nbytes for arr in arrays_in(patterns)) <= 2.3e6
 
     def test_t_sweep_builds_each_pattern_once(self, monkeypatch):
         built, conds = [], []

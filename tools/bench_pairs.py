@@ -1,0 +1,172 @@
+"""Run alternating benchmark pairs, a parent revision against the working tree.
+
+From the repository root:
+
+    python3 tools/bench_pairs.py --seeds 81-90 --out BENCH_name.json
+
+For each workload the parent's ``perfbench/workloads.py`` defines and
+each seed, ``perfbench/run.py --trace 0`` runs once, at the run length
+``run.py`` sets, on a copy of the parent revision (``git archive``,
+default ``HEAD``) and once on the working tree, the parent first on odd
+seeds.  The BENCH file
+holds every run, each metric's medians, quartiles, ranges and the pairs
+in which the change reads lower and higher, whether the two sides wrote
+byte-identical study CSVs, and the machine the runs saw; its ``claim``
+and ``notes`` are left for the author to write.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import runpy
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THP = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+
+
+def seed_list(text: str) -> list[int]:
+    """``"81-90"`` or ``"81,83,85"`` as a list of seeds."""
+    if "-" in text:
+        lo, hi = (int(part) for part in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(part) for part in text.split(",")]
+
+
+def workload_names(tree: Path) -> list[str]:
+    """The workloads ``perfbench/workloads.py`` in ``tree`` defines."""
+    return list(runpy.run_path(
+        str(tree / "perfbench" / "workloads.py"))["WORKLOADS"])
+
+
+def run_side(tree: Path, workload: str, seed: int, out: Path) -> dict:
+    """One untraced run of ``workload`` from ``tree``: its end-to-end
+    metrics and case counts, as the run's last output line reports them."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--trace", "0", "--out", str(out)],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{tree}: {workload} seed {seed} exited with "
+                           f"{proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"seed": seed,
+            **{name: m["value"] for name, m in result["metrics"].items()},
+            "attempted": result["attempted"], "failed": result["failed"],
+            "correct": result["correct"]}
+
+
+def summarize(parent: list[float], change: list[float]) -> dict:
+    """Medians, quartiles (inclusive method), ranges and the pair counts."""
+    def q(values):
+        return statistics.quantiles(values, n=4, method="inclusive")
+
+    pm, cm = statistics.median(parent), statistics.median(change)
+    (p1, _, p3), (c1, _, c3) = q(parent), q(change)
+    return {
+        "parent_median": round(pm, 4), "change_median": round(cm, 4),
+        "change_vs_parent": round((cm - pm) / pm, 4) if pm else None,
+        "change_lower_pairs": sum(c < p for p, c in zip(parent, change)),
+        "change_higher_pairs": sum(c > p for p, c in zip(parent, change)),
+        "parent_iqr": [round(p1, 4), round(p3, 4)],
+        "change_iqr": [round(c1, 4), round(c3, 4)],
+        "parent_iqr_pct": round(100 * (p3 - p1) / pm, 2) if pm else None,
+        "change_iqr_pct": round(100 * (c3 - c1) / cm, 2) if cm else None,
+        "change_range": [round(min(change), 4), round(max(change), 4)],
+        "parent_range": [round(min(parent), 4), round(max(parent), 4)],
+    }
+
+
+def machine(out: Path) -> dict:
+    """The environment a run recorded, with the C library and the
+    transparent huge page mode."""
+    record = json.loads(next(out.glob("*-trace0.json")).read_text())
+    env = record["environment"]
+    env.pop("git_revision", None)
+    libc, version = platform.libc_ver()
+    env["glibc"] = version if libc == "glibc" else None
+    try:
+        modes = THP.read_text().split()
+        env["transparent_hugepage"] = next(
+            (m.strip("[]") for m in modes if m.startswith("[")), None)
+    except OSError:
+        env["transparent_hugepage"] = None
+    return env
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seeds", type=seed_list, required=True,
+                        help='"81-90" or "81,83,85"')
+    parser.add_argument("--parent", default="HEAD",
+                        help="the revision to compare against")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    parent_rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
+                                check=True, capture_output=True,
+                                text=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        tmp = Path(tmp)
+        parent_tree = tmp / "parent"
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "archive", parent_rev], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive,
+                       check=True)
+        trees = {"parent": parent_tree, "change": ROOT}
+        workloads = {}
+        for workload in workload_names(parent_tree):
+            runs = {"parent": [], "change": []}
+            for seed in args.seeds:
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_side(trees[side], workload, seed,
+                                               tmp / side))
+                    print(f"{workload} seed {seed} {side}: "
+                          f"{runs[side][-1]}", file=sys.stderr, flush=True)
+            csvs = [(tmp / side / f"{workload}-seed{seed}.csv").read_bytes()
+                    for seed in args.seeds for side in ("parent", "change")]
+            workloads[workload] = {
+                "pairs": len(args.seeds),
+                "csv_identical": csvs[0::2] == csvs[1::2],
+                "summary": {
+                    name: summarize([r[name] for r in runs["parent"]],
+                                    [r[name] for r in runs["change"]])
+                    for name in runs["parent"][0]
+                    if name not in ("seed", "attempted", "failed", "correct")},
+                "runs": runs,
+            }
+        env = machine(tmp / "change")
+
+    seeds = args.seeds
+    span = (f"{seeds[0]}-{seeds[-1]}"
+            if seeds == list(range(seeds[0], seeds[-1] + 1))
+            else ",".join(map(str, seeds)))
+    bench = {
+        "what": (f"{len(seeds)} alternating untraced parent/change pairs per "
+                 f"workload on seeds {span} (odd seeds run "
+                 "the parent first): python3 perfbench/run.py --workload W "
+                 "--seed S --trace 0, the parent from a git archive copy, "
+                 "the change from the working tree."),
+        "claim": "",
+        "notes": "",
+        "revisions": {"parent": parent_rev,
+                      "change": "the commit that adds this file (its parent "
+                                "is the revision above)"},
+        "machine": env,
+        "seeds": seeds,
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
