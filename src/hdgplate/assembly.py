@@ -65,6 +65,10 @@ class PlateMaterial:
     t: float = 1.0
 
     def __post_init__(self):
+        for name in ("E", "nu", "kappa", "t"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name}={value!r} must be a real number")
         if not 0 < self.E < math.inf:
             raise ValueError("E must be positive and finite")
         if not 0 < self.nu <= 0.5:
@@ -638,7 +642,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     for batch in element_batches(mesh):
         ne, nv = len(batch.ids), batch.nv
         Mss, EX, EY, edges = _local_matrices(batch, k, l)
-        DX, DY = EX[:, :Ts], EY[:, :Ts]
+        D = np.stack([EX, EY])  # a11's blocks; sigma and R read Ts rows
 
         # the edge stabilizations of theta (one block for both components)
         # and of p, summed edge by edge; p's enters negated, subtracted
@@ -690,12 +694,12 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         th, p = (slice(0, Tv), slice(Tv, 2 * Tv)), slice(2 * Tv, 3 * Tv)
         one, minus = np.broadcast_to(1.0, ne), np.broadcast_to(-1.0, ne)
         a11 = ((th[0], th[0], one, stab2), (th[1], th[1], one, stab2),
-               (th[0], p, minus, EY), (p, th[0], minus, EY.mT),
-               (th[1], p, one, EX), (p, th[1], one, EX.mT),
+               (th[0], p, minus, D[1]), (p, th[0], minus, D[1].mT),
+               (th[1], p, one, D[0]), (p, th[1], one, D[0].mT),
                (p, p, one, stab3))
         groups.append(ElementBlockGroup(
             batch, a11, tuple(terms), b1, np.zeros(trace_idx.shape), trace_idx,
-            MassFields(Mss, coef, np.stack([DX, DY]), _COUPLING)))
+            MassFields(Mss, coef, D[:, :, :Ts], _COUPLING)))
 
     return BlockSystem(dof, groups, stage="step2")
 

@@ -319,7 +319,7 @@ def generate_structured(kind: str, n: int) -> Mesh:
     upper-right diagonal) or ``"quadrilateral"`` (axis-aligned squares).
     Cells are numbered row by row from the lower-left corner.
     """
-    if not isinstance(n, numbers.Integral):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValueError(f"n={n!r} must be an integer")
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -75,6 +75,8 @@ class SolverConfig:
     max_iter: int = 20000
 
     def __post_init__(self):
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol={self.tol!r} must be a real number")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         if (isinstance(self.max_iter, bool)
@@ -178,8 +180,9 @@ def _kron(c: np.ndarray, M: np.ndarray, x: np.ndarray, T=False) -> np.ndarray:
 
 
 # bytes of [A11 | A12 | b1] per pass over a group's elements, about 64
-# elements at stage two, k=3: bounds the temporaries of the elimination and
-# of the dense trace columns, and changes no bit of any result
+# elements at stage two, k=3: bounds the temporaries of the elimination,
+# of its scatter and of the dense trace columns, and changes no bit of any
+# result
 _CHUNK_BYTES = 3 * 2 ** 20
 
 
@@ -191,17 +194,17 @@ def _chunks(grp) -> list:
     return [slice(i, i + step) for i in range(0, ne, step)]
 
 
-def _eliminate(grp, out: np.ndarray) -> tuple:
-    """Eliminate a group's interior unknowns: write its local Schur blocks
-    into ``out`` and return ``(Y, rhs, minv)``, with ``Y = A11'^{-1}
-    [A12' | b1']`` for the fields after the mass fields, the local loads
-    and the inverse element masses.  The mass fields go first, through
+def _eliminate(grp, add: Callable) -> tuple:
+    """Eliminate a group's interior unknowns a chunk of elements at a time,
+    handing each chunk's local Schur blocks and loads to ``add(e, schur,
+    rhs)`` as they come, in element order; return ``(Y, minv)``, with ``Y
+    = A11'^{-1} [A12' | b1']`` for the fields after the mass fields and
+    the inverse element masses.  The mass fields go first, through
     ``coef^{-1} ⊗ minv``; the primes mark what that leaves of the other
     fields' blocks, which a stacked dense solve eliminates."""
     (ne, n1), n, m = grp.b1.shape, grp.n_a11, grp.mass
     nm, cinv = n1 - n, np.linalg.inv(m.coef)[None]
-    y, rhs = np.empty((ne, n, grp.b2.shape[1] + 1)), np.empty(grp.b2.shape)
-    minv = np.empty(m.mass.shape)
+    y, minv = np.empty((ne, n, grp.b2.shape[1] + 1)), np.empty(m.mass.shape)
     for e in _chunks(grp):
         a = grp.trace_columns(e)
         cols = np.concatenate([a[:, :n1], grp.b1[e, :, None]], -1)
@@ -215,9 +218,8 @@ def _eliminate(grp, out: np.ndarray) -> tuple:
         y[e] = _local_solve(grp.batch.ids[e], rest[..., :n], rest[..., n:])
         z = cols[:, :nm, :-1].mT @ w[..., n:]
         z += rest[..., n:-1].mT @ y[e]
-        np.subtract(a[:, n1:], z[..., :-1], out=out[e])
-        np.subtract(grp.b2[e], z[..., -1], out=rhs[e])
-    return y, rhs, minv
+        add(e, a[:, n1:] - z[..., :-1], grp.b2[e] - z[..., -1])
+    return y, minv
 
 
 def _scatter_vector(vec: np.ndarray, idx: np.ndarray, local: np.ndarray):
@@ -298,44 +300,36 @@ def _pattern(bs: BlockSystem) -> dict:
     return bs.dof.mesh.keep(("pattern", layout), lambda: _build_pattern(bs))
 
 
-def _scatter(pattern: dict, schur: list):
-    """``S`` or :class:`SaddleBlocks` from the groups' local Schur blocks
-    ``schur``, added in element order by one ``np.add.at`` per chunk."""
-    ends = np.cumsum([len(indices) for _, indices, _ in pattern["blocks"]])
-    data = np.zeros(ends[-1] + 1)
-    for (start, blk, off), local in zip(pattern["starts"], schur, strict=True):
-        step = max(1, _CHUNK_BYTES // local[0].nbytes)
-        for i in range(0, len(local), step):
-            pos = start[i:i + step][:, blk]
-            pos += off[:, None]
-            np.minimum(pos, ends[-1], out=pos)
-            np.add.at(data, pos.ravel(), local[i:i + step].ravel())
-    mats = []
-    for d, (shape, indices, indptr) in zip(np.split(data, ends),
-                                           pattern["blocks"]):
-        mats.append(sp.csc_matrix((d, indices, indptr), shape))
-        mats[-1].data = d  # scipy copies a view of less than half its buffer
-    return mats[0] if len(mats) == 1 else SaddleBlocks(*mats)
-
-
 def condense(bs: BlockSystem) -> CondensedSystem:
     """Eliminate interior unknowns element-by-element (never globally).
 
     This is the one place where trace blocks become sparse: ``S`` sums
     the local ``A22 - A12^T A11^{-1} A12`` into the mesh's kept pattern
     (stage two's into its blocks), and ``rhs`` the local ``b2 - A12^T
-    A11^{-1} b1``.  Every stage eliminates its mass fields with the
-    inverse element mass first, the rest by one stacked solve.
+    A11^{-1} b1``, a chunk of elements at a time as it is eliminated.
+    Every stage eliminates its mass fields with the inverse element mass
+    first, the rest by one stacked solve.
     """
     pattern = _pattern(bs)
-    rhs, local, schur = np.zeros(bs.n_trace), [], []
-    for grp in bs.groups:
-        ne, ntl = grp.trace_indices.shape
-        schur.append(np.empty((ne, ntl, ntl)))  # the local Schur blocks
-        y, local_rhs, minv = _eliminate(grp, schur[-1])
-        _scatter_vector(rhs, grp.trace_indices, local_rhs)
+    ends = np.cumsum([len(indices) for _, indices, _ in pattern["blocks"]])
+    data, rhs, local = np.zeros(ends[-1] + 1), np.zeros(bs.n_trace), []
+    for grp, (start, blk, off) in zip(bs.groups, pattern["starts"],
+                                      strict=True):
+        def add(e, schur, load):
+            pos = start[e][:, blk]
+            pos += off[:, None]
+            np.minimum(pos, ends[-1], out=pos)
+            np.add.at(data, pos.ravel(), schur.ravel())
+            _scatter_vector(rhs, grp.trace_indices[e], load)
+        y, minv = _eliminate(grp, add)
         local.append((y[..., :-1], y[..., -1], minv))
-    return CondensedSystem(bs, _scatter(pattern, schur), rhs, local)
+    mats = []
+    for d, (shape, indices, indptr) in zip(np.split(data, ends),
+                                           pattern["blocks"]):
+        mats.append(sp.csc_matrix((d, indices, indptr), shape))
+        mats[-1].data = d  # scipy copies a view of less than half its buffer
+    S = mats[0] if len(mats) == 1 else SaddleBlocks(*mats)
+    return CondensedSystem(bs, S, rhs, local)
 
 
 def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:

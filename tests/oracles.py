@@ -484,10 +484,9 @@ def schur_triplets(bs) -> list:
     each computed with the same operations as in ``solver.condense``."""
     blocks = []
     for grp in bs.groups:
-        ne, ntl = grp.trace_indices.shape
-        local = np.empty((ne, ntl, ntl))
-        slv._eliminate(grp, local)
-        blocks.append(_coo_block(grp.trace_indices, local))
+        chunks = []
+        slv._eliminate(grp, lambda e, schur, rhs: chunks.append(schur))
+        blocks.append(_coo_block(grp.trace_indices, np.concatenate(chunks)))
     return blocks
 
 

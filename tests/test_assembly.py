@@ -37,6 +37,13 @@ class TestMaterial:
         with pytest.raises(ValueError, match=f"^t={t!r} is too small"):
             PlateMaterial(t=t)
 
+    # a bool is a Real, taken as t=1; a string failed in a comparison
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_rejects_t_that_is_not_a_number(self, value):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"t={value!r} must be a real")):
+            PlateMaterial(t=value)
+
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("name", ["E", "kappa"])
     def test_rejects_non_finite_modulus(self, name, value):
@@ -422,10 +429,11 @@ class TestSystems:
                             or arr.shape[-2:] not in dense), (bs.stage, arr.shape)
 
     def test_step2_retains_only_edge_local_blocks(self):
-        # measured at tri n=16 k=3: 3.65 MB retained, 5.69 MB with the
-        # dense (theta, p) block a11 and 17.5 MB with the dense a12 and
-        # a22; a11's seven terms hold four (ne, Tv, Tv) blocks, 1.64 MB,
-        # where the dense block held 3.69 MB
+        # measured at tri n=16 k=3: 3.16 MB retained, 3.65 MB when the
+        # mass fields' D copied the leading rows of a11's (curl, p)
+        # blocks, 5.69 MB with the dense (theta, p) block a11 and 17.5 MB
+        # with the dense a12 and a22; a11's seven terms hold four (ne, Tv,
+        # Tv) blocks, 1.64 MB, where the dense block held 3.69 MB
         mesh = generate_structured("triangle", 16)
         L = DiscreteField(mesh, 2, "vector2",
                           np.zeros((mesh.num_elements, 2 * fs.space_dim(2))))
@@ -439,10 +447,13 @@ class TestSystems:
             tracemalloc.stop()
         assert bs.groups and retained <= 6.0e6
         (grp,) = bs.groups
-        blocks = {id(b.base if b.base is not None else b)
-                  for _, _, _, b in grp.a11}
+        blocks = {b.ctypes.data for _, _, _, b in grp.a11}
         assert len(grp.a11) == 7 and len(blocks) == 4
+        # D is a view of a11's (curl, p) blocks, not a copy
+        assert all(np.shares_memory(grp.mass.D, b)
+                   for _, _, _, b in grp.a11[2:6])
         assert retained <= 4.0e6
+        assert retained <= 3.4e6
 
     def test_missing_stage_inputs_raise(self):
         mesh = generate_structured("triangle", 1)

@@ -34,3 +34,34 @@ def test_workloads_are_the_benchmarks():
     root = _PATH.parent.parent
     declared = json.loads((root / "BENCHMARK.json").read_text())["workloads"]
     assert bench_pairs.workload_names(root) == [w["name"] for w in declared]
+
+
+STAT_SAMPLE = """\
+cpu  6655210 0 464191 14990906 503 0 7282 185264 0 0
+cpu0 2344231 0 176084 8525520 408 0 5445 118661 0 0
+cpu1 4310978 0 288107 6465385 94 0 1836 66602 0 0
+intr 38130547 0 0 0
+ctxt 15237719
+"""
+
+
+def test_steal_ticks_reads_the_aggregate_cpu_line():
+    assert bench_pairs.steal_ticks(STAT_SAMPLE) == 185264
+    # kernels before 2.6.11 write no steal column
+    assert bench_pairs.steal_ticks("cpu  1 2 3 4 5 6 7\n") is None
+    assert bench_pairs.steal_ticks("intr 1 2\n") is None
+
+
+def test_workload_block_totals_failed_cases_per_side():
+    def run(seed, failed, study_s):
+        return {"seed": seed, "study_s": study_s, "attempted": 4,
+                "failed": failed, "correct": 4 - failed,
+                "steal_ticks": [10, 12]}
+
+    runs = {"parent": [run(1, 0, 2.0), run(2, 1, 3.0)],
+            "change": [run(1, 2, 1.0), run(2, 1, 2.0)]}
+    got = bench_pairs.workload_block(runs, True)
+    assert got["failed"] == {"parent": 1, "change": 3}
+    assert got["pairs"] == 2 and got["csv_identical"]
+    assert list(got["summary"]) == ["study_s"]
+    assert got["summary"]["study_s"]["change_lower_pairs"] == 2

@@ -65,6 +65,11 @@ class TestGenerators:
         with pytest.raises(ValueError, match=r"^n=2.5 must be an integer$"):
             generate_structured("quadrilateral", 2.5)
 
+    def test_rejects_bool_n(self):
+        # a bool is an Integral: n=True built the 1 x 1 mesh
+        with pytest.raises(ValueError, match=r"^n=True must be an integer$"):
+            generate_structured("triangle", True)
+
     @pytest.mark.parametrize("kind", ["triangle", "quadrilateral"])
     def test_euler_relation(self, kind):
         for n in (1, 3, 5, 8):

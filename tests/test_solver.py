@@ -94,7 +94,9 @@ class TestSolverConfig:
         ({"tol": 0.0}, "tol must be positive"),
         ({"max_iter": 2.5}, "max_iter=2.5 must be an integer"),
         ({"tol": np.inf}, "tol must be positive and finite"),
-        ({"max_iter": True}, "max_iter=True must be an integer")])
+        ({"max_iter": True}, "max_iter=True must be an integer"),
+        ({"tol": True}, "^tol=True must be a real number$"),
+        ({"tol": "1e-8"}, "^tol='1e-8' must be a real number$")])
     def test_rejects_impossible_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             slv.SolverConfig(**kwargs)
@@ -997,10 +999,11 @@ class TestMeshCache:
 
     def test_stage_two_condense_transient(self):
         # above what condense returns (Y and the blocks), stage two's
-        # condense at tri n=16 k=3 peaks at 11.0 MB, the pattern build and
-        # the dense trace columns of one chunk included; that is the peak
-        # it had when it returned all of S, 10.3 MB above it (9.1 MB when
-        # the group kept them dense); a sum of COO triplets through a
+        # condense at tri n=16 k=3 peaks at 9.2 MB, the pattern build and
+        # the dense trace columns of one chunk included; 11.0 MB when it
+        # held every local Schur block until one scatter at the end, as
+        # when it returned all of S, 10.3 MB above it (9.1 MB when the
+        # group kept them dense); a sum of COO triplets through a
         # COO-to-CSR copy peaks at 26.5 MB, and the mass-first elimination
         # of a whole group at once at 21.7 MB
         bs = _stage_systems(generate_structured("triangle", 16), 3)[1]
@@ -1014,6 +1017,23 @@ class TestMeshCache:
                 tracemalloc.stop()
             assert peak - kept <= 12 * 2 ** 20
             del cond
+
+    def test_condense_transient_is_bounded_by_the_chunk(self):
+        # each chunk is scattered as it is eliminated, so with the pattern
+        # kept the transient is one chunk's temporaries, 9.2 MB at tri
+        # n=32 k=3 as at n=16; every element's local Schur block held
+        # until one scatter at the end made it 22.3 MB (49.1 MB at n=48)
+        bs = _stage_systems(generate_structured("triangle", 32), 3)[1]
+        slv.condense(bs)  # builds and keeps the pattern
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cond = slv.condense(bs)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= 12 * 2 ** 20
+        del cond
 
     @pytest.mark.parametrize("kind,n,k,t", [("triangle", 16, 1, 1e-2),
                                             ("quadrilateral", 8, 2, 1e-6)])

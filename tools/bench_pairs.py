@@ -9,10 +9,12 @@ each seed, ``perfbench/run.py --trace 0`` runs once, at the run length
 ``run.py`` sets, on a copy of the parent revision (``git archive``,
 default ``HEAD``) and once on the working tree, the parent first on odd
 seeds.  The BENCH file
-holds every run, each metric's medians, quartiles, ranges and the pairs
-in which the change reads lower and higher, whether the two sides wrote
-byte-identical study CSVs, and the machine the runs saw; its ``claim``
-and ``notes`` are left for the author to write.
+holds every run, with the ``/proc/stat`` steal ticks read before and
+after it, each metric's medians, quartiles, ranges and the pairs in
+which the change reads lower and higher, each side's total of failed
+cases, whether the two sides wrote byte-identical study CSVs, and the
+machine the runs saw; its ``claim`` and ``notes`` are left for the
+author to write.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THP = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+STAT = Path("/proc/stat")
+# what a run records besides its metrics
+RUN_FIELDS = ("seed", "attempted", "failed", "correct", "steal_ticks")
 
 
 def seed_list(text: str) -> list[int]:
@@ -45,13 +50,35 @@ def workload_names(tree: Path) -> list[str]:
         str(tree / "perfbench" / "workloads.py"))["WORKLOADS"])
 
 
+def steal_ticks(text: str) -> int | None:
+    """The steal ticks of the aggregate ``cpu`` line of ``/proc/stat``
+    text, its eighth value; None where that line or value is missing."""
+    for line in text.splitlines():
+        fields = line.split()
+        if fields[:1] == ["cpu"]:
+            return int(fields[8]) if len(fields) > 8 else None
+    return None
+
+
+def read_steal() -> int | None:
+    """The machine's steal ticks so far, or None where ``/proc/stat``
+    cannot be read."""
+    try:
+        return steal_ticks(STAT.read_text())
+    except OSError:
+        return None
+
+
 def run_side(tree: Path, workload: str, seed: int, out: Path) -> dict:
     """One untraced run of ``workload`` from ``tree``: its end-to-end
-    metrics and case counts, as the run's last output line reports them."""
+    metrics and case counts, as the run's last output line reports them,
+    and the steal ticks read before and after it."""
+    before = read_steal()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--trace", "0", "--out", str(out)],
         cwd=tree, capture_output=True, text=True)
+    after = read_steal()
     if proc.returncode:
         raise RuntimeError(f"{tree}: {workload} seed {seed} exited with "
                            f"{proc.returncode}:\n{proc.stderr}")
@@ -59,7 +86,23 @@ def run_side(tree: Path, workload: str, seed: int, out: Path) -> dict:
     return {"seed": seed,
             **{name: m["value"] for name, m in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"],
-            "correct": result["correct"]}
+            "correct": result["correct"], "steal_ticks": [before, after]}
+
+
+def workload_block(runs: dict, csv_identical: bool) -> dict:
+    """A workload's entry in the BENCH file from its ``runs`` per side:
+    the summary of every metric and each side's total of failed cases."""
+    parent, change = runs["parent"], runs["change"]
+    return {
+        "pairs": len(parent),
+        "csv_identical": csv_identical,
+        "failed": {side: sum(r["failed"] for r in runs[side])
+                   for side in ("parent", "change")},
+        "summary": {name: summarize([r[name] for r in parent],
+                                    [r[name] for r in change])
+                    for name in parent[0] if name not in RUN_FIELDS},
+        "runs": runs,
+    }
 
 
 def summarize(parent: list[float], change: list[float]) -> dict:
@@ -133,16 +176,8 @@ def main(argv=None) -> int:
                           f"{runs[side][-1]}", file=sys.stderr, flush=True)
             csvs = [(tmp / side / f"{workload}-seed{seed}.csv").read_bytes()
                     for seed in args.seeds for side in ("parent", "change")]
-            workloads[workload] = {
-                "pairs": len(args.seeds),
-                "csv_identical": csvs[0::2] == csvs[1::2],
-                "summary": {
-                    name: summarize([r[name] for r in runs["parent"]],
-                                    [r[name] for r in runs["change"]])
-                    for name in runs["parent"][0]
-                    if name not in ("seed", "attempted", "failed", "correct")},
-                "runs": runs,
-            }
+            workloads[workload] = workload_block(runs,
+                                                 csvs[0::2] == csvs[1::2])
         env = machine(tmp / "change")
 
     seeds = args.seeds
