@@ -315,7 +315,7 @@ class StageDofMap:
     def trace_to_edge_array(self, name: str, x2: np.ndarray) -> np.ndarray:
         """(num_edges, per_edge) coefficients; zeros on eliminated edges."""
         dofs = self.trace_fields[name].dofs(np.arange(self.mesh.num_edges))
-        return np.where(dofs >= 0, x2[dofs], 0.0)
+        return np.append(x2, 0.0)[dofs]
 
 
 # ----------------------------------------------------------------------

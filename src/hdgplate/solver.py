@@ -167,13 +167,10 @@ def _mass_inverse(ids, mass: np.ndarray) -> np.ndarray:
     return linv.mT @ linv
 
 
-def _kron(c: np.ndarray, M: np.ndarray, x: np.ndarray, T=False) -> np.ndarray:
+def _kron(c: np.ndarray, M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``(sum_d c[d] ⊗ M[d]) x`` per element for (nd, a, b) ``c``, (nd, ne,
     s, t) ``M`` and an (ne, b * t, ...) stack ``x``, never forming the
-    product's matrix; with ``T``, its transpose times an (ne, a * s, ...)
-    stack."""
-    if T:
-        c, M = c.transpose(0, 2, 1), M.mT
+    product's matrix."""
     y = M[:, :, None] @ x.reshape(len(x), c.shape[2], M.shape[3], -1)
     return np.einsum("dij,dejs...->eis...", c, y).reshape(
         len(x), -1, *x.shape[2:])
@@ -233,55 +230,55 @@ def _scatter_vector(vec: np.ndarray, idx: np.ndarray, local: np.ndarray):
 
 
 def _build_pattern(bs: BlockSystem) -> dict:
-    n, edges = bs.n_trace, np.arange(bs.dof.mesh.num_edges)
-    dof_edge = np.zeros(n, dtype=np.intp)
-    for f in bs.dof.trace_fields.values():
-        dofs = f.dofs(edges)
-        dof_edge[dofs[dofs >= 0]] = np.nonzero(dofs >= 0)[0]
-    # S's pattern, its entry numbers as data: a row holds the dofs of every
-    # edge that shares an element with its own (E: element-edge incidence)
+    mesh, fields = bs.dof.mesh, list(bs.dof.trace_fields.values())
+    per_edge = [f.per_edge for f in fields]
+    # the element-edge incidence, its columns each field's kept edges in
+    # the order the field numbers them
     E = sp.vstack([sp.csr_matrix((np.ones(e.size), e.ravel(), np.arange(
-        0, e.size + 1, e.shape[1])), (len(e), len(edges)))
-        for e in (grp.batch.edge_ids for grp in bs.groups)])
-    P = sp.csr_matrix((np.ones(n), (np.arange(n), dof_edge)), (n, len(edges)))
-    S = sp.csr_array(P @ (E.T @ E) @ P.T)
-    S.sort_indices()
-    S.data = np.arange(S.nnz, dtype=S.indices.dtype)
-    # S is symmetric in pattern, so its CSR arrays are its CSC arrays, and
-    # the transposed places below are each local entry's own CSC place
-    C = sp.csc_array((S.data, S.indices, S.indptr), S.shape)
-    bounds = [f.offset for f in bs.dof.trace_fields.values()] + [n]
-    fields = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    # each field against itself and every later one: B12^T is dropped
-    blocks = [C[r, c] for i, r in enumerate(fields) for c in fields[i:]]
-    taken = np.concatenate([b.data for b in blocks])
-    target = np.full(S.nnz + 1, len(taken), S.dtype)
-    target[taken] = np.arange(len(taken))
-    edge_row = np.zeros(len(edges), dtype=np.intp)  # any row of each edge
-    edge_row[dof_edge] = np.arange(n)
-    per_edge = [f.per_edge for f in bs.dof.trace_fields.values()]
+        0, e.size + 1, e.shape[1])), (len(e), mesh.num_edges))
+        for e in (grp.batch.edge_ids for grp in bs.groups)]).tocsc()
+    kept = [E[:, np.argsort(f.edge_rank)[np.sum(f.edge_rank < 0):]]
+            for f in fields]
+    # each field against itself and every later one: B12^T is not kept
+    pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))]
+    graphs, blocks = [], []
+    for i, j in pairs:
+        G = sp.csc_array(kept[i].T @ kept[j])
+        G.sort_indices()
+        blocks.append(sp.kron(G, np.ones((per_edge[i], per_edge[j])),
+                              format="csc"))
+        G.data = np.arange(G.nnz)  # its entry numbers
+        graphs.append(G)
+    bases = np.cumsum([0] + [B.nnz for B in blocks])
+    drop = bases[-1]
+    dtype = np.int32 if drop + max(per_edge) < 2 ** 31 else np.int64
     starts = []
     for grp in bs.groups:
         # a local row block is one field's dofs on one local edge (they run
-        # field by field, edge by local edge): in every column, of S and of
-        # the block that keeps them, a run of places
-        nv = grp.batch.edge_ids.shape[1]
+        # field by field, edge by local edge): in every column of the block
+        # that keeps them, a run of places
+        ne, nv = grp.batch.edge_ids.shape
         size = np.repeat(per_edge, nv)
         first = np.cumsum(size) - size
         blk = np.repeat(np.arange(len(size)), size)
-        ok = grp.trace_indices >= 0
-        dof = np.where(ok, grp.trace_indices, 0)
-        # all rows of an edge hold the same columns: look the places of the
-        # blocks' first dofs up once per local edge, then offset them to
-        # every row
-        row, col = np.broadcast_arrays(edge_row[grp.batch.edge_ids][..., None],
-                                       dof[:, None, first])
-        col = S[row.ravel(), col.ravel()].reshape(row.shape) - S.indptr[row]
-        start = (col[:, blk % nv] + S.indptr[dof][..., None]).transpose(0, 2, 1)
-        start[~(ok[:, first, None] & ok[:, None, :])] = S.nnz
-        off = (np.arange(len(blk)) - first[blk]).astype(S.dtype)
-        starts.append((target[start], blk, off))
-    return {"blocks": [(b.shape, b.indices, b.indptr) for b in blocks],
+        start = np.full((ne, len(size), len(blk)), drop, dtype)
+        rank = [f.edge_rank[grp.batch.edge_ids] for f in fields]
+        for (i, j), G, B, base in zip(pairs, graphs, blocks, bases):
+            if not G.nnz:  # a field that keeps no edge
+                continue
+            # every kept (row edge v, column edge w) of each element e: the
+            # place of v's first row in w's columns is p_i times v's place
+            # among w's neighbours
+            e, v, w = np.nonzero((rank[i][:, :, None] >= 0)
+                                 & (rank[j][:, None, :] >= 0))
+            r, c = rank[i][e, v], rank[j][e, w]
+            place = base + per_edge[i] * (G[r, c] - G.indptr[c])
+            for q in range(per_edge[j]):
+                start[e, i * nv + v, first[j * nv + w] + q] = (
+                    place + B.indptr[c * per_edge[j] + q])
+        off = (np.arange(len(blk)) - first[blk]).astype(dtype)
+        starts.append((start, blk, off))
+    return {"blocks": [(B.shape, B.indices, B.indptr) for B in blocks],
             "starts": starts}
 
 
@@ -292,9 +289,11 @@ def _pattern(bs: BlockSystem) -> dict:
     end: ``start`` (ne, nblk, ntl), the place of each element's local row
     block and column, int32 while it fits, with each local row's ``blk``
     and ``off``, so that the entry (i, j) goes to ``start[blk[i], j] +
-    off[i]``; one past the data for eliminated dofs and ``B12^T``.  Built
-    from the edges that share an element.  Two elements share at most one
-    edge, so each matrix is bitwise its slice of the COO sum."""
+    off[i]``; one past the data for eliminated dofs and ``B12^T``.  The
+    block of fields i <= j is their kept edges' graph (edges that share an
+    element) with one dense ``per_edge_i x per_edge_j`` block per entry.
+    Two elements share at most one edge, so each matrix is bitwise its
+    slice of the COO sum."""
     layout = tuple((f.per_edge, f.dirichlet)
                    for f in bs.dof.trace_fields.values())
     return bs.dof.mesh.keep(("pattern", layout), lambda: _build_pattern(bs))
@@ -337,7 +336,7 @@ def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
     dof = cond.system.dof
     x1 = np.zeros((dof.mesh.num_elements, dof.n_interior_per_element))
     for grp, (y_a, y_b, minv) in zip(cond.system.groups, cond.local):
-        x2loc = np.where(grp.trace_indices >= 0, x2[grp.trace_indices], 0.0)
+        x2loc = np.append(x2, 0.0)[grp.trace_indices]  # 0 if eliminated
         xp = y_b - np.einsum("eij,ej->ei", y_a, x2loc)
         nm, m = x1.shape[1] - xp.shape[1], grp.mass
         x1[grp.batch.ids, nm:] = xp
@@ -357,7 +356,7 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
     rnorm2 = bnorm2 = 0.0
     for grp in bs.groups:
         x1g = x1[grp.batch.ids]
-        x2loc = np.where(grp.trace_indices >= 0, x2[grp.trace_indices], 0.0)
+        x2loc = np.append(x2, 0.0)[grp.trace_indices]  # 0 if eliminated
         n1, r1, rt = x1g.shape[1], np.empty_like(grp.b1), np.empty_like(grp.b2)
         nm, m = n1 - grp.n_a11, grp.mass
         xm, xp = x1g[:, :nm], x1g[:, nm:]
@@ -371,7 +370,7 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
         r1 -= grp.b1
         r1[:, :nm] += (_kron(m.coef[None], m.mass[None], xm)
                        + _kron(m.coupling, m.D, xp))
-        r1[:, nm:] += a11x + _kron(m.coupling, m.D, xm, T=True)
+        r1[:, nm:] += a11x + _kron(m.coupling.mT, m.D.mT, xm)
         rnorm2 += float((r1 ** 2).sum())
         bnorm2 += float((grp.b1 ** 2).sum())
         _scatter_vector(r2, grp.trace_indices, rt - grp.b2)

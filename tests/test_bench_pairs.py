@@ -65,3 +65,16 @@ def test_workload_block_totals_failed_cases_per_side():
     assert got["pairs"] == 2 and got["csv_identical"]
     assert list(got["summary"]) == ["study_s"]
     assert got["summary"]["study_s"]["change_lower_pairs"] == 2
+
+
+@pytest.mark.parametrize("seeds", ["7", "7,7", "7-7"])
+def test_fewer_than_two_distinct_seeds_run_nothing(seeds, monkeypatch,
+                                                   tmp_path):
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *a, **k: calls.append(a))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--seeds", seeds, "--out", str(out)])
+    assert exit_.value.code == 2
+    assert calls == [] and not out.exists()

@@ -25,6 +25,14 @@ class TestSolveCommand:
         assert out[0].startswith("n=4 iter=")
         assert "err_omega=" in out[0]
 
+    @pytest.mark.parametrize("t", ["1", "0.01"])
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_one_quad_keeps_no_dirichlet_edge(self, k, t, capsys):
+        # every edge is a boundary edge: the Dirichlet traces keep none
+        assert main(["solve", "--mesh", "quad", "--n", "1", "--k", k,
+                     "--t", t]) == 0
+        assert capsys.readouterr().out.startswith("n=1 iter=")
+
     def test_prints_the_convergence_row(self, tmp_path, capsys):
         flags = ["--mesh", "tri", "--k", "1", "--t", "0.1"]
         assert main(["solve", "--n", "4"] + flags) == 0

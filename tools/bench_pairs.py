@@ -151,6 +151,8 @@ def main(argv=None) -> int:
                         help="the revision to compare against")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if len(set(args.seeds)) < 2:  # the quartiles need two runs per side
+        parser.error("--seeds must name at least two distinct seeds")
 
     parent_rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
                                 check=True, capture_output=True,
