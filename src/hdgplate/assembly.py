@@ -177,7 +177,9 @@ class DiscreteField:
         """(ne, ncomp, nq) values on the elements ``ids`` from their scaled
         monomials (ne, nb, nq)."""
         coeffs = self.coeffs[ids].reshape(-1, self.ncomp, self.nscalar)
-        return np.einsum("enq,ecn->ecq", vals, coeffs)
+        if self.nscalar == 1:   # one monomial: matmul's loop is 2-3x slower
+            return np.einsum("enq,ecn->ecq", vals, coeffs)
+        return coeffs @ vals
 
     def divergence_batched(self, batch: ElementBatch, pts: np.ndarray) -> np.ndarray:
         if self.rank != "vector2":

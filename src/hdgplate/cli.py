@@ -121,6 +121,7 @@ def _cmd_convergence(args) -> int:
     meta = _metadata(
         material, spaces, config, mesh_kind=args.mesh, levels=levels,
         wall_times=[r.wall_time for r in table.reports],
+        errors_times=[r.errors_time for r in table.reports],
         peak_rss_mb=[r.peak_rss_mb for r in table.reports],
         stages=[{stage: asdict(rep) for stage, rep in r.reports.items()}
                 for r in table.reports])

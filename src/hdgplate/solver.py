@@ -556,11 +556,16 @@ def solve_saddle_trace(cond: CondensedSystem,
     # stays spectrally equivalent uniformly in h and t.  The probe is drawn
     # in DOF order, which follows ``Mesh.edge_order``, so the element and
     # edge numbering do not move rho; for k >= 2 each edge's s still runs
-    # by vertex id.
+    # by vertex id.  With no rotation trace (every edge clamped) there is
+    # no coupling to fit, and -B22c alone is singular on the constant
+    # pressure trace, so W comes in at -B22c's mean diagonal scale.
     W = _phat_edge_mass(dof)
-    probe = project(np.random.default_rng(0).standard_normal(B12.shape[1]))
-    coupled = _dot(probe, B12.T @ inner.solve(B12 @ probe))
-    rho = max(coupled / _dot(probe, W @ probe), 0.0)
+    if B12.shape[0]:
+        probe = project(np.random.default_rng(0).standard_normal(B12.shape[1]))
+        coupled = _dot(probe, B12.T @ inner.solve(B12 @ probe))
+        rho = max(coupled / _dot(probe, W @ probe), 0.0)
+    else:
+        rho = -B22c.diagonal().sum() / W.diagonal().sum()
     surrogate, surrogate_s = _factorize(rho * W - B22c, stage, "surrogate")
 
     p_hat, report = _pcg(apply_outer, rhs, surrogate.solve, config.tol,

@@ -12,6 +12,7 @@ any closed-form shortcut; its validity is certified by that residual.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,42 +134,73 @@ class Poly2:
         return PolyField([self])(x, y)[0]
 
 
-# Points per evaluation chunk; bounds the monomial table's memory.  At 2048
-# the table of ~50 monomials and its two power tables fit a 2 MB L2 cache;
-# at 4096 OpenBLAS runs the product threaded, several times slower.
+# Points per evaluation chunk; bounds the monomial table's memory.  From
+# 1536 to 3072 points the time per point is flat; at 4096 OpenBLAS runs
+# the 8 x 16 product threaded and is twice as slow.
 _CHUNK = 2048
+
+# The parity classes (a mod 2, b mod 2) in row order: the rows odd in xi,
+# and those odd in eta, are then each one slice
+_CLASSES = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
 class PolyField:
     """Tuple of polynomial components about one origin, evaluated as
-    (ncomp,) + shape arrays: the outer product of the x and y power tables,
-    restricted to the exponents in use, times the float coefficients, which
-    are taken from the Fractions once."""
+    (ncomp,) + shape arrays.
+
+    With (xi, eta) the point about the origin, a term xi^a eta^b is
+    xi^(a mod 2) eta^(b mod 2) u^(a//2) v^(b//2), u = xi^2 and v = eta^2.
+    Each component's terms of one parity class (a mod 2, b mod 2) make one
+    row of float coefficients over the monomials u^i v^j in use, taken from
+    the Fractions once.  A chunk of points is one product of the rows with
+    the table of u^i v^j (the powers of v, each row times u for the next
+    power of u), after which the rows odd in xi are scaled by xi, those
+    odd in eta by eta, and each component sums its rows (about the centre
+    of the square each exact field has a single class, so a single row).
+    """
 
     def __init__(self, components):
         self.components = tuple(components)
         if len({p.origin for p in self.components}) != 1:
             raise ValueError("polynomials about different origins")
-        exps = sorted(set().union(*(p.coeffs for p in self.components))
-                      or {(0, 0)})
+        terms = [((a % 2, b % 2), c, (a // 2, b // 2), float(v))
+                 for c, p in enumerate(self.components)
+                 for (a, b), v in p.coeffs.items()]
+        rows = sorted({(cls, c) for cls, c, _, _ in terms},
+                      key=lambda row: (_CLASSES.index(row[0]), row[1]))
+        exps = sorted({e for _, _, e, _ in terms} or {(0, 0)})
         self._exps = np.array(exps)
-        self._coef = np.array([[float(p.coeffs.get(e, 0)) for e in exps]
-                               for p in self.components])
+        self._coef = np.zeros((len(rows), len(exps)))
+        for cls, c, e, v in terms:
+            self._coef[rows.index((cls, c)), exps.index(e)] = v
+        self._sum = np.zeros((len(self.components), len(rows)))
+        self._sum[[c for _, c in rows], range(len(rows))] = 1.0
+        start = np.searchsorted([_CLASSES.index(cls) for cls, _ in rows],
+                                range(len(_CLASSES) + 1))
+        self._odd_x = slice(start[1], start[3])   # (1, 0) and (1, 1)
+        self._odd_y = slice(start[2], start[4])   # (1, 1) and (0, 1)
 
     def __call__(self, x, y):
-        (ox, oy), (da, db) = self.components[0].origin, self._exps.max(axis=0)
-        rows = self._exps @ (db + 1, 1)   # the exponents' rows in the table
+        (ox, oy), (di, dj) = self.components[0].origin, self._exps.max(axis=0)
+        cols = self._exps @ (dj + 1, 1)   # the monomials' rows in the table
         x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
         out = np.empty((len(self.components), x.size))
         xf, yf = x.ravel() - float(ox), y.ravel() - float(oy)
-        table = np.empty((da + 1, db + 1, min(x.size, _CHUNK)))  # every chunk
+        table = np.empty((di + 1, dj + 1, min(x.size, _CHUNK)))  # every chunk
         for start in range(0, x.size, _CHUNK):
-            px, py = (fs.power_table(z[start:start + _CHUNK], d)
-                      for z, d in ((xf, da), (yf, db)))
-            t = np.multiply(px[:, None], py, out=table[..., :px.shape[1]])
-            t = t.reshape(-1, px.shape[1])
-            out[:, start:start + _CHUNK] = self._coef @ (
-                t if len(rows) == len(t) else t[rows])
+            chunk = slice(start, start + _CHUNK)
+            xi, eta = xf[chunk], yf[chunk]
+            u, v, t = xi * xi, eta * eta, table[..., :xi.size]
+            t[0, 0] = 1.0
+            for j in range(1, dj + 1):
+                np.multiply(t[0, j - 1], v, out=t[0, j])
+            for i in range(1, di + 1):
+                np.multiply(t[i - 1], u, out=t[i])
+            t = t.reshape(-1, xi.size)
+            vals = self._coef @ (t if len(cols) == len(t) else t[cols])
+            vals[self._odd_x] *= xi
+            vals[self._odd_y] *= eta
+            out[:, chunk] = self._sum @ vals
         return out.reshape((len(self.components),) + x.shape)
 
     def __getitem__(self, i) -> Poly2:
@@ -304,16 +336,40 @@ def observed_rate(e_coarse: float, e_fine: float) -> float:
 # staged solve
 
 
+def _check_unit_square(mesh: Mesh) -> None:
+    """Raise ``ValueError`` unless ``mesh`` covers the unit square, where
+    the exact solution is clamped: total area 1 and every vertex of a
+    boundary edge on the square's boundary, both to rounding."""
+    eps = np.finfo(float).eps
+    area = math.fsum(mesh.area)
+    if abs(area - 1.0) > eps * mesh.loop_vertices.size:
+        raise ValueError(f"mesh area {area!r} is not 1: the exact solution "
+                         "is that of the unit square")
+    ids = np.unique(mesh.edge_vertices[mesh.boundary_mask])
+    x, y = mesh.points[ids].T
+    inside = (np.minimum(x, y) >= -4 * eps) & (np.maximum(x, y) <= 1 + 4 * eps)
+    on_side = np.min(np.abs([x, 1 - x, y, 1 - y]), axis=0) <= 4 * eps
+    bad = np.flatnonzero(~(inside & on_side))
+    if bad.size:
+        raise ValueError(f"boundary vertex {ids[bad[0]]} at "
+                         f"({x[bad[0]]!r}, {y[bad[0]]!r}) is not on the unit "
+                         "square's boundary")
+
+
 def solve_plate(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
                 exact: ExactSolution,
                 config: slv.SolverConfig = slv.SolverConfig()) -> SolutionFields:
     """Run the four solution stages on one mesh and collect all fields;
     the load ``g`` and body force ``f`` are those of ``exact``, so
-    ``material`` must be ``exact.material``."""
+    ``material`` must be ``exact.material`` and ``mesh`` must cover the
+    unit square."""
     if material != exact.material:
         raise ValueError(f"material {material} is not the exact solution's "
                          f"{exact.material}")
-    g, f = exact.g[0], exact.f
+    _check_unit_square(mesh)
+
+    def g(x, y):   # through the kept PolyField, not a new one per call
+        return exact.g(x, y)[0]
 
     bs1 = asm.assemble_step1(mesh, spaces, g)
     x1, x2, rep1 = slv.solve_stage(bs1, config)
@@ -321,7 +377,7 @@ def solve_plate(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     L, r = (dof1.field(name, x1) for name in ("flux", "primal"))
     r_hat = dof1.trace_to_edge_array("u_hat", x2)
 
-    bs2 = asm.assemble_step2(mesh, spaces, material, L, f)
+    bs2 = asm.assemble_step2(mesh, spaces, material, L, exact.f)
     y1, y2, rep2 = slv.solve_stage(bs2, config)
     asm.shift_pressure_to_zero_mean(bs2, y1, y2)
     dof2 = bs2.dof
@@ -366,6 +422,7 @@ class ErrorReport:
     err_sigma: float
     err_omega: float
     wall_time: float = 0.0
+    errors_time: float = 0.0    # of table_errors, part of wall_time
     peak_rss_mb: float = 0.0    # of this process, after the level
     reports: dict = field(default_factory=dict)   # SolutionFields.reports
 
@@ -443,10 +500,12 @@ def run_convergence(material: PlateMaterial, kind: str, spaces: SpaceConfig,
                   if not rep.converged]
         if failed:
             raise RuntimeError(f"level n={n}: " + ", ".join(failed))
+        t1 = time.perf_counter()
+        errors = table_errors(fields, exact)
+        t2 = time.perf_counter()
         table.reports.append(ErrorReport(
-            n, fields.reports["step2"].iterations,
-            *table_errors(fields, exact),
-            wall_time=time.perf_counter() - t0,
+            n, fields.reports["step2"].iterations, *errors,
+            wall_time=t2 - t0, errors_time=t2 - t1,
             peak_rss_mb=slv._peak_rss_mb(),
             reports=fields.reports))
     return table

@@ -56,6 +56,14 @@ def mixed_strip(tiles):
     return Mesh(points[first], loops)
 
 
+def on_unit_square(mesh):
+    """``mesh`` mapped onto the unit square, the domain of the exact
+    solution, by scaling each axis of its bounding box."""
+    lo, hi = mesh.points.min(axis=0), mesh.points.max(axis=0)
+    return Mesh((mesh.points - lo) / (hi - lo),
+                [el.vertex_loop for el in mesh.elements])
+
+
 def jittered_quads(n, seed=0):
     """The structured ``n`` x ``n`` quadrilateral grid with each interior
     vertex moved by ``0.2 / n`` times a ``U(-1, 1)^2`` draw; the boundary

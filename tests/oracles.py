@@ -102,19 +102,43 @@ def edge_rule(batch, local_edge, degree):
 
 
 def evaluate_gathered(polys, x, y) -> np.ndarray:
-    """``verification.PolyField(polys)(x, y)`` as it was: the coefficient
-    matrix built from the Fractions on every call, the monomials gathered
-    from the power tables."""
+    """``verification.PolyField(polys)(x, y)`` written out per call: one
+    coefficient row per polynomial and parity class (a mod 2, b mod 2),
+    built from the Fractions, over the monomials u^i v^j, u = xi^2 and
+    v = eta^2, gathered from the powers of v multiplied by u i times; each
+    row odd in xi scaled by xi, then each row odd in eta by eta, and each
+    polynomial's rows summed.  Rows run by class in the kernel's order."""
     ox, oy = (float(v) for v in polys[0].origin)
-    exps = sorted(set().union(*(p.coeffs for p in polys))) or [(0, 0)]
-    ea, eb = np.array(exps).T
-    coef = np.array([[float(p.coeffs.get(e, 0)) for e in exps] for p in polys])
+    order = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    rows = sorted({((a % 2, b % 2), c) for c, p in enumerate(polys)
+                   for a, b in p.coeffs},
+                  key=lambda row: (order.index(row[0]), row[1]))
+    exps = sorted({(a // 2, b // 2) for p in polys for a, b in p.coeffs}
+                  or {(0, 0)})
+    ei, ej = np.array(exps).T
+    coef = np.zeros((len(rows), len(exps)))
+    for c, p in enumerate(polys):
+        for (a, b), v in p.coeffs.items():
+            coef[rows.index(((a % 2, b % 2), c)),
+                 exps.index((a // 2, b // 2))] = float(v)
+    total = np.zeros((len(polys), len(rows)))
+    for r, (_, c) in enumerate(rows):
+        total[c, r] = 1.0
     out = np.empty((len(polys), x.size))
-    xf, yf = x.ravel(), y.ravel()
+    xf, yf = x.ravel() - ox, y.ravel() - oy
     for start in range(0, x.size, vf._CHUNK):
         chunk = slice(start, start + vf._CHUNK)
-        out[:, chunk] = coef @ (fs.power_table(xf[chunk] - ox, ea.max())[ea]
-                                * fs.power_table(yf[chunk] - oy, eb.max())[eb])
+        xi, eta = xf[chunk], yf[chunk]
+        powers = [fs.power_table(eta * eta, ej.max())]
+        for _ in range(ei.max()):
+            powers.append(powers[-1] * (xi * xi))
+        vals = coef @ np.array(powers)[ei, ej]
+        for r, ((odd_x, odd_y), _) in enumerate(rows):
+            if odd_x:
+                vals[r] *= xi
+            if odd_y:
+                vals[r] *= eta
+        out[:, chunk] = total @ vals
     return out.reshape((len(polys),) + x.shape)
 
 

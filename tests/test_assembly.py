@@ -13,7 +13,8 @@ from hdgplate.assembly import (DiscreteField, PlateMaterial, SpaceConfig,
                                constitutive_inverse_matrix, recover_gamma,
                                stabilization)
 from hdgplate.mesh import Mesh, MeshTopologyError, generate_structured
-from meshes import FAMILIES, arrays_in, mixed_group_mesh, mixed_strip
+from meshes import (FAMILIES, arrays_in, mixed_group_mesh, mixed_strip,
+                    on_unit_square)
 from oracles import (bh_norm, dense_interior_blocks, dense_trace_blocks,
                      load_b1, monolithic_dense)
 
@@ -337,7 +338,7 @@ class TestSystems:
     def test_poisson_key_keeps_the_operator_alone(self):
         # every stage builds its load rule per solve: the mesh keeps the
         # loadless element groups and nothing else under ("poisson", k)
-        mesh = mixed_strip(2)
+        mesh = on_unit_square(mixed_strip(2))
         mat = PlateMaterial(t=1e-2)
         vf.solve_plate(mesh, SpaceConfig(2), mat, vf.exact_fields(mat))
         kept = mesh.kept["poisson", 2]

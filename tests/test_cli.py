@@ -26,7 +26,7 @@ class TestSolveCommand:
         assert "err_omega=" in out[0]
 
     @pytest.mark.parametrize("t", ["1", "0.01"])
-    @pytest.mark.parametrize("k", ["1", "2"])
+    @pytest.mark.parametrize("k", ["1", "2", "3"])
     def test_one_quad_keeps_no_dirichlet_edge(self, k, t, capsys):
         # every edge is a boundary edge: the Dirichlet traces keep none
         assert main(["solve", "--mesh", "quad", "--n", "1", "--k", k,
@@ -91,6 +91,11 @@ class TestConvergenceCommand:
                                           error_degree=vf.ERROR_DEGREE)
         assert "assembly_degree" in meta["quadrature"]
         assert meta["levels"] == [2, 4] and len(meta["wall_times"]) == 2
+        # table_errors' seconds, part of each level's wall time
+        assert len(meta["errors_times"]) == 2
+        for errors_time, wall_time in zip(meta["errors_times"],
+                                          meta["wall_times"]):
+            assert 0 < errors_time < wall_time
         for key in ("iterations", "stop_reasons", "kernel_rejected",
                     "factor_fill", "factor_time"):
             assert key not in meta

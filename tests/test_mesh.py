@@ -11,8 +11,8 @@ from hdgplate.assembly import PlateMaterial, SpaceConfig
 from hdgplate.femspace import element_batches
 from hdgplate.mesh import (Mesh, MeshTopologyError, ShapeRegularityWarning,
                            generate_structured)
-from meshes import (arrays_in, mixed_group_mesh, mixed_strip, renumbered,
-                    renumbered_grid)
+from meshes import (arrays_in, mixed_group_mesh, mixed_strip, on_unit_square,
+                    renumbered, renumbered_grid)
 
 
 NONCONVEX_PENTAGON = np.array([[0, 0], [2, 0], [1, 0.2], [2, 2], [0, 2]])
@@ -366,7 +366,8 @@ class TestKept:
     """What is built from a mesh stays in its one store, ``Mesh.kept``."""
 
     @pytest.mark.parametrize("make", [
-        mixed_group_mesh, lambda: generate_structured("quadrilateral", 2),
+        lambda: on_unit_square(mixed_group_mesh()),
+        lambda: generate_structured("quadrilateral", 2),
     ], ids=["mixed", "quad"])
     def test_only_kept_grows_read_only_and_freed(self, make):
         gc.collect()

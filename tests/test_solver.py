@@ -265,7 +265,7 @@ class TestNoKeptEdge:
     stage two keeps only the pressure trace."""
 
     @pytest.mark.parametrize("t", [1.0, 1e-2])
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_every_stage_solves(self, k, t):
         mesh, mat = generate_structured("quadrilateral", 1), PlateMaterial(t=t)
         ex, spaces = vf.exact_fields(mat), SpaceConfig(k)

@@ -14,7 +14,7 @@ from hdgplate import solver as slv
 from hdgplate import verification as vf
 from hdgplate.assembly import DiscreteField, PlateMaterial, SpaceConfig
 from hdgplate.mesh import Mesh, generate_structured
-from meshes import mixed_strip
+from meshes import mixed_strip, on_unit_square
 from oracles import (eval_exact, evaluate_gathered, is_zero, l2_error,
                      table_errors_longdouble)
 
@@ -94,6 +94,16 @@ def _monomial_sum(poly, x, y, absolute=False):
     return out
 
 
+def _parity_mix():
+    """Polynomials about (0, 0): one with terms in all four parity classes,
+    an odd-odd one, a constant and the zero polynomial."""
+    X, Y = vf.Poly2.x(), vf.Poly2.y()
+    mixed = (3 * X ** 3 * Y ** 2 - Fraction(5, 7) * X * Y + 2 * Y ** 3
+             - X ** 4 + Fraction(1, 3) * X + Fraction(-9, 4))
+    odd_odd = Fraction(7, 3) * X ** 3 * Y - X * Y ** 5
+    return [mixed, odd_odd, vf.Poly2.const(Fraction(11, 5)), vf.Poly2()]
+
+
 class TestPolynomialKernel:
     @pytest.mark.parametrize("t", [0.5, 1e-4])
     def test_exact_fields_match_rational_evaluation(self, t):
@@ -153,9 +163,36 @@ class TestPolynomialKernel:
         rng = np.random.default_rng(5)
         x, y = rng.uniform(0, 1, size=(2, 7, 2 * vf._CHUNK + 3))
         for polys in (table, exact.g.components, exact.f.components,
-                      exact.sigma.components, exact.p.components):
+                      exact.sigma.components, exact.p.components,
+                      _parity_mix()):
             assert np.array_equal(vf.PolyField(polys)(x, y),
                                   evaluate_gathered(polys, x, y))
+
+    def test_parity_classes_match_rational_evaluation(self):
+        # about (0, 0): every parity class in one polynomial, an odd-odd
+        # one, a constant and zero, on dyadic points past two chunk ends
+        polys = _parity_mix()
+        rng = np.random.default_rng(29)
+        num = rng.integers(-2 ** 20, 2 ** 20 + 1, size=(2, 2 * vf._CHUNK + 3))
+        vals = vf.PolyField(polys)(num[0] / 2 ** 20, num[1] / 2 ** 20)
+        points = [(Fraction(int(a), 2 ** 20), Fraction(int(b), 2 ** 20))
+                  for a, b in num.T]
+        for c, poly in enumerate(polys):
+            ref = np.array([float(eval_exact(poly, x, y)) for x, y in points])
+            scale = np.array([_abs_sum(poly, x, y) for x, y in points])
+            assert np.all(np.abs(vals[c] - ref) <= 1e-13 * scale), c
+
+    def test_each_component_keeps_only_its_own_monomials(self):
+        # about the centre each of the table's eight components has one
+        # class: one row each over at most 4 x 4 monomials of u and v,
+        # where a common table of x^a y^b needs 49 columns
+        exact = vf.exact_fields(PlateMaterial(t=1e-2))
+        field_ = vf.PolyField(exact.theta.components + exact.gamma.components
+                              + exact.sigma.components
+                              + exact.omega.components)
+        assert field_._coef.shape == (8, 16)
+        assert np.count_nonzero(field_._coef) == sum(
+            len(p.coeffs) for p in field_.components)
 
     def test_zero_polynomial(self):
         p = vf.exact_fields(PlateMaterial(t=0.1)).p
@@ -274,7 +311,8 @@ class TestErrorNorms:
         # chunks of one element, a few elements, the default and a batch
         mat = PlateMaterial(t=1e-2)
         exact = vf.exact_fields(mat)
-        fields = vf.solve_plate(mixed_strip(4), SpaceConfig(2), mat, exact)
+        fields = vf.solve_plate(on_unit_square(mixed_strip(4)), SpaceConfig(2),
+                                mat, exact)
         ref = np.square(vf.table_errors(fields, exact))
         for chunk in (1, 2_000, 10 ** 9):
             monkeypatch.setattr(vf, "_ERROR_CHUNK", chunk)
@@ -390,6 +428,29 @@ class TestMaterialCheck:
                                 SpaceConfig(1), mat, exact)
         assert all(rep.converged for rep in fields.reports.values())
         assert np.all(np.isfinite(vf.table_errors(fields, exact)))
+
+
+class TestUnitSquareCheck:
+    def test_mesh_must_have_the_unit_squares_area(self):
+        # [0, 1/2]^2 with 8 x 8 quads once solved to a theta error of
+        # 7.60e-3, against 2.87e-3 on the unit square
+        base = generate_structured("quadrilateral", 8)
+        mesh = Mesh(base.points / 2, [el.vertex_loop for el in base.elements])
+        mat = PlateMaterial(t=1e-2)
+        with pytest.raises(ValueError, match=r"mesh area 0\.25 is not 1"):
+            vf.solve_plate(mesh, SpaceConfig(1), mat, vf.exact_fields(mat))
+
+    @pytest.mark.parametrize("shift", [(0.5, 0.0), "shear"])
+    def test_mesh_boundary_must_lie_on_the_unit_square(self, shift):
+        # area 1 either way: the square moved right, or sheared along x
+        base = generate_structured("quadrilateral", 4)
+        points = base.points + (np.outer(base.points[:, 1], (0.25, 0.0))
+                                if shift == "shear" else shift)
+        mesh = Mesh(points, [el.vertex_loop for el in base.elements])
+        mat = PlateMaterial(t=1e-2)
+        with pytest.raises(ValueError,
+                           match="not on the unit square's boundary"):
+            vf.solve_plate(mesh, SpaceConfig(1), mat, vf.exact_fields(mat))
 
 
 class TestReducedTraceDegree:

@@ -11,10 +11,10 @@ default ``HEAD``) and once on the working tree, the parent first on odd
 seeds.  The BENCH file
 holds every run, with the ``/proc/stat`` steal ticks read before and
 after it, each metric's medians, quartiles, ranges and the pairs in
-which the change reads lower and higher, each side's total of failed
-cases, whether the two sides wrote byte-identical study CSVs, and the
-machine the runs saw; its ``claim`` and ``notes`` are left for the
-author to write.
+which the change reads lower and higher, a verdict per metric, each
+side's total of failed cases, whether the two sides wrote byte-identical
+study CSVs, and the machine the runs saw; its ``claim`` and ``notes``
+are left for the author to write, and may not contradict a verdict.
 """
 
 from __future__ import annotations
@@ -89,20 +89,58 @@ def run_side(tree: Path, workload: str, seed: int, out: Path) -> dict:
             "correct": result["correct"], "steal_ticks": [before, after]}
 
 
-def workload_block(runs: dict, csv_identical: bool) -> dict:
+def declared_metrics() -> dict:
+    """``BENCHMARK.json``'s end-to-end metrics by name, each with its
+    ``bound`` and ``better`` direction."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m for m in declared["end_to_end"]}
+
+
+def workload_block(runs: dict, csv_identical: bool,
+                   metrics: dict | None = None) -> dict:
     """A workload's entry in the BENCH file from its ``runs`` per side:
-    the summary of every metric and each side's total of failed cases."""
+    the summary and verdict of every metric, against the declared
+    ``metrics`` (default: :func:`declared_metrics`), and each side's
+    total of failed cases."""
+    metrics = declared_metrics() if metrics is None else metrics
     parent, change = runs["parent"], runs["change"]
+    names = [name for name in parent[0] if name not in RUN_FIELDS]
+    values = {name: ([r[name] for r in parent], [r[name] for r in change])
+              for name in names}
     return {
         "pairs": len(parent),
         "csv_identical": csv_identical,
         "failed": {side: sum(r["failed"] for r in runs[side])
                    for side in ("parent", "change")},
-        "summary": {name: summarize([r[name] for r in parent],
-                                    [r[name] for r in change])
-                    for name in parent[0] if name not in RUN_FIELDS},
+        "summary": {name: summarize(*values[name]) for name in names},
+        "verdict": {name: verdict(*values[name], metrics.get(name))
+                    for name in names},
         "runs": runs,
     }
+
+
+def verdict(parent: list[float], change: list[float],
+            metric: dict | None) -> dict:
+    """Where the change's median lies: worse than the parent's median by
+    more than the declared metric's relative ``bound``; else higher or
+    lower than the parent's interquartile range (inclusive quartiles);
+    else inside it.  With the pairs in which the change reads lower and
+    higher."""
+    pm, cm = statistics.median(parent), statistics.median(change)
+    p1, _, p3 = statistics.quantiles(parent, n=4, method="inclusive")
+    worse = (pm - cm if metric and metric["better"] == "higher"
+             else cm - pm)
+    if metric and pm and worse / abs(pm) > metric["bound"]:
+        text = f"worse beyond the bound of {metric['bound']:.0%}"
+    elif cm > p3:
+        text = "higher than the parent's IQR"
+    elif cm < p1:
+        text = "lower than the parent's IQR"
+    else:
+        text = "inside the parent's IQR"
+    return {"verdict": text,
+            "change_lower_pairs": sum(c < p for p, c in zip(parent, change)),
+            "change_higher_pairs": sum(c > p for p, c in zip(parent, change))}
 
 
 def summarize(parent: list[float], change: list[float]) -> dict:
