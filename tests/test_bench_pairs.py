@@ -83,16 +83,27 @@ def test_fewer_than_two_distinct_seeds_run_nothing(seeds, monkeypatch,
 LOWER_IS_BETTER = {"bound": 0.25, "better": "lower"}
 
 
-@pytest.mark.parametrize("change, text, pairs", [
+@pytest.mark.parametrize("parent, change, text, pairs", [
     # parent median 10, inclusive quartiles 9.5 and 10.5
-    ([12.6, 12.7, 12.8, 12.9, 13.0], "worse beyond the bound of 25%", (0, 5)),
-    ([10.6, 10.8, 11.0, 9.0, 11.5], "higher than the parent's IQR", (1, 4)),
-    ([9.0, 9.2, 9.4, 11.0, 8.0], "lower than the parent's IQR", (3, 1)),
-    ([9.8, 10.0, 10.2, 10.4, 9.6], "inside the parent's IQR", (2, 3)),
-], ids=["worse", "higher", "lower", "inside"])
-def test_verdict_for_each_outcome(change, text, pairs):
-    parent = [9.0, 9.5, 10.0, 10.5, 11.0]
-    got = bench_pairs.verdict(parent, change, LOWER_IS_BETTER)
+    ([9.0, 9.5, 10.0, 10.5, 11.0], [12.6, 12.7, 12.8, 12.9, 13.0],
+     "worse beyond the bound of 25%", (0, 5)),
+    ([9.0, 9.5, 10.0, 10.5, 11.0], [10.6, 10.8, 11.0, 9.0, 11.5],
+     "higher than the parent's IQR", (1, 4)),
+    ([9.0, 9.5, 10.0, 10.5, 11.0], [9.0, 9.2, 9.4, 11.0, 8.0],
+     "lower than the parent's IQR", (3, 1)),
+    ([9.0, 9.5, 10.0, 10.5, 11.0], [9.8, 10.0, 10.2, 10.4, 9.6],
+     "inside the parent's IQR", (2, 3)),
+    # parent median 10, quartiles 8 and 12: an IQR 40% of the median
+    ([6.0, 8.0, 10.0, 12.0, 14.0], [13.0, 13.5, 14.0, 14.5, 15.0],
+     "unresolved: the parent's IQR is wider than the bound of 25%", (0, 5)),
+    ([6.0, 8.0, 10.0, 12.0, 14.0], [4.0, 4.5, 5.0, 5.5, 5.9],
+     "lower than the parent's IQR", (5, 0)),
+    ([6.0, 8.0, 10.0, 12.0, 14.0], [14.5, 15.0, 15.5, 16.0, 16.5],
+     "worse beyond the bound of 25%", (0, 5)),
+], ids=["worse", "higher", "lower", "inside", "unresolved",
+        "wide-but-all-below", "wide-but-all-above"])
+def test_verdict_for_each_outcome(parent, change, text, pairs):
+    got = bench_pairs.summarize(parent, change, LOWER_IS_BETTER)
     assert got["verdict"] == text
     assert (got["change_lower_pairs"], got["change_higher_pairs"]) == pairs
 
@@ -101,23 +112,23 @@ def test_verdict_reads_the_better_direction():
     # 30% lower is worse beyond the bound where higher is better; with no
     # declared metric only the IQR is read
     parent, change = [9.0, 9.5, 10.0, 10.5, 11.0], [7.0] * 5
-    higher = bench_pairs.verdict(parent, change,
-                                 {"bound": 0.25, "better": "higher"})
+    higher = bench_pairs.summarize(parent, change,
+                                   {"bound": 0.25, "better": "higher"})
     assert higher["verdict"] == "worse beyond the bound of 25%"
-    assert bench_pairs.verdict(parent, change, None)["verdict"] == \
+    assert bench_pairs.summarize(parent, change)["verdict"] == \
         "lower than the parent's IQR"
 
 
-def test_workload_block_writes_a_verdict_per_metric():
+def test_workload_block_writes_a_verdict_per_metric(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "declared_metrics",
+                        lambda: {"study_s": LOWER_IS_BETTER})
     runs = {side: [{"seed": s, "study_s": v, "attempted": 1, "failed": 0,
                     "correct": 1, "steal_ticks": [0, 0]}
                    for s, v in enumerate(values)]
-            for side, values in (("parent", [1.0, 2.0, 3.0]),
+            for side, values in (("parent", [1.8, 2.0, 2.2]),
                                  ("change", [0.5, 1.0, 1.5]))}
-    got = bench_pairs.workload_block(runs, True, {"study_s": LOWER_IS_BETTER})
-    assert got["verdict"] == {"study_s": {
-        "verdict": "lower than the parent's IQR",
-        "change_lower_pairs": 3, "change_higher_pairs": 0}}
+    got = bench_pairs.workload_block(runs, True)["summary"]["study_s"]
+    assert got["verdict"] == "lower than the parent's IQR"
 
 
 def test_committed_pairs_flag_errors_outside_the_parents_iqr():
@@ -126,6 +137,6 @@ def test_committed_pairs_flag_errors_outside_the_parents_iqr():
     root = _PATH.parent.parent
     bench = json.loads((root / "BENCH_block_form.json").read_text())
     runs = bench["workloads"]["tri-study"]["runs"]
-    got = bench_pairs.workload_block(runs, True)["verdict"]["errors_s"]
+    got = bench_pairs.workload_block(runs, True)["summary"]["errors_s"]
     assert got["verdict"] == "higher than the parent's IQR"
     assert (got["change_lower_pairs"], got["change_higher_pairs"]) == (4, 6)

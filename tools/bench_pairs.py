@@ -96,60 +96,56 @@ def declared_metrics() -> dict:
     return {m["name"]: m for m in declared["end_to_end"]}
 
 
-def workload_block(runs: dict, csv_identical: bool,
-                   metrics: dict | None = None) -> dict:
+def workload_block(runs: dict, csv_identical: bool) -> dict:
     """A workload's entry in the BENCH file from its ``runs`` per side:
-    the summary and verdict of every metric, against the declared
-    ``metrics`` (default: :func:`declared_metrics`), and each side's
-    total of failed cases."""
-    metrics = declared_metrics() if metrics is None else metrics
+    the summary and verdict of every metric, against
+    :func:`declared_metrics`, and each side's total of failed cases."""
+    metrics = declared_metrics()
     parent, change = runs["parent"], runs["change"]
-    names = [name for name in parent[0] if name not in RUN_FIELDS]
-    values = {name: ([r[name] for r in parent], [r[name] for r in change])
-              for name in names}
     return {
         "pairs": len(parent),
         "csv_identical": csv_identical,
         "failed": {side: sum(r["failed"] for r in runs[side])
                    for side in ("parent", "change")},
-        "summary": {name: summarize(*values[name]) for name in names},
-        "verdict": {name: verdict(*values[name], metrics.get(name))
-                    for name in names},
+        "summary": {name: summarize([r[name] for r in parent],
+                                    [r[name] for r in change],
+                                    metrics.get(name))
+                    for name in parent[0] if name not in RUN_FIELDS},
         "runs": runs,
     }
 
 
-def verdict(parent: list[float], change: list[float],
-            metric: dict | None) -> dict:
-    """Where the change's median lies: worse than the parent's median by
-    more than the declared metric's relative ``bound``; else higher or
-    lower than the parent's interquartile range (inclusive quartiles);
-    else inside it.  With the pairs in which the change reads lower and
-    higher."""
-    pm, cm = statistics.median(parent), statistics.median(change)
-    p1, _, p3 = statistics.quantiles(parent, n=4, method="inclusive")
-    worse = (pm - cm if metric and metric["better"] == "higher"
-             else cm - pm)
-    if metric and pm and worse / abs(pm) > metric["bound"]:
-        text = f"worse beyond the bound of {metric['bound']:.0%}"
-    elif cm > p3:
-        text = "higher than the parent's IQR"
-    elif cm < p1:
-        text = "lower than the parent's IQR"
-    else:
-        text = "inside the parent's IQR"
-    return {"verdict": text,
-            "change_lower_pairs": sum(c < p for p, c in zip(parent, change)),
-            "change_higher_pairs": sum(c > p for p, c in zip(parent, change))}
+def summarize(parent: list[float], change: list[float],
+              metric: dict | None = None) -> dict:
+    """Medians, quartiles (inclusive method), ranges, the pair counts and
+    a verdict on where the change's median lies against the declared
+    ``metric`` (its relative ``bound`` and ``better`` direction).
 
-
-def summarize(parent: list[float], change: list[float]) -> dict:
-    """Medians, quartiles (inclusive method), ranges and the pair counts."""
+    The verdict is "unresolved" where the parent's IQR is wider than the
+    bound, unless every change run lies below every parent run or every
+    one above; else "worse beyond the bound" where the change's median is
+    worse than the parent's by more than the bound; else higher or lower
+    than the parent's IQR, or inside it.  With no declared metric only
+    the IQR is read."""
     def q(values):
         return statistics.quantiles(values, n=4, method="inclusive")
 
     pm, cm = statistics.median(parent), statistics.median(change)
     (p1, _, p3), (c1, _, c3) = q(parent), q(change)
+    bound = metric["bound"] if metric and pm else None
+    worse = pm - cm if metric and metric["better"] == "higher" else cm - pm
+    apart = max(change) < min(parent) or min(change) > max(parent)
+    if bound is not None and (p3 - p1) / abs(pm) > bound and not apart:
+        verdict = ("unresolved: the parent's IQR is wider than the bound "
+                   f"of {bound:.0%}")
+    elif bound is not None and worse / abs(pm) > bound:
+        verdict = f"worse beyond the bound of {bound:.0%}"
+    elif cm > p3:
+        verdict = "higher than the parent's IQR"
+    elif cm < p1:
+        verdict = "lower than the parent's IQR"
+    else:
+        verdict = "inside the parent's IQR"
     return {
         "parent_median": round(pm, 4), "change_median": round(cm, 4),
         "change_vs_parent": round((cm - pm) / pm, 4) if pm else None,
@@ -161,6 +157,7 @@ def summarize(parent: list[float], change: list[float]) -> dict:
         "change_iqr_pct": round(100 * (c3 - c1) / cm, 2) if cm else None,
         "change_range": [round(min(change), 4), round(max(change), 4)],
         "parent_range": [round(min(parent), 4), round(max(parent), 4)],
+        "verdict": verdict,
     }
 
 
