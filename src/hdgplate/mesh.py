@@ -209,6 +209,17 @@ class Mesh:
         return self.kept[key]
 
     @property
+    def kept_nbytes(self) -> int:
+        """The bytes of the arrays in :attr:`kept`, each buffer once (a view
+        counts as the array it views); a SuperLU factor is no array."""
+        buffers = {}
+        for array in _arrays(self.kept):
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            buffers[id(array)] = array.nbytes
+        return sum(buffers.values())
+
+    @property
     def edge_order(self) -> np.ndarray:
         """Edge ids in nested-dissection elimination order (see
         :func:`_nested_dissection`); built once, on first use."""
@@ -225,16 +236,22 @@ class Mesh:
         return len(self.elements)
 
 
-def _freeze(value):
-    """``value``, with every array reachable through tuples, lists, dicts
-    and object attributes (dataclasses, sparse matrices) made read-only."""
+def _arrays(value):
+    """Every array reachable from ``value`` through tuples, lists, dicts
+    and object attributes (dataclasses, sparse matrices)."""
     if isinstance(value, np.ndarray):
-        value.setflags(write=False)
+        yield value
     elif isinstance(value, (tuple, list, dict)):
         for item in value.values() if isinstance(value, dict) else value:
-            _freeze(item)
+            yield from _arrays(item)
     elif hasattr(value, "__dict__"):
-        _freeze(vars(value))
+        yield from _arrays(vars(value))
+
+
+def _freeze(value):
+    """``value``, with every array in it (:func:`_arrays`) made read-only."""
+    for array in _arrays(value):
+        array.setflags(write=False)
     return value
 
 

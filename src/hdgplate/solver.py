@@ -25,6 +25,7 @@ import numbers
 import resource
 import time
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -110,6 +111,13 @@ class SolveReport:
     n_interior: int = 0
     n_trace: int = 0
     stored_nnz: int = 0
+    # bytes still held when the trace solve returned, each a sum of nbytes:
+    # the condensed blocks' entries (their indices and indptr are the mesh's
+    # kept pattern; stage two's factored B11 is gone), the local
+    # elimination data (CondensedSystem.local) and the mesh's kept arrays
+    condensed_bytes: int = 0
+    local_bytes: int = 0
+    kept_bytes: int = 0
 
     @property
     def converged(self) -> bool:
@@ -118,10 +126,12 @@ class SolveReport:
 
 class SaddleBlocks(NamedTuple):
     """Stage two's condensed ``[[B11, B12], [B12^T, B22c]]`` as the blocks
-    the saddle solve reads, all CSC; their data are views of one buffer,
-    and ``nnz`` counts the whole matrix's, ``B12^T``'s included."""
+    the saddle solve reads, all CSC, each with its own data buffer;
+    ``nnz`` counts the whole matrix's, ``B12^T``'s included.  Once
+    :func:`solve_saddle_trace` has factored ``B11``, its system holds
+    ``B11=None``."""
 
-    B11: sp.csc_matrix
+    B11: sp.csc_matrix | None
     B12: sp.csc_matrix
     B22c: sp.csc_matrix
 
@@ -133,8 +143,10 @@ class SaddleBlocks(NamedTuple):
 @dataclass
 class CondensedSystem:
     """Schur complement trace system: ``S`` in CSC, or stage two's
-    :class:`SaddleBlocks`; ``local`` keeps, per element group, ``(Y_A,
-    Y_b, minv)`` for back-substitution (see :func:`_eliminate`)."""
+    :class:`SaddleBlocks`, each block its own buffer, whose ``B11`` is
+    None once :func:`solve_saddle_trace` has factored it; ``local``
+    keeps, per element group, ``(Y_A, Y_b, minv)`` for back-substitution
+    (see :func:`_eliminate`)."""
 
     system: BlockSystem
     S: sp.csc_matrix | SaddleBlocks
@@ -240,7 +252,7 @@ def _build_pattern(bs: BlockSystem) -> dict:
     kept = [E[:, np.argsort(f.edge_rank)[np.sum(f.edge_rank < 0):]]
             for f in fields]
     # each field against itself and every later one: B12^T is not kept
-    pairs = [(i, j) for i in range(len(fields)) for j in range(i, len(fields))]
+    pairs = list(combinations_with_replacement(range(len(fields)), 2))
     graphs, blocks = [], []
     for i, j in pairs:
         G = sp.csc_array(kept[i].T @ kept[j])
@@ -310,23 +322,34 @@ def condense(bs: BlockSystem) -> CondensedSystem:
     first, the rest by one stacked solve.
     """
     pattern = _pattern(bs)
-    ends = np.cumsum([len(indices) for _, indices, _ in pattern["blocks"]])
-    data, rhs, local = np.zeros(ends[-1] + 1), np.zeros(bs.n_trace), []
+    per_edge = [f.per_edge for f in bs.dof.trace_fields.values()]
+    sizes = [len(indices) for _, indices, _ in pattern["blocks"]]
+    bases = np.cumsum([0] + sizes[:-1]).tolist()
+    # each block its own buffer, so that stage two's B11 can go alone, with
+    # one slot past its entries for the eliminated dofs
+    data, rhs, local = [np.zeros(n + 1) for n in sizes], np.zeros(bs.n_trace), []
     for grp, (start, blk, off) in zip(bs.groups, pattern["starts"],
                                       strict=True):
+        # a field's local dofs are one run: field by field, edge by edge
+        cut = np.cumsum([0] + per_edge) * grp.batch.edge_ids.shape[1]
+        pairs = combinations_with_replacement(range(len(per_edge)), 2)
+        parts = [(d, base, slice(cut[i], cut[i + 1]), slice(cut[j], cut[j + 1]))
+                 for d, base, (i, j) in zip(data, bases, pairs)]
+
         def add(e, schur, load):
-            pos = start[e][:, blk]
-            pos += off[:, None]
-            np.minimum(pos, ends[-1], out=pos)
-            np.add.at(data, pos.ravel(), schur.ravel())
+            for d, base, rows, cols in parts:
+                pos = start[e][:, blk[rows], cols]
+                pos += off[rows, None]
+                pos -= base
+                np.minimum(pos, len(d) - 1, out=pos)
+                np.add.at(d, pos.ravel(), schur[:, rows, cols].ravel())
             _scatter_vector(rhs, grp.trace_indices[e], load)
         y, minv = _eliminate(grp, add)
         local.append((y[..., :-1], y[..., -1], minv))
     mats = []
-    for d, (shape, indices, indptr) in zip(np.split(data, ends),
-                                           pattern["blocks"]):
-        mats.append(sp.csc_matrix((d, indices, indptr), shape))
-        mats[-1].data = d  # scipy copies a view of less than half its buffer
+    for d, (shape, indices, indptr) in zip(data, pattern["blocks"]):
+        mats.append(sp.csc_matrix((d[:-1], indices, indptr), shape))
+        mats[-1].data = d[:-1]  # scipy copies an empty block's view
     S = mats[0] if len(mats) == 1 else SaddleBlocks(*mats)
     return CondensedSystem(bs, S, rhs, local)
 
@@ -452,6 +475,19 @@ def _find_malloc_trim() -> Callable[[], None]:
 _trim_heap = _find_malloc_trim()
 
 
+# the columns SuperLU's supernode-panel factorization updates at once; its
+# working arrays grow with n x panel.  Peak above the final factor, then
+# the factor's time (median of 5, two runs each), at panel 2 / 4 / 8 / 20
+# (SuperLU's default) on each benchmark workload's largest B11, 2 vCPUs:
+#   tri n=64 k=1, factor 51.6 MB: 4.6 / 6.1 / 9.0 / 17.9 MB, 0.155-0.200 /
+#     0.163-0.164 / 0.164-0.167 / 0.169-0.179 s;
+#   quad n=32 k=2, 20.0 MB: 1.2 / 1.6 / 2.2 / 4.4 MB, 0.057-0.060 s at each;
+#   tri n=48 k=3, 111.8 MB: 5.1 / 6.8 / 10.1 / 20.1 MB, 0.428-0.437 /
+#     0.404-0.413 / 0.407-0.441 / 0.428-0.431 s.
+# lu.nnz is the same at every panel; only the factor's rounding moves
+_PANEL_SIZE = 4
+
+
 def _factorize(A: sp.csc_matrix, stage: str = "",
                block: str = "") -> tuple[spla.SuperLU, float]:
     """Sparse LU of an SPD block ``A`` and its wall time in seconds.
@@ -462,7 +498,9 @@ def _factorize(A: sp.csc_matrix, stage: str = "",
     pivot raises :class:`SingularTraceBlockError` naming ``stage`` and
     ``block``.  The factor sets the solve's peak memory, so the heap that
     assembly and condensation freed goes back to the OS first, and the
-    factor does not land on top of it.
+    factor does not land on top of it, and SuperLU works in panels of
+    ``_PANEL_SIZE`` columns.  A copy without exact zeros replaces ``A``,
+    so ``A``'s entries go unless the caller holds them.
     """
     _trim_heap()
     t0 = time.perf_counter()
@@ -471,7 +509,7 @@ def _factorize(A: sp.csc_matrix, stage: str = "",
         A.eliminate_zeros()
     try:
         lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+                       panel_size=_PANEL_SIZE, options={"SymmetricMode": True})
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise SingularTraceBlockError(stage, block) from err
     return lu, time.perf_counter() - t0
@@ -518,6 +556,13 @@ def _phat_edge_mass(dof) -> sp.csc_matrix:
     return sp.kron(sp.diags(length), H, format="csc")
 
 
+def _release_b11(cond: CondensedSystem) -> sp.csc_matrix:
+    """``cond.S.B11``, which ``cond`` then no longer holds: passed straight
+    to a call, the callee holds the only reference to it."""
+    B11, cond.S = cond.S.B11, cond.S._replace(B11=None)
+    return B11
+
+
 def solve_saddle_trace(cond: CondensedSystem,
                        config: SolverConfig = SolverConfig()):
     """Nested Schur solve of the saddle trace system.
@@ -526,23 +571,25 @@ def solve_saddle_trace(cond: CondensedSystem,
     ``B12^T B11^{-1} B12 - B22c`` (positive semidefinite with the
     constant pressure trace as kernel, which is deflated once checked to
     be a null vector of ``cond.S``); the rotation-trace block is inverted
-    per application, factored from ``cond.S.B11`` as it comes.  Returns
-    (x2, report) like :func:`solve_spd`, ``x2`` the rotation trace then
-    the pressure trace, with the outer CG's iteration count.
+    per application, factored from ``cond.S.B11`` as it comes.  That
+    factor is the largest allocation of the solve, so ``B11``'s entries
+    go with its factorization: ``cond.S.B11`` is None from then on.
+    Returns (x2, report) like :func:`solve_spd`, ``x2`` the rotation
+    trace then the pressure trace, with the outer CG's iteration count.
     """
     t0 = time.perf_counter()
     dof, stage = cond.system.dof, cond.system.stage
     tf_p = dof.trace_fields["p_hat"]
     m = tf_p.offset
     c1, c2 = cond.rhs[:m], cond.rhs[m:]
-    B11, B12, B22c = cond.S
+    B12, B22c = cond.S[1:]
     # the pressure is fixed only up to a constant: the constant trace
     kernel = np.zeros(B12.shape[1])
     kernel[tf_p.dofs(np.arange(dof.mesh.num_edges))[:, 0] - m] = 1.0
     kernel /= np.linalg.norm(kernel)
     deflated = _kernel_is_valid(cond.S, kernel)
     project = _deflation_projector(kernel) if deflated else lambda v: v
-    inner, inner_s = _factorize(B11, stage, "B11")
+    inner, inner_s = _factorize(_release_b11(cond), stage, "B11")
 
     def apply_outer(v):
         return B12.T @ inner.solve(B12 @ v) - B22c @ v
@@ -578,13 +625,22 @@ def solve_saddle_trace(cond: CondensedSystem,
     return x2, report
 
 
+def _blocks(S: sp.csc_matrix | SaddleBlocks) -> tuple:
+    """The condensed blocks ``S`` still holds: ``S``, or stage two's."""
+    return tuple(B for B in (S if isinstance(S, SaddleBlocks) else (S,))
+                 if B is not None)
+
+
 def solve_stage(bs: BlockSystem, config: SolverConfig = SolverConfig()):
     """Condense, solve the trace system and back-substitute one stage."""
     cond = condense(bs)
+    stored_nnz = sum(B.nnz for B in _blocks(cond.S))  # before B11 goes
     solve = solve_saddle_trace if bs.stage == "step2" else solve_spd
     x2, report = solve(cond, config)
     report.peak_rss_mb = _peak_rss_mb()
     report.n_interior, report.n_trace = bs.n_interior, bs.n_trace
-    blocks = cond.S if isinstance(cond.S, SaddleBlocks) else (cond.S,)
-    report.stored_nnz = sum(B.nnz for B in blocks)
+    report.stored_nnz = stored_nnz
+    report.condensed_bytes = sum(B.data.nbytes for B in _blocks(cond.S))
+    report.local_bytes = sum(a.nbytes for part in cond.local for a in part)
+    report.kept_bytes = bs.dof.mesh.kept_nbytes
     return back_substitute(cond, x2), x2, report

@@ -553,7 +553,7 @@ def factor_inputs(bs) -> list:
     _, B12, B22c = blocks
     B11 = S[:m, :m].tocsc()
     lu = spla.splu(B11, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+                   panel_size=slv._PANEL_SIZE, options={"SymmetricMode": True})
     W = slv._phat_edge_mass(dof)
     probe = np.random.default_rng(0).standard_normal(S.shape[0] - m)
     kernel = pressure_kernel(dof)[m:]

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -140,3 +141,65 @@ def test_committed_pairs_flag_errors_outside_the_parents_iqr():
     got = bench_pairs.workload_block(runs, True)["summary"]["errors_s"]
     assert got["verdict"] == "higher than the parent's IQR"
     assert (got["change_lower_pairs"], got["change_higher_pairs"]) == (4, 6)
+
+
+STUDY_CSV = """\
+k,mesh,n,t,iter,theta,rate
+3,triangle,48,1e-06,21,6.8986553118e-09,
+3,triangle,96,1e-06,22,4.3e-10,4.0012
+"""
+
+
+def test_identical_csvs_differ_nowhere():
+    assert bench_pairs.csv_differences(STUDY_CSV, STUDY_CSV) == []
+
+
+def test_csv_differences_name_each_cell():
+    change = STUDY_CSV.replace("6.8986553118e-09", "6.8986553119e-09")
+    assert bench_pairs.csv_differences(STUDY_CSV, change) == [
+        {"row": 1, "column": "theta", "parent": "6.8986553118e-09",
+         "change": "6.8986553119e-09"}]
+
+
+def test_csv_differences_name_a_missing_row():
+    short = "".join(STUDY_CSV.splitlines(keepends=True)[:2])
+    assert bench_pairs.csv_differences(STUDY_CSV, short) == [
+        {"row": 2, "column": None,
+         "parent": ["3", "triangle", "96", "1e-06", "22", "4.3e-10", "4.0012"],
+         "change": None}]
+    assert bench_pairs.csv_differences(short, STUDY_CSV)[0]["parent"] is None
+
+
+def test_workload_block_records_the_differing_seeds():
+    runs = {side: [{"seed": 1, "study_s": 1.0, "attempted": 1, "failed": 0,
+                    "correct": 1, "steal_ticks": [0, 0]}] * 2
+            for side in ("parent", "change")}
+    cells = [{"row": 1, "column": "theta", "parent": "1", "change": "2"}]
+    got = bench_pairs.workload_block(runs, False,
+                                     [{"seed": 1, "cells": cells}])
+    assert not got["csv_identical"]
+    assert got["csv_differences"] == [{"seed": 1, "cells": cells}]
+    assert bench_pairs.workload_block(runs, True)["csv_differences"] == []
+
+
+def test_main_records_each_differing_seed(monkeypatch, tmp_path):
+    # two seeds, the change writing another error on seed 2 only
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **k:
+                        SimpleNamespace(stdout=b"" if "archive" in cmd
+                                        else "abc\n"))
+    monkeypatch.setattr(bench_pairs, "workload_names", lambda tree: ["w"])
+    monkeypatch.setattr(bench_pairs, "machine", lambda out: {})
+
+    def run_side(tree, workload, seed, out):
+        out.mkdir(parents=True, exist_ok=True)
+        err = "2.0" if out.name == "change" and seed == 2 else "1.0"
+        (out / f"{workload}-seed{seed}.csv").write_text(f"k,err\n1,{err}\n")
+        return {"seed": seed, "study_s": 1.0, "attempted": 1, "failed": 0,
+                "correct": True, "steal_ticks": [0, 0]}
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--seeds", "1,2", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["workloads"]["w"]
+    assert not got["csv_identical"]
+    assert got["csv_differences"] == [{"seed": 2, "cells": [
+        {"row": 1, "column": "err", "parent": "1.0", "change": "2.0"}]}]

@@ -259,6 +259,48 @@ class TestStageSizes:
                 assert report.stored_nnz == S.nnz - S.B12.nnz
 
 
+class TestHeldBytes:
+    def test_reports_carry_what_the_solve_still_holds(self, monkeypatch):
+        # each stage reports the bytes it still holds when its trace solve
+        # returns: the condensed blocks' entries (stage two's without
+        # B11, which its factorization freed), Y_A and Y_b (one buffer)
+        # with minv per group, and every buffer kept on the mesh
+        condense, conds = slv.condense, []
+
+        def record(bs):
+            conds.append(condense(bs))
+            return conds[-1]
+        monkeypatch.setattr(slv, "condense", record)
+        mesh = mixed_group_mesh()
+        for bs in _stage_systems(mesh, 2):
+            *_, report = slv.solve_stage(bs)
+            S = conds[-1].S
+            blocks = S[1:] if bs.stage == "step2" else (S,)
+            if bs.stage == "step2":
+                assert S.B11 is None
+                assert report.condensed_bytes < 8 * report.stored_nnz
+            assert report.condensed_bytes == sum(
+                B.data.nbytes for B in blocks) > 0
+            assert report.local_bytes == sum(
+                y_a.base.nbytes + minv.nbytes
+                for y_a, _, minv in conds[-1].local) > 0
+            buffers = {}
+            for a in arrays_in(mesh.kept):
+                while a.base is not None:
+                    a = a.base
+                buffers[id(a)] = a.nbytes
+            assert report.kept_bytes == sum(buffers.values()) > 0
+
+    def test_kept_nbytes_counts_each_buffer_once(self):
+        mesh = generate_structured("triangle", 2)
+        before, a = mesh.kept_nbytes, np.zeros(100)
+        eye = sp.csc_matrix(np.eye(3))
+        mesh.keep("test", lambda: {"a": a, "view": a[:10],
+                                   "again": [a, eye], "n": 3})
+        assert mesh.kept_nbytes - before == 800 + sum(
+            x.nbytes for x in (eye.data, eye.indices, eye.indptr))
+
+
 class TestNoKeptEdge:
     """On one quad every edge is a boundary edge: the Dirichlet trace
     fields keep none, so stages one and three have no trace unknown and
@@ -340,16 +382,17 @@ class TestBatchedCondensation:
             for got, want in zip(mats, refs, strict=True):
                 assert got.has_canonical_format, bs.stage
                 assert got.format == want.format, bs.stage
-                # no slack slots behind indices; the data share one buffer
-                # with one slot for what is dropped
+                # no slack slots behind indices; each block's data its own
+                # buffer, with one slot for what it drops
                 assert (got.indices if got.indices.base is None
                         else got.indices.base).size == got.nnz
-                assert got.data.base.size == sum(B.nnz for B in mats) + 1
+                assert got.data.base.size == got.nnz + 1
                 nonzero = got.copy()
                 nonzero.eliminate_zeros()
                 for name in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(nonzero, name),
                                           getattr(want, name)), name
+            assert len({id(B.data.base) for B in mats}) == len(mats)
 
     @pytest.mark.parametrize("kind,k", [("mixed", 2), ("quad", 2)])
     def test_blocks_are_built_in_the_format_superlu_factors(
@@ -369,10 +412,11 @@ class TestBatchedCondensation:
             for B in S if isinstance(S, slv.SaddleBlocks) else [S]:
                 assert B.format == "csc", cond.system.stage
                 assert B.has_canonical_format, cond.system.stage
+        B11 = conds[1].S.B11
         slv.solve_spd(conds[0])
         slv.solve_saddle_trace(conds[1])
         assert received[0] is conds[0].S
-        assert received[1] is conds[1].S.B11
+        assert received[1] is B11 and conds[1].S.B11 is None
 
     def test_factor_inputs_are_the_reordered_blocks(self, monkeypatch):
         # SuperLU gets S, B11 and the surrogate without zeros, exactly as
@@ -852,17 +896,16 @@ class TestTraceFactorization:
 
     def test_stage_two_condenses_into_its_blocks(self, monkeypatch):
         # condense sums stage two straight into the blocks the solve
-        # reads, one buffer with a slot for what is dropped (B12^T and the
-        # eliminated dofs); no S is formed, and B11 goes to SuperLU as it
-        # comes
+        # reads, each its own buffer with a slot for what it drops (the
+        # eliminated dofs; B12^T is never scattered); no S is formed, and
+        # B11 goes to SuperLU as it comes, after which cond holds no B11
         bs = _stage_systems(generate_structured("triangle", 4), 2)[1]
         cond = slv.condense(bs)
         assert isinstance(cond.S, slv.SaddleBlocks)
         B11, B12, B22c = cond.S
         assert (B11.format, B12.format, B22c.format) == ("csc", "csc", "csc")
-        buffer = B11.data.base
-        assert buffer.size == B11.nnz + B12.nnz + B22c.nnz + 1
-        assert all(B.data.base is buffer for B in cond.S)
+        assert all(B.data.base.size == B.nnz + 1 for B in cond.S)
+        assert len({id(B.data.base) for B in cond.S}) == 3
         factorize, received = slv._factorize, []
 
         def record(A, *args):
@@ -871,6 +914,60 @@ class TestTraceFactorization:
         monkeypatch.setattr(slv, "_factorize", record)
         slv.solve_saddle_trace(cond)
         assert received[0] is B11
+        assert cond.S.B11 is None and cond.S[1:] == (B12, B22c)
+
+    def test_b11_is_gone_when_the_surrogate_is_factored(self, monkeypatch):
+        # B11's entries go with its factorization: by the time the
+        # surrogate is factored, nothing reaches B11's data buffer
+        factorize, buffers, reachable = slv._factorize, {}, []
+
+        def record(A, stage, block):
+            if block == "surrogate":
+                reachable.append(buffers["B11"]() is not None)
+            else:
+                buffers[block] = weakref.ref(
+                    A.data if A.data.base is None else A.data.base)
+            return factorize(A, stage, block)
+        monkeypatch.setattr(slv, "_factorize", record)
+        mat = PlateMaterial(t=1e-6)
+        fields = vf.solve_plate(generate_structured("triangle", 4),
+                                SpaceConfig(3), mat, vf.exact_fields(mat))
+        assert reachable == [False]
+        assert fields.reports["step2"].converged
+
+    def test_b11_without_zeros_replaces_it(self, monkeypatch):
+        # on axis-parallel quads B11 stores exact zeros, which _factorize
+        # drops in a copy: SuperLU factors the copy while the original's
+        # entries can no longer be reached
+        bs = _stage_systems(generate_structured("quadrilateral", 4), 2)[1]
+        cond = slv.condense(bs)
+        assert not cond.S.B11.data.all()
+        original = weakref.ref(cond.S.B11.data.base)
+        splu, reachable, zeros = spla.splu, [], []
+
+        def recording(A, *args, **kwargs):
+            reachable.append(original() is not None)
+            zeros.append(not A.data.all())
+            return splu(A, *args, **kwargs)
+        monkeypatch.setattr(spla, "splu", recording)
+        slv.solve_saddle_trace(cond)
+        assert reachable == [False, False]  # B11's copy, the surrogate
+        assert zeros == [False, False]
+
+    def test_every_factorization_takes_the_panel(self, monkeypatch):
+        # SuperLU works in panels of _PANEL_SIZE columns on S, B11 and the
+        # surrogate alike
+        splu, options = spla.splu, []
+
+        def recording(A, *args, **kwargs):
+            options.append(kwargs)
+            return splu(A, *args, **kwargs)
+        monkeypatch.setattr(spla, "splu", recording)
+        mat = PlateMaterial(t=1e-2)
+        vf.solve_plate(generate_structured("quadrilateral", 4), SpaceConfig(2),
+                       mat, vf.exact_fields(mat))
+        assert len(options) == 3
+        assert all(kw.get("panel_size") == slv._PANEL_SIZE for kw in options)
 
 
 class TestBackSubstitution:

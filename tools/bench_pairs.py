@@ -13,13 +13,17 @@ holds every run, with the ``/proc/stat`` steal ticks read before and
 after it, each metric's medians, quartiles, ranges and the pairs in
 which the change reads lower and higher, a verdict per metric, each
 side's total of failed cases, whether the two sides wrote byte-identical
-study CSVs, and the machine the runs saw; its ``claim`` and ``notes``
-are left for the author to write, and may not contradict a verdict.
+study CSVs, and where not, each seed's differing cells with both values,
+and the machine the runs saw; its ``claim`` and ``notes`` are left for
+the author to write, and may not contradict a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import itertools
 import json
 import platform
 import runpy
@@ -96,15 +100,40 @@ def declared_metrics() -> dict:
     return {m["name"]: m for m in declared["end_to_end"]}
 
 
-def workload_block(runs: dict, csv_identical: bool) -> dict:
+def csv_differences(parent: str, change: str) -> list[dict]:
+    """The cells in which two study CSVs differ, one ``{"row", "column",
+    "parent", "change"}`` each: ``row`` counts the lines from 0, header
+    included, and ``column`` is the first header's name for the cell.  A
+    line only one side has is one entry with ``column`` None and that
+    side's whole line, the other side's None."""
+    sides = [list(csv.reader(io.StringIO(text))) for text in (parent, change)]
+    header = sides[0][0] if sides[0] else []
+    cells = []
+    for row, lines in enumerate(itertools.zip_longest(*sides)):
+        if None in lines:
+            cells.append({"row": row, "column": None, "parent": lines[0],
+                          "change": lines[1]})
+            continue
+        for col, (a, b) in enumerate(itertools.zip_longest(*lines)):
+            if a != b:
+                cells.append({"row": row,
+                              "column": header[col] if col < len(header) else col,
+                              "parent": a, "change": b})
+    return cells
+
+
+def workload_block(runs: dict, csv_identical: bool,
+                   differences: list = ()) -> dict:
     """A workload's entry in the BENCH file from its ``runs`` per side:
     the summary and verdict of every metric, against
-    :func:`declared_metrics`, and each side's total of failed cases."""
+    :func:`declared_metrics`, each side's total of failed cases, and the
+    ``{"seed", "cells"}`` of each seed whose study CSVs differ."""
     metrics = declared_metrics()
     parent, change = runs["parent"], runs["change"]
     return {
         "pairs": len(parent),
         "csv_identical": csv_identical,
+        "csv_differences": list(differences),
         "failed": {side: sum(r["failed"] for r in runs[side])
                    for side in ("parent", "change")},
         "summary": {name: summarize([r[name] for r in parent],
@@ -211,10 +240,15 @@ def main(argv=None) -> int:
                                                tmp / side))
                     print(f"{workload} seed {seed} {side}: "
                           f"{runs[side][-1]}", file=sys.stderr, flush=True)
-            csvs = [(tmp / side / f"{workload}-seed{seed}.csv").read_bytes()
-                    for seed in args.seeds for side in ("parent", "change")]
-            workloads[workload] = workload_block(runs,
-                                                 csvs[0::2] == csvs[1::2])
+            differences = []
+            for seed in args.seeds:
+                csvs = [(tmp / side / f"{workload}-seed{seed}.csv").read_bytes()
+                        for side in ("parent", "change")]
+                if csvs[0] != csvs[1]:
+                    differences.append({"seed": seed, "cells": csv_differences(
+                        *(text.decode() for text in csvs))})
+            workloads[workload] = workload_block(runs, not differences,
+                                                 differences)
         env = machine(tmp / "change")
 
     seeds = args.seeds
