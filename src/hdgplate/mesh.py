@@ -203,7 +203,7 @@ class Mesh:
         ``("poisson", k)``, the loadless stage one/three groups; in ``solver``,
         ``("poisson", k, "factor")``, the SuperLU factor of its condensed
         matrix and its wall time (no array), and ``("pattern", layout)``
-        per trace layout, where stage two's maps into its blocks."""
+        per trace layout, with one start array per stored block."""
         if key not in self.kept:
             self.kept[key] = _freeze(build())
         return self.kept[key]

@@ -126,10 +126,11 @@ class SolveReport:
 
 class SaddleBlocks(NamedTuple):
     """Stage two's condensed ``[[B11, B12], [B12^T, B22c]]`` as the blocks
-    the saddle solve reads, all CSC, each with its own data buffer;
-    ``nnz`` counts the whole matrix's, ``B12^T``'s included.  Once
+    the saddle solve reads, all CSC, each with its own data buffer and
+    its indices and indptr from the mesh's kept pattern; ``nnz`` counts
+    the whole matrix's, ``B12^T``'s included.  Once
     :func:`solve_saddle_trace` has factored ``B11``, its system holds
-    ``B11=None``."""
+    ``B11=None`` and ``nnz`` raises."""
 
     B11: sp.csc_matrix | None
     B12: sp.csc_matrix
@@ -137,6 +138,10 @@ class SaddleBlocks(NamedTuple):
 
     @property
     def nnz(self) -> int:
+        if self.B11 is None:
+            raise ValueError("B11 was released when the saddle solve "
+                             "factored it; SolveReport.stored_nnz holds "
+                             "the stored count")
         return self.B11.nnz + 2 * self.B12.nnz + self.B22c.nnz
 
 
@@ -261,51 +266,45 @@ def _build_pattern(bs: BlockSystem) -> dict:
                               format="csc"))
         G.data = np.arange(G.nnz)  # its entry numbers
         graphs.append(G)
-    bases = np.cumsum([0] + [B.nnz for B in blocks])
-    drop = bases[-1]
-    dtype = np.int32 if drop + max(per_edge) < 2 ** 31 else np.int64
+    dtype = np.int32 if max(B.nnz for B in blocks) < 2 ** 31 else np.int64
     starts = []
     for grp in bs.groups:
         # a local row block is one field's dofs on one local edge (they run
-        # field by field, edge by local edge): in every column of the block
+        # field by field, edge by local edge): in every column of a block
         # that keeps them, a run of places
         ne, nv = grp.batch.edge_ids.shape
-        size = np.repeat(per_edge, nv)
-        first = np.cumsum(size) - size
-        blk = np.repeat(np.arange(len(size)), size)
-        start = np.full((ne, len(size), len(blk)), drop, dtype)
         rank = [f.edge_rank[grp.batch.edge_ids] for f in fields]
-        for (i, j), G, B, base in zip(pairs, graphs, blocks, bases):
-            if not G.nnz:  # a field that keeps no edge
-                continue
-            # every kept (row edge v, column edge w) of each element e: the
-            # place of v's first row in w's columns is p_i times v's place
-            # among w's neighbours
-            e, v, w = np.nonzero((rank[i][:, :, None] >= 0)
-                                 & (rank[j][:, None, :] >= 0))
-            r, c = rank[i][e, v], rank[j][e, w]
-            place = base + per_edge[i] * (G[r, c] - G.indptr[c])
-            for q in range(per_edge[j]):
-                start[e, i * nv + v, first[j * nv + w] + q] = (
-                    place + B.indptr[c * per_edge[j] + q])
-        off = (np.arange(len(blk)) - first[blk]).astype(dtype)
-        starts.append((start, blk, off))
+        group = []
+        for (i, j), G, B in zip(pairs, graphs, blocks):
+            start = np.full((ne, nv, nv, per_edge[j]), B.nnz, dtype)
+            if G.nnz:  # else a field that keeps no edge
+                # every kept (row edge v, column edge w) of each element e:
+                # the place of v's first row in w's columns is p_i times
+                # v's place among w's neighbours
+                e, v, w = np.nonzero((rank[i][:, :, None] >= 0)
+                                     & (rank[j][:, None, :] >= 0))
+                r, c = rank[i][e, v], rank[j][e, w]
+                place = per_edge[i] * (G[r, c] - G.indptr[c])
+                col = c[:, None] * per_edge[j] + np.arange(per_edge[j])
+                start[e, v, w] = place[:, None] + B.indptr[col]
+            group.append(start.reshape(ne, nv, -1))
+        starts.append(group)
     return {"blocks": [(B.shape, B.indices, B.indptr) for B in blocks],
             "starts": starts}
 
 
 def _pattern(bs: BlockSystem) -> dict:
     """The CSC ``(shape, indices, indptr)`` of ``S``, or of stage two's
-    :class:`SaddleBlocks`, kept on the mesh per trace layout with the
-    places of each group's local block entries in their data laid end to
-    end: ``start`` (ne, nblk, ntl), the place of each element's local row
-    block and column, int32 while it fits, with each local row's ``blk``
-    and ``off``, so that the entry (i, j) goes to ``start[blk[i], j] +
-    off[i]``; one past the data for eliminated dofs and ``B12^T``.  The
-    block of fields i <= j is their kept edges' graph (edges that share an
-    element) with one dense ``per_edge_i x per_edge_j`` block per entry.
-    Two elements share at most one edge, so each matrix is bitwise its
-    slice of the COO sum."""
+    :class:`SaddleBlocks`, kept on the mesh per trace layout with each
+    group's ``starts``, one per block: for the block of fields i <= j, an
+    (ne, nv, nv * per_edge_j) array, int32 while it fits, of the place in
+    that block's data of each element's local row block (field i's dofs on
+    one local edge) in each of its columns, so that the block's r-th row
+    goes to its start plus r; the block's nnz for eliminated dofs.  The
+    block is their kept edges' graph (edges that share an element) with
+    one dense ``per_edge_i x per_edge_j`` block per entry.  Two elements
+    share at most one edge, so each matrix is bitwise its slice of the COO
+    sum."""
     layout = tuple((f.per_edge, f.dirichlet)
                    for f in bs.dof.trace_fields.values())
     return bs.dof.mesh.keep(("pattern", layout), lambda: _build_pattern(bs))
@@ -323,24 +322,22 @@ def condense(bs: BlockSystem) -> CondensedSystem:
     """
     pattern = _pattern(bs)
     per_edge = [f.per_edge for f in bs.dof.trace_fields.values()]
-    sizes = [len(indices) for _, indices, _ in pattern["blocks"]]
-    bases = np.cumsum([0] + sizes[:-1]).tolist()
+    pairs = list(combinations_with_replacement(range(len(per_edge)), 2))
     # each block its own buffer, so that stage two's B11 can go alone, with
     # one slot past its entries for the eliminated dofs
-    data, rhs, local = [np.zeros(n + 1) for n in sizes], np.zeros(bs.n_trace), []
-    for grp, (start, blk, off) in zip(bs.groups, pattern["starts"],
-                                      strict=True):
+    data = [np.zeros(len(indices) + 1) for _, indices, _ in pattern["blocks"]]
+    rhs, local = np.zeros(bs.n_trace), []
+    for grp, starts in zip(bs.groups, pattern["starts"], strict=True):
         # a field's local dofs are one run: field by field, edge by edge
         cut = np.cumsum([0] + per_edge) * grp.batch.edge_ids.shape[1]
-        pairs = combinations_with_replacement(range(len(per_edge)), 2)
-        parts = [(d, base, slice(cut[i], cut[i + 1]), slice(cut[j], cut[j + 1]))
-                 for d, base, (i, j) in zip(data, bases, pairs)]
+        parts = [(d, start, np.arange(per_edge[i])[:, None],
+                  slice(cut[i], cut[i + 1]), slice(cut[j], cut[j + 1]))
+                 for d, start, (i, j) in zip(data, starts, pairs)]
 
         def add(e, schur, load):
-            for d, base, rows, cols in parts:
-                pos = start[e][:, blk[rows], cols]
-                pos += off[rows, None]
-                pos -= base
+            for d, start, row, rows, cols in parts:
+                # a local row's place: its row block's start plus its row
+                pos = start[e, :, None] + row
                 np.minimum(pos, len(d) - 1, out=pos)
                 np.add.at(d, pos.ravel(), schur[:, rows, cols].ravel())
             _scatter_vector(rhs, grp.trace_indices[e], load)

@@ -611,8 +611,23 @@ def full_positions(bs) -> dict:
 
 def expanded_positions(pattern: dict) -> np.ndarray:
     """Every local block entry's place from the kept ``pattern``'s starts,
-    laid end to end like ``full_positions``' ``position``."""
-    drop = sum(len(indices) for _, indices, _ in pattern["blocks"])
-    return np.concatenate([
-        np.minimum(start[:, blk] + off[:, None], drop).ravel()
-        for start, blk, off in pattern["starts"]])
+    one array per block, laid end to end like ``full_positions``'
+    ``position``: a block's place goes past the blocks before it, and a
+    place at or past its entries, like every ``B12^T`` entry, goes to one
+    past them all."""
+    sizes = [len(indices) for _, indices, _ in pattern["blocks"]]
+    bases, drop = np.cumsum([0] + sizes[:-1]), sum(sizes)
+    nf = int(np.sqrt(2 * len(sizes)))  # len(sizes) = nf (nf + 1) / 2
+    pairs = [(i, j) for i in range(nf) for j in range(i, nf)]
+    out = []
+    for starts in pattern["starts"]:
+        ne, nv = starts[0].shape[:2]
+        per_edge = [starts[j].shape[2] // nv for j in range(nf)]
+        cut = np.cumsum([0] + per_edge) * nv
+        place = np.full((ne, cut[-1], cut[-1]), drop, starts[0].dtype)
+        for (i, j), start, base, size in zip(pairs, starts, bases, sizes):
+            pos = start[:, :, None] + np.arange(per_edge[i])[:, None]
+            place[:, cut[i]:cut[i + 1], cut[j]:cut[j + 1]] = np.where(
+                pos < size, pos + base, drop).reshape(ne, -1, pos.shape[-1])
+        out.append(place.ravel())
+    return np.concatenate(out)

@@ -404,20 +404,21 @@ class TestSystems:
         Tv = fs.space_dim(k)
         # the primal block, whose (Tv, Tv) at k <= 2 is a triangle's
         # (ntl, ntl), is checked on its own; so are the kept patterns'
-        # places, one per element, local row block and column, which at
-        # k=1 are a triangle's (ntl, ntl) in the Poisson layout
+        # places, one per element, local row block and column of each
+        # stored block, which at k=1 are a triangle's (ntl, ntl) in the
+        # Poisson layout
         primal = {id(grp.a11[0][3]) for grp in bs1.groups}
         places = set()
         for bs in (bs1, bs2):
-            fields = bs.dof.trace_fields.values()
+            fields = list(bs.dof.trace_fields.values())
             pattern = mesh.kept["pattern", tuple((f.per_edge, f.dirichlet)
                                                  for f in fields)]
-            for grp, (start, blk, off) in zip(bs.groups, pattern["starts"],
-                                              strict=True):
-                ne, ntl = grp.trace_indices.shape
-                assert start.shape == (ne, len(fields) * grp.batch.nv, ntl)
-                assert blk.shape == off.shape == (ntl,)
-                places.add(id(start))
+            for grp, starts in zip(bs.groups, pattern["starts"], strict=True):
+                ne, nv = grp.batch.edge_ids.shape
+                assert [start.shape for start in starts] == [
+                    (ne, nv, nv * g.per_edge) for i, f in enumerate(fields)
+                    for g in fields[i:]]
+                places.update(map(id, starts))
         kept = list(arrays_in(mesh.kept))
         for bs, n in ((bs1, Tv), (bs2, 3 * Tv), (bs3, Tv)):
             n1 = bs.dof.n_interior_per_element

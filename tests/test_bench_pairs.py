@@ -68,6 +68,27 @@ def test_workload_block_totals_failed_cases_per_side():
     assert got["summary"]["study_s"]["change_lower_pairs"] == 2
 
 
+def test_run_side_keeps_the_setup_samples(monkeypatch, tmp_path):
+    # run.py prints its metrics on its last line and writes the samples
+    # behind setup_s's median to its -trace0.json record
+    line = json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                       "metrics": {"setup_s": {"value": 0.4, "unit": "s"},
+                                   "study_s": {"value": 2.0, "unit": "s"}}})
+    samples = [0.35, 0.5, 0.4, 0.38, 0.45]
+    (tmp_path / "tri-study-seed3-trace0.json").write_text(
+        json.dumps({"setup_samples": samples, "metrics": {}}))
+    output = SimpleNamespace(returncode=0, stdout=f"tri-study\n{line}\n",
+                             stderr="")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: output)
+    got = bench_pairs.run_side(tmp_path, "tri-study", 3, tmp_path)
+    assert got["setup_samples"] == samples
+    assert (got["setup_s"], got["study_s"], got["attempted"]) == (0.4, 2.0, 3)
+    # summarize reads the metrics only
+    block = bench_pairs.workload_block({"parent": [got, got],
+                                        "change": [got, got]}, True)
+    assert list(block["summary"]) == ["setup_s", "study_s"]
+
+
 @pytest.mark.parametrize("seeds", ["7", "7,7", "7-7"])
 def test_fewer_than_two_distinct_seeds_run_nothing(seeds, monkeypatch,
                                                    tmp_path):

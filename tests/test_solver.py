@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -916,6 +917,18 @@ class TestTraceFactorization:
         assert received[0] is B11
         assert cond.S.B11 is None and cond.S[1:] == (B12, B22c)
 
+    def test_nnz_after_b11_is_released_names_the_stored_count(self):
+        # before the solve nnz counts B12^T too; after it, B11 is gone and
+        # nnz says so
+        bs = _stage_systems(generate_structured("triangle", 2), 1)[1]
+        cond = slv.condense(bs)
+        B11, B12, B22c = cond.S
+        assert cond.S.nnz == B11.nnz + 2 * B12.nnz + B22c.nnz
+        slv.solve_saddle_trace(cond)
+        with pytest.raises(ValueError, match=r"B11 was released.*"
+                                             r"SolveReport\.stored_nnz"):
+            cond.S.nnz
+
     def test_b11_is_gone_when_the_surrogate_is_factored(self, monkeypatch):
         # B11's entries go with its factorization: by the time the
         # surrogate is factored, nothing reaches B11's data buffer
@@ -1084,9 +1097,10 @@ class TestMeshCache:
             assert vf.table_errors(swept, ex) == vf.table_errors(fresh, ex)
 
     def test_kept_patterns_hold_one_start_per_row_block(self):
-        # measured at tri n=16 k=3 after one solve_plate: 2.04 MB under the
-        # two ("pattern", layout) keys, 1.85 MB of it stage two's; with one
-        # position per local entry they held 3.98 MB
+        # measured at tri n=16 k=3 after one solve_plate: 1.90 MB under the
+        # two ("pattern", layout) keys, 1.70 MB of it stage two's; 2.04 MB
+        # with the starts laid end to end, B12^T's rows included, and 3.98
+        # MB with one position per local entry
         mat = PlateMaterial(t=1e-2)
         mesh = generate_structured("triangle", 16)
         vf.solve_plate(mesh, SpaceConfig(3), mat, vf.exact_fields(mat))
@@ -1094,6 +1108,26 @@ class TestMeshCache:
                     if key[0] == "pattern"]
         assert len(patterns) == 2
         assert sum(arr.nbytes for arr in arrays_in(patterns)) <= 2.3e6
+
+    def test_stage_two_keeps_one_start_array_per_stored_block(self):
+        # B11, B12 and B22c each have their own starts, none B12^T: 0.246
+        # MiB at tri n=16 k=3, where laid end to end they held 0.387 MiB
+        bs = _stage_systems(generate_structured("triangle", 16), 3)[1]
+        pattern = slv._pattern(bs)
+        fields = list(bs.dof.trace_fields.values())
+        stored = [(f, g) for i, f in enumerate(fields) for g in fields[i:]]
+        assert len(stored) == len(pattern["blocks"]) == 3
+        nbytes = 0
+        for grp, starts in zip(bs.groups, pattern["starts"], strict=True):
+            ne, nv = grp.batch.edge_ids.shape
+            shapes = [(ne, nv, nv * g.per_edge) for _, g in stored]
+            assert [start.shape for start in starts] == shapes
+            nbytes += sum(map(math.prod, shapes)) * starts[0].itemsize
+            # each start lies in its own block's data, or is its drop slot
+            for start, (_, indices, _) in zip(starts, pattern["blocks"]):
+                assert 0 <= start.min() and start.max() <= len(indices)
+        assert sum(a.nbytes for a in arrays_in(pattern["starts"])) == nbytes
+        assert nbytes <= 0.25 * 2 ** 20
 
     def test_t_sweep_builds_each_pattern_once(self, monkeypatch):
         built, conds = [], []

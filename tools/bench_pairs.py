@@ -14,8 +14,9 @@ after it, each metric's medians, quartiles, ranges and the pairs in
 which the change reads lower and higher, a verdict per metric, each
 side's total of failed cases, whether the two sides wrote byte-identical
 study CSVs, and where not, each seed's differing cells with both values,
-and the machine the runs saw; its ``claim`` and ``notes`` are left for
-the author to write, and may not contradict a verdict.
+each run's ``setup_s`` samples, and the machine the runs saw; its
+``claim`` and ``notes`` are left for the author to write, and may not
+contradict a verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 THP = Path("/sys/kernel/mm/transparent_hugepage/enabled")
 STAT = Path("/proc/stat")
 # what a run records besides its metrics
-RUN_FIELDS = ("seed", "attempted", "failed", "correct", "steal_ticks")
+RUN_FIELDS = ("seed", "attempted", "failed", "correct", "steal_ticks",
+              "setup_samples")
 
 
 def seed_list(text: str) -> list[int]:
@@ -76,7 +78,9 @@ def read_steal() -> int | None:
 def run_side(tree: Path, workload: str, seed: int, out: Path) -> dict:
     """One untraced run of ``workload`` from ``tree``: its end-to-end
     metrics and case counts, as the run's last output line reports them,
-    and the steal ticks read before and after it."""
+    the steal ticks read before and after it, and the ``setup_s``
+    samples whose median it reports, from the record it writes to
+    ``out``."""
     before = read_steal()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -87,10 +91,13 @@ def run_side(tree: Path, workload: str, seed: int, out: Path) -> dict:
         raise RuntimeError(f"{tree}: {workload} seed {seed} exited with "
                            f"{proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = json.loads(
+        (out / f"{workload}-seed{seed}-trace0.json").read_text())
     return {"seed": seed,
             **{name: m["value"] for name, m in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"],
-            "correct": result["correct"], "steal_ticks": [before, after]}
+            "correct": result["correct"], "steal_ticks": [before, after],
+            "setup_samples": record["setup_samples"]}
 
 
 def declared_metrics() -> dict:
