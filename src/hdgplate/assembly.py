@@ -371,17 +371,14 @@ class ElementBlockGroup:
 
     def interior_block(self, e: slice) -> np.ndarray:
         """The dense (len, n_a11, n_a11) ``a11`` of the elements ``e``."""
-        n = self.n_a11
-        return _densify(self.a11, e, len(self.batch.ids[e]), (n, n))
+        return _densify(self.a11, e, len(self.batch.ids[e]), (self.n_a11,) * 2)
 
     def trace_columns(self, e: slice, stop: int | None = None) -> np.ndarray:
         """The dense (len, n1 + ntl, ntl) ``[A12; A22]`` of the elements
         ``e``.  With ``stop``, only its first ``stop`` rows, written by the
         terms whose rows end there or before (no term straddles a field)."""
         ntl = self.trace_indices.shape[1]
-        if stop is None:
-            stop = (len(self.mass.coef) * self.mass.mass.shape[1]
-                    + self.n_a11 + ntl)
+        stop = self.b1.shape[1] + ntl if stop is None else stop
         return _densify([t for t in self.terms if t[0].stop <= stop], e,
                         len(self.batch.ids[e]), (stop, ntl))
 

@@ -1,10 +1,10 @@
 """Static condensation and iterative solution of the trace systems.
 
 Condensation eliminates the element-diagonal interior block, producing a
-sparse system in the edge unknowns only, in one way for every stage:
-the fields that enter only through L2 masses (the Poisson flux, stage
-two's sigma and R) go first, then the rest.  For the Poisson-type stages
-the condensed matrix is symmetric positive definite and is solved by CG
+sparse system in the edge unknowns only, and back-substitution does it
+again, by one local solver: the fields entering only through L2 masses
+(the Poisson flux, stage two's sigma and R) go first, then the rest.  In
+the Poisson-type stages the condensed matrix is SPD and is solved by CG
 preconditioned with its own factorization.  For the saddle stage the
 condensed matrix keeps a two-by-two structure in (rotation trace,
 pressure trace); an outer CG, preconditioned with a factored surrogate,
@@ -111,12 +111,10 @@ class SolveReport:
     n_interior: int = 0
     n_trace: int = 0
     stored_nnz: int = 0
-    # bytes still held when the trace solve returned, each a sum of nbytes:
-    # the condensed blocks' entries (their indices and indptr are the mesh's
-    # kept pattern; stage two's factored B11 is gone), the local
-    # elimination data (CondensedSystem.local) and the mesh's kept arrays
+    # bytes still held when the trace solve returned, sums of nbytes: the
+    # condensed blocks' entries (their indices and indptr are the mesh's kept
+    # pattern; stage two's factored B11 is gone) and the mesh's kept arrays
     condensed_bytes: int = 0
-    local_bytes: int = 0
     kept_bytes: int = 0
 
     @property
@@ -149,14 +147,12 @@ class SaddleBlocks(NamedTuple):
 class CondensedSystem:
     """Schur complement trace system: ``S`` in CSC, or stage two's
     :class:`SaddleBlocks`, each block its own buffer, whose ``B11`` is
-    None once :func:`solve_saddle_trace` has factored it; ``local``
-    keeps, per element group, ``(Y_A, Y_b, minv)`` for back-substitution
-    (see :func:`_eliminate`)."""
+    None once :func:`solve_saddle_trace` has factored it.  It keeps
+    nothing per element: :func:`back_substitute` eliminates again."""
 
     system: BlockSystem
     S: sp.csc_matrix | SaddleBlocks
     rhs: np.ndarray
-    local: list
 
 
 def _local_solve(ids, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -208,32 +204,40 @@ def _chunks(grp) -> list:
     return [slice(i, i + step) for i in range(0, ne, step)]
 
 
-def _eliminate(grp, add: Callable) -> tuple:
-    """Eliminate a group's interior unknowns a chunk of elements at a time,
-    handing each chunk's local Schur blocks and loads to ``add(e, schur,
-    rhs)`` as they come, in element order; return ``(Y, minv)``, with ``Y
-    = A11'^{-1} [A12' | b1']`` for the fields after the mass fields and
-    the inverse element masses.  The mass fields go first, through
-    ``coef^{-1} ⊗ minv``; the primes mark what that leaves of the other
-    fields' blocks, which a stacked dense solve eliminates."""
-    (ne, n1), n, m = grp.b1.shape, grp.n_a11, grp.mass
-    nm, cinv = n1 - n, np.linalg.inv(m.coef)[None]
-    y, minv = np.empty((ne, n, grp.b2.shape[1] + 1)), np.empty(m.mass.shape)
-    for e in _chunks(grp):
-        a = grp.trace_columns(e)
-        cols = np.concatenate([a[:, :n1], grp.b1[e, :, None]], -1)
-        # rest = [A11 | A12_p | b1_p] - A_pm A_mm^{-1} [A_mp | A12_m | b1_m]
-        minv[e] = _mass_inverse(grp.batch.ids[e], m.mass[e])
-        amp = _kron(m.coupling, m.D[:, e],
-                    np.broadcast_to(np.eye(n), (len(cols), n, n)))
-        w = _kron(cinv, minv[None, e], np.concatenate([amp, cols[:, :nm]], -1))
-        rest = np.concatenate([grp.interior_block(e), cols[:, nm:]], -1)
-        rest -= amp.mT @ w
-        y[e] = _local_solve(grp.batch.ids[e], rest[..., :n], rest[..., n:])
-        z = cols[:, :nm, :-1].mT @ w[..., n:]
-        z += rest[..., n:-1].mT @ y[e]
-        add(e, a[:, n1:] - z[..., :-1], grp.b2[e] - z[..., -1])
-    return y, minv
+def _eliminate(grp, e: slice, cols: np.ndarray) -> tuple:
+    """The one local solver: eliminate the interior unknowns of ``grp``'s
+    elements ``e`` against the columns ``cols`` (len, n1, c); return ``(w,
+    rest, y)``.  The mass fields go first, through ``coef^{-1} ⊗ minv``:
+    ``w = A_mm^{-1} [A_mp | cols_m]``, and ``rest = [A11 | cols_p] - A_pm
+    w`` is what that leaves; ``y`` solves its block against its columns.
+    So ``A11^{-1} cols`` is ``w_c - w_A y`` on the mass fields, ``y`` on
+    the rest."""
+    n, m, ids = grp.n_a11, grp.mass, grp.batch.ids[e]
+    amp = np.einsum("dij,dest->eisjt", m.coupling, m.D[:, e]).reshape(
+        len(cols), -1, n)  # A_mp
+    w = _kron(np.linalg.inv(m.coef)[None], _mass_inverse(ids, m.mass[e])[None],
+              np.concatenate([amp, cols[:, :-n]], -1))
+    rest = np.concatenate([grp.interior_block(e), cols[:, -n:]], -1)
+    rest -= amp.mT @ w
+    return w, rest, _local_solve(ids, rest[..., :n], rest[..., n:])
+
+
+def _local_schur(grp, e: slice) -> tuple:
+    """The local Schur blocks ``A22 - A12^T A11^{-1} A12`` and loads ``b2 -
+    A12^T A11^{-1} b1`` of ``grp``'s elements ``e``."""
+    n1, n, a = grp.b1.shape[1], grp.n_a11, grp.trace_columns(e)
+    cols = np.concatenate([a[:, :n1], grp.b1[e, :, None]], -1)
+    w, rest, y = _eliminate(grp, e, cols)
+    z = cols[:, :n1 - n, :-1].mT @ w[..., n:]
+    z += rest[..., n:-1].mT @ y
+    return a[:, n1:] - z[..., :-1], grp.b2[e] - z[..., -1]
+
+
+def _padded(bs: BlockSystem, x2: np.ndarray) -> np.ndarray:
+    """The trace vector ``x2``, checked, and a 0 for eliminated (-1) dofs."""
+    if np.shape(x2) != (bs.n_trace,):
+        raise ValueError(f"x2: shape {np.shape(x2)}, expected ({bs.n_trace},)")
+    return np.append(x2, 0.0)
 
 
 def _scatter_vector(vec: np.ndarray, idx: np.ndarray, local: np.ndarray):
@@ -260,13 +264,18 @@ def _build_pattern(bs: BlockSystem) -> dict:
     pairs = list(combinations_with_replacement(range(len(fields)), 2))
     graphs, blocks = [], []
     for i, j in pairs:
-        G = sp.csc_array(kept[i].T @ kept[j])
+        p, q, G = per_edge[i], per_edge[j], sp.csc_array(kept[i].T @ kept[j])
         G.sort_indices()
-        blocks.append(sp.kron(G, np.ones((per_edge[i], per_edge[j])),
-                              format="csc"))
+        # G ⊗ ones((p, q)) in CSC, without sp.kron's ones: each column of
+        # G q times (H), each row p rows
+        H = G[:, np.repeat(np.arange(G.shape[1]), q)]
+        itype = np.int32 if H.nnz * p < 2 ** 31 else np.int64
+        rows = H.indices.astype(itype)[:, None] * p + np.arange(p, dtype=itype)
+        blocks.append(((G.shape[0] * p, H.shape[1]), rows.ravel(),
+                       H.indptr.astype(itype) * p))
         G.data = np.arange(G.nnz)  # its entry numbers
         graphs.append(G)
-    dtype = np.int32 if max(B.nnz for B in blocks) < 2 ** 31 else np.int64
+    dtype = np.int32 if max(len(b[1]) for b in blocks) < 2 ** 31 else np.int64
     starts = []
     for grp in bs.groups:
         # a local row block is one field's dofs on one local edge (they run
@@ -275,8 +284,8 @@ def _build_pattern(bs: BlockSystem) -> dict:
         ne, nv = grp.batch.edge_ids.shape
         rank = [f.edge_rank[grp.batch.edge_ids] for f in fields]
         group = []
-        for (i, j), G, B in zip(pairs, graphs, blocks):
-            start = np.full((ne, nv, nv, per_edge[j]), B.nnz, dtype)
+        for (i, j), G, (_, indices, indptr) in zip(pairs, graphs, blocks):
+            start = np.full((ne, nv, nv, per_edge[j]), len(indices), dtype)
             if G.nnz:  # else a field that keeps no edge
                 # every kept (row edge v, column edge w) of each element e:
                 # the place of v's first row in w's columns is p_i times
@@ -286,11 +295,10 @@ def _build_pattern(bs: BlockSystem) -> dict:
                 r, c = rank[i][e, v], rank[j][e, w]
                 place = per_edge[i] * (G[r, c] - G.indptr[c])
                 col = c[:, None] * per_edge[j] + np.arange(per_edge[j])
-                start[e, v, w] = place[:, None] + B.indptr[col]
+                start[e, v, w] = place[:, None] + indptr[col]
             group.append(start.reshape(ne, nv, -1))
         starts.append(group)
-    return {"blocks": [(B.shape, B.indices, B.indptr) for B in blocks],
-            "starts": starts}
+    return {"blocks": blocks, "starts": starts}
 
 
 def _pattern(bs: BlockSystem) -> dict:
@@ -316,9 +324,8 @@ def condense(bs: BlockSystem) -> CondensedSystem:
     This is the one place where trace blocks become sparse: ``S`` sums
     the local ``A22 - A12^T A11^{-1} A12`` into the mesh's kept pattern
     (stage two's into its blocks), and ``rhs`` the local ``b2 - A12^T
-    A11^{-1} b1``, a chunk of elements at a time as it is eliminated.
-    Every stage eliminates its mass fields with the inverse element mass
-    first, the rest by one stacked solve.
+    A11^{-1} b1``, a chunk of elements at a time as :func:`_eliminate`
+    eliminates it.
     """
     pattern = _pattern(bs)
     per_edge = [f.per_edge for f in bs.dof.trace_fields.values()]
@@ -326,71 +333,67 @@ def condense(bs: BlockSystem) -> CondensedSystem:
     # each block its own buffer, so that stage two's B11 can go alone, with
     # one slot past its entries for the eliminated dofs
     data = [np.zeros(len(indices) + 1) for _, indices, _ in pattern["blocks"]]
-    rhs, local = np.zeros(bs.n_trace), []
+    rhs = np.zeros(bs.n_trace)
     for grp, starts in zip(bs.groups, pattern["starts"], strict=True):
         # a field's local dofs are one run: field by field, edge by edge
         cut = np.cumsum([0] + per_edge) * grp.batch.edge_ids.shape[1]
-        parts = [(d, start, np.arange(per_edge[i])[:, None],
-                  slice(cut[i], cut[i + 1]), slice(cut[j], cut[j + 1]))
-                 for d, start, (i, j) in zip(data, starts, pairs)]
-
-        def add(e, schur, load):
-            for d, start, row, rows, cols in parts:
+        for e in _chunks(grp):
+            schur, load = _local_schur(grp, e)
+            for d, start, (i, j) in zip(data, starts, pairs):
                 # a local row's place: its row block's start plus its row
-                pos = start[e, :, None] + row
+                pos = start[e, :, None] + np.arange(per_edge[i])[:, None]
                 np.minimum(pos, len(d) - 1, out=pos)
-                np.add.at(d, pos.ravel(), schur[:, rows, cols].ravel())
+                np.add.at(d, pos.ravel(), schur[
+                    :, cut[i]:cut[i + 1], cut[j]:cut[j + 1]].ravel())
             _scatter_vector(rhs, grp.trace_indices[e], load)
-        y, minv = _eliminate(grp, add)
-        local.append((y[..., :-1], y[..., -1], minv))
     mats = []
     for d, (shape, indices, indptr) in zip(data, pattern["blocks"]):
         mats.append(sp.csc_matrix((d[:-1], indices, indptr), shape))
         mats[-1].data = d[:-1]  # scipy copies an empty block's view
     S = mats[0] if len(mats) == 1 else SaddleBlocks(*mats)
-    return CondensedSystem(bs, S, rhs, local)
+    return CondensedSystem(bs, S, rhs)
 
 
 def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
-    """Interior solution (num_elements, n1) from the trace solution."""
-    dof = cond.system.dof
-    x1 = np.zeros((dof.mesh.num_elements, dof.n_interior_per_element))
-    for grp, (y_a, y_b, minv) in zip(cond.system.groups, cond.local):
-        x2loc = np.append(x2, 0.0)[grp.trace_indices]  # 0 if eliminated
-        xp = y_b - np.einsum("eij,ej->ei", y_a, x2loc)
-        nm, m = x1.shape[1] - xp.shape[1], grp.mass
-        x1[grp.batch.ids, nm:] = xp
-        # the mass fields from the rest
-        a12x = np.concatenate([np.einsum(
-            "eij,ej->ei", grp.trace_columns(e, nm), x2loc[e])
-            for e in _chunks(grp)])
-        v = grp.b1[:, :nm] - a12x - _kron(m.coupling, m.D, xp)
-        x1[grp.batch.ids, :nm] = _kron(np.linalg.inv(m.coef)[None],
-                                       minv[None], v)
+    """Interior solution (num_elements, n1) from the trace solution: every
+    element's interior system solved again by :func:`_eliminate`, against
+    the one column ``b1 - A12 x2``."""
+    bs, x2 = cond.system, _padded(cond.system, x2)
+    x1 = np.zeros((bs.dof.mesh.num_elements, bs.dof.n_interior_per_element))
+    for grp in bs.groups:
+        n1, n = grp.b1.shape[1], grp.n_a11
+        for e in _chunks(grp):
+            v = grp.b1[e] - np.einsum("eij,ej->ei", grp.trace_columns(e, n1),
+                                      x2[grp.trace_indices[e]])
+            w, _, y = _eliminate(grp, e, v[..., None])
+            x1[grp.batch.ids[e]] = np.concatenate(
+                [w[..., n:] - w[..., :n] @ y, y], 1)[..., 0]
     return x1
 
 
 def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
     """Relative residual of the uncondensed block system."""
+    shape = (bs.dof.mesh.num_elements, bs.dof.n_interior_per_element)
+    if np.shape(x1) != shape:
+        raise ValueError(f"x1: shape {np.shape(x1)}, expected {shape}")
+    x2 = _padded(bs, x2)
     r2, b2 = np.zeros(bs.n_trace), np.zeros(bs.n_trace)
     rnorm2 = bnorm2 = 0.0
     for grp in bs.groups:
-        x1g = x1[grp.batch.ids]
-        x2loc = np.append(x2, 0.0)[grp.trace_indices]  # 0 if eliminated
+        x1g, x2loc = x1[grp.batch.ids], x2[grp.trace_indices]
         n1, r1, rt = x1g.shape[1], np.empty_like(grp.b1), np.empty_like(grp.b2)
         nm, m = n1 - grp.n_a11, grp.mass
         xm, xp = x1g[:, :nm], x1g[:, nm:]
-        a11x = np.empty_like(xp)
         for e in _chunks(grp):
             a = grp.trace_columns(e)
             r1[e] = np.einsum("eij,ej->ei", a[:, :n1], x2loc[e])
+            r1[e, nm:] += np.einsum("eij,ej->ei", grp.interior_block(e), xp[e])
             rt[e] = (np.einsum("eij,ei->ej", a[:, :n1], x1g[e])
                      + np.einsum("eij,ej->ei", a[:, n1:], x2loc[e]))
-            a11x[e] = np.einsum("eij,ej->ei", grp.interior_block(e), xp[e])
         r1 -= grp.b1
         r1[:, :nm] += (_kron(m.coef[None], m.mass[None], xm)
                        + _kron(m.coupling, m.D, xp))
-        r1[:, nm:] += a11x + _kron(m.coupling.mT, m.D.mT, xm)
+        r1[:, nm:] += _kron(m.coupling.mT, m.D.mT, xm)
         rnorm2 += float((r1 ** 2).sum())
         bnorm2 += float((grp.b1 ** 2).sum())
         _scatter_vector(r2, grp.trace_indices, rt - grp.b2)
@@ -638,6 +641,5 @@ def solve_stage(bs: BlockSystem, config: SolverConfig = SolverConfig()):
     report.n_interior, report.n_trace = bs.n_interior, bs.n_trace
     report.stored_nnz = stored_nnz
     report.condensed_bytes = sum(B.data.nbytes for B in _blocks(cond.S))
-    report.local_bytes = sum(a.nbytes for part in cond.local for a in part)
     report.kept_bytes = bs.dof.mesh.kept_nbytes
     return back_substitute(cond, x2), x2, report

@@ -508,8 +508,7 @@ def schur_triplets(bs) -> list:
     each computed with the same operations as in ``solver.condense``."""
     blocks = []
     for grp in bs.groups:
-        chunks = []
-        slv._eliminate(grp, lambda e, schur, rhs: chunks.append(schur))
+        chunks = [slv._local_schur(grp, e)[0] for e in slv._chunks(grp)]
         blocks.append(_coo_block(grp.trace_indices, np.concatenate(chunks)))
     return blocks
 

@@ -1,5 +1,9 @@
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -224,3 +228,52 @@ def test_main_records_each_differing_seed(monkeypatch, tmp_path):
     assert not got["csv_identical"]
     assert got["csv_differences"] == [{"seed": 2, "cells": [
         {"row": 1, "column": "err", "parent": "1.0", "change": "2.0"}]}]
+
+
+
+# a child process runs main with every outside call stubbed; its run_side
+# signals the child itself, as a stop from outside would
+_SIGNALLED = """
+import importlib.util, os, sys
+from types import SimpleNamespace
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+bench_pairs.subprocess.run = lambda cmd, **k: SimpleNamespace(
+    stdout=b"" if "archive" in cmd else "abc\\n")
+bench_pairs.workload_names = lambda tree: ["w"]
+def run_side(tree, workload, seed, out):
+    print(out.parent, flush=True)
+    os.kill(os.getpid(), int(sys.argv[2]))
+bench_pairs.run_side = run_side
+bench_pairs.main(["--seeds", "1,2", "--out", sys.argv[3]])
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                         ids=["SIGTERM", "SIGINT"])
+def test_a_signal_removes_the_temporary_copy(signum, tmp_path):
+    # stopped by a signal, the run exits with 128 + signum, and its
+    # temporary copy of the parent goes with it
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIGNALLED, str(_PATH), str(int(signum)),
+         str(tmp_path / "bench.json")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "TMPDIR": str(tmp_path)})
+    copy = Path(proc.stdout.strip())
+    assert copy.parent == tmp_path and copy.name.startswith("bench_pairs-")
+    assert proc.returncode == 128 + signum, proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_signal_handlers_come_back(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **k:
+                        SimpleNamespace(stdout=b"" if "archive" in cmd
+                                        else "abc\n"))
+    monkeypatch.setattr(bench_pairs, "workload_names", lambda tree: [])
+    monkeypatch.setattr(bench_pairs, "machine", lambda out: {})
+    stops = (signal.SIGTERM, signal.SIGINT)
+    handlers = [signal.getsignal(s) for s in stops]
+    assert bench_pairs.main(["--seeds", "1,2", "--out",
+                             str(tmp_path / "bench.json")]) == 0
+    assert [signal.getsignal(s) for s in stops] == handlers

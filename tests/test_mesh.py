@@ -382,7 +382,7 @@ class TestKept:
                 fields = vf.solve_plate(mesh, SpaceConfig(2), mat, ex)
                 vf.table_errors(fields, ex)
             assert set(vars(mesh)) == attrs
-            # no stage keeps its Y_A or S: stages one and three keep their
+            # no stage keeps its S: stages one and three keep their
             # operator and factor, stage two the pattern of its blocks;
             # table_errors keeps nothing
             poisson, saddle = ((2, True),), ((6, True), (2, False))

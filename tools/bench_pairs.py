@@ -16,18 +16,21 @@ side's total of failed cases, whether the two sides wrote byte-identical
 study CSVs, and where not, each seed's differing cells with both values,
 each run's ``setup_s`` samples, and the machine the runs saw; its
 ``claim`` and ``notes`` are left for the author to write, and may not
-contradict a verdict.
+contradict a verdict.  Stopped by SIGTERM or SIGINT, it kills the running
+child and removes its temporary copy of the parent before it exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
 import json
 import platform
 import runpy
+import signal
 import statistics
 import subprocess
 import sys
@@ -214,6 +217,24 @@ def machine(out: Path) -> dict:
     return env
 
 
+@contextlib.contextmanager
+def signals_exit():
+    """SIGTERM and SIGINT raise ``SystemExit(128 + signum)`` inside the
+    block, so that the block's ``TemporaryDirectory`` cleans up and
+    ``subprocess.run`` kills its running child; the previous handlers come
+    back after it."""
+    def leave(signum, frame):
+        raise SystemExit(128 + signum)
+
+    stops = (signal.SIGTERM, signal.SIGINT)
+    previous = [signal.signal(s, leave) for s in stops]
+    try:
+        yield
+    finally:
+        for s, handler in zip(stops, previous):
+            signal.signal(s, handler)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=seed_list, required=True,
@@ -228,7 +249,8 @@ def main(argv=None) -> int:
     parent_rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
                                 check=True, capture_output=True,
                                 text=True).stdout.strip()
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+    with signals_exit(), \
+            tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         tmp = Path(tmp)
         parent_tree = tmp / "parent"
         parent_tree.mkdir()
