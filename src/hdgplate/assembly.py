@@ -41,7 +41,6 @@ __all__ = [
     "StageDofMap",
     "BlockSystem",
     "ElementBlockGroup",
-    "MassFields",
     "assemble_step1",
     "assemble_step2",
     "assemble_step3",
@@ -261,6 +260,13 @@ class TraceField:
         return out
 
 
+def _padded(n_trace: int, x2: np.ndarray) -> np.ndarray:
+    """The trace vector ``x2``, checked, and a 0 for eliminated (-1) dofs."""
+    if np.shape(x2) != (n_trace,):
+        raise ValueError(f"x2: shape {np.shape(x2)}, expected ({n_trace},)")
+    return np.append(x2, 0.0)
+
+
 class StageDofMap:
     """Interior (per-element) and trace (per-edge) numbering for one stage.
 
@@ -317,24 +323,11 @@ class StageDofMap:
     def trace_to_edge_array(self, name: str, x2: np.ndarray) -> np.ndarray:
         """(num_edges, per_edge) coefficients; zeros on eliminated edges."""
         dofs = self.trace_fields[name].dofs(np.arange(self.mesh.num_edges))
-        return np.append(x2, 0.0)[dofs]
+        return _padded(self.n_trace, x2)[dofs]
 
 
 # ----------------------------------------------------------------------
 # block system
-
-
-@dataclass
-class MassFields:
-    """A group's leading interior fields that enter only through an L2
-    mass (the Poisson flux; stage two's sigma and R): their block is
-    ``coef ⊗ mass``, and they couple to the later fields only through
-    ``sum_d coupling[d] ⊗ D[d]``."""
-
-    mass: np.ndarray      # (ne, Ts, Ts)
-    coef: np.ndarray      # (nc, nc)
-    D: np.ndarray         # (nd, ne, Ts, Tv)
-    coupling: np.ndarray  # (nd, nc, np)
 
 
 def _densify(terms, e: slice, ne: int, shape: tuple) -> np.ndarray:
@@ -350,28 +343,32 @@ def _densify(terms, e: slice, ne: int, shape: tuple) -> np.ndarray:
 class ElementBlockGroup:
     """Local blocks for one batch of same-size elements, each kept as the
     terms that write it, ``(rows, cols, scale, block)`` with ``scale``
-    (ne,) and ``block`` (ne, r, c), each region written by one term:
-    ``a11``, the block of the interior fields after the ``nm = nc * Ts``
-    fields kept in ``mass``, and ``terms``, the trace columns ``[A12;
-    A22]``.  The local trace dofs run field by field, each field edge by
-    local edge."""
+    (ne,) and ``block`` (ne, r, c), each region written by one term; rows
+    count from the first interior dof, columns from the block's first.  The
+    leading ``nm = nc * Ts`` interior dofs are the mass fields (the Poisson
+    flux; stage two's sigma and R), whose block is ``coef ⊗ mass``;
+    ``a11`` is the interior columns ``[A_mp; A_pp]`` of the fields after
+    them, and ``terms`` the trace columns ``[A12; A22]``.  The local trace
+    dofs run field by field, each field edge by local edge."""
 
     batch: ElementBatch
-    a11: tuple                # terms of the (n_a11, n_a11) block
+    a11: tuple                # terms of the (n1, n_a11) columns
     terms: tuple              # terms of the (n1 + ntl, ntl) columns
     b1: np.ndarray            # (ne, n1)
     b2: np.ndarray            # (ne, ntl)
     trace_indices: np.ndarray  # (ne, ntl), -1 for eliminated trace dofs
-    mass: MassFields
+    mass: np.ndarray          # (ne, Ts, Ts)
+    coef: np.ndarray          # (nc, nc)
 
     @property
     def n_a11(self) -> int:
-        """The size of ``a11``: the interior unknowns after the mass fields."""
+        """The columns of ``a11``: the interior dofs after the mass fields."""
         return max(cols.stop for _, cols, _, _ in self.a11)
 
-    def interior_block(self, e: slice) -> np.ndarray:
-        """The dense (len, n_a11, n_a11) ``a11`` of the elements ``e``."""
-        return _densify(self.a11, e, len(self.batch.ids[e]), (self.n_a11,) * 2)
+    def interior_columns(self, e: slice) -> np.ndarray:
+        """The dense (len, n1, n_a11) ``a11`` of the elements ``e``."""
+        return _densify(self.a11, e, len(self.batch.ids[e]),
+                        (self.b1.shape[1], self.n_a11))
 
     def trace_columns(self, e: slice, stop: int | None = None) -> np.ndarray:
         """The dense (len, n1 + ntl, ntl) ``[A12; A22]`` of the elements
@@ -483,10 +480,8 @@ def _assemble_poisson_operator(dof, k):
         ne, nv = len(batch.ids), batch.nv
         Mss, EX, EY, edges = _local_matrices(batch, k, k - 1)
         # the flux is a mass field, -I2 ⊗ Mss, coupled to the primal field
-        # by -(r, div q): its component u through -d/du; a11 is the primal
-        # block, one dense term
-        flux = MassFields(Mss, -np.eye(2), np.stack([EX[:, :Ts], EY[:, :Ts]]),
-                          -np.eye(2)[:, :, None])
+        # by -(r, div q): its component u through -d/du
+        D = np.stack([EX[:, :Ts], EY[:, :Ts]])
         a11 = np.zeros((ne, Tv, Tv))
 
         terms, trace_idx = [], np.empty((ne, nv * k), dtype=int)
@@ -505,11 +500,14 @@ def _assemble_poisson_operator(dof, k):
                       (_below(n1, cols), cols, alpha1, Ee)]
             trace_idx[:, cols] = tf.dofs(batch.edge_ids[:, e])
 
-        # the loads differ per solve: each stage sets b1 and b2
+        # the loads differ per solve: each stage sets b1 and b2; a11 is the
+        # primal columns, the flux terms and the dense primal block
         primal = slice(0, Tv)
-        groups.append(ElementBlockGroup(
-            batch, ((primal, primal, np.broadcast_to(1.0, ne), a11),),
-            tuple(terms), None, None, trace_idx, flux))
+        one, minus = np.broadcast_to(1.0, ne), np.broadcast_to(-1.0, ne)
+        a11 = ((sl_L[0], primal, minus, D[0]), (sl_L[1], primal, minus, D[1]),
+               (sl_r, primal, one, a11))
+        groups.append(ElementBlockGroup(batch, a11, tuple(terms), None, None,
+                                        trace_idx, Mss, -np.eye(2)))
     return groups
 
 
@@ -579,14 +577,6 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
 # ----------------------------------------------------------------------
 # stage two
 
-# sigma (11, 22, 12) and R (1, 2) against theta (1, 2) and p, per
-# derivative d/dx, d/dy: -(theta, div tau) and (p, curl S)
-_COUPLING = np.zeros((2, 5, 3))
-_COUPLING[0, [0, 2, 4], [0, 1, 2]] = -1.0, -1.0, 1.0
-_COUPLING[1, [1, 2, 3], [1, 0, 2]] = -1.0
-_COUPLING.setflags(write=False)
-
-
 def _check_simply_connected(mesh: Mesh) -> None:
     """Raise :class:`MeshTopologyError` unless the elements form one
     edge-connected piece with V - E + F = 1 (V counting the vertices the
@@ -610,8 +600,8 @@ def _check_simply_connected(mesh: Mesh) -> None:
 def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
                    L: DiscreteField, f: Callable | None = None) -> BlockSystem:
     """Stage-two saddle system: find (sigma, R, theta, theta_hat, p, p_hat).
-    sigma and R are :class:`MassFields`; ``a11`` is the (theta, p) block,
-    seven terms over four distinct (ne, Tv, Tv) blocks.
+    sigma and R are the mass fields; ``a11`` is the (theta, p) columns,
+    thirteen terms over four distinct (ne, Tv, Tv) blocks.
     The stream-function pressure p rests on a Helmholtz decomposition of
     the shear stress, which needs a simply connected domain: a mesh with
     more than one edge-connected component or with a hole raises
@@ -641,7 +631,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     for batch in element_batches(mesh):
         ne, nv = len(batch.ids), batch.nv
         Mss, EX, EY, edges = _local_matrices(batch, k, l)
-        D = np.stack([EX, EY])  # a11's blocks; sigma and R read Ts rows
+        D = np.stack([EX, EY])  # sigma and R read the leading Ts rows
 
         # the edge stabilizations of theta (one block for both components)
         # and of p, summed edge by edge; p's enters negated, subtracted
@@ -688,17 +678,22 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         b1 = np.zeros((ne, n1))
         b1[:, sl_theta] = _load_moments(batch, k, load).reshape(ne, -1)
 
-        # theta and p after the mass fields sigma and R: the stabilizations
-        # on the diagonal, (curl phi, p) and its transpose off it
+        # the columns of theta and p after the mass fields sigma and R:
+        # -(theta, div tau) and (p, curl S) on the P_{k-1} rows, then the
+        # stabilizations on the diagonal, (curl phi, p) and its transpose
         th, p = (slice(0, Tv), slice(Tv, 2 * Tv)), slice(2 * Tv, 3 * Tv)
         one, minus = np.broadcast_to(1.0, ne), np.broadcast_to(-1.0, ne)
-        a11 = ((th[0], th[0], one, stab2), (th[1], th[1], one, stab2),
-               (th[0], p, minus, D[1]), (p, th[0], minus, D[1].mT),
-               (th[1], p, one, D[0]), (p, th[1], one, D[0].mT),
-               (p, p, one, stab3))
+        DX, DY = D[:, :, :Ts]
+        a11 = ((sl_sig[0], th[0], minus, DX), (sl_sig[1], th[1], minus, DY),
+               (sl_sig[2], th[0], minus, DY), (sl_sig[2], th[1], minus, DX),
+               (sl_R[0], p, minus, DY), (sl_R[1], p, one, DX),
+               (sl_th[0], th[0], one, stab2), (sl_th[1], th[1], one, stab2),
+               (sl_th[0], p, minus, D[1]), (sl_p, th[0], minus, D[1].mT),
+               (sl_th[1], p, one, D[0]), (sl_p, th[1], one, D[0].mT),
+               (sl_p, p, one, stab3))
         groups.append(ElementBlockGroup(
             batch, a11, tuple(terms), b1, np.zeros(trace_idx.shape), trace_idx,
-            MassFields(Mss, coef, D[:, :, :Ts], _COUPLING)))
+            Mss, coef))
 
     return BlockSystem(dof, groups, stage="step2")
 

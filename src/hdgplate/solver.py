@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import BlockSystem
+from .assembly import BlockSystem, _padded
 
 __all__ = [
     "SolverConfig",
@@ -181,11 +181,10 @@ def _mass_inverse(ids, mass: np.ndarray) -> np.ndarray:
 
 
 def _kron(c: np.ndarray, M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(sum_d c[d] ⊗ M[d]) x`` per element for (nd, a, b) ``c``, (nd, ne,
-    s, t) ``M`` and an (ne, b * t, ...) stack ``x``, never forming the
-    product's matrix."""
-    y = M[:, :, None] @ x.reshape(len(x), c.shape[2], M.shape[3], -1)
-    return np.einsum("dij,dejs...->eis...", c, y).reshape(
+    """``(c ⊗ M) x`` per element for (a, b) ``c``, (ne, s, t) ``M`` and an
+    (ne, b * t, ...) stack ``x``, never forming the product's matrix."""
+    y = M[:, None] @ x.reshape(len(x), c.shape[1], M.shape[2], -1)
+    return np.einsum("ij,ejs...->eis...", c, y).reshape(
         len(x), -1, *x.shape[2:])
 
 
@@ -208,16 +207,15 @@ def _eliminate(grp, e: slice, cols: np.ndarray) -> tuple:
     """The one local solver: eliminate the interior unknowns of ``grp``'s
     elements ``e`` against the columns ``cols`` (len, n1, c); return ``(w,
     rest, y)``.  The mass fields go first, through ``coef^{-1} ⊗ minv``:
-    ``w = A_mm^{-1} [A_mp | cols_m]``, and ``rest = [A11 | cols_p] - A_pm
-    w`` is what that leaves; ``y`` solves its block against its columns.
-    So ``A11^{-1} cols`` is ``w_c - w_A y`` on the mass fields, ``y`` on
-    the rest."""
-    n, m, ids = grp.n_a11, grp.mass, grp.batch.ids[e]
-    amp = np.einsum("dij,dest->eisjt", m.coupling, m.D[:, e]).reshape(
-        len(cols), -1, n)  # A_mp
-    w = _kron(np.linalg.inv(m.coef)[None], _mass_inverse(ids, m.mass[e])[None],
+    ``w = A_mm^{-1} [A_mp | cols_m]``, and ``rest = [A_pp | cols_p] - A_pm
+    w`` is what that leaves, ``A_mp`` and ``A_pp`` the interior columns;
+    ``y`` solves its block against its columns.  So ``A11^{-1} cols`` is
+    ``w_c - w_A y`` on the mass fields, ``y`` on the rest."""
+    n, ids, c = grp.n_a11, grp.batch.ids[e], grp.interior_columns(e)
+    amp = c[:, :-n]
+    w = _kron(np.linalg.inv(grp.coef), _mass_inverse(ids, grp.mass[e]),
               np.concatenate([amp, cols[:, :-n]], -1))
-    rest = np.concatenate([grp.interior_block(e), cols[:, -n:]], -1)
+    rest = np.concatenate([c[:, -n:], cols[:, -n:]], -1)
     rest -= amp.mT @ w
     return w, rest, _local_solve(ids, rest[..., :n], rest[..., n:])
 
@@ -231,13 +229,6 @@ def _local_schur(grp, e: slice) -> tuple:
     z = cols[:, :n1 - n, :-1].mT @ w[..., n:]
     z += rest[..., n:-1].mT @ y
     return a[:, n1:] - z[..., :-1], grp.b2[e] - z[..., -1]
-
-
-def _padded(bs: BlockSystem, x2: np.ndarray) -> np.ndarray:
-    """The trace vector ``x2``, checked, and a 0 for eliminated (-1) dofs."""
-    if np.shape(x2) != (bs.n_trace,):
-        raise ValueError(f"x2: shape {np.shape(x2)}, expected ({bs.n_trace},)")
-    return np.append(x2, 0.0)
 
 
 def _scatter_vector(vec: np.ndarray, idx: np.ndarray, local: np.ndarray):
@@ -358,7 +349,7 @@ def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
     """Interior solution (num_elements, n1) from the trace solution: every
     element's interior system solved again by :func:`_eliminate`, against
     the one column ``b1 - A12 x2``."""
-    bs, x2 = cond.system, _padded(cond.system, x2)
+    bs, x2 = cond.system, _padded(cond.system.n_trace, x2)
     x1 = np.zeros((bs.dof.mesh.num_elements, bs.dof.n_interior_per_element))
     for grp in bs.groups:
         n1, n = grp.b1.shape[1], grp.n_a11
@@ -376,24 +367,23 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
     shape = (bs.dof.mesh.num_elements, bs.dof.n_interior_per_element)
     if np.shape(x1) != shape:
         raise ValueError(f"x1: shape {np.shape(x1)}, expected {shape}")
-    x2 = _padded(bs, x2)
+    x2 = _padded(bs.n_trace, x2)
     r2, b2 = np.zeros(bs.n_trace), np.zeros(bs.n_trace)
     rnorm2 = bnorm2 = 0.0
     for grp in bs.groups:
         x1g, x2loc = x1[grp.batch.ids], x2[grp.trace_indices]
         n1, r1, rt = x1g.shape[1], np.empty_like(grp.b1), np.empty_like(grp.b2)
-        nm, m = n1 - grp.n_a11, grp.mass
+        nm = n1 - grp.n_a11
         xm, xp = x1g[:, :nm], x1g[:, nm:]
         for e in _chunks(grp):
-            a = grp.trace_columns(e)
-            r1[e] = np.einsum("eij,ej->ei", a[:, :n1], x2loc[e])
-            r1[e, nm:] += np.einsum("eij,ej->ei", grp.interior_block(e), xp[e])
+            a, c = grp.trace_columns(e), grp.interior_columns(e)
+            r1[e] = (np.einsum("eij,ej->ei", a[:, :n1], x2loc[e])
+                     + np.einsum("eij,ej->ei", c, xp[e]))
+            r1[e, nm:] += np.einsum("eij,ei->ej", c[:, :nm], xm[e])
             rt[e] = (np.einsum("eij,ei->ej", a[:, :n1], x1g[e])
                      + np.einsum("eij,ej->ei", a[:, n1:], x2loc[e]))
         r1 -= grp.b1
-        r1[:, :nm] += (_kron(m.coef[None], m.mass[None], xm)
-                       + _kron(m.coupling, m.D, xp))
-        r1[:, nm:] += _kron(m.coupling.mT, m.D.mT, xm)
+        r1[:, :nm] += _kron(grp.coef, grp.mass, xm)
         rnorm2 += float((r1 ** 2).sum())
         bnorm2 += float((grp.b1 ** 2).sum())
         _scatter_vector(r2, grp.trace_indices, rt - grp.b2)

@@ -467,6 +467,9 @@ class RateTable:
 def table_errors(fields: SolutionFields, exact: ExactSolution,
                  quad_degree: int = ERROR_DEGREE):
     """The four table norms, from one pass over the eight exact components."""
+    if exact.material != fields.material:
+        raise ValueError(f"material {fields.material} is not the exact "
+                         f"solution's {exact.material}")
     exact_all = PolyField(exact.theta.components + exact.gamma.components
                           + exact.sigma.components + exact.omega.components)
     errs = np.sqrt(_squared_errors((fields.theta, fields.gamma, fields.sigma,

@@ -240,57 +240,70 @@ def bh_norm(mesh, spaces, material, sigma, R, theta, theta_hat: np.ndarray,
 
 
 def dense_a11(grp) -> np.ndarray:
-    """The whole (ne, n1, n1) interior block of an element group: its
-    ``a11`` with the blocks ``coef ⊗ mass`` of its mass fields and their
-    couplings ``sum_d coupling[d] ⊗ D[d]`` put back."""
-    m = grp.mass
+    """The whole (ne, n1, n1) interior block of an element group: the
+    block ``coef ⊗ mass`` of its mass fields, its interior columns
+    ``a11`` and their transpose on the mass fields' columns."""
     ne, n1 = grp.b1.shape
     nm = n1 - grp.n_a11
     a11 = np.zeros((ne, n1, n1))
-    a11[:, :nm, :nm] = np.einsum("ij,est->eisjt", m.coef,
-                                 m.mass).reshape(ne, nm, nm)
-    a11[:, :nm, nm:] = np.einsum("dij,dest->eisjt", m.coupling,
-                                 m.D).reshape(ne, nm, n1 - nm)
+    a11[:, :nm, :nm] = np.einsum("ij,est->eisjt", grp.coef,
+                                 grp.mass).reshape(ne, nm, nm)
+    a11[:, :, nm:] = grp.interior_columns(slice(None))
     a11[:, nm:, :nm] = a11[:, :nm, nm:].transpose(0, 2, 1)
-    a11[:, nm:, nm:] = grp.interior_block(slice(None))
     return a11
 
 
-def dense_interior_blocks(bs, material) -> list:
-    """Each group's dense ``a11`` of the stage system ``bs``, written by
-    the assembly loop that ``assembly`` ran before it kept the block as
-    terms: the primal block of stages one and three, stage two's (theta,
-    p) one; ``material`` is stage two's."""
-    out = []
+def dense_interior_columns(bs, material) -> list:
+    """Each group's dense interior columns ``a11`` (ne, n1, n_a11) of the
+    stage system ``bs``, written by the assembly loop that ``assembly``
+    ran before it kept them as terms, with the mass fields' coupling rows
+    written here from the weak forms: the primal columns of stages one
+    and three, stage two's (theta, p) ones; ``material`` is stage two's."""
+    out, dof = [], bs.dof
+    n1 = dof.n_interior_per_element
     if bs.stage != "step2":
-        k = bs.dof.trace_fields["u_hat"].per_edge
+        k = dof.trace_fields["u_hat"].per_edge
+        Ts, Tv = fs.space_dim(k - 1), fs.space_dim(k)
+        sl_L, sl_r = dof.components("flux"), dof.interior_slice("primal")
         for grp in bs.groups:
-            batch, Tv = grp.batch, fs.space_dim(k)
-            edges = asm._local_matrices(batch, k, k - 1)[3]
-            a11 = np.zeros((len(batch.ids), Tv, Tv))
+            batch = grp.batch
+            _, EX, EY, edges = asm._local_matrices(batch, k, k - 1)
+            a11 = np.zeros((len(batch.ids), n1, Tv))
+            # -(r, div q), div q = dx q1 + dy q2
+            a11[:, sl_L[0]], a11[:, sl_L[1]] = -EX[:, :Ts], -EY[:, :Ts]
             alpha1 = asm.stabilization(batch.h, asm.PlateMaterial())[0]
             for Cv, Ee in edges:
-                a11 += alpha1[:, None, None] * asm._stab_volume_block(Cv, Ee)
+                a11[:, sl_r] += alpha1[:, None, None] * asm._stab_volume_block(
+                    Cv, Ee)
             out.append(a11)
         return out
 
-    tf_th, tf_p = bs.dof.trace_fields["theta_hat"], bs.dof.trace_fields["p_hat"]
+    tf_th, tf_p = dof.trace_fields["theta_hat"], dof.trace_fields["p_hat"]
     k, l = tf_p.per_edge, tf_th.per_edge // 2 - 1
-    Tv = fs.space_dim(k)
+    Ts, Tv = fs.space_dim(k - 1), fs.space_dim(k)
+    sig, R, rot = (dof.components(name) for name in ("sigma", "R", "theta"))
+    sl_p = dof.interior_slice("p")
     th, p = (slice(0, Tv), slice(Tv, 2 * Tv)), slice(2 * Tv, None)
     for grp in bs.groups:
         batch = grp.batch
         _, EX, EY, edges = asm._local_matrices(batch, k, l)
-        a11 = np.zeros((len(batch.ids), 3 * Tv, 3 * Tv))
-        a11[:, th[0], p], a11[:, p, th[0]] = -EY, -EY.mT
-        a11[:, th[1], p], a11[:, p, th[1]] = EX, EX.mT
+        DX, DY = EX[:, :Ts], EY[:, :Ts]
+        a11 = np.zeros((len(batch.ids), n1, 3 * Tv))
+        # -(theta, div tau), div tau = (dx tau11 + dy tau12, dx tau12 +
+        # dy tau22) for tau = (tau11, tau22, tau12)
+        a11[:, sig[0], th[0]], a11[:, sig[2], th[0]] = -DX, -DY
+        a11[:, sig[2], th[1]], a11[:, sig[1], th[1]] = -DX, -DY
+        # (p, curl S), curl S = dx S2 - dy S1
+        a11[:, R[0], p], a11[:, R[1], p] = -DY, DX
+        a11[:, rot[0], p], a11[:, sl_p, th[0]] = -EY, -EY.mT
+        a11[:, rot[1], p], a11[:, sl_p, th[1]] = EX, EX.mT
         _, alpha2, alpha3 = asm.stabilization(batch.h, material)
         for Clv, El in edges:
             Ckv, Ek = Clv[:, :k], El[:, :k, :k]
             stab2 = alpha2[:, None, None] * asm._stab_volume_block(Clv, El)
-            a11[:, th[0], th[0]] += stab2
-            a11[:, th[1], th[1]] += stab2
-            a11[:, p, p] -= alpha3[:, None, None] * asm._stab_volume_block(
+            a11[:, rot[0], th[0]] += stab2
+            a11[:, rot[1], th[1]] += stab2
+            a11[:, sl_p, p] -= alpha3[:, None, None] * asm._stab_volume_block(
                 Ckv, Ek)
         out.append(a11)
     return out

@@ -15,7 +15,7 @@ from hdgplate.assembly import (DiscreteField, PlateMaterial, SpaceConfig,
 from hdgplate.mesh import Mesh, MeshTopologyError, generate_structured
 from meshes import (FAMILIES, arrays_in, mixed_group_mesh, mixed_strip,
                     on_unit_square)
-from oracles import (bh_norm, dense_interior_blocks, dense_trace_blocks,
+from oracles import (bh_norm, dense_interior_columns, dense_trace_blocks,
                      load_b1, monolithic_dense)
 
 
@@ -224,6 +224,18 @@ class TestDofCounts:
             kept = np.flatnonzero(~dropped)
             assert np.array_equal(out[kept], x2[f.dofs(kept)])
 
+    @pytest.mark.parametrize("length", [39, 43])
+    def test_trace_to_edge_array_rejects_a_trace_of_another_length(
+            self, length):
+        # tri n=4 k=1 keeps 40 u_hat dofs: 39 entries once read the
+        # appended 0 for the last, 43 left three unread
+        mesh = generate_structured("triangle", 4)
+        dof = asm.assemble_step1(mesh, SpaceConfig(1), lambda x, y: 0 * x).dof
+        assert dof.n_trace == 40
+        message = rf"^x2: shape \({length},\), expected \(40,\)$"
+        with pytest.raises(ValueError, match=message):
+            dof.trace_to_edge_array("u_hat", np.ones(length))
+
 
 def _step2_system(mesh, k=1, t=1.0, with_load=True):
     mat = PlateMaterial(t=t)
@@ -381,8 +393,8 @@ class TestSystems:
         bs_a, _, _ = _step2_system(mesh)
         bs_b, _, _ = _step2_system(mesh)
         for ga, gb in zip(bs_a.groups, bs_b.groups):
-            assert np.array_equal(ga.interior_block(slice(None)),
-                                  gb.interior_block(slice(None)))
+            assert np.array_equal(ga.interior_columns(slice(None)),
+                                  gb.interior_columns(slice(None)))
             assert np.array_equal(ga.trace_columns(slice(None)),
                                   gb.trace_columns(slice(None)))
             assert np.array_equal(ga.b1, gb.b1)
@@ -390,9 +402,10 @@ class TestSystems:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_step2_keeps_no_dense_interior_block(self, k):
         # the flux, and sigma and R, stay in their mass blocks; a11 is the
-        # primal block (ne, Tv, Tv), one dense term, and in stage two the
-        # (theta, p) one, terms over (ne, Tv, Tv) blocks; the trace columns
-        # stay edge-local terms, in the groups and in what the mesh keeps
+        # primal columns, two flux terms and the primal block (ne, Tv, Tv),
+        # one dense term, and in stage two the (theta, p) ones, terms over
+        # (ne, Tv, Tv) blocks; the trace columns stay edge-local terms, in
+        # the groups and in what the mesh keeps
         mesh = mixed_polygon_mesh()
         bs2, _, _ = _step2_system(mesh, k)
         slv.solve_stage(bs2)  # keeps the pattern of stage two's blocks
@@ -407,7 +420,7 @@ class TestSystems:
         # places, one per element, local row block and column of each
         # stored block, which at k=1 are a triangle's (ntl, ntl) in the
         # Poisson layout
-        primal = {id(grp.a11[0][3]) for grp in bs1.groups}
+        primal = {id(grp.a11[-1][3]) for grp in bs1.groups}
         places = set()
         for bs in (bs1, bs2):
             fields = list(bs.dof.trace_fields.values())
@@ -424,8 +437,8 @@ class TestSystems:
             n1 = bs.dof.n_interior_per_element
             for grp in bs.groups:
                 ne, ntl = grp.trace_indices.shape
-                assert grp.interior_block(slice(None)).shape == (ne, n, n)
-                dense = {(n, n), (n1, n1), (n1, ntl), (ntl, ntl)}
+                assert grp.interior_columns(slice(None)).shape == (ne, n1, n)
+                dense = {(n, n), (n1, n), (n1, n1), (n1, ntl), (ntl, ntl)}
                 for arr in [*arrays_in(grp), *kept]:
                     assert (id(arr) in primal | places or arr.ndim < 3
                             or arr.shape[-2:] not in dense), (bs.stage, arr.shape)
@@ -450,10 +463,10 @@ class TestSystems:
         assert bs.groups and retained <= 6.0e6
         (grp,) = bs.groups
         blocks = {b.ctypes.data for _, _, _, b in grp.a11}
-        assert len(grp.a11) == 7 and len(blocks) == 4
-        # D is a view of a11's (curl, p) blocks, not a copy
-        assert all(np.shares_memory(grp.mass.D, b)
-                   for _, _, _, b in grp.a11[2:6])
+        assert len(grp.a11) == 13 and len(blocks) == 4
+        # the coupling terms are views of a11's (curl, p) blocks, not copies
+        assert all(any(np.shares_memory(b, c) for _, _, _, c in grp.a11[8:12])
+                   for _, _, _, b in grp.a11[:6])
         assert retained <= 4.0e6
         assert retained <= 3.4e6
 
@@ -573,9 +586,10 @@ class TestTraceColumns:
 
 
 class TestInteriorBlock:
-    """Every stage keeps its interior block ``a11`` as terms; densified
-    one chunk at a time it is, bit for bit, the dense block that assembly
-    wrote before (``oracles.dense_interior_blocks``)."""
+    """Every stage keeps its interior columns ``a11`` as terms; densified
+    one chunk at a time they are, bit for bit on all n1 rows, the dense
+    columns that assembly wrote before, with the mass fields' coupling
+    rows written from the weak forms (``oracles.dense_interior_columns``)."""
 
     @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -587,11 +601,11 @@ class TestInteriorBlock:
             (mesh.num_elements, 2 * fs.space_dim(k - 1))))
         for bs in (asm.assemble_step1(mesh, spaces, lambda x, y: 1.0 + x),
                    asm.assemble_step2(mesh, spaces, mat, L)):
-            ref = dense_interior_blocks(bs, mat)
+            ref = dense_interior_columns(bs, mat)
             for chunk in (1, slv._CHUNK_BYTES, 10 ** 12):
                 monkeypatch.setattr(slv, "_CHUNK_BYTES", chunk)
                 for grp, want in zip(bs.groups, ref, strict=True):
-                    got = np.concatenate([grp.interior_block(e)
+                    got = np.concatenate([grp.interior_columns(e)
                                           for e in slv._chunks(grp)])
                     assert got.tobytes() == want.tobytes(), (bs.stage, chunk)
 

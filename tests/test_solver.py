@@ -40,19 +40,20 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
     every element couples to all trace dofs, which sit on one edge that
     all elements share, and the first element carries the whole trace
     block ``a22`` and trace load ``b2``; the trace columns are three terms
-    over all columns, one on the rows of the mass fields ``mass``
-    (``MassFields``), one on the rest of ``A12`` and one on ``A22``, so
-    that no term straddles a field.  ``a11_blocks`` is the block
-    after the mass fields; without them, one decoupled and unloaded
+    over all columns, one on the rows of the mass fields, one on the rest
+    of ``A12`` and one on ``A22``, so that no term straddles a field.
+    ``mass`` is ``(Mss, coef, A_mp)``: the mass fields' block is ``coef ⊗
+    Mss`` and ``A_mp`` their coupling to the fields after them, whose
+    block is ``a11_blocks``; without them, one decoupled and unloaded
     unit-mass field of one dof goes in front, so the blocks given are the
     whole toy and its solution's leading column is 0."""
     if mass is None:
         ne, n = a11_blocks.shape[:2]
-        mass = asm.MassFields(np.ones((ne, 1, 1)), np.eye(1),
-                              np.zeros((1, ne, 1, n)), np.zeros((1, 1, 1)))
+        mass = np.ones((ne, 1, 1)), np.eye(1), np.zeros((ne, 1, n))
         a12_blocks = np.concatenate(
             [np.zeros((ne, 1, a12_blocks.shape[2])), a12_blocks], axis=1)
         b1 = np.concatenate([np.zeros((ne, 1)), b1], axis=1)
+    Mss, coef, amp = mass
     ne, n1, ntl = a12_blocks.shape
     ids = np.arange(ne) if ids is None else np.asarray(ids)
     trace = asm.TraceField("x", 0, ntl, False, np.zeros(1, dtype=int))
@@ -65,14 +66,15 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
     a22_local, b2_local = np.zeros((ne, ntl, ntl)), np.zeros((ne, ntl))
     a22_local[0], b2_local[0] = a22, b2
     block, nm = (np.concatenate([a12_blocks, a22_local], axis=1),
-                 len(mass.coef) * mass.mass.shape[1])
+                 len(coef) * Mss.shape[1])
     terms = tuple((rows, slice(0, ntl), np.ones(ne), block[:, rows])
                   for rows in (slice(0, nm), slice(nm, n1),
                                slice(n1, n1 + ntl)))
     rest = slice(0, a11_blocks.shape[1])
-    group = asm.ElementBlockGroup(batch, ((rest, rest, np.ones(ne),
-                                           a11_blocks),),
-                                  terms, b1, b2_local, trace, mass)
+    a11 = ((slice(0, nm), rest, np.ones(ne), amp),
+           (slice(nm, n1), rest, np.ones(ne), a11_blocks))
+    group = asm.ElementBlockGroup(batch, a11, terms, b1, b2_local, trace,
+                                  Mss, coef)
     return asm.BlockSystem(dof=dof, groups=[group])
 
 
@@ -166,16 +168,14 @@ class TestCondense:
     @staticmethod
     def _four_element_mass_group(bad_mass=None, bad_rest=None):
         # one mass field of two dofs (block 2 Mss), coupled to the two
-        # dofs after it by A_mp = D = I; the third element is broken
+        # dofs after it by A_mp = I; the third element is broken
         mass = np.stack([np.eye(2) * s for s in (2.0, 4.0, 1.0, 3.0)])
         a11 = np.stack([np.eye(2) * (i + 3.0) for i in range(4)])
         if bad_mass is not None:
             mass[2] = bad_mass
         if bad_rest is not None:
             a11[2] = bad_rest
-        fields = asm.MassFields(mass, np.array([[2.0]]),
-                                np.eye(2)[None, None].repeat(4, axis=1),
-                                np.ones((1, 1, 1)))
+        fields = mass, np.array([[2.0]]), np.eye(2)[None].repeat(4, axis=0)
         return toy_block_system(a11, np.ones((4, 4, 2)), np.eye(2),
                                 np.ones((4, 4)), np.zeros(2),
                                 ids=[7, 3, 11, 5], mass=fields)

@@ -421,6 +421,15 @@ class TestMaterialCheck:
                            PlateMaterial(t=1e-6),
                            vf.exact_fields(PlateMaterial(t=1)))
 
+    def test_table_errors_scores_against_the_fields_material(self):
+        # scored against the t=1 plate, tri n=4 k=1 at t=1e-2 read an
+        # omega error of 3.36e-2 in place of 1.12e-3
+        mat = PlateMaterial(t=1e-2)
+        fields = vf.solve_plate(generate_structured("triangle", 4),
+                                SpaceConfig(1), mat, vf.exact_fields(mat))
+        with pytest.raises(ValueError, match=r"t=0\.01\).*t=1\.0\)$"):
+            vf.table_errors(fields, vf.exact_fields(PlateMaterial(t=1.0)))
+
     def test_tiny_t_still_solves(self):
         mat = PlateMaterial(t=1e-100)
         exact = vf.exact_fields(mat)
