@@ -344,16 +344,17 @@ class ElementBlockGroup:
     """Local blocks for one batch of same-size elements, each kept as the
     terms that write it, ``(rows, cols, scale, block)`` with ``scale``
     (ne,) and ``block`` (ne, r, c), each region written by one term; rows
-    count from the first interior dof, columns from the block's first.  The
-    leading ``nm = nc * Ts`` interior dofs are the mass fields (the Poisson
-    flux; stage two's sigma and R), whose block is ``coef ⊗ mass``;
-    ``a11`` is the interior columns ``[A_mp; A_pp]`` of the fields after
-    them, and ``terms`` the trace columns ``[A12; A22]``.  The local trace
-    dofs run field by field, each field edge by local edge."""
+    and columns count from the block's first.  The leading ``nm = nc *
+    Ts`` interior dofs are the mass fields (the Poisson flux; stage two's
+    sigma and R), whose block is ``coef ⊗ mass``; ``a11`` is the interior
+    columns ``[A_mp; A_pp]`` of the fields after them, ``a12`` and ``a22``
+    the trace blocks.  The local trace dofs run field by field, each field
+    edge by local edge."""
 
     batch: ElementBatch
     a11: tuple                # terms of the (n1, n_a11) columns
-    terms: tuple              # terms of the (n1 + ntl, ntl) columns
+    a12: tuple                # terms of the (n1, ntl) A12
+    a22: tuple                # terms of the (ntl, ntl) A22
     b1: np.ndarray            # (ne, n1)
     b2: np.ndarray            # (ne, ntl)
     trace_indices: np.ndarray  # (ne, ntl), -1 for eliminated trace dofs
@@ -370,14 +371,13 @@ class ElementBlockGroup:
         return _densify(self.a11, e, len(self.batch.ids[e]),
                         (self.b1.shape[1], self.n_a11))
 
-    def trace_columns(self, e: slice, stop: int | None = None) -> np.ndarray:
-        """The dense (len, n1 + ntl, ntl) ``[A12; A22]`` of the elements
-        ``e``.  With ``stop``, only its first ``stop`` rows, written by the
-        terms whose rows end there or before (no term straddles a field)."""
+    def trace_block(self, e: slice, name: str) -> np.ndarray:
+        """The dense (len, n1, ntl) ``a12`` or (len, ntl, ntl) ``a22``
+        (``name``) of the elements ``e``."""
         ntl = self.trace_indices.shape[1]
-        stop = self.b1.shape[1] + ntl if stop is None else stop
-        return _densify([t for t in self.terms if t[0].stop <= stop], e,
-                        len(self.batch.ids[e]), (stop, ntl))
+        rows = ntl if name == "a22" else self.b1.shape[1]
+        return _densify(getattr(self, name), e, len(self.batch.ids[e]),
+                        (rows, ntl))
 
 
 @dataclass
@@ -443,21 +443,28 @@ def _local_matrices(batch, k, trace_deg):
 
 def _load_moments(batch, k, load):
     """The P_k moments (ne, ..., space_dim(k)) of ``load(pts)``, its
-    (ne, ..., nq) values at the batch's load rule points ``pts``."""
+    (ne, ..., nq) values at the batch's load rule points ``pts``; raises
+    ``ValueError`` naming the batch's first element whose moments are not
+    finite."""
     pts, w = batch.volume_rule(fs.quadrature_degrees(k)["source_degree"])
     V = fs.scalar_vals(fs.monomial_exponents(k), batch.centroid, batch.h, pts)
-    return np.einsum("enq,e...q,eq->e...n", V, load(pts), w)
+    out = np.einsum("enq,e...q,eq->e...n", V, load(pts), w)
+    bad = ~np.isfinite(out.reshape(len(out), -1)).all(axis=1)
+    if bad.any():
+        raise ValueError(f"the load's moments on element "
+                         f"{batch.ids[bad].min()} are not finite")
+    return out
 
 
-def _values(g: Callable, pts: np.ndarray) -> np.ndarray:
-    """The data ``g(x, y)`` at the (ne, nq, 2) points ``pts``, (ne, ..., nq):
-    a vector callable's leading (2,) axis moves behind the elements'."""
-    return np.moveaxis(np.asarray(g(pts[..., 0], pts[..., 1]), float), 0, -2)
-
-
-def _below(n1: int, cols: slice) -> slice:
-    """The ``[A12; A22]`` rows of the ``A22`` rows ``cols``."""
-    return slice(n1 + cols.start, n1 + cols.stop)
+def _values(g: Callable, pts: np.ndarray, vector: bool = False) -> np.ndarray:
+    """The data ``g(x, y)`` at the (ne, nq, 2) points ``pts``, (ne, nq), or
+    (ne, 2, nq) for a ``vector`` callable, whose components each broadcast
+    to the points, as a scalar callable's value does."""
+    v, shape = g(pts[..., 0], pts[..., 1]), pts.shape[:-1]
+    if vector:
+        return np.stack([np.full(shape, c, float) for c in v], -2)
+    v = np.asarray(v, float)
+    return v if v.shape == shape else np.full(shape, v)
 
 
 def _stab_volume_block(C, E):
@@ -470,7 +477,7 @@ def _stab_volume_block(C, E):
 
 
 def _assemble_poisson_operator(dof, k):
-    n1, Ts, Tv = dof.n_interior_per_element, fs.space_dim(k - 1), fs.space_dim(k)
+    Ts, Tv = fs.space_dim(k - 1), fs.space_dim(k)
     tf = dof.trace_fields["u_hat"]
     sl_L = dof.components("flux")
     sl_r = dof.interior_slice("primal")
@@ -484,7 +491,7 @@ def _assemble_poisson_operator(dof, k):
         D = np.stack([EX[:, :Ts], EY[:, :Ts]])
         a11 = np.zeros((ne, Tv, Tv))
 
-        terms, trace_idx = [], np.empty((ne, nv * k), dtype=int)
+        a12, a22, trace_idx = [], [], np.empty((ne, nv * k), dtype=int)
         # alpha1 does not depend on the thickness
         alpha1 = stabilization(batch.h, PlateMaterial())[0]
 
@@ -494,10 +501,10 @@ def _assemble_poisson_operator(dof, k):
 
             cols = slice(e * k, (e + 1) * k)
             nrm = batch.normals[:, e, :]
-            terms += [(sl, cols, nrm[:, u], Cv[:, :, :Ts].mT)
-                      for u, sl in enumerate(sl_L)]
-            terms += [(sl_r, cols, -alpha1, Cv.mT),
-                      (_below(n1, cols), cols, alpha1, Ee)]
+            a12 += [(sl, cols, nrm[:, u], Cv[:, :, :Ts].mT)
+                    for u, sl in enumerate(sl_L)]
+            a12.append((sl_r, cols, -alpha1, Cv.mT))
+            a22.append((cols, cols, alpha1, Ee))
             trace_idx[:, cols] = tf.dofs(batch.edge_ids[:, e])
 
         # the loads differ per solve: each stage sets b1 and b2; a11 is the
@@ -506,8 +513,8 @@ def _assemble_poisson_operator(dof, k):
         one, minus = np.broadcast_to(1.0, ne), np.broadcast_to(-1.0, ne)
         a11 = ((sl_L[0], primal, minus, D[0]), (sl_L[1], primal, minus, D[1]),
                (sl_r, primal, one, a11))
-        groups.append(ElementBlockGroup(batch, a11, tuple(terms), None, None,
-                                        trace_idx, Mss, -np.eye(2)))
+        groups.append(ElementBlockGroup(batch, a11, tuple(a12), tuple(a22),
+                                        None, None, trace_idx, Mss, -np.eye(2)))
     return groups
 
 
@@ -637,7 +644,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         # and of p, summed edge by edge; p's enters negated, subtracted
         # from zero so that its exact zeros stay +0
         stab2, stab3 = np.zeros((ne, Tv, Tv)), np.zeros((ne, Tv, Tv))
-        terms, trace_idx = [], np.empty((ne, nv * (m_th + k)), dtype=int)
+        a12, a22, trace_idx = [], [], np.empty((ne, nv * (m_th + k)), dtype=int)
         _, alpha2, alpha3 = stabilization(batch.h, material)
 
         for e, (Clv, El) in enumerate(edges):
@@ -658,22 +665,22 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             # <theta_hat, tau n>: unit tensors map n to (n1,0),(0,n2),(n2,n1)
             coeff = ((0, 0, nrm[:, 0]), (1, 1, nrm[:, 1]),
                      (2, 0, nrm[:, 1]), (2, 1, nrm[:, 0]))
-            terms += [(sl_sig[c], sl_that[u], val, Cls.mT)
-                      for c, u, val in coeff]
+            a12 += [(sl_sig[c], sl_that[u], val, Cls.mT)
+                    for c, u, val in coeff]
             for u in range(2):
-                terms += [(sl_R[u], sl_phat, tang[:, u], Cks.mT),
-                          (sl_th[u], sl_that[u], -alpha2, Clv.mT),
-                          (sl_th[u], sl_phat, tang[:, u], Ckv.mT)]
-            terms.append((sl_p, sl_phat, alpha3, Ckv.mT))
+                a12 += [(sl_R[u], sl_phat, tang[:, u], Cks.mT),
+                        (sl_th[u], sl_that[u], -alpha2, Clv.mT),
+                        (sl_th[u], sl_phat, tang[:, u], Ckv.mT)]
+            a12.append((sl_p, sl_phat, alpha3, Ckv.mT))
 
-            terms += [(_below(n1, sl), sl, alpha2, El) for sl in sl_that]
-            terms.append((_below(n1, sl_phat), sl_phat, -alpha3, Ek))
+            a22 += [(sl, sl, alpha2, El) for sl in sl_that]
+            a22.append((sl_phat, sl_phat, -alpha3, Ek))
             trace_idx[:, c_th:c_th + m_th] = tf_th.dofs(batch.edge_ids[:, e])
             trace_idx[:, sl_phat] = tf_p.dofs(batch.edge_ids[:, e])
 
         def load(pts):  # (L + f, phi) on the rotation test rows
             vals = L.values_batched(batch, pts)
-            return vals if f is None else vals + _values(f, pts)
+            return vals if f is None else vals + _values(f, pts, vector=True)
 
         b1 = np.zeros((ne, n1))
         b1[:, sl_theta] = _load_moments(batch, k, load).reshape(ne, -1)
@@ -692,8 +699,8 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
                (sl_th[1], p, one, D[0]), (sl_p, th[1], one, D[0].mT),
                (sl_p, p, one, stab3))
         groups.append(ElementBlockGroup(
-            batch, a11, tuple(terms), b1, np.zeros(trace_idx.shape), trace_idx,
-            Mss, coef))
+            batch, a11, tuple(a12), tuple(a22), b1, np.zeros(trace_idx.shape),
+            trace_idx, Mss, coef))
 
     return BlockSystem(dof, groups, stage="step2")
 
@@ -703,6 +710,9 @@ def shift_pressure_to_zero_mean(bs: BlockSystem, x1: np.ndarray,
     """Fix the stage-two pressure constant in place: shift (p, p_hat) so
     that p has zero mean.  ``x1``/``x2`` are the interior and trace
     solutions of the ``assemble_step2`` system ``bs``."""
+    if bs.stage != "step2":
+        raise ValueError("the pressure shift needs the stage-two system, "
+                         f"not a {bs.stage!r} system")
     dof = bs.dof
     tf_p = dof.trace_fields["p_hat"]
     shift = dof.field("p", x1).mean()

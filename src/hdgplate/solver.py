@@ -223,18 +223,12 @@ def _eliminate(grp, e: slice, cols: np.ndarray) -> tuple:
 def _local_schur(grp, e: slice) -> tuple:
     """The local Schur blocks ``A22 - A12^T A11^{-1} A12`` and loads ``b2 -
     A12^T A11^{-1} b1`` of ``grp``'s elements ``e``."""
-    n1, n, a = grp.b1.shape[1], grp.n_a11, grp.trace_columns(e)
-    cols = np.concatenate([a[:, :n1], grp.b1[e, :, None]], -1)
+    n1, n = grp.b1.shape[1], grp.n_a11
+    cols = np.concatenate([grp.trace_block(e, "a12"), grp.b1[e, :, None]], -1)
     w, rest, y = _eliminate(grp, e, cols)
     z = cols[:, :n1 - n, :-1].mT @ w[..., n:]
     z += rest[..., n:-1].mT @ y
-    return a[:, n1:] - z[..., :-1], grp.b2[e] - z[..., -1]
-
-
-def _scatter_vector(vec: np.ndarray, idx: np.ndarray, local: np.ndarray):
-    """Add a batched local trace vector into ``vec``, dropping -1 dofs."""
-    keep = idx >= 0
-    np.add.at(vec, idx[keep], local[keep])
+    return grp.trace_block(e, "a22") - z[..., :-1], grp.b2[e] - z[..., -1]
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +310,8 @@ def condense(bs: BlockSystem) -> CondensedSystem:
     the local ``A22 - A12^T A11^{-1} A12`` into the mesh's kept pattern
     (stage two's into its blocks), and ``rhs`` the local ``b2 - A12^T
     A11^{-1} b1``, a chunk of elements at a time as :func:`_eliminate`
-    eliminates it.
+    eliminates it.  Eliminated (-1) dofs add into one slot past the end,
+    which is dropped, as :func:`assembly._padded` reads a 0 there.
     """
     pattern = _pattern(bs)
     per_edge = [f.per_edge for f in bs.dof.trace_fields.values()]
@@ -324,7 +319,7 @@ def condense(bs: BlockSystem) -> CondensedSystem:
     # each block its own buffer, so that stage two's B11 can go alone, with
     # one slot past its entries for the eliminated dofs
     data = [np.zeros(len(indices) + 1) for _, indices, _ in pattern["blocks"]]
-    rhs = np.zeros(bs.n_trace)
+    rhs = np.zeros(bs.n_trace + 1)
     for grp, starts in zip(bs.groups, pattern["starts"], strict=True):
         # a field's local dofs are one run: field by field, edge by edge
         cut = np.cumsum([0] + per_edge) * grp.batch.edge_ids.shape[1]
@@ -336,13 +331,13 @@ def condense(bs: BlockSystem) -> CondensedSystem:
                 np.minimum(pos, len(d) - 1, out=pos)
                 np.add.at(d, pos.ravel(), schur[
                     :, cut[i]:cut[i + 1], cut[j]:cut[j + 1]].ravel())
-            _scatter_vector(rhs, grp.trace_indices[e], load)
+            np.add.at(rhs, grp.trace_indices[e], load)
     mats = []
     for d, (shape, indices, indptr) in zip(data, pattern["blocks"]):
         mats.append(sp.csc_matrix((d[:-1], indices, indptr), shape))
         mats[-1].data = d[:-1]  # scipy copies an empty block's view
     S = mats[0] if len(mats) == 1 else SaddleBlocks(*mats)
-    return CondensedSystem(bs, S, rhs)
+    return CondensedSystem(bs, S, rhs[:-1])
 
 
 def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
@@ -352,9 +347,9 @@ def back_substitute(cond: CondensedSystem, x2: np.ndarray) -> np.ndarray:
     bs, x2 = cond.system, _padded(cond.system.n_trace, x2)
     x1 = np.zeros((bs.dof.mesh.num_elements, bs.dof.n_interior_per_element))
     for grp in bs.groups:
-        n1, n = grp.b1.shape[1], grp.n_a11
+        n = grp.n_a11
         for e in _chunks(grp):
-            v = grp.b1[e] - np.einsum("eij,ej->ei", grp.trace_columns(e, n1),
+            v = grp.b1[e] - np.einsum("eij,ej->ei", grp.trace_block(e, "a12"),
                                       x2[grp.trace_indices[e]])
             w, _, y = _eliminate(grp, e, v[..., None])
             x1[grp.batch.ids[e]] = np.concatenate(
@@ -368,28 +363,30 @@ def full_residual(bs: BlockSystem, x1: np.ndarray, x2: np.ndarray) -> float:
     if np.shape(x1) != shape:
         raise ValueError(f"x1: shape {np.shape(x1)}, expected {shape}")
     x2 = _padded(bs.n_trace, x2)
-    r2, b2 = np.zeros(bs.n_trace), np.zeros(bs.n_trace)
+    # eliminated (-1) dofs add into a last slot, dropped from the norms
+    r2, b2 = np.zeros(bs.n_trace + 1), np.zeros(bs.n_trace + 1)
     rnorm2 = bnorm2 = 0.0
     for grp in bs.groups:
         x1g, x2loc = x1[grp.batch.ids], x2[grp.trace_indices]
-        n1, r1, rt = x1g.shape[1], np.empty_like(grp.b1), np.empty_like(grp.b2)
-        nm = n1 - grp.n_a11
+        r1, rt = np.empty_like(grp.b1), np.empty_like(grp.b2)
+        nm = x1g.shape[1] - grp.n_a11
         xm, xp = x1g[:, :nm], x1g[:, nm:]
         for e in _chunks(grp):
-            a, c = grp.trace_columns(e), grp.interior_columns(e)
-            r1[e] = (np.einsum("eij,ej->ei", a[:, :n1], x2loc[e])
+            a12, c = grp.trace_block(e, "a12"), grp.interior_columns(e)
+            r1[e] = (np.einsum("eij,ej->ei", a12, x2loc[e])
                      + np.einsum("eij,ej->ei", c, xp[e]))
             r1[e, nm:] += np.einsum("eij,ei->ej", c[:, :nm], xm[e])
-            rt[e] = (np.einsum("eij,ei->ej", a[:, :n1], x1g[e])
-                     + np.einsum("eij,ej->ei", a[:, n1:], x2loc[e]))
+            rt[e] = (np.einsum("eij,ei->ej", a12, x1g[e])
+                     + np.einsum("eij,ej->ei", grp.trace_block(e, "a22"),
+                                 x2loc[e]))
         r1 -= grp.b1
         r1[:, :nm] += _kron(grp.coef, grp.mass, xm)
         rnorm2 += float((r1 ** 2).sum())
         bnorm2 += float((grp.b1 ** 2).sum())
-        _scatter_vector(r2, grp.trace_indices, rt - grp.b2)
-        _scatter_vector(b2, grp.trace_indices, grp.b2)
-    rnorm2 += float((r2 ** 2).sum())
-    bnorm2 += float((b2 ** 2).sum())
+        np.add.at(r2, grp.trace_indices, rt - grp.b2)
+        np.add.at(b2, grp.trace_indices, grp.b2)
+    rnorm2 += float((r2[:-1] ** 2).sum())
+    bnorm2 += float((b2[:-1] ** 2).sum())
     return np.sqrt(rnorm2) / max(np.sqrt(bnorm2), 1e-300)
 
 

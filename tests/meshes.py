@@ -1,9 +1,10 @@
 """Mesh builders, and a walk over what a mesh keeps, shared by the tests."""
 
 import numpy as np
+import pytest
 from scipy.spatial import KDTree, Voronoi
 
-from hdgplate.mesh import Mesh, generate_structured
+from hdgplate.mesh import Mesh, ShapeRegularityWarning, generate_structured
 
 
 def renumbered_grid(kind, n, seed):
@@ -28,7 +29,7 @@ FAMILIES = {
     "tri": lambda: generate_structured("triangle", 3),
     "quad": lambda: generate_structured("quadrilateral", 3),
     "mixed_strip": lambda: mixed_strip(2),
-    "voronoi": lambda: voronoi_mesh(16),
+    "voronoi": lambda: short_edged_voronoi(),
     "jittered": lambda: jittered_quads(3),
     "renumbered": lambda: Mesh(*renumbered_grid("triangle", 3, 1)),
 }
@@ -97,6 +98,14 @@ def voronoi_mesh(cells, seed=0):
     loops = np.split(ids, np.cumsum(sizes)[:-1])
     return Mesh(points, [[int(v) for v, w in zip(loop, np.roll(loop, -1))
                           if v != w] for loop in loops])
+
+
+def short_edged_voronoi():
+    """``voronoi_mesh(16)``, whose element 15 has an edge shorter than
+    ``C_REG * h_K``: the mesh's warning is expected, and checked."""
+    with pytest.warns(ShapeRegularityWarning, match="1 element.*first "
+                      "element 15:"):
+        return voronoi_mesh(16)
 
 
 def _voronoi_cells(seeds):

@@ -428,9 +428,8 @@ def load_b1(bs, material, g=None, L=None, f=None, theta=None) -> list:
 
 def trace_blocks(grp) -> tuple:
     """A group's dense ``(a12, a22)``, from its terms in one chunk."""
-    a = grp.trace_columns(slice(None))
-    n1 = a.shape[1] - a.shape[2]
-    return a[:, :n1], a[:, n1:]
+    e = slice(None)
+    return grp.trace_block(e, "a12"), grp.trace_block(e, "a22")
 
 
 def saddle_blocks(S, m: int) -> tuple:

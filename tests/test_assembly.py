@@ -337,11 +337,12 @@ class TestSystems:
         shared = [bs1.dof.trace_fields["u_hat"].edge_rank]
         for g0, g1, g3 in zip(kept_groups, bs1.groups, bs3.groups,
                               strict=True):
-            for name in ("a11", "terms", "trace_indices"):
+            for name in ("a11", "a12", "a22", "trace_indices"):
                 assert getattr(g3, name) is getattr(g1, name) \
                     is getattr(g0, name)
             shared += [g1.trace_indices]
-            shared += [arr for term in (*g1.a11, *g1.terms) for arr in term[2:]]
+            shared += [arr for term in (*g1.a11, *g1.a12, *g1.a22)
+                       for arr in term[2:]]
             assert g3.b1 is not g1.b1 and g3.b2 is not g1.b2
         for arr in shared:
             with pytest.raises(ValueError, match="read-only"):
@@ -395,8 +396,9 @@ class TestSystems:
         for ga, gb in zip(bs_a.groups, bs_b.groups):
             assert np.array_equal(ga.interior_columns(slice(None)),
                                   gb.interior_columns(slice(None)))
-            assert np.array_equal(ga.trace_columns(slice(None)),
-                                  gb.trace_columns(slice(None)))
+            for name in ("a12", "a22"):
+                assert np.array_equal(ga.trace_block(slice(None), name),
+                                      gb.trace_block(slice(None), name))
             assert np.array_equal(ga.b1, gb.b1)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -491,6 +493,15 @@ class TestSystems:
             asm.assemble_step3(bs1, PlateMaterial(), DiscreteField(
                 mesh, 3, "vector2", np.zeros((2, 20))), g)
 
+    def test_pressure_shift_needs_the_stage_two_system(self):
+        # a stage-one system has no p_hat to shift
+        bs1 = asm.assemble_step1(generate_structured("triangle", 2),
+                                 SpaceConfig(1), lambda x, y: 1.0 + x)
+        x1, x2, _ = slv.solve_stage(bs1)
+        with pytest.raises(ValueError, match="pressure shift needs the "
+                           "stage-two system, not a 'step1' system"):
+            asm.shift_pressure_to_zero_mean(bs1, x1, x2)
+
 
 class TestLoads:
     """All three stages take their interior load's P_k moments through one
@@ -525,6 +536,46 @@ class TestLoads:
             for grp, b1 in zip(bs.groups, want, strict=True):
                 assert grp.b1.tobytes() == b1.tobytes(), bs.stage
 
+    @staticmethod
+    def _stages(mesh, k, g, f):
+        """Each stage's system with the load ``g`` (``f`` in stage two)."""
+        ne, rng = mesh.num_elements, np.random.default_rng(k)
+        L = DiscreteField(mesh, k - 1, "vector2",
+                          rng.standard_normal((ne, 2 * fs.space_dim(k - 1))))
+        theta = DiscreteField(mesh, k, "vector2",
+                              rng.standard_normal((ne, 2 * fs.space_dim(k))))
+        mat, spaces = PlateMaterial(t=1e-2), SpaceConfig(k)
+        return {"step1": lambda: asm.assemble_step1(mesh, spaces, g),
+                "step2": lambda: asm.assemble_step2(mesh, spaces, mat, L, f),
+                "step3": lambda: asm.assemble_step3(asm.assemble_step1(
+                    mesh, spaces, lambda x, y: 0 * x), mat, theta, g)}
+
+    @pytest.mark.parametrize("stage", ["step1", "step2", "step3"])
+    def test_constant_loads_fill_the_points(self, stage):
+        # a constant g, or a constant component of f, is the load at
+        # every point
+        mesh = generate_structured("triangle", 4)
+        got = self._stages(mesh, 2, lambda x, y: 1.0,
+                           lambda x, y: (0.0, 1.0))[stage]()
+        want = self._stages(mesh, 2, lambda x, y: 1.0 + 0 * x,
+                            lambda x, y: (0 * x, 1.0 + 0 * x))[stage]()
+        for a, b in zip(got.groups, want.groups, strict=True):
+            assert a.b1.tobytes() == b.b1.tobytes()
+
+    @pytest.mark.parametrize("stage", ["step1", "step2", "step3"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_load_names_its_element(self, stage, bad):
+        # the load is bad only on the top right cell's elements, so the
+        # error names the first of them, not element 0
+        mesh = generate_structured("triangle", 4)
+        corner = lambda x, y: np.where((x > 0.75) & (y > 0.75), bad, 1.0)
+        first = np.flatnonzero((mesh.centroid > 0.75).all(axis=1)).min()
+        build = self._stages(mesh, 1, corner,
+                             lambda x, y: (0 * x, corner(x, y)))[stage]
+        with pytest.raises(ValueError, match=f"the load's moments on "
+                           f"element {first} are not finite"):
+            build()
+
 
 class TestSimplyConnected:
     """Stage two needs a simply connected domain; stages one and three
@@ -549,9 +600,9 @@ class TestSimplyConnected:
 
 
 class TestTraceColumns:
-    """Every stage keeps its trace columns as edge-local terms; densified
-    one chunk at a time they are, bit for bit, the dense blocks that
-    assembly wrote before (``oracles.dense_trace_blocks``)."""
+    """Every stage keeps its trace blocks ``a12`` and ``a22`` as edge-local
+    terms; densified one chunk at a time they are, bit for bit, the dense
+    blocks that assembly wrote before (``oracles.dense_trace_blocks``)."""
 
     MESHES = {"tri": lambda: generate_structured("triangle", 2),
               "quad": lambda: generate_structured("quadrilateral", 2),
@@ -578,10 +629,11 @@ class TestTraceColumns:
             for chunk in chunks:
                 monkeypatch.setattr(slv, "_CHUNK_BYTES", chunk)
                 for grp, (a12, a22, idx) in zip(bs.groups, ref, strict=True):
-                    got = np.concatenate([grp.trace_columns(e)
-                                          for e in slv._chunks(grp)])
-                    want = np.concatenate([a12, a22], axis=1)
-                    assert got.tobytes() == want.tobytes(), (bs.stage, chunk)
+                    for name, want in (("a12", a12), ("a22", a22)):
+                        got = np.concatenate([grp.trace_block(e, name)
+                                              for e in slv._chunks(grp)])
+                        assert got.tobytes() == want.tobytes(), (
+                            bs.stage, chunk, name)
                     assert np.array_equal(grp.trace_indices, idx)
 
 

@@ -39,9 +39,8 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
     """Single-group BlockSystem with hand-built blocks for formula tests;
     every element couples to all trace dofs, which sit on one edge that
     all elements share, and the first element carries the whole trace
-    block ``a22`` and trace load ``b2``; the trace columns are three terms
-    over all columns, one on the rows of the mass fields, one on the rest
-    of ``A12`` and one on ``A22``, so that no term straddles a field.
+    block ``a22`` and trace load ``b2``; ``A12`` and ``A22`` are one term
+    each.
     ``mass`` is ``(Mss, coef, A_mp)``: the mass fields' block is ``coef ⊗
     Mss`` and ``A_mp`` their coupling to the fields after them, whose
     block is ``a11_blocks``; without them, one decoupled and unloaded
@@ -65,16 +64,14 @@ def toy_block_system(a11_blocks, a12_blocks, a22, b1, b2, ids=None,
     trace = np.tile(np.arange(ntl), (ne, 1))
     a22_local, b2_local = np.zeros((ne, ntl, ntl)), np.zeros((ne, ntl))
     a22_local[0], b2_local[0] = a22, b2
-    block, nm = (np.concatenate([a12_blocks, a22_local], axis=1),
-                 len(coef) * Mss.shape[1])
-    terms = tuple((rows, slice(0, ntl), np.ones(ne), block[:, rows])
-                  for rows in (slice(0, nm), slice(nm, n1),
-                               slice(n1, n1 + ntl)))
-    rest = slice(0, a11_blocks.shape[1])
+    nm, rest, trace_dofs = (len(coef) * Mss.shape[1],
+                            slice(0, a11_blocks.shape[1]), slice(0, ntl))
     a11 = ((slice(0, nm), rest, np.ones(ne), amp),
            (slice(nm, n1), rest, np.ones(ne), a11_blocks))
-    group = asm.ElementBlockGroup(batch, a11, terms, b1, b2_local, trace,
-                                  Mss, coef)
+    group = asm.ElementBlockGroup(
+        batch, a11, ((slice(0, n1), trace_dofs, np.ones(ne), a12_blocks),),
+        ((trace_dofs, trace_dofs, np.ones(ne), a22_local),), b1, b2_local,
+        trace, Mss, coef)
     return asm.BlockSystem(dof=dof, groups=[group])
 
 
@@ -542,27 +539,6 @@ class TestMassFirstElimination:
                          slv.back_substitute(cond, x2)))
         for run in runs[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
-
-    @pytest.mark.parametrize("mesh,k", [
-        (lambda: generate_structured("triangle", 8), 1),
-        (lambda: generate_structured("quadrilateral", 4), 2),
-        (mixed_group_mesh, 3)], ids=["tri-k1", "quad-k2", "mixed-k3"])
-    def test_back_substitution_rows_equal_all_rows_bit_for_bit(
-            self, monkeypatch, mesh, k):
-        # back substitution densifies only the A12 rows of [A12; A22];
-        # x1 is what those rows of all n1 + ntl give
-        rng = np.random.default_rng(k)
-        for bs in _stage_systems(mesh(), k):
-            x2 = rng.standard_normal(bs.n_trace)
-            cond = slv.condense(bs)
-            got = slv.back_substitute(cond, x2)
-            columns = asm.ElementBlockGroup.trace_columns
-            monkeypatch.setattr(
-                asm.ElementBlockGroup, "trace_columns",
-                lambda grp, e, stop=None: columns(grp, e)[:, :stop])
-            want = slv.back_substitute(cond, x2)
-            monkeypatch.undo()
-            assert got.tobytes() == want.tobytes(), bs.stage
 
     def test_full_residual_never_forms_the_dense_block(self):
         # its peak stays below the bytes of one dense (ne, n1, n1) block
