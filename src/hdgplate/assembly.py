@@ -180,17 +180,6 @@ class DiscreteField:
             return np.einsum("enq,ecn->ecq", vals, coeffs)
         return coeffs @ vals
 
-    def divergence_batched(self, batch: ElementBatch, pts: np.ndarray) -> np.ndarray:
-        if self.rank != "vector2":
-            raise ValueError("divergence needs a vector2 field")
-        exps = fs.monomial_exponents(self.degree)
-        gx = fs.scalar_vals(exps, batch.centroid, batch.h, pts, dx=1)
-        gy = fs.scalar_vals(exps, batch.centroid, batch.h, pts, dy=1)
-        c = self.coeffs[batch.ids]
-        n = self.nscalar
-        return (np.einsum("enq,en->eq", gx, c[:, :n])
-                + np.einsum("enq,en->eq", gy, c[:, n:]))
-
     def mean(self) -> float:
         """Integral mean over the whole domain (exact for the field degree)."""
         total = 0.0
@@ -206,6 +195,8 @@ class DiscreteField:
 def recover_gamma(L: DiscreteField, R: DiscreteField,
                   material: PlateMaterial) -> DiscreteField:
     """Shear stress recovery: coefficient-wise L + (lam/t^2) R."""
+    if L.mesh is not R.mesh:
+        raise ValueError("gradient and rotation-moment fields are on two meshes")
     if L.coeffs.shape != R.coeffs.shape or L.degree != R.degree:
         raise ValueError("gradient and rotation-moment fields do not match")
     coeff = L.coeffs + material.lam / material.t ** 2 * R.coeffs
@@ -541,41 +532,47 @@ def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
     return BlockSystem(dof, groups, stage="step1", kept_as=("poisson", k))
 
 
+def _check_input(field, name, system, mesh, k, degree):
+    """Raise ``ValueError`` unless the input ``name`` of the ``system`` (of
+    degree ``k``) is a finite vector2 field of ``degree`` on ``mesh``."""
+    if getattr(field, "mesh", None) is not mesh:
+        raise ValueError(f"{name} is not on the {system}'s mesh")
+    if field.degree != degree:
+        raise ValueError(f"{name} has degree {field.degree}, the {system} "
+                         f"k={k} needs {degree}")
+    if field.rank != "vector2":
+        raise ValueError(f"{name} is a {field.rank} field, not vector2")
+    bad = np.flatnonzero(~np.isfinite(field.coeffs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{name} is not finite on element {bad[0]}")
+
+
 def assemble_step3(step1: BlockSystem, material: PlateMaterial,
                    theta: DiscreteField, g: Callable) -> BlockSystem:
     """Stage-three system for the deflection, driven by the stage-two rotation:
-    stage one's read-only operator with new loads ``b1``, ``b2``."""
+    stage one's read-only operator with new loads ``b1``, ``b2``, whose theta
+    moments come from the local matrices (``EX``/``EY``, each edge's ``C``)."""
     if step1.stage != "step1":
         raise ValueError("stage-three assembly needs the stage-one system, "
                          f"not a {step1.stage!r} system")
     dof = step1.dof
     k = dof.trace_fields["u_hat"].per_edge
-    if getattr(theta, "mesh", None) is not dof.mesh:
-        raise ValueError("stage-three assembly needs the stage-two rotation "
-                         "on the stage-one system's mesh")
-    if theta.degree != k:
-        raise ValueError(f"the stage-two rotation has degree {theta.degree}, "
-                         f"the stage-one system k={k}")
-    edge_degree = fs.quadrature_degrees(k)["edge_degree"]
+    _check_input(theta, "the stage-two rotation", "stage-one system",
+                 dof.mesh, k, k)
     sl_r = dof.interior_slice("primal")
     scale = material.t ** 2 / material.lam
 
     groups = []
     for grp in step1.groups:
         batch = grp.batch
+        _, EX, EY, edges = _local_matrices(batch, k, k - 1)
+        th = theta.coeffs[batch.ids].reshape(len(batch.ids), 2, -1)
+        # (t^2/lam g - div theta, v) and <theta . n, s_hat> per local edge
         b1 = np.zeros_like(grp.b1)
-        b1[:, sl_r] = _load_moments(batch, k, lambda pts: (
-            scale * _values(g, pts) - theta.divergence_batched(batch, pts)))
-
-        # trace load <theta . n, s_hat>, per element and local edge
-        b2 = np.zeros_like(grp.b2)
-        for e in range(batch.nv):
-            epts, ew, s = batch.edge_rule(e, edge_degree + k)
-            ehat = fs.power_table(s, k - 1)
-            thv = theta.values_batched(batch, epts)
-            th_n = np.einsum("ecq,ec->eq", thv, batch.normals[:, e, :])
-            b2[:, e * k:(e + 1) * k] = np.einsum("emq,eq,eq->em",
-                                                 ehat, th_n, ew)
+        b1[:, sl_r] = _load_moments(batch, k, lambda pts: scale * _values(g, pts))
+        b1[:, sl_r] -= (th[:, :1] @ EX + th[:, 1:] @ EY)[:, 0]
+        b2 = np.concatenate([np.einsum("emn,eun,eu->em", C, th, batch.normals[:, e])
+                             for e, (C, _) in enumerate(edges)], axis=1)
         groups.append(replace(grp, b1=b1, b2=b2))
 
     return BlockSystem(dof, groups, stage="step3", kept_as=step1.kept_as)
@@ -613,10 +610,9 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
     the shear stress, which needs a simply connected domain: a mesh with
     more than one edge-connected component or with a hole raises
     :class:`MeshTopologyError`."""
-    if L is None:
-        raise ValueError("stage-two assembly needs the stage-one flux field")
-    _check_simply_connected(mesh)
     k, l = spaces.k, spaces.l
+    _check_input(L, "the stage-one flux", "stage-two system", mesh, k, k - 1)
+    _check_simply_connected(mesh)
     m_th = 2 * (l + 1)
     dof = StageDofMap(
         mesh,

@@ -394,12 +394,24 @@ def dense_trace_blocks(bs, material) -> list:
     return out
 
 
+def divergence(field, batch, pts) -> np.ndarray:
+    """div of the vector2 ``field`` at the batch's (ne, nq, 2) points
+    ``pts``, (ne, nq), from the derivatives of its scaled monomials."""
+    exps, n = fs.monomial_exponents(field.degree), field.nscalar
+    c = field.coeffs[batch.ids]
+    gx = fs.scalar_vals(exps, batch.centroid, batch.h, pts, dx=1)
+    gy = fs.scalar_vals(exps, batch.centroid, batch.h, pts, dy=1)
+    return (np.einsum("enq,en->eq", gx, c[:, :n])
+            + np.einsum("enq,en->eq", gy, c[:, n:]))
+
+
 def load_b1(bs, material, g=None, L=None, f=None, theta=None) -> list:
     """Each group's ``b1`` of the stage system ``bs``: the P_k moments of
     its interior load, one component at a time, with the einsum that each
     stage ran before all three shared one load path.  The load is ``g``
-    (stage one), ``t^2 / lam g - div theta`` (stage three) or each
-    component of ``L + f`` (stage two, ``f`` optional)."""
+    (stage one), ``t^2 / lam g - div theta`` (stage three, div theta from
+    :func:`divergence`) or each component of ``L + f`` (stage two, ``f``
+    optional)."""
     dof, out = bs.dof, []
     k = dof.trace_fields["p_hat" if bs.stage == "step2" else "u_hat"].per_edge
     for grp in bs.groups:
@@ -419,7 +431,7 @@ def load_b1(bs, material, g=None, L=None, f=None, theta=None) -> list:
             vals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
             if bs.stage == "step3":
                 scale = material.t ** 2 / material.lam
-                vals = scale * vals - theta.divergence_batched(batch, pts)
+                vals = scale * vals - divergence(theta, batch, pts)
             b1[:, dof.interior_slice("primal")] = np.einsum(
                 "enq,eq,eq->en", V, vals, w)
         out.append(b1)

@@ -227,26 +227,8 @@ class TestScaledMonomials:
         d2x, _ = self.gradient(1, np.array([self.centroid[0, 0], self.h[0], 0.0]))
         assert d2x - d1y == pytest.approx([2.0] * 3, rel=1e-14)
 
-    def test_divergence_of_position_field(self):
-        # phi = (x, y) on every element of a mixed mesh: div phi = 2
-        points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
-                           [2.0, 1.0], [2.0, 2.0], [0.0, 2.0]])
-        mesh = Mesh(points, [(1, 2, 3), (0, 1, 3, 4, 5)])
-        (cx, cy), h = mesh.centroid.T, mesh.diameter
-        coeffs = np.column_stack([cx, h, 0 * h, cy, 0 * h, h])
-        phi = DiscreteField(mesh, 1, "vector2", coeffs)
-        for batch in fs.element_batches(mesh):
-            pts, _ = batch.volume_rule(2)
-            assert phi.divergence_batched(batch, pts) == pytest.approx(
-                np.full(pts.shape[:2], 2.0), rel=1e-13)
-
     def test_rank_mismatch_raises(self):
         mesh = generate_structured("triangle", 1)
-        scalar = DiscreteField(mesh, 1, "scalar", np.zeros((2, 3)))
-        batch = fs.element_batches(mesh)[0]
-        pts, _ = batch.volume_rule(2)
-        with pytest.raises(ValueError):
-            scalar.divergence_batched(batch, pts)
         with pytest.raises(ValueError):
             DiscreteField(mesh, 1, "tensor9", np.zeros((2, 3)))
 
