@@ -380,8 +380,8 @@ class BlockSystem:
     dof: StageDofMap
     groups: list[ElementBlockGroup]
     stage: str = ""
-    # the Poisson stages' key on the mesh (see _poisson_operator), which
-    # ``solver`` extends for what it keeps; None for stage two
+    # the Poisson stages' key on the mesh (see _poisson_operator); None
+    # for stage two
     kept_as: tuple | None = None
 
     @property
@@ -408,28 +408,34 @@ def _edge_projection_blocks(batch, local_edge, edge_degree, trace_deg, elem_deg)
     return C, E
 
 
-def _local_matrices(batch, k, trace_deg):
+def _local_matrices(batch, k):
     """Volume and edge matrices of one batch that every stage slices.
 
-    Returns the P_{k-1} mass ``Mss``, ``EX``/``EY`` (rows: d/dx, d/dy of
-    P_k; cols: P_k) and one ``(C, E)`` per local edge for the edge basis
-    of degree ``trace_deg`` against P_k.  P_{k-1} is the first
-    ``space_dim(k-1)`` monomials of P_k, and an edge basis of lower
-    degree is a leading run of rows, so smaller blocks are leading
-    slices: ``EX[:, :Ts]`` is d/dx of P_{k-1} against P_k, and
-    ``C[:, :k, :Ts]``, ``E[:, :k, :k]`` are the degree k-1 edge blocks
-    against P_{k-1}.
+    Returns the P_{k-1} mass ``Mss``, ``D = (EX, EY)`` (rows: d/dx, d/dy
+    of P_k; cols: P_k) and one ``(C, E)`` per local edge for the degree-k
+    edge basis against P_k.  P_{k-1} is the first ``space_dim(k-1)``
+    monomials of P_k, and an edge basis of lower degree is a leading run
+    of rows, so smaller blocks are leading slices: ``D[:, :, :Ts]`` is
+    d/dx, d/dy of P_{k-1} against P_k, and ``C[:, :k, :Ts]``, ``E[:, :k,
+    :k]`` are the degree k-1 edge blocks against P_{k-1}.
     """
     degrees = fs.quadrature_degrees(k)
     pts, w = batch.volume_rule(degrees["assembly_degree"])
     exps = fs.monomial_exponents(k)
     V = fs.scalar_vals(exps, batch.centroid, batch.h, pts)
     Vs = V[:, :fs.space_dim(k - 1)]
-    EX = _ip(w, fs.scalar_vals(exps, batch.centroid, batch.h, pts, dx=1), V)
-    EY = _ip(w, fs.scalar_vals(exps, batch.centroid, batch.h, pts, dy=1), V)
-    edges = [_edge_projection_blocks(batch, e, degrees["edge_degree"],
-                                     trace_deg, k) for e in range(batch.nv)]
-    return _ip(w, Vs, Vs), EX, EY, edges
+    D = np.stack([
+        _ip(w, fs.scalar_vals(exps, batch.centroid, batch.h, pts, dx=1), V),
+        _ip(w, fs.scalar_vals(exps, batch.centroid, batch.h, pts, dy=1), V)])
+    edges = [_edge_projection_blocks(batch, e, degrees["edge_degree"], k, k)
+             for e in range(batch.nv)]
+    return _ip(w, Vs, Vs), D, edges
+
+
+def _local_set(mesh: Mesh, k: int) -> list:
+    """Every batch's ``_local_matrices``, kept on the mesh as ``("local", k)``."""
+    return mesh.keep(("local", k), lambda: [
+        _local_matrices(batch, k) for batch in element_batches(mesh)])
 
 
 def _load_moments(batch, k, load):
@@ -447,13 +453,28 @@ def _load_moments(batch, k, load):
     return out
 
 
-def _values(g: Callable, pts: np.ndarray, vector: bool = False) -> np.ndarray:
-    """The data ``g(x, y)`` at the (ne, nq, 2) points ``pts``, (ne, nq), or
-    (ne, 2, nq) for a ``vector`` callable, whose components each broadcast
-    to the points, as a scalar callable's value does."""
+def _values(g: Callable, pts: np.ndarray, name: str,
+            vector: bool = False) -> np.ndarray:
+    """The load ``name``, ``g(x, y)``, at the (ne, nq, 2) points ``pts``:
+    (ne, nq), or (ne, 2, nq) for a ``vector`` load.  The value, or each of
+    a vector load's two components, has the points' shape or is a
+    constant; anything else raises ``ValueError`` naming the load and the
+    shape it returned."""
     v, shape = g(pts[..., 0], pts[..., 1]), pts.shape[:-1]
+    parts = (list(v) if vector and (isinstance(v, (tuple, list)) or np.ndim(v))
+             else [v])
+    if len(parts) != 1 + vector or any(np.shape(c) not in (shape, ())
+                                       for c in parts):
+        try:
+            got = np.shape(v)
+        except ValueError:  # a ragged sequence: its items' shapes
+            got = [np.shape(c) for c in v]
+        need = "two components, each" if vector else "a value"
+        raise ValueError(f"the load {name} returned shape {got} at points "
+                         f"of shape {shape}; it must return {need} of the "
+                         "points' shape or constant")
     if vector:
-        return np.stack([np.full(shape, c, float) for c in v], -2)
+        return np.stack([np.full(shape, c, float) for c in parts], -2)
     v = np.asarray(v, float)
     return v if v.shape == shape else np.full(shape, v)
 
@@ -474,19 +495,21 @@ def _assemble_poisson_operator(dof, k):
     sl_r = dof.interior_slice("primal")
 
     groups = []
-    for batch in element_batches(dof.mesh):
+    for batch, (Mss, D, edges) in zip(element_batches(dof.mesh),
+                                      _local_set(dof.mesh, k), strict=True):
         ne, nv = len(batch.ids), batch.nv
-        Mss, EX, EY, edges = _local_matrices(batch, k, k - 1)
         # the flux is a mass field, -I2 ⊗ Mss, coupled to the primal field
         # by -(r, div q): its component u through -d/du
-        D = np.stack([EX[:, :Ts], EY[:, :Ts]])
+        DX, DY = D[:, :, :Ts]
         a11 = np.zeros((ne, Tv, Tv))
 
         a12, a22, trace_idx = [], [], np.empty((ne, nv * k), dtype=int)
         # alpha1 does not depend on the thickness
         alpha1 = stabilization(batch.h, PlateMaterial())[0]
 
-        for e, (Cv, Ee) in enumerate(edges):
+        for e, (C, E) in enumerate(edges):
+            # the degree k-1 edge basis: the leading k rows of the kept one
+            Cv, Ee = C[:, :k], E[:, :k, :k]
             # alpha1-weighted projection stabilization on the primal trace
             a11 += alpha1[:, None, None] * _stab_volume_block(Cv, Ee)
 
@@ -502,7 +525,7 @@ def _assemble_poisson_operator(dof, k):
         # primal columns, the flux terms and the dense primal block
         primal = slice(0, Tv)
         one, minus = np.broadcast_to(1.0, ne), np.broadcast_to(-1.0, ne)
-        a11 = ((sl_L[0], primal, minus, D[0]), (sl_L[1], primal, minus, D[1]),
+        a11 = ((sl_L[0], primal, minus, DX), (sl_L[1], primal, minus, DY),
                (sl_r, primal, one, a11))
         groups.append(ElementBlockGroup(batch, a11, tuple(a12), tuple(a22),
                                         None, None, trace_idx, Mss, -np.eye(2)))
@@ -527,7 +550,8 @@ def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
     groups = []
     for grp in _poisson_operator(dof):
         b1 = np.zeros((len(grp.batch.ids), dof.n_interior_per_element))
-        b1[:, sl_r] = _load_moments(grp.batch, k, lambda pts: _values(g, pts))
+        b1[:, sl_r] = _load_moments(grp.batch, k,
+                                    lambda pts: _values(g, pts, "g"))
         groups.append(replace(grp, b1=b1, b2=np.zeros(grp.trace_indices.shape)))
     return BlockSystem(dof, groups, stage="step1", kept_as=("poisson", k))
 
@@ -563,15 +587,17 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
     scale = material.t ** 2 / material.lam
 
     groups = []
-    for grp in step1.groups:
+    for grp, (_, D, edges) in zip(step1.groups, _local_set(dof.mesh, k),
+                                  strict=True):
         batch = grp.batch
-        _, EX, EY, edges = _local_matrices(batch, k, k - 1)
         th = theta.coeffs[batch.ids].reshape(len(batch.ids), 2, -1)
         # (t^2/lam g - div theta, v) and <theta . n, s_hat> per local edge
         b1 = np.zeros_like(grp.b1)
-        b1[:, sl_r] = _load_moments(batch, k, lambda pts: scale * _values(g, pts))
-        b1[:, sl_r] -= (th[:, :1] @ EX + th[:, 1:] @ EY)[:, 0]
-        b2 = np.concatenate([np.einsum("emn,eun,eu->em", C, th, batch.normals[:, e])
+        b1[:, sl_r] = _load_moments(batch, k,
+                                    lambda pts: scale * _values(g, pts, "g"))
+        b1[:, sl_r] -= (th[:, :1] @ D[0] + th[:, 1:] @ D[1])[:, 0]
+        b2 = np.concatenate([np.einsum("emn,eun,eu->em", C[:, :k], th,
+                                       batch.normals[:, e])
                              for e, (C, _) in enumerate(edges)], axis=1)
         groups.append(replace(grp, b1=b1, b2=b2))
 
@@ -631,10 +657,9 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
                       material.lam / material.t ** 2 * np.eye(2))
 
     groups = []
-    for batch in element_batches(mesh):
+    for batch, (Mss, D, edges) in zip(element_batches(mesh),
+                                      _local_set(mesh, k), strict=True):
         ne, nv = len(batch.ids), batch.nv
-        Mss, EX, EY, edges = _local_matrices(batch, k, l)
-        D = np.stack([EX, EY])  # sigma and R read the leading Ts rows
 
         # the edge stabilizations of theta (one block for both components)
         # and of p, summed edge by edge; p's enters negated, subtracted
@@ -643,10 +668,12 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         a12, a22, trace_idx = [], [], np.empty((ne, nv * (m_th + k)), dtype=int)
         _, alpha2, alpha3 = stabilization(batch.h, material)
 
-        for e, (Clv, El) in enumerate(edges):
-            # degree k-1 edge basis: the leading k rows of the degree-l one
-            Cls, Ckv, Cks, Ek = (Clv[:, :, :Ts], Clv[:, :k], Clv[:, :k, :Ts],
-                                 El[:, :k, :k])
+        for e, (C, E) in enumerate(edges):
+            # the degree l and k-1 edge bases: the leading l+1 and k rows of
+            # the kept degree-k one
+            Clv, El = C[:, :l + 1], E[:, :l + 1, :l + 1]
+            Cls, Ckv, Cks, Ek = (Clv[:, :, :Ts], C[:, :k], C[:, :k, :Ts],
+                                 E[:, :k, :k])
             stab2 += alpha2[:, None, None] * _stab_volume_block(Clv, El)
             stab3 -= alpha3[:, None, None] * _stab_volume_block(Ckv, Ek)
 
@@ -676,7 +703,9 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
 
         def load(pts):  # (L + f, phi) on the rotation test rows
             vals = L.values_batched(batch, pts)
-            return vals if f is None else vals + _values(f, pts, vector=True)
+            if f is None:
+                return vals
+            return vals + _values(f, pts, "f", vector=True)
 
         b1 = np.zeros((ne, n1))
         b1[:, sl_theta] = _load_moments(batch, k, load).reshape(ne, -1)
@@ -686,7 +715,7 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
         # stabilizations on the diagonal, (curl phi, p) and its transpose
         th, p = (slice(0, Tv), slice(Tv, 2 * Tv)), slice(2 * Tv, 3 * Tv)
         one, minus = np.broadcast_to(1.0, ne), np.broadcast_to(-1.0, ne)
-        DX, DY = D[:, :, :Ts]
+        DX, DY = D[:, :, :Ts]  # sigma and R read the leading Ts rows
         a11 = ((sl_sig[0], th[0], minus, DX), (sl_sig[1], th[1], minus, DY),
                (sl_sig[2], th[0], minus, DY), (sl_sig[2], th[1], minus, DX),
                (sl_R[0], p, minus, DY), (sl_R[1], p, one, DX),

@@ -199,11 +199,11 @@ class Mesh:
         mesh, so a t sweep builds each item once and it goes with the mesh
         by reference counting.  Keys by owner: ``"edge_order"``,
         :attr:`edge_order`, which numbers every trace DOF; in
-        ``femspace``, ``"element_batches"``; in ``assembly``,
-        ``("poisson", k)``, the loadless stage one/three groups; in ``solver``,
-        ``("poisson", k, "factor")``, the SuperLU factor of its condensed
-        matrix and its wall time (no array), and ``("pattern", layout)``
-        per trace layout, with one start array per stored block."""
+        ``femspace``, ``"element_batches"``; in ``assembly``, ``("local",
+        k)``, the local matrices every stage views, and ``("poisson", k)``,
+        the loadless stage one/three groups; in ``solver``, ``("pattern",
+        layout)`` per trace layout, with one start array per stored block.
+        No factor is kept: each lives as long as its stage's solve."""
         if key not in self.kept:
             self.kept[key] = _freeze(build())
         return self.kept[key]
@@ -211,7 +211,7 @@ class Mesh:
     @property
     def kept_nbytes(self) -> int:
         """The bytes of the arrays in :attr:`kept`, each buffer once (a view
-        counts as the array it views); a SuperLU factor is no array."""
+        counts as the array it views)."""
         buffers = {}
         for array in _arrays(self.kept):
             while isinstance(array.base, np.ndarray):

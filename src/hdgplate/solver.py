@@ -14,7 +14,9 @@ deflated.
 
 Every trace factorization is a no-pivot LU of a symmetric positive
 definite block in the order ``assembly.StageDofMap`` numbers the trace
-DOFs, the mesh's nested-dissection edge order.
+DOFs, the mesh's nested-dissection edge order.  No factor outlives the
+solve that made it: stage three factors stage one's ``S`` again, so
+stage one's factor is gone before stage two factors ``B11``.
 """
 
 from __future__ import annotations
@@ -518,17 +520,13 @@ def _kernel_is_valid(S: SaddleBlocks, kp: np.ndarray) -> bool:
 
 def solve_spd(cond: CondensedSystem, config: SolverConfig = SolverConfig()):
     """CG on the condensed SPD trace system, preconditioned by its own
-    factorization; a Poisson stage's factor is kept on the mesh for every
-    later solve to reuse, each of which condenses to the same ``S`` bit
-    for bit; returns (x2, report)."""
+    factorization, which goes when the solve returns, so that no factor
+    outlives its stage; returns (x2, report)."""
     t0 = time.perf_counter()
-    S, bs = cond.S, cond.system
-    key = (*bs.kept_as, "factor")
-    fresh = key not in bs.dof.mesh.kept
-    lu, seconds = bs.dof.mesh.keep(key, lambda: _factorize(S, bs.stage, "S"))
+    S = cond.S
+    lu, seconds = _factorize(S, cond.system.stage, "S")
     x, report = _pcg(lambda v: S @ v, cond.rhs, lu.solve, config.tol,
-                     config.max_iter, factor_fill=lu.nnz if fresh else 0,
-                     factor_time=seconds if fresh else 0.0)
+                     config.max_iter, factor_fill=lu.nnz, factor_time=seconds)
     report.wall_time = time.perf_counter() - t0
     return x, report
 

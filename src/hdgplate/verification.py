@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -466,7 +467,11 @@ class RateTable:
 
 def table_errors(fields: SolutionFields, exact: ExactSolution,
                  quad_degree: int = ERROR_DEGREE):
-    """The four table norms, from one pass over the eight exact components."""
+    """The four table norms, from one pass over the eight exact components,
+    by the volume rule of degree ``quad_degree``, an integer >= 0."""
+    if (isinstance(quad_degree, bool)
+            or not isinstance(quad_degree, numbers.Integral) or quad_degree < 0):
+        raise ValueError(f"quad_degree={quad_degree!r} must be an integer >= 0")
     if exact.material != fields.material:
         raise ValueError(f"material {fields.material} is not the exact "
                          f"solution's {exact.material}")

@@ -239,6 +239,15 @@ def bh_norm(mesh, spaces, material, sigma, R, theta, theta_hat: np.ndarray,
     return float(np.sqrt(total))
 
 
+def local_matrices(batch, k, trace_deg):
+    """``(Mss, EX, EY, edges)`` of ``assembly._local_matrices(batch, k)``,
+    each edge's ``(C, E)`` cut to the degree ``trace_deg`` edge basis, its
+    leading rows, as the stages slice them."""
+    Mss, (EX, EY), edges = asm._local_matrices(batch, k)
+    m = trace_deg + 1
+    return Mss, EX, EY, [(C[:, :m], E[:, :m, :m]) for C, E in edges]
+
+
 def dense_a11(grp) -> np.ndarray:
     """The whole (ne, n1, n1) interior block of an element group: the
     block ``coef ⊗ mass`` of its mass fields, its interior columns
@@ -267,7 +276,7 @@ def dense_interior_columns(bs, material) -> list:
         sl_L, sl_r = dof.components("flux"), dof.interior_slice("primal")
         for grp in bs.groups:
             batch = grp.batch
-            _, EX, EY, edges = asm._local_matrices(batch, k, k - 1)
+            _, EX, EY, edges = local_matrices(batch, k, k - 1)
             a11 = np.zeros((len(batch.ids), n1, Tv))
             # -(r, div q), div q = dx q1 + dy q2
             a11[:, sl_L[0]], a11[:, sl_L[1]] = -EX[:, :Ts], -EY[:, :Ts]
@@ -286,7 +295,7 @@ def dense_interior_columns(bs, material) -> list:
     th, p = (slice(0, Tv), slice(Tv, 2 * Tv)), slice(2 * Tv, None)
     for grp in bs.groups:
         batch = grp.batch
-        _, EX, EY, edges = asm._local_matrices(batch, k, l)
+        _, EX, EY, edges = local_matrices(batch, k, l)
         DX, DY = EX[:, :Ts], EY[:, :Ts]
         a11 = np.zeros((len(batch.ids), n1, 3 * Tv))
         # -(theta, div tau), div tau = (dx tau11 + dy tau12, dx tau12 +
@@ -325,7 +334,7 @@ def dense_trace_blocks(bs, material) -> list:
         for grp in bs.groups:
             batch = grp.batch
             ne, nv = len(batch.ids), batch.nv
-            edges = asm._local_matrices(batch, k, k - 1)[3]
+            edges = local_matrices(batch, k, k - 1)[3]
             ntl = nv * k
             a12 = np.zeros((ne, n1, ntl))
             a22 = np.zeros((ne, ntl, ntl))
@@ -353,7 +362,7 @@ def dense_trace_blocks(bs, material) -> list:
     for grp in bs.groups:
         batch = grp.batch
         ne, nv = len(batch.ids), batch.nv
-        edges = asm._local_matrices(batch, k, l)[3]
+        edges = local_matrices(batch, k, l)[3]
         ntl = nv * (m_th + k)
         a12 = np.zeros((ne, n1, ntl))
         a22 = np.zeros((ne, ntl, ntl))

@@ -305,7 +305,8 @@ class TestSystems:
 
     @pytest.mark.parametrize("kind, k", [("triangle", 1), ("quadrilateral", 3)])
     def test_one_edge_block_per_local_edge(self, monkeypatch, kind, k):
-        # every stage slices its smaller edge blocks from one (C, E) pair
+        # every stage slices its edge blocks from one (C, E) pair per local
+        # edge, of the degree-k edge basis, built once per mesh
         calls = []
         orig = asm._edge_projection_blocks
 
@@ -316,13 +317,17 @@ class TestSystems:
         mesh = generate_structured(kind, 2)
         nv = sum(b.nv for b in asm.element_batches(mesh))
         spaces = SpaceConfig(k, max(1, k - 1))
-        asm.assemble_step1(mesh, spaces, lambda x, y: 0 * x)
-        assert calls == [(k - 1, k)] * nv
+        g = lambda x, y: 0 * x
+        bs1 = asm.assemble_step1(mesh, spaces, g)
+        assert calls == [(k, k)] * nv
         calls.clear()
         L = DiscreteField(mesh, k - 1, "vector2",
                           np.zeros((mesh.num_elements, 2 * fs.space_dim(k - 1))))
         asm.assemble_step2(mesh, spaces, PlateMaterial(), L)
-        assert calls == [(spaces.l, k)] * nv
+        theta = DiscreteField(mesh, k, "vector2",
+                              np.zeros((mesh.num_elements, 2 * fs.space_dim(k))))
+        asm.assemble_step3(bs1, PlateMaterial(), theta, g)
+        assert calls == []
 
     def test_step3_operator_identical_to_step1(self):
         mesh = generate_structured("quadrilateral", 2)
@@ -423,6 +428,9 @@ class TestSystems:
         # stored block, which at k=1 are a triangle's (ntl, ntl) in the
         # Poisson layout
         primal = {id(grp.a11[-1][3]) for grp in bs1.groups}
+        # so are the kept derivative blocks D = (EX, EY), (2, ne, Tv, Tv),
+        # whose views are terms of a11, not a dense interior block
+        primal |= {id(D) for _, D, _ in mesh.kept["local", k]}
         places = set()
         for bs in (bs1, bs2):
             fields = list(bs.dof.trace_fields.values())
@@ -645,6 +653,27 @@ class TestLoads:
                            f"element {first} are not finite"):
             build()
 
+    @pytest.mark.parametrize("stage, load, got", [
+        ("step2", lambda x, y: (x,), (1, 8, 25)),
+        ("step2", lambda x, y: x, (8, 25)),
+        ("step2", lambda x, y: (x, y, x), (3, 8, 25)),
+        ("step2", lambda x, y: 1.0, ()),
+        ("step1", lambda x, y: (x, x), (2, 8, 25)),
+        ("step3", lambda x, y: (x, x), (2, 8, 25)),
+    ], ids=["f-one", "f-array", "f-three", "f-constant", "g-two",
+            "g-two-step3"])
+    def test_a_load_of_the_wrong_shape_is_named(self, stage, load, got):
+        # tri n=2, k=1: 8 elements of 25 load points; f = (x,) assembled
+        # as (x, x), the others failed inside numpy
+        mesh, zero = generate_structured("triangle", 2), lambda x, y: 0 * x
+        name = "f" if stage == "step2" else "g"
+        g, f = (zero, load) if name == "f" else (load, None)
+        build = self._stages(mesh, 1, g, f)[stage]
+        with pytest.raises(ValueError, match=re.escape(
+                f"the load {name} returned shape {got} at points of shape "
+                "(8, 25)")):
+            build()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_rotation_names_its_element(self, bad):
         # theta is bad only on the top right cell's elements, 30 and 31
@@ -742,6 +771,60 @@ class TestInteriorBlock:
                     got = np.concatenate([grp.interior_columns(e)
                                           for e in slv._chunks(grp)])
                     assert got.tobytes() == want.tobytes(), (bs.stage, chunk)
+
+
+class TestLocalSet:
+    """All three stages take their blocks as views of one set of local
+    matrices per mesh and k, kept under ``("local", k)``."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_solve_keeps_the_local_set_and_no_factor(self, k):
+        mesh, mat = on_unit_square(mixed_strip(2)), PlateMaterial(t=1e-2)
+        vf.solve_plate(mesh, SpaceConfig(k), mat, vf.exact_fields(mat))
+        assert ("local", k) in mesh.kept
+        assert [key for key in mesh.kept if "factor" in key] == []
+        local = mesh.kept["local", k]
+        assert len(local) == len(asm.element_batches(mesh))
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+    def test_every_stage_views_the_kept_set(self, k, l):
+        mesh, spaces, g = mixed_group_mesh(), SpaceConfig(k, l), \
+            lambda x, y: 1.0 + x
+        ne = mesh.num_elements
+        bs1 = asm.assemble_step1(mesh, spaces, g)
+        L = DiscreteField(mesh, k - 1, "vector2",
+                          np.zeros((ne, 2 * fs.space_dim(k - 1))))
+        theta = DiscreteField(mesh, k, "vector2",
+                              np.ones((ne, 2 * fs.space_dim(k))))
+        bs2 = asm.assemble_step2(mesh, spaces, PlateMaterial(), L)
+        bs3 = asm.assemble_step3(bs1, PlateMaterial(), theta, g)
+        local = mesh.kept["local", k]
+        for bs, n_views in ((bs1, 2), (bs2, 10), (bs3, 2)):
+            for grp, (Mss, D, edges) in zip(bs.groups, local, strict=True):
+                assert np.shares_memory(grp.mass, Mss)
+                # the flux's derivative terms; in stage two every term but
+                # the three edge stabilizations
+                assert sum(np.shares_memory(b, D)
+                           for *_, b in grp.a11) == n_views, bs.stage
+                # every trace term is a view of an edge's C or E
+                blocks = [m for pair in edges for m in pair]
+                assert all(any(np.shares_memory(b, m) for m in blocks)
+                           for *_, b in grp.a12 + grp.a22), bs.stage
+
+    def test_built_once_per_batch_per_mesh(self, monkeypatch):
+        # over two thicknesses, every stage of both solves
+        calls = []
+        build = asm._local_matrices
+
+        def counting(batch, k):
+            calls.append((len(batch.ids), k))
+            return build(batch, k)
+        monkeypatch.setattr(asm, "_local_matrices", counting)
+        mesh = on_unit_square(mixed_strip(2))
+        for t in (1e-2, 1e-6):
+            mat = PlateMaterial(t=t)
+            vf.solve_plate(mesh, SpaceConfig(2), mat, vf.exact_fields(mat))
+        assert calls == [(len(b.ids), 2) for b in asm.element_batches(mesh)]
 
 
 def fan_rule(verts, degree):

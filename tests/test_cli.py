@@ -42,7 +42,8 @@ class TestSolveCommand:
         assert main(["convergence", "--levels", "4", "--out", str(out)]
                     + flags) == 0
         capsys.readouterr()
-        (row,) = csv.DictReader(out.open())
+        with out.open() as stream:
+            (row,) = csv.DictReader(stream)
         assert printed == {key: row[key] for key in (
             "n", "iter", "err_theta", "err_tgamma", "err_sigma", "err_omega")}
 
@@ -100,7 +101,8 @@ class TestConvergenceCommand:
                     "factor_fill", "factor_time"):
             assert key not in meta
         record_keys = {f.name for f in dataclasses.fields(SolveReport)}
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as stream:
+            rows = list(csv.DictReader(stream))
         assert len(meta["stages"]) == len(rows) == 2
         for level, row in zip(meta["stages"], rows):
             assert set(level) == {"step1", "step2", "step3"}
@@ -109,12 +111,11 @@ class TestConvergenceCommand:
                 assert rec["stop_reason"] in {"converged", "zero_rhs"}
                 assert rec["kernel_rejected"] is False
             assert level["step2"]["deflated"] is True
-            # stage three reuses stage one's factor
-            for stage in ("step1", "step2"):
+            # stage three factors stage one's S again: no factor is kept
+            for stage in ("step1", "step2", "step3"):
                 assert level[stage]["factor_fill"] > 0
                 assert level[stage]["factor_time"] > 0
-            assert level["step3"]["factor_fill"] == 0
-            assert level["step3"]["factor_time"] == 0
+            assert level["step3"]["factor_fill"] == level["step1"]["factor_fill"]
             assert level["step2"]["iterations"] == int(row["iter"])
         assert "git_revision" in meta and "seed" not in meta
         rss = meta["peak_rss_mb"]

@@ -1,6 +1,5 @@
 import gc
 import re
-import sys
 import weakref
 
 import numpy as np
@@ -382,27 +381,25 @@ class TestKept:
                 fields = vf.solve_plate(mesh, SpaceConfig(2), mat, ex)
                 vf.table_errors(fields, ex)
             assert set(vars(mesh)) == attrs
-            # no stage keeps its S: stages one and three keep their
-            # operator and factor, stage two the pattern of its blocks;
-            # table_errors keeps nothing
+            # no stage keeps its S or a factor: all three stages share one
+            # set of local matrices, stages one and three keep their
+            # operator, stage two the pattern of its blocks; table_errors
+            # keeps nothing
             poisson, saddle = ((2, True),), ((6, True), (2, False))
             assert set(mesh.kept) == {
-                "edge_order", "element_batches",
-                ("poisson", 2), ("poisson", 2, "factor"),
-                ("pattern", poisson), ("pattern", saddle)}
+                "edge_order", "element_batches", ("local", 2),
+                ("poisson", 2), ("pattern", poisson), ("pattern", saddle)}
+            held = []
             for key, value in mesh.kept.items():
                 arrays = list(arrays_in(value))
-                # the factor is SuperLU's object and its time, no array
-                assert arrays or key == ("poisson", 2, "factor"), key
+                assert arrays, key
                 for arr in arrays:
                     with pytest.raises(ValueError, match="read-only"):
                         arr[...] = 0
-            # SuperLU takes no weak reference: the mesh holds the factor
-            # once, and lets go of it with the mesh
-            lu = mesh.kept["poisson", 2, "factor"][0]
-            held = sys.getrefcount(lu)
+                held.append(weakref.ref(arrays[0]))
+            # the mesh lets go of everything it kept with itself
             ref = weakref.ref(mesh)
-            del mesh, fields, value, arrays
-            assert ref() is None and sys.getrefcount(lu) == held - 1
+            del mesh, fields, value, arrays, arr
+            assert ref() is None and all(r() is None for r in held)
         finally:
             gc.enable()

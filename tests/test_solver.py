@@ -805,24 +805,24 @@ class TestTraceFactorization:
         mat = PlateMaterial(t=0.1)
         mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
         fields = vf.solve_plate(mesh, SpaceConfig(1), mat, ex)
-        for stage in ("step1", "step2"):
+        for stage in ("step1", "step2", "step3"):
             rep = fields.reports[stage]
             assert rep.factor_fill > 0 and rep.factor_time > 0
-        # stage three reuses stage one's factor
-        assert fields.reports["step3"].factor_fill == 0
-        assert fields.reports["step3"].factor_time == 0
+        # stage three factors stage one's S again: no factor is kept
+        assert (fields.reports["step3"].factor_fill
+                == fields.reports["step1"].factor_fill)
 
     def test_saddle_operator_not_kept(self):
-        # only the Poisson stages keep an operator and its factor, not
-        # their S; stage two keeps on the mesh only the pattern of its
-        # blocks
+        # only the Poisson stages keep an operator, not their S or its
+        # factor, beside the local matrices every stage views; stage two
+        # keeps on the mesh only the pattern of its blocks
         mat = PlateMaterial(t=0.1)
         mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
         bs1 = asm.assemble_step1(mesh, SpaceConfig(1), ex.g[0])
         x1, _, _ = slv.solve_stage(bs1)
         assert bs1.kept_as == ("poisson", 1)
-        assert {key for key in mesh.kept if key[0] == "poisson"} == {
-            ("poisson", 1), ("poisson", 1, "factor")}
+        assert {key for key in mesh.kept if key[0] in ("poisson", "local")
+                } == {("poisson", 1), ("local", 1)}
         bs2 = asm.assemble_step2(mesh, SpaceConfig(1), mat,
                                  bs1.dof.field("flux", x1))
         before = set(mesh.kept)
@@ -831,7 +831,7 @@ class TestTraceFactorization:
         layout = ((4, True), (1, False))
         assert set(mesh.kept) - before == {("pattern", layout)}
 
-    def test_one_poisson_operator_and_three_factorizations_per_solve(
+    def test_one_poisson_operator_and_four_factorizations(
             self, monkeypatch):
         calls = {"_factorize": 0, "_assemble_poisson_operator": 0}
 
@@ -862,34 +862,32 @@ class TestTraceFactorization:
         mat = PlateMaterial(t=0.1)
         mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
         fields = vf.solve_plate(mesh, SpaceConfig(1), mat, ex)
-        assert calls == {"_factorize": 3, "_assemble_poisson_operator": 1}
+        assert calls == {"_factorize": 4, "_assemble_poisson_operator": 1}
         assert fields.reports["step1"].factor_fill > 0
-        # stage one's factor preconditions stage three: both condense to
-        # the same S, bit for bit
+        # stage three factors S again: both Poisson stages condense to the
+        # same S, bit for bit
         assert len(poisson_S) == 2
         assert np.array_equal(poisson_S[0], poisson_S[1])
+        assert (fields.reports["step3"].factor_fill
+                == fields.reports["step1"].factor_fill)
         # the stage-one system does not outlive the solve
         gc.collect()
         assert len(refs) == 1 and refs[0]() is None and fields.omega.coeffs.any()
-        # a second solve on the mesh, at another t, reuses the operator and
-        # its factor, and factors stage two's blocks only
+        # a second solve on the mesh, at another t, reuses the operator
+        # and factors all four blocks again
         mat = PlateMaterial(t=1e-6)
         fields = vf.solve_plate(mesh, SpaceConfig(1), mat, vf.exact_fields(mat))
-        assert calls == {"_factorize": 1 + 2 * 2, "_assemble_poisson_operator": 1}
-        for stage in ("step1", "step3"):
-            assert fields.reports[stage].factor_fill == 0
-            assert fields.reports[stage].factor_time == 0
-        assert fields.reports["step2"].factor_fill > 0
-        # and its S is still the one the kept factor was made from
+        assert calls == {"_factorize": 2 * 4, "_assemble_poisson_operator": 1}
+        for rep in fields.reports.values():
+            assert rep.factor_fill > 0 and rep.factor_time > 0
+        # and its S is still the one of the first solve
         assert len(poisson_S) == 4
         assert all(np.array_equal(poisson_S[0], S) for S in poisson_S[2:])
-        # the operator and its factor do not outlive the mesh (a SuperLU
-        # object takes no weak reference: the mesh holds it once)
-        lu = mesh.kept["poisson", 1, "factor"][0]
-        held = sys.getrefcount(lu)
+        # the operator does not outlive the mesh
+        operator = weakref.ref(mesh.kept["poisson", 1][0].trace_indices)
         del mesh, fields
         gc.collect()
-        assert sys.getrefcount(lu) == held - 1
+        assert operator() is None
 
     def test_stage_two_condenses_into_its_blocks(self, monkeypatch):
         # condense sums stage two straight into the blocks the solve
@@ -944,6 +942,42 @@ class TestTraceFactorization:
         assert reachable == [False]
         assert fields.reports["step2"].converged
 
+    def test_no_factor_outlives_its_stage(self, monkeypatch):
+        # stage one's factor is gone when B11, the solve's largest
+        # allocation, is factored, and no factor is left once the solve
+        # returns; SuperLU takes no weak reference, so each factor goes
+        # behind a proxy that alone holds it
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            @property
+            def nnz(self):
+                return self.lu.nnz
+
+            def solve(self, b):
+                return self.lu.solve(b)
+
+        factorize, made, alive_at_b11 = slv._factorize, [], []
+
+        def proxied(A, stage, block):
+            if block == "B11":
+                alive_at_b11.extend(name for name, ref in made if ref())
+            lu, seconds = factorize(A, stage, block)
+            proxy = Factor(lu)
+            made.append(((stage, block), weakref.ref(proxy)))
+            return proxy, seconds
+        monkeypatch.setattr(slv, "_factorize", proxied)
+        mat = PlateMaterial(t=1e-2)
+        mesh = generate_structured("triangle", 4)
+        fields = vf.solve_plate(mesh, SpaceConfig(2), mat, vf.exact_fields(mat))
+        assert [name for name, _ in made] == [
+            ("step1", "S"), ("step2", "B11"), ("step2", "surrogate"),
+            ("step3", "S")]
+        assert alive_at_b11 == []
+        assert [name for name, ref in made if ref()] == []
+        assert all(rep.converged for rep in fields.reports.values())
+
     def test_b11_without_zeros_replaces_it(self, monkeypatch):
         # on axis-parallel quads B11 stores exact zeros, which _factorize
         # drops in a copy: SuperLU factors the copy while the original's
@@ -975,7 +1009,7 @@ class TestTraceFactorization:
         mat = PlateMaterial(t=1e-2)
         vf.solve_plate(generate_structured("quadrilateral", 4), SpaceConfig(2),
                        mat, vf.exact_fields(mat))
-        assert len(options) == 3
+        assert len(options) == 4
         assert all(kw.get("panel_size") == slv._PANEL_SIZE for kw in options)
 
 
@@ -1065,10 +1099,10 @@ class TestHeapTrim:
         calls = []
         monkeypatch.setattr(slv, "_trim_heap", lambda: calls.append(1))
         mesh = generate_structured("triangle", 4)
-        self.solve(mesh)  # the Poisson S, B11 and the surrogate
-        assert len(calls) == 3
-        self.solve(mesh, t=1e-6)  # the Poisson factor is kept on the mesh
-        assert len(calls) == 3 + 2
+        self.solve(mesh)  # the Poisson S twice, B11 and the surrogate
+        assert len(calls) == 4
+        self.solve(mesh, t=1e-6)  # no factor is kept on the mesh
+        assert len(calls) == 4 + 4
 
     def test_trim_changes_no_bit(self, monkeypatch):
         trimmed = self.solve(generate_structured("quadrilateral", 4))

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import io
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -429,6 +430,18 @@ class TestMaterialCheck:
                                 SpaceConfig(1), mat, vf.exact_fields(mat))
         with pytest.raises(ValueError, match=r"t=0\.01\).*t=1\.0\)$"):
             vf.table_errors(fields, vf.exact_fields(PlateMaterial(t=1.0)))
+
+    @pytest.mark.parametrize("degree", [-1, True, 2.5])
+    def test_table_errors_rejects_a_bad_quad_degree(self, degree):
+        # -1 and True once gave the one-point rule's norms (err_theta
+        # 5.0621e-03 against 4.4525e-03), and 2.5 failed inside scipy
+        mat = PlateMaterial(t=1e-2)
+        exact = vf.exact_fields(mat)
+        fields = vf.solve_plate(generate_structured("triangle", 4),
+                                SpaceConfig(1), mat, exact)
+        with pytest.raises(ValueError, match=re.escape(
+                f"quad_degree={degree!r} must be an integer >= 0")):
+            vf.table_errors(fields, exact, degree)
 
     def test_tiny_t_still_solves(self):
         mat = PlateMaterial(t=1e-100)
