@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -251,10 +251,15 @@ class TraceField:
         return out
 
 
-def _padded(n_trace: int, x2: np.ndarray) -> np.ndarray:
-    """The trace vector ``x2``, checked, and a 0 for eliminated (-1) dofs."""
+def _check_trace(n_trace: int, x2: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``x2`` is a vector of ``n_trace`` entries."""
     if np.shape(x2) != (n_trace,):
         raise ValueError(f"x2: shape {np.shape(x2)}, expected ({n_trace},)")
+
+
+def _padded(n_trace: int, x2: np.ndarray) -> np.ndarray:
+    """The trace vector ``x2``, checked, and a 0 for eliminated (-1) dofs."""
+    _check_trace(n_trace, x2)
     return np.append(x2, 0.0)
 
 
@@ -339,8 +344,10 @@ class ElementBlockGroup:
     Ts`` interior dofs are the mass fields (the Poisson flux; stage two's
     sigma and R), whose block is ``coef ⊗ mass``; ``a11`` is the interior
     columns ``[A_mp; A_pp]`` of the fields after them, ``a12`` and ``a22``
-    the trace blocks.  The local trace dofs run field by field, each field
-    edge by local edge."""
+    the trace blocks.  Every term's ``block`` is a view of the mesh's kept
+    local set (``_local_matrices``), the edge penalties its edge sums
+    ``P`` scaled per element.  The local trace dofs run field by field,
+    each field edge by local edge."""
 
     batch: ElementBatch
     a11: tuple                # terms of the (n1, n_a11) columns
@@ -380,9 +387,6 @@ class BlockSystem:
     dof: StageDofMap
     groups: list[ElementBlockGroup]
     stage: str = ""
-    # the Poisson stages' key on the mesh (see _poisson_operator); None
-    # for stage two
-    kept_as: tuple | None = None
 
     @property
     def n_interior(self) -> int:
@@ -412,12 +416,15 @@ def _local_matrices(batch, k):
     """Volume and edge matrices of one batch that every stage slices.
 
     Returns the P_{k-1} mass ``Mss``, ``D = (EX, EY)`` (rows: d/dx, d/dy
-    of P_k; cols: P_k) and one ``(C, E)`` per local edge for the degree-k
-    edge basis against P_k.  P_{k-1} is the first ``space_dim(k-1)``
-    monomials of P_k, and an edge basis of lower degree is a leading run
-    of rows, so smaller blocks are leading slices: ``D[:, :, :Ts]`` is
-    d/dx, d/dy of P_{k-1} against P_k, and ``C[:, :k, :Ts]``, ``E[:, :k,
-    :k]`` are the degree k-1 edge blocks against P_{k-1}.
+    of P_k; cols: P_k), one ``(C, E)`` per local edge for the degree-k
+    edge basis against P_k, and ``P = (P_{k-1}, P_k)``, the edge sums
+    ``sum_e C^T E^{-1} C`` of the degree k-1 and k edge bases, which every
+    edge penalty scales by its weight per element.  P_{k-1} is the first
+    ``space_dim(k-1)`` monomials of P_k, and an edge basis of lower degree
+    is a leading run of rows, so smaller blocks are leading slices:
+    ``D[:, :, :Ts]`` is d/dx, d/dy of P_{k-1} against P_k, and ``C[:,
+    :k, :Ts]``, ``E[:, :k, :k]`` are the degree k-1 edge blocks against
+    P_{k-1}.
     """
     degrees = fs.quadrature_degrees(k)
     pts, w = batch.volume_rule(degrees["assembly_degree"])
@@ -429,7 +436,9 @@ def _local_matrices(batch, k):
         _ip(w, fs.scalar_vals(exps, batch.centroid, batch.h, pts, dy=1), V)])
     edges = [_edge_projection_blocks(batch, e, degrees["edge_degree"], k, k)
              for e in range(batch.nv)]
-    return _ip(w, Vs, Vs), D, edges
+    P = tuple(sum(_stab_volume_block(C[:, :m], E[:, :m, :m]) for C, E in edges)
+              for m in (k, k + 1))
+    return _ip(w, Vs, Vs), D, edges, P
 
 
 def _local_set(mesh: Mesh, k: int) -> list:
@@ -485,24 +494,22 @@ def _stab_volume_block(C, E):
 
 
 # ----------------------------------------------------------------------
-# stage one / three operator (kept on the mesh, shared by both stages)
+# stages one and three
 
 
-def _assemble_poisson_operator(dof, k):
+def _poisson_system(dof: StageDofMap, stage: str, loads: Callable) -> BlockSystem:
+    """Stage one's or three's system on ``dof``; ``loads(batch, D,
+    edges)`` gives a group's primal rows of ``b1`` and its ``b2``."""
+    k = dof.trace_fields["u_hat"].per_edge
     Ts, Tv = fs.space_dim(k - 1), fs.space_dim(k)
     tf = dof.trace_fields["u_hat"]
     sl_L = dof.components("flux")
     sl_r = dof.interior_slice("primal")
 
     groups = []
-    for batch, (Mss, D, edges) in zip(element_batches(dof.mesh),
-                                      _local_set(dof.mesh, k), strict=True):
+    for batch, (Mss, D, edges, P) in zip(element_batches(dof.mesh),
+                                         _local_set(dof.mesh, k), strict=True):
         ne, nv = len(batch.ids), batch.nv
-        # the flux is a mass field, -I2 ⊗ Mss, coupled to the primal field
-        # by -(r, div q): its component u through -d/du
-        DX, DY = D[:, :, :Ts]
-        a11 = np.zeros((ne, Tv, Tv))
-
         a12, a22, trace_idx = [], [], np.empty((ne, nv * k), dtype=int)
         # alpha1 does not depend on the thickness
         alpha1 = stabilization(batch.h, PlateMaterial())[0]
@@ -510,9 +517,6 @@ def _assemble_poisson_operator(dof, k):
         for e, (C, E) in enumerate(edges):
             # the degree k-1 edge basis: the leading k rows of the kept one
             Cv, Ee = C[:, :k], E[:, :k, :k]
-            # alpha1-weighted projection stabilization on the primal trace
-            a11 += alpha1[:, None, None] * _stab_volume_block(Cv, Ee)
-
             cols = slice(e * k, (e + 1) * k)
             nrm = batch.normals[:, e, :]
             a12 += [(sl, cols, nrm[:, u], Cv[:, :, :Ts].mT)
@@ -521,23 +525,19 @@ def _assemble_poisson_operator(dof, k):
             a22.append((cols, cols, alpha1, Ee))
             trace_idx[:, cols] = tf.dofs(batch.edge_ids[:, e])
 
-        # the loads differ per solve: each stage sets b1 and b2; a11 is the
-        # primal columns, the flux terms and the dense primal block
+        # the flux is a mass field, -I2 ⊗ Mss, coupled to the primal field
+        # by -(r, div q): its component u through -d/du; the primal block
+        # is the alpha1-weighted projection stabilization
         primal = slice(0, Tv)
-        one, minus = np.broadcast_to(1.0, ne), np.broadcast_to(-1.0, ne)
+        minus = np.broadcast_to(-1.0, ne)
+        DX, DY = D[:, :, :Ts]
         a11 = ((sl_L[0], primal, minus, DX), (sl_L[1], primal, minus, DY),
-               (sl_r, primal, one, a11))
+               (sl_r, primal, alpha1, P[0]))
+        b1 = np.zeros((ne, dof.n_interior_per_element))
+        b1[:, sl_r], b2 = loads(batch, D, edges)
         groups.append(ElementBlockGroup(batch, a11, tuple(a12), tuple(a22),
-                                        None, None, trace_idx, Mss, -np.eye(2)))
-    return groups
-
-
-def _poisson_operator(dof: StageDofMap) -> list:
-    """The stage one/three operator on ``dof``, kept on the mesh under
-    ``("poisson", k)``: its element groups, without loads."""
-    k = dof.trace_fields["u_hat"].per_edge
-    return dof.mesh.keep(("poisson", k),
-                         lambda: _assemble_poisson_operator(dof, k))
+                                        b1, b2, trace_idx, Mss, -np.eye(2)))
+    return BlockSystem(dof, groups, stage=stage)
 
 
 def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
@@ -546,14 +546,9 @@ def assemble_step1(mesh: Mesh, spaces: SpaceConfig, g: Callable) -> BlockSystem:
     dof = StageDofMap(mesh, interior_fields=[("flux", k - 1, "vector2"),
                                              ("primal", k, "scalar")],
                       trace_fields=[("u_hat", k, True)])
-    sl_r = dof.interior_slice("primal")
-    groups = []
-    for grp in _poisson_operator(dof):
-        b1 = np.zeros((len(grp.batch.ids), dof.n_interior_per_element))
-        b1[:, sl_r] = _load_moments(grp.batch, k,
-                                    lambda pts: _values(g, pts, "g"))
-        groups.append(replace(grp, b1=b1, b2=np.zeros(grp.trace_indices.shape)))
-    return BlockSystem(dof, groups, stage="step1", kept_as=("poisson", k))
+    return _poisson_system(dof, "step1", lambda batch, D, edges: (
+        _load_moments(batch, k, lambda pts: _values(g, pts, "g")),
+        np.zeros((len(batch.ids), batch.nv * k))))
 
 
 def _check_input(field, name, system, mesh, k, degree):
@@ -574,8 +569,9 @@ def _check_input(field, name, system, mesh, k, degree):
 def assemble_step3(step1: BlockSystem, material: PlateMaterial,
                    theta: DiscreteField, g: Callable) -> BlockSystem:
     """Stage-three system for the deflection, driven by the stage-two rotation:
-    stage one's read-only operator with new loads ``b1``, ``b2``, whose theta
-    moments come from the local matrices (``EX``/``EY``, each edge's ``C``)."""
+    stage one's operator on its ``dof`` with new loads ``b1``, ``b2``, whose
+    theta moments come from the local matrices (``EX``/``EY``, each edge's
+    ``C``)."""
     if step1.stage != "step1":
         raise ValueError("stage-three assembly needs the stage-one system, "
                          f"not a {step1.stage!r} system")
@@ -583,25 +579,17 @@ def assemble_step3(step1: BlockSystem, material: PlateMaterial,
     k = dof.trace_fields["u_hat"].per_edge
     _check_input(theta, "the stage-two rotation", "stage-one system",
                  dof.mesh, k, k)
-    sl_r = dof.interior_slice("primal")
     scale = material.t ** 2 / material.lam
 
-    groups = []
-    for grp, (_, D, edges) in zip(step1.groups, _local_set(dof.mesh, k),
-                                  strict=True):
-        batch = grp.batch
+    def loads(batch, D, edges):
         th = theta.coeffs[batch.ids].reshape(len(batch.ids), 2, -1)
         # (t^2/lam g - div theta, v) and <theta . n, s_hat> per local edge
-        b1 = np.zeros_like(grp.b1)
-        b1[:, sl_r] = _load_moments(batch, k,
-                                    lambda pts: scale * _values(g, pts, "g"))
-        b1[:, sl_r] -= (th[:, :1] @ D[0] + th[:, 1:] @ D[1])[:, 0]
-        b2 = np.concatenate([np.einsum("emn,eun,eu->em", C[:, :k], th,
-                                       batch.normals[:, e])
-                             for e, (C, _) in enumerate(edges)], axis=1)
-        groups.append(replace(grp, b1=b1, b2=b2))
-
-    return BlockSystem(dof, groups, stage="step3", kept_as=step1.kept_as)
+        r = _load_moments(batch, k, lambda pts: scale * _values(g, pts, "g"))
+        r -= (th[:, :1] @ D[0] + th[:, 1:] @ D[1])[:, 0]
+        return r, np.concatenate([np.einsum("emn,eun,eu->em", C[:, :k], th,
+                                            batch.normals[:, e])
+                                  for e, (C, _) in enumerate(edges)], axis=1)
+    return _poisson_system(dof, "step3", loads)
 
 
 # ----------------------------------------------------------------------
@@ -631,7 +619,8 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
                    L: DiscreteField, f: Callable | None = None) -> BlockSystem:
     """Stage-two saddle system: find (sigma, R, theta, theta_hat, p, p_hat).
     sigma and R are the mass fields; ``a11`` is the (theta, p) columns,
-    thirteen terms over four distinct (ne, Tv, Tv) blocks.
+    thirteen terms, each a view of the kept local set (``D`` and the edge
+    sums ``P``), so stage two allocates no block of its own.
     The stream-function pressure p rests on a Helmholtz decomposition of
     the shear stress, which needs a simply connected domain: a mesh with
     more than one edge-connected component or with a hole raises
@@ -657,14 +646,9 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
                       material.lam / material.t ** 2 * np.eye(2))
 
     groups = []
-    for batch, (Mss, D, edges) in zip(element_batches(mesh),
-                                      _local_set(mesh, k), strict=True):
+    for batch, (Mss, D, edges, P) in zip(element_batches(mesh),
+                                         _local_set(mesh, k), strict=True):
         ne, nv = len(batch.ids), batch.nv
-
-        # the edge stabilizations of theta (one block for both components)
-        # and of p, summed edge by edge; p's enters negated, subtracted
-        # from zero so that its exact zeros stay +0
-        stab2, stab3 = np.zeros((ne, Tv, Tv)), np.zeros((ne, Tv, Tv))
         a12, a22, trace_idx = [], [], np.empty((ne, nv * (m_th + k)), dtype=int)
         _, alpha2, alpha3 = stabilization(batch.h, material)
 
@@ -674,8 +658,6 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
             Clv, El = C[:, :l + 1], E[:, :l + 1, :l + 1]
             Cls, Ckv, Cks, Ek = (Clv[:, :, :Ts], C[:, :k], C[:, :k, :Ts],
                                  E[:, :k, :k])
-            stab2 += alpha2[:, None, None] * _stab_volume_block(Clv, El)
-            stab3 -= alpha3[:, None, None] * _stab_volume_block(Ckv, Ek)
 
             nrm = batch.normals[:, e, :]
             tang = -batch.tangents[:, e, :]  # enters negated
@@ -712,17 +694,20 @@ def assemble_step2(mesh: Mesh, spaces: SpaceConfig, material: PlateMaterial,
 
         # the columns of theta and p after the mass fields sigma and R:
         # -(theta, div tau) and (p, curl S) on the P_{k-1} rows, then the
-        # stabilizations on the diagonal, (curl phi, p) and its transpose
+        # edge stabilizations on the diagonal, theta's with the degree l
+        # edge sum for both components and p's negated, (curl phi, p) and
+        # its transpose
         th, p = (slice(0, Tv), slice(Tv, 2 * Tv)), slice(2 * Tv, 3 * Tv)
         one, minus = np.broadcast_to(1.0, ne), np.broadcast_to(-1.0, ne)
         DX, DY = D[:, :, :Ts]  # sigma and R read the leading Ts rows
         a11 = ((sl_sig[0], th[0], minus, DX), (sl_sig[1], th[1], minus, DY),
                (sl_sig[2], th[0], minus, DY), (sl_sig[2], th[1], minus, DX),
                (sl_R[0], p, minus, DY), (sl_R[1], p, one, DX),
-               (sl_th[0], th[0], one, stab2), (sl_th[1], th[1], one, stab2),
+               (sl_th[0], th[0], alpha2, P[l - k + 1]),
+               (sl_th[1], th[1], alpha2, P[l - k + 1]),
                (sl_th[0], p, minus, D[1]), (sl_p, th[0], minus, D[1].mT),
                (sl_th[1], p, one, D[0]), (sl_p, th[1], one, D[0].mT),
-               (sl_p, p, one, stab3))
+               (sl_p, p, -alpha3, P[0]))
         groups.append(ElementBlockGroup(
             batch, a11, tuple(a12), tuple(a22), b1, np.zeros(trace_idx.shape),
             trace_idx, Mss, coef))
@@ -734,11 +719,13 @@ def shift_pressure_to_zero_mean(bs: BlockSystem, x1: np.ndarray,
                                 x2: np.ndarray) -> None:
     """Fix the stage-two pressure constant in place: shift (p, p_hat) so
     that p has zero mean.  ``x1``/``x2`` are the interior and trace
-    solutions of the ``assemble_step2`` system ``bs``."""
+    solutions of the ``assemble_step2`` system ``bs``; an ``x2`` of
+    another shape raises ``ValueError``."""
     if bs.stage != "step2":
         raise ValueError("the pressure shift needs the stage-two system, "
                          f"not a {bs.stage!r} system")
     dof = bs.dof
+    _check_trace(dof.n_trace, x2)
     tf_p = dof.trace_fields["p_hat"]
     shift = dof.field("p", x1).mean()
     x1[:, dof.interior_slice("p").start] -= shift

@@ -29,7 +29,8 @@ _EXIT_SOLVER = 2
 def _git_revision() -> str:
     """HEAD of the checkout this package is imported from (the root that
     holds ``src/hdgplate``), not of the caller's working directory;
-    ``"unknown"`` outside such a checkout."""
+    ``"unknown"`` outside such a checkout or when ``git`` fails to start
+    or outlives its timeout."""
     root = Path(__file__).resolve().parents[2]
     try:
         out = subprocess.run(
@@ -38,7 +39,7 @@ def _git_revision() -> str:
             env={**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)})
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 

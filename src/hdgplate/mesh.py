@@ -80,13 +80,15 @@ class Mesh:
         bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
         if bad.size:
             raise ValueError(f"vertex {bad[0]} has a non-finite coordinate")
+        loops = list(loops)     # read twice, and again on an error
         try:    # operator.index, unlike int, truncates no float or string
-            loops = [tuple(map(operator.index, loop)) for loop in loops]
+            ids = [tuple(map(operator.index, loop)) for loop in loops]
+            ok = bool not in set(map(type, chain.from_iterable(loops)))
         except TypeError:
-            i, v = next((i, v) for i, loop in enumerate(loops) for v in loop
-                        if not hasattr(v, "__index__"))
-            raise MeshTopologyError(f"element {i} has a non-integer vertex "
-                                    f"id {v!r}") from None
+            ok = False
+        if not ok:
+            raise MeshTopologyError(_bad_loop(loops))
+        loops = ids
         if not loops:
             raise MeshTopologyError("mesh has no elements")
         sizes = np.fromiter(map(len, loops), int, len(loops))
@@ -200,10 +202,10 @@ class Mesh:
         by reference counting.  Keys by owner: ``"edge_order"``,
         :attr:`edge_order`, which numbers every trace DOF; in
         ``femspace``, ``"element_batches"``; in ``assembly``, ``("local",
-        k)``, the local matrices every stage views, and ``("poisson", k)``,
-        the loadless stage one/three groups; in ``solver``, ``("pattern",
-        layout)`` per trace layout, with one start array per stored block.
-        No factor is kept: each lives as long as its stage's solve."""
+        k)``, the local matrices and edge sums every stage views; in
+        ``solver``, ``("pattern", layout)`` per trace layout, with one
+        start array per stored block.  No operator or factor is kept: each
+        lives as long as its stage's solve."""
         if key not in self.kept:
             self.kept[key] = _freeze(build())
         return self.kept[key]
@@ -234,6 +236,23 @@ class Mesh:
     @property
     def num_elements(self) -> int:
         return len(self.elements)
+
+
+def _bad_loop(loops) -> str:
+    """What is wrong with the first loop that is no sequence of integer
+    vertex ids (a bool is none)."""
+    for i, loop in enumerate(loops):
+        try:
+            vertices = list(loop)
+        except TypeError:
+            return f"element {i} is {loop!r}, not a loop of vertex ids"
+        for v in vertices:
+            try:
+                if isinstance(v, bool):
+                    raise TypeError
+                operator.index(v)
+            except TypeError:
+                return f"element {i} has a non-integer vertex id {v!r}"
 
 
 def _arrays(value):

@@ -243,9 +243,18 @@ def local_matrices(batch, k, trace_deg):
     """``(Mss, EX, EY, edges)`` of ``assembly._local_matrices(batch, k)``,
     each edge's ``(C, E)`` cut to the degree ``trace_deg`` edge basis, its
     leading rows, as the stages slice them."""
-    Mss, (EX, EY), edges = asm._local_matrices(batch, k)
+    Mss, (EX, EY), edges, _ = asm._local_matrices(batch, k)
     m = trace_deg + 1
     return Mss, EX, EY, [(C[:, :m], E[:, :m, :m]) for C, E in edges]
+
+
+def edge_sum(edges) -> np.ndarray:
+    """``sum_e C^T E^{-1} C`` over the ``(C, E)`` of a batch's local
+    edges, summed edge by edge from zero."""
+    out = np.zeros((len(edges[0][0]),) + (edges[0][0].shape[2],) * 2)
+    for C, E in edges:
+        out += asm._stab_volume_block(C, E)
+    return out
 
 
 def dense_a11(grp) -> np.ndarray:
@@ -267,7 +276,9 @@ def dense_interior_columns(bs, material) -> list:
     stage system ``bs``, written by the assembly loop that ``assembly``
     ran before it kept them as terms, with the mass fields' coupling rows
     written here from the weak forms: the primal columns of stages one
-    and three, stage two's (theta, p) ones; ``material`` is stage two's."""
+    and three, stage two's (theta, p) ones; ``material`` is stage two's.
+    Each edge penalty is its weight alpha_K times the sum over the local
+    edges of ``C^T E^{-1} C``."""
     out, dof = [], bs.dof
     n1 = dof.n_interior_per_element
     if bs.stage != "step2":
@@ -281,9 +292,7 @@ def dense_interior_columns(bs, material) -> list:
             # -(r, div q), div q = dx q1 + dy q2
             a11[:, sl_L[0]], a11[:, sl_L[1]] = -EX[:, :Ts], -EY[:, :Ts]
             alpha1 = asm.stabilization(batch.h, asm.PlateMaterial())[0]
-            for Cv, Ee in edges:
-                a11[:, sl_r] += alpha1[:, None, None] * asm._stab_volume_block(
-                    Cv, Ee)
+            a11[:, sl_r] = alpha1[:, None, None] * edge_sum(edges)
             out.append(a11)
         return out
 
@@ -307,13 +316,10 @@ def dense_interior_columns(bs, material) -> list:
         a11[:, rot[0], p], a11[:, sl_p, th[0]] = -EY, -EY.mT
         a11[:, rot[1], p], a11[:, sl_p, th[1]] = EX, EX.mT
         _, alpha2, alpha3 = asm.stabilization(batch.h, material)
-        for Clv, El in edges:
-            Ckv, Ek = Clv[:, :k], El[:, :k, :k]
-            stab2 = alpha2[:, None, None] * asm._stab_volume_block(Clv, El)
-            a11[:, rot[0], th[0]] += stab2
-            a11[:, rot[1], th[1]] += stab2
-            a11[:, sl_p, p] -= alpha3[:, None, None] * asm._stab_volume_block(
-                Ckv, Ek)
+        stab2 = alpha2[:, None, None] * edge_sum(edges)
+        a11[:, rot[0], th[0]] = a11[:, rot[1], th[1]] = stab2
+        a11[:, sl_p, p] = -alpha3[:, None, None] * edge_sum(
+            [(Clv[:, :k], El[:, :k, :k]) for Clv, El in edges])
         out.append(a11)
     return out
 

@@ -172,8 +172,8 @@ def _oracle_case(mesh, k, t):
 
 def test_criterion6_oracle_equivalence():
     # the reading follows the BLAS thread count, through the dense
-    # oracle's LAPACK calls (the solver's outputs do not): 9.61e-10 at one
-    # thread and 4.83e-10 at two, both well inside the bound
+    # oracle's LAPACK calls (the solver's outputs do not): 8.70e-10 at one
+    # thread and 6.76e-10 at two, both well inside the bound
     meshes = [generate_structured(kind, n)
               for kind in ("triangle", "quadrilateral") for n in (2, 4)]
     with pytest.warns(ShapeRegularityWarning):

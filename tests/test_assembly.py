@@ -330,6 +330,9 @@ class TestSystems:
         assert calls == []
 
     def test_step3_operator_identical_to_step1(self):
+        # stage three builds stage one's operator again on its dof map:
+        # every term the same views of the kept local set, the same
+        # scales bit for bit, and so the same S, bit for bit
         mesh = generate_structured("quadrilateral", 2)
         spaces = SpaceConfig(2)
         theta = DiscreteField(mesh, 2, "vector2", np.zeros((4, 12)))
@@ -337,32 +340,38 @@ class TestSystems:
         bs3 = asm.assemble_step3(bs1, PlateMaterial(), theta,
                                  lambda x, y: 0 * x)
         assert bs3.dof is bs1.dof
-        assert bs3.kept_as == bs1.kept_as == ("poisson", 2)
-        kept_groups = mesh.kept["poisson", 2]
+        local = list(arrays_in(mesh.kept["local", 2]))
         shared = [bs1.dof.trace_fields["u_hat"].edge_rank]
-        for g0, g1, g3 in zip(kept_groups, bs1.groups, bs3.groups,
-                              strict=True):
-            for name in ("a11", "a12", "a22", "trace_indices"):
-                assert getattr(g3, name) is getattr(g1, name) \
-                    is getattr(g0, name)
-            shared += [g1.trace_indices]
-            shared += [arr for term in (*g1.a11, *g1.a12, *g1.a22)
-                       for arr in term[2:]]
+        for g1, g3 in zip(bs1.groups, bs3.groups, strict=True):
+            for name in ("a11", "a12", "a22"):
+                for t1, t3 in zip(getattr(g1, name), getattr(g3, name),
+                                  strict=True):
+                    assert t1[:2] == t3[:2]
+                    assert t1[2].tobytes() == t3[2].tobytes()
+                    assert t1[3].tobytes() == t3[3].tobytes()
+                    assert any(np.shares_memory(t1[3], a) for a in local)
+                    assert any(np.shares_memory(t3[3], a) for a in local)
+                    shared.append(t3[3])
+            assert np.array_equal(g1.trace_indices, g3.trace_indices)
             assert g3.b1 is not g1.b1 and g3.b2 is not g1.b2
-        for arr in shared:
+        for arr in shared:  # what the two stages share, neither may write
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
+        S1, S3 = slv.condense(bs1).S, slv.condense(bs3).S
+        for name in ("data", "indices", "indptr"):
+            assert getattr(S1, name).tobytes() == getattr(S3, name).tobytes()
 
-    def test_poisson_key_keeps_the_operator_alone(self):
-        # every stage builds its load rule per solve: the mesh keeps the
-        # loadless element groups and nothing else under ("poisson", k)
+    def test_a_solve_keeps_no_operator(self):
+        # every stage builds its system per solve from the kept local set:
+        # the mesh keeps the edge order, the batches, the local set and the
+        # trace patterns, and no stage's element groups
         mesh = on_unit_square(mixed_strip(2))
         mat = PlateMaterial(t=1e-2)
         vf.solve_plate(mesh, SpaceConfig(2), mat, vf.exact_fields(mat))
-        kept = mesh.kept["poisson", 2]
-        assert isinstance(kept, list)
-        assert [type(grp) for grp in kept] == [asm.ElementBlockGroup] * 3
-        assert all(grp.b1 is None and grp.b2 is None for grp in kept)
+        assert {key if isinstance(key, str) else key[0] for key in mesh.kept
+                } == {"edge_order", "element_batches", "local", "pattern"}
+        assert [key for key in mesh.kept if key[0] == "local"] == [("local", 2)]
+        assert not hasattr(asm.BlockSystem(None, []), "kept_as")
 
     def test_linearity_in_load(self):
         mesh = generate_structured("triangle", 2)
@@ -409,10 +418,10 @@ class TestSystems:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_step2_keeps_no_dense_interior_block(self, k):
         # the flux, and sigma and R, stay in their mass blocks; a11 is the
-        # primal columns, two flux terms and the primal block (ne, Tv, Tv),
-        # one dense term, and in stage two the (theta, p) ones, terms over
-        # (ne, Tv, Tv) blocks; the trace columns stay edge-local terms, in
-        # the groups and in what the mesh keeps
+        # primal columns, two flux terms and the primal penalty, and in
+        # stage two the (theta, p) ones, terms over kept (ne, Tv, Tv)
+        # blocks, of which stage two allocates none; the trace columns
+        # stay edge-local terms, in the groups and in what the mesh keeps
         mesh = mixed_polygon_mesh()
         bs2, _, _ = _step2_system(mesh, k)
         slv.solve_stage(bs2)  # keeps the pattern of stage two's blocks
@@ -422,15 +431,22 @@ class TestSystems:
         bs3 = asm.assemble_step3(bs1, PlateMaterial(), theta,
                                  lambda x, y: 0 * x)
         Tv = fs.space_dim(k)
-        # the primal block, whose (Tv, Tv) at k <= 2 is a triangle's
-        # (ntl, ntl), is checked on its own; so are the kept patterns'
-        # places, one per element, local row block and column of each
-        # stored block, which at k=1 are a triangle's (ntl, ntl) in the
-        # Poisson layout
-        primal = {id(grp.a11[-1][3]) for grp in bs1.groups}
+        # the kept edge sums P, the penalties' blocks, whose (Tv, Tv) at
+        # k <= 2 is a triangle's (ntl, ntl), are checked on their own; so
+        # are the kept patterns' places, one per element, local row block
+        # and column of each stored block, which at k=1 are a triangle's
+        # (ntl, ntl) in the Poisson layout
+        local = mesh.kept["local", k]
+        primal = {id(block) for *_, P in local for block in P}
         # so are the kept derivative blocks D = (EX, EY), (2, ne, Tv, Tv),
         # whose views are terms of a11, not a dense interior block
-        primal |= {id(D) for _, D, _ in mesh.kept["local", k]}
+        primal |= {id(D) for _, D, _, _ in local}
+        # stage two's (ne, Tv, Tv) blocks are all views of the kept set
+        for grp in bs2.groups:
+            for arr in arrays_in(grp):
+                assert (arr.ndim < 3 or arr.shape[-2:] != (Tv, Tv)
+                        or any(np.shares_memory(arr, a)
+                               for a in arrays_in(local))), arr.shape
         places = set()
         for bs in (bs1, bs2):
             fields = list(bs.dof.trace_fields.values())
@@ -538,6 +554,21 @@ class TestSystems:
         with pytest.raises(ValueError, match="pressure shift needs the "
                            "stage-two system, not a 'step1' system"):
             asm.shift_pressure_to_zero_mean(bs1, x1, x2)
+
+    @pytest.mark.parametrize("shape", [(50,), (46,), (48, 1)],
+                             ids=["long", "short", "2-D"])
+    def test_pressure_shift_checks_the_trace_vector(self, shape):
+        # the long one was shifted silently, the others failed with an
+        # IndexError; x1 is left as it was
+        bs, _, _ = _step2_system(generate_structured("triangle", 2))
+        y1, y2, _ = slv.solve_stage(bs)
+        assert y2.shape == (48,)
+        x2 = np.resize(y2, shape)
+        before = y1.copy()
+        with pytest.raises(ValueError,
+                           match=re.escape(f"x2: shape {shape}, expected (48,)")):
+            asm.shift_pressure_to_zero_mean(bs, y1, x2)
+        assert np.array_equal(y1, before)
 
 
 class TestLoads:
@@ -800,16 +831,51 @@ class TestLocalSet:
         bs3 = asm.assemble_step3(bs1, PlateMaterial(), theta, g)
         local = mesh.kept["local", k]
         for bs, n_views in ((bs1, 2), (bs2, 10), (bs3, 2)):
-            for grp, (Mss, D, edges) in zip(bs.groups, local, strict=True):
+            for grp, (Mss, D, edges, P) in zip(bs.groups, local, strict=True):
                 assert np.shares_memory(grp.mass, Mss)
                 # the flux's derivative terms; in stage two every term but
                 # the three edge stabilizations
                 assert sum(np.shares_memory(b, D)
                            for *_, b in grp.a11) == n_views, bs.stage
+                # the edge stabilizations are the kept edge sums, each
+                # scaled by its weight per element: P_{k-1} for the primal
+                # field and for p, the degree l one for both components of
+                # theta
+                _, alpha2, alpha3 = stabilization(grp.batch.h, PlateMaterial())
+                want = ([(alpha2, P[l - k + 1])] * 2 + [(-alpha3, P[0])]
+                        if bs is bs2 else [(1 / grp.batch.h, P[0])])
+                got = [(scale, b) for *_, scale, b in grp.a11
+                       if not np.shares_memory(b, D)]
+                assert len(got) == len(want), bs.stage
+                for (scale, b), (w_scale, w_b) in zip(got, want):
+                    assert b is w_b and np.array_equal(scale, w_scale)
                 # every trace term is a view of an edge's C or E
                 blocks = [m for pair in edges for m in pair]
                 assert all(any(np.shares_memory(b, m) for m in blocks)
                            for *_, b in grp.a12 + grp.a22), bs.stage
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_edge_sums_are_the_per_edge_sums(self, k):
+        # P = (P_{k-1}, P_k) is, bit for bit, sum_e C^T E^{-1} C summed
+        # edge by edge over the kept edge blocks cut to the degree k-1 and
+        # k edge bases, and to round-off the same sum of edge blocks built
+        # at those degrees
+        mesh = on_unit_square(mixed_group_mesh())
+        degree = fs.quadrature_degrees(k)["edge_degree"]
+        for batch, (_, _, edges, P) in zip(asm.element_batches(mesh),
+                                           asm._local_set(mesh, k),
+                                           strict=True):
+            assert len(P) == 2
+            for m, block in zip((k, k + 1), P):
+                want = np.zeros_like(block)
+                fresh = np.zeros_like(block)
+                for e, (C, E) in enumerate(edges):
+                    want += asm._stab_volume_block(C[:, :m], E[:, :m, :m])
+                    fresh += asm._stab_volume_block(*asm._edge_projection_blocks(
+                        batch, e, degree, m - 1, k))
+                assert block.tobytes() == want.tobytes()
+                assert np.allclose(block, fresh, rtol=1e-12,
+                                   atol=1e-12 * np.abs(fresh).max())
 
     def test_built_once_per_batch_per_mesh(self, monkeypatch):
         # over two thicknesses, every stage of both solves

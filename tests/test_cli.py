@@ -147,6 +147,18 @@ class TestConvergenceCommand:
         assert revision != foreign
         assert re.fullmatch(r"[0-9a-f]+|unknown", revision)
 
+    def test_a_hanging_git_records_unknown(self, tmp_path, monkeypatch):
+        # a git that outlives its timeout costs the revision, not the study
+        def hang(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        monkeypatch.setattr(subprocess, "run", hang)
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--mesh", "tri", "--levels", "2",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+        meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
+        assert meta["git_revision"] == "unknown"
+
     def test_rerun_reproduces_csv_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["convergence", "--mesh", "tri", "--k", "1", "--t", "0.01",

@@ -288,13 +288,41 @@ class TestTopologyErrors:
                            match=r"^element 2 references unknown vertex$"):
             Mesh(MIXED_POINTS, [(1, 2, 5), (2, 3, 5), (3, 4, bad)])
 
-    @pytest.mark.parametrize("bad", [1.7, 2.0, np.float64(2.0), "2"],
-                             ids=["float", "whole-float", "np-float", "str"])
+    @pytest.mark.parametrize("bad", [1.7, 2.0, np.float64(2.0), "2",
+                                     np.array(2.0), np.array([2.0])],
+                             ids=["float", "whole-float", "np-float", "str",
+                                  "0d-float-array", "1-float-array"])
     def test_non_integer_vertex_id(self, bad):
-        # int() would have read these as vertex 1 or 2
+        # int() would have read these as vertex 1 or 2; the arrays have an
+        # __index__ that raises
         message = f"element 1 has a non-integer vertex id {bad!r}"
         with pytest.raises(MeshTopologyError, match=f"^{re.escape(message)}$"):
             Mesh(MIXED_POINTS, [(1, 2, 5), (2, 3, bad)])
+
+    @pytest.mark.parametrize("loops,message", [
+        ([5], "element 0 is 5, not a loop of vertex ids"),
+        ([None], "element 0 is None, not a loop of vertex ids"),
+        ([(1, 2, 5), 7], "element 1 is 7, not a loop of vertex ids"),
+    ], ids=["int", "none", "second-int"])
+    def test_loop_that_is_no_sequence(self, loops, message):
+        # a bare TypeError from the vertex-id check before
+        with pytest.raises(MeshTopologyError, match=f"^{re.escape(message)}$"):
+            Mesh(MIXED_POINTS, loops)
+
+    def test_loops_from_a_generator(self):
+        # read once, the loops named no element on an error
+        loops = [(1, 2, 5), (2, 3, 1.5)]
+        with pytest.raises(MeshTopologyError, match="^element 1 has a "
+                           "non-integer vertex id 1.5$"):
+            Mesh(MIXED_POINTS, (loop for loop in loops))
+        assert Mesh(MIXED_POINTS, (loop for loop in loops[:1])).num_elements == 1
+
+    @pytest.mark.parametrize("bad", [True, np.True_], ids=["bool", "np-bool"])
+    def test_bool_vertex_id(self, bad):
+        # operator.index read True as vertex 1
+        message = f"element 0 has a non-integer vertex id {bad!r}"
+        with pytest.raises(MeshTopologyError, match=f"^{re.escape(message)}$"):
+            Mesh(MIXED_POINTS, [(0, 1, bad)])
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
     def test_numpy_integer_loops_build(self, dtype):
@@ -381,14 +409,13 @@ class TestKept:
                 fields = vf.solve_plate(mesh, SpaceConfig(2), mat, ex)
                 vf.table_errors(fields, ex)
             assert set(vars(mesh)) == attrs
-            # no stage keeps its S or a factor: all three stages share one
-            # set of local matrices, stages one and three keep their
-            # operator, stage two the pattern of its blocks; table_errors
-            # keeps nothing
+            # no stage keeps its operator, its S or a factor: all three
+            # stages share one set of local matrices and keep the pattern
+            # of their blocks; table_errors keeps nothing
             poisson, saddle = ((2, True),), ((6, True), (2, False))
             assert set(mesh.kept) == {
                 "edge_order", "element_batches", ("local", 2),
-                ("poisson", 2), ("pattern", poisson), ("pattern", saddle)}
+                ("pattern", poisson), ("pattern", saddle)}
             held = []
             for key, value in mesh.kept.items():
                 arrays = list(arrays_in(value))

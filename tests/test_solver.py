@@ -813,27 +813,27 @@ class TestTraceFactorization:
                 == fields.reports["step1"].factor_fill)
 
     def test_saddle_operator_not_kept(self):
-        # only the Poisson stages keep an operator, not their S or its
-        # factor, beside the local matrices every stage views; stage two
-        # keeps on the mesh only the pattern of its blocks
+        # no stage keeps its operator, its S or its factor, beside the
+        # local matrices every stage views; stage two keeps on the mesh
+        # only the pattern of its blocks
         mat = PlateMaterial(t=0.1)
         mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
         bs1 = asm.assemble_step1(mesh, SpaceConfig(1), ex.g[0])
         x1, _, _ = slv.solve_stage(bs1)
-        assert bs1.kept_as == ("poisson", 1)
         assert {key for key in mesh.kept if key[0] in ("poisson", "local")
-                } == {("poisson", 1), ("local", 1)}
+                } == {("local", 1)}
         bs2 = asm.assemble_step2(mesh, SpaceConfig(1), mat,
                                  bs1.dof.field("flux", x1))
         before = set(mesh.kept)
         slv.solve_stage(bs2)
-        assert bs2.kept_as is None
         layout = ((4, True), (1, False))
         assert set(mesh.kept) - before == {("pattern", layout)}
 
     def test_one_poisson_operator_and_four_factorizations(
             self, monkeypatch):
-        calls = {"_factorize": 0, "_assemble_poisson_operator": 0}
+        # one Poisson operator per mesh in value: both Poisson stages of
+        # every solve build it from the one kept local set, to the same S
+        calls = {"_factorize": 0, "_local_matrices": 0}
 
         def counting(module, name):
             orig = getattr(module, name)
@@ -843,7 +843,7 @@ class TestTraceFactorization:
                 return orig(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
         counting(slv, "_factorize")
-        counting(asm, "_assemble_poisson_operator")
+        counting(asm, "_local_matrices")
         condense, poisson_S = slv.condense, []
 
         def record_S(bs):
@@ -862,7 +862,7 @@ class TestTraceFactorization:
         mat = PlateMaterial(t=0.1)
         mesh, ex = generate_structured("triangle", 4), vf.exact_fields(mat)
         fields = vf.solve_plate(mesh, SpaceConfig(1), mat, ex)
-        assert calls == {"_factorize": 4, "_assemble_poisson_operator": 1}
+        assert calls == {"_factorize": 4, "_local_matrices": 1}
         assert fields.reports["step1"].factor_fill > 0
         # stage three factors S again: both Poisson stages condense to the
         # same S, bit for bit
@@ -873,21 +873,21 @@ class TestTraceFactorization:
         # the stage-one system does not outlive the solve
         gc.collect()
         assert len(refs) == 1 and refs[0]() is None and fields.omega.coeffs.any()
-        # a second solve on the mesh, at another t, reuses the operator
+        # a second solve on the mesh, at another t, reuses the local set
         # and factors all four blocks again
         mat = PlateMaterial(t=1e-6)
         fields = vf.solve_plate(mesh, SpaceConfig(1), mat, vf.exact_fields(mat))
-        assert calls == {"_factorize": 2 * 4, "_assemble_poisson_operator": 1}
+        assert calls == {"_factorize": 2 * 4, "_local_matrices": 1}
         for rep in fields.reports.values():
             assert rep.factor_fill > 0 and rep.factor_time > 0
         # and its S is still the one of the first solve
         assert len(poisson_S) == 4
         assert all(np.array_equal(poisson_S[0], S) for S in poisson_S[2:])
-        # the operator does not outlive the mesh
-        operator = weakref.ref(mesh.kept["poisson", 1][0].trace_indices)
+        # the local set does not outlive the mesh
+        local = weakref.ref(mesh.kept["local", 1][0][3][0])
         del mesh, fields
         gc.collect()
-        assert operator() is None
+        assert local() is None
 
     def test_stage_two_condenses_into_its_blocks(self, monkeypatch):
         # condense sums stage two straight into the blocks the solve
@@ -1137,8 +1137,8 @@ class TestHeapTrim:
 
 
 class TestMeshCache:
-    """The Poisson operator, the trace patterns and the error tables are
-    kept on the mesh (see also ``test_mesh.TestKept``)."""
+    """The local set and the trace patterns are kept on the mesh (see
+    also ``test_mesh.TestKept``)."""
 
     @pytest.mark.parametrize("kind,k", [("triangle", 1), ("quadrilateral", 2)])
     def test_t_sweep_equals_fresh_meshes(self, kind, k):
